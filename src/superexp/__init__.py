@@ -33,6 +33,7 @@ from .evaluators import (
     abel1,
     abel2,
     calibrate,
+    calibration_tier,
     default_constants,
     superexp_tilde,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "abel_expansion",
     "agreement",
     "calibrate",
+    "calibration_tier",
     "convergence_table",
     "default_constants",
     "dq13",

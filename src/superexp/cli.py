@@ -33,6 +33,7 @@ from .evaluators import (
     CalibrationConstants,
     EvalContext,
     calibrate,
+    calibration_tier,
     default_constants,
 )
 from .iteration import (
@@ -149,13 +150,8 @@ def _cache_dir() -> str:
     return os.path.join(base, "superexp")
 
 
-def _calibration_tier(bits: int) -> int:
-    needed = max(192, bits + 16)
-    return -(-needed // 64) * 64
-
-
 def _constants(cfg: CliConfig) -> CalibrationConstants:
-    tier = _calibration_tier(cfg.precision_bits)
+    tier = calibration_tier(cfg.precision_bits)
     path = os.path.join(_cache_dir(), f"constants-{tier}.json")
     if not cfg.no_cache:
         try:

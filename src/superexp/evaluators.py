@@ -58,6 +58,7 @@ __all__ = [
     "abel1",
     "abel2",
     "calibrate",
+    "calibration_tier",
     "default_constants",
     "superexp_tilde",
 ]
@@ -575,8 +576,15 @@ def _ftilde_eval(kernel, z, branch: BranchSign, side):
 # -- cut-side plumbing ----------------------------------------------------
 
 def _resolve_side(z, cut_side):
+    # every public evaluator passes its argument through here first
     if cut_side not in ("above", "below", None):
         raise ValueError("cut_side must be 'above', 'below' or None")
+    if isinstance(z, (float, complex)):
+        finite = cmath.isfinite(z)  # the double hot path; mpmath's is slow
+    else:
+        finite = mpmath.isfinite(z)
+    if not finite:
+        raise DomainError(f"argument must be finite, got {z!r}")
     if getattr(z, "imag", 0) != 0:
         return "above", False
     if cut_side == "below":
@@ -667,9 +675,9 @@ def A1(
     periodic with period 2*pi*e*i.
     """
     ctx = ctx or _DEFAULT_CTX
+    side, flip = _resolve_side(z, cut_side)
     kernel = _kernel(ctx)
     constants = constants or default_constants(kernel.bits)
-    side, flip = _resolve_side(z, cut_side)
     with kernel.guard():
         value = _abel_walk(kernel, z, plus_side=False, side=side)
         value = value - kernel.cast(constants.a1_norm)
@@ -688,9 +696,9 @@ def A3(
     the cut (-inf, e].
     """
     ctx = ctx or _DEFAULT_CTX
+    side, flip = _resolve_side(z, cut_side)
     kernel = _kernel(ctx)
     constants = constants or default_constants(kernel.bits)
-    side, flip = _resolve_side(z, cut_side)
     with kernel.guard():
         value = _abel_walk(kernel, z, plus_side=True, side=side)
         value = value - kernel.cast(constants.a3_norm)
@@ -739,9 +747,9 @@ def F1(
     distance rather than raising.
     """
     ctx = ctx or _DEFAULT_CTX
+    side, flip = _resolve_side(z, cut_side)
     kernel = _kernel(ctx)
     constants = constants or default_constants(kernel.bits)
-    side, flip = _resolve_side(z, cut_side)
     with kernel.guard():
         zz = kernel.cast(z) + kernel.cast(constants.x1)
     value = _ftilde_eval(kernel, zz, BranchSign.minus, side)
@@ -761,9 +769,9 @@ def F3(
     carrying the first overflowing step index.
     """
     ctx = ctx or _DEFAULT_CTX
+    side, flip = _resolve_side(z, cut_side)
     kernel = _kernel(ctx)
     constants = constants or default_constants(kernel.bits)
-    side, flip = _resolve_side(z, cut_side)
     with kernel.guard():
         zz = kernel.cast(z) + kernel.cast(constants.x3)
     value = _ftilde_eval(kernel, zz, BranchSign.plus, side)
@@ -860,14 +868,22 @@ def calibrate(
 _DEFAULT_CONSTANTS: dict = {}
 
 
+def calibration_tier(bits: int) -> int:
+    """Calibration precision serving evaluation at `bits`.
+
+    16 guard bits over the evaluation width, rounded up to a multiple
+    of 64 and never below 192.
+    """
+    needed = max(192, bits + 16)
+    return -(-needed // 64) * 64
+
+
 def default_constants(bits: int = 53) -> CalibrationConstants:
     """Calibration constants adequate for evaluating at `bits`.
 
-    Calibrated once per 64-bit tier (never below 192) and memoized for
-    the process.
+    Calibrated once per `calibration_tier` and memoized for the process.
     """
-    needed = max(192, bits + 16)
-    needed = -(-needed // 64) * 64
+    needed = calibration_tier(bits)
     if needed not in _DEFAULT_CONSTANTS:
         cctx = EvalContext(precision=PrecisionConfig(mantissa_bits=needed))
         _DEFAULT_CONSTANTS[needed] = calibrate(cctx)

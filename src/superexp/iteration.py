@@ -162,6 +162,14 @@ def _branch_for(z: Scalar) -> IterateBranch:
     )
 
 
+def _shift(a: Scalar, c: Scalar, bits: int) -> Scalar:
+    # c + A(z) at the evaluation precision, not mpmath's global one
+    if bits == 53:
+        return a + c
+    with mp.workprec(bits):
+        return a + c
+
+
 def exp_iterate(
     req: IterateRequest,
     ctx: Optional[EvalContext] = None,
@@ -202,7 +210,7 @@ def exp_iterate(
             return +mpmath.e
     branch = req.branch if req.branch is not None else _branch_for(req.z)
     if branch is IterateBranch.lower:
-        w = _a1_sided(req.z, ctx, constants, req.cut_side) + req.c
+        w = _shift(_a1_sided(req.z, ctx, constants, req.cut_side), req.c, bits)
         im = getattr(w, "imag", 0.0)
         if im == 0 and w.real <= -2.0:
             raise BranchCutError(
@@ -210,7 +218,7 @@ def exp_iterate(
                 f"{complex(w)} lies on the cut of F1"
             )
         return F1(w, ctx, constants, cut_side=req.cut_side)
-    w = A3(req.z, ctx, constants, cut_side=req.cut_side) + req.c
+    w = _shift(A3(req.z, ctx, constants, cut_side=req.cut_side), req.c, bits)
     return F3(w, ctx, constants, cut_side=req.cut_side)
 
 

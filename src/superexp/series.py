@@ -6,7 +6,8 @@ the series h(x) = e^x - 1 (the base-change conjugate of the exponential
 to base e^(1/e)), its regular fractional iterates, the iterative
 logarithm solving the Julia equation, the Abel expansion obtained by
 integrating 1/j, and the log-polynomials P_m of the super-exponential
-asymptotic.
+asymptotic, read off the formal inverse of that Abel expansion shifted
+by ln(2)/3.
 """
 
 from __future__ import annotations
@@ -423,12 +424,10 @@ class SuperExpExpansion:
         return cls(order=int(d["order"]), polynomials=polys)
 
 
-# -- P_m solver ---------------------------------------------------------
+# -- P_m by inverting the Abel expansion ---------------------------------
 #
-# Both sides of the step equation F(z+1) = exp(F(z)/e) are expanded in
-# w = 1/z with coefficients that are polynomials in the formal symbol
-# t = -ln(+-z).  A "wt-series" below is a list over powers of w whose
-# entries are t-polynomial coefficient lists.
+# A "t-polynomial" below is a coefficient list in the formal symbol
+# t = -ln(+-z); the P_m and every table in the inversion are such lists.
 
 def _tp_add(a: list, b: list) -> list:
     n = max(len(a), len(b))
@@ -452,134 +451,61 @@ def _tp_mul(a: list, b: list) -> list:
                 out[i + k] += ai * bk
     return out
 
-def _tp_is_zero(a: list) -> bool:
-    return all(c == 0 for c in a)
-
-
-def _wt_mul(A: list, B: list, n: int) -> list:
-    out = [[_ZERO] for _ in range(n)]
-    for i, ai in enumerate(A):
-        if i >= n or _tp_is_zero(ai):
-            continue
-        for k in range(min(len(B), n - i)):
-            if not _tp_is_zero(B[k]):
-                out[i + k] = _tp_add(out[i + k], _tp_mul(ai, B[k]))
-    return out
-
-
-def _wt_exp(X: list, n: int) -> list:
-    # exp of a wt-series with zero constant term, via E' = X' E.
-    assert _tp_is_zero(X[0])
-    E = [[_ZERO] for _ in range(n)]
-    E[0] = [_ONE]
-    for k in range(1, n):
-        acc = [_ZERO]
-        for i in range(1, k + 1):
-            if i < len(X) and not _tp_is_zero(X[i]):
-                acc = _tp_add(acc, _tp_scale(_tp_mul(X[i], E[k - i]), Fraction(i)))
-        E[k] = _tp_scale(acc, Fraction(1, k))
-    return E
-
-
-def _scalar_powers(first: list[Fraction], n: int, count: int) -> list[list[Fraction]]:
-    # Powers 1..count of a plain w-series, each truncated to n terms.
-    out = [first[:n]]
-    for _ in range(1, count):
-        prev = out[-1]
-        nxt = [_ZERO] * n
-        for i, pi in enumerate(prev):
-            if pi == 0:
-                continue
-            for k in range(min(len(first), n - i)):
-                if first[k] != 0:
-                    nxt[i + k] += pi * first[k]
-        out.append(nxt)
+def _tp_sum(terms: Iterable) -> list:
+    out = [_ZERO]
+    for term in terms:
+        out = _tp_add(out, term)
     return out
 
 
 def superexp_polynomials(M: int) -> SuperExpExpansion:
-    """Solve for the log-polynomials P_1 .. P_M, exactly.
+    """Log-polynomials P_1 .. P_M, exactly, by inverting the Abel expansion.
 
-    Matching the two sides of the step equation per power of w = 1/z
-    (and per power of t) determines each P_m from an inhomogeneous
-    linear relation at w-order m + 2:
+    The super-exponential inverts the Abel function
+    alpha(zeta) = 2/zeta + (1/3) log(zeta) + sum_n c_n zeta^n in
+    zeta = 1 - F/e.  Shifting alpha by ln(2)/3 and writing w = 1/z,
+    t = log(w) and zeta = 2w Y with Y = 1 + sum_m P_m(t) (w/3)^m turns
+    alpha(zeta) - ln(2)/3 = z into
 
-        (m - 1) P_m + P_m' = -(3^m / 2) R_m
+        1/Y = 1 - (w/3) (t + log Y) - w sum_n c_n (2w)^n Y^n.
 
-    where R_m collects the already-known polynomials.  For m = 1 the
-    relation only pins P_1', and the free constant is set to zero,
-    which is the normalization making t a plain logarithm.
+    The w^m coefficient of the right side involves Y only below order m,
+    so one pass over the orders fills the tables of 1/Y, log Y and the
+    powers Y^n, and reads off each P_m = 3^m [w^m] Y.  The shift is what
+    keeps every coefficient rational: it sets the constant term of P_1
+    to zero, so P_1 = t, and the evaluation layer's log(+-z) is a plain
+    logarithm.
     """
     if M < 1:
         raise ValueError("need M >= 1")
-    n = M + 3  # w-orders 0 .. M+2
-    # u = w/(1+w) and L = ln(1+w) as plain w-series.
-    u = [_ZERO] + [Fraction((-1) ** (k - 1)) for k in range(1, n)]
-    L = [_ZERO] + [Fraction((-1) ** (k - 1), k) for k in range(1, n)]
-    u_pow = _scalar_powers(u, n, M + 2)       # u^1 .. u^(M+2)
-    L_pow = _scalar_powers(L, n, M + 1)       # L^1 .. L^(M+1)
-
-    def shifted(poly: list, order: int) -> list:
-        # P(t - L(w)) as a wt-series to `order` w-terms.
-        out = [[_ZERO] for _ in range(order)]
-        out[0] = list(poly)
-        deriv = list(poly)
-        fact = _ONE
-        for jj in range(1, len(poly)):
-            deriv = [Fraction(k + 1) * deriv[k + 1] for k in range(len(deriv) - 1)]
-            fact *= jj
-            factor = Fraction((-1) ** jj) / fact
-            Lj = L_pow[jj - 1]
-            for k in range(jj, order):
-                if Lj[k] != 0:
-                    out[k] = _tp_add(out[k], _tp_scale(deriv, factor * Lj[k]))
-        return out
-
-    polys: list[list[Fraction]] = []
+    N = max(M - 1, 1)
+    tail = abel_expansion(exp_minus_one(N + 3), N).tail
+    # c_n 2^n, where c_n = (-1)^n v_n is the tail in zeta = -x
+    c = [(-2) ** n * tail[n] for n in range(M)]
+    # w^k coefficients of Y, 1/Y, t + log Y and Y^n (n >= 2, through
+    # w^(M-n-1))
+    y, inv, log = [[_ONE]], [[_ONE]], [[_ZERO, _ONE]]
+    powers = [None, y] + [[[_ONE]] for _ in range(2, M)]
     for m in range(1, M + 1):
-        order = m + 3  # w-orders 0 .. m+2
-        # Left side: 1 - 2u (1 + sum_{i<m} P_i(t-L) (u/3)^i).
-        lhs = [[_ZERO] for _ in range(order)]
-        lhs[0] = [_ONE]
-        for k in range(1, order):
-            lhs[k] = [-2 * u_pow[0][k]]
-        for i, Pi in enumerate(polys, start=1):
-            block = _wt_mul(
-                shifted(Pi, order),
-                [[-2 * Fraction(1, 3**i) * c] for c in u_pow[i][:order]],
-                order,
+        # w^m of the right side, from Y below order m
+        r = _tp_scale(log[m - 1], Fraction(-1, 3))
+        for n in range(1, m):
+            r = _tp_add(r, _tp_scale(powers[n][m - 1 - n], -c[n]))
+        inv.append(r)
+        # Y * (1/Y) = 1
+        acc = _tp_sum(_tp_mul(inv[k], y[m - k]) for k in range(1, m + 1))
+        y.append(_tp_scale(acc, -_ONE))
+        # (log Y)' Y = Y': m l_m = m y_m - sum_k k l_k y_(m-k)
+        acc = _tp_sum(
+            _tp_scale(_tp_mul(log[k], y[m - k]), Fraction(k)) for k in range(1, m)
+        )
+        log.append(_tp_add(y[m], _tp_scale(acc, Fraction(-1, m))))
+        for n in range(2, M - m):
+            powers[n].append(
+                _tp_sum(_tp_mul(y[k], powers[n - 1][m - k]) for k in range(m + 1))
             )
-            for k in range(order):
-                lhs[k] = _tp_add(lhs[k], block[k])
-        # Right side: exp(-2w (1 + sum_{i<m} P_i(t) (w/3)^i)).
-        X = [[_ZERO] for _ in range(order)]
-        X[1] = [Fraction(-2)]
-        for i, Pi in enumerate(polys, start=1):
-            if i + 1 < order:
-                X[i + 1] = _tp_add(X[i + 1], _tp_scale(Pi, Fraction(-2, 3**i)))
-        rhs = _wt_exp(X, order)
-        # Residual; orders up to m+1 must cancel without P_m.
-        for k in range(m + 2):
-            check = _tp_add(lhs[k], _tp_scale(rhs[k], Fraction(-1)))
-            assert _tp_is_zero(check), f"order {k} residual nonzero at m={m}"
-        R = _tp_add(lhs[m + 2], _tp_scale(rhs[m + 2], Fraction(-1)))
-        Q = _tp_scale(R, Fraction(-(3**m), 2))
-        while len(Q) > 1 and Q[-1] == 0:
-            Q.pop()
-        if m == 1:
-            # P_1' = Q with Q constant; integration constant set to 0.
-            assert len(Q) == 1, "order-3 relation should be t-free"
-            polys.append([_ZERO, Q[0]])
-            continue
-        # (m-1) P_m + P_m' = Q, solved from the top degree down.
-        deg = len(Q) - 1
-        c = [_ZERO] * (deg + 1)
-        for k in range(deg, -1, -1):
-            higher = Fraction(k + 1) * c[k + 1] if k < deg else _ZERO
-            c[k] = (Q[k] - higher) / (m - 1)
-        polys.append(c)
 
-    return SuperExpExpansion(
-        order=M,
-        polynomials=tuple(PowerSeries(p) for p in polys),
+    polys = tuple(
+        PowerSeries(_tp_scale(y[m], Fraction(3**m))) for m in range(1, M + 1)
     )
+    return SuperExpExpansion(order=M, polynomials=polys)

@@ -240,10 +240,14 @@ def test_05_calibration_constants():
             ),
         }
         # the Abel series 2/zeta + (1/3) log zeta + sum v_k zeta^k and the
-        # asymptotic F~ are formal inverses up to the shift ln(2)/3, so
-        # abel1(F~(x1)) = x1 + ln(2)/3 on the minus branch and likewise
-        # abel2 at x3 on the plus branch; the norms come from the Abel
-        # walks, x1 and x3 from secant roots of F~: separate code paths
+        # asymptotic F~ are formal inverses up to the shift ln(2)/3 (the
+        # P_m of F~ are built as that inverse), so abel1(F~(x1)) =
+        # x1 + ln(2)/3 on the minus branch and likewise abel2 at x3 on the
+        # plus branch.  The norms come from Abel walks summed near the
+        # fixed point, x1 and x3 from secant roots of F~ summed far out and
+        # walked back in: the identity checks those two evaluation paths
+        # against each other, while the coefficients themselves are pinned
+        # by test_series' digest of the P_m
         shift = mpmath.log(2) / 3
         identities = {
             "a1_norm - x1": float(abs(CC.a1_norm - CC.x1 - shift)),

@@ -198,6 +198,13 @@ class TestEval:
         proc = run_cli(["eval", "A3", "1", "0", "--cut-side", "above"], cache_dir)
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("args", [["F1", "nan", "0"], ["A3", "inf"]])
+    def test_non_finite_input_is_a_domain_error(self, cache_dir, args):
+        proc = run_cli(["eval", *args], cache_dir)
+        assert proc.returncode == 1
+        assert "DomainError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestTable:
     def test_levy_block_one(self, cache_dir):

@@ -33,6 +33,7 @@ from superexp.evaluators import (
     abel1,
     abel2,
     calibrate,
+    _kernel,
     default_constants,
     superexp_tilde,
 )
@@ -317,6 +318,25 @@ class TestCutsAndErrors:
         with pytest.raises(ValueError):
             superexp_tilde(1, "q")
 
+    @pytest.mark.parametrize("fn", [F1, F3, A1, A3])
+    @pytest.mark.parametrize(
+        "z",
+        [
+            math.nan,
+            math.inf,
+            -math.inf,
+            complex(1.0, math.nan),
+            complex(math.inf, 0.0),
+            complex(0.5, -math.inf),
+            mpmath.mpf("nan"),
+            mpmath.mpc(1, mpmath.inf),
+        ],
+        ids=repr,
+    )
+    def test_rejects_non_finite(self, fn, z):
+        with pytest.raises(DomainError, match="finite"):
+            fn(z)
+
 
 class TestMPKernel:
     def test_f1_anchor_at_256_bits(self):
@@ -338,6 +358,24 @@ class TestMPKernel:
         v = abel1(1, ctx)
         assert mp_close(v, A1_NORM_REF, 1e-24)
         assert mp_close(v, CC.a1_norm, mpmath.mpf(2) ** -120)
+
+    @pytest.mark.parametrize(
+        "bits, threshold, bound", [(128, 41.0, 2.0**-120), (256, 788.0, 2.0**-250)]
+    )
+    def test_tilde_step_past_walk_threshold(self, bits, threshold, bound):
+        # F~(x + 1) = exp(F~(x)/e) with x and x + 1 both past the walk-out
+        # threshold and the series tail there already below the retry
+        # tolerance, so each side is a direct sum of the P_m series; a
+        # point that walked would reach its sum through this very step.
+        # Measured at x = threshold + 0.25: 2^-141 (128), 2^-273 (256)
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        assert _kernel(ctx).threshold == threshold
+        x = threshold + 0.25
+        f0 = superexp_tilde(x, "minus", ctx)
+        f1 = superexp_tilde(x + 1, "minus", ctx)
+        with mp.workprec(bits + 32):
+            residual = abs(f1 - mpmath.exp(f0 / mpmath.e))
+        assert residual < bound
 
     def test_tightened_context_respected(self):
         # the kernel may not loosen an explicitly tightened radius

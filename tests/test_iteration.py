@@ -72,6 +72,16 @@ class TestExpIterate:
         hh = exp_iterate(req(0.5, h, "lower"))
         assert abs(hh - EXP_B_1) < 1e-11
 
+    @pytest.mark.parametrize("branch,z", [("lower", 0.3), ("upper", 5.0)])
+    def test_half_iterate_twice_at_128_bits(self, branch, z):
+        # c + A(z) must be formed at 128 bits: in mpmath's default 53-bit
+        # context the sum rounds and the miss grows to 9e-20 (lower, 0.3)
+        h = exp_iterate(req(0.5, z, branch), CTX128)
+        hh = exp_iterate(req(0.5, h, branch), CTX128)
+        with mp.workprec(160):
+            miss = abs(hh - mpmath.exp(mpmath.mpf(z) / mpmath.e))
+        assert miss < mpmath.mpf(2) ** -100
+
     def test_inverse_iterate(self):
         w = exp_iterate(req(1.0, 1.0, "lower"))
         assert abs(exp_iterate(req(-1.0, w, "lower")) - 1.0) < 1e-11

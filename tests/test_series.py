@@ -5,6 +5,8 @@ iterate coefficients are additionally cross-checked against the
 independent Newton double-sum oracle in helpers.py.
 """
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import mpmath
@@ -329,6 +331,16 @@ class TestSuperExpPolynomials:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             superexp_polynomials(0)
+
+    def test_order_28_digest(self):
+        # SHA-256 of P_1 .. P_28 as fraction strings, recorded from the
+        # step-equation solver that the Abel inversion replaced; the two
+        # agreed Fraction for Fraction for every M in 1..28 and at M = 32
+        polys = [p.to_fraction_strings() for p in superexp_polynomials(28).polynomials]
+        digest = hashlib.sha256(json.dumps(polys).encode("ascii")).hexdigest()
+        assert digest == (
+            "44d9b1d382500c70bc39a568173d059baa5663be32f26eb3b968a25e52a56d09"
+        )
 
     def test_json_round_trip(self):
         se = superexp_polynomials(3)
