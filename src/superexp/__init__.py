@@ -57,6 +57,7 @@ from .limits import (
     fatou_abel,
     fatou_probe,
     fatou_probe_richardson,
+    format_record,
     iterate_h,
     iterate_h_inverse,
     levy_abel,
@@ -116,6 +117,7 @@ __all__ = [
     "fatou_abel",
     "fatou_probe",
     "fatou_probe_richardson",
+    "format_record",
     "grid_to_csv",
     "grid_to_json",
     "iterate_h",

@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import statistics
 import sys
+import tempfile
 from typing import Optional
 
 import mpmath
@@ -41,14 +43,13 @@ from .iteration import (
     GRID_FUNCTIONS,
     GridSpec,
     IterateRequest,
-    _error_code,
     agreement,
     exp_iterate,
     grid_to_csv,
     grid_to_json,
     map_grid,
 )
-from .limits import PrecisionConfig, _printed, _value_bits, convergence_table, records_to_csv
+from .limits import PrecisionConfig, convergence_table, format_record, records_to_csv
 
 __all__ = ["CliConfig", "main"]
 
@@ -165,8 +166,18 @@ def _constants(cfg: CliConfig) -> CalibrationConstants:
     if not cfg.no_cache:
         try:
             os.makedirs(_cache_dir(), exist_ok=True)
-            with open(path, "w", encoding="ascii") as fh:
-                json.dump(constants.as_decimal_dict(), fh)
+            # a reader sees the old file or the whole new one, never a
+            # partial write
+            fd, tmp = tempfile.mkstemp(
+                prefix=f"constants-{tier}-", suffix=".tmp", dir=_cache_dir()
+            )
+            try:
+                with os.fdopen(fd, "w", encoding="ascii") as fh:
+                    json.dump(constants.as_decimal_dict(), fh)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
         except OSError:
             pass  # cache is best effort; the value is already in hand
     return constants
@@ -286,7 +297,7 @@ def _cmd_eval(args) -> int:
             fn = {"F1": F1, "F3": F3, "A1": A1, "A3": A3}[args.fn]
             value = fn(z, ctx, constants, cut_side=args.cut_side)
     except SuperexpError as exc:
-        err = _error_code(exc)
+        err = exc.code
         if cfg.output_format == "text":
             return _fail(f"{type(exc).__name__}: {exc}")
     if cfg.output_format == "text":
@@ -305,10 +316,11 @@ def _cmd_eval(args) -> int:
             re_out, im_out = float(re_s), float(im_s)
         else:
             re_out, im_out = re_s, im_s
+        # JSON has no NaN or Infinity: echo a non-finite input as null
         payload = {
             "fn": args.fn,
-            "x": args.re,
-            "y": args.im,
+            "x": args.re if math.isfinite(args.re) else None,
+            "y": args.im if math.isfinite(args.im) else None,
             "re": re_out,
             "im": im_out,
             "err": err,
@@ -345,28 +357,14 @@ def _cmd_table(args) -> int:
     if cfg.output_format == "json":
         rows = []
         for rec in records:
-            if rec.error is not None:
-                rows.append(
-                    {"method": rec.method, "n": rec.n, "value": None,
-                     "printed": None, "error": rec.error}
-                )
-                continue
-            digits = mpmath.libmp.prec_to_dps(_value_bits(rec.value)) + 3
-            value = mpmath.nstr(
-                rec.value, digits, strip_zeros=True, min_fixed=1, max_fixed=0
-            ).replace(" ", "")
+            value, printed = format_record(rec)
             rows.append(
-                {
-                    "method": rec.method,
-                    "n": rec.n,
-                    "value": value,
-                    "printed": _printed(rec.method, rec.n, rec.value),
-                    "error": None,
-                }
+                {"method": rec.method, "n": rec.n, "value": value,
+                 "printed": printed, "error": rec.error}
             )
         return _emit(json.dumps(rows) + "\n", cfg.output_path)
     lines = [
-        f"{rec.n} {rec.error if rec.error is not None else _printed(rec.method, rec.n, rec.value)}"
+        f"{rec.n} {rec.error if rec.error is not None else format_record(rec)[1]}"
         for rec in records
     ]
     return _emit("".join(line + "\n" for line in lines), cfg.output_path)

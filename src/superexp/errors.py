@@ -4,15 +4,25 @@ from __future__ import annotations
 
 
 class SuperexpError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `code` is the short tag that grids, tables and the CLI record for a
+    failed evaluation: ``cut``, ``domain``, ``overflow`` or ``nonconv``.
+    """
+
+    code = "nonconv"
 
 
 class DomainError(SuperexpError):
     """Input lies outside the domain a routine can handle."""
 
+    code = "domain"
+
 
 class BranchCutError(DomainError):
     """Evaluation landed on a branch cut and no side was selected."""
+
+    code = "cut"
 
 
 class NonConvergenceError(SuperexpError):
@@ -37,6 +47,8 @@ class OrbitOverflowError(NonConvergenceError):
     index : int or None
         Orbit step at which the escape happened.
     """
+
+    code = "overflow"
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)

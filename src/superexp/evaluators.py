@@ -193,41 +193,42 @@ def _abel_tail_coeffs(n_terms: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _abel_tail_float(n_terms: int) -> tuple:
-    return tuple(float(c) for c in _abel_tail_coeffs(n_terms))
-
-
-@lru_cache(maxsize=None)
-def _abel_tail_mpf(n_terms: int, workbits: int) -> tuple:
-    with mp.workprec(workbits):
-        return tuple(
-            mpmath.mpf(c.numerator) / c.denominator
-            for c in _abel_tail_coeffs(n_terms)
-        )
-
-
-@lru_cache(maxsize=None)
 def _ftilde_polys(m_terms: int) -> tuple:
-    expansion = superexp_polynomials(m_terms)
-    return tuple(
-        tuple(p[k] for k in range(len(p))) for p in expansion.polynomials
-    )
+    return tuple(p.coefficients for p in superexp_polynomials(m_terms).polynomials)
 
 
-@lru_cache(maxsize=None)
-def _ftilde_polys_float(m_terms: int) -> tuple:
-    return tuple(
-        tuple(float(c) for c in poly) for poly in _ftilde_polys(m_terms)
-    )
+class _Tables:
+    """Reversed coefficient tables of a kernel, built on first use.
 
+    A kernel supplies `coeff`, its rounding of one exact coefficient, and
+    the term counts; the Abel walks never build the P_m and the
+    asymptotic sum never builds the Abel tail.  Not a cached_property:
+    writing the instance __dict__ slows every attribute load on the hot
+    path.
+    """
 
-@lru_cache(maxsize=None)
-def _ftilde_polys_mpf(m_terms: int, workbits: int) -> tuple:
-    with mp.workprec(workbits):
-        return tuple(
-            tuple(mpmath.mpf(c.numerator) / c.denominator for c in poly)
-            for poly in _ftilde_polys(m_terms)
-        )
+    def __init__(self):
+        self._tails = self._polys = None
+
+    def tail_rev(self, plus_side: bool) -> tuple:
+        if self._tails is None:
+            # abel1 sums the first abel_terms coefficients, abel2 one more:
+            # the shorter tail is a prefix of the longer
+            with self.guard():
+                rev = tuple(
+                    map(self.coeff, reversed(_abel_tail_coeffs(self.abel_terms + 1)))
+                )
+            self._tails = (rev[1:], rev)
+        return self._tails[plus_side]
+
+    def polys_rev(self) -> tuple:
+        if self._polys is None:
+            with self.guard():
+                self._polys = tuple(
+                    tuple(map(self.coeff, reversed(p)))
+                    for p in reversed(_ftilde_polys(self.m_terms))
+                )
+        return self._polys
 
 
 # -- precision-derived tuning for the mpmath kernel ----------------------
@@ -257,7 +258,7 @@ def _superexp_threshold(bits: int) -> float:
     return max(16.0, float(math.ceil(t)))
 
 
-class _DoubleKernel:
+class _DoubleKernel(_Tables):
     """Machine-double evaluation: plain complex arithmetic, no guards
     beyond over/underflow handling in the exponential step."""
 
@@ -266,6 +267,7 @@ class _DoubleKernel:
     tol = 0.0
 
     def __init__(self, ctx: EvalContext):
+        super().__init__()
         self.abel_radius = ctx.abel_disk_radius
         self.abel_terms = ctx.abel_tail_terms
         self.abel_cap = ctx.max_recursion
@@ -273,13 +275,9 @@ class _DoubleKernel:
         self.m_terms = ctx.superexp_terms
         self.walk_cap = ctx.max_recursion
         self.bump = 0
-        c1 = _abel_tail_float(ctx.abel_tail_terms)
-        c2 = _abel_tail_float(ctx.abel_tail_terms + 1)
-        self._tail_rev = (tuple(reversed(c1)), tuple(reversed(c2)))
-        self._polys_rev = tuple(
-            tuple(reversed(p))
-            for p in reversed(_ftilde_polys_float(ctx.superexp_terms))
-        )
+
+    def coeff(self, c: Fraction) -> float:
+        return float(c)
 
     def guard(self):
         return contextlib.nullcontext()
@@ -340,7 +338,7 @@ class _DoubleKernel:
         else:
             logpart = cmath.log(arg)
         acc = 0j
-        for c in self._tail_rev[plus_side]:
+        for c in self.tail_rev(plus_side):
             acc = acc * zeta + c
         return logpart / 3.0 + 2.0 / zeta + acc * zeta, 0.0
 
@@ -349,7 +347,7 @@ class _DoubleKernel:
         t = -cmath.log(z if branch is BranchSign.minus else -z)
         w = 1.0 / (3.0 * z)
         s = 0j
-        for coeffs in self._polys_rev:
+        for coeffs in self.polys_rev():
             pv = 0j
             for c in coeffs:
                 pv = pv * t + c
@@ -357,12 +355,13 @@ class _DoubleKernel:
         return _E * (1.0 - (2.0 / z) * (1.0 + s)), 0.0
 
 
-class _MPKernel:
+class _MPKernel(_Tables):
     """mpmath evaluation at any width, tuning derived from the bit count."""
 
     tripwire = True
 
     def __init__(self, ctx: EvalContext):
+        super().__init__()
         self.bits = ctx.precision.mantissa_bits
         self._workbits = self.bits + 32
         radius, terms = _abel_tier(self.bits)
@@ -377,13 +376,10 @@ class _MPKernel:
         self.walk_cap = max(ctx.max_recursion, int(self.threshold) + 64)
         self.bump = max(8, int(self.threshold) // 8)
         self.tol = mpmath.mpf(2) ** (4 - self.bits)
-        c1 = _abel_tail_mpf(self.abel_terms, self._workbits)
-        c2 = _abel_tail_mpf(self.abel_terms + 1, self._workbits)
-        self._tail_rev = (tuple(reversed(c1)), tuple(reversed(c2)))
-        self._polys_rev = tuple(
-            tuple(reversed(p))
-            for p in reversed(_ftilde_polys_mpf(self.m_terms, self._workbits))
-        )
+
+    def coeff(self, c: Fraction):
+        # rounded at the work bits: the tables are built inside guard()
+        return mpmath.mpf(c.numerator) / c.denominator
 
     def guard(self):
         return mp.workprec(self._workbits)
@@ -440,7 +436,7 @@ class _MPKernel:
                 )
         if logpart is None:
             logpart = mpmath.log(arg)
-        coeffs = self._tail_rev[plus_side]
+        coeffs = self.tail_rev(plus_side)
         acc = mpmath.mpf(0)
         for c in coeffs:
             acc = acc * zeta + c
@@ -453,7 +449,7 @@ class _MPKernel:
         w = 1 / (3 * z)
         s = mpmath.mpf(0)
         top = None
-        for coeffs in self._polys_rev:
+        for coeffs in self.polys_rev():
             pv = mpmath.mpf(0)
             for c in coeffs:
                 pv = pv * t + c

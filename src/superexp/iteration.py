@@ -19,13 +19,7 @@ from typing import Optional, Union
 import mpmath
 from mpmath import mp
 
-from .errors import (
-    BranchCutError,
-    DomainError,
-    NonConvergenceError,
-    OrbitOverflowError,
-    SuperexpError,
-)
+from .errors import BranchCutError, DomainError, SuperexpError
 from .evaluators import (
     A1,
     A3,
@@ -245,10 +239,16 @@ def dq13(
         ``exp_lower^[1/2](x) - exp_upper^[1/2](x)``.
     """
     ctx = ctx if ctx is not None else EvalContext()
+    bits = ctx.precision.mantissa_bits
     deep = dataclasses.replace(ctx, max_recursion=max(ctx.max_recursion, 20000))
     lower = exp_iterate(IterateRequest(0.5, x, IterateBranch.lower), deep, constants)
     upper = exp_iterate(IterateRequest(0.5, x, IterateBranch.upper), deep, constants)
-    return lower - upper
+    if bits == 53:
+        return lower - upper
+    # at the evaluation precision; negating `upper` first would round it
+    # to mpmath's global one
+    with mp.workprec(bits):
+        return lower - upper
 
 
 def _exp_b(z: Scalar, bits: int) -> Scalar:
@@ -366,8 +366,9 @@ class GridResult:
     """Row-major samples of one function over a :class:`GridSpec`.
 
     values[j][i] is the sample at (xs[i], ys[j]) as a complex double, or
-    None when that cell failed; errors[j][i] then carries the code
-    ``cut``, ``overflow`` or ``nonconv``.
+    None when that cell failed; errors[j][i] then carries the
+    `SuperexpError.code` of the failure: ``cut``, ``domain``,
+    ``overflow`` or ``nonconv``.
     """
 
     fn: str
@@ -376,16 +377,6 @@ class GridResult:
     ys: tuple
     values: tuple
     errors: tuple
-
-
-def _error_code(exc: SuperexpError) -> str:
-    if isinstance(exc, OrbitOverflowError):
-        return "overflow"
-    if isinstance(exc, DomainError):  # includes BranchCutError
-        return "cut"
-    if isinstance(exc, NonConvergenceError):
-        return "nonconv"
-    return "nonconv"
 
 
 def map_grid(
@@ -443,7 +434,7 @@ def map_grid(
                 erow.append(None)
             except SuperexpError as exc:
                 row.append(None)
-                erow.append(_error_code(exc))
+                erow.append(exc.code)
         rows.append(tuple(row))
         errs.append(tuple(erow))
     return GridResult(fn, grid, xs, ys, tuple(rows), tuple(errs))

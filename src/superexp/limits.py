@@ -50,6 +50,7 @@ __all__ = [
     "fatou_probe",
     "fatou_probe_richardson",
     "convergence_table",
+    "format_record",
     "records_to_csv",
 ]
 
@@ -477,7 +478,7 @@ def convergence_table(
                             b = _h_step(b, pos)
                             pos += 1
                     except SuperexpError as exc:
-                        failed = _error_tag(exc)
+                        failed = exc.code
                 if failed is not None:
                     records.append(ConvergenceRecord(n, None, method, failed))
                     continue
@@ -495,7 +496,7 @@ def convergence_table(
                     records.append(ConvergenceRecord(n, value, method))
                 except SuperexpError as exc:
                     records.append(
-                        ConvergenceRecord(n, None, method, _error_tag(exc))
+                        ConvergenceRecord(n, None, method, exc.code)
                     )
         return records
 
@@ -509,7 +510,7 @@ def convergence_table(
                     records.append(ConvergenceRecord(n, value, method))
                 except SuperexpError as exc:
                     records.append(
-                        ConvergenceRecord(n, None, method, _error_tag(exc))
+                        ConvergenceRecord(n, None, method, exc.code)
                     )
         return records
 
@@ -526,18 +527,26 @@ def convergence_table(
                 res = newton_superfunction(u, t, row_cfg, base_map=base_map)
                 records.append(ConvergenceRecord(n, res.value, method))
             except SuperexpError as exc:
-                records.append(ConvergenceRecord(n, None, method, _error_tag(exc)))
+                records.append(ConvergenceRecord(n, None, method, exc.code))
         return records
 
     raise ValueError(f"unknown method {method!r}")
 
 
-def _error_tag(exc: SuperexpError) -> str:
-    if isinstance(exc, OrbitOverflowError):
-        return "overflow"
-    if isinstance(exc, DomainError):
-        return "domain"
-    return "nonconv"
+def format_record(
+    rec: ConvergenceRecord,
+) -> tuple[Optional[str], Optional[str]]:
+    """A row's value as a round-trip decimal and as its table prints it.
+
+    Both strings are None for a failed row, whose `error` carries the tag.
+    """
+    if rec.error is not None:
+        return None, None
+    digits = mpmath.libmp.prec_to_dps(_value_bits(rec.value)) + 3
+    value = mpmath.nstr(
+        rec.value, digits, strip_zeros=True, min_fixed=1, max_fixed=0
+    )
+    return value.replace(" ", ""), _printed(rec.method, rec.n, rec.value)
 
 
 def records_to_csv(records: Sequence[ConvergenceRecord], stream=None) -> str:
@@ -548,18 +557,11 @@ def records_to_csv(records: Sequence[ConvergenceRecord], stream=None) -> str:
     """
     lines = ["method,n,value,printed"]
     for rec in records:
+        value, printed = format_record(rec)
         if rec.error is not None:
             lines.append(f"{rec.method},{rec.n},,{rec.error}")
-            continue
-        digits = mpmath.libmp.prec_to_dps(_value_bits(rec.value)) + 3
-        value = mpmath.nstr(
-            rec.value, digits, strip_zeros=True, min_fixed=1, max_fixed=0
-        )
-        if isinstance(rec.value, mpmath.mpc):
-            value = value.replace(" ", "")
-        lines.append(
-            f"{rec.method},{rec.n},{value},{_printed(rec.method, rec.n, rec.value)}"
-        )
+        else:
+            lines.append(f"{rec.method},{rec.n},{value},{printed}")
     text = "\n".join(lines) + "\n"
     if stream is not None:
         stream.write(text)

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from superexp import cli
 from superexp.evaluators import default_constants
 
 E = math.e
@@ -105,6 +106,26 @@ class TestCalibrate:
     def test_no_cache_leaves_no_file(self, tmp_path):
         proc = run_cli(["eval", "F1", "0", "0", "--no-cache"], tmp_path)
         assert proc.returncode == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_write_leaves_only_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path))
+        constants = cli._constants(cli.CliConfig())
+        assert [p.name for p in tmp_path.iterdir()] == ["constants-192.json"]
+        payload = json.loads((tmp_path / "constants-192.json").read_text())
+        assert payload == constants.as_decimal_dict()
+
+    def test_failed_cache_write_leaves_nothing(self, tmp_path, monkeypatch):
+        # a write that dies half way must not leave a truncated cache
+        # file for the next process, nor its temporary file
+        def dump_then_fail(obj, fh):
+            fh.write('{"bits": 19')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+        constants = cli._constants(cli.CliConfig())
+        assert constants is default_constants(53)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -205,6 +226,24 @@ class TestEval:
         assert "DomainError" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_non_finite_csv_row_is_domain(self, cache_dir):
+        proc = run_cli(["eval", "F1", "nan", "0", "--format", "csv"], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == "re,im,err\n,,domain\n"
+
+    @pytest.mark.parametrize(
+        "point, echo", [(["0", "inf"], (0.0, None)), (["nan", "0"], (None, 0.0))]
+    )
+    def test_non_finite_json_is_valid(self, cache_dir, point, echo):
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        proc = run_cli(["eval", "F1", *point, "--format", "json"], cache_dir)
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout, parse_constant=no_constant)
+        assert (payload["x"], payload["y"]) == echo
+        assert payload["err"] == "domain" and payload["re"] is None
+
 
 class TestTable:
     def test_levy_block_one(self, cache_dir):
@@ -235,6 +274,30 @@ class TestTable:
         assert rows[0]["printed"] == "-1.4560"
         assert rows[0]["value"].startswith("-1.45")
         assert rows[0]["error"] is None
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["levy", "--n", "100:102"],
+            # the backward orbits leave the domain: error rows only
+            ["fatou2", "--n", "5:6", "--args", "2,3"],
+        ],
+    )
+    def test_formats_print_the_same_rows(self, cache_dir, args):
+        text = run_cli(["table", *args], cache_dir).stdout.splitlines()
+        csv = run_cli(["table", *args, "--format", "csv"], cache_dir).stdout
+        rows = json.loads(run_cli(["table", *args, "--format", "json"], cache_dir).stdout)
+        csv = csv.splitlines()[1:]
+        assert len(text) == len(rows) == len(csv) > 0
+        for line, row, fields in zip(text, rows, csv):
+            method, n = row["method"], row["n"]
+            if row["error"] is None:
+                assert fields == f"{method},{n},{row['value']},{row['printed']}"
+                assert line == f"{n} {row['printed']}"
+            else:
+                assert row["value"] is None and row["printed"] is None
+                assert fields == f"{method},{n},,{row['error']}"
+                assert line == f"{n} {row['error']}"
 
     def test_empty_range(self, cache_dir):
         proc = run_cli(["table", "levy", "--n", ""], cache_dir)

@@ -7,6 +7,7 @@ against the limit-formula estimators in `limits` appear at the end.
 
 import cmath
 import math
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from superexp import evaluators as ev
 from superexp import limits as lm
 from superexp.errors import (
     BranchCutError,
@@ -386,6 +388,64 @@ class TestMPKernel:
         a = abel1(1, tight)
         b = abel1(1, loose)
         assert mp_close(a, b, mpmath.mpf(2) ** -120)
+
+
+class TestLazyTables:
+    """Each kernel builds the exact table it needs once, on first use."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # empty caches for the exact tables and the kernels, and a count
+        # of the series builds at the names the evaluators call
+        counts = {"abel_expansion": 0, "superexp_polynomials": 0}
+        for name in counts:
+
+            def counted(*args, _name=name, _build=getattr(ev, name)):
+                counts[_name] += 1
+                return _build(*args)
+
+            monkeypatch.setattr(ev, name, counted)
+        for name in ("_abel_tail_coeffs", "_ftilde_polys", "_kernel"):
+            fresh = lru_cache(maxsize=None)(getattr(ev, name).__wrapped__)
+            monkeypatch.setattr(ev, name, fresh)
+        return counts
+
+    def test_abel_tail_prefix(self):
+        # abel1 reads the first n coefficients of abel2's n + 1
+        assert ev._abel_tail_coeffs(15) == ev._abel_tail_coeffs(16)[:15]
+        assert ev._abel_tail_coeffs(48) == ev._abel_tail_coeffs(49)[:48]
+
+    @pytest.mark.parametrize("bits", [53, 128])
+    def test_abel_walks_build_only_the_abel_tail(self, calls, bits):
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        assert calls == {"abel_expansion": 0, "superexp_polynomials": 0}
+        abel1(1, ctx)
+        abel2(3, ctx)
+        A1(-1, ctx, CC)
+        A3(5 + 1j, ctx, CC)
+        assert calls == {"abel_expansion": 1, "superexp_polynomials": 0}
+
+    @pytest.mark.parametrize("bits", [53, 128])
+    def test_superexp_builds_only_the_polynomials(self, calls, bits):
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        F1(0.5, ctx, CC)
+        F3(0.5 + 1j, ctx, CC)
+        superexp_tilde(-30, "plus", ctx)
+        assert calls == {"abel_expansion": 0, "superexp_polynomials": 1}
+
+    def test_tables_round_as_the_kernel_does(self, calls):
+        # doubles round each coefficient once; the mpmath kernel divides
+        # at its work bits
+        double = ev._kernel(EvalContext())
+        tail = ev._abel_tail_coeffs(16)
+        assert double.tail_rev(True) == tuple(float(c) for c in reversed(tail))
+        assert double.tail_rev(False) == double.tail_rev(True)[1:]
+        mp128 = ev._kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=128)))
+        c = ev._abel_tail_coeffs(49)[-1]
+        with mp.workprec(160):
+            assert mp128.tail_rev(True)[0] == mpmath.mpf(c.numerator) / c.denominator
+        with mp.workprec(200):
+            assert mp128.tail_rev(True)[0] != mpmath.mpf(c.numerator) / c.denominator
 
 
 class TestCrossOracles:

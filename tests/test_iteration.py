@@ -9,7 +9,9 @@ from mpmath import mp
 
 from superexp.errors import (
     BranchCutError,
+    CalibrationError,
     DomainError,
+    NonConvergenceError,
     OrbitOverflowError,
     SuperexpError,
 )
@@ -200,6 +202,16 @@ class TestDq13:
         d128 = dq13(E - 0.1, CTX128)
         assert abs(d - complex(d128)) < 1e-10
 
+    def test_difference_formed_at_128_bits(self):
+        # the two half iterates subtracted at the evaluation precision;
+        # in mpmath's global 53-bit context the difference is 2.8e-20 off
+        x = E - 0.1
+        lower = exp_iterate(req(0.5, x, "lower"), CTX128)
+        upper = exp_iterate(req(0.5, x, "upper"), CTX128)
+        with mp.workprec(128):
+            want = lower - upper
+        assert dq13(x, CTX128) == want
+
     def test_zero_at_fixed_point(self):
         assert dq13(E) == 0.0
 
@@ -274,6 +286,28 @@ class TestGridSpec:
         g = GridSpec(-1.0, 1.0, 0.0, 2.0, 5, 3)
         assert g.xs() == (-1.0, -0.5, 0.0, 0.5, 1.0)
         assert g.ys() == (0.0, 1.0, 2.0)
+
+
+class TestErrorCodes:
+    @pytest.mark.parametrize(
+        "cls, code",
+        [
+            (BranchCutError, "cut"),
+            (DomainError, "domain"),
+            (OrbitOverflowError, "overflow"),
+            (NonConvergenceError, "nonconv"),
+            (CalibrationError, "nonconv"),
+            (SuperexpError, "nonconv"),
+        ],
+    )
+    def test_code_per_class(self, cls, code):
+        assert cls("message").code == code
+
+    def test_grid_cell_at_the_branch_point_is_domain(self):
+        # the centre cell is e itself, where the Abel series is singular
+        result = map_grid("A1", GridSpec(E - 1, E + 1, -1, 1, 3, 3))
+        assert result.xs[1] == E and result.ys[1] == 0.0
+        assert result.errors[1] == (None, "domain", "cut")
 
 
 class TestMapGrid:

@@ -27,6 +27,7 @@ from superexp.limits import (
     fatou_abel,
     fatou_probe,
     fatou_probe_richardson,
+    format_record,
     iterate_h,
     iterate_h_inverse,
     levy_abel,
@@ -370,6 +371,24 @@ class TestConvergenceTable:
         rec = ConvergenceRecord(7, None, "levy", "overflow")
         csv = records_to_csv([rec])
         assert csv.strip().splitlines()[1] == "levy,7,,overflow"
+
+    def test_format_record(self):
+        rows = convergence_table("levy", (-1, 1), [100], CFG256)
+        value, printed = format_record(rows[0])
+        assert printed == "-1.4560"
+        assert mp_close(big(value), rows[0].value, mpmath.mpf(10) ** -70)
+        assert format_record(ConvergenceRecord(7, None, "levy", "overflow")) == (
+            None,
+            None,
+        )
+
+    def test_format_record_complex_value_has_no_spaces(self):
+        with mp.workprec(256):
+            value = mpmath.mpc(1, -2) / 3
+        text, printed = format_record(ConvergenceRecord(5, value, "newton"))
+        assert " " not in text
+        assert mp_close(big(text), value, mpmath.mpf(10) ** -70)
+        assert printed == mpmath.nstr(value, 12)
 
     def test_printed_digits_stable_under_precision_doubling(self):
         lo = convergence_table("fatou1", (-1,), [1000], PrecisionConfig(mantissa_bits=256))
