@@ -138,11 +138,15 @@ def _check_n(n: int, cfg: PrecisionConfig) -> None:
         )
 
 
-def _h_step(z, index: int):
+def _check_escape(z, index: int) -> None:
     if mpmath.re(z) > _ESCAPE_RE:
         raise OrbitOverflowError(
             f"forward orbit escaped at step {index}", index=index
         )
+
+
+def _h_step(z, index: int):
+    _check_escape(z, index)
     return mpmath.expm1(z)
 
 
@@ -193,7 +197,8 @@ def levy_abel(
     Converges to the difference of Abel-function values at z and u.  The
     denominator shrinks like 2/n^2, so double-precision use is possible but
     flagged: a PrecisionLossWarning is emitted once the denominator falls
-    below 2^(-mantissa/2) of the numerator scale.
+    below 2^(-mantissa/2) of the numerator scale.  OrbitOverflowError
+    reports either orbit escaping by step n.
     """
     _check_n(n, cfg)
     with mp.workprec(cfg.mantissa_bits):
@@ -202,6 +207,8 @@ def levy_abel(
         for i in range(n):
             zw = _h_step(zw, i)
             uw = _h_step(uw, i)
+        # an escaped h^[n](z) makes the ratio tower-sized: report the escape
+        _check_escape(zw, n)
         un1 = _h_step(uw, n)
         num = zw - uw
         den = un1 - uw
@@ -273,12 +280,8 @@ def newton_superfunction(
                 orbit.append(_h_step(orbit[-1], i))
         else:
             for i in range(terms - 1):
-                w = orbit[-1]
-                if mpmath.re(w) > _ESCAPE_RE:
-                    raise OrbitOverflowError(
-                        f"forward orbit escaped at step {i}", index=i
-                    )
-                orbit.append(mpmath.exp(w / mpmath.e))
+                _check_escape(orbit[-1], i)
+                orbit.append(mpmath.exp(orbit[-1] / mpmath.e))
         # pass k turns orbit[j] into Delta^k[orbit](j); only orbit[0] is read
         total = orbit[0]
         binom = mpmath.mpf(1)
@@ -484,6 +487,7 @@ def convergence_table(
                     continue
                 try:
                     if method == "levy":
+                        _check_escape(a, n)
                         b_next = _h_step(b, n)
                         den = b_next - b
                         if den == 0:

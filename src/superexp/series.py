@@ -1,13 +1,16 @@
 """Exact-rational formal power series at the parabolic fixed point.
 
-Everything in this module is exact: coefficients are `fractions.Fraction`
-values and no floating-point arithmetic occurs.  The central objects are
-the series h(x) = e^x - 1 (the base-change conjugate of the exponential
-to base e^(1/e)), its regular fractional iterates, the iterative
-logarithm solving the Julia equation, the Abel expansion obtained by
-integrating 1/j, and the log-polynomials P_m of the super-exponential
-asymptotic, read off the formal inverse of that Abel expansion shifted
-by ln(2)/3.
+Everything in this module is exact and no floating-point arithmetic
+occurs.  Public objects hold `fractions.Fraction` coefficients; the
+tables behind them are built as integer numerators over one common
+denominator, reduced once per finished polynomial rather than by a gcd
+per multiply-add, and turned into `Fraction`s only when handed out.  The
+central objects are the series h(x) = e^x - 1 (the base-change
+conjugate of the exponential to base e^(1/e)), its regular fractional
+iterates, the iterative logarithm solving the Julia equation, the Abel
+expansion obtained by integrating 1/j, and the log-polynomials P_m of
+the super-exponential asymptotic, read off the formal inverse of that
+Abel expansion shifted by ln(2)/3.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import zip_longest
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -36,9 +40,7 @@ _ONE = Fraction(1)
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
@@ -120,17 +122,10 @@ class PowerSeries:
         """Product, truncated to `n_terms` coefficients when given."""
         full = len(self) + len(other) - 1
         n = full if n_terms is None else min(n_terms, full)
-        a, b = self.coefficients, other.coefficients
-        out = [_ZERO] * max(n, 1)
-        for i, ai in enumerate(a):
-            if ai == 0 or i >= n:
-                continue
-            top = min(len(b), n - i)
-            for j in range(top):
-                bj = b[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
-        return PowerSeries(out)
+        if n < 1:
+            return PowerSeries([_ZERO])
+        a, b = _scaled(self.coefficients), _scaled(other.coefficients)
+        return PowerSeries(_fractions(_mul(a, b, n)))
 
     def compose(self, inner: "PowerSeries", n_terms: int) -> "PowerSeries":
         """self(inner(x)) truncated to `n_terms` coefficients.
@@ -143,8 +138,7 @@ class PowerSeries:
         # Horner from the top coefficient down.
         acc = PowerSeries([self.coefficients[-1]])
         for k in range(len(self) - 2, -1, -1):
-            acc = acc.mul(inner, n_terms)
-            acc = acc + PowerSeries([self.coefficients[k]])
+            acc = acc.mul(inner, n_terms) + PowerSeries([self.coefficients[k]])
         return acc.truncate(n_terms)
 
     def derivative(self) -> "PowerSeries":
@@ -240,6 +234,51 @@ def regular_iterate_series(base: PowerSeries, t, N: int) -> PowerSeries:
     return PowerSeries(a)
 
 
+# -- exact polynomials as integer numerators over one denominator --------
+#
+# A pair (nums, den) stands for sum_i (nums[i] / den) x^i, den > 0.
+# Products and sums stay in integers; only _reduced takes a gcd, once
+# per finished polynomial, and _fractions hands out reduced Fractions.
+
+def _scaled(coeffs: Sequence[Fraction]) -> tuple:
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+def _rescaled(p: tuple, den: int) -> list:
+    return [a * (den // p[1]) for a in p[0]]
+
+def _reduced(nums: list, den: int) -> tuple:
+    g = gcd(den, *nums)
+    return [a // g for a in nums], den // g
+
+def _fractions(p: tuple) -> list:
+    return [Fraction(a, p[1]) for a in p[0]]
+
+def _scale(p: tuple, f: Fraction | int) -> tuple:
+    return [f.numerator * a for a in p[0]], f.denominator * p[1]
+
+def _mul(a: tuple, b: tuple, size: int | None = None) -> tuple:
+    """Product, unreduced, truncated to `size` coefficients when given."""
+    (an, ad), (bn, bd) = a, b
+    out = [0] * (len(an) + len(bn) - 1 if size is None else size)
+    for i, ai in enumerate(an[: len(out)]):
+        if ai:
+            for k, bk in enumerate(bn[: len(out) - i], i):
+                out[k] += ai * bk
+    return out, ad * bd
+
+def _sum(terms: Sequence[tuple]) -> tuple:
+    """Reduced sum over the least common denominator."""
+    den = lcm(*(d for _, d in terms))
+    cols = zip_longest(*(_rescaled(p, den) for p in terms), fillvalue=0)
+    return _reduced([sum(c) for c in cols], den)
+
+def _append(p: tuple, c: Fraction) -> tuple:
+    """p with the next coefficient c, over the new common denominator."""
+    den = lcm(p[1], c.denominator)
+    return _rescaled(p, den) + [c.numerator * (den // c.denominator)], den
+
+
 def iterative_logarithm(base: PowerSeries, N: int) -> PowerSeries:
     """Series j solving the Julia equation j(h(x)) = h'(x) j(x).
 
@@ -263,24 +302,25 @@ def iterative_logarithm(base: PowerSeries, N: int) -> PowerSeries:
     if base.truncation_order < N:
         raise ValueError(f"base must be given through x^{N}")
     hm = base[m]
-    # Power table H[k] = base^k, enough orders for every residual.
+    # Power table base^k, enough orders for every residual; H[k] pairs
+    # its numerators with the factor that puts them over L, as base' is.
     top = N + m - 1
-    powers: list[PowerSeries] = [PowerSeries([_ONE]), base.truncate(top + 1)]
+    b = _scaled(base.truncate(top + 1).coefficients)
+    powers = [([1], 1), b]
     for _ in range(2, N):
-        powers.append(powers[-1].mul(base, top + 1))
-
-    def dbase(i: int) -> Fraction:
-        # Coefficient of x^i in base'.
-        return Fraction(i + 1) * base[i + 1]
-
-    j = [_ZERO] * (N + 1)
-    j[m] = hm
+        powers.append(_reduced(*_mul(powers[-1], b, top + 1)))
+    L = lcm(*(d for _, d in powers))
+    H = [(nums, L // d) for nums, d in powers]
+    dbase = [i * a for i, a in enumerate(_rescaled(b, L))][1:]
+    j = ([0] * m + [hm.numerator], hm.denominator)
     for n in range(m + 1, N + 1):
         P = n + m - 1
-        lhs = sum((j[k] * powers[k][P] for k in range(m, n)), _ZERO)
-        rhs = sum((j[k] * dbase(P - k) for k in range(m, n)), _ZERO)
-        j[n] = -(lhs - rhs) / ((n - m) * hm)
-    return PowerSeries(j)
+        # L * j[1] times the x^P residual of j(h(x)) - h'(x) j(x)
+        r = sum(
+            j[0][k] * (H[k][0][P] * H[k][1] - dbase[P - k]) for k in range(m, n)
+        )
+        j = _append(j, Fraction(-r, L * j[1] * (n - m)) / hm)
+    return PowerSeries(_fractions(j))
 
 
 @dataclass(frozen=True)
@@ -361,20 +401,15 @@ def abel_expansion(base: PowerSeries, N: int) -> AbelExpansion:
     j = iterative_logarithm(base, N + 3)
     if j[2] == 0:
         raise ZeroDivisionError("iterative logarithm has zero leading term")
-    # Reciprocal of j / x^2, enough terms for the integral.
-    jhat = [j[k + 2] for k in range(N + 2)]
-    inv = [_ZERO] * (N + 2)
-    inv[0] = 1 / jhat[0]
+    # Reciprocal of j / x^2 = J / D, as D * u with u = 1 / J
+    J, D = _scaled(j.coefficients[2:])
+    u = _scaled([Fraction(1, J[0])])
     for k in range(1, N + 2):
-        acc = _ZERO
-        for i in range(1, k + 1):
-            if jhat[i] != 0:
-                acc += jhat[i] * inv[k - i]
-        inv[k] = -acc / jhat[0]
+        r = sum(J[i] * u[0][k - i] for i in range(1, k + 1))
+        u = _append(u, Fraction(-r, u[1] * J[0]))
+    inv = _fractions(_scale(u, D))
     # alpha' = inv[0] x^-2 + inv[1] x^-1 + inv[2] + inv[3] x + ...
-    tail = [_ZERO] * (N + 1)
-    for k in range(1, N + 1):
-        tail[k] = inv[k + 1] / k
+    tail = [_ZERO] + [inv[k + 1] / k for k in range(1, N + 1)]
     return AbelExpansion(
         pole_coefficient=-inv[0],
         log_coefficient=inv[1],
@@ -424,40 +459,6 @@ class SuperExpExpansion:
         return cls(order=int(d["order"]), polynomials=polys)
 
 
-# -- P_m by inverting the Abel expansion ---------------------------------
-#
-# A "t-polynomial" below is a coefficient list in the formal symbol
-# t = -ln(+-z); the P_m and every table in the inversion are such lists.
-
-def _tp_add(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-def _tp_scale(a: list, f: Fraction) -> list:
-    return [f * c for c in a]
-
-def _tp_mul(a: list, b: list) -> list:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for k, bk in enumerate(b):
-            if bk != 0:
-                out[i + k] += ai * bk
-    return out
-
-def _tp_sum(terms: Iterable) -> list:
-    out = [_ZERO]
-    for term in terms:
-        out = _tp_add(out, term)
-    return out
-
-
 def superexp_polynomials(M: int) -> SuperExpExpansion:
     """Log-polynomials P_1 .. P_M, exactly, by inverting the Abel expansion.
 
@@ -483,29 +484,28 @@ def superexp_polynomials(M: int) -> SuperExpExpansion:
     # c_n 2^n, where c_n = (-1)^n v_n is the tail in zeta = -x
     c = [(-2) ** n * tail[n] for n in range(M)]
     # w^k coefficients of Y, 1/Y, t + log Y and Y^n (n >= 2, through
-    # w^(M-n-1))
-    y, inv, log = [[_ONE]], [[_ONE]], [[_ZERO, _ONE]]
-    powers = [None, y] + [[[_ONE]] for _ in range(2, M)]
+    # w^(M-n-1)), each a polynomial in the formal symbol t = -ln(+-z)
+    one = ([1], 1)
+    y, inv, log = [one], [one], [([0, 1], 1)]
+    powers = [None, y] + [[one] for _ in range(2, M)]
     for m in range(1, M + 1):
         # w^m of the right side, from Y below order m
-        r = _tp_scale(log[m - 1], Fraction(-1, 3))
-        for n in range(1, m):
-            r = _tp_add(r, _tp_scale(powers[n][m - 1 - n], -c[n]))
-        inv.append(r)
+        inv.append(_sum([_scale(log[m - 1], Fraction(-1, 3))] + [
+            _scale(powers[n][m - 1 - n], -c[n]) for n in range(1, m)
+        ]))
         # Y * (1/Y) = 1
-        acc = _tp_sum(_tp_mul(inv[k], y[m - k]) for k in range(1, m + 1))
-        y.append(_tp_scale(acc, -_ONE))
+        acc = _sum([_mul(inv[k], y[m - k]) for k in range(1, m + 1)])
+        y.append(_scale(acc, -1))
         # (log Y)' Y = Y': m l_m = m y_m - sum_k k l_k y_(m-k)
-        acc = _tp_sum(
-            _tp_scale(_tp_mul(log[k], y[m - k]), Fraction(k)) for k in range(1, m)
-        )
-        log.append(_tp_add(y[m], _tp_scale(acc, Fraction(-1, m))))
+        log.append(_sum([y[m]] + [
+            _scale(_mul(log[k], y[m - k]), Fraction(-k, m)) for k in range(1, m)
+        ]))
         for n in range(2, M - m):
             powers[n].append(
-                _tp_sum(_tp_mul(y[k], powers[n - 1][m - k]) for k in range(m + 1))
+                _sum([_mul(y[k], powers[n - 1][m - k]) for k in range(m + 1)])
             )
 
     polys = tuple(
-        PowerSeries(_tp_scale(y[m], Fraction(3**m))) for m in range(1, M + 1)
+        PowerSeries(_fractions(_scale(y[m], 3**m))) for m in range(1, M + 1)
     )
     return SuperExpExpansion(order=M, polynomials=polys)

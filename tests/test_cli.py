@@ -299,6 +299,29 @@ class TestTable:
                 assert fields == f"{method},{n},,{row['error']}"
                 assert line == f"{n} {row['error']}"
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_escaped_orbit_rows_are_overflow(self, cache_dir, fmt):
+        # the forward orbit from 4 passes the escape bound at n = 7, where
+        # the ratio has 139877 integer digits: an error row, no traceback
+        proc = run_cli(
+            ["table", "levy", "--n", "2:8", "--args", "4,1", "--format", fmt],
+            cache_dir,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        # each row's printed value, or its error tag
+        if fmt == "json":
+            rows = json.loads(proc.stdout)
+            shown = [row["error"] or row["printed"] for row in rows]
+        elif fmt == "csv":
+            shown = [line.split(",")[3] for line in proc.stdout.splitlines()[1:]]
+        else:
+            shown = [line.split()[1] for line in proc.stdout.splitlines()]
+        assert shown == [
+            "19.3641", "36.3040", "87.5968", "504.5483", "15711774.8197",
+            "overflow", "overflow",
+        ]
+
     def test_empty_range(self, cache_dir):
         proc = run_cli(["table", "levy", "--n", ""], cache_dir)
         assert proc.returncode == 0

@@ -161,6 +161,15 @@ class TestLevy:
         with pytest.raises(NonConvergenceError):
             levy_abel(-0.5, 0, 5, CFG256)
 
+    def test_escaped_numerator_orbit_is_an_overflow(self):
+        # tau_inv(4) > 0 escapes: h^[7] of it is about 10^139876, past the
+        # escape bound, so the ratio at n = 7 would be tower-sized
+        got = levy_probe(4, 1, 6, CFG256)
+        assert mp_close(got, big("15711774.81971903838006696983"), 1e-12)
+        with pytest.raises(OrbitOverflowError) as info:
+            levy_probe(4, 1, 7, CFG256)
+        assert info.value.index == 7
+
     def test_double_precision_is_flagged_late(self):
         dbl = PrecisionConfig(mantissa_bits=53)
         with warnings.catch_warnings():

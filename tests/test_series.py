@@ -211,6 +211,44 @@ class TestIterativeLogarithm:
             assert deriv == j[k]
 
 
+class TestGenericBase:
+    # Multiplier-1 bases whose denominators are not factorials and which
+    # have zero coefficients; expected values recorded from the
+    # all-Fraction construction.
+    BASE = PowerSeries([0, 1, F(1, 3), 0, F(5, 7), F(-2, 11), F(1, 13), 0])
+
+    def test_iterative_logarithm(self):
+        j = iterative_logarithm(self.BASE, 7)
+        assert j.to_fraction_strings() == [
+            "0", "0", "1/3", "-1/9", "97/126", "-17383/18711",
+            "1379519/1459458", "-144514919/76621545",
+        ]
+
+    def test_iterative_logarithm_of_order_three(self):
+        base = PowerSeries([0, 1, 0, F(-2, 5), 0, F(3, 7), F(1, 9), 0, F(5, 11)])
+        j = iterative_logarithm(base, 7)
+        assert j.to_fraction_strings() == [
+            "0", "0", "0", "-2/5", "0", "33/175", "1/9", "404/875",
+        ]
+
+    def test_abel_expansion(self):
+        ae = abel_expansion(self.BASE, 4)
+        assert ae.pole_coefficient == -3
+        assert ae.log_coefficient == 1
+        assert ae.tail.to_fraction_strings() == [
+            "0", "-277/42", "8011/4158", "24510553/6810804",
+            "-324971849/136216080",
+        ]
+
+    def test_abel_expansion_with_negative_leading_term(self):
+        ae = abel_expansion(PowerSeries([0, 1, F(-3, 4), F(1, 6), 0, 0, F(2, 9)]), 3)
+        assert ae.pole_coefficient == F(4, 3)
+        assert ae.log_coefficient == F(19, 27)
+        assert ae.tail.to_fraction_strings() == [
+            "0", "385/1944", "2471/34992", "-1395841/15116544",
+        ]
+
+
 class TestAbelExpansion:
     def test_pole_and_log_coefficients(self):
         ae = abel_expansion(exp_minus_one(10), 6)
@@ -292,6 +330,20 @@ class TestAbelExpansion:
     def test_rejects_short_base(self):
         with pytest.raises(ValueError):
             abel_expansion(exp_minus_one(6), 6)
+
+    def test_order_97_digest(self):
+        # SHA-256 of the 97-term tail that the 256-bit kernel sums,
+        # recorded from the all-Fraction construction; every shorter
+        # tail a kernel builds is a prefix of it
+        tail = abel_expansion(exp_minus_one(100), 97).tail
+        strings = json.dumps(tail.to_fraction_strings())
+        digest = hashlib.sha256(strings.encode("ascii")).hexdigest()
+        assert digest == (
+            "e03ef012629b5f382e1446a9dbd8295f8cf3cef848812c7c1b80771a8fce94e1"
+        )
+        for N in (15, 20, 34, 48, 64, 96):
+            short = abel_expansion(exp_minus_one(N + 3), N).tail
+            assert list(short.coefficients) == list(tail.coefficients[: N + 1])
 
     def test_json_round_trip(self):
         ae = abel_expansion(exp_minus_one(10), 5)
