@@ -97,7 +97,10 @@ class EvalContext:
         Truncation of the Abel tail sum; the backward-branch evaluator
         keeps one term more.
     superexp_terms : int
-        Number of log-polynomials in the asymptotic sum.
+        Number of log-polynomials in the asymptotic sum.  The double
+        kernel sums exactly this many; wider kernels take the order from
+        the bit count (28 through 192 bits, 44 above, see
+        _SUPEREXP_TIERS) and use this field only as a floor.
     abel_disk_radius : float
         |1 - z/e| below which the Abel series is trusted.  The tail is
         divergent with a practical radius near 0.28, so values much
@@ -251,11 +254,27 @@ def _abel_tier(bits: int) -> tuple:
     return 8.2 / (bits + 10), 96
 
 
-def _superexp_threshold(bits: int) -> float:
-    # walk-out distance at which the 28-polynomial tail reaches
-    # 2^-(bits+12); the last term decays like (c/z)^30
-    t = 30.0 * (7.9e-39) ** (1.0 / 30.0) * 2.0 ** ((bits + 12) / 30.0)
-    return max(16.0, float(math.ceil(t)))
+# (bits ceiling, terms M, tail constant C_M): past Re z = x the last term
+# |P_M(t)|/|3z|^M of the asymptotic sum stays below C_M ((M+2)/x)^(M+2),
+# fitted to the frontiers that tools/superexp_order.py measures.  The
+# 28-term constant predates that script and keeps the thresholds through
+# 192 bits (41 at 128, 180 at 192) inside the measured frontier; the tail
+# there is still at least 7 bits under the retry tolerance.
+_SUPEREXP_TIERS = (
+    (192, 28, 7.9e-39),
+    (math.inf, 44, 6.2e-55),
+)
+
+
+def _superexp_tier(bits: int) -> tuple:
+    """Term count, and the modelled walk-out distance at which the tail
+    of that many terms reaches 2^-(bits+12)."""
+    for cap, terms, constant in _SUPEREXP_TIERS:
+        if bits <= cap:
+            break
+    p = terms + 2
+    t = p * constant ** (1.0 / p) * 2.0 ** ((bits + 12) / p)
+    return terms, max(16.0, float(math.ceil(t)))
 
 
 class _DoubleKernel(_Tables):
@@ -367,10 +386,9 @@ class _MPKernel(_Tables):
         radius, terms = _abel_tier(self.bits)
         self.abel_radius = min(ctx.abel_disk_radius, radius)
         self.abel_terms = max(ctx.abel_tail_terms, terms)
-        self.threshold = max(
-            ctx.superexp_re_threshold, _superexp_threshold(self.bits)
-        )
-        self.m_terms = max(ctx.superexp_terms, 28)
+        terms, threshold = _superexp_tier(self.bits)
+        self.threshold = max(ctx.superexp_re_threshold, threshold)
+        self.m_terms = max(ctx.superexp_terms, terms)
         # the walks must be allowed to reach their own tuning targets
         self.abel_cap = max(ctx.max_recursion, int(3.0 / self.abel_radius) + 64)
         self.walk_cap = max(ctx.max_recursion, int(self.threshold) + 64)
@@ -521,6 +539,11 @@ def _abel_walk(kernel, z, plus_side: bool, side):
                 raise DomainError("branch point: the orbit landed exactly on e")
             value, last = kernel.abel_series(zeta, plus_side, side)
             retries -= 1
+        if last > kernel.tol * (1 + abs(value)):
+            raise NonConvergenceError(
+                "Abel tail above the target accuracy after three retries",
+                residual=float(last),
+            )
         return value + k if plus_side else value - k
 
 
@@ -545,6 +568,11 @@ def _ftilde_eval(kernel, z, branch: BranchSign, side):
             base = w0 + k if minus else w0 - k
             value, last = kernel.ftilde_series(base, branch)
             retries -= 1
+        if last > kernel.tol:
+            raise NonConvergenceError(
+                "asymptotic tail above the target accuracy after three retries",
+                residual=float(last),
+            )
         w = value
         if minus:
             for j in range(k):
@@ -637,7 +665,9 @@ def abel1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
         the sided limits live on the backward estimator (exp_iterate
         applies the rotation when given a cut side).
     NonConvergenceError
-        Recursion cap hit (carries the final |1 - z/e| as `residual`).
+        Recursion cap hit (carries the final |1 - z/e| as `residual`), or
+        the series tail still above the target accuracy after three
+        deeper walks (carries the tail).
     """
     ctx = ctx or _DEFAULT_CTX
     side, flip = _resolve_side(z, cut_side)
@@ -717,7 +747,9 @@ def superexp_tilde(
 
     Raises DomainError at z = 0 and OrbitOverflowError when a forward
     step leaves the representable range (the error carries the first
-    overflowing step index).
+    overflowing step index); NonConvergenceError when the walk exceeds its
+    cap or the series tail stays above the target accuracy after three
+    longer walks.
     """
     ctx = ctx or _DEFAULT_CTX
     branch = _as_branch(branch)

@@ -405,13 +405,20 @@ def _value_bits(value) -> int:
     return bits(value)
 
 
+def _fixed(q: int, decimals: int) -> str:
+    # q / 10^decimals in fixed point, q >= 0; str(int) refuses more than
+    # 4300 digits, mpmath's numeral splits the number below that
+    digits = mpmath.libmp.numeral(q, 10, q.bit_length() * 3 // 10 + 1)
+    digits = digits.rjust(decimals + 1, "0")
+    return f"{digits[:-decimals]}.{digits[-decimals:]}"
+
+
 def _round_fixed(value, decimals: int) -> str:
     with mp.workprec(_value_bits(value) + 32):
         scaled = mpmath.mpf(10) ** decimals * value
         q = int(mpmath.nint(scaled))
     sign = "-" if q < 0 else ""
-    digits = str(abs(q)).rjust(decimals + 1, "0")
-    return f"{sign}{digits[:-decimals]}.{digits[-decimals:]}"
+    return sign + _fixed(abs(q), decimals)
 
 
 def _trunc_fixed(value, decimals: int) -> str:
@@ -419,8 +426,7 @@ def _trunc_fixed(value, decimals: int) -> str:
         scaled = mpmath.mpf(10) ** decimals * abs(value)
         q = int(mpmath.floor(scaled))
     sign = "-" if value < 0 else ""
-    digits = str(q).rjust(decimals + 1, "0")
-    return f"{sign}{digits[:-decimals]}.{digits[-decimals:]}"
+    return sign + _fixed(q, decimals)
 
 
 def _printed(method: str, n: int, value) -> str:

@@ -312,6 +312,21 @@ class TestCutsAndErrors:
             abel1(-50, ctx)
         assert info.value.residual > 0.25
 
+    def test_exhausted_retries_raise(self, monkeypatch):
+        # a summation point too close in for its tail: three retries
+        # cannot bring the tail under the tolerance, and the value is not
+        # returned silently
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
+        kernel = _kernel(ctx)
+        monkeypatch.setattr(kernel, "threshold", 2.0)
+        with pytest.raises(NonConvergenceError) as info:
+            superexp_tilde(0.5, "minus", ctx)
+        assert info.value.residual > float(kernel.tol)
+        monkeypatch.setattr(kernel, "tol", mpmath.mpf(0))
+        with pytest.raises(NonConvergenceError) as info:
+            abel1(1, ctx)
+        assert info.value.residual > 0
+
     def test_rejects_bad_cut_side(self):
         with pytest.raises(ValueError):
             F1(1, cut_side="left")
@@ -362,14 +377,15 @@ class TestMPKernel:
         assert mp_close(v, CC.a1_norm, mpmath.mpf(2) ** -120)
 
     @pytest.mark.parametrize(
-        "bits, threshold, bound", [(128, 41.0, 2.0**-120), (256, 788.0, 2.0**-250)]
+        "bits, threshold, bound", [(128, 41.0, 2.0**-120), (256, 174.0, 2.0**-250)]
     )
     def test_tilde_step_past_walk_threshold(self, bits, threshold, bound):
         # F~(x + 1) = exp(F~(x)/e) with x and x + 1 both past the walk-out
         # threshold and the series tail there already below the retry
         # tolerance, so each side is a direct sum of the P_m series; a
         # point that walked would reach its sum through this very step.
-        # Measured at x = threshold + 0.25: 2^-141 (128), 2^-273 (256)
+        # Measured at x = threshold + 0.25: 2^-141 (128, 28 terms),
+        # 2^-285 (256, 44 terms)
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
         assert _kernel(ctx).threshold == threshold
         x = threshold + 0.25
@@ -388,6 +404,91 @@ class TestMPKernel:
         a = abel1(1, tight)
         b = abel1(1, loose)
         assert mp_close(a, b, mpmath.mpf(2) ** -120)
+
+
+@lru_cache(maxsize=None)
+def _reference_384():
+    # constants from a 384-bit calibration: its own walks and root search
+    return calibrate(EvalContext(precision=PrecisionConfig(mantissa_bits=384)))
+
+
+def rel_bits(a, b):
+    """log2 of the relative gap between a value and its reference."""
+    with mp.workprec(600):
+        return float(mpmath.log(abs(a - b) / abs(b), 2))
+
+
+class TestTermTiers:
+    """Wide kernels sum more terms instead of walking further out."""
+
+    def test_order_rises_above_192_bits(self):
+        def tier(bits):
+            k = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
+            return k.m_terms, k.threshold
+
+        # through 192 bits the 28-term thresholds are unchanged
+        assert [tier(b) for b in (128, 192)] == [(28, 41.0), (28, 180.0)]
+        assert [tier(b) for b in (256, 320)] == [(44, 174.0), (44, 454.0)]
+        # the context's term count stays a floor
+        ctx = EvalContext(
+            precision=PrecisionConfig(mantissa_bits=256), superexp_terms=50
+        )
+        assert _kernel(ctx).m_terms == 50
+
+    @pytest.mark.parametrize("bits", [224, 256, 320, 384])
+    def test_tail_at_threshold_meets_target(self, bits):
+        # the fitted tail constant puts the threshold past the frontier
+        # where the last term reaches 2^-(bits+12)
+        kernel = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
+        with kernel.guard():
+            x = mpmath.mpf(kernel.threshold)
+            _, last = kernel.ftilde_series(x, BranchSign.minus)
+        assert last <= mpmath.mpf(2) ** -(bits + 12)
+
+    def test_one_sum_per_evaluation(self, monkeypatch):
+        # the tail at the walk-out threshold is below the retry tolerance,
+        # so no evaluation sums the series twice: at 256 bits and in every
+        # secant step of a tier-320 calibration
+        counts = {"evals": 0, "sums": 0}
+        walk, series = ev._ftilde_eval, ev._MPKernel.ftilde_series
+
+        def counted_walk(*args):
+            counts["evals"] += 1
+            return walk(*args)
+
+        def counted_series(self, *args):
+            counts["sums"] += 1
+            return series(self, *args)
+
+        monkeypatch.setattr(ev, "_ftilde_eval", counted_walk)
+        monkeypatch.setattr(ev._MPKernel, "ftilde_series", counted_series)
+        cc = default_constants(256)
+        counts.update(evals=0, sums=0)
+        for z in (0.5, -1.5 + 0.75j, 1 + 2j):
+            F1(z, CTX256, cc)
+            F3(z, CTX256, cc)
+        assert counts == {"evals": 6, "sums": 6}
+        counts.update(evals=0, sums=0)
+        calibrate(EvalContext(precision=PrecisionConfig(mantissa_bits=320)))
+        assert counts["evals"] > 4
+        assert counts["sums"] == counts["evals"]
+
+    def test_256_bit_values_against_384_bits(self):
+        # measured: F1 2^-269..-273, F3 2^-279..-280
+        ref = _reference_384()
+        ctx384 = EvalContext(precision=PrecisionConfig(mantissa_bits=384))
+        cc = default_constants(256)
+        with mp.workprec(300):
+            points = [mpmath.mpf("0.5"), mpmath.mpc("-1.5", "0.75"), mpmath.mpc(1, 2)]
+        for fn in (F1, F3):
+            for z in points:
+                gap = rel_bits(fn(z, CTX256, cc), fn(z, ctx384, ref))
+                assert gap < -256, (fn.__name__, z, gap)
+
+    def test_tier_320_anchor_against_384_bits(self):
+        # measured 2^-326
+        gap = rel_bits(default_constants(256).x1, _reference_384().x1)
+        assert gap < -318
 
 
 class TestLazyTables:

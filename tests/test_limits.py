@@ -5,6 +5,7 @@ own formulas, cross-checked against each other (ratio vs shift estimators
 agree on the common limit) and stable under doubling the mantissa.
 """
 
+import decimal
 import math
 import warnings
 
@@ -398,6 +399,29 @@ class TestConvergenceTable:
         assert " " not in text
         assert mp_close(big(text), value, mpmath.mpf(10) ** -70)
         assert printed == mpmath.nstr(value, 12)
+
+    def test_format_record_prints_huge_values(self):
+        # a denominator orbit starting 2^-15000 from the fixed point gives
+        # a clean levy row of magnitude 2^30002: 9032 integer digits, past
+        # the 4300 that str() converts from an int
+        cfg = PrecisionConfig(mantissa_bits=16000)
+        with mp.workprec(16100):
+            uf = mpmath.e * (1 + mpmath.mpf(2) ** -15000)
+        (rec,) = convergence_table("levy", (4, uf), [3], cfg)
+        assert rec.error is None
+        value, printed = format_record(rec)
+        # compared in decimal, since mpmath parses strings through int()
+        Dec = decimal.Decimal
+        with decimal.localcontext() as dc:
+            dc.prec = 20000
+            exact = Dec(rec.value.man) * Dec(2) ** rec.value.exp
+            assert abs(Dec(printed) - exact) <= Dec("0.00005")
+            assert abs(Dec(value) - exact) <= exact * Dec(2) ** -15990
+            # the truncating column of fatou1 (7 decimals at n = 1000)
+            # shares the digit conversion
+            _, cut = format_record(ConvergenceRecord(1000, rec.value, "fatou1"))
+            assert 0 <= exact - Dec(cut) < Dec(10) ** -7
+        assert len(printed.split(".")[0]) == len(cut.split(".")[0]) == 9032
 
     def test_printed_digits_stable_under_precision_doubling(self):
         lo = convergence_table("fatou1", (-1,), [1000], PrecisionConfig(mantissa_bits=256))
