@@ -391,6 +391,8 @@ def _cmd_map(args) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc))
+    except SuperexpError as exc:
+        return _fail(f"{type(exc).__name__}: {exc}")
     if cfg.output_format == "json":
         return _emit(grid_to_json(result) + "\n", cfg.output_path)
     return _emit(grid_to_csv(result), cfg.output_path)
@@ -402,7 +404,10 @@ def _cmd_check(args) -> int:
     cfg = _config(args)
     grid = _grid_spec(args)
     ctx = _context(cfg)
-    constants = _constants(cfg)
+    try:
+        constants = _constants(cfg)
+    except SuperexpError as exc:
+        return _fail(f"{type(exc).__name__}: {exc}")
     xs, ys = grid.xs(), grid.ys()
     cells = []
     for y in ys:

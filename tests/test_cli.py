@@ -60,6 +60,25 @@ class TestCommonFlags:
         assert proc.returncode == 1
 
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["eval", "F1", "3", "0"], 1),
+            (["map", "F1", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2"], 1),
+            (["check", "d1fa", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2"], 1),
+            (["calibrate"], 2),
+        ],
+    )
+    def test_precision_out_of_range(self, cache_dir, args, code):
+        # the evaluator refuses a width whose walk-out distance overflows
+        proc = run_cli([*args, "--precision-bits", "100000000"], cache_dir)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("superexp: ")
+        assert "out of range" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+
 class TestCalibrate:
     def test_text_dump(self, cache_dir):
         proc = run_cli(["calibrate"], cache_dir)

@@ -252,6 +252,17 @@ class TestAsymptotics:
 
 
 class TestCutsAndErrors:
+    def test_precision_past_the_threshold_range(self):
+        # the modelled walk-out distance leaves the double range at 47018
+        # bits; there the kernel refuses instead of raising OverflowError
+        assert ev._superexp_tier(47017)[1] < math.inf
+        assert ev._superexp_tier(47018) == (44, math.inf)
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=100_000_000))
+        with pytest.raises(DomainError, match="out of range"):
+            F1(3, ctx, CC)
+        with pytest.raises(DomainError, match="out of range"):
+            calibrate(ctx)
+
     def test_tilde_singular_at_zero(self):
         with pytest.raises(DomainError):
             superexp_tilde(0, "minus")
@@ -535,18 +546,125 @@ class TestLazyTables:
         assert calls == {"abel_expansion": 0, "superexp_polynomials": 1}
 
     def test_tables_round_as_the_kernel_does(self, calls):
-        # doubles round each coefficient once; the mpmath kernel divides
-        # at its work bits
+        # doubles round each coefficient once; the mpmath kernel rounds
+        # each once to an integer scaled by 2^scale, 16 bits above its
+        # 160 work bits at 128 bits
         double = ev._kernel(EvalContext())
         tail = ev._abel_tail_coeffs(16)
         assert double.tail_rev(True) == tuple(float(c) for c in reversed(tail))
         assert double.tail_rev(False) == double.tail_rev(True)[1:]
         mp128 = ev._kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=128)))
-        c = ev._abel_tail_coeffs(49)[-1]
-        with mp.workprec(160):
-            assert mp128.tail_rev(True)[0] == mpmath.mpf(c.numerator) / c.denominator
-        with mp.workprec(200):
-            assert mp128.tail_rev(True)[0] != mpmath.mpf(c.numerator) / c.denominator
+        scale = mp128.scale
+        assert scale == 176
+        tail = ev._abel_tail_coeffs(49)
+        assert mp128.tail_rev(True) == tuple(
+            round(c * 2**scale) for c in reversed(tail)
+        )
+        assert mp128.tail_rev(False) == mp128.tail_rev(True)[1:]
+        assert mp128.polys_rev() == tuple(
+            tuple(round(c * 2**scale) for c in reversed(p))
+            for p in reversed(ev._ftilde_polys(28))
+        )
+
+
+def _exact(c):
+    return mpmath.mpf(c.numerator) / c.denominator
+
+
+def _ftilde_reference(kernel, z, branch):
+    # the mpf Horner sum over the same terms, at twice the work bits
+    with mp.workprec(2 * kernel._workbits):
+        t = -mpmath.log(z if branch is BranchSign.minus else -z)
+        w = 1 / (3 * z)
+        s = 0
+        for p in reversed(ev._ftilde_polys(kernel.m_terms)):
+            pv = 0
+            for c in reversed(p):
+                pv = pv * t + _exact(c)
+            s = (s + pv) * w
+        return mpmath.e * (1 - (2 / z) * (1 + s))
+
+
+def _abel_reference(kernel, zeta, plus_side):
+    coeffs = ev._abel_tail_coeffs(kernel.abel_terms + (1 if plus_side else 0))
+    with mp.workprec(2 * kernel._workbits):
+        arg = -zeta if plus_side else zeta
+        logpart = mpmath.log(arg)
+        if mpmath.im(arg) == 0 and arg < 0 and not plus_side:
+            logpart = mpmath.conj(logpart)  # the kernel's side of the cut
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * zeta + _exact(c)
+        return logpart / 3 + 2 / zeta + acc * zeta
+
+
+class TestFixedPointSums:
+    """The mpmath kernel sums its series on integers scaled by 2^scale."""
+
+    POINTS = [0.5, -1.5 + 0.75j, 0.5 + 1e3j, -0.5 - 1e15j, 0.5 + 1e100j]
+
+    @pytest.mark.parametrize("bits", [128, 192, 256, 320])
+    def test_sums_match_an_mpf_reference(self, monkeypatch, bits):
+        # every sum of both branches and both Abel sides, on the walks of
+        # real and complex arguments out to |Im z| = 1e100
+        calls = []
+        for name in ("ftilde_series", "abel_series"):
+
+            def spy(self, *args, _method=getattr(ev._MPKernel, name)):
+                value, last = _method(self, *args)
+                calls.append((self, _method.__name__, args, value))
+                return value, last
+
+            monkeypatch.setattr(ev._MPKernel, name, spy)
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        for z in self.POINTS:
+            superexp_tilde(z, "minus", ctx)
+            superexp_tilde(z, "plus", ctx)
+            abel1(z, ctx)
+            abel2(z, ctx)
+        abel2(3, ctx)  # a real backward orbit
+        seen = set()
+        worst = -math.inf
+        for kernel, name, args, value in calls:
+            if name == "ftilde_series":
+                ref = _ftilde_reference(kernel, *args)
+                seen.add((name, args[1], type(args[0]), abs(args[0].imag) > 1e99))
+            else:
+                ref = _abel_reference(kernel, *args[:2])
+                seen.add((name, args[1], type(args[0])))
+            with mp.workprec(2 * kernel._workbits):
+                gap = float(mpmath.log(abs(value - ref) / abs(ref), 2))
+            worst = max(worst, gap)
+            assert gap <= -(bits + 8), (name, args, gap)
+        print(f"{bits} bits: {len(calls)} sums, worst relative gap 2^{worst:.1f}")
+        for branch in BranchSign:
+            for kind in (mpmath.mpf, mpmath.mpc):
+                assert ("ftilde_series", branch, kind, False) in seen
+            assert ("ftilde_series", branch, mpmath.mpc, True) in seen
+        for plus_side in (False, True):
+            for kind in (mpmath.mpf, mpmath.mpc):
+                assert ("abel_series", plus_side, kind) in seen
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_real_arguments_give_real_values(self, bits):
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        kernel = _kernel(ctx)
+        with kernel.guard():
+            x = mpmath.mpf(kernel.threshold + 1)
+            zeta = mpmath.mpf("0.05")
+            values = [
+                kernel.ftilde_series(x, BranchSign.minus)[0],
+                kernel.ftilde_series(-x, BranchSign.plus)[0],
+                kernel.abel_series(zeta, False, "above")[0],
+                kernel.abel_series(-zeta, True, "above")[0],
+            ]
+        values += [
+            superexp_tilde(3, "minus", ctx),
+            superexp_tilde(0.5, "plus", ctx),
+            abel1(0.5, ctx),
+            abel2(3, ctx),
+        ]
+        assert all(type(v) is mpmath.mpf for v in values), values
 
 
 class TestCrossOracles:
