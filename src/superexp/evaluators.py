@@ -250,6 +250,12 @@ _ABEL_TIERS = (
 )
 
 
+# the widest kernel whose Abel tail (96 terms past 192 bits) reaches its
+# tolerance: calibrate() works at 488 bits and fails from 489, so
+# evaluations work up to 432 bits, the last calibrated at tier 448
+_MAX_BITS = 488
+
+
 def _abel_tier(bits: int) -> tuple:
     for cap, radius, terms in _ABEL_TIERS:
         if bits <= cap:
@@ -410,7 +416,7 @@ def _horner_complex(coeffs, xr: int, xi: int, scale: int) -> tuple:
 
 
 class _MPKernel(_Tables):
-    """mpmath evaluation at any width, tuning derived from the bit count.
+    """mpmath evaluation up to _MAX_BITS, tuning derived from the bit count.
 
     The walks step on mpmath values at the work bits (bits + 32).  The
     two series are summed by Horner's rule on integers scaled by
@@ -423,17 +429,17 @@ class _MPKernel(_Tables):
     def __init__(self, ctx: EvalContext):
         super().__init__()
         self.bits = ctx.precision.mantissa_bits
+        if self.bits > _MAX_BITS:
+            raise DomainError(
+                f"{self.bits} bits is out of range: the mpmath kernel reaches"
+                f" its accuracy up to {_MAX_BITS} bits"
+            )
         self._workbits = self.bits + 32
         self.scale = self._workbits + _SCALE_GUARD
         radius, terms = _abel_tier(self.bits)
         self.abel_radius = min(ctx.abel_disk_radius, radius)
         self.abel_terms = max(ctx.abel_tail_terms, terms)
         terms, threshold = _superexp_tier(self.bits)
-        if threshold == math.inf:
-            raise DomainError(
-                f"{self.bits} bits is out of range: the walk-out distance"
-                " of the asymptotic series overflows a double"
-            )
         self.threshold = max(ctx.superexp_re_threshold, threshold)
         self.m_terms = max(ctx.superexp_terms, terms)
         # the walks must be allowed to reach their own tuning targets
@@ -965,10 +971,18 @@ def calibration_tier(bits: int) -> int:
     """Calibration precision serving evaluation at `bits`.
 
     16 guard bits over the evaluation width, rounded up to a multiple
-    of 64 and never below 192.
+    of 64 and never below 192.  Raises DomainError where that tier is
+    wider than the mpmath kernel reaches (from 433 bits).
     """
     needed = max(192, bits + 16)
-    return -(-needed // 64) * 64
+    tier = -(-needed // 64) * 64
+    if tier > _MAX_BITS:
+        raise DomainError(
+            f"{bits} bits is out of range: evaluations work up to"
+            f" {_MAX_BITS // 64 * 64 - 16} bits, whose calibration runs at"
+            f" {_MAX_BITS // 64 * 64}"
+        )
+    return tier
 
 
 def default_constants(bits: int = 53) -> CalibrationConstants:

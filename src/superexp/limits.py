@@ -18,6 +18,16 @@ package.
 Orbits decay like -2/n near the fixed point, so every kernel goes through
 ``expm1``/``log1p`` style evaluation; naive ``exp(u) - 1`` would lose all
 significant digits long before n = 10^5.
+
+Real orbits (``iterate_h``, ``iterate_h_inverse``, ``levy_abel``, the
+Fatou estimators and the ``levy``/``fatou1``/``fatou2`` tables) step on one
+Python integer per point, scaled by 2^(bits+32), with mpmath's fixed-point
+``exp`` (and ``log`` backward): for them ``mantissa_bits`` sets an absolute
+resolution of 2^-(bits+32), which keeps at least ``bits`` significant bits
+while 2^-32 <= |u| < 64.  A point outside that range, and every complex
+point, steps as an mpmath value at ``bits``.  A result converts the
+integer exactly, so ``iterate_h`` may return up to bits + 38 significant
+bits, and an orbit split in two ends where the whole orbit does.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpf_log, to_fixed
+from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from .errors import (
     DomainError,
@@ -69,10 +81,13 @@ class PrecisionConfig:
     ----------
     mantissa_bits : int
         Binary mantissa length of the backend arithmetic; the convergence
-        tables default to 256.  53 gives a double-width ``expm1`` orbit in
-        h-coordinates, not a double orbit of x -> e^(x/e): its 10^5 ratio
-        rows are monotone, so it does not reproduce the rounding jitter of
-        tables computed from such an orbit.
+        tables default to 256.  A real orbit point with 2^-32 <= |u| < 64
+        is held to an absolute resolution of 2^-(mantissa_bits+32)
+        instead, which is finer for every orbit length below about 10^10.
+        53 gives a fixed-point orbit in h-coordinates, not a double orbit
+        of x -> e^(x/e): its 10^5 ratio rows are monotone, so it does not
+        reproduce the rounding jitter of tables computed from such an
+        orbit.
     max_iterations : int
         Hard cap on orbit length; guards table drivers against runaway
         n requests.
@@ -159,6 +174,74 @@ def _h_inv_step(z, index: int):
     return mpmath.log1p(z)
 
 
+# a real orbit point with 2^-_FIXED_GUARD <= |u| < 2^_FIXED_TOP steps on an
+# integer scaled by 2^(bits + _FIXED_GUARD); the absolute resolution then
+# keeps at least `bits` significant bits
+_FIXED_GUARD = 32
+_FIXED_TOP = 6
+
+
+class _Orbits:
+    """Orbits of h (or of its inverse) from a few points, in lockstep.
+
+    Each state is a fixed-point integer (a real point in range) or an
+    mpmath value, which steps by `_h_step` (`_h_inv_step`) at the
+    caller's working precision and so keeps its escape (domain) check
+    and index.  Real orbits are monotone, so a state leaves the integer
+    range at most once each way.
+    """
+
+    def __init__(self, points, bits: int, inverse: bool = False):
+        self.scale = bits + _FIXED_GUARD
+        self._one = 1 << self.scale
+        self._ln2 = ln2_fixed(self.scale)
+        self._low = self.scale - _FIXED_GUARD
+        self._high = self.scale + _FIXED_TOP
+        # the log's domain ends at u = -1; forward, the bit length bounds w
+        self._floor = -self._one if inverse else -(1 << self._high)
+        self._inverse = inverse
+        self.states = [self._enter(p) for p in points]
+        self.pos = 0
+
+    def _enter(self, w):
+        if isinstance(w, mpmath.mpf):
+            _, man, exp, bc = w._mpf_
+            if man and -_FIXED_GUARD < exp + bc <= _FIXED_TOP:
+                return to_fixed(w._mpf_, self.scale)
+        return w
+
+    def step(self, w, index: int):
+        """One step of a state; `index` numbers it for the errors."""
+        if type(w) is int:
+            if self._low < w.bit_length() <= self._high and w > self._floor:
+                if self._inverse:
+                    x = from_man_exp(w + self._one, -self.scale)
+                    # |log(1 + u)| < 8, so 3 more bits reach 2^-scale,
+                    # unless u < 1/e - 1 and the next step leaves the domain
+                    return to_fixed(mpf_log(x, self.scale + 3), self.scale)
+                return exp_fixed(w, self.scale, self._ln2) - self._one
+            w = self.value(w)
+        if self._inverse:
+            return self._enter(_h_inv_step(w, index))
+        return self._enter(_h_step(w, index))
+
+    def run_to(self, n: int) -> None:
+        states = self.states
+        for i in range(self.pos, n):
+            for k, w in enumerate(states):
+                states[k] = self.step(w, i)
+        self.pos = n
+
+    def value(self, w):
+        """A state as an mpmath value; an integer converts exactly."""
+        if type(w) is int:
+            return mp.make_mpf(from_man_exp(w, -self.scale))
+        return w
+
+    def values(self) -> list:
+        return [self.value(w) for w in self.states]
+
+
 def iterate_h(z: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
     """Forward orbit h^[n](z) with cancellation-safe steps.
 
@@ -169,10 +252,9 @@ def iterate_h(z: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
     """
     _check_n(n, cfg)
     with mp.workprec(cfg.mantissa_bits):
-        w = _as_mp(z)
-        for i in range(n):
-            w = _h_step(w, i)
-        return w
+        orbit = _Orbits([_as_mp(z)], cfg.mantissa_bits)
+        orbit.run_to(n)
+        return orbit.values()[0]
 
 
 def iterate_h_inverse(z: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
@@ -183,10 +265,9 @@ def iterate_h_inverse(z: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig(
     """
     _check_n(n, cfg)
     with mp.workprec(cfg.mantissa_bits):
-        w = _as_mp(z)
-        for i in range(n):
-            w = _h_inv_step(w, i)
-        return w
+        orbit = _Orbits([_as_mp(z)], cfg.mantissa_bits, inverse=True)
+        orbit.run_to(n)
+        return orbit.values()[0]
 
 
 def levy_abel(
@@ -202,18 +283,9 @@ def levy_abel(
     """
     _check_n(n, cfg)
     with mp.workprec(cfg.mantissa_bits):
-        zw = _as_mp(z)
-        uw = _as_mp(u)
-        for i in range(n):
-            zw = _h_step(zw, i)
-            uw = _h_step(uw, i)
-        # an escaped h^[n](z) makes the ratio tower-sized: report the escape
-        _check_escape(zw, n)
-        un1 = _h_step(uw, n)
-        num = zw - uw
-        den = un1 - uw
-        if den == 0:
-            raise NonConvergenceError("degenerate step: h^[n+1](u) == h^[n](u)")
+        orbits = _Orbits([_as_mp(z), _as_mp(u)], cfg.mantissa_bits)
+        orbits.run_to(n)
+        num, den = _ratio_terms(orbits, n)
         scale = max(mpmath.mpf(1), abs(num))
         if abs(den) < mpmath.mpf(2) ** (-(cfg.mantissa_bits // 2)) * scale:
             warnings.warn(
@@ -222,6 +294,36 @@ def levy_abel(
                 stacklevel=2,
             )
         return num / den
+
+
+def _ratio_terms(orbits: _Orbits, n: int) -> tuple:
+    # numerator and denominator of the ratio estimator from the orbits of
+    # z and u at step n; exact differences when the states are integers
+    z, u = orbits.states
+    # an escaped h^[n](z) makes the ratio tower-sized: report the escape
+    _check_escape(orbits.value(z), n)
+    u1 = orbits.step(u, n)
+    if type(z) is int and type(u) is int and type(u1) is int:
+        num, den = orbits.value(z - u), orbits.value(u1 - u)
+    else:
+        zw, uw = orbits.values()
+        num, den = zw - uw, orbits.value(u1) - uw
+    if den == 0:
+        raise NonConvergenceError("degenerate step: h^[n+1](u) == h^[n](u)")
+    return num, den
+
+
+def _shift_value(orbits: _Orbits):
+    # -2/a + 2/b - 1; on integer states A = a 2^s, B = b 2^s as
+    # (2(A - B) 2^s - AB)/(AB), rounded once, since the two quotients grow
+    # like n and cancel
+    a, b = orbits.states
+    if type(a) is int and type(b) is int:
+        ab = a * b
+        twice = (a - b) << (orbits.scale + 1)
+        return orbits.value(twice - ab) / orbits.value(ab)
+    a, b = orbits.values()
+    return -2 / a + 2 / b - 1
 
 
 def levy_probe(
@@ -345,12 +447,9 @@ def fatou_probe(zf: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
         raise ValueError("orbit length must be at least 1")
     _check_n(n, cfg)
     with mp.workprec(cfg.mantissa_bits):
-        a = _tau_inv(zf)
-        b = _tau_inv(0)
-        for i in range(n):
-            a = _h_step(a, i)
-            b = _h_step(b, i)
-        return -2 / a + 2 / b - 1
+        orbits = _Orbits([_tau_inv(zf), _tau_inv(0)], cfg.mantissa_bits)
+        orbits.run_to(n)
+        return _shift_value(orbits)
 
 
 def fatou_probe_richardson(
@@ -473,19 +572,14 @@ def convergence_table(
         with mp.workprec(cfg.mantissa_bits):
             if method == "levy":
                 zf, uf = args
-                a, b = _tau_inv(zf), _tau_inv(uf)
             else:
-                (zf,) = args
-                a, b = _tau_inv(zf), _tau_inv(0)
-            pos = 0
+                (zf,), uf = args, 0
+            orbits = _Orbits([_tau_inv(zf), _tau_inv(uf)], cfg.mantissa_bits)
             failed = None
             for n in ns:
                 if failed is None:
                     try:
-                        while pos < n:
-                            a = _h_step(a, pos)
-                            b = _h_step(b, pos)
-                            pos += 1
+                        orbits.run_to(n)
                     except SuperexpError as exc:
                         failed = exc.code
                 if failed is not None:
@@ -493,16 +587,12 @@ def convergence_table(
                     continue
                 try:
                     if method == "levy":
-                        _check_escape(a, n)
-                        b_next = _h_step(b, n)
-                        den = b_next - b
-                        if den == 0:
-                            raise NonConvergenceError("degenerate step")
-                        value = (a - b) / den
+                        num, den = _ratio_terms(orbits, n)
+                        value = num / den
                     else:
                         if n < 1:
                             raise ValueError("orbit length must be at least 1")
-                        value = -2 / a + 2 / b - 1
+                        value = _shift_value(orbits)
                     records.append(ConvergenceRecord(n, value, method))
                 except SuperexpError as exc:
                     records.append(

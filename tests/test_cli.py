@@ -9,8 +9,11 @@ a user would see them.
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -77,6 +80,22 @@ class TestCommonFlags:
         assert proc.stderr.startswith("superexp: ")
         assert "out of range" in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+    def test_wide_precision_fails_fast(self, cache_dir):
+        # a 640-bit request once walked ~1.5e5 steps per evaluation in its
+        # tier-704 calibration; now the tier is refused before any walk
+        start = time.perf_counter()
+        proc = run_cli(
+            ["eval", "F1", "0.5", "0", "--precision-bits", "640", "--no-cache"],
+            cache_dir,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("superexp: DomainError: 640 bits is out of range")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 30
 
 
 class TestCalibrate:
@@ -484,3 +503,30 @@ class TestCheck:
         assert set(payload["summary"]) == {
             "min", "median", "fraction_ge_14", "unavailable",
         }
+
+
+def readme_commands(*subcommands):
+    # the command lines of the README's "Command line" block
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"## Command line\n\n```\n(.*?)```", text, re.S).group(1)
+    lines = [line.split("#")[0].strip() for line in block.splitlines()]
+    return [
+        shlex.split(line)[1:]
+        for line in lines
+        if line.startswith("superexp ") and line.split()[1] in subcommands
+    ]
+
+
+class TestReadme:
+    def test_examples_are_found(self):
+        assert len(readme_commands("eval", "table")) >= 3
+
+    @pytest.mark.parametrize(
+        "args", readme_commands("eval", "table"), ids=" ".join
+    )
+    def test_example_runs(self, cache_dir, args):
+        proc = run_cli(args, cache_dir)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout

@@ -263,6 +263,25 @@ class TestCutsAndErrors:
         with pytest.raises(DomainError, match="out of range"):
             calibrate(ctx)
 
+    def test_precision_above_the_calibrated_range(self):
+        # calibrate() reaches its tolerance up to 488 bits, so tier 448
+        # (serving 432 bits) is the last one; wider requests are refused
+        # before any walk, not after a failed tier-512 calibration
+        assert ev.calibration_tier(432) == 448
+        with pytest.raises(DomainError, match="433 bits is out of range"):
+            ev.calibration_tier(433)
+        with pytest.raises(DomainError, match="433 bits is out of range"):
+            F1(0.5, EvalContext(precision=PrecisionConfig(mantissa_bits=433)))
+        assert ev._MPKernel(
+            EvalContext(precision=PrecisionConfig(mantissa_bits=488))
+        ).bits == 488
+        for bits in (489, 640, 1024):
+            ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+            with pytest.raises(DomainError, match=f"{bits} bits is out of range"):
+                calibrate(ctx)
+            with pytest.raises(DomainError, match=f"{bits} bits is out of range"):
+                A1(-1, ctx, CC)
+
     def test_tilde_singular_at_zero(self):
         with pytest.raises(DomainError):
             superexp_tilde(0, "minus")

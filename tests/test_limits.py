@@ -6,6 +6,7 @@ agree on the common limit) and stable under doubling the mantissa.
 """
 
 import decimal
+import functools
 import math
 import warnings
 
@@ -429,3 +430,153 @@ class TestConvergenceTable:
         low_printed = records_to_csv(lo).strip().splitlines()[1].split(",")[3]
         high_printed = records_to_csv(hi).strip().splitlines()[1].split(",")[3]
         assert low_printed == high_printed
+
+
+# orbit lengths of the fixed-point accuracy checks, and the points whose
+# real orbits they follow: tau_inv(-1) and tau_inv(0), the levy (-1, 0)
+# and fatou1 (-1,) pairs
+ORBIT_NS = (1, 10, 100, 1000, 10000)
+ORBIT_POINTS = (-1, 0)
+
+
+def expm1_reference(w, prec):
+    # e^w - 1 rounded to prec: 40 guard bits cover the cancellation while
+    # |w| > 2^-30, and exp costs half of expm1
+    with mp.workprec(prec + 40):
+        v = mpmath.exp(w) - 1
+    with mp.workprec(prec):
+        return +v
+
+
+@functools.lru_cache(maxsize=None)
+def mpf_orbits(bits, prec):
+    # the orbits as mpf steps at prec, from the starts the library makes
+    # at bits: mpmath.expm1 at bits (the mpf code of the library before
+    # the fixed-point orbits), else the reference steps at prec;
+    # {n: [a_n, b_n]} at each n and n + 1
+    with mp.workprec(bits):
+        ws = [mpmath.mpf(z) / mpmath.e - 1 for z in ORBIT_POINTS]
+    rows = {}
+    with mp.workprec(prec):
+        for i in range(max(ORBIT_NS) + 2):
+            if i in ORBIT_NS or i - 1 in ORBIT_NS:
+                rows[i] = ws
+            if prec == bits:
+                ws = [mpmath.expm1(w) for w in ws]
+            else:
+                ws = [expm1_reference(w, prec) for w in ws]
+    return rows
+
+
+def estimate(kind, rows, n, prec):
+    # each estimator from orbit points, as the mpf code computed it
+    (a, b), (_, b1) = rows[n], rows[n + 1]
+    with mp.workprec(prec):
+        if kind == "iterate_h":
+            return a
+        if kind == "fatou1":
+            return -2 / a + 2 / b - 1
+        return (a - b) / (b1 - b)
+
+
+def library(kind, bits):
+    cfg = PrecisionConfig(mantissa_bits=bits)
+    if kind == "iterate_h":
+        with mp.workprec(bits):
+            start = mpmath.mpf(-1) / mpmath.e - 1
+        return [iterate_h(start, n, cfg) for n in ORBIT_NS]
+    if kind == "levy_probe":
+        return [levy_probe(-1, 0, n, cfg) for n in ORBIT_NS]
+    args = (-1, 0) if kind == "levy" else (-1,)
+    return [rec.value for rec in convergence_table(kind, args, ORBIT_NS, cfg)]
+
+
+def mpf_escape_index(starts, n, numerator_at_n=False):
+    # the step at which the 256-bit mpf orbits met the escape bound 1e8
+    with mp.workprec(256):
+        ws = [mpmath.mpmathify(z) for z in starts]
+        for i in range(n):
+            for k, w in enumerate(ws):
+                if w > 1e8:
+                    return i
+                ws[k] = mpmath.expm1(w)
+        if numerator_at_n and ws[0] > 1e8:
+            return n
+    return None
+
+
+class TestFixedPointOrbits:
+    @pytest.mark.parametrize("bits", [53, 128, 256])
+    @pytest.mark.parametrize("kind", ["iterate_h", "levy_probe", "levy", "fatou1"])
+    def test_no_farther_from_a_reference_than_the_mpf_orbit(self, kind, bits):
+        ref = mpf_orbits(bits, 2 * bits + 64)
+        old = mpf_orbits(bits, bits)
+        formula = "levy" if kind == "levy_probe" else kind
+        for n, got in zip(ORBIT_NS, library(kind, bits)):
+            want = estimate(formula, ref, n, 2 * bits + 64)
+            before = estimate(formula, old, n, bits)
+            with mp.workprec(2 * bits + 64):
+                err, err_before = abs(got - want), abs(before - want)
+                assert err <= err_before, (n, float(err), float(err_before))
+                if bits >= 128:
+                    assert err <= abs(want) * mpmath.mpf(2) ** (8 - bits), n
+
+    @pytest.mark.parametrize(
+        "start, n", [(3, 10), (4, 3), (4, 10), (100, 5), (-200, 50)]
+    )
+    def test_iterate_h_escapes_at_the_mpf_index(self, start, n):
+        index = mpf_escape_index([start], n)
+        if index is None:
+            with mp.workprec(256):
+                want = mpmath.mpf(start)
+                for _ in range(n):
+                    want = mpmath.expm1(want)
+            assert mp_close(iterate_h(start, n, CFG256), want, abs(want) * 2.0**-250)
+            return
+        with pytest.raises(OrbitOverflowError) as info:
+            iterate_h(start, n, CFG256)
+        assert info.value.index == index
+
+    def test_levy_escapes_at_the_mpf_index(self):
+        with mp.workprec(256):
+            starts = [mpmath.mpf(4) / mpmath.e - 1, mpmath.mpf(1) / mpmath.e - 1]
+        assert mpf_escape_index(starts, 7, numerator_at_n=True) == 7
+        with pytest.raises(OrbitOverflowError) as info:
+            levy_probe(4, 1, 7, CFG256)
+        assert info.value.index == 7
+        rows = convergence_table("levy", (4, 1), range(2, 9), CFG256)
+        assert [r.error for r in rows] == [None] * 5 + ["overflow"] * 2
+
+    @pytest.mark.parametrize("start", [-0.5, -0.7, 2.0, 1e30])
+    def test_backward_domain_error_at_the_mpf_step(self, start):
+        with mp.workprec(256):
+            w, step = mpmath.mpf(start), None
+            for i in range(6):
+                if w <= -1:
+                    step = i
+                    break
+                w = mpmath.log1p(w)
+        if step is None:
+            assert mp_close(iterate_h_inverse(start, 6, CFG256), w, abs(w) * 2.0**-250)
+            return
+        with pytest.raises(DomainError, match=f"at step {step}\\)"):
+            iterate_h_inverse(start, 6, CFG256)
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_backward_orbit_against_a_reference(self, bits):
+        cfg = PrecisionConfig(mantissa_bits=bits)
+        for n in (1, 100, 1000):
+            got = iterate_h_inverse(1, n, cfg)
+            with mp.workprec(2 * bits + 64):
+                want = mpmath.mpf(1)
+                for _ in range(n):
+                    want = mpmath.log1p(want)
+                assert abs(got - want) <= want * mpmath.mpf(2) ** (8 - bits), n
+
+    def test_start_near_the_fixed_point_keeps_its_bits(self):
+        # 2^-100 lies below the fixed-point range, so it steps as an mpf
+        # and keeps 256 significant bits where the integer would keep 188
+        with mp.workprec(256):
+            u = mpmath.mpf(2) ** -100 * 3
+            want = mpmath.expm1(mpmath.expm1(u))
+        assert iterate_h(u, 2, CFG256) == want
