@@ -251,9 +251,11 @@ _ABEL_TIERS = (
 
 
 # the widest kernel whose Abel tail (96 terms past 192 bits) reaches its
-# tolerance: calibrate() works at 488 bits and fails from 489, so
-# evaluations work up to 432 bits, the last calibrated at tier 448
+# tolerance: calibrate() works at 488 bits and fails from 489
 _MAX_BITS = 488
+# the widest evaluation whose calibration tier (see calibration_tier)
+# fits in _MAX_BITS: 432 bits, calibrated at 448
+_MAX_EVAL_BITS = _MAX_BITS // 64 * 64 - 16
 
 
 def _abel_tier(bits: int) -> tuple:
@@ -277,17 +279,12 @@ _SUPEREXP_TIERS = (
 
 def _superexp_tier(bits: int) -> tuple:
     """Term count, and the modelled walk-out distance at which the tail
-    of that many terms reaches 2^-(bits+12); infinite where that
-    distance is beyond the double range (past about 47 000 bits)."""
+    of that many terms reaches 2^-(bits+12)."""
     for cap, terms, constant in _SUPEREXP_TIERS:
         if bits <= cap:
             break
     p = terms + 2
-    exponent = (bits + 12) / p
-    # 2.0 ** exponent raises OverflowError from 1024 on
-    t = p * constant ** (1.0 / p) * 2.0**exponent if exponent < 1024 else math.inf
-    if t == math.inf:
-        return terms, t
+    t = p * constant ** (1.0 / p) * 2.0 ** ((bits + 12) / p)
     return terms, max(16.0, float(math.ceil(t)))
 
 
@@ -429,10 +426,13 @@ class _MPKernel(_Tables):
     def __init__(self, ctx: EvalContext):
         super().__init__()
         self.bits = ctx.precision.mantissa_bits
+        # an evaluation from _MAX_EVAL_BITS + 1 up fails here too, at once,
+        # when its calibration tier builds a kernel
         if self.bits > _MAX_BITS:
             raise DomainError(
-                f"{self.bits} bits is out of range: the mpmath kernel reaches"
-                f" its accuracy up to {_MAX_BITS} bits"
+                f"{self.bits} bits is out of range for the mpmath kernel (up"
+                f" to {_MAX_BITS} bits); evaluations, calibrated at least 16"
+                f" bits wider, work up to {_MAX_EVAL_BITS} bits"
             )
         self._workbits = self.bits + 32
         self.scale = self._workbits + _SCALE_GUARD
@@ -971,18 +971,12 @@ def calibration_tier(bits: int) -> int:
     """Calibration precision serving evaluation at `bits`.
 
     16 guard bits over the evaluation width, rounded up to a multiple
-    of 64 and never below 192.  Raises DomainError where that tier is
-    wider than the mpmath kernel reaches (from 433 bits).
+    of 64 and never below 192.  From 433 bits (_MAX_EVAL_BITS + 1) the
+    tier is wider than the mpmath kernel reaches, and calibrating at it
+    raises DomainError.
     """
     needed = max(192, bits + 16)
-    tier = -(-needed // 64) * 64
-    if tier > _MAX_BITS:
-        raise DomainError(
-            f"{bits} bits is out of range: evaluations work up to"
-            f" {_MAX_BITS // 64 * 64 - 16} bits, whose calibration runs at"
-            f" {_MAX_BITS // 64 * 64}"
-        )
-    return tier
+    return -(-needed // 64) * 64
 
 
 def default_constants(bits: int = 53) -> CalibrationConstants:

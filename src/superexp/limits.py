@@ -38,7 +38,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_log, to_fixed
+from mpmath.libmp import from_man_exp, int_types, mpf_log, to_fixed
 from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from .errors import (
@@ -184,7 +184,8 @@ _FIXED_TOP = 6
 class _Orbits:
     """Orbits of h (or of its inverse) from a few points, in lockstep.
 
-    Each state is a fixed-point integer (a real point in range) or an
+    Each state is a fixed-point integer (a real point in range; one of
+    mpmath's ``int_types``, so an mpz under its gmpy backend) or an
     mpmath value, which steps by `_h_step` (`_h_inv_step`) at the
     caller's working precision and so keeps its escape (domain) check
     and index.  Real orbits are monotone, so a state leaves the integer
@@ -197,8 +198,6 @@ class _Orbits:
         self._ln2 = ln2_fixed(self.scale)
         self._low = self.scale - _FIXED_GUARD
         self._high = self.scale + _FIXED_TOP
-        # the log's domain ends at u = -1; forward, the bit length bounds w
-        self._floor = -self._one if inverse else -(1 << self._high)
         self._inverse = inverse
         self.states = [self._enter(p) for p in points]
         self.pos = 0
@@ -212,8 +211,12 @@ class _Orbits:
 
     def step(self, w, index: int):
         """One step of a state; `index` numbers it for the errors."""
-        if type(w) is int:
-            if self._low < w.bit_length() <= self._high and w > self._floor:
+        if isinstance(w, int_types):
+            # the log's domain ends at u = -1
+            in_range = self._low < w.bit_length() <= self._high and (
+                not self._inverse or w > -self._one
+            )
+            if in_range:
                 if self._inverse:
                     x = from_man_exp(w + self._one, -self.scale)
                     # |log(1 + u)| < 8, so 3 more bits reach 2^-scale,
@@ -234,7 +237,7 @@ class _Orbits:
 
     def value(self, w):
         """A state as an mpmath value; an integer converts exactly."""
-        if type(w) is int:
+        if isinstance(w, int_types):
             return mp.make_mpf(from_man_exp(w, -self.scale))
         return w
 
@@ -303,7 +306,7 @@ def _ratio_terms(orbits: _Orbits, n: int) -> tuple:
     # an escaped h^[n](z) makes the ratio tower-sized: report the escape
     _check_escape(orbits.value(z), n)
     u1 = orbits.step(u, n)
-    if type(z) is int and type(u) is int and type(u1) is int:
+    if all(isinstance(w, int_types) for w in (z, u, u1)):
         num, den = orbits.value(z - u), orbits.value(u1 - u)
     else:
         zw, uw = orbits.values()
@@ -318,7 +321,7 @@ def _shift_value(orbits: _Orbits):
     # (2(A - B) 2^s - AB)/(AB), rounded once, since the two quotients grow
     # like n and cancel
     a, b = orbits.states
-    if type(a) is int and type(b) is int:
+    if isinstance(a, int_types) and isinstance(b, int_types):
         ab = a * b
         twice = (a - b) << (orbits.scale + 1)
         return orbits.value(twice - ab) / orbits.value(ab)

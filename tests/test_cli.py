@@ -83,7 +83,7 @@ class TestCommonFlags:
 
     def test_wide_precision_fails_fast(self, cache_dir):
         # a 640-bit request once walked ~1.5e5 steps per evaluation in its
-        # tier-704 calibration; now the tier is refused before any walk
+        # tier-704 calibration; now that kernel is refused before any walk
         start = time.perf_counter()
         proc = run_cli(
             ["eval", "F1", "0.5", "0", "--precision-bits", "640", "--no-cache"],
@@ -92,7 +92,8 @@ class TestCommonFlags:
         elapsed = time.perf_counter() - start
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr.startswith("superexp: DomainError: 640 bits is out of range")
+        assert proc.stderr.startswith("superexp: DomainError: 704 bits is out of range")
+        assert "up to 432 bits" in proc.stderr
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
         assert elapsed < 30

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import MPZ_TYPE
 
+from superexp import limits
 from superexp.errors import (
     DomainError,
     NonConvergenceError,
@@ -520,6 +522,31 @@ class TestFixedPointOrbits:
                 assert err <= err_before, (n, float(err), float(err_before))
                 if bits >= 128:
                     assert err <= abs(want) * mpmath.mpf(2) ** (8 - bits), n
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_states_are_backend_integers(self, inverse):
+        # mpmath's fixed-point routines return its backend's integer type,
+        # an mpz under gmpy, not the builtin int; any integer type must
+        # step, convert and enter the probes alike
+        class Wide(int):
+            pass
+
+        sign = 1 if inverse else -1
+        with mp.workprec(256):
+            starts = [sign * mpmath.mpf(0.5), sign * mpmath.mpf(0.25)]
+            orbits = limits._Orbits(starts, 256, inverse)
+            orbits.run_to(50)
+            states = orbits.states
+            assert all(isinstance(w, MPZ_TYPE) for w in states)
+            for w in states:
+                assert orbits.step(Wide(w), 50) == orbits.step(w, 50)
+                assert orbits.value(Wide(w)) == orbits.value(w)
+            if inverse:
+                return
+            want = limits._ratio_terms(orbits, 50), limits._shift_value(orbits)
+            orbits.states = [Wide(w) for w in states]
+            got = limits._ratio_terms(orbits, 50), limits._shift_value(orbits)
+            assert got == want
 
     @pytest.mark.parametrize(
         "start, n", [(3, 10), (4, 3), (4, 10), (100, 5), (-200, 50)]
