@@ -208,15 +208,26 @@ class _Tables:
     """Reversed coefficient tables of a kernel, built on first use.
 
     A kernel supplies `coeff`, its rounding of one exact coefficient
-    (a double, or for the mpmath kernel the integer round(c * 2^scale)
-    its fixed-point sums run on), and the term counts; the Abel walks
-    never build the P_m and the asymptotic sum never builds the Abel
-    tail.  Not a cached_property: writing the instance __dict__ slows
-    every attribute load on the hot path.
+    (a double, held as a complex so that Horner's rule adds complex to
+    complex, or for the mpmath kernel the integer round(c * 2^scale) its
+    fixed-point sums run on), and the term counts; the Abel walks never
+    build the P_m and the asymptotic sum never builds the Abel tail.
+    Not a cached_property: writing the instance __dict__ slows every
+    attribute load on the hot path.  The calibrated anchors are cast
+    once per constants object, which the cache holds, so its identity
+    cannot be reused by another object.
     """
 
     def __init__(self):
-        self._tails = self._polys = None
+        self._tails = self._polys = self._anchors = None
+
+    def anchors(self, constants: CalibrationConstants) -> tuple:
+        """(x1, x3, a1_norm, a3_norm) as this kernel's scalars."""
+        cached = self._anchors
+        if cached is None or cached[0] is not constants:
+            anchors = (constants.x1, constants.x3, constants.a1_norm, constants.a3_norm)
+            cached = self._anchors = (constants, tuple(map(self.cast, anchors)))
+        return cached[1]
 
     def tail_rev(self, plus_side: bool) -> tuple:
         if self._tails is None:
@@ -295,6 +306,7 @@ class _DoubleKernel(_Tables):
     bits = 53
     tripwire = False
     tol = 0.0
+    _null = contextlib.nullcontext()
 
     def __init__(self, ctx: EvalContext):
         super().__init__()
@@ -306,11 +318,12 @@ class _DoubleKernel(_Tables):
         self.walk_cap = ctx.max_recursion
         self.bump = 0
 
-    def coeff(self, c: Fraction) -> float:
-        return float(c)
+    def coeff(self, c: Fraction) -> complex:
+        # z + c rounds as z + float(c) does, minus the mixed-type add
+        return complex(float(c))
 
     def guard(self):
-        return contextlib.nullcontext()
+        return self._null
 
     def e(self) -> float:
         return _E
@@ -327,12 +340,12 @@ class _DoubleKernel(_Tables):
     def exp_step(self, w: complex, idx: int):
         """One guarded step w -> e^(w/e); returns (value, steps consumed)."""
         x = w.real / _E
-        y = w.imag / _E
         if x < -745.0:
             # e^x underflows every double: the orbit lands at exactly 0
             return 0j, 1
         if x <= 700.0:
             return cmath.exp(w / _E), 1
+        y = w.imag / _E
         if abs(y) > 3.5e13:
             raise NonConvergenceError(
                 "phase of an overflowing exponential step is not"
@@ -557,11 +570,34 @@ def _kernel(ctx: EvalContext):
 
 
 _DEFAULT_CTX = EvalContext()
+_last_kernel = (None, None)
+
+
+def _kernel_of(ctx: EvalContext | None):
+    # a sweep passes one context object to every cell: match it by
+    # identity before hashing the frozen context through _kernel's cache;
+    # the pair is swapped whole, so a racing thread keeps its own kernel
+    global _last_kernel
+    ctx = ctx or _DEFAULT_CTX
+    last = _last_kernel
+    if last[0] is not ctx:
+        last = _last_kernel = (ctx, _kernel(ctx))
+    return last[1]
 
 
 # -- walk drivers, kernel-generic ----------------------------------------
 
-def _abel_walk(kernel, z, plus_side: bool, side):
+def _abel_step(kernel, w, k: int, plus_side: bool, side) -> tuple:
+    if plus_side:
+        if w == 0:
+            raise BranchCutError("backward orbit hit the logarithm singularity at 0")
+        return kernel.log_step(w, k + 1, side), k + 1
+    nw, advanced = kernel.exp_step(w, k + 1)
+    return nw, k + advanced
+
+
+def _abel_walk(kernel, z, plus_side: bool, side, norm=None):
+    # norm, when given, is subtracted from the result inside the guard
     with kernel.guard():
         e = kernel.e()
         w = kernel.cast(z)
@@ -574,26 +610,15 @@ def _abel_walk(kernel, z, plus_side: bool, side):
                 "z lies on the cut [e, inf) of the forward Abel function"
             )
         k = 0
-
-        def step(w, k):
-            if plus_side:
-                if w == 0:
-                    raise BranchCutError(
-                        "backward orbit hit the logarithm singularity at 0"
-                    )
-                return kernel.log_step(w, k + 1, side), k + 1
-            nw, advanced = kernel.exp_step(w, k + 1)
-            return nw, k + advanced
-
+        radius, cap = kernel.abel_radius, kernel.abel_cap
         zeta = 1 - w / e
-        while abs(zeta) >= kernel.abel_radius:
-            if k >= kernel.abel_cap:
+        while abs(zeta) >= radius:
+            if k >= cap:
                 raise NonConvergenceError(
-                    "argument did not reach the expansion disk within"
-                    f" {kernel.abel_cap} steps",
+                    f"argument did not reach the expansion disk within {cap} steps",
                     residual=float(abs(zeta)),
                 )
-            w, k = step(w, k)
+            w, k = _abel_step(kernel, w, k, plus_side, side)
             zeta = 1 - w / e
         if zeta == 0:
             raise DomainError("branch point: the orbit landed exactly on e")
@@ -602,9 +627,9 @@ def _abel_walk(kernel, z, plus_side: bool, side):
         while retries and last > kernel.tol * (1 + abs(value)):
             # tail not yet below target: walk deeper into the disk and resum
             for _ in range(16):
-                if k >= kernel.abel_cap:
+                if k >= cap:
                     break
-                w, k = step(w, k)
+                w, k = _abel_step(kernel, w, k, plus_side, side)
             zeta = 1 - w / e
             if zeta == 0:
                 raise DomainError("branch point: the orbit landed exactly on e")
@@ -615,12 +640,14 @@ def _abel_walk(kernel, z, plus_side: bool, side):
                 "Abel tail above the target accuracy after three retries",
                 residual=float(last),
             )
-        return value + k if plus_side else value - k
+        value = value + k if plus_side else value - k
+        return value if norm is None else value - norm
 
 
-def _ftilde_eval(kernel, z, branch: BranchSign, side):
+def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None):
+    # shift, when given, is added to the argument inside the guard
     with kernel.guard():
-        w0 = kernel.cast(z)
+        w0 = kernel.cast(z) if shift is None else kernel.cast(z) + shift
         if w0 == 0:
             raise DomainError("the asymptotic series is singular at 0")
         minus = branch is BranchSign.minus
@@ -740,9 +767,8 @@ def abel1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
         the series tail still above the target accuracy after three
         deeper walks (carries the tail).
     """
-    ctx = ctx or _DEFAULT_CTX
     side, flip = _resolve_side(z, cut_side)
-    value = _abel_walk(_kernel(ctx), z, plus_side=False, side=side)
+    value = _abel_walk(_kernel_of(ctx), z, plus_side=False, side=side)
     return _conj(value) if flip else value
 
 
@@ -754,9 +780,8 @@ def abel2(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     same coefficients, with the opposite sign inside the logarithm.
     Satisfies abel2(e^(z/e)) = abel2(z) + 1 right of the cut (-inf, e].
     """
-    ctx = ctx or _DEFAULT_CTX
     side, flip = _resolve_side(z, cut_side)
-    value = _abel_walk(_kernel(ctx), z, plus_side=True, side=side)
+    value = _abel_walk(_kernel_of(ctx), z, plus_side=True, side=side)
     return _conj(value) if flip else value
 
 
@@ -771,13 +796,10 @@ def A1(
     A1 is abel1 minus the calibrated abel1(1); it inverts F1 and is
     periodic with period 2*pi*e*i.
     """
-    ctx = ctx or _DEFAULT_CTX
     side, flip = _resolve_side(z, cut_side)
-    kernel = _kernel(ctx)
-    constants = constants or default_constants(kernel.bits)
-    with kernel.guard():
-        value = _abel_walk(kernel, z, plus_side=False, side=side)
-        value = value - kernel.cast(constants.a1_norm)
+    kernel = _kernel_of(ctx)
+    norm = kernel.anchors(constants or default_constants(kernel.bits))[2]
+    value = _abel_walk(kernel, z, plus_side=False, side=side, norm=norm)
     return _conj(value) if flip else value
 
 
@@ -792,13 +814,10 @@ def A3(
     A3 is abel2 minus the calibrated abel2(3); it inverts F3 right of
     the cut (-inf, e].
     """
-    ctx = ctx or _DEFAULT_CTX
     side, flip = _resolve_side(z, cut_side)
-    kernel = _kernel(ctx)
-    constants = constants or default_constants(kernel.bits)
-    with kernel.guard():
-        value = _abel_walk(kernel, z, plus_side=True, side=side)
-        value = value - kernel.cast(constants.a3_norm)
+    kernel = _kernel_of(ctx)
+    norm = kernel.anchors(constants or default_constants(kernel.bits))[3]
+    value = _abel_walk(kernel, z, plus_side=True, side=side, norm=norm)
     return _conj(value) if flip else value
 
 
@@ -822,10 +841,9 @@ def superexp_tilde(
     cap or the series tail stays above the target accuracy after three
     longer walks.
     """
-    ctx = ctx or _DEFAULT_CTX
     branch = _as_branch(branch)
     side, flip = _resolve_side(z, cut_side)
-    value = _ftilde_eval(_kernel(ctx), z, branch, side)
+    value = _ftilde_eval(_kernel_of(ctx), z, branch, side)
     return _conj(value) if flip else value
 
 
@@ -845,13 +863,10 @@ def F1(
     them returns values that lose accuracy like the logarithm of the
     distance rather than raising.
     """
-    ctx = ctx or _DEFAULT_CTX
     side, flip = _resolve_side(z, cut_side)
-    kernel = _kernel(ctx)
-    constants = constants or default_constants(kernel.bits)
-    with kernel.guard():
-        zz = kernel.cast(z) + kernel.cast(constants.x1)
-    value = _ftilde_eval(kernel, zz, BranchSign.minus, side)
+    kernel = _kernel_of(ctx)
+    x1 = kernel.anchors(constants or default_constants(kernel.bits))[0]
+    value = _ftilde_eval(kernel, z, BranchSign.minus, side, x1)
     return _conj(value) if flip else value
 
 
@@ -867,13 +882,10 @@ def F3(
     positive real axis; overflow there raises OrbitOverflowError
     carrying the first overflowing step index.
     """
-    ctx = ctx or _DEFAULT_CTX
     side, flip = _resolve_side(z, cut_side)
-    kernel = _kernel(ctx)
-    constants = constants or default_constants(kernel.bits)
-    with kernel.guard():
-        zz = kernel.cast(z) + kernel.cast(constants.x3)
-    value = _ftilde_eval(kernel, zz, BranchSign.plus, side)
+    kernel = _kernel_of(ctx)
+    x3 = kernel.anchors(constants or default_constants(kernel.bits))[1]
+    value = _ftilde_eval(kernel, z, BranchSign.plus, side, x3)
     return _conj(value) if flip else value
 
 

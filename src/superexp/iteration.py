@@ -48,6 +48,9 @@ Scalar = Union[float, complex, mpmath.mpf, mpmath.mpc]
 
 _E = math.e
 
+# one default object, so the evaluators find its kernel by identity
+_DEFAULT_CTX = EvalContext()
+
 AGREEMENT_KINDS = ("d1af", "d1fa", "d3af", "d3fa", "dq1", "dq3")
 
 GRID_FUNCTIONS = ("F1", "F3", "A1", "A3", "expc")
@@ -193,7 +196,7 @@ def exp_iterate(
     SuperexpError
         Propagated from the constituent evaluations.
     """
-    ctx = ctx if ctx is not None else EvalContext()
+    ctx = ctx if ctx is not None else _DEFAULT_CTX
     bits = ctx.precision.mantissa_bits
     if constants is None:
         constants = default_constants(bits)
@@ -238,7 +241,7 @@ def dq13(
     complex
         ``exp_lower^[1/2](x) - exp_upper^[1/2](x)``.
     """
-    ctx = ctx if ctx is not None else EvalContext()
+    ctx = ctx if ctx is not None else _DEFAULT_CTX
     bits = ctx.precision.mantissa_bits
     deep = dataclasses.replace(ctx, max_recursion=max(ctx.max_recursion, 20000))
     lower = exp_iterate(IterateRequest(0.5, x, IterateBranch.lower), deep, constants)
@@ -294,9 +297,11 @@ def agreement(
     """
     if kind not in AGREEMENT_KINDS:
         raise ValueError(f"unknown agreement kind {kind!r}")
-    ctx = ctx if ctx is not None else EvalContext()
+    ctx = ctx if ctx is not None else _DEFAULT_CTX
     bits = ctx.precision.mantissa_bits
     try:
+        if constants is None:
+            constants = default_constants(bits)
         if kind == "d1af":
             x, y = A1(F1(z, ctx, constants, cut_side=cut_side), ctx, constants, cut_side=cut_side), z
         elif kind == "d1fa":
@@ -408,28 +413,27 @@ def map_grid(
     """
     if fn not in GRID_FUNCTIONS:
         raise ValueError(f"unknown grid function {fn!r}")
-    ctx = ctx if ctx is not None else EvalContext()
-    bits = ctx.precision.mantissa_bits
+    ctx = ctx if ctx is not None else _DEFAULT_CTX
     if constants is None:
-        constants = default_constants(bits)
+        constants = default_constants(ctx.precision.mantissa_bits)
+    side = grid.cut_side
     if fn == "expc":
         if c is None:
             raise ValueError("fn='expc' requires the iteration count c")
         if isinstance(branch, str):
             branch = IterateBranch[branch]
-    evaluators = {"F1": F1, "F3": F3, "A1": A1, "A3": A3}
+
+        def evaluate(z, ctx, constants, cut_side):
+            return exp_iterate(IterateRequest(c, z, branch, cut_side), ctx, constants)
+    else:
+        evaluate = {"F1": F1, "F3": F3, "A1": A1, "A3": A3}[fn]
     xs, ys = grid.xs(), grid.ys()
     rows, errs = [], []
     for y in ys:
         row, erow = [], []
         for x in xs:
-            z = complex(x, y)
             try:
-                if fn == "expc":
-                    req = IterateRequest(c, z, branch, grid.cut_side)
-                    value = exp_iterate(req, ctx, constants)
-                else:
-                    value = evaluators[fn](z, ctx, constants, cut_side=grid.cut_side)
+                value = evaluate(complex(x, y), ctx, constants, cut_side=side)
                 row.append(complex(value))
                 erow.append(None)
             except SuperexpError as exc:

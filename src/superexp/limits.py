@@ -326,6 +326,9 @@ def _shift_value(orbits: _Orbits):
         twice = (a - b) << (orbits.scale + 1)
         return orbits.value(twice - ab) / orbits.value(ab)
     a, b = orbits.values()
+    if a == 0 or b == 0:
+        # tau_inv(e) is the fixed point itself, whose orbit never moves
+        raise DomainError("shift probe from the fixed point: its orbit stays at 0")
     return -2 / a + 2 / b - 1
 
 
@@ -415,7 +418,9 @@ def fatou_abel(
     Petal 2 (repelling, Re z > 0): -(1/3) log n - 2/h^[-n](z) + n.
 
     The two shifted sequences converge to the regular Abel function of the
-    respective petal, up to that petal's fixed normalization.
+    respective petal, up to that petal's fixed normalization.  On a real
+    orbit's integer state W = w 2^s, -2/w -+ n, whose two terms grow like
+    n and cancel, is rounded once as (-+n W - 2^(s+1))/W.
     """
     if petal not in (1, 2):
         raise ValueError("petal must be 1 or 2")
@@ -425,17 +430,18 @@ def fatou_abel(
     with mp.workprec(cfg.mantissa_bits):
         zw = _as_mp(z)
         re = mpmath.re(zw)
-        if petal == 1:
-            if re >= 0:
-                raise DomainError(
-                    "petal-1 estimator needs Re(z) < 0 (attracting side)"
-                )
-            w = iterate_h(zw, n, cfg)
-            return -mpmath.log(n) / 3 - 2 / w - n
-        if re <= 0:
+        if petal == 1 and re >= 0:
+            raise DomainError("petal-1 estimator needs Re(z) < 0 (attracting side)")
+        if petal == 2 and re <= 0:
             raise DomainError("petal-2 estimator needs Re(z) > 0 (repelling side)")
-        w = iterate_h_inverse(zw, n, cfg)
-        return -mpmath.log(n) / 3 - 2 / w + n
+        sign = 1 if petal == 2 else -1
+        orbit = _Orbits([zw], cfg.mantissa_bits, inverse=petal == 2)
+        orbit.run_to(n)
+        (w,) = orbit.states
+        if isinstance(w, int_types):
+            shifted = sign * n * w - (2 << orbit.scale)
+            return -mpmath.log(n) / 3 + orbit.value(shifted) / orbit.value(w)
+        return -mpmath.log(n) / 3 - 2 / w + sign * n
 
 
 def fatou_probe(zf: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):

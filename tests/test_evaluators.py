@@ -7,6 +7,8 @@ against the limit-formula estimators in `limits` appear at the end.
 
 import cmath
 import math
+import sys
+import threading
 from functools import lru_cache
 
 import mpmath
@@ -581,6 +583,79 @@ class TestLazyTables:
             tuple(round(c * 2**scale) for c in reversed(p))
             for p in reversed(ev._ftilde_polys(28))
         )
+
+
+class TestPerCallCaches:
+    """Kernels found by context identity and anchors cast once per
+    constants object give what a cold evaluation gives."""
+
+    FNS = (F1, F3, A1, A3)
+    POINTS = (0.5 + 0.5j, 1 + 1j, 5 + 1j, -1.5 + 0.75j, 2.0)
+
+    @pytest.fixture
+    def cases(self, monkeypatch):
+        # (fn, z, ctx, constants) over two constants objects and three
+        # contexts: two equal but distinct, one with other term counts
+        perturbed = dict(CC.as_decimal_dict(), x1="2.79824815")
+        cc = (CC, CalibrationConstants.from_decimal_dict(perturbed))
+        ctxs = (EvalContext(), EvalContext(), EvalContext(superexp_terms=12, abel_tail_terms=12))
+        cases = [
+            (fn, z, ctx, c)
+            for ctx in ctxs for c in cc for fn in self.FNS for z in self.POINTS
+        ]
+        cold = []
+        for fn, z, ctx, c in cases:
+            # a new kernel cache: every evaluation builds its kernel and
+            # casts its anchors afresh
+            fresh = lru_cache(maxsize=32)(ev._kernel.__wrapped__)
+            monkeypatch.setattr(ev, "_kernel", fresh)
+            monkeypatch.setattr(ev, "_last_kernel", (None, None))
+            cold.append(self._value(fn, z, ctx, c))
+        # the perturbed x1 moves F1 and nothing else
+        assert cold[0] != cold[len(self.FNS) * len(self.POINTS)]
+        return cases, cold
+
+    @staticmethod
+    def _value(fn, z, ctx, c):
+        try:
+            return fn(z, ctx, c)
+        except SuperexpError as exc:
+            return exc.code
+
+    def test_alternating_calls_match_cold_values(self, cases):
+        cases, cold = cases
+        # interleave so consecutive calls change context and constants
+        order = sorted(range(len(cases)), key=lambda i: (i % 7, i))
+        for _ in range(2):
+            for i in order:
+                assert self._value(*cases[i]) == cold[i], cases[i]
+
+    def test_threads_match_serial_values(self, cases):
+        # more threads than cores, switching often, in opposite orders so
+        # that the shared caches keep changing hands
+        cases, cold = cases
+        mismatches = []
+
+        def worker(order):
+            for _ in range(5):
+                for i in order:
+                    if self._value(*cases[i]) != cold[i]:
+                        mismatches.append(cases[i])
+
+        forward = list(range(len(cases)))
+        orders = (forward, forward[::-1], forward[1::2] + forward[::2], forward[::-3])
+        threads = [threading.Thread(target=worker, args=(o,)) for o in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not mismatches
 
 
 def _exact(c):

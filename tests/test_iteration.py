@@ -1,5 +1,6 @@
 """Tests for fractional iterates, axis diagnostics and grid sampling."""
 
+import hashlib
 import json
 import math
 
@@ -357,6 +358,48 @@ class TestMapGrid:
         for row_d, row_m in zip(rd.values, rm.values):
             for vd, vm in zip(row_d, row_m):
                 assert abs(vd - vm) < 1e-12
+
+
+class TestDoubleBitIdentity:
+    """The 53-bit sweep keeps its doubles when its per-call work moves.
+
+    The digests were recorded before the double kernel's per-call
+    overhead was cut (cast anchors, one kernel lookup per context, the
+    hoisted walk step) and pin every value, error code and score
+    bit for bit: ``repr`` of a double round-trips exactly.  They hold for
+    a libm that rounds exp, log and atan2 as glibc does on x86-64.
+    """
+
+    GRIDS = (
+        GridSpec(-8.0, 28.0, -14.0, 14.0, 19, 15),
+        GridSpec(-4.0, 6.0, -1.0, 1.0, 11, 3, cut_side="below"),
+    )
+    POINTS = (1 + 1j, 0.5 - 0.25j, -1.5 + 0.75j, 3 + 3j, 4 + 2j, 5 + 0.8j, 5.0, 2.0, E)
+
+    def test_map_grid_digest(self):
+        digest, codes = hashlib.sha256(), set()
+        for grid in self.GRIDS:
+            for fn in ("F1", "A1", "F3", "A3"):
+                r = map_grid(fn, grid)
+                codes |= {e for row in r.errors for e in row}
+                digest.update(repr((fn, r.values, r.errors)).encode())
+        assert codes == {None, "cut", "overflow", "nonconv"}
+        assert digest.hexdigest() == (
+            "f1a626a966acb6f161b922ac7189daa7492cfefe39348aafb508cd4e54403932"
+        )
+
+    def test_agreement_digest(self):
+        scores = [
+            (kind, z, agreement(kind, z))
+            for kind in ("d1fa", "d3fa", "dq1")
+            for z in self.POINTS
+        ]
+        # finite, clipped and unavailable scores all occur
+        assert {16.0, -16.0} & {s for *_, s in scores} == {16.0}
+        assert any(math.isnan(s) for *_, s in scores)
+        assert hashlib.sha256(repr(scores).encode()).hexdigest() == (
+            "dcb38c9c006d187234b6f53ea9fe07d5de4e0e56820ee8d52d746f23c8f435db"
+        )
 
 
 class TestGridSerialization:

@@ -289,6 +289,15 @@ class TestFatou:
             parts = fatou_abel(za, 1, n, CFG256) - fatou_abel(zb, 1, n, CFG256) - 1
             assert mp_close(fatou_probe(-1, n, CFG256), parts, mpmath.mpf(2) ** -240)
 
+    def test_shift_probe_from_the_fixed_point_is_a_domain_error(self):
+        # tau_inv(e) is the fixed point 0 itself, whose orbit never moves;
+        # a double e is the same point at 53 bits
+        with pytest.raises(DomainError, match="fixed point"):
+            fatou_probe(mpmath.e, 10, CFG256)
+        for e, cfg in ((mpmath.e, CFG256), (math.e, PrecisionConfig(mantissa_bits=53))):
+            rows = convergence_table("fatou1", (e,), [1, 10], cfg)
+            assert [(r.value, r.error) for r in rows] == [(None, "domain")] * 2
+
     def test_richardson_gains_an_order(self):
         probe = fatou_probe(-1, 2000, CFG256)
         rich = fatou_probe_richardson(-1, 2000, CFG256)
@@ -599,6 +608,34 @@ class TestFixedPointOrbits:
                 for _ in range(n):
                     want = mpmath.log1p(want)
                 assert abs(got - want) <= want * mpmath.mpf(2) ** (8 - bits), n
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_fatou_abel_against_a_reference(self, bits):
+        # -2/w -+ n cancels down from n = 10^4 to O(1), so it is rounded
+        # once from the orbit's integer state.  Against the same orbit
+        # summed at 2 bits + 64 the value keeps bits - 4 bits: three
+        # roundings of terms below 4 |value| (the working-precision form
+        # lost log2(n), 2^(11 - bits) measured).  Against a reference
+        # orbit the orbit's own absolute error, which 2/w^2 = n^2/2
+        # amplifies, dominates: 2^(7.4 - bits) and 2^(7.8 - bits) measured
+        n, prec = 10000, 2 * bits + 64
+        cfg = PrecisionConfig(mantissa_bits=bits)
+        with mp.workprec(bits):
+            starts = {1: mpmath.mpf(-1) / mpmath.e - 1, 2: 5 / mpmath.e - 1}
+        with mp.workprec(prec):
+            backward = starts[2]
+            for _ in range(n):
+                backward = mpmath.log1p(backward)
+        reference = {1: mpf_orbits(bits, prec)[n][0], 2: backward}
+        walk = {1: iterate_h, 2: iterate_h_inverse}
+        for petal, sign in ((1, -1), (2, 1)):
+            got = fatou_abel(starts[petal], petal, n, cfg)
+            orbit = walk[petal](starts[petal], n, cfg)  # the exact integer state
+            with mp.workprec(prec):
+                exact = -mpmath.log(n) / 3 - 2 / orbit + sign * n
+                want = -mpmath.log(n) / 3 - 2 / reference[petal] + sign * n
+                assert abs(got - exact) <= abs(exact) * mpmath.mpf(2) ** (4 - bits)
+                assert abs(got - want) <= abs(want) * mpmath.mpf(2) ** (9 - bits)
 
     def test_start_near_the_fixed_point_keeps_its_bits(self):
         # 2^-100 lies below the fixed-point range, so it steps as an mpf
