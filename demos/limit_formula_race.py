@@ -16,7 +16,7 @@ from superexp.limits import PrecisionConfig as TablePrecision
 from superexp.limits import convergence_table
 
 ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
-A1(-1, ctx)  # warm-up: the one-time calibration solve happens here
+A1(-1, ctx)  # warm-up: the one-time calibration (two Abel walks) happens here
 start = time.perf_counter()
 reference = A1(-1, ctx)
 series_time = time.perf_counter() - start

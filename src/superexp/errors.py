@@ -56,7 +56,13 @@ class OrbitOverflowError(NonConvergenceError):
 
 
 class CalibrationError(SuperexpError):
-    """Root search for a normalisation constant went astray."""
+    """A calibration constant could not be computed.
+
+    Nothing in the package raises it now: calibrate() takes its
+    constants from two Abel walks, whose failures raise DomainError or
+    NonConvergenceError.  The CLI exits 2 on any SuperexpError during
+    calibration.
+    """
 
 
 class PrecisionLossWarning(UserWarning):

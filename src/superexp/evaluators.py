@@ -35,7 +35,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import mpmath
 from mpmath import mp
@@ -43,7 +43,6 @@ from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import (
     BranchCutError,
-    CalibrationError,
     DomainError,
     NonConvergenceError,
     OrbitOverflowError,
@@ -186,7 +185,25 @@ class CalibrationConstants:
 
 # -- series coefficients, shared by both kernels ------------------------
 
-@lru_cache(maxsize=None)
+def _prefix_table(build):
+    """Memoize build(n) as prefixes of the longest table built so far.
+
+    Term n of either exact table does not depend on the table's length,
+    so a request no longer than the longest one built is a slice of it.
+    """
+    longest = ()
+
+    @wraps(build)
+    def table(n: int) -> tuple:
+        nonlocal longest
+        if len(longest) < n:
+            longest = build(n)
+        return longest[:n]
+
+    return table
+
+
+@_prefix_table
 def _abel_tail_coeffs(n_terms: int) -> tuple:
     # tail of the Abel series in zeta = 1 - z/e: substituting x = -zeta
     # into the expansion around the fixed point flips the odd terms
@@ -199,7 +216,7 @@ def _abel_tail_coeffs(n_terms: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
+@_prefix_table
 def _ftilde_polys(m_terms: int) -> tuple:
     return tuple(p.coefficients for p in superexp_polynomials(m_terms).polynomials)
 
@@ -891,56 +908,27 @@ def F3(
 
 # -- calibration ------------------------------------------------------------
 
-# double-precision seeds for the two anchor roots
-_SEED_X1 = 2.798248154231454
-_SEED_X3 = -20.28740458994004
-
-
-def _secant(fn, x0, bits: int):
-    # stop at one ulp; a flat difference means fn is at its noise floor,
-    # which is as converged as the precision allows
-    x0 = mpmath.mpf(x0)
-    x1 = x0 + mpmath.mpf(2) ** -12
-    f0, f1 = fn(x0), fn(x1)
-    for _ in range(60):
-        if f1 == f0:
-            return x1
-        delta = f1 * (x1 - x0) / (f1 - f0)
-        x0, f0 = x1, f1
-        x1 = x1 - delta
-        if abs(delta) > 1e6:
-            raise CalibrationError("secant iteration is running away")
-        if abs(delta) <= abs(x1) * mpmath.mpf(2) ** (1 - bits):
-            return x1
-        f1 = fn(x1)
-    raise CalibrationError("secant iteration did not settle within 60 steps")
-
-
-def calibrate(
-    ctx: EvalContext | None = None,
-    *,
-    seed_x1: float | None = None,
-    seed_x3: float | None = None,
-) -> CalibrationConstants:
+def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
     """Compute all calibration constants at (at least) 192 bits.
 
-    Root-finds x1 with superexp_tilde(x1, minus) = 1 and x3 with
-    superexp_tilde(x3, plus) = 3 by secant iteration from the built-in
-    seeds, then evaluates the two Abel normalization values and fills in
-    the period.  Converges from seeds perturbed by up to a few tenths.
+    Walks abel1 from 1 and abel2 from 3 for the two normalization
+    values.  F~ is built as the inverse of the Abel function shifted by
+    ln(2)/3, so its anchors F~(x1) = 1 (minus branch) and F~(x3) = 3
+    (plus branch) follow by that identity: x1 = a1_norm - ln(2)/3 and
+    x3 = a3_norm - ln(2)/3.  The period 2*pi*e*i needs no walk.
 
     Parameters
     ----------
     ctx : EvalContext, optional
         Its precision is raised to 192 bits if lower; other tuning
         fields pass through as floors.
-    seed_x1, seed_x3 : float, optional
-        Override the starting points of the two root searches.
 
     Raises
     ------
-    CalibrationError
-        Secant divergence or step-count exhaustion.
+    DomainError
+        A width the mpmath kernel refuses.
+    NonConvergenceError
+        An Abel walk that misses its disk or its tail tolerance.
     """
     if ctx is None:
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=192))
@@ -952,18 +940,10 @@ def calibrate(
         )
     kernel = _MPKernel(ctx)
     with mp.workprec(bits + 32):
-        x1 = _secant(
-            lambda x: _ftilde_eval(kernel, x, BranchSign.minus, "above") - 1,
-            seed_x1 if seed_x1 is not None else _SEED_X1,
-            bits,
-        )
-        x3 = _secant(
-            lambda x: _ftilde_eval(kernel, x, BranchSign.plus, "above") - 3,
-            seed_x3 if seed_x3 is not None else _SEED_X3,
-            bits,
-        )
         a1 = _abel_walk(kernel, mpmath.mpf(1), plus_side=False, side="above")
         a3 = _abel_walk(kernel, mpmath.mpf(3), plus_side=True, side="above")
+        shift = mpmath.log(2) / 3
+        x1, x3 = a1 - shift, a3 - shift
         period = mpmath.mpc(0, 2 * mpmath.pi * mpmath.e)
     with mp.workprec(bits):
         return CalibrationConstants(

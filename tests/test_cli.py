@@ -6,6 +6,7 @@ cover argument parsing, exit codes, and byte-level output formatting as
 a user would see them.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -127,10 +128,22 @@ class TestCalibrate:
         second = run_cli(["calibrate", "--format", "json"], cache_dir)
         assert first.stdout == second.stdout
 
-    def test_broken_seed_exits_2(self, cache_dir):
-        proc = run_cli(["calibrate", "--seed-x1", "100"], cache_dir)
-        assert proc.returncode == 2
-        assert "calibration failed" in proc.stderr
+    @pytest.mark.parametrize(
+        "bits, digest",
+        [
+            (53, "2d6604efaf91bedd8920aee91f7070211fca3c42fa0beba171644ee079bc4b71"),
+            (256, "16316b51db303b86b826900f9a7b203763063983447d3b2bbd421f51fdc2f3ad"),
+        ],
+    )
+    def test_cold_output_is_pinned(self, cache_dir, bits, digest):
+        # tier 192 and tier 320 dumps, byte for byte; the digests were
+        # taken from the secant-root calibration the identity replaced
+        proc = run_cli(
+            ["calibrate", "--format", "json", "--no-cache", "--precision-bits", str(bits)],
+            cache_dir,
+        )
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
     def test_corrupt_cache_is_recomputed_and_rewritten(self, tmp_path):
         # slow path: the bad file must not poison the run, and a fresh
