@@ -24,7 +24,6 @@ import tempfile
 from typing import Optional
 
 import mpmath
-from mpmath import mp
 
 from .errors import SuperexpError
 from .evaluators import (
@@ -59,6 +58,17 @@ _CACHE_ENV = "SUPEREXP_CACHE_DIR"
 
 # table presets reproducing the published comparison columns
 _TABLE_DEFAULT_ARGS = {"levy": (-1.0, 1.0), "fatou1": (-1.0,)}
+
+# (flag, EvalContext field, type, help) of the tuning overrides that
+# eval, map and check take; calibrate and table have no use for them
+_TUNING = (
+    ("--abel-terms", "abel_tail_terms", int, "override Abel tail term count"),
+    ("--superexp-terms", "superexp_terms", int, "override asymptotic polynomial count"),
+    ("--abel-radius", "abel_disk_radius", float, "override expansion disk radius"),
+    ("--re-threshold", "superexp_re_threshold", float,
+     "override direct-summation real-part threshold"),
+    ("--max-recursion", "max_recursion", int, "override the orbit recursion cap"),
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,26 +128,15 @@ def _config(args, default_bits: int = 53, default_format: str = "text") -> CliCo
         output_format=args.format if args.format is not None else default_format,
         output_path=args.out,
         no_cache=args.no_cache,
-        abel_tail_terms=args.abel_terms,
-        superexp_terms=args.superexp_terms,
-        abel_disk_radius=args.abel_radius,
-        superexp_re_threshold=args.re_threshold,
-        max_recursion=args.max_recursion,
+        **{field: getattr(args, field, None) for _, field, _, _ in _TUNING},
     )
 
 
 def _context(cfg: CliConfig) -> EvalContext:
     kwargs = {"precision": PrecisionConfig(mantissa_bits=cfg.precision_bits)}
-    for flag, field in (
-        ("abel_tail_terms", "abel_tail_terms"),
-        ("superexp_terms", "superexp_terms"),
-        ("abel_disk_radius", "abel_disk_radius"),
-        ("superexp_re_threshold", "superexp_re_threshold"),
-        ("max_recursion", "max_recursion"),
-    ):
-        value = getattr(cfg, flag)
-        if value is not None:
-            kwargs[field] = value
+    for _, field, _, _ in _TUNING:
+        if getattr(cfg, field) is not None:
+            kwargs[field] = getattr(cfg, field)
     return EvalContext(**kwargs)
 
 
@@ -234,12 +233,8 @@ def _format_parts(value, bits: int):
         v = complex(value)
         return repr(v.real), repr(v.imag)
     digits = mpmath.libmp.prec_to_dps(bits) + 3
-    with mp.workprec(bits):
-        v = mpmath.mpmathify(value)
-        return (
-            mpmath.nstr(mpmath.re(v), digits),
-            mpmath.nstr(mpmath.im(v), digits),
-        )
+    v = mpmath.mpmathify(value)
+    return mpmath.nstr(mpmath.re(v), digits), mpmath.nstr(mpmath.im(v), digits)
 
 
 # -- calibrate ------------------------------------------------------------
@@ -258,15 +253,14 @@ def _cmd_calibrate(args) -> int:
         text = "\n".join(lines) + "\n"
     else:
         digits = mpmath.libmp.prec_to_dps(cfg.precision_bits)
-        with mp.workprec(constants.bits):
-            rows = [
-                ("x1", mpmath.nstr(constants.x1, digits)),
-                ("x3", mpmath.nstr(constants.x3, digits)),
-                ("a1_norm", mpmath.nstr(constants.a1_norm, digits)),
-                ("a3_norm", mpmath.nstr(constants.a3_norm, digits)),
-                ("period_t1_imag", mpmath.nstr(constants.period_t1.imag, digits)),
-                ("bits", str(constants.bits)),
-            ]
+        rows = [
+            ("x1", mpmath.nstr(constants.x1, digits)),
+            ("x3", mpmath.nstr(constants.x3, digits)),
+            ("a1_norm", mpmath.nstr(constants.a1_norm, digits)),
+            ("a3_norm", mpmath.nstr(constants.a3_norm, digits)),
+            ("period_t1_imag", mpmath.nstr(constants.period_t1.imag, digits)),
+            ("bits", str(constants.bits)),
+        ]
         text = "\n".join(f"{k} = {v}" for k, v in rows) + "\n"
     return _emit(text, cfg.output_path)
 
@@ -452,16 +446,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write the calibration cache")
-    p.add_argument("--abel-terms", type=int, default=None,
-                   help="override Abel tail term count")
-    p.add_argument("--superexp-terms", type=int, default=None,
-                   help="override asymptotic polynomial count")
-    p.add_argument("--abel-radius", type=float, default=None,
-                   help="override expansion disk radius")
-    p.add_argument("--re-threshold", type=float, default=None,
-                   help="override direct-summation real-part threshold")
-    p.add_argument("--max-recursion", type=int, default=None,
-                   help="override the orbit recursion cap")
+
+
+def _add_tuning(p: argparse.ArgumentParser) -> None:
+    for flag, field, kind, text in _TUNING:
+        metavar = flag[2:].replace("-", "_").upper()  # argparse's default
+        p.add_argument(flag, dest=field, metavar=metavar, type=kind, help=text)
 
 
 def _build_parser() -> _Parser:
@@ -477,6 +467,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="evaluate one function at one point")
     _add_common(p)
+    _add_tuning(p)
     p.add_argument("fn", choices=GRID_FUNCTIONS)
     p.add_argument("re", type=float)
     p.add_argument("im", type=float, nargs="?", default=0.0)
@@ -498,6 +489,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("map", help="sample a function over a grid")
     _add_common(p)
+    _add_tuning(p)
     p.add_argument("fn", choices=GRID_FUNCTIONS)
     p.add_argument("--x", required=True, help="x span lo:hi")
     p.add_argument("--y", required=True, help="y span lo:hi")
@@ -510,6 +502,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="agreement diagnostic over a grid")
     _add_common(p)
+    _add_tuning(p)
     p.add_argument("kind", choices=AGREEMENT_KINDS)
     p.add_argument("--x", required=True, help="x span lo:hi")
     p.add_argument("--y", required=True, help="y span lo:hi")

@@ -16,10 +16,13 @@ as given.  Wider contexts run on mpmath and derive their own tuning from
 the bit count, treating the context fields as one-sided limits (term
 counts only go up, the disk radius only goes down, the walk-out
 threshold only moves out), so a context tightened by hand is never
-silently loosened.  The wider kernel walks on mpmath values but sums
-both series on Python integers scaled by 2^scale, 16 bits above its work
-bits: at 256 bits the asymptotic sum takes 0.7 ms instead of 4.4 ms, so
-the walk's logarithm steps are now most of an evaluation.
+silently loosened.  The wider kernel walks on values of its own mpmath
+context at its work bits (see limits.new_mp_context), never at mpmath's
+global precision, so neither that setting nor another thread changes a
+result; results leave as plain mpmath values.  It sums both series on
+Python integers scaled by 2^scale, 16 bits above its work bits: at 256
+bits the asymptotic sum takes 0.7 ms instead of 4.4 ms, so the walk's
+logarithm steps are now most of an evaluation.
 
 Real arguments on a cut are evaluated as directional limits: `cut_side`
 picks the side ("above" everywhere by default), and None demands a
@@ -29,16 +32,15 @@ side-independent value, raising BranchCutError where there is none.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import dataclasses
 import enum
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 
 import mpmath
-from mpmath import mp
 from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import (
@@ -47,7 +49,9 @@ from .errors import (
     NonConvergenceError,
     OrbitOverflowError,
 )
-from .limits import PrecisionConfig, Scalar
+from .limits import (
+    PrecisionConfig, Scalar, mp_context, mp_convert, new_mp_context, plain,
+)
 from .series import abel_expansion, exp_minus_one, superexp_polynomials
 
 __all__ = [
@@ -172,15 +176,15 @@ class CalibrationConstants:
     @classmethod
     def from_decimal_dict(cls, d: dict) -> "CalibrationConstants":
         bits = int(d["bits"])
-        with mp.workprec(bits + 32):
-            return cls(
-                x1=mpmath.mpf(d["x1"]),
-                x3=mpmath.mpf(d["x3"]),
-                a1_norm=mpmath.mpf(d["a1_norm"]),
-                a3_norm=mpmath.mpf(d["a3_norm"]),
-                period_t1=mpmath.mpc(0, mpmath.mpf(d["period_t1_imag"])),
-                bits=bits,
-            )
+        ctx = mp_context(bits + 32)
+        return cls(
+            x1=plain(ctx.mpf(d["x1"])),
+            x3=plain(ctx.mpf(d["x3"])),
+            a1_norm=plain(ctx.mpf(d["a1_norm"])),
+            a3_norm=plain(ctx.mpf(d["a3_norm"])),
+            period_t1=plain(ctx.mpc(0, ctx.mpf(d["period_t1_imag"]))),
+            bits=bits,
+        )
 
 
 # -- series coefficients, shared by both kernels ------------------------
@@ -190,15 +194,23 @@ def _prefix_table(build):
 
     Term n of either exact table does not depend on the table's length,
     so a request no longer than the longest one built is a slice of it.
+    A build replaces the stored table only if it is longer, since a
+    thread may have stored a longer one meanwhile.
     """
     longest = ()
+    store = threading.Lock()
 
     @wraps(build)
     def table(n: int) -> tuple:
         nonlocal longest
-        if len(longest) < n:
-            longest = build(n)
-        return longest[:n]
+        known = longest
+        if len(known) >= n:
+            return known[:n]
+        built = build(n)
+        with store:
+            if len(built) > len(longest):
+                longest = built
+        return built
 
     return table
 
@@ -323,7 +335,6 @@ class _DoubleKernel(_Tables):
     bits = 53
     tripwire = False
     tol = 0.0
-    _null = contextlib.nullcontext()
 
     def __init__(self, ctx: EvalContext):
         super().__init__()
@@ -338,9 +349,6 @@ class _DoubleKernel(_Tables):
     def coeff(self, c: Fraction) -> complex:
         # z + c rounds as z + float(c) does, minus the mixed-type add
         return complex(float(c))
-
-    def guard(self):
-        return self._null
 
     def e(self) -> float:
         return _E
@@ -421,7 +429,7 @@ _SCALE_GUARD = 16
 
 def _fixed_pair(x, scale: int) -> tuple:
     # (re, im) of an mpf or mpc as integers scaled by 2^scale
-    if isinstance(x, mpmath.mpf):
+    if hasattr(x, "_mpf_"):
         return to_fixed(x._mpf_, scale), 0
     return tuple(to_fixed(part, scale) for part in x._mpc_)
 
@@ -445,10 +453,12 @@ def _horner_complex(coeffs, xr: int, xi: int, scale: int) -> tuple:
 class _MPKernel(_Tables):
     """mpmath evaluation up to _MAX_BITS, tuning derived from the bit count.
 
-    The walks step on mpmath values at the work bits (bits + 32).  The
-    two series are summed by Horner's rule on integers scaled by
-    2^scale: the argument is converted once per call, and a real
-    argument keeps to a real loop and returns an mpf.
+    The walks step on values of the kernel's own context `mp` at the
+    work bits (bits + 32).  Threads share a kernel, so it calls only
+    functions that leave that context's precision alone.  The two
+    series are summed by Horner's rule on integers scaled by 2^scale:
+    the argument is converted once per call, and a real argument keeps
+    to a real loop and returns an mpf.
     """
 
     tripwire = True
@@ -465,6 +475,7 @@ class _MPKernel(_Tables):
                 f" bits wider, work up to {_MAX_EVAL_BITS} bits"
             )
         self._workbits = self.bits + 32
+        self.mp = new_mp_context(self._workbits)
         self.scale = self._workbits + _SCALE_GUARD
         radius, terms = _abel_tier(self.bits)
         self.abel_radius = min(ctx.abel_disk_radius, radius)
@@ -476,7 +487,7 @@ class _MPKernel(_Tables):
         self.abel_cap = max(ctx.max_recursion, int(3.0 / self.abel_radius) + 64)
         self.walk_cap = max(ctx.max_recursion, int(self.threshold) + 64)
         self.bump = max(8, int(self.threshold) // 8)
-        self.tol = mpmath.mpf(2) ** (4 - self.bits)
+        self.tol = self.mp.mpf(2) ** (4 - self.bits)
 
     def coeff(self, c: Fraction) -> int:
         # the series sums run on integers scaled by 2^scale
@@ -484,54 +495,55 @@ class _MPKernel(_Tables):
 
     def _unfix(self, m: int):
         # a scaled integer back to an mpf at the work bits
-        return mp.make_mpf(from_man_exp(m, -self.scale, self._workbits, "n"))
+        return self.mp.make_mpf(from_man_exp(m, -self.scale, self._workbits, "n"))
 
     def _unfix_pair(self, re: int, im: int):
-        return mpmath.mpc(self._unfix(re), self._unfix(im))
-
-    def guard(self):
-        return mp.workprec(self._workbits)
+        return self.mp.mpc(self._unfix(re), self._unfix(im))
 
     def e(self):
-        return +mpmath.e
+        return +self.mp.e
 
     def cast(self, z: Scalar):
+        ctx = self.mp
         if isinstance(z, complex):
-            return mpmath.mpc(z) if z.imag else mpmath.mpf(z.real)
-        x = mpmath.mpmathify(z)
-        if isinstance(x, mpmath.mpc) and x.imag == 0:
+            return ctx.mpc(z) if z.imag else ctx.mpf(z.real)
+        x = mp_convert(ctx, z)
+        if isinstance(x, ctx.mpc) and x.imag == 0:
             return x.real
         return x
 
     def walk_length(self, gap) -> int:
         if gap < 0:
             return 0
-        return int(mpmath.floor(gap)) + 1
+        return int(self.mp.floor(gap)) + 1
 
     def exp_step(self, w, idx: int):
-        e = +mpmath.e
-        if mpmath.re(w) / e > 1e8:
+        ctx = self.mp
+        e = +ctx.e
+        if ctx.re(w) / e > 1e8:
             raise OrbitOverflowError(
                 "e^(z/e) escape threshold exceeded", index=idx
             )
-        return mpmath.exp(w / e), 1
+        return ctx.exp(w / e), 1
 
     def log_step(self, w, idx: int, side):
-        if mpmath.im(w) == 0:
-            re = mpmath.re(w)
+        ctx = self.mp
+        if ctx.im(w) == 0:
+            re = ctx.re(w)
             if re < 0:
                 if side is None:
                     raise BranchCutError(
                         "value lies on the logarithm cut; declare cut_side"
                     )
-                w = mpmath.mpc(re, 0)  # upper-side limit
-        return mpmath.e * mpmath.log(w)
+                w = ctx.mpc(re, 0)  # upper-side limit
+        return ctx.e * ctx.log(w)
 
     def abel_series(self, zeta, plus_side: bool, side):
+        ctx = self.mp
         arg = -zeta if plus_side else zeta
         logpart = None
-        if mpmath.im(arg) == 0:
-            re = mpmath.re(arg)
+        if ctx.im(arg) == 0:
+            re = ctx.re(arg)
             if re < 0:
                 if side is None:
                     raise BranchCutError(
@@ -539,15 +551,13 @@ class _MPKernel(_Tables):
                         " declare cut_side"
                     )
                 # zeta flips the half-plane of z; see the double kernel
-                logpart = mpmath.mpc(
-                    mpmath.log(-re), mpmath.pi if plus_side else -mpmath.pi
-                )
+                logpart = ctx.mpc(ctx.log(-re), ctx.pi if plus_side else -ctx.pi)
         if logpart is None:
-            logpart = mpmath.log(arg)
+            logpart = ctx.log(arg)
         # the tail is zeta times a Horner sum: a trailing zero coefficient
         coeffs = self.tail_rev(plus_side)
         S = self.scale
-        if isinstance(zeta, mpmath.mpf):
+        if isinstance(zeta, ctx.mpf):
             tail = self._unfix(_horner(coeffs + (0,), to_fixed(zeta._mpf_, S), S))
         else:
             tail = self._unfix_pair(
@@ -558,10 +568,11 @@ class _MPKernel(_Tables):
 
     def ftilde_series(self, z, branch: BranchSign):
         # s = sum_m P_m(t) w^m, highest m first; P_M(t) w^M is the tail
-        t = -mpmath.log(z if branch is BranchSign.minus else -z)
+        ctx = self.mp
+        t = -ctx.log(z if branch is BranchSign.minus else -z)
         w = 1 / (3 * z)
         S = self.scale
-        if isinstance(t, mpmath.mpf):  # then z, and so w, is real too
+        if isinstance(t, ctx.mpf):  # then z, and so w, is real too
             tr, wr = to_fixed(t._mpf_, S), to_fixed(w._mpf_, S)
             pvs = [_horner(coeffs, tr, S) for coeffs in self.polys_rev()]
             top = self._unfix(pvs[0])
@@ -576,7 +587,7 @@ class _MPKernel(_Tables):
                 sr, si = (pr * wr - pi * wi) >> S, (pr * wi + pi * wr) >> S
             s = self._unfix_pair(sr, si)
         last = abs(top) * abs(w) ** self.m_terms
-        return mpmath.e * (1 - (2 / z) * (1 + s)), last
+        return ctx.e * (1 - (2 / z) * (1 + s)), last
 
 
 @lru_cache(maxsize=32)
@@ -614,102 +625,100 @@ def _abel_step(kernel, w, k: int, plus_side: bool, side) -> tuple:
 
 
 def _abel_walk(kernel, z, plus_side: bool, side, norm=None):
-    # norm, when given, is subtracted from the result inside the guard
-    with kernel.guard():
-        e = kernel.e()
-        w = kernel.cast(z)
-        if not plus_side and w.imag == 0 and w.real > e:
-            # the forward orbit escapes along the whole ray right of the
-            # fixed point; mark the cut instead of walking into overflow.
-            # The sided limit is abel2 rotated by pi/3, which exp_iterate
-            # applies when a cut side is declared.
-            raise BranchCutError(
-                "z lies on the cut [e, inf) of the forward Abel function"
+    # norm, when given, is subtracted from the result
+    e = kernel.e()
+    w = kernel.cast(z)
+    if not plus_side and w.imag == 0 and w.real > e:
+        # the forward orbit escapes along the whole ray right of the
+        # fixed point; mark the cut instead of walking into overflow.
+        # The sided limit is abel2 rotated by pi/3, which exp_iterate
+        # applies when a cut side is declared.
+        raise BranchCutError(
+            "z lies on the cut [e, inf) of the forward Abel function"
+        )
+    k = 0
+    radius, cap = kernel.abel_radius, kernel.abel_cap
+    zeta = 1 - w / e
+    while abs(zeta) >= radius:
+        if k >= cap:
+            raise NonConvergenceError(
+                f"argument did not reach the expansion disk within {cap} steps",
+                residual=float(abs(zeta)),
             )
-        k = 0
-        radius, cap = kernel.abel_radius, kernel.abel_cap
+        w, k = _abel_step(kernel, w, k, plus_side, side)
         zeta = 1 - w / e
-        while abs(zeta) >= radius:
+    if zeta == 0:
+        raise DomainError("branch point: the orbit landed exactly on e")
+    value, last = kernel.abel_series(zeta, plus_side, side)
+    retries = 3 if kernel.tripwire else 0
+    while retries and last > kernel.tol * (1 + abs(value)):
+        # tail not yet below target: walk deeper into the disk and resum
+        for _ in range(16):
             if k >= cap:
-                raise NonConvergenceError(
-                    f"argument did not reach the expansion disk within {cap} steps",
-                    residual=float(abs(zeta)),
-                )
+                break
             w, k = _abel_step(kernel, w, k, plus_side, side)
-            zeta = 1 - w / e
+        zeta = 1 - w / e
         if zeta == 0:
             raise DomainError("branch point: the orbit landed exactly on e")
         value, last = kernel.abel_series(zeta, plus_side, side)
-        retries = 3 if kernel.tripwire else 0
-        while retries and last > kernel.tol * (1 + abs(value)):
-            # tail not yet below target: walk deeper into the disk and resum
-            for _ in range(16):
-                if k >= cap:
-                    break
-                w, k = _abel_step(kernel, w, k, plus_side, side)
-            zeta = 1 - w / e
-            if zeta == 0:
-                raise DomainError("branch point: the orbit landed exactly on e")
-            value, last = kernel.abel_series(zeta, plus_side, side)
-            retries -= 1
-        if last > kernel.tol * (1 + abs(value)):
-            raise NonConvergenceError(
-                "Abel tail above the target accuracy after three retries",
-                residual=float(last),
-            )
-        value = value + k if plus_side else value - k
-        return value if norm is None else value - norm
+        retries -= 1
+    if last > kernel.tol * (1 + abs(value)):
+        raise NonConvergenceError(
+            "Abel tail above the target accuracy after three retries",
+            residual=float(last),
+        )
+    value = value + k if plus_side else value - k
+    return value if norm is None else value - norm
 
 
 def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None):
-    # shift, when given, is added to the argument inside the guard
-    with kernel.guard():
-        w0 = kernel.cast(z) if shift is None else kernel.cast(z) + shift
-        if w0 == 0:
-            raise DomainError("the asymptotic series is singular at 0")
-        minus = branch is BranchSign.minus
-        gap = kernel.threshold - w0.real if minus else w0.real + kernel.threshold
-        k = kernel.walk_length(gap)
-        if k > kernel.walk_cap:
-            raise NonConvergenceError(
-                f"functional-equation walk needs {k} steps,"
-                f" cap is {kernel.walk_cap}"
-            )
+    # shift, when given, is added to the argument
+    w0 = kernel.cast(z) if shift is None else kernel.cast(z) + shift
+    if w0 == 0:
+        raise DomainError("the asymptotic series is singular at 0")
+    minus = branch is BranchSign.minus
+    gap = kernel.threshold - w0.real if minus else w0.real + kernel.threshold
+    k = kernel.walk_length(gap)
+    if k > kernel.walk_cap:
+        raise NonConvergenceError(
+            f"functional-equation walk needs {k} steps,"
+            f" cap is {kernel.walk_cap}"
+        )
+    base = w0 + k if minus else w0 - k
+    value, last = kernel.ftilde_series(base, branch)
+    retries = 3 if kernel.tripwire else 0
+    while retries and last > kernel.tol:
+        k += kernel.bump
         base = w0 + k if minus else w0 - k
         value, last = kernel.ftilde_series(base, branch)
-        retries = 3 if kernel.tripwire else 0
-        while retries and last > kernel.tol:
-            k += kernel.bump
-            base = w0 + k if minus else w0 - k
-            value, last = kernel.ftilde_series(base, branch)
-            retries -= 1
-        if last > kernel.tol:
-            raise NonConvergenceError(
-                "asymptotic tail above the target accuracy after three retries",
-                residual=float(last),
-            )
-        w = value
-        if minus:
-            for j in range(k):
-                if w == 0:
-                    raise BranchCutError(
-                        f"walk hit the singular value 0 after {j} of {k}"
-                        " inverse steps"
-                    )
-                w = kernel.log_step(w, j + 1, side)
-        else:
-            j = 0
-            while j < k:
-                w, advanced = kernel.exp_step(w, j + 1)
-                j += advanced
-                if j > k:
-                    # the requested index falls on the unrepresentable
-                    # intermediate value
-                    raise OrbitOverflowError(
-                        "forward step overflows at the target index",
-                        index=j - advanced + 1,
-                    )
-        return w
+        retries -= 1
+    if last > kernel.tol:
+        raise NonConvergenceError(
+            "asymptotic tail above the target accuracy after three retries",
+            residual=float(last),
+        )
+    w = value
+    if minus:
+        for j in range(k):
+            if w == 0:
+                raise BranchCutError(
+                    f"walk hit the singular value 0 after {j} of {k}"
+                    " inverse steps"
+                )
+            w = kernel.log_step(w, j + 1, side)
+    else:
+        j = 0
+        while j < k:
+            w, advanced = kernel.exp_step(w, j + 1)
+            j += advanced
+            if j > k:
+                # the requested index falls on the unrepresentable
+                # intermediate value
+                raise OrbitOverflowError(
+                    "forward step overflows at the target index",
+                    index=j - advanced + 1,
+                )
+    return w
 
 
 # -- cut-side plumbing ----------------------------------------------------
@@ -733,10 +742,12 @@ def _resolve_side(z, cut_side):
     return cut_side, False
 
 
-def _conj(value):
+def _public(value, flip: bool):
+    # a walk's result as returned: conjugated for the lower-side limit,
+    # and a kernel's mpmath value converted exactly to a plain one
     if isinstance(value, complex):
-        return value.conjugate()
-    return mpmath.conj(value)
+        return value.conjugate() if flip else value
+    return plain(value.conjugate() if flip else value)
 
 
 def _as_branch(branch) -> BranchSign:
@@ -786,7 +797,7 @@ def abel1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     """
     side, flip = _resolve_side(z, cut_side)
     value = _abel_walk(_kernel_of(ctx), z, plus_side=False, side=side)
-    return _conj(value) if flip else value
+    return _public(value, flip)
 
 
 def abel2(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -799,7 +810,7 @@ def abel2(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     """
     side, flip = _resolve_side(z, cut_side)
     value = _abel_walk(_kernel_of(ctx), z, plus_side=True, side=side)
-    return _conj(value) if flip else value
+    return _public(value, flip)
 
 
 def A1(
@@ -817,7 +828,7 @@ def A1(
     kernel = _kernel_of(ctx)
     norm = kernel.anchors(constants or default_constants(kernel.bits))[2]
     value = _abel_walk(kernel, z, plus_side=False, side=side, norm=norm)
-    return _conj(value) if flip else value
+    return _public(value, flip)
 
 
 def A3(
@@ -835,7 +846,7 @@ def A3(
     kernel = _kernel_of(ctx)
     norm = kernel.anchors(constants or default_constants(kernel.bits))[3]
     value = _abel_walk(kernel, z, plus_side=True, side=side, norm=norm)
-    return _conj(value) if flip else value
+    return _public(value, flip)
 
 
 def superexp_tilde(
@@ -861,7 +872,7 @@ def superexp_tilde(
     branch = _as_branch(branch)
     side, flip = _resolve_side(z, cut_side)
     value = _ftilde_eval(_kernel_of(ctx), z, branch, side)
-    return _conj(value) if flip else value
+    return _public(value, flip)
 
 
 def F1(
@@ -884,7 +895,7 @@ def F1(
     kernel = _kernel_of(ctx)
     x1 = kernel.anchors(constants or default_constants(kernel.bits))[0]
     value = _ftilde_eval(kernel, z, BranchSign.minus, side, x1)
-    return _conj(value) if flip else value
+    return _public(value, flip)
 
 
 def F3(
@@ -903,7 +914,7 @@ def F3(
     kernel = _kernel_of(ctx)
     x3 = kernel.anchors(constants or default_constants(kernel.bits))[1]
     value = _ftilde_eval(kernel, z, BranchSign.plus, side, x3)
-    return _conj(value) if flip else value
+    return _public(value, flip)
 
 
 # -- calibration ------------------------------------------------------------
@@ -939,21 +950,20 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
             precision=dataclasses.replace(ctx.precision, mantissa_bits=bits),
         )
     kernel = _MPKernel(ctx)
-    with mp.workprec(bits + 32):
-        a1 = _abel_walk(kernel, mpmath.mpf(1), plus_side=False, side="above")
-        a3 = _abel_walk(kernel, mpmath.mpf(3), plus_side=True, side="above")
-        shift = mpmath.log(2) / 3
-        x1, x3 = a1 - shift, a3 - shift
-        period = mpmath.mpc(0, 2 * mpmath.pi * mpmath.e)
-    with mp.workprec(bits):
-        return CalibrationConstants(
-            x1=+x1,
-            x3=+x3,
-            a1_norm=+a1,
-            a3_norm=+a3,
-            period_t1=+period,
-            bits=bits,
-        )
+    wide = kernel.mp  # at bits + 32
+    a1 = _abel_walk(kernel, 1, plus_side=False, side="above")
+    a3 = _abel_walk(kernel, 3, plus_side=True, side="above")
+    shift = wide.log(2) / 3
+    x1, x3 = a1 - shift, a3 - shift
+    period = wide.mpc(0, 2 * wide.pi * wide.e)
+    return CalibrationConstants(
+        x1=plain(x1, bits),
+        x3=plain(x3, bits),
+        a1_norm=plain(a1, bits),
+        a3_norm=plain(a3, bits),
+        period_t1=plain(period, bits),
+        bits=bits,
+    )
 
 
 _DEFAULT_CONSTANTS: dict = {}

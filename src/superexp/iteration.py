@@ -17,7 +17,6 @@ import math
 from typing import Optional, Union
 
 import mpmath
-from mpmath import mp
 
 from .errors import BranchCutError, DomainError, SuperexpError
 from .evaluators import (
@@ -30,6 +29,7 @@ from .evaluators import (
     abel2,
     default_constants,
 )
+from .limits import mp_context, mp_convert, plain
 
 __all__ = [
     "GridResult",
@@ -108,8 +108,8 @@ def _is_fixed_point(z: Scalar, bits: int) -> bool:
     # has a removable singularity there, so short-circuit the exact hit
     if bits == 53:
         return complex(z) == complex(_E, 0.0)
-    with mp.workprec(bits):
-        return mpmath.mpmathify(z) == +mpmath.e
+    ctx = mp_context(bits)
+    return mp_convert(ctx, z) == +ctx.e
 
 
 def _right_of_e(z: Scalar, bits: int) -> bool:
@@ -119,8 +119,8 @@ def _right_of_e(z: Scalar, bits: int) -> bool:
     re = getattr(z, "real", z)
     if bits == 53:
         return float(re) > _E
-    with mp.workprec(bits):
-        return mpmath.mpf(re) > +mpmath.e
+    ctx = mp_context(bits)
+    return +mp_convert(ctx, re) > +ctx.e
 
 
 def _a1_sided(
@@ -140,11 +140,10 @@ def _a1_sided(
             return abel2(z, ctx) + (rot if side == "above" else -rot) - complex(
                 constants.a1_norm
             )
-        with mp.workprec(bits + 32):
-            rot = mpmath.mpc(0, -mpmath.pi / 3)
-            value = abel2(z, ctx) + (rot if side == "above" else -rot) - constants.a1_norm
-        with mp.workprec(bits):
-            return +value
+        wide = mp_context(bits + 32)
+        rot = wide.mpc(0, -wide.pi / 3)
+        value = wide.convert(abel2(z, ctx)) + (rot if side == "above" else -rot)
+        return plain(value - constants.a1_norm, bits)
     return A1(z, ctx, constants, cut_side=side)
 
 
@@ -160,11 +159,11 @@ def _branch_for(z: Scalar) -> IterateBranch:
 
 
 def _shift(a: Scalar, c: Scalar, bits: int) -> Scalar:
-    # c + A(z) at the evaluation precision, not mpmath's global one
+    # c + A(z) at the evaluation precision
     if bits == 53:
         return a + c
-    with mp.workprec(bits):
-        return a + c
+    ctx = mp_context(bits)
+    return plain(ctx.convert(a) + mp_convert(ctx, c))
 
 
 def exp_iterate(
@@ -203,8 +202,7 @@ def exp_iterate(
     if _is_fixed_point(req.z, bits):
         if bits == 53:
             return complex(_E, 0.0)
-        with mp.workprec(bits):
-            return +mpmath.e
+        return plain(+mp_context(bits).e)
     branch = req.branch if req.branch is not None else _branch_for(req.z)
     if branch is IterateBranch.lower:
         w = _shift(_a1_sided(req.z, ctx, constants, req.cut_side), req.c, bits)
@@ -248,19 +246,15 @@ def dq13(
     upper = exp_iterate(IterateRequest(0.5, x, IterateBranch.upper), deep, constants)
     if bits == 53:
         return lower - upper
-    # at the evaluation precision; negating `upper` first would round it
-    # to mpmath's global one
-    with mp.workprec(bits):
-        return lower - upper
+    ctx = mp_context(bits)
+    return plain(ctx.convert(lower) - ctx.convert(upper))
 
 
 def _exp_b(z: Scalar, bits: int) -> Scalar:
     if bits == 53:
         return complex(mpmath.fp.exp(complex(z) / _E))
-    with mp.workprec(bits + 16):
-        value = mpmath.exp(mpmath.mpmathify(z) / mpmath.e)
-    with mp.workprec(bits):
-        return +value
+    wide = mp_context(bits + 16)
+    return plain(wide.exp(mp_convert(wide, z) / wide.e), bits)
 
 
 def agreement(
@@ -321,9 +315,9 @@ def agreement(
         num = abs(complex(x) + complex(y))
         den = abs(complex(x) - complex(y))
     else:
-        with mp.workprec(bits):
-            num = float(abs(mpmath.mpmathify(x) + mpmath.mpmathify(y)))
-            den = float(abs(mpmath.mpmathify(x) - mpmath.mpmathify(y)))
+        ctx = mp_context(bits)
+        x, y = ctx.convert(x), mp_convert(ctx, y)
+        num, den = float(abs(x + y)), float(abs(x - y))
     if den == 0.0:
         return clip
     if num == 0.0:

@@ -28,17 +28,22 @@ while 2^-32 <= |u| < 64.  A point outside that range, and every complex
 point, steps as an mpmath value at ``bits``.  A result converts the
 integer exactly, so ``iterate_h`` may return up to bits + 38 significant
 bits, and an orbit split in two ends where the whole orbit does.
+
+Arithmetic runs in private mpmath contexts (`mp_context`), never at
+mpmath's global precision, so neither that setting nor another thread
+changes a result; results leave as plain mpmath values (`plain`).
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, int_types, mpf_log, to_fixed
+from mpmath.libmp import from_man_exp, int_types, mpc_pos, mpf_log, mpf_pos, to_fixed
 from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from .errors import (
@@ -131,17 +136,59 @@ class NewtonResult:
     max_term: mpmath.mpf
 
 
-def _as_mp(z: Scalar):
-    z = mpmath.mpmathify(z)
-    if isinstance(z, mpmath.mpc) and z.imag == 0:
+def new_mp_context(bits: int) -> mpmath.MPContext:
+    """A private mpmath context working at `bits`; nothing sets its
+    precision after this.  Its values go through its functions (ctx.log,
+    not mpmath.log, which works at the global precision) and lead mixed
+    arithmetic.  mpmath's expm1 and log1p raise the context's precision
+    while they run, so a context that threads share never calls them.
+    """
+    ctx = mpmath.MPContext()
+    ctx.prec = bits
+    return ctx
+
+
+_contexts = threading.local()
+
+
+def mp_context(bits: int) -> mpmath.MPContext:
+    """This thread's private context at `bits`, memoized."""
+    memo = _contexts.__dict__  # a threading.local's __dict__ is per thread
+    ctx = memo.get(bits)
+    if ctx is None:
+        ctx = memo[bits] = new_mp_context(bits)
+    return ctx
+
+
+def plain(x, bits: int | None = None):
+    """x as a value of mpmath's global context, rounded to `bits` when
+    given, else exactly; Python numbers pass through."""
+    if hasattr(x, "_mpf_"):
+        return mp.make_mpf(x._mpf_ if bits is None else mpf_pos(x._mpf_, bits, "n"))
+    if hasattr(x, "_mpc_"):
+        return mp.make_mpc(x._mpc_ if bits is None else mpc_pos(x._mpc_, bits, "n"))
+    return x
+
+
+def mp_convert(ctx, x):
+    """x as a value of ctx, exactly; mpmath's constants (mpmath.e, ...)
+    evaluate at ctx's width, as they would at that global precision."""
+    if isinstance(x, mp.constant):
+        x = x(prec=ctx.prec)
+    return ctx.convert(x)
+
+
+def _as_mp(ctx, z: Scalar):
+    z = mp_convert(ctx, z)
+    if isinstance(z, ctx.mpc) and z.imag == 0:
         return z.real
     return z
 
 
-def _tau_inv(z: Scalar):
+def _tau_inv(ctx, z: Scalar):
     # fixed-point chart: tau(u) = e(u+1) maps 0 to e; inverse pulls
     # f-coordinates back to h-coordinates
-    return _as_mp(z) / mpmath.e - 1
+    return _as_mp(ctx, z) / ctx.e - 1
 
 
 def _check_n(n: int, cfg: PrecisionConfig) -> None:
@@ -154,24 +201,24 @@ def _check_n(n: int, cfg: PrecisionConfig) -> None:
 
 
 def _check_escape(z, index: int) -> None:
-    if mpmath.re(z) > _ESCAPE_RE:
+    if z.real > _ESCAPE_RE:
         raise OrbitOverflowError(
             f"forward orbit escaped at step {index}", index=index
         )
 
 
-def _h_step(z, index: int):
+def _h_step(ctx, z, index: int):
     _check_escape(z, index)
-    return mpmath.expm1(z)
+    return ctx.expm1(z)
 
 
-def _h_inv_step(z, index: int):
-    if isinstance(z, mpmath.mpf) and z <= -1:
+def _h_inv_step(ctx, z, index: int):
+    if isinstance(z, ctx.mpf) and z <= -1:
         raise DomainError(
             f"backward orbit left the domain (reached {mpmath.nstr(z, 8)} <= -1 "
             f"at step {index})"
         )
-    return mpmath.log1p(z)
+    return ctx.log1p(z)
 
 
 # a real orbit point with 2^-_FIXED_GUARD <= |u| < 2^_FIXED_TOP steps on an
@@ -185,25 +232,26 @@ class _Orbits:
     """Orbits of h (or of its inverse) from a few points, in lockstep.
 
     Each state is a fixed-point integer (a real point in range; one of
-    mpmath's ``int_types``, so an mpz under its gmpy backend) or an
-    mpmath value, which steps by `_h_step` (`_h_inv_step`) at the
-    caller's working precision and so keeps its escape (domain) check
-    and index.  Real orbits are monotone, so a state leaves the integer
-    range at most once each way.
+    mpmath's ``int_types``, so an mpz under its gmpy backend) or a value
+    of the orbit's context `mp` at `bits`, which steps by `_h_step`
+    (`_h_inv_step`) and so keeps its escape (domain) check and index.
+    Real orbits are monotone, so a state leaves the integer range at
+    most once each way.
     """
 
     def __init__(self, points, bits: int, inverse: bool = False):
+        self.mp = mp_context(bits)
         self.scale = bits + _FIXED_GUARD
         self._one = 1 << self.scale
         self._ln2 = ln2_fixed(self.scale)
         self._low = self.scale - _FIXED_GUARD
         self._high = self.scale + _FIXED_TOP
         self._inverse = inverse
-        self.states = [self._enter(p) for p in points]
+        self.states = [self._enter(_as_mp(self.mp, p)) for p in points]
         self.pos = 0
 
     def _enter(self, w):
-        if isinstance(w, mpmath.mpf):
+        if isinstance(w, self.mp.mpf):
             _, man, exp, bc = w._mpf_
             if man and -_FIXED_GUARD < exp + bc <= _FIXED_TOP:
                 return to_fixed(w._mpf_, self.scale)
@@ -225,8 +273,8 @@ class _Orbits:
                 return exp_fixed(w, self.scale, self._ln2) - self._one
             w = self.value(w)
         if self._inverse:
-            return self._enter(_h_inv_step(w, index))
-        return self._enter(_h_step(w, index))
+            return self._enter(_h_inv_step(self.mp, w, index))
+        return self._enter(_h_step(self.mp, w, index))
 
     def run_to(self, n: int) -> None:
         states = self.states
@@ -236,9 +284,9 @@ class _Orbits:
         self.pos = n
 
     def value(self, w):
-        """A state as an mpmath value; an integer converts exactly."""
+        """A state as a value of the orbit's context, an integer exactly."""
         if isinstance(w, int_types):
-            return mp.make_mpf(from_man_exp(w, -self.scale))
+            return self.mp.make_mpf(from_man_exp(w, -self.scale))
         return w
 
     def values(self) -> list:
@@ -254,10 +302,9 @@ def iterate_h(z: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
         If the orbit escapes to +infinity; carries the escape index.
     """
     _check_n(n, cfg)
-    with mp.workprec(cfg.mantissa_bits):
-        orbit = _Orbits([_as_mp(z)], cfg.mantissa_bits)
-        orbit.run_to(n)
-        return orbit.values()[0]
+    orbit = _Orbits([z], cfg.mantissa_bits)
+    orbit.run_to(n)
+    return plain(orbit.values()[0])
 
 
 def iterate_h_inverse(z: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
@@ -267,10 +314,9 @@ def iterate_h_inverse(z: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig(
     stay right of the logarithmic singularity at -1.
     """
     _check_n(n, cfg)
-    with mp.workprec(cfg.mantissa_bits):
-        orbit = _Orbits([_as_mp(z)], cfg.mantissa_bits, inverse=True)
-        orbit.run_to(n)
-        return orbit.values()[0]
+    orbit = _Orbits([z], cfg.mantissa_bits, inverse=True)
+    orbit.run_to(n)
+    return plain(orbit.values()[0])
 
 
 def levy_abel(
@@ -285,18 +331,17 @@ def levy_abel(
     reports either orbit escaping by step n.
     """
     _check_n(n, cfg)
-    with mp.workprec(cfg.mantissa_bits):
-        orbits = _Orbits([_as_mp(z), _as_mp(u)], cfg.mantissa_bits)
-        orbits.run_to(n)
-        num, den = _ratio_terms(orbits, n)
-        scale = max(mpmath.mpf(1), abs(num))
-        if abs(den) < mpmath.mpf(2) ** (-(cfg.mantissa_bits // 2)) * scale:
-            warnings.warn(
-                f"ratio denominator below half-precision floor at n={n}",
-                PrecisionLossWarning,
-                stacklevel=2,
-            )
-        return num / den
+    orbits = _Orbits([z, u], cfg.mantissa_bits)
+    orbits.run_to(n)
+    num, den = _ratio_terms(orbits, n)
+    scale = max(orbits.mp.mpf(1), abs(num))
+    if abs(den) < orbits.mp.mpf(2) ** (-(cfg.mantissa_bits // 2)) * scale:
+        warnings.warn(
+            f"ratio denominator below half-precision floor at n={n}",
+            PrecisionLossWarning,
+            stacklevel=2,
+        )
+    return plain(num / den)
 
 
 def _ratio_terms(orbits: _Orbits, n: int) -> tuple:
@@ -341,8 +386,8 @@ def levy_probe(
     :func:`levy_abel`; ``levy_probe(-1, 1, n)`` is the benchmark-table
     sequence converging to the normalized super-logarithm at -1.
     """
-    with mp.workprec(cfg.mantissa_bits):
-        return levy_abel(_tau_inv(zf), _tau_inv(uf), n, cfg)
+    ctx = mp_context(cfg.mantissa_bits)
+    return levy_abel(_tau_inv(ctx, zf), _tau_inv(ctx, uf), n, cfg)
 
 
 def newton_superfunction(
@@ -375,38 +420,37 @@ def newton_superfunction(
     if base_map not in ("h", "f"):
         raise ValueError(f"unknown base_map {base_map!r}")
     terms = cfg.series_terms
-    with mp.workprec(cfg.mantissa_bits):
-        uw = _as_mp(u)
-        tw = _as_mp(t)
-        # C(t, n) vanishes for n > t at nonnegative integer t: the transform
-        # terminates and the orbit tail (which may overflow) is never needed
-        if mpmath.im(tw) == 0 and tw == mpmath.floor(tw) and tw >= 0:
-            terms = min(terms, int(tw) + 1)
-        orbit = [uw]
-        if base_map == "h":
-            for i in range(terms - 1):
-                orbit.append(_h_step(orbit[-1], i))
-        else:
-            for i in range(terms - 1):
-                _check_escape(orbit[-1], i)
-                orbit.append(mpmath.exp(orbit[-1] / mpmath.e))
-        # pass k turns orbit[j] into Delta^k[orbit](j); only orbit[0] is read
-        total = orbit[0]
-        binom = mpmath.mpf(1)
-        max_term = abs(total)
-        for k in range(1, terms):
-            for j in range(terms - k):
-                orbit[j] = orbit[j + 1] - orbit[j]
-            binom = binom * (tw - (k - 1)) / k
-            term = binom * orbit[0]
-            total += term
-            max_term = max(max_term, abs(term))
-        floor = abs(total) * mpmath.mpf(2) ** (cfg.mantissa_bits // 2)
-        return NewtonResult(
-            value=total,
-            cancellation_warning=bool(max_term > floor),
-            max_term=max_term,
-        )
+    ctx = mp_context(cfg.mantissa_bits)
+    uw, tw = _as_mp(ctx, u), _as_mp(ctx, t)
+    # C(t, n) vanishes for n > t at nonnegative integer t: the transform
+    # terminates and the orbit tail (which may overflow) is never needed
+    if ctx.im(tw) == 0 and tw == ctx.floor(tw) and tw >= 0:
+        terms = min(terms, int(tw) + 1)
+    orbit = [uw]
+    if base_map == "h":
+        for i in range(terms - 1):
+            orbit.append(_h_step(ctx, orbit[-1], i))
+    else:
+        for i in range(terms - 1):
+            _check_escape(orbit[-1], i)
+            orbit.append(ctx.exp(orbit[-1] / ctx.e))
+    # pass k turns orbit[j] into Delta^k[orbit](j); only orbit[0] is read
+    total = orbit[0]
+    binom = ctx.mpf(1)
+    max_term = abs(total)
+    for k in range(1, terms):
+        for j in range(terms - k):
+            orbit[j] = orbit[j + 1] - orbit[j]
+        binom = binom * (tw - (k - 1)) / k
+        term = binom * orbit[0]
+        total += term
+        max_term = max(max_term, abs(term))
+    floor = abs(total) * ctx.mpf(2) ** (cfg.mantissa_bits // 2)
+    return NewtonResult(
+        value=plain(total),
+        cancellation_warning=bool(max_term > floor),
+        max_term=plain(max_term),
+    )
 
 
 def fatou_abel(
@@ -427,21 +471,21 @@ def fatou_abel(
     if n < 1:
         raise ValueError("orbit length must be at least 1")
     _check_n(n, cfg)
-    with mp.workprec(cfg.mantissa_bits):
-        zw = _as_mp(z)
-        re = mpmath.re(zw)
-        if petal == 1 and re >= 0:
-            raise DomainError("petal-1 estimator needs Re(z) < 0 (attracting side)")
-        if petal == 2 and re <= 0:
-            raise DomainError("petal-2 estimator needs Re(z) > 0 (repelling side)")
-        sign = 1 if petal == 2 else -1
-        orbit = _Orbits([zw], cfg.mantissa_bits, inverse=petal == 2)
-        orbit.run_to(n)
-        (w,) = orbit.states
-        if isinstance(w, int_types):
-            shifted = sign * n * w - (2 << orbit.scale)
-            return -mpmath.log(n) / 3 + orbit.value(shifted) / orbit.value(w)
-        return -mpmath.log(n) / 3 - 2 / w + sign * n
+    ctx = mp_context(cfg.mantissa_bits)
+    zw = _as_mp(ctx, z)
+    re = zw.real
+    if petal == 1 and re >= 0:
+        raise DomainError("petal-1 estimator needs Re(z) < 0 (attracting side)")
+    if petal == 2 and re <= 0:
+        raise DomainError("petal-2 estimator needs Re(z) > 0 (repelling side)")
+    sign = 1 if petal == 2 else -1
+    orbit = _Orbits([zw], cfg.mantissa_bits, inverse=petal == 2)
+    orbit.run_to(n)
+    (w,) = orbit.states
+    if isinstance(w, int_types):
+        shifted = sign * n * w - (2 << orbit.scale)
+        return plain(-ctx.log(n) / 3 + orbit.value(shifted) / orbit.value(w))
+    return plain(-ctx.log(n) / 3 - 2 / w + sign * n)
 
 
 def fatou_probe(zf: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
@@ -455,10 +499,10 @@ def fatou_probe(zf: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
     if n < 1:
         raise ValueError("orbit length must be at least 1")
     _check_n(n, cfg)
-    with mp.workprec(cfg.mantissa_bits):
-        orbits = _Orbits([_tau_inv(zf), _tau_inv(0)], cfg.mantissa_bits)
-        orbits.run_to(n)
-        return _shift_value(orbits)
+    ctx = mp_context(cfg.mantissa_bits)
+    orbits = _Orbits([_tau_inv(ctx, zf), _tau_inv(ctx, 0)], cfg.mantissa_bits)
+    orbits.run_to(n)
+    return plain(_shift_value(orbits))
 
 
 def fatou_probe_richardson(
@@ -471,9 +515,10 @@ def fatou_probe_richardson(
     """
     if n % 2 or n < 2:
         raise ValueError("Richardson step needs an even n >= 2")
-    y_half = fatou_probe(zf, n // 2, cfg)
-    y_full = fatou_probe(zf, n, cfg)
-    return 2 * y_full - y_half
+    ctx = mp_context(cfg.mantissa_bits)
+    y_half = ctx.convert(fatou_probe(zf, n // 2, cfg))
+    y_full = ctx.convert(fatou_probe(zf, n, cfg))
+    return plain(2 * y_full - y_half)
 
 
 # --- table drivers ---------------------------------------------------------
@@ -522,17 +567,15 @@ def _fixed(q: int, decimals: int) -> str:
 
 
 def _round_fixed(value, decimals: int) -> str:
-    with mp.workprec(_value_bits(value) + 32):
-        scaled = mpmath.mpf(10) ** decimals * value
-        q = int(mpmath.nint(scaled))
+    ctx = mp_context(_value_bits(value) + 32)
+    q = int(ctx.nint(ctx.mpf(10) ** decimals * ctx.convert(value)))
     sign = "-" if q < 0 else ""
     return sign + _fixed(abs(q), decimals)
 
 
 def _trunc_fixed(value, decimals: int) -> str:
-    with mp.workprec(_value_bits(value) + 32):
-        scaled = mpmath.mpf(10) ** decimals * abs(value)
-        q = int(mpmath.floor(scaled))
+    ctx = mp_context(_value_bits(value) + 32)
+    q = int(ctx.floor(ctx.mpf(10) ** decimals * abs(ctx.convert(value))))
     sign = "-" if value < 0 else ""
     return sign + _fixed(q, decimals)
 
@@ -578,49 +621,45 @@ def convergence_table(
 
     if method in ("levy", "fatou1"):
         _check_n(ns[-1], cfg)
-        with mp.workprec(cfg.mantissa_bits):
-            if method == "levy":
-                zf, uf = args
-            else:
-                (zf,), uf = args, 0
-            orbits = _Orbits([_tau_inv(zf), _tau_inv(uf)], cfg.mantissa_bits)
-            failed = None
-            for n in ns:
-                if failed is None:
-                    try:
-                        orbits.run_to(n)
-                    except SuperexpError as exc:
-                        failed = exc.code
-                if failed is not None:
-                    records.append(ConvergenceRecord(n, None, method, failed))
-                    continue
+        ctx = mp_context(cfg.mantissa_bits)
+        if method == "levy":
+            zf, uf = args
+        else:
+            (zf,), uf = args, 0
+        orbits = _Orbits([_tau_inv(ctx, zf), _tau_inv(ctx, uf)], cfg.mantissa_bits)
+        failed = None
+        for n in ns:
+            if failed is None:
                 try:
-                    if method == "levy":
-                        num, den = _ratio_terms(orbits, n)
-                        value = num / den
-                    else:
-                        if n < 1:
-                            raise ValueError("orbit length must be at least 1")
-                        value = _shift_value(orbits)
-                    records.append(ConvergenceRecord(n, value, method))
+                    orbits.run_to(n)
                 except SuperexpError as exc:
-                    records.append(
-                        ConvergenceRecord(n, None, method, exc.code)
-                    )
+                    failed = exc.code
+            if failed is not None:
+                records.append(ConvergenceRecord(n, None, method, failed))
+                continue
+            try:
+                if method == "levy":
+                    num, den = _ratio_terms(orbits, n)
+                    value = num / den
+                else:
+                    if n < 1:
+                        raise ValueError("orbit length must be at least 1")
+                    value = _shift_value(orbits)
+                records.append(ConvergenceRecord(n, plain(value), method))
+            except SuperexpError as exc:
+                records.append(ConvergenceRecord(n, None, method, exc.code))
         return records
 
     if method == "fatou2":
         zf, uf = args
-        with mp.workprec(cfg.mantissa_bits):
-            a, b = _tau_inv(zf), _tau_inv(uf)
-            for n in ns:
-                try:
-                    value = fatou_abel(a, 2, n, cfg) - fatou_abel(b, 2, n, cfg)
-                    records.append(ConvergenceRecord(n, value, method))
-                except SuperexpError as exc:
-                    records.append(
-                        ConvergenceRecord(n, None, method, exc.code)
-                    )
+        ctx = mp_context(cfg.mantissa_bits)
+        a, b = _tau_inv(ctx, zf), _tau_inv(ctx, uf)
+        for n in ns:
+            try:
+                ya, yb = (ctx.convert(fatou_abel(p, 2, n, cfg)) for p in (a, b))
+                records.append(ConvergenceRecord(n, plain(ya - yb), method))
+            except SuperexpError as exc:
+                records.append(ConvergenceRecord(n, None, method, exc.code))
         return records
 
     if method == "newton":

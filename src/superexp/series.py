@@ -15,7 +15,6 @@ Abel expansion shifted by ln(2)/3.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -159,10 +158,6 @@ class PowerSeries:
     def to_fraction_strings(self) -> list[str]:
         """Coefficients as canonical "p/q" strings (JSON friendly)."""
         return [str(c) for c in self.coefficients]
-
-    @classmethod
-    def from_fraction_strings(cls, strings: Sequence[str]) -> "PowerSeries":
-        return cls(Fraction(s) for s in strings)
 
 
 def exp_minus_one(N: int) -> PowerSeries:
@@ -359,27 +354,6 @@ class AbelExpansion:
             return self.log_coefficient
         return Fraction(k + 1) * self.tail[k + 1]
 
-    def to_json(self) -> str:
-        payload = {
-            "pole_coefficient": str(self.pole_coefficient),
-            "log_coefficient": str(self.log_coefficient),
-            "constant": str(self.constant),
-            "tail": self.tail.to_fraction_strings(),
-            "truncation_order": self.truncation_order,
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AbelExpansion":
-        d = json.loads(text)
-        return cls(
-            pole_coefficient=Fraction(d["pole_coefficient"]),
-            log_coefficient=Fraction(d["log_coefficient"]),
-            constant=Fraction(d["constant"]),
-            tail=PowerSeries.from_fraction_strings(d["tail"]),
-            truncation_order=int(d["truncation_order"]),
-        )
-
 
 def abel_expansion(base: PowerSeries, N: int) -> AbelExpansion:
     """Termwise integral of 1/j for a base with nonlinear order 2.
@@ -442,21 +416,6 @@ class SuperExpExpansion:
         if not 1 <= m <= self.order:
             raise IndexError(f"m must be in 1..{self.order}")
         return self.polynomials[m - 1]
-
-    def to_json(self) -> str:
-        payload = {
-            "order": self.order,
-            "polynomials": [p.to_fraction_strings() for p in self.polynomials],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SuperExpExpansion":
-        d = json.loads(text)
-        polys = tuple(
-            PowerSeries.from_fraction_strings(p) for p in d["polynomials"]
-        )
-        return cls(order=int(d["order"]), polynomials=polys)
 
 
 def superexp_polynomials(M: int) -> SuperExpExpansion:

@@ -123,6 +123,15 @@ class TestCalibrate:
         x1 = [ln for ln in lines if ln.startswith("x1,")]
         assert len(x1) == 1 and x1[0].startswith("x1,2.79824815423")
 
+    @pytest.mark.parametrize("args", [["calibrate"], ["table", "levy", "--n", "1:2"]])
+    def test_takes_no_tuning_flags(self, cache_dir, args):
+        # the tuning overrides only reach eval, map and check; calibrate
+        # and table never read them, so they refuse them as usage errors
+        proc = run_cli([*args, "--abel-terms", "80"], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "usage" in proc.stderr and "--abel-terms" in proc.stderr
+
     def test_byte_identical_reruns(self, cache_dir):
         first = run_cli(["calibrate", "--format", "json"], cache_dir)
         second = run_cli(["calibrate", "--format", "json"], cache_dir)

@@ -41,6 +41,7 @@ from superexp.evaluators import (
     default_constants,
     superexp_tilde,
 )
+from superexp.iteration import IterateRequest, dq13, exp_iterate
 from superexp.limits import PrecisionConfig
 
 E = math.e
@@ -468,9 +469,8 @@ class TestTermTiers:
         # the fitted tail constant puts the threshold past the frontier
         # where the last term reaches 2^-(bits+12)
         kernel = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
-        with kernel.guard():
-            x = mpmath.mpf(kernel.threshold)
-            _, last = kernel.ftilde_series(x, BranchSign.minus)
+        x = kernel.mp.mpf(kernel.threshold)
+        _, last = kernel.ftilde_series(x, BranchSign.minus)
         assert last <= mpmath.mpf(2) ** -(bits + 12)
 
     def test_one_sum_per_evaluation(self, monkeypatch):
@@ -596,6 +596,32 @@ class TestLazyTables:
             for p in reversed(ev._ftilde_polys(28))
         )
 
+    def test_a_short_build_finishing_last_keeps_the_longer_table(self):
+        # a 28-term build that ends after a 44-term one was stored must
+        # neither replace it nor be read back in its place
+        builds = []
+        short_started, long_stored = threading.Event(), threading.Event()
+
+        def build(n):
+            builds.append(n)
+            if n == 28:
+                short_started.set()
+                assert long_stored.wait(30)
+            return tuple(range(n))
+
+        table = ev._prefix_table(build)
+        got = {}
+        short = threading.Thread(target=lambda: got.update(short=table(28)))
+        short.start()
+        assert short_started.wait(30)
+        got["long"] = table(44)
+        long_stored.set()
+        short.join(30)
+        assert not short.is_alive()
+        assert got == {"short": tuple(range(28)), "long": tuple(range(44))}
+        assert table(40) == tuple(range(40))
+        assert builds == [28, 44]
+
 
 class TestPerCallCaches:
     """Kernels found by context identity and anchors cast once per
@@ -603,11 +629,19 @@ class TestPerCallCaches:
 
     FNS = (F1, F3, A1, A3)
     POINTS = (0.5 + 0.5j, 1 + 1j, 5 + 1j, -1.5 + 0.75j, 2.0)
+    WIDE_POINTS = (0.5 + 0.5j, -1.5 + 0.75j, 2.0)
+
+    @staticmethod
+    def _levy(z, ctx, c):
+        # a ratio probe whose complex orbit steps on mpmath values
+        return lm.levy_abel(z, -0.25, 60, PrecisionConfig(mantissa_bits=128))
 
     @pytest.fixture
     def cases(self, monkeypatch):
         # (fn, z, ctx, constants) over two constants objects and three
-        # contexts: two equal but distinct, one with other term counts
+        # contexts: two equal but distinct, one with other term counts;
+        # then the mpmath paths: A1 and F1 at 128 and 320 bits and a
+        # 128-bit ratio probe
         perturbed = dict(CC.as_decimal_dict(), x1="2.79824815")
         cc = (CC, CalibrationConstants.from_decimal_dict(perturbed))
         ctxs = (EvalContext(), EvalContext(), EvalContext(superexp_terms=12, abel_tail_terms=12))
@@ -615,6 +649,13 @@ class TestPerCallCaches:
             (fn, z, ctx, c)
             for ctx in ctxs for c in cc for fn in self.FNS for z in self.POINTS
         ]
+        for bits in (128, 320):
+            ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+            cases += [
+                (fn, z, ctx, default_constants(bits))
+                for fn in (A1, F1) for z in self.WIDE_POINTS
+            ]
+        cases += [(self._levy, z, None, None) for z in (-0.5 + 0.3j, -0.75 - 0.5j)]
         cold = []
         for fn, z, ctx, c in cases:
             # a new kernel cache: every evaluation builds its kernel and
@@ -677,6 +718,7 @@ def _exact(c):
 def _ftilde_reference(kernel, z, branch):
     # the mpf Horner sum over the same terms, at twice the work bits
     with mp.workprec(2 * kernel._workbits):
+        z = mpmath.mpmathify(z)  # out of the kernel's context, exactly
         t = -mpmath.log(z if branch is BranchSign.minus else -z)
         w = 1 / (3 * z)
         s = 0
@@ -691,6 +733,7 @@ def _ftilde_reference(kernel, z, branch):
 def _abel_reference(kernel, zeta, plus_side):
     coeffs = ev._abel_tail_coeffs(kernel.abel_terms + (1 if plus_side else 0))
     with mp.workprec(2 * kernel._workbits):
+        zeta = mpmath.mpmathify(zeta)
         arg = -zeta if plus_side else zeta
         logpart = mpmath.log(arg)
         if mpmath.im(arg) == 0 and arg < 0 and not plus_side:
@@ -729,14 +772,16 @@ class TestFixedPointSums:
         seen = set()
         worst = -math.inf
         for kernel, name, args, value in calls:
+            # the kernel's own context types, as the global ones
+            kind = type(mpmath.mpmathify(args[0]))
             if name == "ftilde_series":
                 ref = _ftilde_reference(kernel, *args)
-                seen.add((name, args[1], type(args[0]), abs(args[0].imag) > 1e99))
+                seen.add((name, args[1], kind, abs(args[0].imag) > 1e99))
             else:
                 ref = _abel_reference(kernel, *args[:2])
-                seen.add((name, args[1], type(args[0])))
+                seen.add((name, args[1], kind))
             with mp.workprec(2 * kernel._workbits):
-                gap = float(mpmath.log(abs(value - ref) / abs(ref), 2))
+                gap = float(mpmath.log(abs(mpmath.mpmathify(value) - ref) / abs(ref), 2))
             worst = max(worst, gap)
             assert gap <= -(bits + 8), (name, args, gap)
         print(f"{bits} bits: {len(calls)} sums, worst relative gap 2^{worst:.1f}")
@@ -752,22 +797,56 @@ class TestFixedPointSums:
     def test_real_arguments_give_real_values(self, bits):
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
         kernel = _kernel(ctx)
-        with kernel.guard():
-            x = mpmath.mpf(kernel.threshold + 1)
-            zeta = mpmath.mpf("0.05")
-            values = [
-                kernel.ftilde_series(x, BranchSign.minus)[0],
-                kernel.ftilde_series(-x, BranchSign.plus)[0],
-                kernel.abel_series(zeta, False, "above")[0],
-                kernel.abel_series(-zeta, True, "above")[0],
-            ]
-        values += [
+        # the sums run in the kernel's own context, the public values are
+        # plain mpmath ones
+        x = kernel.mp.mpf(kernel.threshold + 1)
+        zeta = kernel.mp.mpf("0.05")
+        sums = [
+            kernel.ftilde_series(x, BranchSign.minus)[0],
+            kernel.ftilde_series(-x, BranchSign.plus)[0],
+            kernel.abel_series(zeta, False, "above")[0],
+            kernel.abel_series(-zeta, True, "above")[0],
+        ]
+        assert all(type(v) is kernel.mp.mpf for v in sums), sums
+        values = [
             superexp_tilde(3, "minus", ctx),
             superexp_tilde(0.5, "plus", ctx),
             abel1(0.5, ctx),
             abel2(3, ctx),
         ]
         assert all(type(v) is mpmath.mpf for v in values), values
+
+
+class TestGlobalPrecision:
+    """Results do not depend on mpmath's global precision."""
+
+    @staticmethod
+    def _values():
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
+        cc = default_constants(128)
+        values = [
+            fn(z, ctx, cc, cut_side=side)
+            for fn in (F1, F3, A1, A3)
+            for z in (0.5 + 0.5j, -1.5 + 0.75j, 2.0, -3.5)
+            for side in ("above", "below")
+        ]
+        values.append(exp_iterate(IterateRequest(0.5, 1.0, "lower"), ctx, cc))
+        values.append(exp_iterate(IterateRequest(0.5, 3.5, "upper"), ctx, cc))
+        values.append(dq13(2.5, ctx, cc))
+        values += lm.convergence_table(
+            "levy", (-1, 1), [10, 100], PrecisionConfig(mantissa_bits=128)
+        )
+        return values
+
+    def test_a_low_global_precision_changes_nothing(self):
+        want = self._values()
+        saved = mp.prec
+        mp.prec = 30
+        try:
+            got = self._values()
+        finally:
+            mp.prec = saved
+        assert got == want
 
 
 class TestCrossOracles:

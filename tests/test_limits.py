@@ -302,6 +302,12 @@ class TestFatou:
         probe = fatou_probe(-1, 2000, CFG256)
         rich = fatou_probe_richardson(-1, 2000, CFG256)
         assert abs(rich - LIMIT_AT_MINUS_1) < abs(probe - LIMIT_AT_MINUS_1) / 50
+        # the extrapolation step runs at the configured width, not at
+        # mpmath's global 53 bits
+        assert rich._mpf_[3] >= 256
+        with mp.workprec(256):
+            want = 2 * probe - fatou_probe(-1, 1000, CFG256)
+        assert rich == want
 
     def test_richardson_needs_even_n(self):
         with pytest.raises(ValueError):
