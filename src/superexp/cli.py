@@ -63,7 +63,9 @@ _TABLE_DEFAULT_ARGS = {"levy": (-1.0, 1.0), "fatou1": (-1.0,)}
 # eval, map and check take; calibrate and table have no use for them
 _TUNING = (
     ("--abel-terms", "abel_tail_terms", int, "override Abel tail term count"),
-    ("--superexp-terms", "superexp_terms", int, "override asymptotic polynomial count"),
+    ("--superexp-terms", "superexp_terms", int,
+     "override asymptotic polynomial count (53 bits only: wider precisions"
+     " invert the Abel series)"),
     ("--abel-radius", "abel_disk_radius", float, "override expansion disk radius"),
     ("--re-threshold", "superexp_re_threshold", float,
      "override direct-summation real-part threshold"),
@@ -452,6 +454,7 @@ def _add_tuning(p: argparse.ArgumentParser) -> None:
     for flag, field, kind, text in _TUNING:
         metavar = flag[2:].replace("-", "_").upper()  # argparse's default
         p.add_argument(flag, dest=field, metavar=metavar, type=kind, help=text)
+    p.set_defaults(parser=p)
 
 
 def _build_parser() -> _Parser:
@@ -520,6 +523,11 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = _build_parser()
     args = parser.parse_args(_normalize_argv(list(argv)))
+    if getattr(args, "superexp_terms", None) is not None and (
+        args.precision_bits or 53
+    ) > 53:
+        # above 53 bits F~ inverts the Abel series: no term count to set
+        args.parser.error("--superexp-terms applies at 53 bits only")
     return args.func(args)
 
 

@@ -6,23 +6,28 @@ z = e of z -> e^(z/e):
 - an Abel-function series in zeta = 1 - z/e, valid in a small disk once
   the argument has been walked near the fixed point (abel1 walks forward
   with e^(z/e), abel2 walks backward with e*log z);
-- an asymptotic series in 1/z with polynomial coefficients in log(+-z),
-  valid far out on either real end (superexp_tilde walks the functional
-  equation until its argument is far enough out).
+- the asymptotic F~, valid far out on either real end (superexp_tilde
+  walks the functional equation until its argument is far enough out).
+  It is the inverse of the Abel series shifted by ln(2)/3, and as a
+  series in 1/z its coefficients are polynomials in log(+-z), the P_m.
 
 Two kernels share these drivers.  A 53-bit context runs on machine
 doubles, the hot path for grids; it uses the EvalContext tuning fields
-as given.  Wider contexts run on mpmath and derive their own tuning from
-the bit count, treating the context fields as one-sided limits (term
-counts only go up, the disk radius only goes down, the walk-out
-threshold only moves out), so a context tightened by hand is never
-silently loosened.  The wider kernel walks on values of its own mpmath
+as given, and sums F~ by the P_m.  Wider contexts run on mpmath and
+derive their own tuning from the bit count, treating the context fields
+as one-sided limits (term counts only go up, the disk radius only goes
+down, the walk-out threshold only moves out), so a context tightened by
+hand is never silently loosened.  They build no P_m: F~ at the base
+point is found by Newton's method on the Abel series, so one tier table
+(_ABEL_TIERS) sets both walks, and the F~ walk starts where 2/z enters
+the Abel disk (68 steps out at 256 bits; 174 with the 44-term P_m sum
+it replaced).  The wider kernel walks on values of its own mpmath
 context at its work bits (see limits.new_mp_context), never at mpmath's
 global precision, so neither that setting nor another thread changes a
-result; results leave as plain mpmath values.  It sums both series on
-Python integers scaled by 2^scale, 16 bits above its work bits: at 256
-bits the asymptotic sum takes 0.7 ms instead of 4.4 ms, so the walk's
-logarithm steps are now most of an evaluation.
+result; results leave as plain mpmath values.  It sums the Abel series
+and runs Newton's method on Python integers scaled by 2^scale, 16 bits
+above its work bits, so the walk's logarithm steps are most of an
+evaluation.
 
 Real arguments on a cut are evaluated as directional limits: `cut_side`
 picks the side ("above" everywhere by default), and None demands a
@@ -43,6 +48,7 @@ from functools import lru_cache, wraps
 import mpmath
 from mpmath.libmp import from_man_exp, to_fixed
 
+from . import fixed
 from .errors import (
     BranchCutError,
     DomainError,
@@ -102,19 +108,23 @@ class EvalContext:
         Mantissa width selecting the kernel; 53 means machine doubles.
     abel_tail_terms : int
         Truncation of the Abel tail sum; the backward-branch evaluator
-        keeps one term more.
+        keeps one term more.  Wider kernels take it from the bit count
+        (_ABEL_TIERS) and use this field only as a floor.
     superexp_terms : int
-        Number of log-polynomials in the asymptotic sum.  The double
-        kernel sums exactly this many; wider kernels take the order from
-        the bit count (28 through 192 bits, 44 above, see
-        _SUPEREXP_TIERS) and use this field only as a floor.
+        Number of log-polynomials in the asymptotic sum of the double
+        kernel, the only kernel that sums them; wider kernels find F~ by
+        inverting the Abel series and do not read this field.
     abel_disk_radius : float
         |1 - z/e| below which the Abel series is trusted.  The tail is
         divergent with a practical radius near 0.28, so values much
-        above 0.25 lose accuracy fast.
+        above 0.25 lose accuracy fast.  Wider kernels take the smaller
+        of this and their tier's radius, for the Abel walks and for F~.
     superexp_re_threshold : float
-        |Re| beyond which the asymptotic sum is trusted; arguments
-        closer in are walked out with the functional equation.
+        |Re| beyond which F~ is summed (the double kernel) or solved for
+        (wider kernels, where 2/|w| is then inside the disk); arguments
+        closer in are walked out with the functional equation.  Wider
+        kernels derive it from their radius and use this field only as
+        a floor.
     max_recursion : int
         Cap on either walk.
     """
@@ -239,16 +249,17 @@ class _Tables:
     A kernel supplies `coeff`, its rounding of one exact coefficient
     (a double, held as a complex so that Horner's rule adds complex to
     complex, or for the mpmath kernel the integer round(c * 2^scale) its
-    fixed-point sums run on), and the term counts; the Abel walks never
-    build the P_m and the asymptotic sum never builds the Abel tail.
-    Not a cached_property: writing the instance __dict__ slows every
-    attribute load on the hot path.  The calibrated anchors are cast
-    once per constants object, which the cache holds, so its identity
-    cannot be reused by another object.
+    fixed-point sums run on), and the term counts.  Each kernel builds
+    only the exact table a call needs: the Abel walks never build the
+    P_m, and neither does the mpmath kernel's F~, which inverts the Abel
+    series.  Not a cached_property: writing the instance __dict__ slows
+    every attribute load on the hot path.  The calibrated anchors are
+    cast once per constants object, which the cache holds, so its
+    identity cannot be reused by another object.
     """
 
     def __init__(self):
-        self._tails = self._polys = self._anchors = None
+        self._tails = self._anchors = None
 
     def anchors(self, constants: CalibrationConstants) -> tuple:
         """(x1, x3, a1_norm, a3_norm) as this kernel's scalars."""
@@ -268,19 +279,16 @@ class _Tables:
             self._tails = (rev[1:], rev)
         return self._tails[plus_side]
 
-    def polys_rev(self) -> tuple:
-        if self._polys is None:
-            self._polys = tuple(
-                tuple(map(self.coeff, reversed(p)))
-                for p in reversed(_ftilde_polys(self.m_terms))
-            )
-        return self._polys
-
 
 # -- precision-derived tuning for the mpmath kernel ----------------------
 
-# (bits ceiling, disk radius, tail terms); measured frontiers where the
-# truncation error of the Abel tail drops below 2^-bits
+# (bits ceiling, disk radius, tail terms), and above the last ceiling 96
+# terms within the smaller of 8.2/(bits + 10) and 2^-((bits + 148)/97),
+# where the first omitted term |c_97| r^97 (|c_97| about 2^143.6) is
+# 2^-(bits+4); the second radius takes over from 400 bits.  The
+# truncation error of the Abel tail is below 2^-bits in every tier:
+# tools/abel_order.py measures it against a longer tail
+# (BENCH_abel_order.json), and CI runs its --check
 _ABEL_TIERS = (
     (56, 0.25, 20),
     (96, 0.12, 34),
@@ -290,8 +298,8 @@ _ABEL_TIERS = (
 )
 
 
-# the widest kernel whose Abel tail (96 terms past 192 bits) reaches its
-# tolerance: calibrate() works at 488 bits and fails from 489
+# the widest kernel admitted; with the radius 8.2/(bits + 10) alone the
+# 96-term tail missed its tolerance from 489 bits, and calibrate() failed
 _MAX_BITS = 488
 # the widest evaluation whose calibration tier (see calibration_tier)
 # fits in _MAX_BITS: 432 bits, calibrated at 448
@@ -302,30 +310,18 @@ def _abel_tier(bits: int) -> tuple:
     for cap, radius, terms in _ABEL_TIERS:
         if bits <= cap:
             return radius, terms
-    return 8.2 / (bits + 10), 96
+    return min(8.2 / (bits + 10), 2.0 ** -((bits + 148) / 97)), 96
 
 
-# (bits ceiling, terms M, tail constant C_M): past Re z = x the last term
-# |P_M(t)|/|3z|^M of the asymptotic sum stays below C_M ((M+2)/x)^(M+2),
-# fitted to the frontiers that tools/superexp_order.py measures.  The
-# 28-term constant predates that script and keeps the thresholds through
-# 192 bits (41 at 128, 180 at 192) inside the measured frontier; the tail
-# there is still at least 7 bits under the retry tolerance.
-_SUPEREXP_TIERS = (
-    (192, 28, 7.9e-39),
-    (math.inf, 44, 6.2e-55),
-)
+def _walk_out(radius: float) -> float:
+    """|Re z| past which the inverted Abel series is summed inside its disk.
 
-
-def _superexp_tier(bits: int) -> tuple:
-    """Term count, and the modelled walk-out distance at which the tail
-    of that many terms reaches 2^-(bits+12)."""
-    for cap, terms, constant in _SUPEREXP_TIERS:
-        if bits <= cap:
-            break
-    p = terms + 2
-    t = p * constant ** (1.0 / p) * 2.0 ** ((bits + 12) / p)
-    return terms, max(16.0, float(math.ceil(t)))
+    F~(z) = e(1 - 2/w), where w - log(+-w)/3 + tail(2/w) = z, so
+    |w| >= |Re z| - |log(+-w)|/3 - |tail|; one unit over log(2/radius)/3
+    covers the imaginary part of the log and the tail, and |2/w| stays
+    below the radius.
+    """
+    return float(math.ceil(2 / radius + math.log(2 / radius) / 3 + 1))
 
 
 class _DoubleKernel(_Tables):
@@ -345,10 +341,19 @@ class _DoubleKernel(_Tables):
         self.m_terms = ctx.superexp_terms
         self.walk_cap = ctx.max_recursion
         self.bump = 0
+        self._polys = None
 
     def coeff(self, c: Fraction) -> complex:
         # z + c rounds as z + float(c) does, minus the mixed-type add
         return complex(float(c))
+
+    def polys_rev(self) -> tuple:
+        if self._polys is None:
+            self._polys = tuple(
+                tuple(map(self.coeff, reversed(p)))
+                for p in reversed(_ftilde_polys(self.m_terms))
+            )
+        return self._polys
 
     def e(self) -> float:
         return _E
@@ -427,38 +432,15 @@ class _DoubleKernel(_Tables):
 _SCALE_GUARD = 16
 
 
-def _fixed_pair(x, scale: int) -> tuple:
-    # (re, im) of an mpf or mpc as integers scaled by 2^scale
-    if hasattr(x, "_mpf_"):
-        return to_fixed(x._mpf_, scale), 0
-    return tuple(to_fixed(part, scale) for part in x._mpc_)
-
-
-def _horner(coeffs, x: int, scale: int) -> int:
-    # integer coefficients, highest power first, at a real point
-    acc = 0
-    for c in coeffs:
-        acc = (acc * x >> scale) + c
-    return acc
-
-
-def _horner_complex(coeffs, xr: int, xi: int, scale: int) -> tuple:
-    # integer coefficients, highest power first, at a complex point
-    ar = ai = 0
-    for c in coeffs:
-        ar, ai = ((ar * xr - ai * xi) >> scale) + c, (ar * xi + ai * xr) >> scale
-    return ar, ai
-
-
 class _MPKernel(_Tables):
     """mpmath evaluation up to _MAX_BITS, tuning derived from the bit count.
 
     The walks step on values of the kernel's own context `mp` at the
     work bits (bits + 32).  Threads share a kernel, so it calls only
-    functions that leave that context's precision alone.  The two
-    series are summed by Horner's rule on integers scaled by 2^scale:
-    the argument is converted once per call, and a real argument keeps
-    to a real loop and returns an mpf.
+    functions that leave that context's precision alone.  The Abel
+    series is summed by Horner's rule on integers scaled by 2^scale, and
+    F~ solved for on them: the argument is converted once per call, and
+    a real argument returns an mpf.
     """
 
     tripwire = True
@@ -480,9 +462,8 @@ class _MPKernel(_Tables):
         radius, terms = _abel_tier(self.bits)
         self.abel_radius = min(ctx.abel_disk_radius, radius)
         self.abel_terms = max(ctx.abel_tail_terms, terms)
-        terms, threshold = _superexp_tier(self.bits)
-        self.threshold = max(ctx.superexp_re_threshold, threshold)
-        self.m_terms = max(ctx.superexp_terms, terms)
+        self.threshold = max(ctx.superexp_re_threshold, _walk_out(self.abel_radius))
+        self._plans = None
         # the walks must be allowed to reach their own tuning targets
         self.abel_cap = max(ctx.max_recursion, int(3.0 / self.abel_radius) + 64)
         self.walk_cap = max(ctx.max_recursion, int(self.threshold) + 64)
@@ -558,36 +539,34 @@ class _MPKernel(_Tables):
         coeffs = self.tail_rev(plus_side)
         S = self.scale
         if isinstance(zeta, ctx.mpf):
-            tail = self._unfix(_horner(coeffs + (0,), to_fixed(zeta._mpf_, S), S))
+            tail = self._unfix(fixed.horner(coeffs + (0,), to_fixed(zeta._mpf_, S), S))
         else:
             tail = self._unfix_pair(
-                *_horner_complex(coeffs + (0,), *_fixed_pair(zeta, S), S)
+                *fixed.horner_complex(coeffs + (0,), *fixed.pair(zeta, S), S)
             )
         last = self._unfix(abs(coeffs[0])) * abs(zeta) ** len(coeffs)
         return logpart / 3 + 2 / zeta + tail, last
 
     def ftilde_series(self, z, branch: BranchSign):
-        # s = sum_m P_m(t) w^m, highest m first; P_M(t) w^M is the tail
+        """F~ = e(1 - zeta) at a base point, where alpha(zeta) = z + ln(2)/3.
+
+        Solved for w = 2/zeta on scaled integers (fixed.invert_abel); the
+        tail estimate is the Abel tail's last term at that zeta, carried
+        to F~ by dF/dalpha = e zeta^2/2.
+        """
+        plus = branch is BranchSign.plus
+        if self._plans is None:
+            self._plans = tuple(
+                fixed.newton_plan(self.tail_rev(side), self.scale, self.abel_radius)
+                for side in (False, True)
+            )
+        wr, wi = fixed.invert_abel(*fixed.pair(z, self.scale), self._plans[plus], plus)
         ctx = self.mp
-        t = -ctx.log(z if branch is BranchSign.minus else -z)
-        w = 1 / (3 * z)
-        S = self.scale
-        if isinstance(t, ctx.mpf):  # then z, and so w, is real too
-            tr, wr = to_fixed(t._mpf_, S), to_fixed(w._mpf_, S)
-            pvs = [_horner(coeffs, tr, S) for coeffs in self.polys_rev()]
-            top = self._unfix(pvs[0])
-            s = self._unfix(_horner(pvs + [0], wr, S))
-        else:
-            (tr, ti), (wr, wi) = _fixed_pair(t, S), _fixed_pair(w, S)
-            pvs = [_horner_complex(coeffs, tr, ti, S) for coeffs in self.polys_rev()]
-            top = self._unfix_pair(*pvs[0])
-            sr = si = 0
-            for pr, pi in pvs:
-                pr, pi = pr + sr, pi + si
-                sr, si = (pr * wr - pi * wi) >> S, (pr * wi + pi * wr) >> S
-            s = self._unfix_pair(sr, si)
-        last = abs(top) * abs(w) ** self.m_terms
-        return ctx.e * (1 - (2 / z) * (1 + s)), last
+        zeta = 2 / (self._unfix(wr) if isinstance(z, ctx.mpf) else self._unfix_pair(wr, wi))
+        e = +ctx.e
+        tail = self.tail_rev(plus)
+        last = self._unfix(abs(tail[0])) * abs(zeta) ** (len(tail) + 2) * e / 2
+        return e * (1 - zeta), last
 
 
 @lru_cache(maxsize=32)
@@ -857,8 +836,10 @@ def superexp_tilde(
 ):
     """Asymptotic super-exponential on one branch, walked into range.
 
-    Evaluates e*(1 - (2/z)(1 + sum_m P_m(t)/(3z)^m)) with t = -log(z) on
-    the minus branch and t = -log(-z) on the plus branch.  Arguments
+    F~ is e*(1 - (2/z)(1 + sum_m P_m(t)/(3z)^m)) with t = -log(z) on
+    the minus branch and t = -log(-z) on the plus branch; the double
+    kernel sums it so, wider kernels solve abel(F~(z)) = z + ln(2)/3 on
+    the Abel series (abel1's for minus, abel2's for plus).  Arguments
     inside the trusted region are first walked out along the functional
     equation (minus: up then e*log back down; plus: down then e^(./e)
     back up).
@@ -866,8 +847,8 @@ def superexp_tilde(
     Raises DomainError at z = 0 and OrbitOverflowError when a forward
     step leaves the representable range (the error carries the first
     overflowing step index); NonConvergenceError when the walk exceeds its
-    cap or the series tail stays above the target accuracy after three
-    longer walks.
+    cap, Newton's method does not settle (carrying its last step), or the
+    series tail stays above the target accuracy after three longer walks.
     """
     branch = _as_branch(branch)
     side, flip = _resolve_side(z, cut_side)

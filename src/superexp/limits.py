@@ -24,10 +24,12 @@ Fatou estimators and the ``levy``/``fatou1``/``fatou2`` tables) step on one
 Python integer per point, scaled by 2^(bits+32), with mpmath's fixed-point
 ``exp`` (and ``log`` backward): for them ``mantissa_bits`` sets an absolute
 resolution of 2^-(bits+32), which keeps at least ``bits`` significant bits
-while 2^-32 <= |u| < 64.  A point outside that range, and every complex
-point, steps as an mpmath value at ``bits``.  A result converts the
-integer exactly, so ``iterate_h`` may return up to bits + 38 significant
-bits, and an orbit split in two ends where the whole orbit does.
+while 2^-32 <= |u| < 64.  The estimators amplify the orbit's error by
+about n^2/2, so their orbits of n <= 2^g steps take 2g bits more.  A point
+outside that range, and every complex point, steps as an mpmath value at
+``bits``.  A result converts the integer exactly, so ``iterate_h`` may
+return up to bits + 38 significant bits, and an orbit split in two ends
+where the whole orbit does.
 
 Arithmetic runs in private mpmath contexts (`mp_context`), never at
 mpmath's global precision, so neither that setting nor another thread
@@ -223,7 +225,9 @@ def _h_inv_step(ctx, z, index: int):
 
 # a real orbit point with 2^-_FIXED_GUARD <= |u| < 2^_FIXED_TOP steps on an
 # integer scaled by 2^(bits + _FIXED_GUARD); the absolute resolution then
-# keeps at least `bits` significant bits
+# keeps at least `bits` significant bits.  The shift and ratio estimators
+# amplify the absolute error of an n-step orbit by about n^2/2, so their
+# orbits take 2 log2 n more
 _FIXED_GUARD = 32
 _FIXED_TOP = 6
 
@@ -239,9 +243,9 @@ class _Orbits:
     most once each way.
     """
 
-    def __init__(self, points, bits: int, inverse: bool = False):
+    def __init__(self, points, bits: int, inverse: bool = False, estimator_n: int = 1):
         self.mp = mp_context(bits)
-        self.scale = bits + _FIXED_GUARD
+        self.scale = bits + _FIXED_GUARD + 2 * (estimator_n - 1).bit_length()
         self._one = 1 << self.scale
         self._ln2 = ln2_fixed(self.scale)
         self._low = self.scale - _FIXED_GUARD
@@ -331,7 +335,7 @@ def levy_abel(
     reports either orbit escaping by step n.
     """
     _check_n(n, cfg)
-    orbits = _Orbits([z, u], cfg.mantissa_bits)
+    orbits = _Orbits([z, u], cfg.mantissa_bits, estimator_n=n)
     orbits.run_to(n)
     num, den = _ratio_terms(orbits, n)
     scale = max(orbits.mp.mpf(1), abs(num))
@@ -479,7 +483,7 @@ def fatou_abel(
     if petal == 2 and re <= 0:
         raise DomainError("petal-2 estimator needs Re(z) > 0 (repelling side)")
     sign = 1 if petal == 2 else -1
-    orbit = _Orbits([zw], cfg.mantissa_bits, inverse=petal == 2)
+    orbit = _Orbits([zw], cfg.mantissa_bits, inverse=petal == 2, estimator_n=n)
     orbit.run_to(n)
     (w,) = orbit.states
     if isinstance(w, int_types):
@@ -500,7 +504,9 @@ def fatou_probe(zf: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
         raise ValueError("orbit length must be at least 1")
     _check_n(n, cfg)
     ctx = mp_context(cfg.mantissa_bits)
-    orbits = _Orbits([_tau_inv(ctx, zf), _tau_inv(ctx, 0)], cfg.mantissa_bits)
+    orbits = _Orbits(
+        [_tau_inv(ctx, zf), _tau_inv(ctx, 0)], cfg.mantissa_bits, estimator_n=n
+    )
     orbits.run_to(n)
     return plain(_shift_value(orbits))
 
@@ -626,7 +632,9 @@ def convergence_table(
             zf, uf = args
         else:
             (zf,), uf = args, 0
-        orbits = _Orbits([_tau_inv(ctx, zf), _tau_inv(ctx, uf)], cfg.mantissa_bits)
+        orbits = _Orbits(
+            [_tau_inv(ctx, zf), _tau_inv(ctx, uf)], cfg.mantissa_bits, estimator_n=ns[-1]
+        )
         failed = None
         for n in ns:
             if failed is None:

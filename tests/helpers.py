@@ -4,11 +4,20 @@ Everything here is written against the mathematics directly, avoiding
 the package's own algorithms: compositions are plain convolutions,
 fractional iterate coefficients come from the finite Newton double sum
 over integer iterates (and its closed binomial rearrangement), so a
-bug in the library recurrences cannot hide.
+bug in the library recurrences cannot hide.  The one exception is the
+asymptotic F~ by the paper's construction, which takes the exact P_m
+from `series.superexp_polynomials` (pinned by test_series' digest) and
+sums and walks them here, apart from the evaluators, which find F~ by
+inverting the Abel series instead.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
+
+import mpmath
+
+from superexp.series import superexp_polynomials
 
 ZERO = Fraction(0)
 
@@ -90,3 +99,58 @@ def lagrange_iterate_coeff(t: Fraction, k: int, base: list[Fraction]) -> Fractio
             * its[m][k]
         )
     return total
+
+
+@lru_cache(maxsize=None)
+def _polynomials(terms: int) -> tuple:
+    return tuple(p.coefficients for p in superexp_polynomials(terms).polynomials)
+
+
+def superexp_tilde_by_polynomials(z, branch: str, bits: int, terms: int = 44):
+    """F~(z) on one branch as the sum of the P_m, to about 2^-bits.
+
+    e(1 - (2/x)(1 + sum_{m<=terms} P_m(t)/(3x)^m)) with t = -log(x) on
+    the minus branch and t = -log(-x) on the plus branch, at x = z + k
+    (minus) or z - k (plus), with k the first multiple of 16 where the
+    last term is below 2^-(bits+16); then k steps back by the functional
+    equation (e log w down the minus branch, e^(w/e) up the plus
+    branch).  Runs in a private mpmath context 64 bits wider than
+    `bits`: Horner's rule loses up to about 32 bits of P_m(t) to
+    cancellation, and the plus walk amplifies its start by about k^2.
+    Returns a value of that context.
+    """
+    ctx = mpmath.MPContext()
+    ctx.prec = bits + 64
+    polys = [
+        [ctx.mpf(c.numerator) / c.denominator for c in reversed(p)]
+        for p in _polynomials(terms)
+    ]
+    minus = branch == "minus"
+    z = ctx.convert(z)
+
+    def horner(coeffs, t):
+        acc = 0
+        for c in coeffs:
+            acc = acc * t + c
+        return acc
+
+    def logs(x):
+        return -ctx.log(x if minus else -x), 1 / (3 * x)
+
+    def last(x):
+        # the last term's share of F~, as a bound on the truncation
+        t, w = logs(x)
+        return abs(horner(polys[-1], t) * w ** terms) * 2 * ctx.e / abs(x)
+
+    k = 0
+    while last(z + k if minus else z - k) >= ctx.mpf(2) ** -(bits + 16):
+        k += 16
+    x = z + k if minus else z - k
+    t, w = logs(x)
+    s = 0
+    for p in reversed(polys):
+        s = (s + horner(p, t)) * w
+    value = ctx.e * (1 - (2 / x) * (1 + s))
+    for _ in range(k):
+        value = ctx.e * ctx.log(value) if minus else ctx.exp(value / ctx.e)
+    return value

@@ -25,10 +25,8 @@ from superexp.evaluators import (
     A3,
     F1,
     F3,
-    BranchSign,
     EvalContext,
     default_constants,
-    superexp_tilde,
 )
 from superexp.evaluators import PrecisionConfig as EvalPrecision
 from superexp.iteration import GridSpec, IterateRequest, agreement, exp_iterate, map_grid
@@ -39,6 +37,8 @@ from superexp.series import (
     iterative_logarithm,
     superexp_polynomials,
 )
+
+from helpers import superexp_tilde_by_polynomials
 
 E = math.e
 CC = default_constants(53)
@@ -244,18 +244,17 @@ def test_05_calibration_constants():
     # the Abel series 2/zeta + (1/3) log zeta + sum v_k zeta^k and the
     # asymptotic F~ are formal inverses up to the shift ln(2)/3 (the P_m
     # of F~ are built as that inverse), and calibrate() takes x1 and x3
-    # from the Abel walks by that identity.  Summing F~ by the P_m, far
-    # out and walked back in, at 64 bits above the calibration checks
-    # F~(x1) = 1 and F~(x3) = 3 on the other evaluation path, at tier
-    # 192 and at tier 320; the coefficients themselves are pinned by
-    # test_series' digest of the P_m
+    # from the Abel walks by that identity; the wide evaluators find F~
+    # by inverting the Abel series too.  Summing F~ by the P_m instead,
+    # far out and walked back in (tests/helpers.py), at 64 bits above the
+    # calibration checks F~(x1) = 1 and F~(x3) = 3 on an independent
+    # path, at tier 192 and at tier 320; the coefficients themselves are
+    # pinned by test_series' digest of the P_m
     anchors = {}
     for cc in (CC, default_constants(256)):
-        ctx = EvalContext(precision=EvalPrecision(mantissa_bits=cc.bits + 64))
-        with mp.workprec(cc.bits + 64):
-            one = superexp_tilde(cc.x1, BranchSign.minus, ctx)
-            three = superexp_tilde(cc.x3, BranchSign.plus, ctx)
-            anchors[cc.bits] = (abs(one - 1), abs(three - 3))
+        one = superexp_tilde_by_polynomials(cc.x1, "minus", cc.bits + 64)
+        three = superexp_tilde_by_polynomials(cc.x3, "plus", cc.bits + 64)
+        anchors[cc.bits] = (abs(one - 1), abs(three - 3))
     # x1 and x3 are roots of F~(x) = 1 and 3 printed by a double-precision
     # computation.  The 53-bit kernel's floor is near 1e-12 (EvalContext);
     # over F~'(x1) = F1'(0) ~ 0.61 that is about 1.6e-12 in the root.  A

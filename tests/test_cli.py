@@ -63,6 +63,24 @@ class TestCommonFlags:
         proc = run_cli(["eval", "F1", "0", "0", "--format", "xml"], cache_dir)
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval", "F1", "0.5", "0"],
+            ["map", "F3", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2"],
+            ["check", "d1fa", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2"],
+        ],
+    )
+    def test_superexp_terms_only_at_53_bits(self, cache_dir, args):
+        # wider kernels invert the Abel series and have no term count to
+        # tune, so the flag is refused there instead of being ignored
+        proc = run_cli([*args, "--superexp-terms", "20", "--precision-bits", "64"], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "usage" in proc.stderr and "--superexp-terms" in proc.stderr
+        if args[0] == "eval":
+            assert run_cli([*args, "--superexp-terms", "20"], cache_dir).returncode == 0
+
 
     @pytest.mark.parametrize(
         "args, code",

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from superexp import evaluators as ev
+from superexp import fixed
 from superexp import limits as lm
 from superexp.errors import (
     BranchCutError,
@@ -43,6 +44,8 @@ from superexp.evaluators import (
 )
 from superexp.iteration import IterateRequest, dq13, exp_iterate
 from superexp.limits import PrecisionConfig
+
+from helpers import superexp_tilde_by_polynomials
 
 E = math.e
 
@@ -406,15 +409,15 @@ class TestMPKernel:
         assert mp_close(v, CC.a1_norm, mpmath.mpf(2) ** -120)
 
     @pytest.mark.parametrize(
-        "bits, threshold, bound", [(128, 41.0, 2.0**-120), (256, 174.0, 2.0**-250)]
+        "bits, threshold, bound", [(128, 22.0, 2.0**-120), (256, 68.0, 2.0**-250)]
     )
     def test_tilde_step_past_walk_threshold(self, bits, threshold, bound):
         # F~(x + 1) = exp(F~(x)/e) with x and x + 1 both past the walk-out
         # threshold and the series tail there already below the retry
-        # tolerance, so each side is a direct sum of the P_m series; a
-        # point that walked would reach its sum through this very step.
-        # Measured at x = threshold + 0.25: 2^-141 (128, 28 terms),
-        # 2^-285 (256, 44 terms)
+        # tolerance, so each side is a direct inversion of the Abel
+        # series; a point that walked would reach its value through this
+        # very step.  Measured at x = threshold + 0.25: 2^-158 (128 bits),
+        # 2^-286 (256 bits)
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
         assert _kernel(ctx).threshold == threshold
         x = threshold + 0.25
@@ -448,30 +451,36 @@ def rel_bits(a, b):
 
 
 class TestTermTiers:
-    """Wide kernels sum more terms instead of walking further out."""
+    """The Abel tiers (tail terms against disk radius) set both walks:
+    above 53 bits F~ inverts the Abel series at its base point."""
 
     def test_order_rises_above_192_bits(self):
         def tier(bits):
             k = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
-            return k.m_terms, k.threshold
+            return k.abel_terms, k.threshold
 
-        # through 192 bits the 28-term thresholds are unchanged
-        assert [tier(b) for b in (128, 192)] == [(28, 41.0), (28, 180.0)]
-        assert [tier(b) for b in (256, 320)] == [(44, 174.0), (44, 454.0)]
-        # the context's term count stays a floor
+        # the walk-out threshold is where 2/w reaches the disk radius
+        assert [tier(b) for b in (128, 192)] == [(48, 22.0), (64, 36.0)]
+        assert [tier(b) for b in (256, 320)] == [(96, 68.0), (96, 83.0)]
+        # the context's term count and threshold stay floors
         ctx = EvalContext(
-            precision=PrecisionConfig(mantissa_bits=256), superexp_terms=50
+            precision=PrecisionConfig(mantissa_bits=256),
+            abel_tail_terms=100,
+            superexp_re_threshold=90.0,
         )
-        assert _kernel(ctx).m_terms == 50
+        assert (_kernel(ctx).abel_terms, _kernel(ctx).threshold) == (100, 90.0)
 
     @pytest.mark.parametrize("bits", [224, 256, 320, 384])
     def test_tail_at_threshold_meets_target(self, bits):
-        # the fitted tail constant puts the threshold past the frontier
-        # where the last term reaches 2^-(bits+12)
+        # at the walk-out threshold zeta = 2/w lies inside the disk on
+        # both branches, and the Abel tail there, carried to F~, is below
+        # 2^-(bits+12).  Measured: 2^-(bits+27) at 384 bits, more below
         kernel = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
         x = kernel.mp.mpf(kernel.threshold)
-        _, last = kernel.ftilde_series(x, BranchSign.minus)
-        assert last <= mpmath.mpf(2) ** -(bits + 12)
+        for branch, base in ((BranchSign.minus, x), (BranchSign.plus, -x)):
+            value, last = kernel.ftilde_series(base, branch)
+            assert abs(1 - value / kernel.mp.e) < kernel.abel_radius
+            assert last <= mpmath.mpf(2) ** -(bits + 12), (branch, last)
 
     def test_one_sum_per_evaluation(self, monkeypatch):
         # the tail at the walk-out threshold is below the retry tolerance,
@@ -512,6 +521,60 @@ class TestTermTiers:
         # measured 2^-326
         gap = rel_bits(default_constants(256).x1, _reference_384().x1)
         assert gap < -318
+
+    def test_newton_matches_the_polynomial_sum_at_384_bits(self):
+        # the paper's construction, summed by the P_m in tests/helpers.py,
+        # against the Abel inversion at points past the walk-out
+        # threshold, so that no walk enters either side.  Measured
+        # 2^-401..-404
+        ctx384 = EvalContext(precision=PrecisionConfig(mantissa_bits=384))
+        assert _kernel(ctx384).threshold < 250
+        points = {
+            "minus": [mpmath.mpf(300), mpmath.mpc(400, -100)],
+            "plus": [mpmath.mpf(-300), mpmath.mpc(-250, -40)],
+        }
+        for branch, zs in points.items():
+            for z in zs:
+                ref = superexp_tilde_by_polynomials(z, branch, 384)
+                gap = rel_bits(superexp_tilde(z, branch, ctx384), ref)
+                print(f"{branch} {z}: 2^{gap:.1f}")
+                assert gap < -256, (branch, z, gap)
+
+    def test_starved_newton_raises(self, monkeypatch):
+        # without its full-scale steps Newton never checks that it
+        # settled, and says so instead of returning the iterate
+        monkeypatch.setattr(fixed, "NEWTON_EXTRA", 0)
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
+        for fn in (F1, F3):
+            with pytest.raises(NonConvergenceError, match="Newton") as info:
+                fn(0.5 + 0.5j, ctx, CC)
+            assert 0 < info.value.residual < 1
+
+    def test_retries_one_unit_out_run_out(self, monkeypatch):
+        # a base point where the Abel tail misses the tolerance, and
+        # retries one unit further out: three of them do not reach it
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
+        kernel = _kernel(ctx)
+        monkeypatch.setattr(kernel, "threshold", 9.0)
+        monkeypatch.setattr(kernel, "bump", 1)
+        with pytest.raises(NonConvergenceError, match="retries") as info:
+            superexp_tilde(0.5, "minus", ctx)
+        assert info.value.residual > float(kernel.tol)
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_real_arguments_on_both_cut_sides(self, bits):
+        # real values stay mpf on either side; on F1's cut the two sides
+        # are conjugate mpc values
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        cc = default_constants(bits)
+        for fn, z in ((F1, 0.5), (F1, 3.0), (F3, 0.5), (F3, -3.5)):
+            up, down = (fn(z, ctx, cc, cut_side=side) for side in ("above", "below"))
+            assert type(up) is type(down) is mpmath.mpf
+            assert up == down
+        up, down = (F1(-2.5, ctx, cc, cut_side=side) for side in ("above", "below"))
+        assert type(up) is type(down) is mpmath.mpc
+        # by parts: mpmath's conj and negation round to the global precision
+        assert up.real == down.real and up.imag + down.imag == 0 and up.imag > 0
 
 
 class TestLazyTables:
@@ -567,13 +630,22 @@ class TestLazyTables:
         A3(5 + 1j, ctx, CC)
         assert calls == {"abel_expansion": 1, "superexp_polynomials": 0}
 
-    @pytest.mark.parametrize("bits", [53, 128])
+    @pytest.mark.parametrize("bits", [53])
     def test_superexp_builds_only_the_polynomials(self, calls, bits):
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
         F1(0.5, ctx, CC)
         F3(0.5 + 1j, ctx, CC)
         superexp_tilde(-30, "plus", ctx)
         assert calls == {"abel_expansion": 0, "superexp_polynomials": 1}
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_wide_superexp_builds_only_the_abel_tail(self, calls, bits):
+        # above 53 bits F~ inverts the Abel series: no P_m at all
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        F1(0.5, ctx, CC)
+        F3(0.5 + 1j, ctx, CC)
+        superexp_tilde(-30, "plus", ctx)
+        assert calls == {"abel_expansion": 1, "superexp_polynomials": 0}
 
     def test_tables_round_as_the_kernel_does(self, calls):
         # doubles round each coefficient once; the mpmath kernel rounds
@@ -591,10 +663,16 @@ class TestLazyTables:
             round(c * 2**scale) for c in reversed(tail)
         )
         assert mp128.tail_rev(False) == mp128.tail_rev(True)[1:]
-        assert mp128.polys_rev() == tuple(
-            tuple(round(c * 2**scale) for c in reversed(p))
-            for p in reversed(ev._ftilde_polys(28))
-        )
+        # Newton's full-scale step sums the same tail, and its narrower
+        # steps the leading terms of it, shifted down
+        mp128.ftilde_series(mp128.cast(30), BranchSign.minus)
+        for plus_side in (False, True):
+            plan = mp128._plans[plus_side]
+            assert plan[-1][1] == mp128.tail_rev(plus_side) + (0,)
+            full = mp128.tail_rev(plus_side)
+            for s, tail, _ in plan[:-1]:
+                kept = full[len(full) - len(tail) + 1:]
+                assert tail == tuple(c >> (scale - s) for c in kept) + (0,)
 
     def test_a_short_build_finishing_last_keeps_the_longer_table(self):
         # a 28-term build that ends after a 44-term one was stored must
@@ -716,18 +794,17 @@ def _exact(c):
 
 
 def _ftilde_reference(kernel, z, branch):
-    # the mpf Horner sum over the same terms, at twice the work bits
+    # e(1 - zeta) with the mpf Abel sum over the same terms equal to
+    # z + ln(2)/3, solved by mpmath's secant at twice the work bits
+    plus_side = branch is BranchSign.plus
     with mp.workprec(2 * kernel._workbits):
         z = mpmath.mpmathify(z)  # out of the kernel's context, exactly
-        t = -mpmath.log(z if branch is BranchSign.minus else -z)
-        w = 1 / (3 * z)
-        s = 0
-        for p in reversed(ev._ftilde_polys(kernel.m_terms)):
-            pv = 0
-            for c in reversed(p):
-                pv = pv * t + _exact(c)
-            s = (s + pv) * w
-        return mpmath.e * (1 - (2 / z) * (1 + s))
+        target = z + mpmath.log(2) / 3
+        zeta = mpmath.findroot(
+            lambda x: _abel_reference(kernel, x, plus_side) - target,
+            (2 / z, 2 / (z + 1)),
+        )
+        return mpmath.e * (1 - zeta)
 
 
 def _abel_reference(kernel, zeta, plus_side):
@@ -745,7 +822,8 @@ def _abel_reference(kernel, zeta, plus_side):
 
 
 class TestFixedPointSums:
-    """The mpmath kernel sums its series on integers scaled by 2^scale."""
+    """The mpmath kernel sums its series on integers scaled by 2^scale,
+    and solves for F~ on them too."""
 
     POINTS = [0.5, -1.5 + 0.75j, 0.5 + 1e3j, -0.5 - 1e15j, 0.5 + 1e100j]
 
