@@ -20,13 +20,13 @@ down, the walk-out threshold only moves out), so a context tightened by
 hand is never silently loosened.  They build no P_m: F~ at the base
 point is found by Newton's method on the Abel series, so one tier table
 (_ABEL_TIERS) sets both walks, and the F~ walk starts where 2/z enters
-the Abel disk (68 steps out at 256 bits; 174 with the 44-term P_m sum
-it replaced).  The wider kernel walks on values of its own mpmath
-context at its work bits (see limits.new_mp_context), never at mpmath's
-global precision, so neither that setting nor another thread changes a
-result; results leave as plain mpmath values.  It sums the Abel series
-and runs Newton's method on Python integers scaled by 2^scale, 16 bits
-above its work bits, so the walk's logarithm steps are most of an
+the Abel disk (68 steps out at 256 bits).  The wider kernel walks on
+values of its own mpmath context at its work bits (see
+limits.new_mp_context), never at mpmath's global precision, so neither
+that setting nor another thread changes a result; results leave as
+plain mpmath values.  It sums the Abel series and runs Newton's method
+on Python integers scaled by 2^scale, 16 bits above its work bits
+(superexp.fixed), so the walk's logarithm steps are most of an
 evaluation.
 
 Real arguments on a cut are evaluated as directional limits: `cut_side`
@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 
 import mpmath
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_man_exp
 
 from . import fixed
 from .errors import (
@@ -298,8 +298,8 @@ _ABEL_TIERS = (
 )
 
 
-# the widest kernel admitted; with the radius 8.2/(bits + 10) alone the
-# 96-term tail missed its tolerance from 489 bits, and calibrate() failed
+# the widest kernel admitted, and the widest width at which
+# tools/abel_order.py checks the Abel tiers
 _MAX_BITS = 488
 # the widest evaluation whose calibration tier (see calibration_tier)
 # fits in _MAX_BITS: 432 bits, calibrated at 448
@@ -536,14 +536,11 @@ class _MPKernel(_Tables):
         if logpart is None:
             logpart = ctx.log(arg)
         # the tail is zeta times a Horner sum: a trailing zero coefficient
-        coeffs = self.tail_rev(plus_side)
-        S = self.scale
-        if isinstance(zeta, ctx.mpf):
-            tail = self._unfix(fixed.horner(coeffs + (0,), to_fixed(zeta._mpf_, S), S))
-        else:
-            tail = self._unfix_pair(
-                *fixed.horner_complex(coeffs + (0,), *fixed.pair(zeta, S), S)
-            )
+        # (a real zeta keeps a zero imaginary part throughout)
+        coeffs, S = self.tail_rev(plus_side), self.scale
+        tr, ti = fixed.horner_complex(coeffs + (0,), *fixed.pair(zeta, S), S)
+        real = isinstance(zeta, ctx.mpf)
+        tail = self._unfix(tr) if real else self._unfix_pair(tr, ti)
         last = self._unfix(abs(coeffs[0])) * abs(zeta) ** len(coeffs)
         return logpart / 3 + 2 / zeta + tail, last
 
@@ -562,7 +559,8 @@ class _MPKernel(_Tables):
             )
         wr, wi = fixed.invert_abel(*fixed.pair(z, self.scale), self._plans[plus], plus)
         ctx = self.mp
-        zeta = 2 / (self._unfix(wr) if isinstance(z, ctx.mpf) else self._unfix_pair(wr, wi))
+        w = self._unfix(wr) if isinstance(z, ctx.mpf) else self._unfix_pair(wr, wi)
+        zeta = 2 / w
         e = +ctx.e
         tail = self.tail_rev(plus)
         last = self._unfix(abs(tail[0])) * abs(zeta) ** (len(tail) + 2) * e / 2

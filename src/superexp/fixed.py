@@ -30,14 +30,6 @@ def pair(x, scale: int) -> tuple:
     return tuple(to_fixed(part, scale) for part in x._mpc_)
 
 
-def horner(coeffs, x: int, scale: int) -> int:
-    """Integer coefficients, highest power first, at a real point."""
-    acc = 0
-    for c in coeffs:
-        acc = (acc * x >> scale) + c
-    return acc
-
-
 def horner_complex(coeffs, xr: int, xi: int, scale: int) -> tuple:
     """Integer coefficients, highest power first, at a complex point."""
     ar = ai = 0

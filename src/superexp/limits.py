@@ -240,7 +240,9 @@ class _Orbits:
     of the orbit's context `mp` at `bits`, which steps by `_h_step`
     (`_h_inv_step`) and so keeps its escape (domain) check and index.
     Real orbits are monotone, so a state leaves the integer range at
-    most once each way.
+    most once each way.  `estimator_n` is the orbit length a shift or
+    ratio estimator divides by; its orbit carries 2 log2 n guard bits
+    more.
     """
 
     def __init__(self, points, bits: int, inverse: bool = False, estimator_n: int = 1):
@@ -632,9 +634,8 @@ def convergence_table(
             zf, uf = args
         else:
             (zf,), uf = args, 0
-        orbits = _Orbits(
-            [_tau_inv(ctx, zf), _tau_inv(ctx, uf)], cfg.mantissa_bits, estimator_n=ns[-1]
-        )
+        starts = [_tau_inv(ctx, zf), _tau_inv(ctx, uf)]
+        orbits = _Orbits(starts, cfg.mantissa_bits, estimator_n=ns[-1])
         failed = None
         for n in ns:
             if failed is None:

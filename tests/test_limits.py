@@ -658,10 +658,8 @@ class TestFixedPointOrbits:
             with mp.workprec(prec):
                 exact = -mpmath.log(n) / 3 - 2 / orbit + sign * n
                 want = -mpmath.log(n) / 3 - 2 / reference[petal] + sign * n
-                print(
-                    f"petal {petal}: 2^{float(mpmath.log(abs(got - want) / abs(want), 2)):.1f}"
-                    " from the reference"
-                )
+                gap = float(mpmath.log(abs(got - want) / abs(want), 2))
+                print(f"petal {petal}: 2^{gap:.1f} from the reference")
                 assert abs(got - exact) <= abs(exact) * mpmath.mpf(2) ** (4 - bits)
                 assert abs(got - want) <= abs(want) * mpmath.mpf(2) ** (2 - bits)
 
