@@ -1,7 +1,7 @@
 """Scaled-integer arithmetic of the mpmath kernel.
 
-A real number x at scale s is the Python integer round(x * 2^s); a
-complex one is a pair of them.  The kernel sums the Abel series by
+A real number x at scale s is the Python integer x * 2^s, rounded or
+truncated; a complex one is a pair of them.  The kernel sums the Abel series by
 Horner's rule on such integers, and finds F~ at a base point by Newton's
 method on them (`invert_abel`), at scales that double up to its own, so
 that only the last two or three sums run at full width.
@@ -38,16 +38,8 @@ def horner_complex(coeffs, xr: int, xi: int, scale: int) -> tuple:
     return ar, ai
 
 
-def newton_scales(scale: int) -> tuple:
-    """Ascending scales of the Newton steps, each about twice the last."""
-    scales = [scale]
-    while scales[-1] > NEWTON_FIRST:
-        scales.append((scales[-1] + 1) // 2)
-    return tuple(reversed(scales))
-
-
 def newton_plan(rev, scale: int, radius: float) -> tuple:
-    """Per Newton scale s: (s, tail, slope), both tables shifted to s.
+    """Per Newton scale s, ascending: (s, tail, slope), shifted to s.
 
     `rev` holds the Abel tail coefficients c_n at `scale`, highest n
     first; `tail` is them with a trailing zero (a Horner sum of it is
@@ -55,8 +47,12 @@ def newton_plan(rev, scale: int, radius: float) -> tuple:
     derivative.  Below the full scale a table drops its leading terms
     while they stay under the step's resolution at the disk radius:
     2^-(s+4) for the tail, and 2^-(s/2+8) for the slope, which enters
-    g' times zeta^2/2 and needs half the bits.
+    g' times zeta^2/2 and needs half the bits.  Each scale is about
+    twice the last, from at most NEWTON_FIRST bits.
     """
+    scales = [scale]
+    while scales[-1] > NEWTON_FIRST:
+        scales.append((scales[-1] + 1) // 2)
     log_r = math.log2(radius)
     ns = range(len(rev), 0, -1)
     slope = tuple(n * c for n, c in zip(ns, rev))
@@ -74,7 +70,7 @@ def newton_plan(rev, scale: int, radius: float) -> tuple:
         (s,
          shifted(rev, s, sizes, -(s + 4) if s < scale else -math.inf) + (0,),
          shifted(slope, s, slopes, -(s // 2 + 8)))
-        for s in newton_scales(scale)
+        for s in reversed(scales)
     )
 
 

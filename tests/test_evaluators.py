@@ -668,9 +668,8 @@ class TestLazyTables:
         # steps the leading terms of it, shifted down
         mp128.ftilde_series(mp128.cast(30), BranchSign.minus)
         for plus_side in (False, True):
-            plan = mp128._plans[plus_side]
-            assert plan[-1][1] == mp128.tail_rev(plus_side) + (0,)
-            full = mp128.tail_rev(plus_side)
+            plan, full = mp128._plans[plus_side], mp128.tail_rev(plus_side)
+            assert plan[-1][1] == full + (0,)
             for s, tail, _ in plan[:-1]:
                 kept = full[len(full) - len(tail) + 1:]
                 assert tail == tuple(c >> (scale - s) for c in kept) + (0,)
