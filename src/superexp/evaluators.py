@@ -54,6 +54,7 @@ from .errors import (
     DomainError,
     NonConvergenceError,
     OrbitOverflowError,
+    SuperexpError,
 )
 from .limits import (
     PrecisionConfig, Scalar, mp_context, mp_convert, new_mp_context, plain,
@@ -648,8 +649,75 @@ def _abel_walk(kernel, z, plus_side: bool, side, norm=None):
     return value if norm is None else value - norm
 
 
-def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None):
-    # shift, when given, is added to the argument
+class _Failure:
+    """A failed walk step, kept as its class and arguments.
+
+    A memoized walk raises a fresh error for each cell that needs the
+    step.  A stored exception object would collect the traceback of every
+    raise, and those frames hold the memo: a reference cycle per sweep.
+    """
+
+    __slots__ = ("cls", "args", "attrs")
+
+    def __init__(self, exc: Exception):
+        self.cls, self.args, self.attrs = type(exc), exc.args, dict(vars(exc))
+
+    def error(self) -> Exception:
+        err = self.cls(*self.args)
+        err.__dict__.update(self.attrs)
+        return err
+
+
+def _walk_chain(kernel, chain: list, k: int, minus: bool, side):
+    """The walk's value after k steps from the base point of `chain`.
+
+    chain[j] is the value after j steps (chain[0] is F~ at the base),
+    extended here as far as k needs.  A step that raised is stored as a
+    _Failure: at the end of the chain it fails every later step too; in
+    the middle it is an exponential step's unrepresentable intermediate
+    value, which fails only a walk that ends on it.  The steps and their
+    errors are those of the per-cell loop in _ftilde_eval.
+    """
+    j = len(chain) - 1
+    w = chain[j]
+    while j < k and not isinstance(w, _Failure):
+        if minus:
+            if w == 0:
+                raise BranchCutError(
+                    f"walk hit the singular value 0 after {j} of {k}"
+                    " inverse steps"
+                )
+            try:
+                w = kernel.log_step(w, j + 1, side)
+            except SuperexpError as exc:
+                w = _Failure(exc)
+            chain.append(w)
+            j += 1
+        else:
+            try:
+                w, advanced = kernel.exp_step(w, j + 1)
+            except SuperexpError as exc:
+                w, advanced = _Failure(exc), 1
+            if advanced == 2:
+                chain.append(_Failure(OrbitOverflowError(
+                    "forward step overflows at the target index", index=j + 1
+                )))
+            chain.append(w)
+            j += advanced
+    w = chain[min(k, len(chain) - 1)]
+    if isinstance(w, _Failure):
+        raise w.error()
+    return w
+
+
+def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None, chains=None):
+    # shift, when given, is added to the argument.  chains, when given, is
+    # one sweep's memo of walks (see _walk_chain) keyed by the exact base
+    # point: equal keys are equal bits, since adding the anchor or k turns
+    # an imaginary -0.0 into +0.0.  Only a base within one unit past the
+    # threshold is memoized, the only ones a walking cell reaches, and
+    # only one accepted without retries: a retry sums at w0 + (k + bump),
+    # which depends on w0, not on the base.
     w0 = kernel.cast(z) if shift is None else kernel.cast(z) + shift
     if w0 == 0:
         raise DomainError("the asymptotic series is singular at 0")
@@ -662,7 +730,15 @@ def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None):
             f" cap is {kernel.walk_cap}"
         )
     base = w0 + k if minus else w0 - k
+    shared = chains is not None and gap >= -1
+    if shared:
+        chain = chains.get(base)
+        if chain is not None:
+            return _walk_chain(kernel, chain, k, minus, side)
     value, last = kernel.ftilde_series(base, branch)
+    if shared and not last > kernel.tol:
+        chains[base] = chain = [value]
+        return _walk_chain(kernel, chain, k, minus, side)
     retries = 3 if kernel.tripwire else 0
     while retries and last > kernel.tol:
         k += kernel.bump
@@ -894,6 +970,27 @@ def F3(
     x3 = kernel.anchors(constants or default_constants(kernel.bits))[1]
     value = _ftilde_eval(kernel, z, BranchSign.plus, side, x3)
     return _public(value, flip)
+
+
+def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants):
+    """F1 or F3 for the cells of one grid sweep, sharing walks by base.
+
+    Returns cell(z, cut_side), which gives what fn(z, ctx, constants,
+    cut_side) gives, bit for bit: cells one unit apart walk from the same
+    base point, and each base is summed and walked once (_walk_chain).
+    The memo lives as long as the returned function.
+    """
+    kernel = _kernel_of(ctx)
+    branch = BranchSign.minus if fn == "F1" else BranchSign.plus
+    shift = kernel.anchors(constants)[branch is BranchSign.plus]
+    chains: dict = {}
+
+    def cell(z, cut_side):
+        side, flip = _resolve_side(z, cut_side)
+        value = _ftilde_eval(kernel, z, branch, side, shift, chains)
+        return _public(value, flip)
+
+    return cell
 
 
 # -- calibration ------------------------------------------------------------

@@ -14,6 +14,7 @@ import dataclasses
 import enum
 import json
 import math
+import numbers
 from typing import Optional, Union
 
 import mpmath
@@ -26,6 +27,7 @@ from .evaluators import (
     F3,
     CalibrationConstants,
     EvalContext,
+    _sweep,
     abel2,
     default_constants,
 )
@@ -90,17 +92,19 @@ class IterateRequest:
     cut_side: str = "above"
 
     def __post_init__(self) -> None:
-        if isinstance(self.branch, str):
-            try:
-                object.__setattr__(self, "branch", IterateBranch[self.branch])
-            except KeyError:
-                raise ValueError(
-                    f"branch must be 'lower' or 'upper', got {self.branch!r}"
-                ) from None
-        elif not (self.branch is None or isinstance(self.branch, IterateBranch)):
-            raise ValueError(f"branch must be 'lower' or 'upper', got {self.branch!r}")
+        object.__setattr__(self, "branch", _iterate_branch(self.branch))
         if self.cut_side not in ("above", "below"):
             raise ValueError(f"cut_side must be 'above' or 'below', got {self.cut_side!r}")
+
+
+def _iterate_branch(branch) -> Optional[IterateBranch]:
+    # None, an IterateBranch or its name; anything else is a ValueError
+    if branch is None or isinstance(branch, IterateBranch):
+        return branch
+    try:
+        return IterateBranch[branch]
+    except (KeyError, TypeError):
+        raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}") from None
 
 
 def _is_fixed_point(z: Scalar, bits: int) -> bool:
@@ -329,8 +333,9 @@ def agreement(
 class GridSpec:
     """Rectangular sampling grid for :func:`map_grid`.
 
-    nx and ny count samples along each axis (at least 2 each); the
-    bounds are included.  cut_side applies to every sample.
+    nx and ny count samples along each axis (integers, at least 2 each);
+    the bounds are included, and must be finite, as must the step
+    between samples.  cut_side applies to every sample.
     """
 
     x_min: float
@@ -342,22 +347,39 @@ class GridSpec:
     cut_side: str = "above"
 
     def __post_init__(self) -> None:
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"grid bounds must be finite, got {bounds!r}")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be < x_max")
         if not self.y_min < self.y_max:
             raise ValueError("y_min must be < y_max")
+        if not all(isinstance(n, numbers.Integral) for n in (self.nx, self.ny)):
+            raise ValueError(f"nx and ny must be integers, got {self.nx!r} and {self.ny!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("nx and ny must be at least 2")
         if self.cut_side not in ("above", "below"):
             raise ValueError(f"cut_side must be 'above' or 'below', got {self.cut_side!r}")
+        if not 0.0 < _step(self.x_min, self.x_max, self.nx) < math.inf:
+            raise ValueError("the x step (x_max - x_min)/(nx - 1) is not a positive double")
+        if not 0.0 < _step(self.y_min, self.y_max, self.ny) < math.inf:
+            raise ValueError("the y step (y_max - y_min)/(ny - 1) is not a positive double")
 
     def xs(self) -> tuple:
-        step = (self.x_max - self.x_min) / (self.nx - 1)
+        step = _step(self.x_min, self.x_max, self.nx)
         return tuple(self.x_min + i * step for i in range(self.nx))
 
     def ys(self) -> tuple:
-        step = (self.y_max - self.y_min) / (self.ny - 1)
+        step = _step(self.y_min, self.y_max, self.ny)
         return tuple(self.y_min + j * step for j in range(self.ny))
+
+
+def _step(lo: float, hi: float, n: int) -> float:
+    # a count too large for a double gives no positive step either
+    try:
+        return (hi - lo) / (n - 1)
+    except OverflowError:
+        return 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -404,30 +426,40 @@ def map_grid(
         Row-major values (rows sweep y ascending, columns x ascending);
         every cell either holds a complex double or an error code, so a
         singular or overflowing region never aborts the sweep.
+
+    F1 and F3 cells one unit apart walk the functional equation from the
+    same base point, so a sweep sums and walks each exact base once; each
+    cell is still the evaluator's value at that cell, bit for bit.
     """
     if fn not in GRID_FUNCTIONS:
         raise ValueError(f"unknown grid function {fn!r}")
-    ctx = ctx if ctx is not None else _DEFAULT_CTX
-    if constants is None:
-        constants = default_constants(ctx.precision.mantissa_bits)
-    side = grid.cut_side
     if fn == "expc":
         if c is None:
             raise ValueError("fn='expc' requires the iteration count c")
-        if isinstance(branch, str):
-            branch = IterateBranch[branch]
+        branch = _iterate_branch(branch)
+    ctx = ctx if ctx is not None else _DEFAULT_CTX
+    if constants is None:
+        constants = default_constants(ctx.precision.mantissa_bits)
+    if fn == "expc":
 
-        def evaluate(z, ctx, constants, cut_side):
+        def evaluate(z, cut_side):
             return exp_iterate(IterateRequest(c, z, branch, cut_side), ctx, constants)
+    elif fn in ("F1", "F3"):
+        # cells one unit apart share their functional-equation walk
+        evaluate = _sweep(fn, ctx, constants)
     else:
-        evaluate = {"F1": F1, "F3": F3, "A1": A1, "A3": A3}[fn]
+        a = A1 if fn == "A1" else A3
+
+        def evaluate(z, cut_side):
+            return a(z, ctx, constants, cut_side)
+    side = grid.cut_side
     xs, ys = grid.xs(), grid.ys()
     rows, errs = [], []
     for y in ys:
         row, erow = [], []
         for x in xs:
             try:
-                value = evaluate(complex(x, y), ctx, constants, cut_side=side)
+                value = evaluate(complex(x, y), side)
                 row.append(complex(value))
                 erow.append(None)
             except SuperexpError as exc:

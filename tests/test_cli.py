@@ -499,6 +499,21 @@ class TestMap:
         assert proc.returncode == 1
         assert "lo:hi" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            ("-1:inf", "-1:1", "finite"),
+            ("-1:1", "-1e308:1e308", "y step"),
+        ],
+    )
+    def test_grid_it_cannot_sample_exits_1(self, cache_dir, x, y, message):
+        proc = run_cli(
+            ["map", "F1", "--x", x, "--y", y, "--nx", "3", "--ny", "2"], cache_dir
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestCheck:
     def test_degenerate_grid_has_four_rows(self, cache_dir):

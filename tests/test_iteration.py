@@ -1,8 +1,10 @@
 """Tests for fractional iterates, axis diagnostics and grid sampling."""
 
+import gc
 import hashlib
 import json
 import math
+import random
 
 import mpmath
 import pytest
@@ -16,7 +18,8 @@ from superexp.errors import (
     OrbitOverflowError,
     SuperexpError,
 )
-from superexp.evaluators import A1, F1, EvalContext, abel2, default_constants
+import superexp.evaluators as ev
+from superexp.evaluators import A1, F1, F3, EvalContext, abel2, default_constants
 from superexp.iteration import (
     GridSpec,
     IterateBranch,
@@ -283,6 +286,32 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="cut_side"):
             GridSpec(0.0, 1.0, 0.0, 1.0, 4, 4, cut_side="over")
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bounds(self, bound):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(-1.0, bound, -1.0, 1.0, 3, 2)
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(-1.0, 1.0, bound, 1.0, 3, 2)
+
+    def test_step_must_be_a_positive_double(self):
+        # the span overflows, or the step underflows to 0
+        with pytest.raises(ValueError, match="y step"):
+            GridSpec(-1.0, 1.0, -1e308, 1e308, 3, 2)
+        with pytest.raises(ValueError, match="x step"):
+            GridSpec(0.0, 5e-324, -1.0, 1.0, 3, 2)
+
+    def test_oversized_counts(self):
+        # checked on construction only: no axis is built here
+        with pytest.raises(ValueError, match="x step"):
+            GridSpec(-1.0, 1.0, -1.0, 1.0, 10**400, 2)
+        with pytest.raises(ValueError, match="y step"):
+            GridSpec(-1.0, 1.0, -1.0, 1.0, 2, 10**400)
+
+    @pytest.mark.parametrize("nx, ny", [(2.5, 3), (3, 3.0), ("3", 3), (None, 3)])
+    def test_counts_must_be_integers(self, nx, ny):
+        with pytest.raises(ValueError, match="integers"):
+            GridSpec(-1.0, 1.0, -1.0, 1.0, nx, ny)
+
     def test_axes_include_bounds(self):
         g = GridSpec(-1.0, 1.0, 0.0, 2.0, 5, 3)
         assert g.xs() == (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -332,6 +361,12 @@ class TestMapGrid:
     def test_expc_requires_c(self):
         with pytest.raises(ValueError, match="requires the iteration count"):
             map_grid("expc", GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2))
+
+    def test_expc_rejects_an_unknown_branch(self):
+        # the rule IterateRequest applies, checked before any cell
+        for branch in ("sideways", 5):
+            with pytest.raises(ValueError, match="branch must be"):
+                map_grid("expc", GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2), c=0.5, branch=branch)
 
     def test_unknown_fn_rejected(self):
         with pytest.raises(ValueError, match="grid function"):
@@ -400,6 +435,102 @@ class TestDoubleBitIdentity:
         assert hashlib.sha256(repr(scores).encode()).hexdigest() == (
             "dcb38c9c006d187234b6f53ea9fe07d5de4e0e56820ee8d52d746f23c8f435db"
         )
+
+
+def _per_cell(fn, grid, ctx=None):
+    # each cell evaluated on its own, as the public evaluator does it
+    f = F1 if fn == "F1" else F3
+    constants = default_constants(53 if ctx is None else ctx.precision.mantissa_bits)
+    cells = []
+    for y in grid.ys():
+        for x in grid.xs():
+            try:
+                value = f(complex(x, y), ctx, constants, cut_side=grid.cut_side)
+                cells.append((repr(complex(value)), None))
+            except SuperexpError as exc:
+                cells.append((None, exc.code))
+    return cells
+
+
+def _jittered_box(seed, ny):
+    # perfbench's map box: 0.25-spaced columns, origin moved by < 1 cell
+    rng = random.Random(f"grid:{seed}")
+    dx, dy = rng.uniform(0, 0.25), rng.uniform(0, 0.25)
+    return GridSpec(-8 + dx, 28 + dx, -14 + dy, 14 + dy, 145, ny)
+
+
+class TestSharedWalks:
+    """A F1 or F3 sweep shares walks by exact base point, bit for bit.
+
+    Cells one unit apart walk from the same base; each grid below has
+    such cells, and every cell of the sweep must equal the evaluator
+    called on that cell alone: the same double and the same error code.
+    """
+
+    @pytest.mark.parametrize(
+        "grid, ctx",
+        [
+            (_jittered_box(1, 15), None),
+            (_jittered_box(2, 9), None),
+            # 0.1 is not exact in binary: some cells one unit apart do not
+            # reach the same base, so a neighbour's walk is not theirs
+            (GridSpec(-4.0, 16.0, -2.0, 2.0, 201, 11, cut_side="below"), None),
+            # 38 overflow cells, some on an unrepresentable intermediate step
+            (GridSpec(-30, 40, -5, 5, 141, 21), None),
+            (GridSpec(-4.0, 26.0, -1.0, 1.0, 61, 3), CTX128),
+        ],
+        ids=["jittered-1", "jittered-2", "tenths-below", "overflow", "128-bit"],
+    )
+    @pytest.mark.parametrize("fn", ["F1", "F3"])
+    def test_sweep_equals_per_cell(self, fn, grid, ctx):
+        r = map_grid(fn, grid, ctx)
+        swept = [
+            (None if err else repr(value), err)
+            for row, erow in zip(r.values, r.errors)
+            for value, err in zip(row, erow)
+        ]
+        assert swept == _per_cell(fn, grid, ctx)
+
+    def test_overflow_grid_has_failing_cells(self):
+        r = map_grid("F3", GridSpec(-30, 40, -5, 5, 141, 21))
+        assert sum(e == "overflow" for row in r.errors for e in row) == 38
+
+    @pytest.mark.parametrize("fn", ["F1", "F3"])
+    def test_walking_cells_sum_no_series(self, monkeypatch, fn):
+        # only the cells that start past the threshold sum; a walking cell
+        # reads its value off a base summed for another cell
+        calls = []
+        series = ev._DoubleKernel.ftilde_series
+
+        def counted(self, *args):
+            calls.append(args)
+            return series(self, *args)
+
+        monkeypatch.setattr(ev._DoubleKernel, "ftilde_series", counted)
+        grid = _jittered_box(1, 15)
+        map_grid(fn, grid)
+        constants = default_constants(53)
+        threshold = EvalContext().superexp_re_threshold
+        if fn == "F1":
+            starts = [x + float(constants.x1) for x in grid.xs()]
+            unwalked = sum(threshold - w < 0 for w in starts)
+        else:
+            starts = [x + float(constants.x3) for x in grid.xs()]
+            unwalked = sum(w + threshold < 0 for w in starts)
+        assert len(calls) == unwalked * grid.ny < grid.nx * grid.ny / 2
+
+    def test_sweep_leaves_no_cyclic_garbage(self):
+        # an exception stored in the memo would hold, through its
+        # traceback, the frames that hold the memo: a cycle per sweep
+        grid = GridSpec(-30, 40, -5, 5, 141, 21)
+        map_grid("F3", grid)
+        gc.collect()
+        gc.disable()
+        try:
+            map_grid("F3", grid)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGridSerialization:
