@@ -972,20 +972,36 @@ def F3(
     return _public(value, flip)
 
 
-def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants):
+def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants, xs: tuple):
     """F1 or F3 for the cells of one grid sweep, sharing walks by base.
 
-    Returns cell(z, cut_side), which gives what fn(z, ctx, constants,
-    cut_side) gives, bit for bit: cells one unit apart walk from the same
-    base point, and each base is summed and walked once (_walk_chain).
-    The memo lives as long as the returned function.
+    xs are the abscissae of each row.  Returns cell(z, cut_side), which
+    gives what fn(z, ctx, constants, cut_side) gives, bit for bit: cells
+    a whole number of units apart walk from the same base point, and
+    each base is summed and walked once (_walk_chain).  A base's
+    imaginary part is Im z plus the anchor's, so no two rows share one,
+    and the memo keeps the current row's walks only.  Returns None when
+    no two of xs are a whole number of units apart within the longest
+    walk: no cell could then read another's.
     """
     kernel = _kernel_of(ctx)
     branch = BranchSign.minus if fn == "F1" else BranchSign.plus
     shift = kernel.anchors(constants)[branch is BranchSign.plus]
+    ends = ((kernel.cast(complex(x)) + shift).real for x in (xs[0], xs[-1]))
+    gaps = [kernel.threshold - r if fn == "F1" else r + kernel.threshold for r in ends]
+    reach = min(max(map(kernel.walk_length, gaps)), kernel.walk_cap)
+    # the tolerance only decides whether to memoize: a miss sums again
+    spans = (x - xs[0] for x in xs[1:])
+    if not any(1 <= round(d) <= reach and abs(d - round(d)) < 1e-9 for d in spans):
+        return None
     chains: dict = {}
+    row = None
 
     def cell(z, cut_side):
+        nonlocal row
+        if z.imag != row:
+            chains.clear()
+            row = z.imag
         side, flip = _resolve_side(z, cut_side)
         value = _ftilde_eval(kernel, z, branch, side, shift, chains)
         return _public(value, flip)

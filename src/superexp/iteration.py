@@ -427,9 +427,10 @@ def map_grid(
         every cell either holds a complex double or an error code, so a
         singular or overflowing region never aborts the sweep.
 
-    F1 and F3 cells one unit apart walk the functional equation from the
-    same base point, so a sweep sums and walks each exact base once; each
-    cell is still the evaluator's value at that cell, bit for bit.
+    F1 and F3 cells of a row a whole number of units apart walk the
+    functional equation from the same base point, so a sweep sums and
+    walks each exact base once; each cell is still the evaluator's value
+    at that cell, bit for bit.
     """
     if fn not in GRID_FUNCTIONS:
         raise ValueError(f"unknown grid function {fn!r}")
@@ -440,20 +441,21 @@ def map_grid(
     ctx = ctx if ctx is not None else _DEFAULT_CTX
     if constants is None:
         constants = default_constants(ctx.precision.mantissa_bits)
+    xs, ys = grid.xs(), grid.ys()
+    evaluate = None
     if fn == "expc":
 
         def evaluate(z, cut_side):
             return exp_iterate(IterateRequest(c, z, branch, cut_side), ctx, constants)
     elif fn in ("F1", "F3"):
-        # cells one unit apart share their functional-equation walk
-        evaluate = _sweep(fn, ctx, constants)
-    else:
-        a = A1 if fn == "A1" else A3
+        # cells a whole number of units apart share their functional-equation walk
+        evaluate = _sweep(fn, ctx, constants, xs)
+    if evaluate is None:
+        f = {"F1": F1, "F3": F3, "A1": A1, "A3": A3}[fn]
 
         def evaluate(z, cut_side):
-            return a(z, ctx, constants, cut_side)
+            return f(z, ctx, constants, cut_side)
     side = grid.cut_side
-    xs, ys = grid.xs(), grid.ys()
     rows, errs = [], []
     for y in ys:
         row, erow = [], []

@@ -462,9 +462,10 @@ def _jittered_box(seed, ny):
 class TestSharedWalks:
     """A F1 or F3 sweep shares walks by exact base point, bit for bit.
 
-    Cells one unit apart walk from the same base; each grid below has
-    such cells, and every cell of the sweep must equal the evaluator
-    called on that cell alone: the same double and the same error code.
+    Cells a whole number of units apart walk from the same base; each
+    grid below but the last has such cells, and every cell of the sweep
+    must equal the evaluator called on that cell alone: the same double
+    and the same error code.
     """
 
     @pytest.mark.parametrize(
@@ -478,8 +479,15 @@ class TestSharedWalks:
             # 38 overflow cells, some on an unrepresentable intermediate step
             (GridSpec(-30, 40, -5, 5, 141, 21), None),
             (GridSpec(-4.0, 26.0, -1.0, 1.0, 61, 3), CTX128),
+            # spacing 36/99: columns 11 apart are 4 units apart
+            (GridSpec(-8, 28, -14, 14, 100, 5), None),
+            # spacing 36/97: no memo (test_no_memo_without_whole_unit_columns)
+            (GridSpec(-8, 28, -14, 14, 98, 2), None),
         ],
-        ids=["jittered-1", "jittered-2", "tenths-below", "overflow", "128-bit"],
+        ids=[
+            "jittered-1", "jittered-2", "tenths-below", "overflow", "128-bit",
+            "four-units", "no-memo",
+        ],
     )
     @pytest.mark.parametrize("fn", ["F1", "F3"])
     def test_sweep_equals_per_cell(self, fn, grid, ctx):
@@ -518,6 +526,30 @@ class TestSharedWalks:
             starts = [x + float(constants.x3) for x in grid.xs()]
             unwalked = sum(w + threshold < 0 for w in starts)
         assert len(calls) == unwalked * grid.ny < grid.nx * grid.ny / 2
+
+    def test_memo_holds_one_row(self, monkeypatch):
+        # a base's imaginary part is the row's plus the anchor's, so no
+        # walk of an earlier row can serve a later one
+        rows = []
+        walk = ev._ftilde_eval
+
+        def recorded(kernel, z, branch, side, shift=None, chains=None):
+            rows.append({base.imag for base in chains})
+            return walk(kernel, z, branch, side, shift, chains)
+
+        monkeypatch.setattr(ev, "_ftilde_eval", recorded)
+        map_grid("F1", _jittered_box(1, 5))
+        assert len(rows) == 145 * 5
+        assert max(map(len, rows)) == 1
+
+    @pytest.mark.parametrize("fn", ["F1", "F3"])
+    def test_no_memo_without_whole_unit_columns(self, fn):
+        # spacing 36/97: columns 97 apart are 36 units apart, past the
+        # longest walk, so no cell could read another's walk
+        ctx, constants = EvalContext(), default_constants(53)
+        spaced = GridSpec(-8, 28, -14, 14, 98, 2)
+        assert ev._sweep(fn, ctx, constants, spaced.xs()) is None
+        assert ev._sweep(fn, ctx, constants, _jittered_box(1, 2).xs()) is not None
 
     def test_sweep_leaves_no_cyclic_garbage(self):
         # an exception stored in the memo would hold, through its
