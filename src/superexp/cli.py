@@ -14,7 +14,6 @@ file entirely.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -50,7 +49,7 @@ from .iteration import (
 )
 from .limits import PrecisionConfig, convergence_table, format_record, records_to_csv
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main"]
 
 OK, EVAL_ERROR, CALIBRATION_ERROR, IO_ERROR = 0, 1, 2, 3
 
@@ -71,21 +70,6 @@ _TUNING = (
      "override direct-summation real-part threshold"),
     ("--max-recursion", "max_recursion", int, "override the orbit recursion cap"),
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class CliConfig:
-    """Resolved common flags; ctx override fields stay None when unset."""
-
-    precision_bits: int = 53
-    output_format: str = "text"
-    output_path: Optional[str] = None
-    no_cache: bool = False
-    abel_tail_terms: Optional[int] = None
-    superexp_terms: Optional[int] = None
-    abel_disk_radius: Optional[float] = None
-    superexp_re_threshold: Optional[float] = None
-    max_recursion: Optional[int] = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,28 +104,6 @@ def _fail(message: str, code: int = EVAL_ERROR) -> int:
     return code
 
 
-def _config(args, default_bits: int = 53, default_format: str = "text") -> CliConfig:
-    bits = args.precision_bits if args.precision_bits is not None else default_bits
-    if bits < 53:
-        sys.stderr.write("superexp: --precision-bits must be at least 53\n")
-        raise SystemExit(EVAL_ERROR)
-    return CliConfig(
-        precision_bits=bits,
-        output_format=args.format if args.format is not None else default_format,
-        output_path=args.out,
-        no_cache=args.no_cache,
-        **{field: getattr(args, field, None) for _, field, _, _ in _TUNING},
-    )
-
-
-def _context(cfg: CliConfig) -> EvalContext:
-    kwargs = {"precision": PrecisionConfig(mantissa_bits=cfg.precision_bits)}
-    for _, field, _, _ in _TUNING:
-        if getattr(cfg, field) is not None:
-            kwargs[field] = getattr(cfg, field)
-    return EvalContext(**kwargs)
-
-
 def _cache_dir() -> str:
     override = os.environ.get(_CACHE_ENV)
     if override:
@@ -152,10 +114,10 @@ def _cache_dir() -> str:
     return os.path.join(base, "superexp")
 
 
-def _constants(cfg: CliConfig) -> CalibrationConstants:
-    tier = calibration_tier(cfg.precision_bits)
+def _constants(bits: int, no_cache: bool) -> CalibrationConstants:
+    tier = calibration_tier(bits)
     path = os.path.join(_cache_dir(), f"constants-{tier}.json")
-    if not cfg.no_cache:
+    if not no_cache:
         try:
             with open(path, encoding="ascii") as fh:
                 payload = json.load(fh)
@@ -163,8 +125,8 @@ def _constants(cfg: CliConfig) -> CalibrationConstants:
                 return CalibrationConstants.from_decimal_dict(payload)
         except (OSError, ValueError, KeyError):
             pass  # unreadable or stale cache: recompute below
-    constants = default_constants(cfg.precision_bits)
-    if not cfg.no_cache:
+    constants = default_constants(bits)
+    if not no_cache:
         try:
             os.makedirs(_cache_dir(), exist_ok=True)
             # a reader sees the old file or the whole new one, never a
@@ -196,22 +158,47 @@ def _emit(text: str, path: Optional[str]) -> int:
     return OK
 
 
+def _format_parts(value, bits: int):
+    """Round-trip decimals at 53 bits, counted digits beyond."""
+    if bits == 53:
+        v = complex(value)
+        return repr(v.real), repr(v.imag)
+    digits = mpmath.libmp.prec_to_dps(bits) + 3
+    v = mpmath.mpmathify(value)
+    return mpmath.nstr(mpmath.re(v), digits), mpmath.nstr(mpmath.im(v), digits)
+
+
+# -- option types: argparse reports a refused value as a usage error ------
+
+def _checked(kind, ok, rule: str):
+    """An argparse type: parse with `kind`, refuse values failing `ok`."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, not {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type when kind() fails
+    return parse
+
+
 def _parse_complex(text: str) -> complex:
     re, _, im = text.partition(",")
     try:
         return complex(float(re), float(im) if im else 0.0)
     except ValueError:
-        raise SystemExit(_fail(f"bad complex value {text!r}; use re or re,im"))
+        raise argparse.ArgumentTypeError(f"bad complex value {text!r}; use re or re,im")
 
 
-def _parse_span(text: str, flag: str):
+def _parse_span(text: str):
     lo, sep, hi = text.partition(":")
     if sep:
         try:
             return float(lo), float(hi)
         except ValueError:
             pass
-    raise SystemExit(_fail(f"bad {flag} range {text!r}; use lo:hi"))
+    raise argparse.ArgumentTypeError(f"bad range {text!r}; use lo:hi")
 
 
 def _parse_n_list(text: str):
@@ -223,38 +210,34 @@ def _parse_n_list(text: str):
             return [int(lo)]
         a, b = int(lo), int(hi)
     except ValueError:
-        raise SystemExit(_fail(f"bad --n range {text!r}; use first:last"))
+        raise argparse.ArgumentTypeError(f"bad range {text!r}; use first:last")
     if a > b:
-        raise SystemExit(_fail(f"--n range {text!r} is descending"))
+        raise argparse.ArgumentTypeError(f"range {text!r} is descending")
     return list(range(a, b + 1))
 
 
-def _format_parts(value, bits: int):
-    """Round-trip decimals at 53 bits, counted digits beyond."""
-    if bits == 53:
-        v = complex(value)
-        return repr(v.real), repr(v.imag)
-    digits = mpmath.libmp.prec_to_dps(bits) + 3
-    v = mpmath.mpmathify(value)
-    return mpmath.nstr(mpmath.re(v), digits), mpmath.nstr(mpmath.im(v), digits)
+def _parse_floats(text: str):
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad list {text!r}")
 
 
 # -- calibrate ------------------------------------------------------------
 
 def _cmd_calibrate(args) -> int:
-    cfg = _config(args)
     try:
-        constants = _constants(cfg)
+        constants = _constants(args.precision_bits, args.no_cache)
     except SuperexpError as exc:
         return _fail(f"calibration failed: {exc}", CALIBRATION_ERROR)
     payload = constants.as_decimal_dict()
-    if cfg.output_format == "json":
+    if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         lines = ["name,value"] + [f"{k},{v}" for k, v in payload.items()]
         text = "\n".join(lines) + "\n"
     else:
-        digits = mpmath.libmp.prec_to_dps(cfg.precision_bits)
+        digits = mpmath.libmp.prec_to_dps(args.precision_bits)
         rows = [
             ("x1", mpmath.nstr(constants.x1, digits)),
             ("x3", mpmath.nstr(constants.x3, digits)),
@@ -264,46 +247,42 @@ def _cmd_calibrate(args) -> int:
             ("bits", str(constants.bits)),
         ]
         text = "\n".join(f"{k} = {v}" for k, v in rows) + "\n"
-    return _emit(text, cfg.output_path)
+    return _emit(text, args.out)
 
 
 # -- eval -----------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    cfg = _config(args)
-    ctx = _context(cfg)
     z = complex(args.re, args.im)
     err = None
     value = None
     try:
-        constants = _constants(cfg)
+        constants = _constants(args.precision_bits, args.no_cache)
         if args.fn == "expc":
             if args.c is None:
                 return _fail("eval expc requires --c")
-            request = IterateRequest(
-                _parse_complex(args.c), z, args.branch, args.cut_side or "above"
-            )
-            value = exp_iterate(request, ctx, constants)
+            request = IterateRequest(args.c, z, args.branch, args.cut_side or "above")
+            value = exp_iterate(request, args.ctx, constants)
         else:
             fn = {"F1": F1, "F3": F3, "A1": A1, "A3": A3}[args.fn]
-            value = fn(z, ctx, constants, cut_side=args.cut_side)
+            value = fn(z, args.ctx, constants, cut_side=args.cut_side)
     except SuperexpError as exc:
         err = exc.code
-        if cfg.output_format == "text":
+        if args.format == "text":
             return _fail(f"{type(exc).__name__}: {exc}")
-    if cfg.output_format == "text":
-        re_s, im_s = _format_parts(value, cfg.precision_bits)
-        return _emit(f"{re_s} {im_s}\n", cfg.output_path)
+    if args.format == "text":
+        re_s, im_s = _format_parts(value, args.precision_bits)
+        return _emit(f"{re_s} {im_s}\n", args.out)
     if err is None:
-        re_s, im_s = _format_parts(value, cfg.precision_bits)
-    if cfg.output_format == "csv":
+        re_s, im_s = _format_parts(value, args.precision_bits)
+    if args.format == "csv":
         row = f"{re_s},{im_s}," if err is None else f",,{err}"
-        code = _emit(f"re,im,err\n{row}\n", cfg.output_path)
+        code = _emit(f"re,im,err\n{row}\n", args.out)
     else:
         # doubles round-trip as JSON numbers; wider values stay decimal strings
         if err is not None:
             re_out = im_out = None
-        elif cfg.precision_bits == 53:
+        elif args.precision_bits == 53:
             re_out, im_out = float(re_s), float(im_s)
         else:
             re_out, im_out = re_s, im_s
@@ -316,36 +295,29 @@ def _cmd_eval(args) -> int:
             "im": im_out,
             "err": err,
         }
-        code = _emit(json.dumps(payload) + "\n", cfg.output_path)
+        code = _emit(json.dumps(payload) + "\n", args.out)
     return code if err is None else max(code, EVAL_ERROR)
 
 
 # -- table ----------------------------------------------------------------
 
 def _cmd_table(args) -> int:
-    # published tables need deep orbits; default to a comfortably wide
-    # working precision rather than doubles
-    cfg = _config(args, default_bits=256, default_format="text")
     method = {"fatou": "fatou1"}.get(args.method, args.method)
-    ns = _parse_n_list(args.n)
     if args.args is not None:
-        try:
-            params = tuple(float(tok) for tok in args.args.split(",") if tok)
-        except ValueError:
-            return _fail(f"bad --args list {args.args!r}")
+        params = args.args
     elif method in _TABLE_DEFAULT_ARGS:
         params = _TABLE_DEFAULT_ARGS[method]
     else:
         return _fail(f"table {args.method} requires --args")
     try:
         records = convergence_table(
-            method, params, ns, PrecisionConfig(mantissa_bits=cfg.precision_bits)
+            method, params, args.n, PrecisionConfig(mantissa_bits=args.precision_bits)
         )
     except (ValueError, SuperexpError) as exc:
         return _fail(str(exc))
-    if cfg.output_format == "csv":
-        return _emit(records_to_csv(records), cfg.output_path)
-    if cfg.output_format == "json":
+    if args.format == "csv":
+        return _emit(records_to_csv(records), args.out)
+    if args.format == "json":
         rows = []
         for rec in records:
             value, printed = format_record(rec)
@@ -353,50 +325,37 @@ def _cmd_table(args) -> int:
                 {"method": rec.method, "n": rec.n, "value": value,
                  "printed": printed, "error": rec.error}
             )
-        return _emit(json.dumps(rows) + "\n", cfg.output_path)
+        return _emit(json.dumps(rows) + "\n", args.out)
     lines = [
         f"{rec.n} {rec.error if rec.error is not None else format_record(rec)[1]}"
         for rec in records
     ]
-    return _emit("".join(line + "\n" for line in lines), cfg.output_path)
+    return _emit("".join(line + "\n" for line in lines), args.out)
 
 
 # -- map ------------------------------------------------------------------
 
-def _grid_spec(args) -> GridSpec:
-    x_min, x_max = _parse_span(args.x, "--x")
-    y_min, y_max = _parse_span(args.y, "--y")
-    try:
-        return GridSpec(x_min, x_max, y_min, y_max, args.nx, args.ny, args.cut_side)
-    except ValueError as exc:
-        raise SystemExit(_fail(str(exc)))
-
-
 def _cmd_map(args) -> int:
-    cfg = _config(args, default_format="csv")
-    grid = _grid_spec(args)
-    c = _parse_complex(args.c) if args.c is not None else None
     try:
+        constants = _constants(args.precision_bits, args.no_cache)
         result = map_grid(
-            args.fn, grid, _context(cfg), _constants(cfg), c=c, branch=args.branch
+            args.fn, args.grid, args.ctx, constants, c=args.c, branch=args.branch
         )
     except ValueError as exc:
         return _fail(str(exc))
     except SuperexpError as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
-    if cfg.output_format == "json":
-        return _emit(grid_to_json(result) + "\n", cfg.output_path)
-    return _emit(grid_to_csv(result), cfg.output_path)
+    if args.format == "json":
+        return _emit(grid_to_json(result) + "\n", args.out)
+    return _emit(grid_to_csv(result), args.out)
 
 
 # -- check ----------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    cfg = _config(args)
-    grid = _grid_spec(args)
-    ctx = _context(cfg)
+    grid = args.grid
     try:
-        constants = _constants(cfg)
+        constants = _constants(args.precision_bits, args.no_cache)
     except SuperexpError as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
     xs, ys = grid.xs(), grid.ys()
@@ -404,7 +363,7 @@ def _cmd_check(args) -> int:
     for y in ys:
         for x in xs:
             d = agreement(
-                args.kind, complex(x, y), ctx, constants,
+                args.kind, complex(x, y), args.ctx, constants,
                 clip=args.clip, cut_side=grid.cut_side,
             )
             cells.append((x, y, d))
@@ -415,7 +374,7 @@ def _cmd_check(args) -> int:
         "fraction_ge_14": sum(1 for d in finite if d >= 14.0) / len(cells),
         "unavailable": len(cells) - len(finite),
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "kind": args.kind,
             "nx": grid.nx,
@@ -429,22 +388,23 @@ def _cmd_check(args) -> int:
             ],
             "summary": summary,
         }
-        return _emit(json.dumps(payload) + "\n", cfg.output_path)
-    if cfg.output_format == "csv":
+        return _emit(json.dumps(payload) + "\n", args.out)
+    if args.format == "csv":
         lines = ["x,y,d"]
         lines += [f"{x!r},{y!r},{'' if d != d else repr(d)}" for x, y, d in cells]
         lines += [f"# {key}={value!r}" for key, value in summary.items()]
-        return _emit("\n".join(lines) + "\n", cfg.output_path)
+        return _emit("\n".join(lines) + "\n", args.out)
     text = "".join(f"{key} {value!r}\n" for key, value in summary.items())
-    return _emit(text, cfg.output_path)
+    return _emit(text, args.out)
 
 
 # -- parser ---------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision-bits", type=int, default=None,
-                   help="working mantissa bits (default 53; tables 256)")
-    p.add_argument("--format", choices=("csv", "json", "text"), default=None)
+def _add_common(p: argparse.ArgumentParser, bits: int = 53, fmt: str = "text") -> None:
+    p.add_argument("--precision-bits", default=bits,
+                   type=_checked(int, lambda b: b >= 53, "at least 53"),
+                   help="working mantissa bits (default %(default)s)")
+    p.add_argument("--format", choices=("csv", "json", "text"), default=fmt)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write the calibration cache")
@@ -476,30 +436,34 @@ def _build_parser() -> _Parser:
     p.add_argument("im", type=float, nargs="?", default=0.0)
     p.add_argument("--cut-side", choices=("above", "below"), default=None,
                    help="side resolving on-cut arguments (omit = strict)")
-    p.add_argument("--c", default=None, help="iteration count re[,im] for expc")
+    p.add_argument("--c", type=_parse_complex, default=None,
+                   help="iteration count re[,im] for expc")
     p.add_argument("--branch", choices=("lower", "upper"), default=None)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("table", help="convergence table of a limit estimator")
-    _add_common(p)
+    # published tables need deep orbits; default to a comfortably wide
+    # working precision rather than doubles
+    _add_common(p, bits=256)
     p.add_argument("method", choices=("levy", "fatou", "fatou1", "fatou2", "newton"))
-    p.add_argument("--n", required=True,
+    p.add_argument("--n", type=_parse_n_list, required=True,
                    help="inclusive orbit range first:last (empty for none)")
-    p.add_argument("--args", default=None,
+    p.add_argument("--args", type=_parse_floats, default=None,
                    help="estimator arguments, comma separated "
                         "(defaults: levy -1,1; fatou -1)")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("map", help="sample a function over a grid")
-    _add_common(p)
+    _add_common(p, fmt="csv")
     _add_tuning(p)
     p.add_argument("fn", choices=GRID_FUNCTIONS)
-    p.add_argument("--x", required=True, help="x span lo:hi")
-    p.add_argument("--y", required=True, help="y span lo:hi")
+    p.add_argument("--x", type=_parse_span, required=True, help="x span lo:hi")
+    p.add_argument("--y", type=_parse_span, required=True, help="y span lo:hi")
     p.add_argument("--nx", type=int, required=True)
     p.add_argument("--ny", type=int, required=True)
     p.add_argument("--cut-side", choices=("above", "below"), default="above")
-    p.add_argument("--c", default=None, help="iteration count re[,im] for expc")
+    p.add_argument("--c", type=_parse_complex, default=None,
+                   help="iteration count re[,im] for expc")
     p.add_argument("--branch", choices=("lower", "upper"), default=None)
     p.set_defaults(func=_cmd_map)
 
@@ -507,12 +471,13 @@ def _build_parser() -> _Parser:
     _add_common(p)
     _add_tuning(p)
     p.add_argument("kind", choices=AGREEMENT_KINDS)
-    p.add_argument("--x", required=True, help="x span lo:hi")
-    p.add_argument("--y", required=True, help="y span lo:hi")
+    p.add_argument("--x", type=_parse_span, required=True, help="x span lo:hi")
+    p.add_argument("--y", type=_parse_span, required=True, help="y span lo:hi")
     p.add_argument("--nx", type=int, default=41)
     p.add_argument("--ny", type=int, default=41)
     p.add_argument("--cut-side", choices=("above", "below"), default="above")
-    p.add_argument("--clip", type=float, default=16.0,
+    p.add_argument("--clip", type=_checked(float, lambda c: 0 < c < math.inf,
+                                           "positive and finite"), default=16.0,
                    help="digit ceiling reported for exact agreement")
     p.set_defaults(func=_cmd_check)
     return parser
@@ -521,13 +486,27 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(_normalize_argv(list(argv)))
-    if getattr(args, "superexp_terms", None) is not None and (
-        args.precision_bits or 53
-    ) > 53:
-        # above 53 bits F~ inverts the Abel series: no term count to set
-        args.parser.error("--superexp-terms applies at 53 bits only")
+    args = _build_parser().parse_args(_normalize_argv(list(argv)))
+    if "parser" in args:  # eval, map and check: the commands taking tuning flags
+        tuning = {field: getattr(args, field) for _, field, _, _ in _TUNING
+                  if getattr(args, field) is not None}
+        if "superexp_terms" in tuning and args.precision_bits > 53:
+            # above 53 bits F~ inverts the Abel series: no term count to set
+            args.parser.error("--superexp-terms applies at 53 bits only")
+        try:
+            args.ctx = EvalContext(
+                precision=PrecisionConfig(mantissa_bits=args.precision_bits), **tuning
+            )
+        except ValueError as exc:
+            message = str(exc)
+            for flag, field, _, _ in _TUNING:
+                message = message.replace(field, flag)  # name the flag, not the field
+            args.parser.error(message)
+    if "x" in args:  # map and check sample a grid
+        try:
+            args.grid = GridSpec(*args.x, *args.y, args.nx, args.ny, args.cut_side)
+        except ValueError as exc:
+            args.parser.error(str(exc))
     return args.func(args)
 
 

@@ -142,10 +142,10 @@ class EvalContext:
             raise ValueError("abel_tail_terms must be positive")
         if self.superexp_terms < 1:
             raise ValueError("superexp_terms must be positive")
-        if not self.abel_disk_radius > 0:
-            raise ValueError("abel_disk_radius must be positive")
-        if not self.superexp_re_threshold > 0:
-            raise ValueError("superexp_re_threshold must be positive")
+        if not 0 < self.abel_disk_radius < math.inf:
+            raise ValueError("abel_disk_radius must be positive and finite")
+        if not 0 < self.superexp_re_threshold < math.inf:
+            raise ValueError("superexp_re_threshold must be positive and finite")
         if self.max_recursion < 1:
             raise ValueError("max_recursion must be at least 1")
 
@@ -575,6 +575,8 @@ def _kernel(ctx: EvalContext):
     return _MPKernel(ctx)
 
 
+# one default object, shared with iteration, so the evaluators find its
+# kernel by identity
 _DEFAULT_CTX = EvalContext()
 _last_kernel = (None, None)
 

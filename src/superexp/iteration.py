@@ -25,6 +25,7 @@ from .evaluators import (
     A3,
     F1,
     F3,
+    _DEFAULT_CTX,
     CalibrationConstants,
     EvalContext,
     _sweep,
@@ -49,9 +50,6 @@ __all__ = [
 Scalar = Union[float, complex, mpmath.mpf, mpmath.mpc]
 
 _E = math.e
-
-# one default object, so the evaluators find its kernel by identity
-_DEFAULT_CTX = EvalContext()
 
 AGREEMENT_KINDS = ("d1af", "d1fa", "d3af", "d3fa", "dq1", "dq3")
 
@@ -292,9 +290,16 @@ def agreement(
         agreement (X == Y in the working precision) reports +clip.
         NaN when a constituent evaluation fails, which marks the point
         unavailable rather than poorly agreeing.
+
+    Raises
+    ------
+    ValueError
+        For an unknown kind, or a clip that is not positive and finite.
     """
     if kind not in AGREEMENT_KINDS:
         raise ValueError(f"unknown agreement kind {kind!r}")
+    if not 0 < clip < math.inf:
+        raise ValueError(f"clip must be positive and finite, not {clip!r}")
     ctx = ctx if ctx is not None else _DEFAULT_CTX
     bits = ctx.precision.mantissa_bits
     try:

@@ -81,6 +81,32 @@ class TestCommonFlags:
         if args[0] == "eval":
             assert run_cli([*args, "--superexp-terms", "20"], cache_dir).returncode == 0
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval", "F1", "0", "0", "--max-recursion", "0"],
+            ["check", "d1fa", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
+             "--abel-terms", "0"],
+            ["eval", "F1", "0", "0", "--abel-radius", "nan"],
+            ["eval", "F1", "0", "0", "--abel-radius", "inf"],
+            ["eval", "F1", "0", "0", "--re-threshold", "inf"],
+            ["map", "F1", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
+             "--superexp-terms", "0"],
+            ["check", "d1fa", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
+             "--clip", "nan"],
+            ["check", "d1fa", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
+             "--clip", "-3"],
+        ],
+    )
+    def test_bad_option_value_is_a_usage_error(self, cache_dir, args):
+        # option values are checked before any work starts: a refused one
+        # exits 1 with a usage line, never a traceback
+        proc = run_cli(args, cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "usage" in proc.stderr and args[-2] in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
     @pytest.mark.parametrize(
         "args, code",
@@ -189,7 +215,7 @@ class TestCalibrate:
 
     def test_cache_write_leaves_only_the_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path))
-        constants = cli._constants(cli.CliConfig())
+        constants = cli._constants(53, no_cache=False)
         assert [p.name for p in tmp_path.iterdir()] == ["constants-192.json"]
         payload = json.loads((tmp_path / "constants-192.json").read_text())
         assert payload == constants.as_decimal_dict()
@@ -203,7 +229,7 @@ class TestCalibrate:
 
         monkeypatch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cli.json, "dump", dump_then_fail)
-        constants = cli._constants(cli.CliConfig())
+        constants = cli._constants(53, no_cache=False)
         assert constants is default_constants(53)
         assert list(tmp_path.iterdir()) == []
 

@@ -91,6 +91,10 @@ class TestEvalContext:
             {"abel_disk_radius": 0.0},
             {"superexp_re_threshold": -1.0},
             {"max_recursion": 0},
+            {"abel_disk_radius": math.inf},
+            {"abel_disk_radius": math.nan},
+            {"superexp_re_threshold": math.inf},
+            {"superexp_re_threshold": math.nan},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

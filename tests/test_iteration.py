@@ -254,6 +254,20 @@ class TestAgreement:
     def test_clip_is_configurable(self):
         assert agreement("dq1", E, clip=8.0) == 8.0
 
+    def test_default_context_keeps_the_kernel(self):
+        # F1 and agreement default to one context object, so mixing them
+        # does not swap the evaluators' one-entry kernel cache
+        F1(0.5)
+        last = ev._last_kernel
+        agreement("d1fa", 1.0 + 1.0j)
+        assert ev._last_kernel is last
+
+    @pytest.mark.parametrize("clip", [0.0, -3.0, math.inf, math.nan])
+    def test_rejects_bad_clip(self, clip):
+        # a NaN clip once made every score NaN, a negative one every score -clip
+        with pytest.raises(ValueError):
+            agreement("d1fa", 1.0 + 1.0j, clip=clip)
+
     def test_mp_round_trip_clips(self):
         assert agreement("d1fa", 1.0 + 1.0j, CTX128) == 16.0
 
