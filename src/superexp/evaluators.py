@@ -397,6 +397,37 @@ class _DoubleKernel(_Tables):
             w = complex(w.real, 0.0)  # upper-side limit; -0.0 would flip it
         return _E * cmath.log(w)
 
+    def abel_walk(self, w: complex, plus_side: bool, side) -> tuple:
+        """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e.
+
+        One loop with the plain steps inline; the guarded cases (under-
+        and overflow, a point on the negative real axis) go through
+        exp_step and log_step, and w = 0 stops a backward walk.
+        """
+        radius, cap = self.abel_radius, self.abel_cap
+        exp, log = cmath.exp, cmath.log
+        k = 0
+        zeta = 1 - w / _E
+        while abs(zeta) >= radius:
+            if k >= cap:
+                _missed_disk(cap, zeta)
+            if plus_side:
+                if w.imag == 0.0 and w.real <= 0.0:
+                    if w == 0:
+                        _hit_zero()
+                    w = self.log_step(w, k + 1, side)
+                else:
+                    w = _E * log(w)
+                k += 1
+            elif -745.0 <= w.real / _E <= 700.0:
+                w = exp(w / _E)
+                k += 1
+            else:
+                w, advanced = self.exp_step(w, k + 1)
+                k += advanced
+            zeta = 1 - w / _E
+        return w, k, zeta
+
     def abel_series(self, zeta: complex, plus_side: bool, side):
         arg = -zeta if plus_side else zeta
         if arg.imag == 0.0 and arg.real < 0.0:
@@ -520,6 +551,28 @@ class _MPKernel(_Tables):
                 w = ctx.mpc(re, 0)  # upper-side limit
         return ctx.e * ctx.log(w)
 
+    def abel_walk(self, w, plus_side: bool, side, k: int = 0, steps=None):
+        """w walked from step k into the Abel disk: (w, k, zeta).
+
+        With `steps`, w is walked that many steps deeper instead, fewer
+        if the cap comes first.
+        """
+        e, cap = self.e(), self.abel_cap
+        zeta = 1 - w / e
+        end = None if steps is None else min(k + steps, cap)
+        while abs(zeta) >= self.abel_radius if end is None else k < end:
+            if k >= cap:
+                _missed_disk(cap, zeta)
+            if plus_side:
+                if w == 0:
+                    _hit_zero()
+                w = self.log_step(w, k + 1, side)
+            else:
+                w = self.exp_step(w, k + 1)[0]
+            k += 1
+            zeta = 1 - w / e
+        return w, k, zeta
+
     def abel_series(self, zeta, plus_side: bool, side):
         ctx = self.mp
         arg = -zeta if plus_side else zeta
@@ -595,20 +648,21 @@ def _kernel_of(ctx: EvalContext | None):
 
 # -- walk drivers, kernel-generic ----------------------------------------
 
-def _abel_step(kernel, w, k: int, plus_side: bool, side) -> tuple:
-    if plus_side:
-        if w == 0:
-            raise BranchCutError("backward orbit hit the logarithm singularity at 0")
-        return kernel.log_step(w, k + 1, side), k + 1
-    nw, advanced = kernel.exp_step(w, k + 1)
-    return nw, k + advanced
+def _missed_disk(cap: int, zeta):
+    raise NonConvergenceError(
+        f"argument did not reach the expansion disk within {cap} steps",
+        residual=float(abs(zeta)),
+    )
+
+
+def _hit_zero():
+    raise BranchCutError("backward orbit hit the logarithm singularity at 0")
 
 
 def _abel_walk(kernel, z, plus_side: bool, side, norm=None):
     # norm, when given, is subtracted from the result
-    e = kernel.e()
     w = kernel.cast(z)
-    if not plus_side and w.imag == 0 and w.real > e:
+    if not plus_side and w.imag == 0 and w.real > kernel.e():
         # the forward orbit escapes along the whole ray right of the
         # fixed point; mark the cut instead of walking into overflow.
         # The sided limit is abel2 rotated by pi/3, which exp_iterate
@@ -616,28 +670,14 @@ def _abel_walk(kernel, z, plus_side: bool, side, norm=None):
         raise BranchCutError(
             "z lies on the cut [e, inf) of the forward Abel function"
         )
-    k = 0
-    radius, cap = kernel.abel_radius, kernel.abel_cap
-    zeta = 1 - w / e
-    while abs(zeta) >= radius:
-        if k >= cap:
-            raise NonConvergenceError(
-                f"argument did not reach the expansion disk within {cap} steps",
-                residual=float(abs(zeta)),
-            )
-        w, k = _abel_step(kernel, w, k, plus_side, side)
-        zeta = 1 - w / e
+    w, k, zeta = kernel.abel_walk(w, plus_side, side)
     if zeta == 0:
         raise DomainError("branch point: the orbit landed exactly on e")
     value, last = kernel.abel_series(zeta, plus_side, side)
     retries = 3 if kernel.tripwire else 0
     while retries and last > kernel.tol * (1 + abs(value)):
         # tail not yet below target: walk deeper into the disk and resum
-        for _ in range(16):
-            if k >= cap:
-                break
-            w, k = _abel_step(kernel, w, k, plus_side, side)
-        zeta = 1 - w / e
+        w, k, zeta = kernel.abel_walk(w, plus_side, side, k, 16)
         if zeta == 0:
             raise DomainError("branch point: the orbit landed exactly on e")
         value, last = kernel.abel_series(zeta, plus_side, side)

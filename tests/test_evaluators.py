@@ -392,6 +392,81 @@ class TestCutsAndErrors:
             fn(z)
 
 
+def _stepped_walk(kernel, w, plus_side, side):
+    # the Abel walk as one guarded exp_step or log_step per step: the
+    # double kernel's one-loop walk must give its doubles and errors
+    k, zeta = 0, 1 - w / E
+    while abs(zeta) >= kernel.abel_radius:
+        if k >= kernel.abel_cap:
+            raise NonConvergenceError("cap", residual=float(abs(zeta)))
+        if plus_side:
+            if w == 0:
+                raise BranchCutError("backward orbit hit the logarithm singularity at 0")
+            w, k = kernel.log_step(w, k + 1, side), k + 1
+        else:
+            w, advanced = kernel.exp_step(w, k + 1)
+            k += advanced
+        zeta = 1 - w / E
+    return w, k, zeta
+
+
+class TestDoubleAbelWalk:
+    """The guarded cases of the 53-bit walk leave its inline loop."""
+
+    CASES = {
+        # x < -745: e^x underflows, the orbit lands at exactly 0
+        "underflow": (False, complex(-3000, 0), "above"),
+        # x > 700 with cos(y) < -0.05: two steps collapse to 0
+        "collapse": (False, complex(1905, 8.5), "above"),
+        # x > 700 with cos(y) > -0.05: the overflowing step's index
+        "overflow": (False, complex(1905, 3), "above"),
+        # a backward step on the negative real axis, with and without a side
+        "cut": (True, complex(-5, 0), "above"),
+        "cut, no side": (True, complex(-5, 0), None),
+        "zero": (True, 0j, "above"),
+    }
+
+    @staticmethod
+    def _outcome(walk, *args):
+        try:
+            return repr(walk(*args))
+        except SuperexpError as exc:
+            return type(exc), exc.args, vars(exc)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_guarded_steps_match_the_stepped_walk(self, monkeypatch, case):
+        plus_side, z, side = self.CASES[case]
+        kernel = _kernel(EvalContext())
+        guarded = []
+        for name in ("exp_step", "log_step"):
+            step = getattr(kernel, name)
+
+            def counted(*args, _step=step):
+                guarded.append(args)
+                return _step(*args)
+
+            monkeypatch.setattr(kernel, name, counted)
+        got = self._outcome(kernel.abel_walk, z, plus_side, side)
+        steps = len(guarded)
+        assert got == self._outcome(_stepped_walk, kernel, z, plus_side, side)
+        # the loop took the guarded method for the case; w = 0 needs none
+        assert (steps == 0) == (case == "zero")
+        assert steps <= 2 or case == "zero"
+
+    def test_public_values_and_errors(self):
+        # the first four walk on from the guarded step to a value
+        assert abel1(-3000) == abel1(0) - 1
+        assert abel1(complex(1905, 8.5)) == abel1(0) - 2
+        with pytest.raises(OrbitOverflowError) as info:
+            abel1(complex(1905, 3))
+        assert info.value.index == 1
+        assert abel2(-5.0).imag > 0
+        with pytest.raises(BranchCutError, match="logarithm cut"):
+            abel2(-5.0, cut_side=None)
+        with pytest.raises(BranchCutError, match="singularity at 0"):
+            abel2(0.0)
+
+
 class TestMPKernel:
     def test_f1_anchor_at_256_bits(self):
         assert mp_close(F1(0, CTX256), 1, 1e-70)
