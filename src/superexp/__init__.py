@@ -15,7 +15,6 @@ The package is organized bottom-up:
 
 from .errors import (
     BranchCutError,
-    CalibrationError,
     DomainError,
     NonConvergenceError,
     OrbitOverflowError,
@@ -85,7 +84,6 @@ __all__ = [
     "BranchCutError",
     "BranchSign",
     "CalibrationConstants",
-    "CalibrationError",
     "ConvergenceRecord",
     "DomainError",
     "EvalContext",

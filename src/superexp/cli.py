@@ -62,9 +62,6 @@ _TABLE_DEFAULT_ARGS = {"levy": (-1.0, 1.0), "fatou1": (-1.0,)}
 # eval, map and check take; calibrate and table have no use for them
 _TUNING = (
     ("--abel-terms", "abel_tail_terms", int, "override Abel tail term count"),
-    ("--superexp-terms", "superexp_terms", int,
-     "override asymptotic polynomial count (53 bits only: wider precisions"
-     " invert the Abel series)"),
     ("--abel-radius", "abel_disk_radius", float, "override expansion disk radius"),
     ("--re-threshold", "superexp_re_threshold", float,
      "override direct-summation real-part threshold"),
@@ -490,9 +487,6 @@ def main(argv=None) -> int:
     if "parser" in args:  # eval, map and check: the commands taking tuning flags
         tuning = {field: getattr(args, field) for _, field, _, _ in _TUNING
                   if getattr(args, field) is not None}
-        if "superexp_terms" in tuning and args.precision_bits > 53:
-            # above 53 bits F~ inverts the Abel series: no term count to set
-            args.parser.error("--superexp-terms applies at 53 bits only")
         try:
             args.ctx = EvalContext(
                 precision=PrecisionConfig(mantissa_bits=args.precision_bits), **tuning
@@ -502,6 +496,8 @@ def main(argv=None) -> int:
             for flag, field, _, _ in _TUNING:
                 message = message.replace(field, flag)  # name the flag, not the field
             args.parser.error(message)
+    if "c" in args and args.fn != "expc" and (args.c, args.branch) != (None, None):
+        args.parser.error("--c and --branch apply to expc only")  # eval and map
     if "x" in args:  # map and check sample a grid
         try:
             args.grid = GridSpec(*args.x, *args.y, args.nx, args.ny, args.cut_side)

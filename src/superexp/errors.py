@@ -55,15 +55,5 @@ class OrbitOverflowError(NonConvergenceError):
         self.index = index
 
 
-class CalibrationError(SuperexpError):
-    """A calibration constant could not be computed.
-
-    Nothing in the package raises it now: calibrate() takes its
-    constants from two Abel walks, whose failures raise DomainError or
-    NonConvergenceError.  The CLI exits 2 on any SuperexpError during
-    calibration.
-    """
-
-
 class PrecisionLossWarning(UserWarning):
     """Catastrophic cancellation ate most of the working digits."""

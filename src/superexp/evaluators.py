@@ -8,26 +8,23 @@ z = e of z -> e^(z/e):
   with e^(z/e), abel2 walks backward with e*log z);
 - the asymptotic F~, valid far out on either real end (superexp_tilde
   walks the functional equation until its argument is far enough out).
-  It is the inverse of the Abel series shifted by ln(2)/3, and as a
-  series in 1/z its coefficients are polynomials in log(+-z), the P_m.
+  It is the inverse of the Abel series shifted by ln(2)/3, found at the
+  base point by Newton's method on that series, so the F~ walk starts
+  where 2/z enters the Abel disk (10 steps out at 53 bits, 68 at 256).
 
 Two kernels share these drivers.  A 53-bit context runs on machine
-doubles, the hot path for grids; it uses the EvalContext tuning fields
-as given, and sums F~ by the P_m.  Wider contexts run on mpmath and
-derive their own tuning from the bit count, treating the context fields
-as one-sided limits (term counts only go up, the disk radius only goes
-down, the walk-out threshold only moves out), so a context tightened by
-hand is never silently loosened.  They build no P_m: F~ at the base
-point is found by Newton's method on the Abel series, so one tier table
-(_ABEL_TIERS) sets both walks, and the F~ walk starts where 2/z enters
-the Abel disk (68 steps out at 256 bits).  The wider kernel walks on
-values of its own mpmath context at its work bits (see
-limits.new_mp_context), never at mpmath's global precision, so neither
-that setting nor another thread changes a result; results leave as
-plain mpmath values.  It sums the Abel series and runs Newton's method
-on Python integers scaled by 2^scale, 16 bits above its work bits
-(superexp.fixed), so the walk's logarithm steps are most of an
-evaluation.
+doubles, the hot path for grids, with the EvalContext tuning fields as
+given; the walk-out threshold is a floor at every width.  Wider
+contexts run on mpmath and derive their tuning from the bit count (one
+tier table, _ABEL_TIERS, sets both walks), taking the context fields as
+one-sided limits, so a context tightened by hand is never silently
+loosened.  The wider kernel walks on values of its own mpmath context
+at its work bits (see limits.new_mp_context), never at mpmath's global
+precision, so neither that setting nor another thread changes a
+result; results leave as plain mpmath values.  It sums the Abel series
+and runs Newton's method on Python integers scaled by 2^scale, 16 bits
+above its work bits (superexp.fixed), so the walk's logarithm steps
+are most of an evaluation.
 
 Real arguments on a cut are evaluated as directional limits: `cut_side`
 picks the side ("above" everywhere by default), and None demands a
@@ -59,7 +56,9 @@ from .errors import (
 from .limits import (
     PrecisionConfig, Scalar, mp_context, mp_convert, new_mp_context, plain,
 )
-from .series import abel_expansion, exp_minus_one, superexp_polynomials
+from .series import abel_expansion, exp_minus_one
+# no evaluator calls it; the traced benchmark runs wrap it by this name
+from .series import superexp_polynomials  # noqa: F401
 
 __all__ = [
     "A1",
@@ -111,37 +110,29 @@ class EvalContext:
         Truncation of the Abel tail sum; the backward-branch evaluator
         keeps one term more.  Wider kernels take it from the bit count
         (_ABEL_TIERS) and use this field only as a floor.
-    superexp_terms : int
-        Number of log-polynomials in the asymptotic sum of the double
-        kernel, the only kernel that sums them; wider kernels find F~ by
-        inverting the Abel series and do not read this field.
     abel_disk_radius : float
         |1 - z/e| below which the Abel series is trusted.  The tail is
         divergent with a practical radius near 0.28, so values much
         above 0.25 lose accuracy fast.  Wider kernels take the smaller
         of this and their tier's radius, for the Abel walks and for F~.
     superexp_re_threshold : float
-        |Re| beyond which F~ is summed (the double kernel) or solved for
-        (wider kernels, where 2/|w| is then inside the disk); arguments
-        closer in are walked out with the functional equation.  Wider
-        kernels derive it from their radius and use this field only as
-        a floor.
+        |Re| beyond which F~ is solved for on the Abel series; arguments
+        closer in are walked out with the functional equation.  A floor
+        at every width: each kernel walks out at least until 2/|w| is
+        inside its disk radius (_walk_out), 10 at the default radius.
     max_recursion : int
         Cap on either walk.
     """
 
     precision: PrecisionConfig = PrecisionConfig(mantissa_bits=53)
     abel_tail_terms: int = 15
-    superexp_terms: int = 16
     abel_disk_radius: float = 0.25
-    superexp_re_threshold: float = 13.0
+    superexp_re_threshold: float = 10.0
     max_recursion: int = 200
 
     def __post_init__(self) -> None:
         if self.abel_tail_terms < 1:
             raise ValueError("abel_tail_terms must be positive")
-        if self.superexp_terms < 1:
-            raise ValueError("superexp_terms must be positive")
         if not 0 < self.abel_disk_radius < math.inf:
             raise ValueError("abel_disk_radius must be positive and finite")
         if not 0 < self.superexp_re_threshold < math.inf:
@@ -239,24 +230,17 @@ def _abel_tail_coeffs(n_terms: int) -> tuple:
     )
 
 
-@_prefix_table
-def _ftilde_polys(m_terms: int) -> tuple:
-    return tuple(p.coefficients for p in superexp_polynomials(m_terms).polynomials)
-
-
 class _Tables:
     """Reversed coefficient tables of a kernel, built on first use.
 
     A kernel supplies `coeff`, its rounding of one exact coefficient
     (a double, held as a complex so that Horner's rule adds complex to
     complex, or for the mpmath kernel the integer round(c * 2^scale) its
-    fixed-point sums run on), and the term counts.  Each kernel builds
-    only the exact table a call needs: the Abel walks never build the
-    P_m, and neither does the mpmath kernel's F~, which inverts the Abel
-    series.  Not a cached_property: writing the instance __dict__ slows
-    every attribute load on the hot path.  The calibrated anchors are
-    cast once per constants object, which the cache holds, so its
-    identity cannot be reused by another object.
+    fixed-point sums run on), and the term count.  Not a cached_property:
+    writing the instance __dict__ slows every attribute load on the hot
+    path.  The calibrated anchors are cast once per constants object,
+    which the cache holds, so its identity cannot be reused by another
+    object.
     """
 
     def __init__(self):
@@ -330,7 +314,6 @@ class _DoubleKernel(_Tables):
     beyond over/underflow handling in the exponential step."""
 
     bits = 53
-    tripwire = False
     tol = 0.0
 
     def __init__(self, ctx: EvalContext):
@@ -338,23 +321,12 @@ class _DoubleKernel(_Tables):
         self.abel_radius = ctx.abel_disk_radius
         self.abel_terms = ctx.abel_tail_terms
         self.abel_cap = ctx.max_recursion
-        self.threshold = ctx.superexp_re_threshold
-        self.m_terms = ctx.superexp_terms
+        self.threshold = max(ctx.superexp_re_threshold, _walk_out(self.abel_radius))
         self.walk_cap = ctx.max_recursion
-        self.bump = 0
-        self._polys = None
 
     def coeff(self, c: Fraction) -> complex:
         # z + c rounds as z + float(c) does, minus the mixed-type add
         return complex(float(c))
-
-    def polys_rev(self) -> tuple:
-        if self._polys is None:
-            self._polys = tuple(
-                tuple(map(self.coeff, reversed(p)))
-                for p in reversed(_ftilde_polys(self.m_terms))
-            )
-        return self._polys
 
     def e(self) -> float:
         return _E
@@ -400,31 +372,26 @@ class _DoubleKernel(_Tables):
     def abel_walk(self, w: complex, plus_side: bool, side) -> tuple:
         """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e.
 
-        One loop with the plain steps inline; the guarded cases (under-
-        and overflow, a point on the negative real axis) go through
-        exp_step and log_step, and w = 0 stops a backward walk.
+        The plain steps run inline; exp_step and log_step take the
+        guarded ones (past -745 or 700, on the negative real axis).
         """
-        radius, cap = self.abel_radius, self.abel_cap
-        exp, log = cmath.exp, cmath.log
-        k = 0
-        zeta = 1 - w / _E
+        radius, cap, exp, log = self.abel_radius, self.abel_cap, cmath.exp, cmath.log
+        k, zeta = 0, 1 - w / _E
         while abs(zeta) >= radius:
             if k >= cap:
                 _missed_disk(cap, zeta)
-            if plus_side:
-                if w.imag == 0.0 and w.real <= 0.0:
-                    if w == 0:
-                        _hit_zero()
-                    w = self.log_step(w, k + 1, side)
+            if not plus_side:
+                if -745.0 <= w.real / _E <= 700.0:
+                    w, k = exp(w / _E), k + 1
                 else:
-                    w = _E * log(w)
-                k += 1
-            elif -745.0 <= w.real / _E <= 700.0:
-                w = exp(w / _E)
-                k += 1
+                    w, advanced = self.exp_step(w, k + 1)
+                    k += advanced
+            elif w.imag or w.real > 0.0:
+                w, k = _E * log(w), k + 1
+            elif w == 0:
+                raise BranchCutError("backward orbit hit the logarithm singularity at 0")
             else:
-                w, advanced = self.exp_step(w, k + 1)
-                k += advanced
+                w, k = self.log_step(w, k + 1, side), k + 1
             zeta = 1 - w / _E
         return w, k, zeta
 
@@ -448,16 +415,28 @@ class _DoubleKernel(_Tables):
         return logpart / 3.0 + 2.0 / zeta + acc * zeta, 0.0
 
     def ftilde_series(self, z: complex, branch: BranchSign):
-        # e (1 - (2/z)(1 + sum_m P_m(t) (3z)^-m)); the log sign is the branch
-        t = -cmath.log(z if branch is BranchSign.minus else -z)
-        w = 1.0 / (3.0 * z)
-        s = 0j
-        for coeffs in self.polys_rev():
-            pv = 0j
+        """F~ = e(1 - 2/w) at a base point, w - log(+-w)/3 + tail(2/w) = z.
+
+        Newton's method from w = z + log(+-z)/3, at most 4 steps, until
+        a step is below 1e-9 |w|: the error then is about its square.
+        g'(w) = 1 - zeta/6 - (zeta^2/2) tail'(zeta) at zeta = 2/w, with
+        tail(zeta) = zeta t(zeta) and t' summed beside t.
+        """
+        plus = branch is BranchSign.plus
+        coeffs, log = self.tail_rev(plus), cmath.log
+        w = z + (log(-z) if plus else log(z)) / 3.0
+        for _ in range(4):
+            zeta = 2.0 / w
+            t = dt = 0j
             for c in coeffs:
-                pv = pv * t + c
-            s = (s + pv) * w
-        return _E * (1.0 - (2.0 / z) * (1.0 + s)), 0.0
+                dt = dt * zeta + t
+                t = t * zeta + c
+            g = w - (log(-w) if plus else log(w)) / 3.0 + zeta * t - z
+            step = g / (1.0 - zeta / 6.0 - 0.5 * zeta * zeta * (t + zeta * dt))
+            w -= step
+            if abs(step) < 1e-9 * abs(w):
+                break
+        return _E * (1.0 - 2.0 / w), 0.0
 
 
 # fraction bits of the fixed-point series sums above the work bits
@@ -474,8 +453,6 @@ class _MPKernel(_Tables):
     F~ solved for on them: the argument is converted once per call, and
     a real argument returns an mpf.
     """
-
-    tripwire = True
 
     def __init__(self, ctx: EvalContext):
         super().__init__()
@@ -552,25 +529,17 @@ class _MPKernel(_Tables):
         return ctx.e * ctx.log(w)
 
     def abel_walk(self, w, plus_side: bool, side, k: int = 0, steps=None):
-        """w walked from step k into the Abel disk: (w, k, zeta).
-
-        With `steps`, w is walked that many steps deeper instead, fewer
-        if the cap comes first.
-        """
+        """w walked from step k into the Abel disk, or `steps` steps
+        deeper (fewer if the cap comes first): (w, k, zeta)."""
         e, cap = self.e(), self.abel_cap
-        zeta = 1 - w / e
-        end = None if steps is None else min(k + steps, cap)
-        while abs(zeta) >= self.abel_radius if end is None else k < end:
+        end, zeta = cap if steps is None else min(k + steps, cap), 1 - w / e
+        while abs(zeta) >= self.abel_radius if steps is None else k < end:
             if k >= cap:
                 _missed_disk(cap, zeta)
-            if plus_side:
-                if w == 0:
-                    _hit_zero()
-                w = self.log_step(w, k + 1, side)
-            else:
-                w = self.exp_step(w, k + 1)[0]
-            k += 1
-            zeta = 1 - w / e
+            if plus_side and w == 0:
+                raise BranchCutError("backward orbit hit the logarithm singularity at 0")
+            w = self.log_step(w, k + 1, side) if plus_side else self.exp_step(w, k + 1)[0]
+            k, zeta = k + 1, 1 - w / e
         return w, k, zeta
 
     def abel_series(self, zeta, plus_side: bool, side):
@@ -655,10 +624,6 @@ def _missed_disk(cap: int, zeta):
     )
 
 
-def _hit_zero():
-    raise BranchCutError("backward orbit hit the logarithm singularity at 0")
-
-
 def _abel_walk(kernel, z, plus_side: bool, side, norm=None):
     # norm, when given, is subtracted from the result
     w = kernel.cast(z)
@@ -671,24 +636,20 @@ def _abel_walk(kernel, z, plus_side: bool, side, norm=None):
             "z lies on the cut [e, inf) of the forward Abel function"
         )
     w, k, zeta = kernel.abel_walk(w, plus_side, side)
-    if zeta == 0:
-        raise DomainError("branch point: the orbit landed exactly on e")
-    value, last = kernel.abel_series(zeta, plus_side, side)
-    retries = 3 if kernel.tripwire else 0
-    while retries and last > kernel.tol * (1 + abs(value)):
-        # tail not yet below target: walk deeper into the disk and resum
-        w, k, zeta = kernel.abel_walk(w, plus_side, side, k, 16)
+    for retry in range(4):
+        if retry:
+            # tail not yet below target: walk deeper into the disk and resum
+            w, k, zeta = kernel.abel_walk(w, plus_side, side, k, 16)
         if zeta == 0:
             raise DomainError("branch point: the orbit landed exactly on e")
         value, last = kernel.abel_series(zeta, plus_side, side)
-        retries -= 1
-    if last > kernel.tol * (1 + abs(value)):
-        raise NonConvergenceError(
-            "Abel tail above the target accuracy after three retries",
-            residual=float(last),
-        )
-    value = value + k if plus_side else value - k
-    return value if norm is None else value - norm
+        if not last > kernel.tol * (1 + abs(value)):
+            value = value + k if plus_side else value - k
+            return value if norm is None else value - norm
+    raise NonConvergenceError(
+        "Abel tail above the target accuracy after three retries",
+        residual=float(last),
+    )
 
 
 class _Failure:
@@ -781,7 +742,7 @@ def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None, chains=None):
     if shared and not last > kernel.tol:
         chains[base] = chain = [value]
         return _walk_chain(kernel, chain, k, minus, side)
-    retries = 3 if kernel.tripwire else 0
+    retries = 3
     while retries and last > kernel.tol:
         k += kernel.bump
         base = w0 + k if minus else w0 - k
@@ -953,9 +914,9 @@ def superexp_tilde(
     """Asymptotic super-exponential on one branch, walked into range.
 
     F~ is e*(1 - (2/z)(1 + sum_m P_m(t)/(3z)^m)) with t = -log(z) on
-    the minus branch and t = -log(-z) on the plus branch; the double
-    kernel sums it so, wider kernels solve abel(F~(z)) = z + ln(2)/3 on
-    the Abel series (abel1's for minus, abel2's for plus).  Arguments
+    the minus branch and t = -log(-z) on the plus branch; every kernel
+    finds it by solving abel(F~(z)) = z + ln(2)/3 on the Abel series
+    (abel1's for minus, abel2's for plus).  Arguments
     inside the trusted region are first walked out along the functional
     equation (minus: up then e*log back down; plus: down then e^(./e)
     back up).

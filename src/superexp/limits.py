@@ -601,6 +601,10 @@ def _printed(method: str, n: int, value) -> str:
     return mpmath.nstr(real, 12)
 
 
+# the fewest and the most estimator arguments each table method takes
+_ARITY = {"levy": (2, 2), "fatou1": (1, 1), "fatou2": (2, 2), "newton": (2, 3)}
+
+
 def convergence_table(
     method: str,
     args: Sequence[Scalar],
@@ -618,8 +622,18 @@ def convergence_table(
     ``newton`` args (u, t) or (u, t, base_map): partial sums with n terms.
 
     Failed rows are recorded with an error tag instead of aborting the
-    remaining rows.
+    remaining rows.  An unknown method, or a count of `args` the method
+    does not take, raises ValueError.
     """
+    if method not in _ARITY:
+        raise ValueError(f"unknown method {method!r}")
+    fewest, most = _ARITY[method]
+    if not fewest <= len(args) <= most:
+        takes = f"{fewest}" if fewest == most else f"{fewest} or {most}"
+        raise ValueError(
+            f"{method} takes {takes} argument{'s' if most > 1 else ''},"
+            f" got {len(args)}"
+        )
     ns = list(n_list)
     if sorted(ns) != ns:
         raise ValueError("n_list must be ascending")
@@ -671,23 +685,21 @@ def convergence_table(
                 records.append(ConvergenceRecord(n, None, method, exc.code))
         return records
 
-    if method == "newton":
-        u, t = args[0], args[1]
-        base_map = args[2] if len(args) > 2 else "h"
-        for n in ns:
-            row_cfg = PrecisionConfig(
-                mantissa_bits=cfg.mantissa_bits,
-                max_iterations=cfg.max_iterations,
-                series_terms=n,
-            )
-            try:
-                res = newton_superfunction(u, t, row_cfg, base_map=base_map)
-                records.append(ConvergenceRecord(n, res.value, method))
-            except SuperexpError as exc:
-                records.append(ConvergenceRecord(n, None, method, exc.code))
-        return records
-
-    raise ValueError(f"unknown method {method!r}")
+    # newton
+    u, t = args[0], args[1]
+    base_map = args[2] if len(args) > 2 else "h"
+    for n in ns:
+        row_cfg = PrecisionConfig(
+            mantissa_bits=cfg.mantissa_bits,
+            max_iterations=cfg.max_iterations,
+            series_terms=n,
+        )
+        try:
+            res = newton_superfunction(u, t, row_cfg, base_map=base_map)
+            records.append(ConvergenceRecord(n, res.value, method))
+        except SuperexpError as exc:
+            records.append(ConvergenceRecord(n, None, method, exc.code))
+    return records
 
 
 def format_record(

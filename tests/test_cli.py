@@ -66,20 +66,28 @@ class TestCommonFlags:
     @pytest.mark.parametrize(
         "args",
         [
-            ["eval", "F1", "0.5", "0"],
-            ["map", "F3", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2"],
-            ["check", "d1fa", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2"],
+            ["eval", "F1", "0.5", "0", "--c", "0.5"],
+            ["eval", "A3", "5", "1", "--branch", "lower"],
+            ["map", "F3", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
+             "--c", "0.5,1"],
+            ["map", "A1", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
+             "--branch", "upper"],
         ],
     )
-    def test_superexp_terms_only_at_53_bits(self, cache_dir, args):
-        # wider kernels invert the Abel series and have no term count to
-        # tune, so the flag is refused there instead of being ignored
-        proc = run_cli([*args, "--superexp-terms", "20", "--precision-bits", "64"], cache_dir)
+    def test_iteration_flags_only_for_expc(self, cache_dir, args):
+        # F1, F3, A1 and A3 take no iteration count or branch: refused
+        # instead of being ignored
+        proc = run_cli(args, cache_dir)
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert "usage" in proc.stderr and "--superexp-terms" in proc.stderr
-        if args[0] == "eval":
-            assert run_cli([*args, "--superexp-terms", "20"], cache_dir).returncode == 0
+        assert "usage" in proc.stderr
+        assert "--c and --branch apply to expc only" in proc.stderr
+        assert run_cli(args[:-2], cache_dir).returncode == 0
+
+    def test_iteration_flags_for_expc(self, cache_dir):
+        proc = run_cli(["eval", "expc", "0.5", "0", "--c", "0.5", "--branch", "lower"],
+                       cache_dir)
+        assert proc.returncode == 0 and proc.stderr == ""
 
     @pytest.mark.parametrize(
         "args",
@@ -91,7 +99,7 @@ class TestCommonFlags:
             ["eval", "F1", "0", "0", "--abel-radius", "inf"],
             ["eval", "F1", "0", "0", "--re-threshold", "inf"],
             ["map", "F1", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
-             "--superexp-terms", "0"],
+             "--abel-radius", "0"],
             ["check", "d1fa", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
              "--clip", "nan"],
             ["check", "d1fa", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
@@ -426,6 +434,21 @@ class TestTable:
             "19.3641", "36.3040", "87.5968", "504.5483", "15711774.8197",
             "overflow", "overflow",
         ]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["levy", "--args", ""], "levy takes 2 arguments, got 0"),
+            (["levy", "--args", "1"], "levy takes 2 arguments, got 1"),
+            (["fatou", "--args", "1,2"], "fatou1 takes 1 argument, got 2"),
+            (["newton", "--args", "1"], "newton takes 2 or 3 arguments, got 1"),
+        ],
+    )
+    def test_wrong_argument_count(self, cache_dir, args, message):
+        proc = run_cli(["table", *args, "--n", "1:3"], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"superexp: {message}\n"
 
     def test_empty_range(self, cache_dir):
         proc = run_cli(["table", "levy", "--n", ""], cache_dir)

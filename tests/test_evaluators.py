@@ -7,6 +7,7 @@ against the limit-formula estimators in `limits` appear at the end.
 
 import cmath
 import math
+import random
 import sys
 import threading
 from functools import lru_cache
@@ -78,16 +79,16 @@ class TestEvalContext:
         ctx = EvalContext()
         assert ctx.precision.mantissa_bits == 53
         assert ctx.abel_tail_terms == 15
-        assert ctx.superexp_terms == 16
         assert ctx.abel_disk_radius == 0.25
-        assert ctx.superexp_re_threshold == 13.0
+        # _walk_out(0.25): 2/w is then inside the Abel disk
+        assert ctx.superexp_re_threshold == 10.0 == ev._walk_out(0.25)
         assert ctx.max_recursion == 200
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"abel_tail_terms": 0},
-            {"superexp_terms": 0},
+            {"superexp_re_threshold": 0.0},
             {"abel_disk_radius": 0.0},
             {"superexp_re_threshold": -1.0},
             {"max_recursion": 0},
@@ -333,10 +334,10 @@ class TestCutsAndErrors:
     def test_f3_overflow_carries_first_bad_step(self):
         with pytest.raises(OrbitOverflowError) as info:
             F3(23)
-        assert info.value.index == 16
+        assert info.value.index == 13
         with pytest.raises(OrbitOverflowError) as info2:
             F3(40)
-        assert info2.value.index == 16
+        assert info2.value.index == 13
 
     def test_walk_cap(self):
         with pytest.raises(NonConvergenceError):
@@ -465,6 +466,38 @@ class TestDoubleAbelWalk:
             abel2(-5.0, cut_side=None)
         with pytest.raises(BranchCutError, match="singularity at 0"):
             abel2(0.0)
+
+
+class TestDoubleAccuracy:
+    """53-bit F1 and F3 against 128 bits over the boxes of test_07."""
+
+    BOXES = {
+        "F1": ((-1.5, 8, -8, 8), (-3, 3, -6, 6), (-1, 6, 0.1, 6)),
+        "F3": ((-6, 5, -8, 8), (-1, 6, 0.1, 6)),
+    }
+    # measured maxima of the relative error: F1 2.9e-14 at -2.08-0.50i,
+    # next to F1's pole at -2, and F3 1.5e-16 (with the P_m sum that the
+    # Newton F~ replaced: 4.3e-14 and 1.5e-16).  Each bound is twice
+    # its maximum, and not below 16 units in the last place, the room a
+    # libm that rounds exp and log otherwise needs
+    MEASURED = {"F1": 2.9e-14, "F3": 1.5e-16}
+
+    @pytest.mark.parametrize("fn", ["F1", "F3"])
+    def test_relative_error_against_128_bits(self, fn):
+        f = {"F1": F1, "F3": F3}[fn]
+        ctx128 = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
+        rng = random.Random(20260814)
+        worst, at = 0.0, None
+        for x0, x1, y0, y1 in self.BOXES[fn]:
+            for _ in range(100):
+                z = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
+                want = complex(f(z, ctx128))
+                err = abs(f(z) - want) / abs(want)
+                if err > worst:
+                    worst, at = err, z
+        bound = max(2 * self.MEASURED[fn], 2.0**-49)
+        print(f"{fn}: max relative error {worst:.2e} at {at}, bound {bound:.2e}")
+        assert worst <= bound
 
 
 class TestMPKernel:
@@ -672,9 +705,8 @@ class TestLazyTables:
                 return _build(*args)
 
             monkeypatch.setattr(ev, name, counted)
-        for name in ("_abel_tail_coeffs", "_ftilde_polys"):
-            fresh = ev._prefix_table(getattr(ev, name).__wrapped__)
-            monkeypatch.setattr(ev, name, fresh)
+        fresh = ev._prefix_table(ev._abel_tail_coeffs.__wrapped__)
+        monkeypatch.setattr(ev, "_abel_tail_coeffs", fresh)
         monkeypatch.setattr(ev, "_kernel", lru_cache(maxsize=None)(ev._kernel.__wrapped__))
         return counts
 
@@ -686,19 +718,14 @@ class TestLazyTables:
         assert build(49)[:48] == build(48)
         assert build(65)[:16] == build(16)
 
-    def test_ftilde_polys_prefix(self):
-        # P_1..P_m do not depend on how many polynomials are built
-        build = ev._ftilde_polys.__wrapped__
-        assert build(28)[:16] == build(16)
-
     def test_tables_are_built_once_longest_first(self, calls):
         # a tier-192 calibration builds the 65-term Abel tail and no P_m;
-        # the 53-bit tables are then a prefix of the tail and one P_m build
+        # the 53-bit tail is then a prefix of it
         calibrate()
         assert calls == {"abel_expansion": 1, "superexp_polynomials": 0}
         A1(-1, EvalContext(), CC)
         F1(0.5, EvalContext(), CC)
-        assert calls == {"abel_expansion": 1, "superexp_polynomials": 1}
+        assert calls == {"abel_expansion": 1, "superexp_polynomials": 0}
 
     @pytest.mark.parametrize("bits", [53, 128])
     def test_abel_walks_build_only_the_abel_tail(self, calls, bits):
@@ -710,13 +737,12 @@ class TestLazyTables:
         A3(5 + 1j, ctx, CC)
         assert calls == {"abel_expansion": 1, "superexp_polynomials": 0}
 
-    @pytest.mark.parametrize("bits", [53])
-    def test_superexp_builds_only_the_polynomials(self, calls, bits):
-        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
-        F1(0.5, ctx, CC)
-        F3(0.5 + 1j, ctx, CC)
-        superexp_tilde(-30, "plus", ctx)
-        assert calls == {"abel_expansion": 0, "superexp_polynomials": 1}
+    def test_53_bit_superexp_builds_no_polynomials(self, calls):
+        # the double kernel finds F~ by Newton's method on the Abel tail
+        F1(0.5, EvalContext(), CC)
+        F3(0.5 + 1j, EvalContext(), CC)
+        superexp_tilde(-30, "plus")
+        assert calls == {"abel_expansion": 1, "superexp_polynomials": 0}
 
     @pytest.mark.parametrize("bits", [128, 256])
     def test_wide_superexp_builds_only_the_abel_tail(self, calls, bits):
@@ -796,12 +822,12 @@ class TestPerCallCaches:
     @pytest.fixture
     def cases(self, monkeypatch):
         # (fn, z, ctx, constants) over two constants objects and three
-        # contexts: two equal but distinct, one with other term counts;
+        # contexts: two equal but distinct, one with another tail length;
         # then the mpmath paths: A1 and F1 at 128 and 320 bits and a
         # 128-bit ratio probe
         perturbed = dict(CC.as_decimal_dict(), x1="2.79824815")
         cc = (CC, CalibrationConstants.from_decimal_dict(perturbed))
-        ctxs = (EvalContext(), EvalContext(), EvalContext(superexp_terms=12, abel_tail_terms=12))
+        ctxs = (EvalContext(), EvalContext(), EvalContext(abel_tail_terms=12))
         cases = [
             (fn, z, ctx, c)
             for ctx in ctxs for c in cc for fn in self.FNS for z in self.POINTS

@@ -12,7 +12,6 @@ from mpmath import mp
 
 from superexp.errors import (
     BranchCutError,
-    CalibrationError,
     DomainError,
     NonConvergenceError,
     OrbitOverflowError,
@@ -340,7 +339,6 @@ class TestErrorCodes:
             (DomainError, "domain"),
             (OrbitOverflowError, "overflow"),
             (NonConvergenceError, "nonconv"),
-            (CalibrationError, "nonconv"),
             (SuperexpError, "nonconv"),
         ],
     )
@@ -412,10 +410,13 @@ class TestMapGrid:
 class TestDoubleBitIdentity:
     """The 53-bit sweep keeps its doubles when its per-call work moves.
 
-    The digests were recorded before the double kernel's per-call
-    overhead was cut (cast anchors, one kernel lookup per context, the
-    hoisted walk step) and pin every value, error code and score
-    bit for bit: ``repr`` of a double round-trips exactly.  They hold for
+    The digests pin every value, error code and score bit for bit:
+    ``repr`` of a double round-trips exactly.  They were recorded before
+    the double kernel's per-call overhead was cut (cast anchors, one
+    kernel lookup per context, the hoisted walk step, each Abel walk in
+    one loop), and again when F~ moved from the P_m sum to Newton's
+    method on the Abel series, which moves the F1 and F3 doubles
+    (TestDoubleAccuracy checks those against 128 bits).  They hold for
     a libm that rounds exp, log and atan2 as glibc does on x86-64.
     """
 
@@ -434,7 +435,7 @@ class TestDoubleBitIdentity:
                 digest.update(repr((fn, r.values, r.errors)).encode())
         assert codes == {None, "cut", "overflow", "nonconv"}
         assert digest.hexdigest() == (
-            "f1a626a966acb6f161b922ac7189daa7492cfefe39348aafb508cd4e54403932"
+            "e8ab7f9a222ad6dc8ba80ac2dc443595cd22dc861d2fa828573a4cf122d4b54b"
         )
 
     def test_agreement_digest(self):
@@ -447,7 +448,7 @@ class TestDoubleBitIdentity:
         assert {16.0, -16.0} & {s for *_, s in scores} == {16.0}
         assert any(math.isnan(s) for *_, s in scores)
         assert hashlib.sha256(repr(scores).encode()).hexdigest() == (
-            "dcb38c9c006d187234b6f53ea9fe07d5de4e0e56820ee8d52d746f23c8f435db"
+            "5aebbf6748bbacc94de2417dbbe202e8f916fba53b45f1bd57cc10c2e4609077"
         )
 
 
@@ -539,7 +540,8 @@ class TestSharedWalks:
         else:
             starts = [x + float(constants.x3) for x in grid.xs()]
             unwalked = sum(w + threshold < 0 for w in starts)
-        assert len(calls) == unwalked * grid.ny < grid.nx * grid.ny / 2
+        assert len(calls) == unwalked * grid.ny
+        assert 0 < unwalked < grid.nx  # some columns walk, some do not
 
     def test_memo_holds_one_row(self, monkeypatch):
         # a base's imaginary part is the row's plus the anchor's, so no

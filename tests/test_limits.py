@@ -346,6 +346,23 @@ class TestConvergenceTable:
         with pytest.raises(ValueError):
             convergence_table("simpson", (-1, 1), [3], CFG256)
 
+    @pytest.mark.parametrize(
+        "method, args, message",
+        [
+            ("levy", (), "levy takes 2 arguments, got 0"),
+            ("levy", (-1, 1, 2), "levy takes 2 arguments, got 3"),
+            ("fatou1", (), "fatou1 takes 1 argument, got 0"),
+            ("fatou2", (5,), "fatou2 takes 2 arguments, got 1"),
+            ("newton", (0.5,), "newton takes 2 or 3 arguments, got 1"),
+            ("newton", (0.5, 1, "h", 2), "newton takes 2 or 3 arguments, got 4"),
+        ],
+    )
+    def test_rejects_a_wrong_argument_count(self, method, args, message):
+        # checked before any orbit runs, also for an empty n range
+        for ns in ([3], []):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                convergence_table(method, args, ns, CFG256)
+
     def test_levy_rows_match_individual_calls(self):
         rows = convergence_table("levy", (-1, 1), [100, 101, 102], CFG256)
         for rec in rows:
