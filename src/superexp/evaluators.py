@@ -375,7 +375,8 @@ class _DoubleKernel(_Tables):
         The plain steps run inline; exp_step and log_step take the
         guarded ones (past -745 or 700, on the negative real axis).
         """
-        radius, cap, exp, log = self.abel_radius, self.abel_cap, cmath.exp, cmath.log
+        radius, cap = self.abel_radius, self.abel_cap
+        exp, log = cmath.exp, cmath.log
         k, zeta = 0, 1 - w / _E
         while abs(zeta) >= radius:
             if k >= cap:
@@ -532,8 +533,9 @@ class _MPKernel(_Tables):
         """w walked from step k into the Abel disk, or `steps` steps
         deeper (fewer if the cap comes first): (w, k, zeta)."""
         e, cap = self.e(), self.abel_cap
-        end, zeta = cap if steps is None else min(k + steps, cap), 1 - w / e
-        while abs(zeta) >= self.abel_radius if steps is None else k < end:
+        end = cap if steps is None else min(k + steps, cap)
+        zeta = 1 - w / e
+        while (abs(zeta) >= self.abel_radius) if steps is None else (k < end):
             if k >= cap:
                 _missed_disk(cap, zeta)
             if plus_side and w == 0:

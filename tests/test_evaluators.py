@@ -476,10 +476,9 @@ class TestDoubleAccuracy:
         "F3": ((-6, 5, -8, 8), (-1, 6, 0.1, 6)),
     }
     # measured maxima of the relative error: F1 2.9e-14 at -2.08-0.50i,
-    # next to F1's pole at -2, and F3 1.5e-16 (with the P_m sum that the
-    # Newton F~ replaced: 4.3e-14 and 1.5e-16).  Each bound is twice
-    # its maximum, and not below 16 units in the last place, the room a
-    # libm that rounds exp and log otherwise needs
+    # next to F1's pole at -2, and F3 1.5e-16.  Each bound is twice its
+    # maximum, and not below 16 units in the last place, the room a libm
+    # that rounds exp and log otherwise needs
     MEASURED = {"F1": 2.9e-14, "F3": 1.5e-16}
 
     @pytest.mark.parametrize("fn", ["F1", "F3"])
