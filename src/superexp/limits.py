@@ -685,21 +685,21 @@ def convergence_table(
                 records.append(ConvergenceRecord(n, None, method, exc.code))
         return records
 
-    # newton
-    u, t = args[0], args[1]
-    base_map = args[2] if len(args) > 2 else "h"
-    for n in ns:
-        row_cfg = PrecisionConfig(
-            mantissa_bits=cfg.mantissa_bits,
-            max_iterations=cfg.max_iterations,
-            series_terms=n,
-        )
-        try:
-            res = newton_superfunction(u, t, row_cfg, base_map=base_map)
-            records.append(ConvergenceRecord(n, res.value, method))
-        except SuperexpError as exc:
-            records.append(ConvergenceRecord(n, None, method, exc.code))
-    return records
+    if method == "newton":
+        u, t = args[0], args[1]
+        base_map = args[2] if len(args) > 2 else "h"
+        for n in ns:
+            row_cfg = PrecisionConfig(
+                mantissa_bits=cfg.mantissa_bits,
+                max_iterations=cfg.max_iterations,
+                series_terms=n,
+            )
+            try:
+                res = newton_superfunction(u, t, row_cfg, base_map=base_map)
+                records.append(ConvergenceRecord(n, res.value, method))
+            except SuperexpError as exc:
+                records.append(ConvergenceRecord(n, None, method, exc.code))
+        return records
 
 
 def format_record(

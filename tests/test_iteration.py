@@ -411,11 +411,12 @@ class TestDoubleBitIdentity:
     """The 53-bit sweep keeps its doubles when its per-call work moves.
 
     The digests pin every value, error code and score bit for bit:
-    ``repr`` of a double round-trips exactly.  They were recorded before
-    the double kernel's per-call overhead was cut (cast anchors, one
-    kernel lookup per context, the hoisted walk step, each Abel walk in
-    one loop), and again when F~ moved from the P_m sum to Newton's
-    method on the Abel series, which moves the F1 and F3 doubles
+    ``repr`` of a double round-trips exactly.  The first pair was
+    recorded before the double kernel's per-call overhead was cut (cast
+    anchors, one kernel lookup per context, the hoisted walk step, each
+    Abel walk in one loop) and held through each of those cuts; this
+    pair was recorded when F~ moved from the P_m sum to Newton's method
+    on the Abel series, which moves the F1 and F3 doubles
     (TestDoubleAccuracy checks those against 128 bits).  They hold for
     a libm that rounds exp, log and atan2 as glibc does on x86-64.
     """
