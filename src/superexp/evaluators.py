@@ -18,13 +18,13 @@ given; the walk-out threshold is a floor at every width.  Wider
 contexts run on mpmath and derive their tuning from the bit count (one
 tier table, _ABEL_TIERS, sets both walks), taking the context fields as
 one-sided limits, so a context tightened by hand is never silently
-loosened.  The wider kernel walks on values of its own mpmath context
-at its work bits (see limits.new_mp_context), never at mpmath's global
-precision, so neither that setting nor another thread changes a
-result; results leave as plain mpmath values.  It sums the Abel series
-and runs Newton's method on Python integers scaled by 2^scale, 16 bits
-above its work bits (superexp.fixed), so the walk's logarithm steps
-are most of an evaluation.
+loosened.  The wider kernel computes on Python integers scaled by
+2^scale, 16 bits above its work bits (superexp.fixed): it walks on them,
+sums the Abel series and runs Newton's method.  A walk leaves them only
+for a step out of their range, taken on a value of the kernel's own
+mpmath context at its work bits (see limits.new_mp_context), never at
+mpmath's global precision, so neither that setting nor another thread
+changes a result; results leave as plain mpmath values.
 
 Real arguments on a cut are evaluated as directional limits: `cut_side`
 picks the side ("above" everywhere by default), and None demands a
@@ -369,6 +369,47 @@ class _DoubleKernel(_Tables):
             w = complex(w.real, 0.0)  # upper-side limit; -0.0 would flip it
         return _E * cmath.log(w)
 
+    # a walk state is the double itself
+    @staticmethod
+    def state(w: complex) -> complex:
+        return w
+
+    value = state
+
+    def step(self, w: complex, idx: int, backward: bool, side):
+        """One guarded step of a shared walk: (value, steps consumed)."""
+        if backward:
+            return self.log_step(w, idx, side), 1
+        return self.exp_step(w, idx)
+
+    def walk(self, w: complex, k: int, minus: bool, side) -> complex:
+        """F~'s value w walked k steps, backward if minus.
+
+        The steps and errors of _walk_chain, inline: routing a cell
+        through a chain of its own cost grid53 about 3% of its pass.
+        """
+        if minus:
+            for j in range(k):
+                if w == 0:
+                    raise BranchCutError(
+                        f"walk hit the singular value 0 after {j} of {k}"
+                        " inverse steps"
+                    )
+                w = self.log_step(w, j + 1, side)
+            return w
+        j = 0
+        while j < k:
+            w, advanced = self.exp_step(w, j + 1)
+            j += advanced
+            if j > k:
+                # the requested index falls on the unrepresentable
+                # intermediate value
+                raise OrbitOverflowError(
+                    "forward step overflows at the target index",
+                    index=j - advanced + 1,
+                )
+        return w
+
     def abel_walk(self, w: complex, plus_side: bool, side) -> tuple:
         """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e.
 
@@ -447,12 +488,13 @@ _SCALE_GUARD = 16
 class _MPKernel(_Tables):
     """mpmath evaluation up to _MAX_BITS, tuning derived from the bit count.
 
-    The walks step on values of the kernel's own context `mp` at the
-    work bits (bits + 32).  Threads share a kernel, so it calls only
-    functions that leave that context's precision alone.  The Abel
-    series is summed by Horner's rule on integers scaled by 2^scale, and
-    F~ solved for on them: the argument is converted once per call, and
-    a real argument returns an mpf.
+    The walks step on integers scaled by 2^scale (see step), the Abel
+    series is summed by Horner's rule on them and F~ solved for on them:
+    the argument is converted once per call, and a real argument
+    returns an mpf.  A step out of the integers' range takes a value of
+    the kernel's own context `mp` at the work bits (bits + 32).  Threads
+    share a kernel, so it calls only functions that leave that
+    context's precision alone, and builds its constants up front.
     """
 
     def __init__(self, ctx: EvalContext):
@@ -479,6 +521,9 @@ class _MPKernel(_Tables):
         self.walk_cap = max(ctx.max_recursion, int(self.threshold) + 64)
         self.bump = max(8, int(self.threshold) // 8)
         self.tol = self.mp.mpf(2) ** (4 - self.bits)
+        # built here, not on first use: threads share a kernel
+        self._steps = fixed.WalkSteps(self.scale, self.abel_radius)
+        self._underflow = -self.scale * math.log(2)
 
     def coeff(self, c: Fraction) -> int:
         # the series sums run on integers scaled by 2^scale
@@ -511,10 +556,15 @@ class _MPKernel(_Tables):
     def exp_step(self, w, idx: int):
         ctx = self.mp
         e = +ctx.e
-        if ctx.re(w) / e > 1e8:
+        x = ctx.re(w) / e
+        if x > 1e8:
             raise OrbitOverflowError(
                 "e^(z/e) escape threshold exceeded", index=idx
             )
+        if x < self._underflow:
+            # e^x is below 2^-scale: the orbit lands at exactly 0, as in
+            # the double kernel, before exp reduces a phase of huge size
+            return (ctx.mpf(0) if isinstance(w, ctx.mpf) else ctx.mpc(0)), 1
         return ctx.exp(w / e), 1
 
     def log_step(self, w, idx: int, side):
@@ -529,20 +579,56 @@ class _MPKernel(_Tables):
                 w = ctx.mpc(re, 0)  # upper-side limit
         return ctx.e * ctx.log(w)
 
+    # A walk state is an integer state of fixed.WalkSteps while the value
+    # is in its range, else the value itself.  A zero state is a value.
+
+    def state(self, w):
+        real = isinstance(w, self.mp.mpf)
+        s = self._steps.enter((w._mpf_,) if real else w._mpc_)
+        return w if s is None else s
+
+    def value(self, s):
+        if type(s) is not tuple:
+            return s
+        wr, wi = s
+        return self._unfix(wr) if wi is None else self._unfix_pair(wr, wi)
+
+    def step(self, s, idx: int, backward: bool, side):
+        """One guarded step of a walk state: (state, 1).
+
+        A state in range steps on integers; one out of range, and a
+        backward step on the cut, take exp_step or log_step on the value
+        and re-enter the range.
+        """
+        w = s
+        if type(s) is tuple:
+            t = self._steps.step(s, backward)
+            if t is not None:
+                return (t if t[0] or t[1] else self.value(t)), 1
+            w = self.value(s)
+        w = self.log_step(w, idx, side) if backward else self.exp_step(w, idx)[0]
+        return self.state(w), 1
+
     def abel_walk(self, w, plus_side: bool, side, k: int = 0, steps=None):
         """w walked from step k into the Abel disk, or `steps` steps
         deeper (fewer if the cap comes first): (w, k, zeta)."""
-        e, cap = self.e(), self.abel_cap
+        cap = self.abel_cap
         end = cap if steps is None else min(k + steps, cap)
-        zeta = 1 - w / e
-        while (abs(zeta) >= self.abel_radius) if steps is None else (k < end):
+        s = self.state(w)
+        # the disk lies inside the integer range: a value state is outside
+        outside = self._steps.outside
+        while (type(s) is not tuple or outside(s)) if steps is None else k < end:
             if k >= cap:
-                _missed_disk(cap, zeta)
-            if plus_side and w == 0:
+                _missed_disk(cap, 1 - self.value(s) / self.e())
+            if plus_side and s == 0:
                 raise BranchCutError("backward orbit hit the logarithm singularity at 0")
-            w = self.log_step(w, k + 1, side) if plus_side else self.exp_step(w, k + 1)[0]
-            k, zeta = k + 1, 1 - w / e
-        return w, k, zeta
+            s, k = self.step(s, k + 1, plus_side, side)[0], k + 1
+        w = self.value(s)
+        return w, k, 1 - w / self.e()
+
+    def walk(self, w, k: int, minus: bool, side):
+        """F~'s value w walked k steps, backward if minus (_walk_chain)."""
+        return _walk_chain(self, [self.state(w)], k, minus, side)
 
     def abel_series(self, zeta, plus_side: bool, side):
         ctx = self.mp
@@ -676,43 +762,34 @@ class _Failure:
 def _walk_chain(kernel, chain: list, k: int, minus: bool, side):
     """The walk's value after k steps from the base point of `chain`.
 
-    chain[j] is the value after j steps (chain[0] is F~ at the base),
-    extended here as far as k needs.  A step that raised is stored as a
-    _Failure: at the end of the chain it fails every later step too; in
-    the middle it is an exponential step's unrepresentable intermediate
-    value, which fails only a walk that ends on it.  The steps and their
-    errors are those of the per-cell loop in _ftilde_eval.
+    chain[j] is the kernel's walk state after j steps (chain[0] is F~
+    at the base), extended here by kernel.step as far as k needs.  A
+    step that raised is stored as a _Failure: at the end of the chain it
+    fails every later step too; in the middle it is an exponential
+    step's unrepresentable intermediate value, which fails only a walk
+    that ends on it.  A kernel's walk of one cell gives the same.
     """
     j = len(chain) - 1
     w = chain[j]
     while j < k and not isinstance(w, _Failure):
-        if minus:
-            if w == 0:
-                raise BranchCutError(
-                    f"walk hit the singular value 0 after {j} of {k}"
-                    " inverse steps"
-                )
-            try:
-                w = kernel.log_step(w, j + 1, side)
-            except SuperexpError as exc:
-                w = _Failure(exc)
-            chain.append(w)
-            j += 1
-        else:
-            try:
-                w, advanced = kernel.exp_step(w, j + 1)
-            except SuperexpError as exc:
-                w, advanced = _Failure(exc), 1
-            if advanced == 2:
-                chain.append(_Failure(OrbitOverflowError(
-                    "forward step overflows at the target index", index=j + 1
-                )))
-            chain.append(w)
-            j += advanced
+        if minus and w == 0:
+            raise BranchCutError(
+                f"walk hit the singular value 0 after {j} of {k} inverse steps"
+            )
+        try:
+            w, advanced = kernel.step(w, j + 1, minus, side)
+        except SuperexpError as exc:
+            w, advanced = _Failure(exc), 1
+        if advanced == 2:
+            chain.append(_Failure(OrbitOverflowError(
+                "forward step overflows at the target index", index=j + 1
+            )))
+        chain.append(w)
+        j += advanced
     w = chain[min(k, len(chain) - 1)]
     if isinstance(w, _Failure):
         raise w.error()
-    return w
+    return kernel.value(w)
 
 
 def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None, chains=None):
@@ -742,7 +819,7 @@ def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None, chains=None):
             return _walk_chain(kernel, chain, k, minus, side)
     value, last = kernel.ftilde_series(base, branch)
     if shared and not last > kernel.tol:
-        chains[base] = chain = [value]
+        chains[base] = chain = [kernel.state(value)]
         return _walk_chain(kernel, chain, k, minus, side)
     retries = 3
     while retries and last > kernel.tol:
@@ -755,28 +832,7 @@ def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None, chains=None):
             "asymptotic tail above the target accuracy after three retries",
             residual=float(last),
         )
-    w = value
-    if minus:
-        for j in range(k):
-            if w == 0:
-                raise BranchCutError(
-                    f"walk hit the singular value 0 after {j} of {k}"
-                    " inverse steps"
-                )
-            w = kernel.log_step(w, j + 1, side)
-    else:
-        j = 0
-        while j < k:
-            w, advanced = kernel.exp_step(w, j + 1)
-            j += advanced
-            if j > k:
-                # the requested index falls on the unrepresentable
-                # intermediate value
-                raise OrbitOverflowError(
-                    "forward step overflows at the target index",
-                    index=j - advanced + 1,
-                )
-    return w
+    return kernel.walk(value, k, minus, side)
 
 
 # -- cut-side plumbing ----------------------------------------------------

@@ -4,14 +4,20 @@ A real number x at scale s is the Python integer x * 2^s, rounded or
 truncated; a complex one is a pair of them.  The kernel sums the Abel series by
 Horner's rule on such integers, and finds F~ at a base point by Newton's
 method on them (`invert_abel`), at scales that double up to its own, so
-that only the last two or three sums run at full width.
+that only the last two or three sums run at full width.  Its walks step
+on them too (`WalkSteps`).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-from mpmath.libmp import from_man_exp, mpc_log, to_fixed
+from mpmath.libmp import (
+    e_fixed, fzero, ln2_fixed, mpc_log, mpf_atan2, mpf_log,
+    mpf_log_hypot, pi_fixed, to_fixed,
+)
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .errors import NonConvergenceError
 
@@ -28,6 +34,17 @@ def pair(x, scale: int) -> tuple:
     if hasattr(x, "_mpf_"):
         return to_fixed(x._mpf_, scale), 0
     return tuple(to_fixed(part, scale) for part in x._mpc_)
+
+
+def _raw(m: int, scale: int) -> tuple:
+    # the raw mpf of m * 2^-scale, as from_man_exp makes it, whose bit
+    # count takes a float log from 300 bits: a tenth of a walk's log step
+    if not m:
+        return fzero
+    sign, m = (1, -m) if m < 0 else (0, m)
+    zeros = (m & -m).bit_length() - 1
+    m >>= zeros
+    return sign, m, zeros - scale, m.bit_length()
 
 
 def horner_complex(coeffs, xr: int, xi: int, scale: int) -> tuple:
@@ -98,7 +115,7 @@ def invert_abel(zr: int, zi: int, plan: tuple, plus: bool) -> tuple:
         lr, li = (
             to_fixed(part, s)
             for part in mpc_log(
-                (from_man_exp(sign * wr, -s), from_man_exp(sign * wi, -s)), s + 8
+                (_raw(sign * wr, s), _raw(sign * wi, s)), s + 8
             )
         )
         tr, ti = horner_complex(tail, qr, qi, s)
@@ -121,3 +138,66 @@ def invert_abel(zr: int, zi: int, plan: tuple, plus: bool) -> tuple:
         "Newton's method for F~ did not settle",
         residual=math.hypot(step_r / (1 << S), step_i / (1 << S)),
     )
+
+
+class WalkSteps:
+    """Steps of z -> e^(z/e) and of its inverse e log z at one scale.
+
+    A walk state is (re, im) at the scale, im None for a real one.  It
+    is in range while each part of w/e is below 64, so that the
+    reductions of exp and cos/sin stay within a few units, and some part
+    of w is at least 2^-32, so that the resolution 2^-scale is at most
+    2^(32 - scale) of |w|.  The constants are built once, here.
+    """
+
+    def __init__(self, scale: int, radius: float):
+        self.scale = scale
+        self.e = e_fixed(scale)
+        self.inv_e = (1 << 2 * scale) // self.e
+        self.ln2, self.pi2 = ln2_fixed(scale), pi_fixed(scale - 1)
+        # the Abel disk |1 - w/e| < radius is |e - w|^2 < (e r)^2 at 2 scale
+        self.r2 = int((self.e * Fraction(radius)) ** 2)
+        self.low, self.top = 1 << (scale - 32), 64 * self.e
+
+    def enter(self, parts):
+        """The state of raw mpf parts (one for a real value), or None
+        when it is out of range."""
+        # exponent + bit count above 8 is a part of 256 or more: out of
+        # range, and converting it could make a huge integer
+        if all(p[2] + p[3] <= 8 for p in parts):
+            ints = [to_fixed(p, self.scale) for p in parts]
+            if self.low <= max(map(abs, ints)) < self.top:
+                return ints[0], (ints[1] if len(ints) > 1 else None)
+        return None
+
+    def step(self, state: tuple, backward: bool):
+        """e^(w/e), or e log w if backward, as a state; None for a state
+        out of range and for a backward step on the cut (im 0, re <= 0).
+
+        log|w| and arg w are taken on raw mpfs 8 bits past the scale, so
+        that |log w| < 256 is within a unit of it.
+        """
+        wr, wi = state
+        if not self.low <= max(abs(wr), abs(wi or 0)) < self.top:
+            return None
+        S = self.scale
+        if not backward:
+            v = exp_fixed((wr * self.inv_e) >> S, S, self.ln2)
+            if wi is None:
+                return v, None
+            c, s = cos_sin_fixed((wi * self.inv_e) >> S, S, self.pi2)
+            return (v * c) >> S, (v * s) >> S
+        if not (wi or wr > 0):
+            return None
+        prec, a = S + 8, _raw(wr, S)
+        if wi is None:
+            return (to_fixed(mpf_log(a, prec), S) * self.e) >> S, None
+        b = _raw(wi, S)
+        lr = to_fixed(mpf_log_hypot(a, b, prec, "n"), S)
+        li = to_fixed(mpf_atan2(b, a, prec, "n"), S)
+        return (lr * self.e) >> S, (li * self.e) >> S
+
+    def outside(self, state: tuple) -> bool:
+        """Whether the state is outside the Abel disk."""
+        dr, wi = self.e - state[0], state[1] or 0
+        return dr * dr + wi * wi >= self.r2

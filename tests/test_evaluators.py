@@ -7,7 +7,9 @@ against the limit-formula estimators in `limits` appear at the end.
 
 import cmath
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 from functools import lru_cache
@@ -395,8 +397,10 @@ class TestCutsAndErrors:
 
 def _stepped_walk(kernel, w, plus_side, side):
     # the Abel walk as one guarded exp_step or log_step per step: the
-    # double kernel's one-loop walk must give its doubles and errors
-    k, zeta = 0, 1 - w / E
+    # double kernel's one-loop walk must give its doubles and errors, and
+    # the mpmath kernel's walk on integers its values and errors
+    e = kernel.e()
+    k, zeta = 0, 1 - w / e
     while abs(zeta) >= kernel.abel_radius:
         if k >= kernel.abel_cap:
             raise NonConvergenceError("cap", residual=float(abs(zeta)))
@@ -407,8 +411,22 @@ def _stepped_walk(kernel, w, plus_side, side):
         else:
             w, advanced = kernel.exp_step(w, k + 1)
             k += advanced
-        zeta = 1 - w / E
+        zeta = 1 - w / e
     return w, k, zeta
+
+
+def _count_guarded_steps(monkeypatch, kernel) -> list:
+    # the arguments of every exp_step and log_step the kernel takes
+    guarded = []
+    for name in ("exp_step", "log_step"):
+        step = getattr(kernel, name)
+
+        def counted(*args, _step=step):
+            guarded.append(args)
+            return _step(*args)
+
+        monkeypatch.setattr(kernel, name, counted)
+    return guarded
 
 
 class TestDoubleAbelWalk:
@@ -438,15 +456,7 @@ class TestDoubleAbelWalk:
     def test_guarded_steps_match_the_stepped_walk(self, monkeypatch, case):
         plus_side, z, side = self.CASES[case]
         kernel = _kernel(EvalContext())
-        guarded = []
-        for name in ("exp_step", "log_step"):
-            step = getattr(kernel, name)
-
-            def counted(*args, _step=step):
-                guarded.append(args)
-                return _step(*args)
-
-            monkeypatch.setattr(kernel, name, counted)
+        guarded = _count_guarded_steps(monkeypatch, kernel)
         got = self._outcome(kernel.abel_walk, z, plus_side, side)
         steps = len(guarded)
         assert got == self._outcome(_stepped_walk, kernel, z, plus_side, side)
@@ -466,6 +476,83 @@ class TestDoubleAbelWalk:
             abel2(-5.0, cut_side=None)
         with pytest.raises(BranchCutError, match="singularity at 0"):
             abel2(0.0)
+
+
+# a forward step from it lands on -1.4e14135207 - 1.9e14135207i, whose
+# exponential mpmath cannot reduce in any reasonable time; the walk from
+# it runs only in a child process with a time limit
+HUGE_STEP = complex(54.92774447567895, -20.944745652533463)
+
+
+class TestWideAbelWalk:
+    """The mpmath kernel walks on integers at its scale and leaves them
+    for the guarded exp_step and log_step: the same outcome as a walk
+    stepped by those alone, within 2^-(bits+16)."""
+
+    CASES = {
+        # (backward, argument, cut side, guarded steps taken)
+        "cut": (True, -5.0, "above", 1),
+        "cut, no side": (True, -5.0, None, 1),
+        "zero": (True, 0.0, "above", 0),
+        # e log 1 is exactly 0, which the next step must refuse
+        "one": (True, 1.0, "above", 0),
+        # e^(60/e) is past the integer range; its step overflows, index 2
+        "overflow": (False, complex(60, 0.5), "above", 1),
+        # e^(-3000/e) is below 2^-scale: it lands at 0, then steps to 1
+        "underflow": (False, -3000.0, "above", 2),
+        "real forward": (False, 1.0, "above", 0),
+        "real backward": (True, 3.0, "above", 0),
+        "forward": (False, complex(0.5, 0.5), "above", 0),
+        "backward": (True, complex(5, 1), "above", 0),
+    }
+
+    @staticmethod
+    def _outcome(walk, *args):
+        try:
+            return walk(*args)
+        except SuperexpError as exc:
+            return type(exc), exc.args, vars(exc)
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    @pytest.mark.parametrize("case", CASES)
+    def test_guarded_steps_match_the_stepped_walk(self, monkeypatch, bits, case):
+        plus_side, z, side, guarded = self.CASES[case]
+        kernel = ev._MPKernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
+        w = kernel.cast(z)
+        want = self._outcome(_stepped_walk, kernel, w, plus_side, side)
+        steps = _count_guarded_steps(monkeypatch, kernel)
+        got = self._outcome(kernel.abel_walk, w, plus_side, side)
+        assert len(steps) == guarded
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        (gw, gk, gzeta), (ww, wk, wzeta) = got, want
+        assert gk == wk
+        assert type(gw) is type(ww) and type(gzeta) is type(wzeta)
+        assert abs(gw - ww) <= abs(ww) * kernel.mp.mpf(2) ** -(bits + 16)
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    @pytest.mark.parametrize("fn", ["abel1", "A1"])
+    def test_huge_negative_step_lands_at_zero(self, fn, bits):
+        # the step past -1.4e14135207 lands at exactly 0, as the 53-bit
+        # walk's does, instead of running for minutes in mpmath's exp: in a
+        # child process, which a time limit can stop inside a long integer
+        # operation
+        code = (
+            "from superexp.evaluators import EvalContext, {fn}\n"
+            "from superexp.limits import PrecisionConfig\n"
+            "ctx = EvalContext(precision=PrecisionConfig(mantissa_bits={bits}))\n"
+            "print(repr(complex({fn}({z!r}, ctx))))\n"
+        ).format(fn=fn, bits=bits, z=HUGE_STEP)
+        src = os.path.dirname(os.path.dirname(ev.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        value = complex(proc.stdout)
+        assert abs(value - getattr(ev, fn)(HUGE_STEP)) < 1e-13
 
 
 class TestDoubleAccuracy:
@@ -822,8 +909,8 @@ class TestPerCallCaches:
     def cases(self, monkeypatch):
         # (fn, z, ctx, constants) over two constants objects and three
         # contexts: two equal but distinct, one with another tail length;
-        # then the mpmath paths: A1 and F1 at 128 and 320 bits and a
-        # 128-bit ratio probe
+        # then the mpmath paths: each evaluator at 128 and 320 bits (walks
+        # both ways, both Abel tails) and a 128-bit ratio probe
         perturbed = dict(CC.as_decimal_dict(), x1="2.79824815")
         cc = (CC, CalibrationConstants.from_decimal_dict(perturbed))
         ctxs = (EvalContext(), EvalContext(), EvalContext(abel_tail_terms=12))
@@ -835,7 +922,7 @@ class TestPerCallCaches:
             ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
             cases += [
                 (fn, z, ctx, default_constants(bits))
-                for fn in (A1, F1) for z in self.WIDE_POINTS
+                for fn in self.FNS for z in self.WIDE_POINTS
             ]
         cases += [(self._levy, z, None, None) for z in (-0.5 + 0.3j, -0.75 - 0.5j)]
         cold = []
