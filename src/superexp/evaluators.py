@@ -377,38 +377,10 @@ class _DoubleKernel(_Tables):
     value = state
 
     def step(self, w: complex, idx: int, backward: bool, side):
-        """One guarded step of a shared walk: (value, steps consumed)."""
+        """One guarded step of an F~ walk: (value, steps consumed)."""
         if backward:
             return self.log_step(w, idx, side), 1
         return self.exp_step(w, idx)
-
-    def walk(self, w: complex, k: int, minus: bool, side) -> complex:
-        """F~'s value w walked k steps, backward if minus.
-
-        The steps and errors of _walk_chain, inline: routing a cell
-        through a chain of its own cost grid53 about 3% of its pass.
-        """
-        if minus:
-            for j in range(k):
-                if w == 0:
-                    raise BranchCutError(
-                        f"walk hit the singular value 0 after {j} of {k}"
-                        " inverse steps"
-                    )
-                w = self.log_step(w, j + 1, side)
-            return w
-        j = 0
-        while j < k:
-            w, advanced = self.exp_step(w, j + 1)
-            j += advanced
-            if j > k:
-                # the requested index falls on the unrepresentable
-                # intermediate value
-                raise OrbitOverflowError(
-                    "forward step overflows at the target index",
-                    index=j - advanced + 1,
-                )
-        return w
 
     def abel_walk(self, w: complex, plus_side: bool, side) -> tuple:
         """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e.
@@ -626,10 +598,6 @@ class _MPKernel(_Tables):
         w = self.value(s)
         return w, k, 1 - w / self.e()
 
-    def walk(self, w, k: int, minus: bool, side):
-        """F~'s value w walked k steps, backward if minus (_walk_chain)."""
-        return _walk_chain(self, [self.state(w)], k, minus, side)
-
     def abel_series(self, zeta, plus_side: bool, side):
         ctx = self.mp
         arg = -zeta if plus_side else zeta
@@ -767,7 +735,7 @@ def _walk_chain(kernel, chain: list, k: int, minus: bool, side):
     step that raised is stored as a _Failure: at the end of the chain it
     fails every later step too; in the middle it is an exponential
     step's unrepresentable intermediate value, which fails only a walk
-    that ends on it.  A kernel's walk of one cell gives the same.
+    that ends on it.  A cell that shares no walk has a chain of its own.
     """
     j = len(chain) - 1
     w = chain[j]
@@ -832,7 +800,7 @@ def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None, chains=None):
             "asymptotic tail above the target accuracy after three retries",
             residual=float(last),
         )
-    return kernel.walk(value, k, minus, side)
+    return _walk_chain(kernel, [kernel.state(value)], k, minus, side)
 
 
 # -- cut-side plumbing ----------------------------------------------------

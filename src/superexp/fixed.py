@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from mpmath.libmp import (
-    e_fixed, fzero, ln2_fixed, mpc_log, mpf_atan2, mpf_log,
+    e_fixed, from_man_exp, ln2_fixed, mpc_log, mpf_atan2, mpf_log,
     mpf_log_hypot, pi_fixed, to_fixed,
 )
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
@@ -34,17 +34,6 @@ def pair(x, scale: int) -> tuple:
     if hasattr(x, "_mpf_"):
         return to_fixed(x._mpf_, scale), 0
     return tuple(to_fixed(part, scale) for part in x._mpc_)
-
-
-def _raw(m: int, scale: int) -> tuple:
-    # the raw mpf of m * 2^-scale, as from_man_exp makes it, whose bit
-    # count takes a float log from 300 bits: a tenth of a walk's log step
-    if not m:
-        return fzero
-    sign, m = (1, -m) if m < 0 else (0, m)
-    zeros = (m & -m).bit_length() - 1
-    m >>= zeros
-    return sign, m, zeros - scale, m.bit_length()
 
 
 def horner_complex(coeffs, xr: int, xi: int, scale: int) -> tuple:
@@ -115,7 +104,7 @@ def invert_abel(zr: int, zi: int, plan: tuple, plus: bool) -> tuple:
         lr, li = (
             to_fixed(part, s)
             for part in mpc_log(
-                (_raw(sign * wr, s), _raw(sign * wi, s)), s + 8
+                (from_man_exp(sign * wr, -s), from_man_exp(sign * wi, -s)), s + 8
             )
         )
         tr, ti = horner_complex(tail, qr, qi, s)
@@ -147,7 +136,10 @@ class WalkSteps:
     is in range while each part of w/e is below 64, so that the
     reductions of exp and cos/sin stay within a few units, and some part
     of w is at least 2^-32, so that the resolution 2^-scale is at most
-    2^(32 - scale) of |w|.  The constants are built once, here.
+    2^(32 - scale) of |w|.  A forward step stays on the integers only
+    while Re w/e >= -31 ln 2, which keeps its value in range: below
+    that, e^(w/e) at a resolution of 2^-scale would lose a bit for
+    each halving.  The constants are built once, here.
     """
 
     def __init__(self, scale: int, radius: float):
@@ -158,6 +150,7 @@ class WalkSteps:
         # the Abel disk |1 - w/e| < radius is |e - w|^2 < (e r)^2 at 2 scale
         self.r2 = int((self.e * Fraction(radius)) ** 2)
         self.low, self.top = 1 << (scale - 32), 64 * self.e
+        self.floor = -((31 * self.ln2 * self.e) >> scale)
 
     def enter(self, parts):
         """The state of raw mpf parts (one for a real value), or None
@@ -172,7 +165,8 @@ class WalkSteps:
 
     def step(self, state: tuple, backward: bool):
         """e^(w/e), or e log w if backward, as a state; None for a state
-        out of range and for a backward step on the cut (im 0, re <= 0).
+        out of range, for a forward step from Re w/e below -31 ln 2 and
+        for a backward step on the cut (im 0, re <= 0).
 
         log|w| and arg w are taken on raw mpfs 8 bits past the scale, so
         that |log w| < 256 is within a unit of it.
@@ -182,6 +176,8 @@ class WalkSteps:
             return None
         S = self.scale
         if not backward:
+            if wr < self.floor:
+                return None
             v = exp_fixed((wr * self.inv_e) >> S, S, self.ln2)
             if wi is None:
                 return v, None
@@ -189,10 +185,10 @@ class WalkSteps:
             return (v * c) >> S, (v * s) >> S
         if not (wi or wr > 0):
             return None
-        prec, a = S + 8, _raw(wr, S)
+        prec, a = S + 8, from_man_exp(wr, -S)
         if wi is None:
             return (to_fixed(mpf_log(a, prec), S) * self.e) >> S, None
-        b = _raw(wi, S)
+        b = from_man_exp(wi, -S)
         lr = to_fixed(mpf_log_hypot(a, b, prec, "n"), S)
         li = to_fixed(mpf_atan2(b, a, prec, "n"), S)
         return (lr * self.e) >> S, (li * self.e) >> S

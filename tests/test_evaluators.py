@@ -500,6 +500,8 @@ class TestWideAbelWalk:
         "overflow": (False, complex(60, 0.5), "above", 1),
         # e^(-3000/e) is below 2^-scale: it lands at 0, then steps to 1
         "underflow": (False, -3000.0, "above", 2),
+        # e^(-132/e) is 2^-70, too small a value for the integers' resolution
+        "tiny": (False, complex(-132, 0.5), "above", 2),
         "real forward": (False, 1.0, "above", 0),
         "real backward": (True, 3.0, "above", 0),
         "forward": (False, complex(0.5, 0.5), "above", 0),
@@ -715,6 +717,18 @@ class TestTermTiers:
             for z in points:
                 gap = rel_bits(fn(z, CTX256, cc), fn(z, ctx384, ref))
                 assert gap < -256, (fn.__name__, z, gap)
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_tiny_forward_value_against_416_bits(self, bits):
+        # F3 there is e^(F3(z - 1)/e) with F3(z - 1) about -131.9, so
+        # |F3(z)| is 2^-70: a forward step to it on integers at the
+        # kernel's scale would keep only scale - 70 bits of it.  Measured
+        # 2^-135.9 (128 bits), 2^-269.4 (256 bits)
+        z = complex(22.189129, 0.426712)
+        ref = F3(z, EvalContext(precision=PrecisionConfig(mantissa_bits=416)))
+        assert 2.0**-71 < abs(ref) < 2.0**-69
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        assert rel_bits(F3(z, ctx), ref) < -bits
 
     def test_tier_320_anchor_against_384_bits(self):
         # measured 2^-326
