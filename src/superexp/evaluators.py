@@ -495,7 +495,6 @@ class _MPKernel(_Tables):
         self.tol = self.mp.mpf(2) ** (4 - self.bits)
         # built here, not on first use: threads share a kernel
         self._steps = fixed.WalkSteps(self.scale, self.abel_radius)
-        self._underflow = -self.scale * math.log(2)
 
     def coeff(self, c: Fraction) -> int:
         # the series sums run on integers scaled by 2^scale
@@ -533,9 +532,10 @@ class _MPKernel(_Tables):
             raise OrbitOverflowError(
                 "e^(z/e) escape threshold exceeded", index=idx
             )
-        if x < self._underflow:
-            # e^x is below 2^-scale: the orbit lands at exactly 0, as in
-            # the double kernel, before exp reduces a phase of huge size
+        if x < -1e8:
+            # the orbit lands at exactly 0, as the double kernel's does
+            # below -745: an imaginary part of such a size would take exp
+            # minutes to reduce, and a smaller e^x is still an mpf value
             return (ctx.mpf(0) if isinstance(w, ctx.mpf) else ctx.mpc(0)), 1
         return ctx.exp(w / e), 1
 

@@ -498,8 +498,11 @@ class TestWideAbelWalk:
         "one": (True, 1.0, "above", 0),
         # e^(60/e) is past the integer range; its step overflows, index 2
         "overflow": (False, complex(60, 0.5), "above", 1),
-        # e^(-3000/e) is below 2^-scale: it lands at 0, then steps to 1
-        "underflow": (False, -3000.0, "above", 2),
+        # e^(-3000/e) is 2^-1592, far below the integers' range: it steps
+        # on an mpf, then to 1
+        "tiny far": (False, -3000.0, "above", 2),
+        # e^(-3e8/e) lands at exactly 0, then steps to 1
+        "underflow": (False, -3e8, "above", 2),
         # e^(-132/e) is 2^-70, too small a value for the integers' resolution
         "tiny": (False, complex(-132, 0.5), "above", 2),
         "real forward": (False, 1.0, "above", 0),
@@ -719,14 +722,17 @@ class TestTermTiers:
                 assert gap < -256, (fn.__name__, z, gap)
 
     @pytest.mark.parametrize("bits", [128, 256])
-    def test_tiny_forward_value_against_416_bits(self, bits):
-        # F3 there is e^(F3(z - 1)/e) with F3(z - 1) about -131.9, so
-        # |F3(z)| is 2^-70: a forward step to it on integers at the
-        # kernel's scale would keep only scale - 70 bits of it.  Measured
-        # 2^-135.9 (128 bits), 2^-269.4 (256 bits)
-        z = complex(22.189129, 0.426712)
+    @pytest.mark.parametrize(
+        "z, size", [(complex(22.189129, 0.426712), 70), (complex(22.30486, 0.259239), 530)]
+    )
+    def test_tiny_forward_value_against_416_bits(self, bits, z, size):
+        # F3(z) is e^(F3(z - 1)/e) with F3(z - 1) about -131.9 and -1000,
+        # so |F3(z)| is 2^-size: a forward step to it on integers at the
+        # kernel's scale (bits + 48) would keep only scale - 70 bits of
+        # the first and none of the second.  Measured 2^-135.9 and
+        # 2^-135.1 (128 bits), 2^-269.4 and 2^-265.1 (256 bits)
         ref = F3(z, EvalContext(precision=PrecisionConfig(mantissa_bits=416)))
-        assert 2.0**-71 < abs(ref) < 2.0**-69
+        assert 2.0 ** -(size + 1) < abs(ref) < 2.0 ** -(size - 1)
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
         assert rel_bits(F3(z, ctx), ref) < -bits
 
