@@ -377,9 +377,15 @@ class _DoubleKernel(_Tables):
     value = state
 
     def step(self, w: complex, idx: int, backward: bool, side):
-        """One guarded step of an F~ walk: (value, steps consumed)."""
+        """One step of an F~ walk: (value, steps consumed).  The plain
+        steps run inline, as in abel_walk; exp_step and log_step take
+        the guarded ones."""
         if backward:
+            if w.imag or w.real > 0.0:
+                return _E * cmath.log(w), 1
             return self.log_step(w, idx, side), 1
+        if -745.0 <= w.real / _E <= 700.0:
+            return cmath.exp(w / _E), 1
         return self.exp_step(w, idx)
 
     def abel_walk(self, w: complex, plus_side: bool, side) -> tuple:
@@ -739,7 +745,9 @@ def _walk_chain(kernel, chain: list, k: int, minus: bool, side):
     """
     j = len(chain) - 1
     w = chain[j]
-    while j < k and not isinstance(w, _Failure):
+    if isinstance(w, _Failure):
+        j = k  # the chain steps no further
+    while j < k:
         if minus and w == 0:
             raise BranchCutError(
                 f"walk hit the singular value 0 after {j} of {k} inverse steps"
@@ -747,7 +755,8 @@ def _walk_chain(kernel, chain: list, k: int, minus: bool, side):
         try:
             w, advanced = kernel.step(w, j + 1, minus, side)
         except SuperexpError as exc:
-            w, advanced = _Failure(exc), 1
+            chain.append(_Failure(exc))
+            break
         if advanced == 2:
             chain.append(_Failure(OrbitOverflowError(
                 "forward step overflows at the target index", index=j + 1
