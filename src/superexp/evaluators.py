@@ -540,8 +540,9 @@ class _MPKernel(_Tables):
             )
         if x < -1e8:
             # the orbit lands at exactly 0, as the double kernel's does
-            # below -745: an imaginary part of such a size would take exp
-            # minutes to reduce, and a smaller e^x is still an mpf value
+            # below -745: such a w comes from a step off a huge value, its
+            # imaginary part is about as large, and exp could take
+            # minutes to reduce it.  Above this, e^x is an mpf to keep
             return (ctx.mpf(0) if isinstance(w, ctx.mpf) else ctx.mpc(0)), 1
         return ctx.exp(w / e), 1
 

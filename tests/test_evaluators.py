@@ -723,7 +723,9 @@ class TestTermTiers:
 
     @pytest.mark.parametrize("bits", [128, 256])
     @pytest.mark.parametrize(
-        "z, size", [(complex(22.189129, 0.426712), 70), (complex(22.30486, 0.259239), 530)]
+        "z, size",
+        [(complex(22.189129, 0.426712), 70), (complex(22.30486, 0.259239), 530)],
+        ids=["2^-70", "2^-530"],
     )
     def test_tiny_forward_value_against_416_bits(self, bits, z, size):
         # F3(z) is e^(F3(z - 1)/e) with F3(z - 1) about -131.9 and -1000,
