@@ -11,6 +11,12 @@ iterates, the iterative logarithm solving the Julia equation, the Abel
 expansion obtained by integrating 1/j, and the log-polynomials P_m of
 the super-exponential asymptotic, read off the formal inverse of that
 Abel expansion shifted by ln(2)/3.
+
+The Abel tail that the wide kernels sum is the costly build: 96 terms
+need the powers (e^x - 1)^k through x^100.  Those come from the
+Stirling numbers of the second kind, (e^x - 1)^k = k! sum_P S(P, k)
+x^P / P!, as one triangle of integers over the denominator 100!, not
+from repeated series products.
 """
 
 from __future__ import annotations
@@ -274,11 +280,42 @@ def _append(p: tuple, c: Fraction) -> tuple:
     return _rescaled(p, den) + [c.numerator * (den // c.denominator)], den
 
 
+def _exp_power_table(N: int, top: int) -> tuple:
+    """iterative_logarithm's tables for e^x - 1, over L = top!.
+
+    C(P, k) = P! [x^P] (e^x - 1)^k = k! S(P, k), S the Stirling numbers
+    of the second kind, obeys C(P, k) = k (C(P-1, k-1) + C(P-1, k)) from
+    C(0, 0) = 1; so L [x^P] h^k = C(P, k) top!/P! for k < N and P <= top,
+    and L [x^i] h' = top!/i!.
+    """
+    scale = [1] * (top + 1)  # top!/P!
+    for P in range(top, 0, -1):
+        scale[P - 1] = scale[P] * P
+    H = [[0] * (top + 1) for _ in range(N)]
+    row = [1]  # C(P, k) for k <= min(P, N - 1)
+    for P in range(1, top + 1):
+        row = [0] + [
+            k * (row[k - 1] + row[k]) if k < len(row) else k * row[k - 1]
+            for k in range(1, min(P, N - 1) + 1)
+        ]
+        for k in range(1, len(row)):
+            H[k][P] = row[k] * scale[P]
+    return scale[0], [(nums, 1) for nums in H], scale
+
+
 def iterative_logarithm(base: PowerSeries, N: int) -> PowerSeries:
     """Series j solving the Julia equation j(h(x)) = h'(x) j(x).
 
     Normalized by j_m = h_m, which makes j the generator of the regular
     iteration family: d/dt base^[t] at t = 0.
+
+    Each j_n is one exact division, read off the x^(n+m-1) residual of
+    the equation, which needs [x^P] base^k for k < N and P < N + m.  For
+    e^x - 1 (the residuals read the base through x^N only, so given that
+    far) that table comes from the Stirling triangle (_exp_power_table)
+    in O(N^2) integer additions; any other base has no such recurrence,
+    and its table is filled by N - 2 truncated products, O(N^3).  The
+    two give the same table, so the same coefficients.
 
     Parameters
     ----------
@@ -300,13 +337,16 @@ def iterative_logarithm(base: PowerSeries, N: int) -> PowerSeries:
     # Power table base^k, enough orders for every residual; H[k] pairs
     # its numerators with the factor that puts them over L, as base' is.
     top = N + m - 1
-    b = _scaled(base.truncate(top + 1).coefficients)
-    powers = [([1], 1), b]
-    for _ in range(2, N):
-        powers.append(_reduced(*_mul(powers[-1], b, top + 1)))
-    L = lcm(*(d for _, d in powers))
-    H = [(nums, L // d) for nums, d in powers]
-    dbase = [i * a for i, a in enumerate(_rescaled(b, L))][1:]
+    if base.coefficients[: N + 1] == exp_minus_one(N).coefficients:
+        L, H, dbase = _exp_power_table(N, top)
+    else:
+        b = _scaled(base.truncate(top + 1).coefficients)
+        powers = [([1], 1), b]
+        for _ in range(2, N):
+            powers.append(_reduced(*_mul(powers[-1], b, top + 1)))
+        L = lcm(*(d for _, d in powers))
+        H = [(nums, L // d) for nums, d in powers]
+        dbase = [i * a for i, a in enumerate(_rescaled(b, L))][1:]
     j = ([0] * m + [hm.numerator], hm.denominator)
     for n in range(m + 1, N + 1):
         P = n + m - 1

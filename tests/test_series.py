@@ -22,6 +22,7 @@ from superexp import (
     regular_iterate_series,
     superexp_polynomials,
 )
+from superexp import series
 
 from helpers import (
     ZERO,
@@ -169,14 +170,43 @@ class TestIterativeLogarithm:
         assert j[2] == exp_minus_one(5)[2]
         assert j[0] == j[1] == 0
 
-    @pytest.mark.parametrize("N", [4, 7, 12])
-    def test_julia_equation_residual_vanishes(self, N):
-        base = exp_minus_one(N + 4)
+    @pytest.mark.parametrize("N, changed", [
+        (4, None), (7, None), (12, None),
+        # e^x - 1 through x^N with x^(N+1) changed: the Stirling table,
+        # and the j of e^x - 1, since the residuals read no coefficient
+        # past x^N
+        (12, 13),
+        # x^3 changed: the table of truncated products
+        (12, 3),
+    ])
+    def test_julia_equation_residual_vanishes(self, N, changed):
+        coeffs = list(exp_minus_one(N + 4).coefficients)
+        if changed is not None:
+            coeffs[changed] = F(5, 7)
+        base = PowerSeries(coeffs)
         j = iterative_logarithm(base, N)
         lhs = j.compose(base.truncate(N + 1), N + 1)
         rhs = base.derivative().truncate(N + 1).mul(j, N + 1)
         # Exact through x^N; the noise beyond comes from truncating j.
         assert all(lhs[k] == rhs[k] for k in range(N + 1))
+        same = iterative_logarithm(exp_minus_one(N), N)
+        assert (j == same) == (changed is None or changed > N)
+
+    def test_exp_minus_one_builds_no_products(self, monkeypatch):
+        # e^x - 1 fills its power table from the Stirling triangle; the
+        # truncated products serve only other bases
+        calls = []
+        mul = series._mul
+
+        def counted(*args):
+            calls.append(args)
+            return mul(*args)
+
+        monkeypatch.setattr(series, "_mul", counted)
+        abel_expansion(exp_minus_one(67), 64)
+        assert calls == []
+        iterative_logarithm(PowerSeries([0, 1, F(1, 3), 0, F(5, 7)]), 4)
+        assert len(calls) == 2
 
     def test_matches_derivative_of_iterate_in_t(self):
         # j = d/dt base^[t] at t = 0: finite differences in exact
