@@ -11,7 +11,7 @@ those statements concrete.
 
 import math
 
-from superexp.errors import BranchCutError
+from superexp.errors import BranchCutError, DomainError
 from superexp.evaluators import A1, F1, F3
 from superexp.iteration import IterateRequest, exp_iterate
 
@@ -48,8 +48,12 @@ print(f"    A1(4 + 0.01j) = {A1(complex(4.0, 0.01)):g}  (an exactly real")
 print(f"    sheet; the agreement maps show < 1 digit in this strip)\n")
 
 print("F1 on its cut (-inf, -2]:")
-above = F1(-3.0, cut_side="above")
-print(f"  F1(-3 + i0^+) = {above:.12g}")
-print(f"  F1(-3 - i0^-) = {F1(-3.0, cut_side='below'):.12g}")
+above = F1(-3.5, cut_side="above")
+print(f"  F1(-3.5 + i0^+) = {above:.12g}")
+print(f"  F1(-3.5 - i0^-) = {F1(-3.5, cut_side='below'):.12g}")
 print("  the imaginary part flips sign across the cut; off the end of")
 print(f"  the cut the function is real again: F1(-1.5) = {F1(-1.5).real:.12g}")
+try:
+    F1(-3.0, cut_side="above")
+except DomainError as exc:
+    print(f"  on the cut F1 has a pole at each integer: {exc}")

@@ -980,13 +980,16 @@ def F1(
     Satisfies F1(z + 1) = e^(F1(z)/e) and approaches e for large |z|
     away from the cut {x real : x <= -2}.  Real arguments on the cut are
     evaluated as the limit from above unless cut_side says otherwise.
-    F1 diverges at the integers <= -2; since those points never hit the
-    inverse walk's zero exactly in rounded arithmetic, evaluation near
-    them returns values that lose accuracy like the logarithm of the
-    distance rather than raising.
+    F1 diverges at the integers <= -2.  At those points themselves it
+    raises DomainError, on either cut side: in rounded arithmetic the
+    inverse walk never hits its zero there exactly, and what it returned
+    was rounding noise.  Near them it still returns a value, large but
+    finite, that loses accuracy like the logarithm of the distance:
+    F1(-2.0000001) is about -42.43 + 8.54i from above.
     """
     side, flip = _resolve_side(z, cut_side)
     kernel = _kernel_of(ctx)
+    _refuse_pole(kernel.cast(z))
     x1 = kernel.anchors(constants or default_constants(kernel.bits))[0]
     value = _ftilde_eval(kernel, z, BranchSign.minus, side, x1)
     return _public(value, flip)
@@ -1009,6 +1012,12 @@ def F3(
     x3 = kernel.anchors(constants or default_constants(kernel.bits))[1]
     value = _ftilde_eval(kernel, z, BranchSign.plus, side, x3)
     return _public(value, flip)
+
+
+def _refuse_pole(w) -> None:
+    # F1's poles, the real integers <= -2, as the kernel holds its argument
+    if w.imag == 0 and w.real <= -2 and w.real == int(w.real):
+        raise DomainError(f"F1 has a pole at {float(w.real):g}")
 
 
 def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants, xs: tuple):
@@ -1035,6 +1044,7 @@ def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants, xs: tuple
         return None
     chains: dict = {}
     row = None
+    poles = fn == "F1"
 
     def cell(z, cut_side):
         nonlocal row
@@ -1042,6 +1052,8 @@ def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants, xs: tuple
             chains.clear()
             row = z.imag
         side, flip = _resolve_side(z, cut_side)
+        if poles:
+            _refuse_pole(kernel.cast(z))
         value = _ftilde_eval(kernel, z, branch, side, shift, chains)
         return _public(value, flip)
 

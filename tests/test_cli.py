@@ -275,13 +275,13 @@ class TestEval:
         assert math.isfinite(re) and math.isfinite(im)
 
     def test_on_cut_without_side_is_strict(self, cache_dir):
-        proc = run_cli(["eval", "F1", "-3", "0"], cache_dir)
+        proc = run_cli(["eval", "F1", "-3.5", "0"], cache_dir)
         assert proc.returncode == 1
         assert "cut_side" in proc.stderr
 
     def test_cut_sides_are_conjugate(self, cache_dir):
-        above = run_cli(["eval", "F1", "-3", "0", "--cut-side", "above"], cache_dir)
-        below = run_cli(["eval", "F1", "-3", "0", "--cut-side", "below"], cache_dir)
+        above = run_cli(["eval", "F1", "-3.5", "0", "--cut-side", "above"], cache_dir)
+        below = run_cli(["eval", "F1", "-3.5", "0", "--cut-side", "below"], cache_dir)
         assert above.returncode == 0 and below.returncode == 0
         re_a, im_a = map(float, above.stdout.split())
         re_b, im_b = map(float, below.stdout.split())
@@ -300,7 +300,7 @@ class TestEval:
         assert abs(float(re)) < 1e-12 and err == ""
 
     def test_csv_error_row(self, cache_dir):
-        proc = run_cli(["eval", "F1", "-3", "0", "--format", "csv"], cache_dir)
+        proc = run_cli(["eval", "F1", "-3.5", "0", "--format", "csv"], cache_dir)
         assert proc.returncode == 1
         assert proc.stdout == "re,im,err\n,,cut\n"
 
@@ -313,7 +313,7 @@ class TestEval:
         assert payload["err"] is None
 
     def test_json_error(self, cache_dir):
-        proc = run_cli(["eval", "F1", "-3", "0", "--format", "json"], cache_dir)
+        proc = run_cli(["eval", "F1", "-3.5", "0", "--format", "json"], cache_dir)
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
         assert payload["err"] == "cut" and payload["re"] is None
@@ -331,6 +331,15 @@ class TestEval:
         # cut side makes A3 finite there
         proc = run_cli(["eval", "A3", "1", "0", "--cut-side", "above"], cache_dir)
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--cut-side", "above"], ["--cut-side", "below", "--precision-bits", "256"],
+    ])
+    def test_f1_pole_is_a_domain_error(self, cache_dir, args):
+        proc = run_cli(["eval", "F1", "-5", "0", *args], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "superexp: DomainError: F1 has a pole at -5\n"
 
     @pytest.mark.parametrize("args", [["F1", "nan", "0"], ["A3", "inf"]])
     def test_non_finite_input_is_a_domain_error(self, cache_dir, args):

@@ -317,9 +317,15 @@ class TestCutsAndErrors:
         assert F1(-2.5, cut_side="below") == up.conjugate()
 
     def test_f1_divergence_point(self):
-        # F1 blows up at -2; in rounded arithmetic the value is the log
-        # of the calibration residual, large but finite
-        v = F1(-2)
+        # F1 blows up at -2 and refuses the pole itself, whose rounded
+        # value was noise; just off it the value is large but finite
+        for bits in (53, 128, 256):
+            ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+            for z in (-2, -5.0, complex(-3, 0), mp.mpf(-4)):
+                for side in ("above", "below", None):
+                    with pytest.raises(DomainError, match="pole at -"):
+                        F1(z, ctx, cut_side=side)
+        v = F1(-2.0000001)
         assert v.real < -25
         assert abs(v.imag - math.pi * E) < 1e-12
 
