@@ -11,7 +11,11 @@ formula above 192 bits, and its last width), this script measures the
 truncation error |sum_{N<n<=N+32} c_n zeta^n| on the circle |zeta| = r,
 worst over 64 directions, for both sides, and the frontier: the radius
 at which the abel1 error reaches 2^-bits in the worst direction.  It
-writes the table to BENCH_abel_order.json.
+also times the exact build of each tier's tail (the N + 1 terms a
+kernel of that width builds) and of the longest tail it measures with,
+best of three calls of series.abel_expansion in this process.  It
+writes the table to BENCH_abel_order.json; --check gates the errors
+only.
 
 Usage (from the repository root):
 
@@ -25,7 +29,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -39,6 +45,7 @@ from superexp.evaluators import (  # noqa: E402
     _abel_tail_coeffs,
     _abel_tier,
 )
+from superexp.series import abel_expansion, exp_minus_one  # noqa: E402
 
 OUT = os.path.join(ROOT, "BENCH_abel_order.json")
 LONGER = 32  # terms past the tier's own that stand in for the whole tail
@@ -49,6 +56,16 @@ def _widths() -> list:
     rows = [cap for cap, _, _ in _ABEL_TIERS]
     top = rows[-1]
     return rows + list(range(top + 8, _MAX_BITS, 8)) + [_MAX_BITS]
+
+
+def _build_seconds(n_terms: int, repeats: int = 3) -> float:
+    # the exact build behind _abel_tail_coeffs(n_terms), which memoizes
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        abel_expansion(exp_minus_one(n_terms + 3), n_terms)
+        best = min(best, time.perf_counter() - start)
+    return round(best, 4)
 
 
 def main() -> int:
@@ -69,6 +86,7 @@ def main() -> int:
         zeta = radius * unit
         return abs(sum(coeffs[n - 1] * zeta ** n for n in range(first, first + LONGER)))
 
+    builds = {n: _build_seconds(n + 1) for n in sorted({_abel_tier(b)[1] for b in _widths()})}
     rows, missed = [], []
     for bits in _widths():
         radius, terms = _abel_tier(bits)
@@ -93,6 +111,7 @@ def main() -> int:
             "log2_error_abel2": round(float(ctx.log(errors["abel2"][0], 2)), 2),
             "log2_target": -bits,
             "frontier_radius": round(float(lo), 6),
+            "build_s": builds[terms],
         }
         row["ok"] = max(row["log2_error_abel1"], row["log2_error_abel2"]) <= -bits
         rows.append(row)
@@ -106,9 +125,20 @@ def main() -> int:
             f"|sum of the next {LONGER} terms| on |zeta| = radius, worst over "
             f"{DIRECTIONS + 1} directions, for abel1 (N terms) and abel2 "
             "(N + 1), against 2^-bits; frontier_radius is where the abel1 "
-            "error reaches 2^-bits"
+            "error reaches 2^-bits; build_s is the raw wall time of the "
+            "exact build of the N + 1 terms the tier's kernel builds, best "
+            "of 3 calls of series.abel_expansion, and longest_tail that of "
+            "the tail the errors are measured with"
         ),
         "command": "python3 tools/abel_order.py",
+        "host": (
+            f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
+            f"{platform.python_version()}, mpmath {mpmath.__version__}"
+        ),
+        "longest_tail": {
+            "terms": longest + 1 + LONGER,
+            "build_s": _build_seconds(longest + 1 + LONGER),
+        },
         "tiers": rows,
     }
     try:
