@@ -171,13 +171,15 @@ class TestIterativeLogarithm:
         assert j[0] == j[1] == 0
 
     @pytest.mark.parametrize("N, changed", [
-        (4, None), (7, None), (12, None),
+        pytest.param(4, None, id="4"),
+        pytest.param(7, None, id="7"),
+        pytest.param(12, None, id="12"),
         # e^x - 1 through x^N with x^(N+1) changed: the Stirling table,
         # and the j of e^x - 1, since the residuals read no coefficient
         # past x^N
-        (12, 13),
+        pytest.param(12, 13, id="12-x13-changed"),
         # x^3 changed: the table of truncated products
-        (12, 3),
+        pytest.param(12, 3, id="12-x3-changed"),
     ])
     def test_julia_equation_residual_vanishes(self, N, changed):
         coeffs = list(exp_minus_one(N + 4).coefficients)
