@@ -853,6 +853,12 @@ def _as_branch(branch) -> BranchSign:
         ) from None
 
 
+def _refuse_pole(w) -> None:
+    # F1's poles, the real integers <= -2, as the kernel holds its argument
+    if w.imag == 0 and w.real <= -2 and w.real == int(w.real):
+        raise DomainError(f"F1 has a pole at {float(w.real):g}")
+
+
 # -- public evaluators -----------------------------------------------------
 
 def abel1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -1012,12 +1018,6 @@ def F3(
     x3 = kernel.anchors(constants or default_constants(kernel.bits))[1]
     value = _ftilde_eval(kernel, z, BranchSign.plus, side, x3)
     return _public(value, flip)
-
-
-def _refuse_pole(w) -> None:
-    # F1's poles, the real integers <= -2, as the kernel holds its argument
-    if w.imag == 0 and w.real <= -2 and w.real == int(w.real):
-        raise DomainError(f"F1 has a pole at {float(w.real):g}")
 
 
 def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants, xs: tuple):

@@ -86,7 +86,8 @@ def main() -> int:
         zeta = radius * unit
         return abs(sum(coeffs[n - 1] * zeta ** n for n in range(first, first + LONGER)))
 
-    builds = {n: _build_seconds(n + 1) for n in sorted({_abel_tier(b)[1] for b in _widths()})}
+    tiers = sorted({_abel_tier(bits)[1] for bits in _widths()})
+    builds = {terms: _build_seconds(terms + 1) for terms in tiers}
     rows, missed = [], []
     for bits in _widths():
         radius, terms = _abel_tier(bits)
