@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import statistics
 import sys
 import tempfile
@@ -58,18 +59,17 @@ _CACHE_ENV = "SUPEREXP_CACHE_DIR"
 # table presets reproducing the published comparison columns
 _TABLE_DEFAULT_ARGS = {"levy": (-1.0, 1.0), "fatou1": (-1.0,)}
 
-# (flag, EvalContext field, type, help) of the tuning overrides that
-# eval, map and check take; calibrate and table have no use for them
-_TUNING = (
-    ("--abel-terms", "abel_tail_terms", int, "override Abel tail term count"),
-    ("--abel-radius", "abel_disk_radius", float, "override expansion disk radius"),
-    ("--re-threshold", "superexp_re_threshold", float,
-     "override direct-summation real-part threshold"),
-    ("--max-recursion", "max_recursion", int, "override the orbit recursion cap"),
-)
+# a token that float() reads as a negative number, in any spelling
+# (-2.5e-1, -1e-3, -inf, -nan): argparse itself takes only -12 and -1.5
+# as numbers and every other token starting with "-" as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # usage problems are domain errors (1), not calibration failures (2)
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -405,13 +405,14 @@ def _add_common(p: argparse.ArgumentParser, bits: int = 53, fmt: str = "text") -
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write the calibration cache")
-
-
-def _add_tuning(p: argparse.ArgumentParser) -> None:
-    for flag, field, kind, text in _TUNING:
-        metavar = flag[2:].replace("-", "_").upper()  # argparse's default
-        p.add_argument(flag, dest=field, metavar=metavar, type=kind, help=text)
     p.set_defaults(parser=p)
+
+
+def _add_walk_cap(p: argparse.ArgumentParser) -> None:
+    # eval, map and check evaluate; calibrate and table have no use for it
+    p.add_argument("--max-recursion", default=EvalContext.max_recursion,
+                   type=_checked(int, lambda n: n >= 1, "at least 1"),
+                   help="cap on either walk (default %(default)s)")
 
 
 def _build_parser() -> _Parser:
@@ -427,7 +428,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="evaluate one function at one point")
     _add_common(p)
-    _add_tuning(p)
+    _add_walk_cap(p)
     p.add_argument("fn", choices=GRID_FUNCTIONS)
     p.add_argument("re", type=float)
     p.add_argument("im", type=float, nargs="?", default=0.0)
@@ -452,7 +453,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("map", help="sample a function over a grid")
     _add_common(p, fmt="csv")
-    _add_tuning(p)
+    _add_walk_cap(p)
     p.add_argument("fn", choices=GRID_FUNCTIONS)
     p.add_argument("--x", type=_parse_span, required=True, help="x span lo:hi")
     p.add_argument("--y", type=_parse_span, required=True, help="y span lo:hi")
@@ -466,7 +467,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="agreement diagnostic over a grid")
     _add_common(p)
-    _add_tuning(p)
+    _add_walk_cap(p)
     p.add_argument("kind", choices=AGREEMENT_KINDS)
     p.add_argument("--x", type=_parse_span, required=True, help="x span lo:hi")
     p.add_argument("--y", type=_parse_span, required=True, help="y span lo:hi")
@@ -484,18 +485,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_normalize_argv(list(argv)))
-    if "parser" in args:  # eval, map and check: the commands taking tuning flags
-        tuning = {field: getattr(args, field) for _, field, _, _ in _TUNING
-                  if getattr(args, field) is not None}
-        try:
-            args.ctx = EvalContext(
-                precision=PrecisionConfig(mantissa_bits=args.precision_bits), **tuning
-            )
-        except ValueError as exc:
-            message = str(exc)
-            for flag, field, _, _ in _TUNING:
-                message = message.replace(field, flag)  # name the flag, not the field
-            args.parser.error(message)
+    if "max_recursion" in args:  # eval, map and check
+        args.ctx = EvalContext(
+            PrecisionConfig(mantissa_bits=args.precision_bits), args.max_recursion
+        )
     if "c" in args and args.fn != "expc" and (args.c, args.branch) != (None, None):
         args.parser.error("--c and --branch apply to expc only")  # eval and map
     if "x" in args:  # map and check sample a grid

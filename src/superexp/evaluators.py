@@ -12,19 +12,18 @@ z = e of z -> e^(z/e):
   base point by Newton's method on that series, so the F~ walk starts
   where 2/z enters the Abel disk (10 steps out at 53 bits, 68 at 256).
 
-Two kernels share these drivers.  A 53-bit context runs on machine
-doubles, the hot path for grids, with the EvalContext tuning fields as
-given; the walk-out threshold is a floor at every width.  Wider
-contexts run on mpmath and derive their tuning from the bit count (one
-tier table, _ABEL_TIERS, sets both walks), taking the context fields as
-one-sided limits, so a context tightened by hand is never silently
-loosened.  The wider kernel computes on Python integers scaled by
-2^scale, 16 bits above its work bits (superexp.fixed): it walks on them,
-sums the Abel series and runs Newton's method.  A walk leaves them only
-for a step out of their range, taken on a value of the kernel's own
-mpmath context at its work bits (see limits.new_mp_context), never at
-mpmath's global precision, so neither that setting nor another thread
-changes a result; results leave as plain mpmath values.
+Two kernels share these drivers, and each takes its tuning from the
+width alone.  A 53-bit context runs on machine doubles, the hot path
+for grids, with the measured 53-bit settings.  Wider contexts run on
+mpmath and derive their tuning from the bit count (one tier table,
+_ABEL_TIERS, sets both walks).  The wider kernel computes on Python
+integers scaled by 2^scale, 16 bits above its work bits
+(superexp.fixed): it walks on them, sums the Abel series and runs
+Newton's method.  A walk leaves them only for a step out of their
+range, taken on a value of the kernel's own mpmath context at its work
+bits (see limits.new_mp_context), never at mpmath's global precision,
+so neither that setting nor another thread changes a result; results
+leave as plain mpmath values.
 
 Real arguments on a cut are evaluated as directional limits: `cut_side`
 picks the side ("above" everywhere by default), and None demands a
@@ -94,49 +93,25 @@ class BranchSign(enum.Enum):
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Tuning knobs for the evaluators.
+    """The width of an evaluation and the cap on its walks.
 
-    The defaults are the measured 53-bit settings: the spots where the
-    functional-equation residuals of the double kernel bottom out near
-    1e-12 (more series terms or a wider disk make them worse, not
-    better).  Wider precisions derive stricter settings internally; the
-    values here then act only as floors/ceilings in the safe direction.
+    Each kernel derives its series tuning from the width: machine
+    doubles use the measured 53-bit settings, wider kernels the tier of
+    their bit count (_ABEL_TIERS).
 
     Fields
     ------
     precision : PrecisionConfig
         Mantissa width selecting the kernel; 53 means machine doubles.
-    abel_tail_terms : int
-        Truncation of the Abel tail sum; the backward-branch evaluator
-        keeps one term more.  Wider kernels take it from the bit count
-        (_ABEL_TIERS) and use this field only as a floor.
-    abel_disk_radius : float
-        |1 - z/e| below which the Abel series is trusted.  The tail is
-        divergent with a practical radius near 0.28, so values much
-        above 0.25 lose accuracy fast.  Wider kernels take the smaller
-        of this and their tier's radius, for the Abel walks and for F~.
-    superexp_re_threshold : float
-        |Re| beyond which F~ is solved for on the Abel series; arguments
-        closer in are walked out with the functional equation.  A floor
-        at every width: each kernel walks out at least until 2/|w| is
-        inside its disk radius (_walk_out), 10 at the default radius.
     max_recursion : int
-        Cap on either walk.
+        Cap on either walk.  Wider kernels raise it as far as their own
+        tuning needs.
     """
 
     precision: PrecisionConfig = PrecisionConfig(mantissa_bits=53)
-    abel_tail_terms: int = 15
-    abel_disk_radius: float = 0.25
-    superexp_re_threshold: float = 10.0
     max_recursion: int = 200
 
     def __post_init__(self) -> None:
-        if self.abel_tail_terms < 1:
-            raise ValueError("abel_tail_terms must be positive")
-        if not 0 < self.abel_disk_radius < math.inf:
-            raise ValueError("abel_disk_radius must be positive and finite")
-        if not 0 < self.superexp_re_threshold < math.inf:
-            raise ValueError("superexp_re_threshold must be positive and finite")
         if self.max_recursion < 1:
             raise ValueError("max_recursion must be at least 1")
 
@@ -309,6 +284,13 @@ def _walk_out(radius: float) -> float:
     return float(math.ceil(2 / radius + math.log(2 / radius) / 3 + 1))
 
 
+# the measured 53-bit settings: the functional-equation residuals of the
+# double kernel bottom out near 1e-12 here, and more series terms or a
+# wider disk make them worse, not better (the tail is divergent, with a
+# practical radius near 0.28)
+_DOUBLE_RADIUS, _DOUBLE_TERMS = 0.25, 15
+
+
 class _DoubleKernel(_Tables):
     """Machine-double evaluation: plain complex arithmetic, no guards
     beyond over/underflow handling in the exponential step."""
@@ -318,10 +300,10 @@ class _DoubleKernel(_Tables):
 
     def __init__(self, ctx: EvalContext):
         super().__init__()
-        self.abel_radius = ctx.abel_disk_radius
-        self.abel_terms = ctx.abel_tail_terms
+        self.abel_radius = _DOUBLE_RADIUS
+        self.abel_terms = _DOUBLE_TERMS
         self.abel_cap = ctx.max_recursion
-        self.threshold = max(ctx.superexp_re_threshold, _walk_out(self.abel_radius))
+        self.threshold = _walk_out(_DOUBLE_RADIUS)
         self.walk_cap = ctx.max_recursion
 
     def coeff(self, c: Fraction) -> complex:
@@ -489,10 +471,8 @@ class _MPKernel(_Tables):
         self._workbits = self.bits + 32
         self.mp = new_mp_context(self._workbits)
         self.scale = self._workbits + _SCALE_GUARD
-        radius, terms = _abel_tier(self.bits)
-        self.abel_radius = min(ctx.abel_disk_radius, radius)
-        self.abel_terms = max(ctx.abel_tail_terms, terms)
-        self.threshold = max(ctx.superexp_re_threshold, _walk_out(self.abel_radius))
+        self.abel_radius, self.abel_terms = _abel_tier(self.bits)
+        self.threshold = _walk_out(self.abel_radius)
         self._plans = None
         # the walks must be allowed to reach their own tuning targets
         self.abel_cap = max(ctx.max_recursion, int(3.0 / self.abel_radius) + 64)
@@ -783,12 +763,15 @@ def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None, chains=None):
         raise DomainError("the asymptotic series is singular at 0")
     minus = branch is BranchSign.minus
     gap = kernel.threshold - w0.real if minus else w0.real + kernel.threshold
-    k = kernel.walk_length(gap)
-    if k > kernel.walk_cap:
+    if gap >= kernel.walk_cap:
+        # the walk takes floor(gap) + 1 steps, counted only while that
+        # is a short number: a far argument's count has hundreds of digits
+        need = kernel.walk_length(gap) if gap < 2**53 else "more than 2^53"
         raise NonConvergenceError(
-            f"functional-equation walk needs {k} steps,"
+            f"functional-equation walk needs {need} steps,"
             f" cap is {kernel.walk_cap}"
         )
+    k = kernel.walk_length(gap)
     base = w0 + k if minus else w0 - k
     shared = chains is not None and gap >= -1
     if shared:
@@ -1074,8 +1057,8 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
     Parameters
     ----------
     ctx : EvalContext, optional
-        Its precision is raised to 192 bits if lower; other tuning
-        fields pass through as floors.
+        Its precision is raised to 192 bits if lower; its walk cap is
+        kept.
 
     Raises
     ------

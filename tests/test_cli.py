@@ -19,7 +19,7 @@ import time
 import pytest
 
 from superexp import cli
-from superexp.evaluators import default_constants
+from superexp.evaluators import F1, EvalContext, default_constants
 
 E = math.e
 
@@ -94,12 +94,12 @@ class TestCommonFlags:
         [
             ["eval", "F1", "0", "0", "--max-recursion", "0"],
             ["check", "d1fa", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
-             "--abel-terms", "0"],
-            ["eval", "F1", "0", "0", "--abel-radius", "nan"],
-            ["eval", "F1", "0", "0", "--abel-radius", "inf"],
-            ["eval", "F1", "0", "0", "--re-threshold", "inf"],
+             "--max-recursion", "-1"],
+            ["eval", "F1", "0", "0", "--max-recursion", "2.5"],
+            ["eval", "F1", "0", "0", "--max-recursion", "inf"],
+            ["eval", "F1", "0", "0", "--cut-side", "left"],
             ["map", "F1", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
-             "--abel-radius", "0"],
+             "--max-recursion", "0"],
             ["check", "d1fa", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
              "--clip", "nan"],
             ["check", "d1fa", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
@@ -112,8 +112,39 @@ class TestCommonFlags:
         proc = run_cli(args, cache_dir)
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert "usage" in proc.stderr and args[-2] in proc.stderr
+        assert "usage" in proc.stderr and f"argument {args[-2]}:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval", "F1", "0", "0"],
+            ["map", "F1", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2"],
+            ["check", "d1fa", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--abel-terms", "15"), ("--abel-radius", "0.25"), ("--re-threshold", "10")],
+    )
+    def test_series_tuning_flags_are_gone(self, cache_dir, args, flag, value):
+        # the series tuning follows from --precision-bits alone
+        proc = run_cli([*args, flag, value], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "usage" in proc.stderr
+        assert f"unrecognized arguments: {flag}" in proc.stderr
+
+    def test_max_recursion_reaches_the_walk(self, cache_dir):
+        # F1 at -300 + 0.5i walks 308 steps: past the default cap of 200
+        args = ["eval", "F1", "-300", "0.5"]
+        capped = run_cli(args, cache_dir)
+        assert capped.returncode == 1
+        assert "needs 308 steps, cap is 200" in capped.stderr
+        proc = run_cli([*args, "--max-recursion", "400"], cache_dir)
+        assert proc.returncode == 0
+        value = F1(complex(-300, 0.5), EvalContext(max_recursion=400))
+        assert proc.stdout == f"{value.real!r} {value.imag!r}\n"
 
 
     @pytest.mark.parametrize(
@@ -177,12 +208,13 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("args", [["calibrate"], ["table", "levy", "--n", "1:2"]])
     def test_takes_no_tuning_flags(self, cache_dir, args):
-        # the tuning overrides only reach eval, map and check; calibrate
-        # and table never read them, so they refuse them as usage errors
-        proc = run_cli([*args, "--abel-terms", "80"], cache_dir)
+        # the walk cap only reaches eval, map and check; calibrate and
+        # table never read it, so they refuse it as a usage error
+        proc = run_cli([*args, "--max-recursion", "80"], cache_dir)
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert "usage" in proc.stderr and "--abel-terms" in proc.stderr
+        assert "usage" in proc.stderr
+        assert "unrecognized arguments: --max-recursion" in proc.stderr
 
     def test_byte_identical_reruns(self, cache_dir):
         first = run_cli(["calibrate", "--format", "json"], cache_dir)
@@ -341,12 +373,33 @@ class TestEval:
         assert proc.stdout == ""
         assert proc.stderr == "superexp: DomainError: F1 has a pole at -5\n"
 
-    @pytest.mark.parametrize("args", [["F1", "nan", "0"], ["A3", "inf"]])
+    @pytest.mark.parametrize(
+        "args", [["F1", "nan", "0"], ["A3", "inf"], ["F1", "-inf", "0"], ["F3", "0", "-inf"]]
+    )
     def test_non_finite_input_is_a_domain_error(self, cache_dir, args):
         proc = run_cli(["eval", *args], cache_dir)
         assert proc.returncode == 1
         assert "DomainError" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "spelled, plain",
+        [
+            (["-2.5e-1", "0"], ["-0.25", "0"]),
+            (["0.5", "-1e-3"], ["0.5", "-0.001"]),
+            (["-1E+0", "-5E-1"], ["-1", "-0.5"]),
+            (["-.5", "0"], ["-0.5", "0"]),
+        ],
+        ids=" ".join,
+    )
+    def test_negative_coordinates_in_any_spelling(self, cache_dir, spelled, plain):
+        # argparse alone reads only -1 and -0.5 style tokens as numbers
+        for fmt in ("text", "json"):
+            proc = run_cli(["eval", "F1", *spelled, "--format", fmt], cache_dir)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == run_cli(
+                ["eval", "F1", *plain, "--format", fmt], cache_dir
+            ).stdout
 
     def test_non_finite_csv_row_is_domain(self, cache_dir):
         proc = run_cli(["eval", "F1", "nan", "0", "--format", "csv"], cache_dir)

@@ -1,11 +1,12 @@
 """Tests for the production evaluators.
 
 Reference digits are 192-bit calibration outputs, stable under raising
-the precision and under perturbing every tuning knob; cross-checks
-against the limit-formula estimators in `limits` appear at the end.
+the precision; cross-checks against the limit-formula estimators in
+`limits` appear at the end.
 """
 
 import cmath
+import dataclasses
 import math
 import os
 import random
@@ -58,7 +59,7 @@ def big(s):
         return mpmath.mpmathify(s)
 
 
-# 192-bit calibration, digits stable at 256 bits and under tuning changes
+# 192-bit calibration, digits stable at 256 bits
 X1_REF = big("2.79824815423138766245258318547")
 X3_REF = big("-20.2874045899400398361290928609")
 A1_NORM_REF = big("3.029297214418036098924994")
@@ -79,27 +80,11 @@ def mp_close(a, b, tol):
 class TestEvalContext:
     def test_defaults(self):
         ctx = EvalContext()
+        assert [f.name for f in dataclasses.fields(ctx)] == ["precision", "max_recursion"]
         assert ctx.precision.mantissa_bits == 53
-        assert ctx.abel_tail_terms == 15
-        assert ctx.abel_disk_radius == 0.25
-        # _walk_out(0.25): 2/w is then inside the Abel disk
-        assert ctx.superexp_re_threshold == 10.0 == ev._walk_out(0.25)
         assert ctx.max_recursion == 200
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"abel_tail_terms": 0},
-            {"superexp_re_threshold": 0.0},
-            {"abel_disk_radius": 0.0},
-            {"superexp_re_threshold": -1.0},
-            {"max_recursion": 0},
-            {"abel_disk_radius": math.inf},
-            {"abel_disk_radius": math.nan},
-            {"superexp_re_threshold": math.inf},
-            {"superexp_re_threshold": math.nan},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"max_recursion": 0}, {"max_recursion": -1}])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             EvalContext(**kwargs)
@@ -350,6 +335,19 @@ class TestCutsAndErrors:
     def test_walk_cap(self):
         with pytest.raises(NonConvergenceError):
             F1(complex(-300, 5))
+
+    @pytest.mark.parametrize("bits, steps", [(53, 308), (128, 320)])
+    def test_walk_cap_message_stays_short(self, bits, steps):
+        # a short walk's step count is exact; a far argument's has about
+        # 300 digits, so the message names the cap without it
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        with pytest.raises(NonConvergenceError) as near:
+            F1(complex(-300, 0.5), ctx)
+        assert f"needs {steps} steps, cap is 200" in str(near.value)
+        with pytest.raises(NonConvergenceError) as far:
+            F1(complex(-1e300, 0.5), ctx)
+        assert "cap is 200" in str(far.value)
+        assert len(str(far.value)) < 100
 
     def test_abel_cap_carries_residual(self):
         ctx = EvalContext(max_recursion=3)
@@ -637,16 +635,6 @@ class TestMPKernel:
             residual = abs(f1 - mpmath.exp(f0 / mpmath.e))
         assert residual < bound
 
-    def test_tightened_context_respected(self):
-        # the kernel may not loosen an explicitly tightened radius
-        tight = EvalContext(
-            precision=PrecisionConfig(mantissa_bits=128), abel_disk_radius=0.02
-        )
-        loose = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
-        a = abel1(1, tight)
-        b = abel1(1, loose)
-        assert mp_close(a, b, mpmath.mpf(2) ** -120)
-
 
 @lru_cache(maxsize=None)
 def _reference_384():
@@ -672,13 +660,20 @@ class TestTermTiers:
         # the walk-out threshold is where 2/w reaches the disk radius
         assert [tier(b) for b in (128, 192)] == [(48, 22.0), (64, 36.0)]
         assert [tier(b) for b in (256, 320)] == [(96, 68.0), (96, 83.0)]
-        # the context's term count and threshold stay floors
-        ctx = EvalContext(
-            precision=PrecisionConfig(mantissa_bits=256),
-            abel_tail_terms=100,
-            superexp_re_threshold=90.0,
-        )
-        assert (_kernel(ctx).abel_terms, _kernel(ctx).threshold) == (100, 90.0)
+
+    @pytest.mark.parametrize(
+        "bits, tuning",
+        [
+            (53, (0.25, 15, 10.0)),
+            (128, (0.1, 48, 22.0)),
+            (256, (ev._abel_tier(256)[0], 96, 68.0)),
+        ],
+    )
+    def test_tuning_follows_the_width(self, bits, tuning):
+        # (disk radius, tail terms, walk-out threshold) of each kernel;
+        # the walk cap is the only other setting a context carries
+        kernel = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
+        assert (kernel.abel_radius, kernel.abel_terms, kernel.threshold) == tuning
 
     @pytest.mark.parametrize("bits", [224, 256, 320, 384])
     def test_tail_at_threshold_meets_target(self, bits):
@@ -936,12 +931,12 @@ class TestPerCallCaches:
     @pytest.fixture
     def cases(self, monkeypatch):
         # (fn, z, ctx, constants) over two constants objects and three
-        # contexts: two equal but distinct, one with another tail length;
+        # contexts: two equal but distinct, one with another walk cap;
         # then the mpmath paths: each evaluator at 128 and 320 bits (walks
         # both ways, both Abel tails) and a 128-bit ratio probe
         perturbed = dict(CC.as_decimal_dict(), x1="2.79824815")
         cc = (CC, CalibrationConstants.from_decimal_dict(perturbed))
-        ctxs = (EvalContext(), EvalContext(), EvalContext(abel_tail_terms=12))
+        ctxs = (EvalContext(), EvalContext(), EvalContext(max_recursion=150))
         cases = [
             (fn, z, ctx, c)
             for ctx in ctxs for c in cc for fn in self.FNS for z in self.POINTS

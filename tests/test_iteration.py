@@ -542,7 +542,7 @@ class TestSharedWalks:
         grid = _jittered_box(1, 15)
         map_grid(fn, grid)
         constants = default_constants(53)
-        threshold = EvalContext().superexp_re_threshold
+        threshold = ev._kernel(EvalContext()).threshold
         if fn == "F1":
             starts = [x + float(constants.x1) for x in grid.xs()]
             unwalked = sum(threshold - w < 0 for w in starts)
