@@ -112,6 +112,9 @@ class EvalContext:
     max_recursion: int = 200
 
     def __post_init__(self) -> None:
+        # a float cap (nan, inf, 1.5) would slip past the bound check
+        if not isinstance(self.max_recursion, int):
+            raise ValueError("max_recursion must be an integer")
         if self.max_recursion < 1:
             raise ValueError("max_recursion must be at least 1")
 

@@ -84,7 +84,16 @@ class TestEvalContext:
         assert ctx.precision.mantissa_bits == 53
         assert ctx.max_recursion == 200
 
-    @pytest.mark.parametrize("kwargs", [{"max_recursion": 0}, {"max_recursion": -1}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_recursion": -1},
+            {"max_recursion": 1.5},
+            {"max_recursion": math.nan},
+            {"max_recursion": math.inf},
+            {"max_recursion": 0},
+        ],
+    )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             EvalContext(**kwargs)
