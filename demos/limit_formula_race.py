@@ -11,9 +11,7 @@ import time
 
 import mpmath
 
-from superexp.evaluators import A1, EvalContext, PrecisionConfig
-from superexp.limits import PrecisionConfig as TablePrecision
-from superexp.limits import convergence_table
+from superexp import A1, EvalContext, PrecisionConfig, convergence_table
 
 ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
 A1(-1, ctx)  # warm-up: the one-time calibration (two Abel walks) happens here
@@ -24,7 +22,7 @@ with mpmath.mp.workprec(128):
     print("series evaluator: A1(-1) =", mpmath.nstr(reference, 25))
 print(f"                  ({series_time * 1e3:.2f} ms after calibration)\n")
 
-cfg = TablePrecision(mantissa_bits=192)
+cfg = PrecisionConfig(mantissa_bits=192)
 ns = [100, 1000, 10000]
 print(f"{'n':>6}  {'levy probe':>15}  {'digits':>6}  {'fatou probe':>15}  {'digits':>6}")
 levy = {r.n: r.value for r in convergence_table("levy", (-1, 1), ns, cfg)}

@@ -33,7 +33,6 @@ side-independent value, raising BranchCutError where there is none.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import enum
 import math
 import threading
@@ -102,7 +101,8 @@ class EvalContext:
     Fields
     ------
     precision : PrecisionConfig
-        Mantissa width selecting the kernel; 53 means machine doubles.
+        Mantissa width selecting the kernel, the one precision type the
+        limit formulas take too; 53 means machine doubles.
     max_recursion : int
         Cap on either walk.  Wider kernels raise it as far as their own
         tuning needs.
@@ -112,6 +112,8 @@ class EvalContext:
     max_recursion: int = 200
 
     def __post_init__(self) -> None:
+        if not isinstance(self.precision, PrecisionConfig):
+            raise ValueError("precision must be a PrecisionConfig")
         # a float cap (nan, inf, 1.5) would slip past the bound check
         if not isinstance(self.max_recursion, int):
             raise ValueError("max_recursion must be an integer")
@@ -362,16 +364,18 @@ class _DoubleKernel(_Tables):
     value = state
 
     def step(self, w: complex, idx: int, backward: bool, side):
-        """One step of an F~ walk: (value, steps consumed).  The plain
-        steps run inline, as in abel_walk; exp_step and log_step take
-        the guarded ones."""
+        """One step of an F~ walk.  The plain steps run inline, as in
+        abel_walk; exp_step and log_step take the guarded ones.  None
+        stands for the unrepresentable value of a step that exp_step
+        collapses with the next one to 0."""
         if backward:
             if w.imag or w.real > 0.0:
-                return _E * cmath.log(w), 1
-            return self.log_step(w, idx, side), 1
+                return _E * cmath.log(w)
+            return self.log_step(w, idx, side)
         if -745.0 <= w.real / _E <= 700.0:
-            return cmath.exp(w / _E), 1
-        return self.exp_step(w, idx)
+            return cmath.exp(w / _E)
+        w, advanced = self.exp_step(w, idx)
+        return w if advanced == 1 else None
 
     def abel_walk(self, w: complex, plus_side: bool, side) -> tuple:
         """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e.
@@ -556,7 +560,7 @@ class _MPKernel(_Tables):
         return self._unfix(wr) if wi is None else self._unfix_pair(wr, wi)
 
     def step(self, s, idx: int, backward: bool, side):
-        """One guarded step of a walk state: (state, 1).
+        """One guarded step of a walk state.
 
         A state in range steps on integers; one out of range, and a
         backward step on the cut, take exp_step or log_step on the value
@@ -566,10 +570,10 @@ class _MPKernel(_Tables):
         if type(s) is tuple:
             t = self._steps.step(s, backward)
             if t is not None:
-                return (t if t[0] or t[1] else self.value(t)), 1
+                return t if t[0] or t[1] else self.value(t)
             w = self.value(s)
         w = self.log_step(w, idx, side) if backward else self.exp_step(w, idx)[0]
-        return self.state(w), 1
+        return self.state(w)
 
     def abel_walk(self, w, plus_side: bool, side, k: int = 0, steps=None):
         """w walked from step k into the Abel disk, or `steps` steps
@@ -584,7 +588,7 @@ class _MPKernel(_Tables):
                 _missed_disk(cap, 1 - self.value(s) / self.e())
             if plus_side and s == 0:
                 raise BranchCutError("backward orbit hit the logarithm singularity at 0")
-            s, k = self.step(s, k + 1, plus_side, side)[0], k + 1
+            s, k = self.step(s, k + 1, plus_side, side), k + 1
         w = self.value(s)
         return w, k, 1 - w / self.e()
 
@@ -723,9 +727,10 @@ def _walk_chain(kernel, chain: list, k: int, minus: bool, side):
     chain[j] is the kernel's walk state after j steps (chain[0] is F~
     at the base), extended here by kernel.step as far as k needs.  A
     step that raised is stored as a _Failure: at the end of the chain it
-    fails every later step too; in the middle it is an exponential
-    step's unrepresentable intermediate value, which fails only a walk
-    that ends on it.  A cell that shares no walk has a chain of its own.
+    fails every later step too.  In the middle a _Failure stands for the
+    unrepresentable value that kernel.step returns as None, the first of
+    two exponential steps that collapse to 0; it fails only a walk that
+    ends on it.  A cell that shares no walk has a chain of its own.
     """
     j = len(chain) - 1
     w = chain[j]
@@ -737,16 +742,17 @@ def _walk_chain(kernel, chain: list, k: int, minus: bool, side):
                 f"walk hit the singular value 0 after {j} of {k} inverse steps"
             )
         try:
-            w, advanced = kernel.step(w, j + 1, minus, side)
+            w = kernel.step(w, j + 1, minus, side)
         except SuperexpError as exc:
             chain.append(_Failure(exc))
             break
-        if advanced == 2:
+        j += 1
+        if w is None:
             chain.append(_Failure(OrbitOverflowError(
-                "forward step overflows at the target index", index=j + 1
+                "forward step overflows at the target index", index=j
             )))
+            w, j = 0j, j + 1
         chain.append(w)
-        j += advanced
     w = chain[min(k, len(chain) - 1)]
     if isinstance(w, _Failure):
         raise w.error()
@@ -1070,15 +1076,9 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
     NonConvergenceError
         An Abel walk that misses its disk or its tail tolerance.
     """
-    if ctx is None:
-        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=192))
+    ctx = ctx or _DEFAULT_CTX
     bits = max(192, ctx.precision.mantissa_bits)
-    if bits != ctx.precision.mantissa_bits:
-        ctx = dataclasses.replace(
-            ctx,
-            precision=dataclasses.replace(ctx.precision, mantissa_bits=bits),
-        )
-    kernel = _MPKernel(ctx)
+    kernel = _MPKernel(EvalContext(PrecisionConfig(mantissa_bits=bits), ctx.max_recursion))
     wide = kernel.mp  # at bits + 32
     a1 = _abel_walk(kernel, 1, plus_side=False, side="above")
     a3 = _abel_walk(kernel, 3, plus_side=True, side="above")

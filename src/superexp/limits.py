@@ -15,6 +15,10 @@ the asymptotic-series evaluators in :mod:`superexp.evaluators`.  The
 convergence tables they produce are the benchmark artifacts of this
 package.
 
+Each estimator takes its orbit length (the Newton estimator its summand
+count) as `n` and its width as a `PrecisionConfig`, the one precision
+type of the package; an orbit longer than 10^7 steps is refused.
+
 Orbits decay like -2/n near the fixed point, so every kernel goes through
 ``expm1``/``log1p`` style evaluation; naive ``exp(u) - 1`` would lose all
 significant digits long before n = 10^5.
@@ -79,40 +83,35 @@ Scalar = Union[int, float, complex, mpmath.mpf, mpmath.mpc]
 # here would already produce an exponent with ~1e8 bits.
 _ESCAPE_RE = 1e8
 
+# hard cap on orbit length; guards the table drivers against runaway n
+_MAX_ITERATIONS = 10**7
+
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working-precision knobs shared by every limit formula.
+    """The mantissa width of an evaluation or of a limit formula.
 
     Parameters
     ----------
     mantissa_bits : int
-        Binary mantissa length of the backend arithmetic; the convergence
-        tables default to 256.  A real orbit point with 2^-32 <= |u| < 64
-        is held to an absolute resolution of 2^-(mantissa_bits+32)
-        instead, which is finer for every orbit length below about 10^10.
-        53 gives a fixed-point orbit in h-coordinates, not a double orbit
-        of x -> e^(x/e): its 10^5 ratio rows are monotone, so it does not
-        reproduce the rounding jitter of tables computed from such an
-        orbit.
-    max_iterations : int
-        Hard cap on orbit length; guards table drivers against runaway
-        n requests.
-    series_terms : int
-        Newton summand count (the other formulas ignore it).
+        Binary mantissa length of the backend arithmetic, an integer of
+        at least 53; the convergence tables default to 256.  A real
+        orbit point with 2^-32 <= |u| < 64 is held to an absolute
+        resolution of 2^-(mantissa_bits+32) instead, which is finer for
+        every orbit length below about 10^10.  53 gives a fixed-point
+        orbit in h-coordinates, not a double orbit of x -> e^(x/e): its
+        10^5 ratio rows are monotone, so it does not reproduce the
+        rounding jitter of tables computed from such an orbit.
     """
 
     mantissa_bits: int = 256
-    max_iterations: int = 10**7
-    series_terms: int = 1000
 
     def __post_init__(self) -> None:
+        # a float width (nan, 128.5, 100.0) would slip past the bound check
+        if not isinstance(self.mantissa_bits, int):
+            raise ValueError("mantissa_bits must be an integer")
         if self.mantissa_bits < 53:
             raise ValueError("mantissa_bits must be at least 53")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.series_terms < 1:
-            raise ValueError("series_terms must be positive")
 
 
 @dataclass(frozen=True)
@@ -193,12 +192,12 @@ def _tau_inv(ctx, z: Scalar):
     return _as_mp(ctx, z) / ctx.e - 1
 
 
-def _check_n(n: int, cfg: PrecisionConfig) -> None:
+def _check_n(n: int) -> None:
     if n < 0:
         raise ValueError("orbit length must be nonnegative")
-    if n > cfg.max_iterations:
+    if n > _MAX_ITERATIONS:
         raise NonConvergenceError(
-            f"orbit length {n} exceeds max_iterations={cfg.max_iterations}"
+            f"orbit length {n} exceeds max_iterations={_MAX_ITERATIONS}"
         )
 
 
@@ -307,7 +306,7 @@ def iterate_h(z: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
     OrbitOverflowError
         If the orbit escapes to +infinity; carries the escape index.
     """
-    _check_n(n, cfg)
+    _check_n(n)
     orbit = _Orbits([z], cfg.mantissa_bits)
     orbit.run_to(n)
     return plain(orbit.values()[0])
@@ -319,7 +318,7 @@ def iterate_h_inverse(z: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig(
     The principal inverse branch is used throughout, so real arguments must
     stay right of the logarithmic singularity at -1.
     """
-    _check_n(n, cfg)
+    _check_n(n)
     orbit = _Orbits([z], cfg.mantissa_bits, inverse=True)
     orbit.run_to(n)
     return plain(orbit.values()[0])
@@ -336,7 +335,7 @@ def levy_abel(
     below 2^(-mantissa/2) of the numerator scale.  OrbitOverflowError
     reports either orbit escaping by step n.
     """
-    _check_n(n, cfg)
+    _check_n(n)
     orbits = _Orbits([z, u], cfg.mantissa_bits, estimator_n=n)
     orbits.run_to(n)
     num, den = _ratio_terms(orbits, n)
@@ -399,18 +398,21 @@ def levy_probe(
 def newton_superfunction(
     u: Scalar,
     t: Scalar,
+    n: int,
     cfg: PrecisionConfig = PrecisionConfig(),
     base_map: str = "h",
 ) -> NewtonResult:
-    """Binomial-transform estimator sum_n C(t,n) Delta^n[orbit](0).
+    """Binomial-transform estimator sum_{k<n} C(t,k) Delta^k[orbit](0).
 
-    The inner alternating sums sum_m C(n,m)(-1)^(n-m) base^[m](u) are
+    The inner alternating sums sum_m C(k,m)(-1)^(k-m) base^[m](u) are
     accumulated as an in-place forward-difference table of the orbit, at
     full working precision (no compensated-summation shortcut: the whole
     point of the mantissa_bits knob is to absorb the cancellation).
 
     Parameters
     ----------
+    n : int
+        Number of summands, at least 1; the orbit runs n - 1 steps.
     base_map : {"h", "f"}
         Which orbit to difference: "h" iterates u -> e^u - 1 (the default,
         matching the h-coordinate Abel problem), "f" iterates
@@ -423,29 +425,30 @@ def newton_superfunction(
         value, a cancellation flag (running-max summand exceeded the
         result by more than half the mantissa), and the max summand size.
     """
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("summand count n must be an integer of at least 1")
     if base_map not in ("h", "f"):
         raise ValueError(f"unknown base_map {base_map!r}")
-    terms = cfg.series_terms
     ctx = mp_context(cfg.mantissa_bits)
     uw, tw = _as_mp(ctx, u), _as_mp(ctx, t)
-    # C(t, n) vanishes for n > t at nonnegative integer t: the transform
+    # C(t, k) vanishes for k > t at nonnegative integer t: the transform
     # terminates and the orbit tail (which may overflow) is never needed
     if ctx.im(tw) == 0 and tw == ctx.floor(tw) and tw >= 0:
-        terms = min(terms, int(tw) + 1)
+        n = min(n, int(tw) + 1)
     orbit = [uw]
     if base_map == "h":
-        for i in range(terms - 1):
+        for i in range(n - 1):
             orbit.append(_h_step(ctx, orbit[-1], i))
     else:
-        for i in range(terms - 1):
+        for i in range(n - 1):
             _check_escape(orbit[-1], i)
             orbit.append(ctx.exp(orbit[-1] / ctx.e))
     # pass k turns orbit[j] into Delta^k[orbit](j); only orbit[0] is read
     total = orbit[0]
     binom = ctx.mpf(1)
     max_term = abs(total)
-    for k in range(1, terms):
-        for j in range(terms - k):
+    for k in range(1, n):
+        for j in range(n - k):
             orbit[j] = orbit[j + 1] - orbit[j]
         binom = binom * (tw - (k - 1)) / k
         term = binom * orbit[0]
@@ -476,7 +479,7 @@ def fatou_abel(
         raise ValueError("petal must be 1 or 2")
     if n < 1:
         raise ValueError("orbit length must be at least 1")
-    _check_n(n, cfg)
+    _check_n(n)
     ctx = mp_context(cfg.mantissa_bits)
     zw = _as_mp(ctx, z)
     re = zw.real
@@ -504,7 +507,7 @@ def fatou_probe(zf: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
     """
     if n < 1:
         raise ValueError("orbit length must be at least 1")
-    _check_n(n, cfg)
+    _check_n(n)
     ctx = mp_context(cfg.mantissa_bits)
     orbits = _Orbits(
         [_tau_inv(ctx, zf), _tau_inv(ctx, 0)], cfg.mantissa_bits, estimator_n=n
@@ -642,7 +645,7 @@ def convergence_table(
     records: list[ConvergenceRecord] = []
 
     if method in ("levy", "fatou1"):
-        _check_n(ns[-1], cfg)
+        _check_n(ns[-1])
         ctx = mp_context(cfg.mantissa_bits)
         if method == "levy":
             zf, uf = args
@@ -689,13 +692,8 @@ def convergence_table(
         u, t = args[0], args[1]
         base_map = args[2] if len(args) > 2 else "h"
         for n in ns:
-            row_cfg = PrecisionConfig(
-                mantissa_bits=cfg.mantissa_bits,
-                max_iterations=cfg.max_iterations,
-                series_terms=n,
-            )
             try:
-                res = newton_superfunction(u, t, row_cfg, base_map=base_map)
+                res = newton_superfunction(u, t, n, cfg, base_map=base_map)
                 records.append(ConvergenceRecord(n, res.value, method))
             except SuperexpError as exc:
                 records.append(ConvergenceRecord(n, None, method, exc.code))

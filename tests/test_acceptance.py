@@ -20,6 +20,7 @@ from fractions import Fraction as F
 import mpmath
 from mpmath import mp
 
+from superexp import PrecisionConfig
 from superexp.evaluators import (
     A1,
     A3,
@@ -28,9 +29,8 @@ from superexp.evaluators import (
     EvalContext,
     default_constants,
 )
-from superexp.evaluators import PrecisionConfig as EvalPrecision
 from superexp.iteration import GridSpec, IterateRequest, agreement, exp_iterate, map_grid
-from superexp.limits import PrecisionConfig, convergence_table, newton_superfunction, _printed
+from superexp.limits import convergence_table, newton_superfunction, _printed
 from superexp.series import (
     abel_expansion,
     exp_minus_one,
@@ -146,7 +146,7 @@ def test_02_levy_probe_digit_table():
     # orbit; the shifted argument is formed at 256 bits, since a 53-bit
     # sum A1(-1) + n would move the ratio by about 1e-12
     tenk_ns = [n for n in sorted(LEVY_DIGITS) if n >= 10000]
-    ctx = EvalContext(precision=EvalPrecision(mantissa_bits=128))
+    ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
     shift = A1(-1, ctx)
     with mp.workprec(256):
         closed_gap = float(max(
@@ -218,10 +218,8 @@ def test_03_fatou_probe_digit_table():
 
 
 def test_04_binomial_transform_demonstration():
-    cfg = PrecisionConfig(
-        mantissa_bits=2000, series_terms=1000, max_iterations=2000
-    )
-    res = newton_superfunction(1, -1.4223536677333, cfg, base_map="f")
+    cfg = PrecisionConfig(mantissa_bits=2000)
+    res = newton_superfunction(1, -1.4223536677333, 1000, cfg, base_map="f")
     value = float(res.value)
     ok = -0.99 <= value <= -0.985
     assert _verdict(
@@ -303,7 +301,7 @@ def _fatou_oracle(n: int, bits: int = 128):
 
 
 def test_06_limit_value_agreement():
-    ctx = EvalContext(precision=EvalPrecision(mantissa_bits=128))
+    ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
     value = A1(-1, ctx)
     with mp.workprec(128):
         gap_ref = float(abs(value - mpmath.mpf("-1.4223536677333")))

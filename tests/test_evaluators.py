@@ -92,6 +92,10 @@ class TestEvalContext:
             {"max_recursion": math.nan},
             {"max_recursion": math.inf},
             {"max_recursion": 0},
+            # the width travels as a PrecisionConfig, which checks it
+            {"precision": 128},
+            {"precision": None},
+            {"precision": "256"},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

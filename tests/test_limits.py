@@ -5,6 +5,7 @@ own formulas, cross-checked against each other (ratio vs shift estimators
 agree on the common limit) and stable under doubling the mantissa.
 """
 
+import dataclasses
 import decimal
 import functools
 import math
@@ -62,15 +63,20 @@ def mp_close(a, b, tol):
 class TestPrecisionConfig:
     def test_defaults(self):
         cfg = PrecisionConfig()
+        assert [f.name for f in dataclasses.fields(cfg)] == ["mantissa_bits"]
         assert cfg.mantissa_bits == 256
-        assert cfg.series_terms == 1000
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"mantissa_bits": 52},
-            {"max_iterations": 0},
-            {"series_terms": 0},
+            # a float width would slip past the bound check
+            {"mantissa_bits": math.nan},
+            {"mantissa_bits": 128.5},
+            {"mantissa_bits": 100.0},
+            {"mantissa_bits": math.inf},
+            {"mantissa_bits": "256"},
+            {"mantissa_bits": None},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -101,9 +107,8 @@ class TestIterateH:
         assert 0 < info.value.index < 10
 
     def test_orbit_cap(self):
-        cfg = PrecisionConfig(max_iterations=10)
-        with pytest.raises(NonConvergenceError):
-            iterate_h(-1, 11, cfg)
+        with pytest.raises(NonConvergenceError, match="max_iterations=10000000"):
+            iterate_h(-1, limits._MAX_ITERATIONS + 1)
 
     @given(
         z=st.floats(min_value=-1.9, max_value=-0.05),
@@ -190,37 +195,37 @@ class TestLevy:
 
 class TestNewton:
     def test_t_zero_returns_start(self):
-        res = newton_superfunction(2.5, 0, PrecisionConfig(series_terms=30))
+        res = newton_superfunction(2.5, 0, 30)
         assert res.value == mpmath.mpf("2.5")
 
     def test_t_one_returns_one_step(self):
-        res = newton_superfunction(0.25, 1, PrecisionConfig(series_terms=30))
+        res = newton_superfunction(0.25, 1, 30)
         with mp.workprec(300):
             want = mpmath.expm1(mpmath.mpf("0.25"))
         assert mp_close(res.value, want, 1e-70)
 
     def test_integer_t_telescopes_to_orbit(self):
-        res = newton_superfunction(-0.5, 3, PrecisionConfig(series_terms=40))
+        res = newton_superfunction(-0.5, 3, 40)
         assert mp_close(res.value, iterate_h(-0.5, 3, CFG256), 1e-70)
 
     def test_integer_t_ignores_overflowing_tail(self):
         # orbit from 2.5 escapes after a few steps, but C(2, n) = 0 kills
         # every term that would need it
-        res = newton_superfunction(2.5, 2, PrecisionConfig(series_terms=500))
+        res = newton_superfunction(2.5, 2, 500)
         assert mp_close(res.value, iterate_h(2.5, 2, CFG256), 1e-60)
 
     def test_bounded_base_map_partial_sum(self):
         # 400-bit reference run of the slow-convergence demonstration prefix
-        cfg = PrecisionConfig(mantissa_bits=400, series_terms=120)
+        cfg = PrecisionConfig(mantissa_bits=400)
         res = newton_superfunction(
-            1, mpmath.mpf("-1.4223536677333"), cfg, base_map="f"
+            1, mpmath.mpf("-1.4223536677333"), 120, cfg, base_map="f"
         )
         assert mp_close(res.value, mpmath.mpf("-0.9412366111"), 1e-8)
         assert not res.cancellation_warning
         assert mp_close(res.max_term, 1, 1e-6)
 
     def test_base_map_f_one_step(self):
-        res = newton_superfunction(1, 1, PrecisionConfig(series_terms=10), base_map="f")
+        res = newton_superfunction(1, 1, 10, base_map="f")
         with mp.workprec(300):
             want = mpmath.exp(1 / mpmath.e)
         assert mp_close(res.value, want, 1e-70)
@@ -229,18 +234,24 @@ class TestNewton:
         # non-integer t deep in the orbit: binomials reach ~1e10 while the
         # result is O(0.05), far beyond half of a 53-bit mantissa
         res = newton_superfunction(
-            -1.9, mpmath.mpf("40.5"), PrecisionConfig(mantissa_bits=53, series_terms=200)
+            -1.9, mpmath.mpf("40.5"), 200, PrecisionConfig(mantissa_bits=53)
         )
         assert res.cancellation_warning
         assert res.max_term > 1e9
 
     def test_rejects_unknown_base_map(self):
         with pytest.raises(ValueError):
-            newton_superfunction(1, 1, base_map="g")
+            newton_superfunction(1, 1, 1000, base_map="g")
+
+    @pytest.mark.parametrize("n", [0, -3, 2.0, math.nan, CFG256])
+    def test_rejects_bad_n(self, n):
+        # a PrecisionConfig in n's place too
+        with pytest.raises(ValueError):
+            newton_superfunction(1, 1, n)
 
     def test_overflow_propagates_for_fractional_t(self):
         with pytest.raises(OrbitOverflowError):
-            newton_superfunction(2.5, 0.5, PrecisionConfig(series_terms=30))
+            newton_superfunction(2.5, 0.5, 30)
 
 
 class TestFatou:
@@ -394,9 +405,9 @@ class TestConvergenceTable:
             [60, 120],
             PrecisionConfig(mantissa_bits=400),
         )
-        cfg = PrecisionConfig(mantissa_bits=400, series_terms=120)
+        cfg = PrecisionConfig(mantissa_bits=400)
         want = newton_superfunction(
-            1, mpmath.mpf("-1.4223536677333"), cfg, base_map="f"
+            1, mpmath.mpf("-1.4223536677333"), 120, cfg, base_map="f"
         ).value
         assert mp_close(rows[1].value, want, mpmath.mpf(10) ** -100)
 
