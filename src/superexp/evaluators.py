@@ -462,6 +462,8 @@ class _MPKernel(_Tables):
     the kernel's own context `mp` at the work bits (bits + 32).  Threads
     share a kernel, so it calls only functions that leave that
     context's precision alone, and builds its constants up front.
+    Each evaluation sums once, inside its width's disk, and raises
+    NonConvergenceError if the last term is above tol = 2^(4 - bits).
     """
 
     def __init__(self, ctx: EvalContext):
@@ -484,7 +486,6 @@ class _MPKernel(_Tables):
         # the walks must be allowed to reach their own tuning targets
         self.abel_cap = max(ctx.max_recursion, int(3.0 / self.abel_radius) + 64)
         self.walk_cap = max(ctx.max_recursion, int(self.threshold) + 64)
-        self.bump = max(8, int(self.threshold) // 8)
         self.tol = self.mp.mpf(2) ** (4 - self.bits)
         # built here, not on first use: threads share a kernel
         self._steps = fixed.WalkSteps(self.scale, self.abel_radius)
@@ -575,15 +576,12 @@ class _MPKernel(_Tables):
         w = self.log_step(w, idx, side) if backward else self.exp_step(w, idx)[0]
         return self.state(w)
 
-    def abel_walk(self, w, plus_side: bool, side, k: int = 0, steps=None):
-        """w walked from step k into the Abel disk, or `steps` steps
-        deeper (fewer if the cap comes first): (w, k, zeta)."""
-        cap = self.abel_cap
-        end = cap if steps is None else min(k + steps, cap)
-        s = self.state(w)
+    def abel_walk(self, w, plus_side: bool, side):
+        """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e."""
+        cap, k, s = self.abel_cap, 0, self.state(w)
         # the disk lies inside the integer range: a value state is outside
         outside = self._steps.outside
-        while (type(s) is not tuple or outside(s)) if steps is None else k < end:
+        while type(s) is not tuple or outside(s):
             if k >= cap:
                 _missed_disk(cap, 1 - self.value(s) / self.e())
             if plus_side and s == 0:
@@ -686,20 +684,17 @@ def _abel_walk(kernel, z, plus_side: bool, side, norm=None):
             "z lies on the cut [e, inf) of the forward Abel function"
         )
     w, k, zeta = kernel.abel_walk(w, plus_side, side)
-    for retry in range(4):
-        if retry:
-            # tail not yet below target: walk deeper into the disk and resum
-            w, k, zeta = kernel.abel_walk(w, plus_side, side, k, 16)
-        if zeta == 0:
-            raise DomainError("branch point: the orbit landed exactly on e")
-        value, last = kernel.abel_series(zeta, plus_side, side)
-        if not last > kernel.tol * (1 + abs(value)):
-            value = value + k if plus_side else value - k
-            return value if norm is None else value - norm
-    raise NonConvergenceError(
-        "Abel tail above the target accuracy after three retries",
-        residual=float(last),
-    )
+    if zeta == 0:
+        raise DomainError("branch point: the orbit landed exactly on e")
+    value, last = kernel.abel_series(zeta, plus_side, side)
+    # each width's tier keeps the tail's last term below tol throughout
+    # its disk (TestTermTiers proves it for every width): a miss is a defect
+    if last > kernel.tol * (1 + abs(value)):
+        raise NonConvergenceError(
+            "Abel tail above the target accuracy", residual=float(last)
+        )
+    value = value + k if plus_side else value - k
+    return value if norm is None else value - norm
 
 
 class _Failure:
@@ -764,9 +759,7 @@ def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None, chains=None):
     # one sweep's memo of walks (see _walk_chain) keyed by the exact base
     # point: equal keys are equal bits, since adding the anchor or k turns
     # an imaginary -0.0 into +0.0.  Only a base within one unit past the
-    # threshold is memoized, the only ones a walking cell reaches, and
-    # only one accepted without retries: a retry sums at w0 + (k + bump),
-    # which depends on w0, not on the base.
+    # threshold is memoized, the only ones a walking cell reaches.
     w0 = kernel.cast(z) if shift is None else kernel.cast(z) + shift
     if w0 == 0:
         raise DomainError("the asymptotic series is singular at 0")
@@ -783,26 +776,17 @@ def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None, chains=None):
     k = kernel.walk_length(gap)
     base = w0 + k if minus else w0 - k
     shared = chains is not None and gap >= -1
-    if shared:
-        chain = chains.get(base)
-        if chain is not None:
-            return _walk_chain(kernel, chain, k, minus, side)
-    value, last = kernel.ftilde_series(base, branch)
-    if shared and not last > kernel.tol:
-        chains[base] = chain = [kernel.state(value)]
-        return _walk_chain(kernel, chain, k, minus, side)
-    retries = 3
-    while retries and last > kernel.tol:
-        k += kernel.bump
-        base = w0 + k if minus else w0 - k
+    chain = chains.get(base) if shared else None
+    if chain is None:
         value, last = kernel.ftilde_series(base, branch)
-        retries -= 1
-    if last > kernel.tol:
-        raise NonConvergenceError(
-            "asymptotic tail above the target accuracy after three retries",
-            residual=float(last),
-        )
-    return _walk_chain(kernel, [kernel.state(value)], k, minus, side)
+        if last > kernel.tol:
+            raise NonConvergenceError(
+                "asymptotic tail above the target accuracy", residual=float(last)
+            )
+        chain = [kernel.state(value)]
+        if shared:
+            chains[base] = chain
+    return _walk_chain(kernel, chain, k, minus, side)
 
 
 # -- cut-side plumbing ----------------------------------------------------
@@ -882,8 +866,8 @@ def abel1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
         applies the rotation when given a cut side).
     NonConvergenceError
         Recursion cap hit (carries the final |1 - z/e| as `residual`), or
-        the series tail still above the target accuracy after three
-        deeper walks (carries the tail).
+        the tail of the one sum inside the disk above the target
+        accuracy (carries the tail).
     """
     side, flip = _resolve_side(z, cut_side)
     value = _abel_walk(_kernel_of(ctx), z, plus_side=False, side=side)
@@ -959,7 +943,7 @@ def superexp_tilde(
     step leaves the representable range (the error carries the first
     overflowing step index); NonConvergenceError when the walk exceeds its
     cap, Newton's method does not settle (carrying its last step), or the
-    series tail stays above the target accuracy after three longer walks.
+    tail of the one sum at the walk-out base is above the target accuracy.
     """
     branch = _as_branch(branch)
     side, flip = _resolve_side(z, cut_side)
@@ -1030,7 +1014,6 @@ def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants, xs: tuple
     ends = ((kernel.cast(complex(x)) + shift).real for x in (xs[0], xs[-1]))
     gaps = [kernel.threshold - r if fn == "F1" else r + kernel.threshold for r in ends]
     reach = min(max(map(kernel.walk_length, gaps)), kernel.walk_cap)
-    # the tolerance only decides whether to memoize: a miss sums again
     spans = (x - xs[0] for x in xs[1:])
     if not any(1 <= round(d) <= reach and abs(d - round(d)) < 1e-9 for d in spans):
         return None
@@ -1057,11 +1040,11 @@ def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants, xs: tuple
 def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
     """Compute all calibration constants at (at least) 192 bits.
 
-    Walks abel1 from 1 and abel2 from 3 for the two normalization
-    values.  F~ is built as the inverse of the Abel function shifted by
-    ln(2)/3, so its anchors F~(x1) = 1 (minus branch) and F~(x3) = 3
-    (plus branch) follow by that identity: x1 = a1_norm - ln(2)/3 and
-    x3 = a3_norm - ln(2)/3.  The period 2*pi*e*i needs no walk.
+    Walks abel1 from 1 and abel2 from 3 into the disk and sums each
+    series once for the two normalization values.  F~ is built as the
+    inverse of the Abel function shifted by ln(2)/3, so its anchors
+    F~(x1) = 1 (minus branch) and F~(x3) = 3 (plus branch) follow by
+    that identity: x1 = a1_norm - ln(2)/3 and x3 = a3_norm - ln(2)/3.  The period 2*pi*e*i needs no walk.
 
     Parameters
     ----------
@@ -1074,7 +1057,8 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
     DomainError
         A width the mpmath kernel refuses.
     NonConvergenceError
-        An Abel walk that misses its disk or its tail tolerance.
+        An Abel walk that misses its disk, or a sum whose tail is above
+        the tolerance.
     """
     ctx = ctx or _DEFAULT_CTX
     bits = max(192, ctx.precision.mantissa_bits)

@@ -368,21 +368,31 @@ class TestCutsAndErrors:
             abel1(-50, ctx)
         assert info.value.residual > 0.25
 
-    def test_exhausted_retries_raise(self, monkeypatch):
+    def test_forced_tail_miss_raises_at_once(self, monkeypatch):
         # a summation point too close in for its tail, and the value is
         # not returned silently: at 128 bits Newton's method does not
-        # settle on the divergent Abel tail at base 2.5 (the retries
-        # running out are TestTermTiers::test_retries_one_unit_out_run_out)
+        # settle on the divergent Abel tail at base 2.5
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
         kernel = _kernel(ctx)
         monkeypatch.setattr(kernel, "threshold", 2.0)
         with pytest.raises(NonConvergenceError) as info:
             superexp_tilde(0.5, "minus", ctx)
         assert info.value.residual > float(kernel.tol)
-        monkeypatch.setattr(kernel, "tol", mpmath.mpf(0))
-        with pytest.raises(NonConvergenceError) as info:
-            abel1(1, ctx)
-        assert info.value.residual > 0
+        monkeypatch.undo()
+        # a tolerance no tail meets: each evaluation sums once and raises
+        # with that tail, walking no deeper
+        sums = []
+        for name in ("abel_series", "ftilde_series"):
+            summed = getattr(ev._MPKernel, name)
+            monkeypatch.setattr(
+                ev._MPKernel, name, lambda *a, summed=summed: sums.append(a) or summed(*a)
+            )
+        monkeypatch.setattr(kernel, "tol", mpmath.mpf(2) ** -1000)
+        for evaluate in (abel1, abel2, lambda z, c: superexp_tilde(z, "minus", c)):
+            with pytest.raises(NonConvergenceError, match="tail above the target") as info:
+                evaluate(0.5, ctx)
+            assert info.value.residual > float(kernel.tol)
+        assert len(sums) == 3
 
     def test_rejects_bad_cut_side(self):
         with pytest.raises(ValueError):
@@ -634,7 +644,7 @@ class TestMPKernel:
     )
     def test_tilde_step_past_walk_threshold(self, bits, threshold, bound):
         # F~(x + 1) = exp(F~(x)/e) with x and x + 1 both past the walk-out
-        # threshold and the series tail there already below the retry
+        # threshold and the series tail there already below the
         # tolerance, so each side is a direct inversion of the Abel
         # series; a point that walked would reach its value through this
         # very step.  Measured at x = threshold + 0.25: 2^-158 (128 bits),
@@ -688,21 +698,70 @@ class TestTermTiers:
         kernel = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
         assert (kernel.abel_radius, kernel.abel_terms, kernel.threshold) == tuning
 
-    @pytest.mark.parametrize("bits", [224, 256, 320, 384])
+    @pytest.mark.parametrize(
+        "bits",
+        [54, 56, 57, 96, 97, 128, 129, 160, 161, 192, 193, 224, 256, 320, 384,
+         400, 401, 488],
+    )
     def test_tail_at_threshold_meets_target(self, bits):
         # at the walk-out threshold zeta = 2/w lies inside the disk on
-        # both branches, and the Abel tail there, carried to F~, is below
-        # 2^-(bits+12).  Measured: 2^-(bits+27) at 384 bits, more below
+        # both branches, at each tier's edge widths, and the Abel tail
+        # there, carried to F~, is below 2^-(bits+12) from 224 bits up.
+        # Measured: 2^-(bits+27) at 384 bits, more below; the narrow
+        # tiers' tightest is 2^-(bits+10.5), at 56 bits
         kernel = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
         x = kernel.mp.mpf(kernel.threshold)
+        below = 12 if bits >= 224 else 10
         for branch, base in ((BranchSign.minus, x), (BranchSign.plus, -x)):
             value, last = kernel.ftilde_series(base, branch)
             assert abs(1 - value / kernel.mp.e) < kernel.abel_radius
-            assert last <= mpmath.mpf(2) ** -(bits + 12), (branch, last)
+            assert last <= mpmath.mpf(2) ** -(bits + below), (branch, last)
+
+    def test_tail_bound_at_every_width(self):
+        # what makes one sum enough: for every width the mpmath kernel
+        # serves, the last term that any point of its tier's disk
+        # |zeta| < r can give is below the kernel's tol.  Each kernel
+        # sum reports |c_n| |zeta|^n for its last coefficient c_n: abel1
+        # sums N terms, abel2 N + 1, and F~ carries the Abel tail of its
+        # side by dF/dalpha = e zeta^2/2.  Measured worst margins: abel1
+        # 5.8 bits, abel2 6.1, F~ minus 9.3, F~ plus 9.7, all at 56 bits
+        def log2(q):
+            return math.log2(abs(q.numerator)) - math.log2(q.denominator)
+
+        def last_terms(bits):
+            # log2 of each sum's last term at |zeta| = r
+            radius, n = ev._abel_tier(bits)
+            c_n, c_n1 = ev._abel_tail_coeffs(n + 1)[n - 1:]
+            lr, carry = math.log2(radius), math.log2(math.e / 2)
+            return {
+                "abel1": log2(c_n) + n * lr,
+                "abel2": log2(c_n1) + (n + 1) * lr,
+                "ftilde minus": log2(c_n) + (n + 2) * lr + carry,
+                "ftilde plus": log2(c_n1) + (n + 3) * lr + carry,
+            }
+
+        worst = {}
+        for bits in range(54, ev._MAX_BITS + 1):
+            kernel = ev._MPKernel(EvalContext(PrecisionConfig(mantissa_bits=bits)))
+            tol = float(mpmath.log(kernel.tol, 2))
+            for name, term in last_terms(bits).items():
+                if name not in worst or tol - term < worst[name][0]:
+                    worst[name] = (tol - term, bits)
+        for name, (margin, bits) in worst.items():
+            print(f"{name}: {margin:.2f} bits below tol at {bits} bits")
+        assert all(margin > 0 for margin, _ in worst.values()), worst
+        # the kernel reports that last term: at the tightest width, just
+        # inside the disk, each Abel sum's is below its bound
+        bits = worst["abel1"][1]
+        kernel = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
+        zeta = kernel.mp.mpf(kernel.abel_radius) * (1 - kernel.mp.mpf(2) ** -20)
+        for plus_side, name in ((False, "abel1"), (True, "abel2")):
+            _, last = kernel.abel_series(zeta, plus_side, "above")
+            assert float(mpmath.log(last, 2)) <= last_terms(bits)[name], (name, last)
 
     def test_one_sum_per_evaluation(self, monkeypatch):
-        # the tail at the walk-out threshold is below the retry tolerance,
-        # so no evaluation at 256 bits sums the series twice
+        # the tail at the walk-out threshold is below the tolerance, so
+        # no evaluation at 256 bits sums the series twice
         counts = {"evals": 0, "sums": 0}
         walk, series = ev._ftilde_eval, ev._MPKernel.ftilde_series
 
@@ -784,17 +843,6 @@ class TestTermTiers:
             with pytest.raises(NonConvergenceError, match="Newton") as info:
                 fn(0.5 + 0.5j, ctx, CC)
             assert 0 < info.value.residual < 1
-
-    def test_retries_one_unit_out_run_out(self, monkeypatch):
-        # a base point where the Abel tail misses the tolerance, and
-        # retries one unit further out: three of them do not reach it
-        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
-        kernel = _kernel(ctx)
-        monkeypatch.setattr(kernel, "threshold", 9.0)
-        monkeypatch.setattr(kernel, "bump", 1)
-        with pytest.raises(NonConvergenceError, match="retries") as info:
-            superexp_tilde(0.5, "minus", ctx)
-        assert info.value.residual > float(kernel.tol)
 
     @pytest.mark.parametrize("bits", [128, 256])
     def test_real_arguments_on_both_cut_sides(self, bits):

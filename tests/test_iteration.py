@@ -109,6 +109,19 @@ class TestExpIterate:
         with pytest.raises(DomainError, match="ambiguous"):
             exp_iterate(req(0.5, complex(E, 2.0)))
 
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_wide_branch_compares_with_e_at_the_width(self, bits):
+        # e - 1e-20 lies right of the double E, and E itself is 1.4e-16
+        # left of e: at the width both take the lower branch, and
+        # e + 1e-20 the upper, as the explicit branches give them
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        with mp.workprec(bits):
+            near = [mpmath.e - mpmath.mpf("1e-20"), mpmath.e + mpmath.mpf("1e-20")]
+        for z, branch in ((near[0], "lower"), (E, "lower"), (near[1], "upper")):
+            v = exp_iterate(req(0.5, z), ctx)
+            assert v == exp_iterate(req(0.5, z, branch), ctx)
+            assert abs(v - E) < 1e-14
+
     @pytest.mark.parametrize("c", [0.5, -0.25, 3.7])
     @pytest.mark.parametrize("branch", [None, "lower", "upper"])
     def test_fixed_point_is_fixed_by_every_iterate(self, c, branch):

@@ -15,13 +15,13 @@ also times the exact build of each tier's tail (the N + 1 terms a
 kernel of that width builds) and of the longest tail it measures with,
 best of three calls of series.abel_expansion in this process.  It
 writes the table to BENCH_abel_order.json; --check gates the errors
-only.
+only and writes nothing, so a check leaves the tree clean.
 
 Usage (from the repository root):
 
     python3 tools/abel_order.py            # measure and write the JSON
-    python3 tools/abel_order.py --check    # also exit 1 if a tier's
-                                           # error is above 2^-bits
+    python3 tools/abel_order.py --check    # exit 1 if a tier's error is
+                                           # above 2^-bits; no JSON
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ def _build_seconds(n_terms: int, repeats: int = 3) -> float:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if any tier misses 2^-bits")
+                        help="exit 1 if any tier misses 2^-bits, and"
+                             " write no JSON")
     args = parser.parse_args()
 
     ctx = mpmath.MPContext()
@@ -120,6 +121,10 @@ def main() -> int:
             missed.append(bits)
         print(row, flush=True)
 
+    if missed:
+        print(f"tiers missing 2^-bits at {missed} bits", file=sys.stderr)
+    if args.check:
+        return 1 if missed else 0
     result = {
         "what": (
             "truncation error of the Abel tail at each tier's radius: "
@@ -151,9 +156,7 @@ def main() -> int:
     with open(OUT, "w") as fh:
         json.dump(kept, fh, indent=1)
         fh.write("\n")
-    if missed:
-        print(f"tiers missing 2^-bits at {missed} bits", file=sys.stderr)
-    return 1 if args.check and missed else 0
+    return 0
 
 
 if __name__ == "__main__":
