@@ -4,10 +4,12 @@ The package is organized bottom-up:
 
 - `series`: exact-rational formal power series (iterate coefficients,
   iterative logarithm, Abel expansion, super-exponential polynomials).
+- `precision`: `PrecisionConfig`, the one precision type.
 - `limits`: the classical limit formulas over a multiprecision backend,
   used as independent oracles and for the convergence tables.
 - `evaluators`: production evaluators for the Abel functions A1/A3 and
-  the super-exponentials F1/F3, plus calibration of all constants.
+  the super-exponentials F1/F3, plus calibration of all constants;
+  `wide` holds their mpmath kernel, loaded on first use above 53 bits.
 - `iteration`: fractional iterates of the exponential, agreement
   diagnostics, and grid evaluation.
 - `cli`: the `superexp` command-line front end.
@@ -48,22 +50,7 @@ from .iteration import (
     grid_to_json,
     map_grid,
 )
-from .limits import (
-    ConvergenceRecord,
-    NewtonResult,
-    PrecisionConfig,
-    convergence_table,
-    fatou_abel,
-    fatou_probe,
-    fatou_probe_richardson,
-    format_record,
-    iterate_h,
-    iterate_h_inverse,
-    levy_abel,
-    levy_probe,
-    newton_superfunction,
-    records_to_csv,
-)
+from .precision import PrecisionConfig
 from .series import (
     AbelExpansion,
     PowerSeries,
@@ -76,6 +63,16 @@ from .series import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the names of __all__ not imported above are the limit formulas',
+    # loaded on first access (PEP 562): `import superexp` loads no mpmath
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import limits
+    return getattr(limits, name)
+
 
 __all__ = [
     "A1",

@@ -8,7 +8,8 @@ wider precisions with explicit digit counts.
 Calibration constants are computed lazily and cached under
 ``$SUPEREXP_CACHE_DIR`` (default ``~/.cache/superexp``), keyed by the
 calibration precision tier; ``--no-cache`` recomputes and skips the
-file entirely.
+file entirely.  A 53-bit ``eval``, ``map`` or ``check`` with a cached
+tier reads the anchors as doubles and loads no mpmath.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import statistics
 import sys
 import tempfile
 from typing import Optional
-
-import mpmath
 
 from .errors import SuperexpError
 from .evaluators import (
@@ -48,9 +47,17 @@ from .iteration import (
     grid_to_json,
     map_grid,
 )
-from .limits import PrecisionConfig, convergence_table, format_record, records_to_csv
+from .precision import PrecisionConfig
 
 __all__ = ["main"]
+
+
+def __getattr__(name: str):
+    # the limit formulas load on first access (PEP 562): only table needs them
+    if name not in ("convergence_table", "format_record", "records_to_csv"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import limits
+    return getattr(limits, name)
 
 OK, EVAL_ERROR, CALIBRATION_ERROR, IO_ERROR = 0, 1, 2, 3
 
@@ -111,7 +118,17 @@ def _cache_dir() -> str:
     return os.path.join(base, "superexp")
 
 
-def _constants(bits: int, no_cache: bool) -> CalibrationConstants:
+def _doubles(payload: dict) -> CalibrationConstants:
+    # float() of a cached decimal is the double the 53-bit kernel casts
+    # the mpf it parses to (tested for every tier), and builds no mpf
+    anchors = {k: float(payload[k]) for k in ("x1", "x3", "a1_norm", "a3_norm")}
+    period = complex(0.0, float(payload["period_t1_imag"]))
+    return CalibrationConstants(**anchors, period_t1=period, bits=int(payload["bits"]))
+
+
+def _constants(bits: int, no_cache: bool, exact: bool = False) -> CalibrationConstants:
+    # a 53-bit evaluation reads a cache hit as doubles; exact keeps the
+    # mpfs, which calibrate prints
     tier = calibration_tier(bits)
     path = os.path.join(_cache_dir(), f"constants-{tier}.json")
     if not no_cache:
@@ -119,7 +136,9 @@ def _constants(bits: int, no_cache: bool) -> CalibrationConstants:
             with open(path, encoding="ascii") as fh:
                 payload = json.load(fh)
             if int(payload.get("bits", 0)) == tier:
-                return CalibrationConstants.from_decimal_dict(payload)
+                doubles = bits == 53 and not exact
+                read = _doubles if doubles else CalibrationConstants.from_decimal_dict
+                return read(payload)
         except (OSError, ValueError, KeyError):
             pass  # unreadable or stale cache: recompute below
     constants = default_constants(bits)
@@ -160,6 +179,7 @@ def _format_parts(value, bits: int):
     if bits == 53:
         v = complex(value)
         return repr(v.real), repr(v.imag)
+    import mpmath
     digits = mpmath.libmp.prec_to_dps(bits) + 3
     v = mpmath.mpmathify(value)
     return mpmath.nstr(mpmath.re(v), digits), mpmath.nstr(mpmath.im(v), digits)
@@ -224,7 +244,7 @@ def _parse_floats(text: str):
 
 def _cmd_calibrate(args) -> int:
     try:
-        constants = _constants(args.precision_bits, args.no_cache)
+        constants = _constants(args.precision_bits, args.no_cache, exact=True)
     except SuperexpError as exc:
         return _fail(f"calibration failed: {exc}", CALIBRATION_ERROR)
     payload = constants.as_decimal_dict()
@@ -234,6 +254,7 @@ def _cmd_calibrate(args) -> int:
         lines = ["name,value"] + [f"{k},{v}" for k, v in payload.items()]
         text = "\n".join(lines) + "\n"
     else:
+        import mpmath
         digits = mpmath.libmp.prec_to_dps(args.precision_bits)
         rows = [
             ("x1", mpmath.nstr(constants.x1, digits)),
@@ -306,25 +327,27 @@ def _cmd_table(args) -> int:
         params = _TABLE_DEFAULT_ARGS[method]
     else:
         return _fail(f"table {args.method} requires --args")
+    # through the module, so that a wrapper set on a name is what runs
+    cli = sys.modules[__name__]
     try:
-        records = convergence_table(
+        records = cli.convergence_table(
             method, params, args.n, PrecisionConfig(mantissa_bits=args.precision_bits)
         )
     except (ValueError, SuperexpError) as exc:
         return _fail(str(exc))
     if args.format == "csv":
-        return _emit(records_to_csv(records), args.out)
+        return _emit(cli.records_to_csv(records), args.out)
     if args.format == "json":
         rows = []
         for rec in records:
-            value, printed = format_record(rec)
+            value, printed = cli.format_record(rec)
             rows.append(
                 {"method": rec.method, "n": rec.n, "value": value,
                  "printed": printed, "error": rec.error}
             )
         return _emit(json.dumps(rows) + "\n", args.out)
     lines = [
-        f"{rec.n} {rec.error if rec.error is not None else format_record(rec)[1]}"
+        f"{rec.n} {rec.error if rec.error is not None else cli.format_record(rec)[1]}"
         for rec in records
     ]
     return _emit("".join(line + "\n" for line in lines), args.out)

@@ -18,8 +18,6 @@ import math
 import numbers
 from typing import Optional, Union
 
-import mpmath
-
 from .errors import BranchCutError, DomainError, SuperexpError
 from .evaluators import (
     A1,
@@ -33,7 +31,6 @@ from .evaluators import (
     abel2,
     default_constants,
 )
-from .limits import mp_context, mp_convert, plain
 
 __all__ = [
     "GridResult",
@@ -48,7 +45,8 @@ __all__ = [
     "map_grid",
 ]
 
-Scalar = Union[float, complex, mpmath.mpf, mpmath.mpc]
+# the mpmath types are named, not imported: a 53-bit process loads no mpmath
+Scalar = Union[float, complex, "mpmath.mpf", "mpmath.mpc"]
 
 _E = math.e
 
@@ -115,8 +113,9 @@ def _at_width(z: Scalar, bits: int) -> tuple:
     """
     if bits == 53:
         return complex(z), _E
+    from .limits import mp_context, mp_convert, plain
     ctx = mp_context(bits)
-    return +mp_convert(ctx, z), +ctx.e
+    return +mp_convert(ctx, z), plain(+ctx.e)
 
 
 def _a1_sided(
@@ -140,6 +139,7 @@ def _a1_sided(
             return abel2(z, ctx) + (rot if side == "above" else -rot) - complex(
                 constants.a1_norm
             )
+        from .limits import mp_context, plain
         wide = mp_context(bits + 32)
         rot = wide.mpc(0, -wide.pi / 3)
         value = wide.convert(abel2(z, ctx)) + (rot if side == "above" else -rot)
@@ -161,6 +161,7 @@ def _shift(a: Scalar, c: Scalar, bits: int) -> Scalar:
     # c + A(z) at the evaluation precision
     if bits == 53:
         return a + c
+    from .limits import mp_context, mp_convert, plain
     ctx = mp_context(bits)
     return plain(ctx.convert(a) + mp_convert(ctx, c))
 
@@ -202,7 +203,7 @@ def exp_iterate(
     if zw == e:
         # every regular iterate fixes e exactly; the F(c + A(z))
         # composition has a removable singularity there
-        return complex(_E, 0.0) if bits == 53 else plain(e)
+        return complex(_E, 0.0) if bits == 53 else e
     branch = req.branch if req.branch is not None else _branch_for(zw.real, e)
     if branch is IterateBranch.lower:
         on_cut = zw.imag == 0 and zw.real > e
@@ -247,6 +248,7 @@ def dq13(
     upper = exp_iterate(IterateRequest(0.5, x, IterateBranch.upper), deep, constants)
     if bits == 53:
         return lower - upper
+    from .limits import mp_context, plain
     ctx = mp_context(bits)
     return plain(ctx.convert(lower) - ctx.convert(upper))
 
@@ -254,6 +256,7 @@ def dq13(
 def _exp_b(z: Scalar, bits: int) -> Scalar:
     if bits == 53:
         return cmath.exp(complex(z) / _E)
+    from .limits import mp_context, mp_convert, plain
     wide = mp_context(bits + 16)
     return plain(wide.exp(mp_convert(wide, z) / wide.e), bits)
 
@@ -322,6 +325,7 @@ def agreement(
         num = abs(complex(x) + complex(y))
         den = abs(complex(x) - complex(y))
     else:
+        from .limits import mp_context, mp_convert
         ctx = mp_context(bits)
         x, y = ctx.convert(x), mp_convert(ctx, y)
         num, den = float(abs(x + y)), float(abs(x - y))

@@ -59,6 +59,7 @@ from .errors import (
     PrecisionLossWarning,
     SuperexpError,
 )
+from .precision import PrecisionConfig
 
 __all__ = [
     "PrecisionConfig",
@@ -85,33 +86,6 @@ _ESCAPE_RE = 1e8
 
 # hard cap on orbit length; guards the table drivers against runaway n
 _MAX_ITERATIONS = 10**7
-
-
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """The mantissa width of an evaluation or of a limit formula.
-
-    Parameters
-    ----------
-    mantissa_bits : int
-        Binary mantissa length of the backend arithmetic, an integer of
-        at least 53; the convergence tables default to 256.  A real
-        orbit point with 2^-32 <= |u| < 64 is held to an absolute
-        resolution of 2^-(mantissa_bits+32) instead, which is finer for
-        every orbit length below about 10^10.  53 gives a fixed-point
-        orbit in h-coordinates, not a double orbit of x -> e^(x/e): its
-        10^5 ratio rows are monotone, so it does not reproduce the
-        rounding jitter of tables computed from such an orbit.
-    """
-
-    mantissa_bits: int = 256
-
-    def __post_init__(self) -> None:
-        # a float width (nan, 128.5, 100.0) would slip past the bound check
-        if not isinstance(self.mantissa_bits, int):
-            raise ValueError("mantissa_bits must be an integer")
-        if self.mantissa_bits < 53:
-            raise ValueError("mantissa_bits must be at least 53")
 
 
 @dataclass(frozen=True)

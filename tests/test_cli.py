@@ -19,7 +19,13 @@ import time
 import pytest
 
 from superexp import cli
-from superexp.evaluators import F1, EvalContext, default_constants
+from superexp.evaluators import (
+    F1,
+    CalibrationConstants,
+    EvalContext,
+    _DoubleKernel,
+    default_constants,
+)
 
 E = math.e
 
@@ -259,6 +265,21 @@ class TestCalibrate:
         assert [p.name for p in tmp_path.iterdir()] == ["constants-192.json"]
         payload = json.loads((tmp_path / "constants-192.json").read_text())
         assert payload == constants.as_decimal_dict()
+
+    @pytest.mark.parametrize("tier", [192, 256, 320, 384, 448])
+    def test_cached_doubles_are_the_kernel_cast(self, tier):
+        # a 53-bit command reads the anchors as float() of the cached
+        # decimals: the doubles the kernel casts from the parsed mpfs
+        payload = json.loads(json.dumps(default_constants(tier - 16).as_decimal_dict()))
+        assert payload["bits"] == tier
+        exact = CalibrationConstants.from_decimal_dict(payload)
+        doubles = cli._doubles(payload)
+        kernel = _DoubleKernel(EvalContext())
+        got = (*kernel.anchors(doubles), doubles.period_t1)
+        want = (*kernel.anchors(exact), complex(exact.period_t1))
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+            (z.real.hex(), z.imag.hex()) for z in want
+        ]
 
     def test_failed_cache_write_leaves_nothing(self, tmp_path, monkeypatch):
         # a write that dies half way must not leave a truncated cache
@@ -670,6 +691,86 @@ class TestCheck:
         assert set(payload["summary"]) == {
             "min", "median", "fraction_ge_14", "unavailable",
         }
+
+
+# a child process runs one CLI command ("cli" ARG...) or a library
+# snippet ("lib" CODE), then writes its exit code and every module it
+# loaded, as JSON, to the file named first
+_FOOTPRINT = (
+    "import json, sys\n"
+    "out, how, *argv = sys.argv[1:]\n"
+    "if how == 'cli':\n"
+    "    from superexp.cli import main\n"
+    "    code = main(argv)\n"
+    "else:\n"
+    "    exec(argv[0])\n"
+    "    code = 0\n"
+    "with open(out, 'w') as fh:\n"
+    "    json.dump({'code': code, 'modules': sorted(sys.modules)}, fh)\n"
+)
+
+# what an evaluation above 53 bits loads: the mpmath kernel and its imports
+_WIDE = {"mpmath", "superexp.fixed", "superexp.limits", "superexp.wide"}
+
+
+class TestImportFootprint:
+    """A 53-bit command with a cached tier loads no multiprecision code."""
+
+    @staticmethod
+    def loaded(tmp_path, cache, how, *argv) -> set:
+        out = tmp_path / "modules.json"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT, str(out), how, *argv],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, SUPEREXP_CACHE_DIR=str(cache), PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(out.read_text())
+        assert report["code"] == 0, proc.stderr
+        return _WIDE & set(report["modules"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "F1", "0.5", "0"],
+            ["map", "F1", "--x=-2:2", "--y=-1:1", "--nx", "5", "--ny", "3"],
+            ["check", "d1fa", "--x=-2:2", "--y=-1:1", "--nx", "3", "--ny", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_53_bit_commands_load_none(self, tmp_path, cache_dir, argv):
+        assert self.loaded(tmp_path, cache_dir, "cli", *argv) == set()
+
+    def test_53_bit_library_calls_load_none(self, tmp_path, cache_dir):
+        # with the constants in hand; F1(0) takes an int argument
+        code = (
+            "import json, os, superexp\n"
+            "from superexp.cli import _doubles\n"
+            "path = os.path.join(os.environ['SUPEREXP_CACHE_DIR'], 'constants-192.json')\n"
+            "with open(path) as fh:\n"
+            "    constants = _doubles(json.load(fh))\n"
+            "superexp.F1(0.5, None, constants)\n"
+            "superexp.F1(0, None, constants)\n"
+        )
+        assert self.loaded(tmp_path, cache_dir, "lib", code) == set()
+
+    @pytest.mark.parametrize(
+        "how, argv, want",
+        [
+            ("cli", ["eval", "F1", "0.5", "0", "--precision-bits", "128"], _WIDE),
+            ("cli", ["calibrate", "--no-cache"], _WIDE),
+            # a cache hit parses the decimals as mpfs and builds no kernel
+            ("cli", ["calibrate"], {"mpmath", "superexp.limits"}),
+            ("cli", ["table", "levy", "--n", "10:11"], {"mpmath", "superexp.limits"}),
+            # the library has no cache: its first evaluation calibrates
+            ("lib", ["import superexp; superexp.F1(0.5)"], _WIDE),
+        ],
+        ids=["eval128", "calibrate-miss", "calibrate-hit", "table", "library-calibrates"],
+    )
+    def test_wide_paths_load_what_they_use(self, tmp_path, cache_dir, how, argv, want):
+        assert self.loaded(tmp_path, cache_dir, how, *argv) == want
 
 
 def readme_commands(*subcommands):

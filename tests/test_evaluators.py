@@ -7,6 +7,7 @@ the precision; cross-checks against the limit-formula estimators in
 
 import cmath
 import dataclasses
+import json
 import math
 import os
 import random
@@ -48,6 +49,7 @@ from superexp.evaluators import (
 )
 from superexp.iteration import IterateRequest, dq13, exp_iterate
 from superexp.limits import PrecisionConfig
+from superexp.wide import _MPKernel
 
 from helpers import superexp_tilde_by_polynomials
 
@@ -164,6 +166,12 @@ class TestAnchorsDouble:
         assert abs(F3(0) - 3) < 1e-12
         assert abs(F3(1) - math.exp(3 / E)) < 1e-12
 
+    def test_int_arguments_match_floats(self):
+        # a Python int takes the double path, as a float does, bit for bit
+        for fn, n in ((F1, 0), (A1, 1), (F3, -3)):
+            got, want = fn(n), fn(float(n))
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
     def test_normalizations(self):
         assert abs(A1(1)) < 1e-13
         assert abs(A3(3)) < 1e-13
@@ -279,7 +287,7 @@ class TestCutsAndErrors:
         assert ev.calibration_tier(433) == 512
         with pytest.raises(DomainError, match="512 bits is out of range.* 432 bits"):
             F1(0.5, EvalContext(precision=PrecisionConfig(mantissa_bits=433)))
-        assert ev._MPKernel(
+        assert _MPKernel(
             EvalContext(precision=PrecisionConfig(mantissa_bits=488))
         ).bits == 488
         for bits in (489, 640, 1024):
@@ -383,9 +391,9 @@ class TestCutsAndErrors:
         # with that tail, walking no deeper
         sums = []
         for name in ("abel_series", "ftilde_series"):
-            summed = getattr(ev._MPKernel, name)
+            summed = getattr(_MPKernel, name)
             monkeypatch.setattr(
-                ev._MPKernel, name, lambda *a, summed=summed: sums.append(a) or summed(*a)
+                _MPKernel, name, lambda *a, summed=summed: sums.append(a) or summed(*a)
             )
         monkeypatch.setattr(kernel, "tol", mpmath.mpf(2) ** -1000)
         for evaluate in (abel1, abel2, lambda z, c: superexp_tilde(z, "minus", c)):
@@ -549,7 +557,7 @@ class TestWideAbelWalk:
     @pytest.mark.parametrize("case", CASES)
     def test_guarded_steps_match_the_stepped_walk(self, monkeypatch, bits, case):
         plus_side, z, side, guarded = self.CASES[case]
-        kernel = ev._MPKernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
+        kernel = _MPKernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
         w = kernel.cast(z)
         want = self._outcome(_stepped_walk, kernel, w, plus_side, side)
         steps = _count_guarded_steps(monkeypatch, kernel)
@@ -742,7 +750,7 @@ class TestTermTiers:
 
         worst = {}
         for bits in range(54, ev._MAX_BITS + 1):
-            kernel = ev._MPKernel(EvalContext(PrecisionConfig(mantissa_bits=bits)))
+            kernel = _MPKernel(EvalContext(PrecisionConfig(mantissa_bits=bits)))
             tol = float(mpmath.log(kernel.tol, 2))
             for name, term in last_terms(bits).items():
                 if name not in worst or tol - term < worst[name][0]:
@@ -763,7 +771,7 @@ class TestTermTiers:
         # the tail at the walk-out threshold is below the tolerance, so
         # no evaluation at 256 bits sums the series twice
         counts = {"evals": 0, "sums": 0}
-        walk, series = ev._ftilde_eval, ev._MPKernel.ftilde_series
+        walk, series = ev._ftilde_eval, _MPKernel.ftilde_series
 
         def counted_walk(*args):
             counts["evals"] += 1
@@ -774,7 +782,7 @@ class TestTermTiers:
             return series(self, *args)
 
         monkeypatch.setattr(ev, "_ftilde_eval", counted_walk)
-        monkeypatch.setattr(ev._MPKernel, "ftilde_series", counted_series)
+        monkeypatch.setattr(_MPKernel, "ftilde_series", counted_series)
         cc = default_constants(256)
         counts.update(evals=0, sums=0)
         for z in (0.5, -1.5 + 0.75j, 1 + 2j):
@@ -1064,6 +1072,51 @@ class TestPerCallCaches:
         assert not mismatches
 
 
+# a fresh process whose first 128-bit calls four threads make at once:
+# they race the import of superexp.wide, the calibration and the kernel
+# build; prints each thread's values as exact mpmath tuples
+_FIRST_WIDE_USE = """
+import json, sys, threading
+from superexp import A1, F1, EvalContext, PrecisionConfig
+assert "superexp.wide" not in sys.modules
+ctx = EvalContext(PrecisionConfig(mantissa_bits=128))
+calls = [(F1, 0.5 + 0.5j), (A1, -1 + 0.5j)]
+barrier = threading.Barrier(4)
+got = [None] * 4
+
+def work(i):
+    barrier.wait(60)
+    order = calls if i % 2 else calls[::-1]
+    got[i] = {fn.__name__: repr(fn(z, ctx)._mpc_) for fn, z in order}
+
+sys.setswitchinterval(1e-5)
+threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+print(json.dumps(got))
+"""
+
+
+class TestFirstWideUse:
+    def test_racing_threads_get_the_serial_values(self):
+        src = os.path.dirname(os.path.dirname(ev.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FIRST_WIDE_USE], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
+        serial = {
+            "F1": repr(F1(0.5 + 0.5j, ctx)._mpc_),
+            "A1": repr(A1(-1 + 0.5j, ctx)._mpc_),
+        }
+        assert json.loads(proc.stdout) == [serial] * 4, proc.stderr
+
+
 def _exact(c):
     return mpmath.mpf(c.numerator) / c.denominator
 
@@ -1109,12 +1162,12 @@ class TestFixedPointSums:
         calls = []
         for name in ("ftilde_series", "abel_series"):
 
-            def spy(self, *args, _method=getattr(ev._MPKernel, name)):
+            def spy(self, *args, _method=getattr(_MPKernel, name)):
                 value, last = _method(self, *args)
                 calls.append((self, _method.__name__, args, value))
                 return value, last
 
-            monkeypatch.setattr(ev._MPKernel, name, spy)
+            monkeypatch.setattr(_MPKernel, name, spy)
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
         for z in self.POINTS:
             superexp_tilde(z, "minus", ctx)
