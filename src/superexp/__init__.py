@@ -4,9 +4,11 @@ The package is organized bottom-up:
 
 - `series`: exact-rational formal power series (iterate coefficients,
   iterative logarithm, Abel expansion, super-exponential polynomials).
-- `precision`: `PrecisionConfig`, the one precision type.
+- `precision`: `PrecisionConfig`, the one precision type, and the
+  private mpmath contexts every computation above 53 bits works in.
 - `limits`: the classical limit formulas over a multiprecision backend,
-  used as independent oracles and for the convergence tables.
+  used as independent oracles and for the convergence tables; no
+  evaluator imports them.
 - `evaluators`: production evaluators for the Abel functions A1/A3 and
   the super-exponentials F1/F3, plus calibration of all constants;
   `wide` holds their mpmath kernel, loaded on first use above 53 bits.

@@ -66,9 +66,10 @@ _CACHE_ENV = "SUPEREXP_CACHE_DIR"
 # table presets reproducing the published comparison columns
 _TABLE_DEFAULT_ARGS = {"levy": (-1.0, 1.0), "fatou1": (-1.0,)}
 
-# a token that float() reads as a negative number, in any spelling
-# (-2.5e-1, -1e-3, -inf, -nan): argparse itself takes only -12 and -1.5
-# as numbers and every other token starting with "-" as an option
+# a token that starts as a negative number in any spelling (-2.5e-1,
+# -1e-3, -inf, -nan, and ranges and lists such as -8:28 or -1,1):
+# argparse itself takes only -12 and -1.5 as numbers and every other
+# token starting with "-" as an option
 _NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
@@ -82,25 +83,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EVAL_ERROR)
-
-
-# flags whose values may start with "-" (ranges, negative arguments);
-# argparse only accepts those in --flag=value form, so pre-join the
-# spellings with a separate token
-_VALUE_FLAGS = ("--x", "--y", "--n", "--c", "--args")
-
-
-def _normalize_argv(argv):
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
 
 
 def _fail(message: str, code: int = EVAL_ERROR) -> int:
@@ -505,9 +487,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _build_parser().parse_args(_normalize_argv(list(argv)))
+    args = _build_parser().parse_args(argv)
     if "max_recursion" in args:  # eval, map and check
         args.ctx = EvalContext(
             PrecisionConfig(mantissa_bits=args.precision_bits), args.max_recursion

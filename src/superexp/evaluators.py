@@ -19,8 +19,9 @@ mpmath and derive their tuning from the bit count (one tier table,
 _ABEL_TIERS, sets both walks); their results leave as plain mpmath
 values.  The mpmath kernel lives in `superexp.wide`, which this module
 imports on the first wider kernel and the first calibration: a 53-bit
-evaluation with constants in hand loads neither mpmath nor the limit
-formulas.
+evaluation with constants in hand loads no mpmath.  The private mpmath
+contexts come from `superexp.precision`, so no evaluation at any width
+loads the limit formulas.
 
 Real arguments on a cut are evaluated as directional limits: `cut_side`
 picks the side ("above" everywhere by default), and None demands a
@@ -45,7 +46,7 @@ from .errors import (
     OrbitOverflowError,
     SuperexpError,
 )
-from .precision import PrecisionConfig
+from .precision import PrecisionConfig, mp_context, plain
 from .series import abel_expansion, exp_minus_one
 # no evaluator calls it; the traced benchmark runs wrap it by this name
 from .series import superexp_polynomials  # noqa: F401
@@ -154,7 +155,6 @@ class CalibrationConstants:
 
     @classmethod
     def from_decimal_dict(cls, d: dict) -> "CalibrationConstants":
-        from .limits import mp_context, plain
         bits = int(d["bits"])
         ctx = mp_context(bits + 32)
         return cls(
@@ -458,17 +458,20 @@ def _kernel(ctx: EvalContext):
 # kernel by identity
 _DEFAULT_CTX = EvalContext()
 _last_kernel = (None, None)
+_building = threading.Lock()
 
 
 def _kernel_of(ctx: EvalContext | None):
     # a sweep passes one context object to every cell: match it by
     # identity before hashing the frozen context through _kernel's cache;
-    # the pair is swapped whole, so a racing thread keeps its own kernel
+    # the pair is swapped whole, so a racing thread keeps its own kernel.
+    # A miss takes the lock, so racing first calls build one kernel
     global _last_kernel
     ctx = ctx or _DEFAULT_CTX
     last = _last_kernel
     if last[0] is not ctx:
-        last = _last_kernel = (ctx, _kernel(ctx))
+        with _building:
+            last = _last_kernel = (ctx, _kernel(ctx))
     return last[1]
 
 
@@ -627,7 +630,6 @@ def _public(value, flip: bool):
     # and a kernel's mpmath value converted exactly to a plain one
     if isinstance(value, complex):
         return value.conjugate() if flip else value
-    from .limits import plain
     return plain(value.conjugate() if flip else value)
 
 
@@ -873,7 +875,6 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
         An Abel walk that misses its disk, or a sum whose tail is above
         the tolerance.
     """
-    from .limits import plain
     from .wide import _MPKernel
     ctx = ctx or _DEFAULT_CTX
     bits = max(192, ctx.precision.mantissa_bits)
@@ -895,6 +896,7 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
 
 
 _DEFAULT_CONSTANTS: dict = {}
+_calibrating = threading.Lock()
 
 
 def calibration_tier(bits: int) -> int:
@@ -916,6 +918,8 @@ def default_constants(bits: int = 53) -> CalibrationConstants:
     """
     needed = calibration_tier(bits)
     if needed not in _DEFAULT_CONSTANTS:
-        cctx = EvalContext(precision=PrecisionConfig(mantissa_bits=needed))
-        _DEFAULT_CONSTANTS[needed] = calibrate(cctx)
+        with _calibrating:  # racing first calls calibrate once
+            if needed not in _DEFAULT_CONSTANTS:
+                cctx = EvalContext(precision=PrecisionConfig(mantissa_bits=needed))
+                _DEFAULT_CONSTANTS[needed] = calibrate(cctx)
     return _DEFAULT_CONSTANTS[needed]

@@ -31,6 +31,7 @@ from .evaluators import (
     abel2,
     default_constants,
 )
+from .precision import mp_context, mp_convert, plain
 
 __all__ = [
     "GridResult",
@@ -113,7 +114,6 @@ def _at_width(z: Scalar, bits: int) -> tuple:
     """
     if bits == 53:
         return complex(z), _E
-    from .limits import mp_context, mp_convert, plain
     ctx = mp_context(bits)
     return +mp_convert(ctx, z), plain(+ctx.e)
 
@@ -139,7 +139,6 @@ def _a1_sided(
             return abel2(z, ctx) + (rot if side == "above" else -rot) - complex(
                 constants.a1_norm
             )
-        from .limits import mp_context, plain
         wide = mp_context(bits + 32)
         rot = wide.mpc(0, -wide.pi / 3)
         value = wide.convert(abel2(z, ctx)) + (rot if side == "above" else -rot)
@@ -161,7 +160,6 @@ def _shift(a: Scalar, c: Scalar, bits: int) -> Scalar:
     # c + A(z) at the evaluation precision
     if bits == 53:
         return a + c
-    from .limits import mp_context, mp_convert, plain
     ctx = mp_context(bits)
     return plain(ctx.convert(a) + mp_convert(ctx, c))
 
@@ -248,7 +246,6 @@ def dq13(
     upper = exp_iterate(IterateRequest(0.5, x, IterateBranch.upper), deep, constants)
     if bits == 53:
         return lower - upper
-    from .limits import mp_context, plain
     ctx = mp_context(bits)
     return plain(ctx.convert(lower) - ctx.convert(upper))
 
@@ -256,7 +253,6 @@ def dq13(
 def _exp_b(z: Scalar, bits: int) -> Scalar:
     if bits == 53:
         return cmath.exp(complex(z) / _E)
-    from .limits import mp_context, mp_convert, plain
     wide = mp_context(bits + 16)
     return plain(wide.exp(mp_convert(wide, z) / wide.e), bits)
 
@@ -325,7 +321,6 @@ def agreement(
         num = abs(complex(x) + complex(y))
         den = abs(complex(x) - complex(y))
     else:
-        from .limits import mp_context, mp_convert
         ctx = mp_context(bits)
         x, y = ctx.convert(x), mp_convert(ctx, y)
         num, den = float(abs(x + y)), float(abs(x - y))

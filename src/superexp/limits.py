@@ -37,19 +37,20 @@ where the whole orbit does.
 
 Arithmetic runs in private mpmath contexts (`mp_context`), never at
 mpmath's global precision, so neither that setting nor another thread
-changes a result; results leave as plain mpmath values (`plain`).
+changes a result; results leave as plain mpmath values (`plain`).  Those
+helpers live in `superexp.precision`, which the evaluators import them
+from: only the tables and the package's limit-formula names load this
+module.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
-from mpmath import mp
-from mpmath.libmp import from_man_exp, int_types, mpc_pos, mpf_log, mpf_pos, to_fixed
+from mpmath.libmp import from_man_exp, int_types, mpf_log, to_fixed
 from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
 from .errors import (
@@ -59,7 +60,7 @@ from .errors import (
     PrecisionLossWarning,
     SuperexpError,
 )
-from .precision import PrecisionConfig
+from .precision import PrecisionConfig, _as_mp, mp_context, mp_convert, new_mp_context, plain
 
 __all__ = [
     "PrecisionConfig",
@@ -109,55 +110,6 @@ class NewtonResult:
     value: Scalar
     cancellation_warning: bool
     max_term: mpmath.mpf
-
-
-def new_mp_context(bits: int) -> mpmath.MPContext:
-    """A private mpmath context working at `bits`; nothing sets its
-    precision after this.  Its values go through its functions (ctx.log,
-    not mpmath.log, which works at the global precision) and lead mixed
-    arithmetic.  mpmath's expm1 and log1p raise the context's precision
-    while they run, so a context that threads share never calls them.
-    """
-    ctx = mpmath.MPContext()
-    ctx.prec = bits
-    return ctx
-
-
-_contexts = threading.local()
-
-
-def mp_context(bits: int) -> mpmath.MPContext:
-    """This thread's private context at `bits`, memoized."""
-    memo = _contexts.__dict__  # a threading.local's __dict__ is per thread
-    ctx = memo.get(bits)
-    if ctx is None:
-        ctx = memo[bits] = new_mp_context(bits)
-    return ctx
-
-
-def plain(x, bits: int | None = None):
-    """x as a value of mpmath's global context, rounded to `bits` when
-    given, else exactly; Python numbers pass through."""
-    if hasattr(x, "_mpf_"):
-        return mp.make_mpf(x._mpf_ if bits is None else mpf_pos(x._mpf_, bits, "n"))
-    if hasattr(x, "_mpc_"):
-        return mp.make_mpc(x._mpc_ if bits is None else mpc_pos(x._mpc_, bits, "n"))
-    return x
-
-
-def mp_convert(ctx, x):
-    """x as a value of ctx, exactly; mpmath's constants (mpmath.e, ...)
-    evaluate at ctx's width, as they would at that global precision."""
-    if isinstance(x, mp.constant):
-        x = x(prec=ctx.prec)
-    return ctx.convert(x)
-
-
-def _as_mp(ctx, z: Scalar):
-    z = mp_convert(ctx, z)
-    if isinstance(z, ctx.mpc) and z.imag == 0:
-        return z.real
-    return z
 
 
 def _tau_inv(ctx, z: Scalar):

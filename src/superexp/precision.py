@@ -1,12 +1,18 @@
-"""The one precision type of the package, with no multiprecision import.
+"""The width of an evaluation and the private mpmath contexts that carry it.
 
-Evaluators, limit formulas and the CLI all take a `PrecisionConfig`.  It
-lives apart from `limits` so that a 53-bit process can build one without
-loading mpmath; `limits`, `evaluators` and the package re-export it.
+Evaluators, limit formulas and the CLI all take a `PrecisionConfig`.
+Every computation above 53 bits runs in a private mpmath context from
+`mp_context` (or, for an object that threads share, its own
+`new_mp_context`), never at mpmath's global precision, so neither that
+setting nor another thread changes a result; results leave as plain
+mpmath values (`plain`).  The helpers import mpmath inside their bodies,
+so a 53-bit process can build a `PrecisionConfig` without loading it.
+`limits`, `evaluators` and the package re-export `PrecisionConfig`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 __all__ = ["PrecisionConfig"]
@@ -37,3 +43,59 @@ class PrecisionConfig:
             raise ValueError("mantissa_bits must be an integer")
         if self.mantissa_bits < 53:
             raise ValueError("mantissa_bits must be at least 53")
+
+
+def new_mp_context(bits: int) -> mpmath.MPContext:
+    """A private mpmath context working at `bits`; nothing sets its
+    precision after this.  Its values go through its functions (ctx.log,
+    not mpmath.log, which works at the global precision) and lead mixed
+    arithmetic.  mpmath's expm1 and log1p raise the context's precision
+    while they run, so a context that threads share never calls them.
+    """
+    import mpmath
+    ctx = mpmath.MPContext()
+    ctx.prec = bits
+    return ctx
+
+
+_contexts = threading.local()
+
+
+def mp_context(bits: int) -> mpmath.MPContext:
+    """This thread's private context at `bits`, memoized."""
+    memo = _contexts.__dict__  # a threading.local's __dict__ is per thread
+    ctx = memo.get(bits)
+    if ctx is None:
+        ctx = memo[bits] = new_mp_context(bits)
+    return ctx
+
+
+def plain(x, bits: int | None = None):
+    """x as a value of mpmath's global context, rounded to `bits` when
+    given, else exactly; Python numbers pass through."""
+    if hasattr(x, "_mpf_"):
+        from mpmath import mp
+        from mpmath.libmp import mpf_pos
+        return mp.make_mpf(x._mpf_ if bits is None else mpf_pos(x._mpf_, bits, "n"))
+    if hasattr(x, "_mpc_"):
+        from mpmath import mp
+        from mpmath.libmp import mpc_pos
+        return mp.make_mpc(x._mpc_ if bits is None else mpc_pos(x._mpc_, bits, "n"))
+    return x
+
+
+def mp_convert(ctx, x):
+    """x as a value of ctx, exactly; mpmath's constants (mpmath.e, ...)
+    evaluate at ctx's width, as they would at that global precision."""
+    from mpmath import mp
+    if isinstance(x, mp.constant):
+        x = x(prec=ctx.prec)
+    return ctx.convert(x)
+
+
+def _as_mp(ctx, z):
+    # z as a value of ctx, exactly; a complex value on the real axis as real
+    z = mp_convert(ctx, z)
+    if isinstance(z, ctx.mpc) and z.imag == 0:
+        return z.real
+    return z

@@ -2,15 +2,17 @@
 
 The drivers, the public API and the double kernel live in `evaluators`,
 which loads this module on the first kernel wider than 53 bits and on
-the first `calibrate()`.  This module imports mpmath, `superexp.fixed`
-and `superexp.limits` when it loads; `evaluators` imports them only
-inside its wide branches, so a 53-bit process loads none of them.
+the first `calibrate()`.  This module imports mpmath and
+`superexp.fixed` when it loads; `evaluators` imports them only inside
+its wide branches, so a 53-bit process loads none of them.  Its private
+contexts come from `superexp.precision`, so no evaluation loads the
+limit formulas.
 
 The kernel computes on Python integers scaled by 2^scale, 16 bits above
 its work bits (superexp.fixed): it walks on them, sums the Abel series
 and runs Newton's method.  A walk leaves them only for a step out of
 their range, taken on a value of the kernel's own mpmath context at its
-work bits (see limits.new_mp_context), never at mpmath's global
+work bits (see precision.new_mp_context), never at mpmath's global
 precision, so neither that setting nor another thread changes a
 result.
 """
@@ -34,7 +36,7 @@ from .evaluators import (
     _Tables,
     _walk_out,
 )
-from .limits import mp_convert, new_mp_context
+from .precision import _as_mp, new_mp_context
 
 
 # fraction bits of the fixed-point series sums above the work bits
@@ -97,10 +99,7 @@ class _MPKernel(_Tables):
         ctx = self.mp
         if isinstance(z, complex):
             return ctx.mpc(z) if z.imag else ctx.mpf(z.real)
-        x = mp_convert(ctx, z)
-        if isinstance(x, ctx.mpc) and x.imag == 0:
-            return x.real
-        return x
+        return _as_mp(ctx, z)
 
     def walk_length(self, gap) -> int:
         if gap < 0:

@@ -121,6 +121,31 @@ class TestCommonFlags:
         assert "usage" in proc.stderr and f"argument {args[-2]}:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    _MAP = ["map", "F1", "--y", "0:1", "--nx", "2", "--ny", "2"]
+
+    @pytest.mark.parametrize(
+        "args, flag, value, code, error",
+        [
+            (_MAP, "--x", "-8:28", 0, ""),
+            (_MAP, "--x", "-.5:1", 0, ""),
+            (["table", "fatou1"], "--n", "-3:2", 1, "orbit length must be at least 1"),
+            (["table", "levy", "--n", "10:11"], "--args", "-1,1", 0, ""),
+            (["map", "expc", "--x", "0:1", *_MAP[2:]], "--c", "-0.5,1", 0, ""),
+            # not a number: argparse takes it as an option and the flag
+            # as missing its value
+            (_MAP, "--x", "-e:1", 1, "argument --x: expected one argument"),
+        ],
+        ids=["--x -8:28", "--x -.5:1", "--n -3:2", "--args -1,1", "--c -0.5,1", "--x -e:1"],
+    )
+    def test_dash_values_read_as_in_joined_form(self, cache_dir, args, flag, value,
+                                                code, error):
+        # a value starting with "-" after its flag, as in --flag=value
+        proc = run_cli([*args, flag, value], cache_dir)
+        joined = run_cli([*args, f"{flag}={value}"], cache_dir)
+        assert proc.returncode == joined.returncode == code, proc.stderr
+        assert proc.stdout == joined.stdout
+        assert error in proc.stderr and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -670,7 +695,7 @@ class TestCheck:
         assert keys == ["min", "median", "fraction_ge_14", "unavailable"]
 
     def test_agreement_region_fraction(self, cache_dir):
-        # negative span values ride the flag=value normalization
+        # negative span values after their flags, as separate tokens
         proc = run_cli(
             ["check", "d1fa", "--x", "-2:6", "--y", "-6:6", "--nx", "5", "--ny", "5"],
             cache_dir,
@@ -710,11 +735,14 @@ _FOOTPRINT = (
 )
 
 # what an evaluation above 53 bits loads: the mpmath kernel and its imports
-_WIDE = {"mpmath", "superexp.fixed", "superexp.limits", "superexp.wide"}
+_WIDE = {"mpmath", "superexp.fixed", "superexp.wide"}
+# the limit formulas, which only table and the package's names of them load
+_LIMITS = {"mpmath", "superexp.limits"}
 
 
 class TestImportFootprint:
-    """A 53-bit command with a cached tier loads no multiprecision code."""
+    """A 53-bit command with a cached tier loads no multiprecision code,
+    and only table loads the limit formulas."""
 
     @staticmethod
     def loaded(tmp_path, cache, how, *argv) -> set:
@@ -729,7 +757,7 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(out.read_text())
         assert report["code"] == 0, proc.stderr
-        return _WIDE & set(report["modules"])
+        return (_WIDE | _LIMITS) & set(report["modules"])
 
     @pytest.mark.parametrize(
         "argv",
@@ -762,8 +790,8 @@ class TestImportFootprint:
             ("cli", ["eval", "F1", "0.5", "0", "--precision-bits", "128"], _WIDE),
             ("cli", ["calibrate", "--no-cache"], _WIDE),
             # a cache hit parses the decimals as mpfs and builds no kernel
-            ("cli", ["calibrate"], {"mpmath", "superexp.limits"}),
-            ("cli", ["table", "levy", "--n", "10:11"], {"mpmath", "superexp.limits"}),
+            ("cli", ["calibrate"], {"mpmath"}),
+            ("cli", ["table", "levy", "--n", "10:11"], _LIMITS),
             # the library has no cache: its first evaluation calibrates
             ("lib", ["import superexp; superexp.F1(0.5)"], _WIDE),
         ],

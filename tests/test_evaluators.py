@@ -1100,21 +1100,65 @@ print(json.dumps(got))
 """
 
 
+# the same first call from 4 threads at once, counting the calibrations
+# and the kernel builds
+_FIRST_CALLS_ONCE = """
+import json, sys, threading
+import superexp.evaluators as ev
+from superexp import F1, EvalContext, PrecisionConfig
+calibrations = []
+calibrate = ev.calibrate
+
+def counted(ctx=None):
+    calibrations.append(ctx)
+    return calibrate(ctx)
+
+ev.calibrate = counted
+ctx = EvalContext(PrecisionConfig(mantissa_bits=128))
+barrier = threading.Barrier(4)
+got = [None] * 4
+
+def work(i):
+    barrier.wait(60)
+    got[i] = repr(F1(0.5, ctx)._mpf_)
+
+sys.setswitchinterval(1e-5)
+threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+print(json.dumps([got, len(calibrations), ev._kernel.cache_info().misses]))
+"""
+
+
 class TestFirstWideUse:
-    def test_racing_threads_get_the_serial_values(self):
+    @staticmethod
+    def child(script):
         src = os.path.dirname(os.path.dirname(ev.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
-            [sys.executable, "-c", _FIRST_WIDE_USE], capture_output=True, text=True,
+            [sys.executable, "-c", script], capture_output=True, text=True,
             timeout=120, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_racing_threads_get_the_serial_values(self):
+        got = self.child(_FIRST_WIDE_USE)
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
         serial = {
             "F1": repr(F1(0.5 + 0.5j, ctx)._mpc_),
             "A1": repr(A1(-1 + 0.5j, ctx)._mpc_),
         }
-        assert json.loads(proc.stdout) == [serial] * 4, proc.stderr
+        assert got == [serial] * 4
+
+    def test_racing_first_calls_do_the_work_once(self):
+        got, calibrations, builds = self.child(_FIRST_CALLS_ONCE)
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
+        assert got == [repr(F1(0.5, ctx)._mpf_)] * 4
+        assert (calibrations, builds) == (1, 1)
 
 
 def _exact(c):
