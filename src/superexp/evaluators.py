@@ -10,7 +10,7 @@ z = e of z -> e^(z/e):
   walks the functional equation until its argument is far enough out).
   It is the inverse of the Abel series shifted by ln(2)/3, found at the
   base point by Newton's method on that series, so the F~ walk starts
-  where 2/z enters the Abel disk (10 steps out at 53 bits, 68 at 256).
+  where 2/z enters the Abel disk (10 steps out at 53 bits, 39 at 256).
 
 Two kernels share these drivers, and each takes its tuning from the
 width alone.  A 53-bit context runs on machine doubles, the hot path
@@ -246,10 +246,10 @@ class _Tables:
 # -- precision-derived tuning for the mpmath kernel ----------------------
 
 # (bits ceiling, disk radius, tail terms), and above the last ceiling 96
-# terms within the smaller of 8.2/(bits + 10) and 2^-((bits + 148)/97),
-# where the first omitted term |c_97| r^97 (|c_97| about 2^143.6) is
-# 2^-(bits+4); the second radius takes over from 400 bits.  The
-# truncation error of the Abel tail is below 2^-bits in every tier:
+# terms within the radius 2^-((bits + 148)/97), where the first omitted
+# term |c_97| r^97 (|c_97| about 2^143.6) is 2^-(bits+4): 0.0557 at 256
+# bits, a walk-out of 39 steps.  The truncation error of the Abel tail
+# is below 2^-bits in every tier, by 3.5 bits or more above 192 bits:
 # tools/abel_order.py measures it against a longer tail
 # (BENCH_abel_order.json), and CI runs its --check
 _ABEL_TIERS = (
@@ -273,7 +273,7 @@ def _abel_tier(bits: int) -> tuple:
     for cap, radius, terms in _ABEL_TIERS:
         if bits <= cap:
             return radius, terms
-    return min(8.2 / (bits + 10), 2.0 ** -((bits + 148) / 97)), 96
+    return 2.0 ** -((bits + 148) / 97), 96
 
 
 def _walk_out(radius: float) -> float:

@@ -571,6 +571,10 @@ def convergence_table(
     records: list[ConvergenceRecord] = []
 
     if method in ("levy", "fatou1"):
+        if method == "fatou1" and ns[0] < 1:
+            raise ValueError("orbit length must be at least 1")
+        # ns ascends, so its ends bound every row's orbit length
+        _check_n(ns[0])
         _check_n(ns[-1])
         ctx = mp_context(cfg.mantissa_bits)
         if method == "levy":
@@ -594,8 +598,6 @@ def convergence_table(
                     num, den = _ratio_terms(orbits, n)
                     value = num / den
                 else:
-                    if n < 1:
-                        raise ValueError("orbit length must be at least 1")
                     value = _shift_value(orbits)
                 records.append(ConvergenceRecord(n, plain(value), method))
             except SuperexpError as exc:

@@ -563,6 +563,12 @@ class TestTable:
         assert proc.returncode == 0
         assert proc.stdout == ""
 
+    def test_negative_n_prints_no_rows(self, cache_dir):
+        proc = run_cli(["table", "levy", "--n", "-3:2"], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "superexp: orbit length must be nonnegative\n"
+
     def test_single_n(self, cache_dir):
         proc = run_cli(["table", "levy", "--n", "100"], cache_dir)
         assert proc.stdout == "100 -1.4560\n"

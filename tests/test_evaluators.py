@@ -648,7 +648,7 @@ class TestMPKernel:
         assert mp_close(v, CC.a1_norm, mpmath.mpf(2) ** -120)
 
     @pytest.mark.parametrize(
-        "bits, threshold, bound", [(128, 22.0, 2.0**-120), (256, 68.0, 2.0**-250)]
+        "bits, threshold, bound", [(128, 22.0, 2.0**-120), (256, 39.0, 2.0**-250)]
     )
     def test_tilde_step_past_walk_threshold(self, bits, threshold, bound):
         # F~(x + 1) = exp(F~(x)/e) with x and x + 1 both past the walk-out
@@ -656,7 +656,7 @@ class TestMPKernel:
         # tolerance, so each side is a direct inversion of the Abel
         # series; a point that walked would reach its value through this
         # very step.  Measured at x = threshold + 0.25: 2^-158 (128 bits),
-        # 2^-286 (256 bits)
+        # 2^-289 (256 bits, which rounds to 0 at the bits + 32 used here)
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
         assert _kernel(ctx).threshold == threshold
         x = threshold + 0.25
@@ -671,6 +671,25 @@ class TestMPKernel:
 def _reference_384():
     # constants from a 384-bit calibration: its own Abel walks
     return calibrate(EvalContext(precision=PrecisionConfig(mantissa_bits=384)))
+
+
+@lru_cache(maxsize=None)
+def _points_416():
+    # {function: [(z, its value at 416 bits)]} away from its zeros,
+    # where a relative gap stays meaningful
+    ctx416 = EvalContext(precision=PrecisionConfig(mantissa_bits=416))
+    with mp.workprec(300):
+        points = {
+            F1: [mpmath.mpf("0.5"), mpmath.mpc("-1.5", "0.75"), mpmath.mpc(1, 2),
+                 mpmath.mpc(4, "0.5"), mpmath.mpc(-6, 1)],
+            F3: [mpmath.mpf("0.5"), mpmath.mpc("-1.5", "0.75"), mpmath.mpc(1, 2),
+                 mpmath.mpc(10, 1), mpmath.mpc(-6, 1)],
+            A1: [mpmath.mpf(-1), mpmath.mpc(-1, "0.5"), mpmath.mpc("1.5", "0.3"),
+                 mpmath.mpc(0, 2), mpmath.mpc("2.5", "0.1")],
+            A3: [mpmath.mpc(5, 1), mpmath.mpf("3.5"), mpmath.mpf(10),
+                 mpmath.mpc(4, -2), mpmath.mpc(-3, 1)],
+        }
+    return {fn: [(z, fn(z, ctx416)) for z in zs] for fn, zs in points.items()}
 
 
 def rel_bits(a, b):
@@ -690,14 +709,14 @@ class TestTermTiers:
 
         # the walk-out threshold is where 2/w reaches the disk radius
         assert [tier(b) for b in (128, 192)] == [(48, 22.0), (64, 36.0)]
-        assert [tier(b) for b in (256, 320)] == [(96, 68.0), (96, 83.0)]
+        assert [tier(b) for b in (256, 320)] == [(96, 39.0), (96, 60.0)]
 
     @pytest.mark.parametrize(
         "bits, tuning",
         [
             (53, (0.25, 15, 10.0)),
             (128, (0.1, 48, 22.0)),
-            (256, (ev._abel_tier(256)[0], 96, 68.0)),
+            (256, (ev._abel_tier(256)[0], 96, 39.0)),
         ],
     )
     def test_tuning_follows_the_width(self, bits, tuning):
@@ -801,6 +820,20 @@ class TestTermTiers:
             for z in points:
                 gap = rel_bits(fn(z, CTX256, cc), fn(z, ctx384, ref))
                 assert gap < -256, (fn.__name__, z, gap)
+
+    @pytest.mark.parametrize("bits", [200, 256, 320])
+    def test_disk_radius_widths_against_416_bits(self, bits):
+        # from 193 to 399 bits the disk is as wide as the 96-term tail
+        # allows, its truncation 2^-(bits+4), so the values keep only a
+        # few bits to spare; at 416 bits the radius is the same formula's
+        # and its error far below these widths'.  Measured worst: A1
+        # 2^-(bits+5.2 .. 7.1), A3 2^-(bits+12 .. 17), F1 and F3
+        # 2^-(bits+16 .. 25)
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        for fn, points in _points_416().items():
+            gaps = [rel_bits(fn(z, ctx), ref) for z, ref in points]
+            print(f"{bits} bits {fn.__name__}: worst 2^{max(gaps):.1f}")
+            assert max(gaps) < -bits, (fn.__name__, gaps)
 
     @pytest.mark.parametrize("bits", [128, 256])
     @pytest.mark.parametrize(

@@ -359,6 +359,16 @@ class TestConvergenceTable:
 
     @pytest.mark.parametrize(
         "method, args, message",
+        [("levy", (-1, 1), "nonnegative"), ("fatou1", (-1,), "at least 1")],
+    )
+    def test_rejects_a_negative_orbit_length(self, method, args, message):
+        # the first n of the ascending range is checked with the last,
+        # before any row is computed
+        with pytest.raises(ValueError, match=f"^orbit length must be {message}$"):
+            convergence_table(method, args, range(-3, 3), CFG256)
+
+    @pytest.mark.parametrize(
+        "method, args, message",
         [
             ("levy", (), "levy takes 2 arguments, got 0"),
             ("levy", (-1, 1, 2), "levy takes 2 arguments, got 3"),

@@ -10,12 +10,13 @@ For each tier, at the widest bit count it serves (every 8 bits for the
 formula above 192 bits, and its last width), this script measures the
 truncation error |sum_{N<n<=N+32} c_n zeta^n| on the circle |zeta| = r,
 worst over 64 directions, for both sides, and the frontier: the radius
-at which the abel1 error reaches 2^-bits in the worst direction.  It
-also times the exact build of each tier's tail (the N + 1 terms a
-kernel of that width builds) and of the longest tail it measures with,
-best of three calls of series.abel_expansion in this process.  It
-writes the table to BENCH_abel_order.json; --check gates the errors
-only and writes nothing, so a check leaves the tree clean.
+at which the abel1 error reaches 2^-bits in the worst direction, and
+the walk-out threshold evaluators._walk_out(radius) that the radius
+gives the F~ walk.  It also times the exact build of each tier's tail
+(the N + 1 terms a kernel of that width builds) and of the longest tail
+it measures with, best of three calls of series.abel_expansion in this
+process.  It writes the table to BENCH_abel_order.json; --check gates
+the errors only and writes nothing, so a check leaves the tree clean.
 
 Usage (from the repository root):
 
@@ -44,6 +45,7 @@ from superexp.evaluators import (  # noqa: E402
     _MAX_BITS,
     _abel_tail_coeffs,
     _abel_tier,
+    _walk_out,
 )
 from superexp.series import abel_expansion, exp_minus_one  # noqa: E402
 
@@ -113,6 +115,7 @@ def main() -> int:
             "log2_error_abel2": round(float(ctx.log(errors["abel2"][0], 2)), 2),
             "log2_target": -bits,
             "frontier_radius": round(float(lo), 6),
+            "walk_out": _walk_out(float(radius)),
             "build_s": builds[terms],
         }
         row["ok"] = max(row["log2_error_abel1"], row["log2_error_abel2"]) <= -bits
@@ -131,7 +134,8 @@ def main() -> int:
             f"|sum of the next {LONGER} terms| on |zeta| = radius, worst over "
             f"{DIRECTIONS + 1} directions, for abel1 (N terms) and abel2 "
             "(N + 1), against 2^-bits; frontier_radius is where the abel1 "
-            "error reaches 2^-bits; build_s is the raw wall time of the "
+            "error reaches 2^-bits; walk_out is the |Re z| past which F~ is "
+            "summed without a walk; build_s is the raw wall time of the "
             "exact build of the N + 1 terms the tier's kernel builds, best "
             "of 3 calls of series.abel_expansion, and longest_tail that of "
             "the tail the errors are measured with"
