@@ -44,7 +44,6 @@ from .errors import (
     DomainError,
     NonConvergenceError,
     OrbitOverflowError,
-    SuperexpError,
 )
 from .precision import PrecisionConfig, mp_context, plain
 from .series import abel_expansion, exp_minus_one
@@ -294,6 +293,14 @@ def _walk_out(radius: float) -> float:
 _DOUBLE_RADIUS, _DOUBLE_TERMS = 0.25, 15
 
 
+def _double(z: Scalar) -> complex:
+    # a 53-bit argument; an int past the double range has none
+    try:
+        return complex(z)
+    except OverflowError:
+        raise DomainError("argument is outside the double range") from None
+
+
 class _DoubleKernel(_Tables):
     """Machine-double evaluation: plain complex arithmetic, no guards
     beyond over/underflow handling in the exponential step."""
@@ -316,23 +323,20 @@ class _DoubleKernel(_Tables):
     def e(self) -> float:
         return _E
 
-    def cast(self, z: Scalar) -> complex:
-        return complex(z)
-
-    def walk_length(self, gap) -> int:
-        # smallest k >= 0 putting the argument strictly past the threshold
-        if gap < 0:
-            return 0
-        return int(math.floor(float(gap))) + 1
+    cast = staticmethod(_double)
 
     def exp_step(self, w: complex, idx: int):
-        """One guarded step w -> e^(w/e); returns (value, steps consumed)."""
+        """One guarded step w -> e^(w/e).
+
+        None stands for the unrepresentable value whose next step lands
+        at 0.
+        """
         x = w.real / _E
         if x < -745.0:
             # e^x underflows every double: the orbit lands at exactly 0
-            return 0j, 1
+            return 0j
         if x <= 700.0:
-            return cmath.exp(w / _E), 1
+            return cmath.exp(w / _E)
         y = w.imag / _E
         if abs(y) > 3.5e13:
             raise NonConvergenceError(
@@ -341,8 +345,8 @@ class _DoubleKernel(_Tables):
             )
         if math.cos(y) < -0.05:
             # the unrepresentable value has a hugely negative real part,
-            # so the step after it collapses to 0: consume both
-            return 0j, 2
+            # so the step after it collapses to 0
+            return None
         raise OrbitOverflowError("e^(z/e) overflows the double range", index=idx)
 
     def log_step(self, w: complex, idx: int, side) -> complex:
@@ -363,17 +367,15 @@ class _DoubleKernel(_Tables):
 
     def step(self, w: complex, idx: int, backward: bool, side):
         """One step of an F~ walk.  The plain steps run inline, as in
-        abel_walk; exp_step and log_step take the guarded ones.  None
-        stands for the unrepresentable value of a step that exp_step
-        collapses with the next one to 0."""
+        abel_walk; exp_step and log_step take the guarded ones, and
+        exp_step's None passes through."""
         if backward:
             if w.imag or w.real > 0.0:
                 return _E * cmath.log(w)
             return self.log_step(w, idx, side)
         if -745.0 <= w.real / _E <= 700.0:
             return cmath.exp(w / _E)
-        w, advanced = self.exp_step(w, idx)
-        return w if advanced == 1 else None
+        return self.exp_step(w, idx)
 
     def abel_walk(self, w: complex, plus_side: bool, side) -> tuple:
         """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e.
@@ -391,8 +393,9 @@ class _DoubleKernel(_Tables):
                 if -745.0 <= w.real / _E <= 700.0:
                     w, k = exp(w / _E), k + 1
                 else:
-                    w, advanced = self.exp_step(w, k + 1)
-                    k += advanced
+                    w, k = self.exp_step(w, k + 1), k + 1
+                    if w is None:  # unrepresentable: its next step lands at 0
+                        w, k = 0j, k + 1
             elif w.imag or w.real > 0.0:
                 w, k = _E * log(w), k + 1
             elif w == 0:
@@ -509,60 +512,38 @@ def _abel_walk(kernel, z, plus_side: bool, side, norm=None):
     return value if norm is None else value - norm
 
 
-class _Failure:
-    """A failed walk step, kept as its class and arguments.
-
-    A memoized walk raises a fresh error for each cell that needs the
-    step.  A stored exception object would collect the traceback of every
-    raise, and those frames hold the memo: a reference cycle per sweep.
-    """
-
-    __slots__ = ("cls", "args", "attrs")
-
-    def __init__(self, exc: Exception):
-        self.cls, self.args, self.attrs = type(exc), exc.args, dict(vars(exc))
-
-    def error(self) -> Exception:
-        err = self.cls(*self.args)
-        err.__dict__.update(self.attrs)
-        return err
+def _walk_length(gap) -> int:
+    # smallest k >= 0 putting the argument strictly past the threshold;
+    # int() is floor from 0 up, for a double or an mpf
+    return 0 if gap < 0 else int(gap) + 1
 
 
 def _walk_chain(kernel, chain: list, k: int, minus: bool, side):
     """The walk's value after k steps from the base point of `chain`.
 
     chain[j] is the kernel's walk state after j steps (chain[0] is F~
-    at the base), extended here by kernel.step as far as k needs.  A
-    step that raised is stored as a _Failure: at the end of the chain it
-    fails every later step too.  In the middle a _Failure stands for the
-    unrepresentable value that kernel.step returns as None, the first of
-    two exponential steps that collapse to 0; it fails only a walk that
-    ends on it.  A cell that shares no walk has a chain of its own.
+    at the base), extended here by kernel.step as far as k needs.  None
+    stands for the unrepresentable value of a collapsing exponential
+    step (see _DoubleKernel.exp_step), whose next step lands at 0; it
+    fails only a walk that ends on it.  A step that raises is not
+    stored: every walk that needs it takes it again and raises the same
+    error.  A cell that shares no walk has a chain of its own.
     """
     j = len(chain) - 1
     w = chain[j]
-    if isinstance(w, _Failure):
-        j = k  # the chain steps no further
     while j < k:
         if minus and w == 0:
             raise BranchCutError(
                 f"walk hit the singular value 0 after {j} of {k} inverse steps"
             )
-        try:
-            w = kernel.step(w, j + 1, minus, side)
-        except SuperexpError as exc:
-            chain.append(_Failure(exc))
-            break
-        j += 1
-        if w is None:
-            chain.append(_Failure(OrbitOverflowError(
-                "forward step overflows at the target index", index=j
-            )))
-            w, j = 0j, j + 1
+        w = 0j if w is None else kernel.step(w, j + 1, minus, side)
         chain.append(w)
-    w = chain[min(k, len(chain) - 1)]
-    if isinstance(w, _Failure):
-        raise w.error()
+        j += 1
+    w = chain[k]
+    if w is None:
+        raise OrbitOverflowError(
+            "forward step overflows at the target index", index=k
+        )
     return kernel.value(w)
 
 
@@ -580,12 +561,12 @@ def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None, chains=None):
     if gap >= kernel.walk_cap:
         # the walk takes floor(gap) + 1 steps, counted only while that
         # is a short number: a far argument's count has hundreds of digits
-        need = kernel.walk_length(gap) if gap < 2**53 else "more than 2^53"
+        need = _walk_length(gap) if gap < 2**53 else "more than 2^53"
         raise NonConvergenceError(
             f"functional-equation walk needs {need} steps,"
             f" cap is {kernel.walk_cap}"
         )
-    k = kernel.walk_length(gap)
+    k = _walk_length(gap)
     base = w0 + k if minus else w0 - k
     shared = chains is not None and gap >= -1
     chain = chains.get(base) if shared else None
@@ -784,12 +765,7 @@ def F1(
     finite, that loses accuracy like the logarithm of the distance:
     F1(-2.0000001) is about -42.43 + 8.54i from above.
     """
-    side, flip = _resolve_side(z, cut_side)
-    kernel = _kernel_of(ctx)
-    _refuse_pole(kernel.cast(z))
-    x1 = kernel.anchors(constants or default_constants(kernel.bits))[0]
-    value = _ftilde_eval(kernel, z, BranchSign.minus, side, x1)
-    return _public(value, flip)
+    return _superexp(z, BranchSign.minus, ctx, constants, cut_side)
 
 
 def F3(
@@ -804,48 +780,42 @@ def F3(
     positive real axis; overflow there raises OrbitOverflowError
     carrying the first overflowing step index.
     """
+    return _superexp(z, BranchSign.plus, ctx, constants, cut_side)
+
+
+def _superexp(z, branch: BranchSign, ctx, constants, cut_side, chains=None):
+    # F1 (the minus branch) or F3 (plus) at z, walking through a sweep's
+    # memo when one is given: the anchor x1 or x3 shifts the argument
     side, flip = _resolve_side(z, cut_side)
     kernel = _kernel_of(ctx)
-    x3 = kernel.anchors(constants or default_constants(kernel.bits))[1]
-    value = _ftilde_eval(kernel, z, BranchSign.plus, side, x3)
+    minus = branch is BranchSign.minus
+    if minus:
+        _refuse_pole(kernel.cast(z))
+    shift = kernel.anchors(constants or default_constants(kernel.bits))[not minus]
+    value = _ftilde_eval(kernel, z, branch, side, shift, chains)
     return _public(value, flip)
 
 
-def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants, xs: tuple):
+def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants):
     """F1 or F3 for the cells of one grid sweep, sharing walks by base.
 
-    xs are the abscissae of each row.  Returns cell(z, cut_side), which
-    gives what fn(z, ctx, constants, cut_side) gives, bit for bit: cells
-    a whole number of units apart walk from the same base point, and
-    each base is summed and walked once (_walk_chain).  A base's
-    imaginary part is Im z plus the anchor's, so no two rows share one,
-    and the memo keeps the current row's walks only.  Returns None when
-    no two of xs are a whole number of units apart within the longest
-    walk: no cell could then read another's.
+    Returns cell(z, cut_side), which gives what fn(z, ctx, constants,
+    cut_side) gives, bit for bit: cells a whole number of units apart
+    walk from the same base point, and each base is summed and walked
+    once (_walk_chain).  A base's imaginary part is Im z plus the
+    anchor's, so no two rows share one, and the memo keeps the current
+    row's walks only.
     """
-    kernel = _kernel_of(ctx)
     branch = BranchSign.minus if fn == "F1" else BranchSign.plus
-    shift = kernel.anchors(constants)[branch is BranchSign.plus]
-    ends = ((kernel.cast(complex(x)) + shift).real for x in (xs[0], xs[-1]))
-    gaps = [kernel.threshold - r if fn == "F1" else r + kernel.threshold for r in ends]
-    reach = min(max(map(kernel.walk_length, gaps)), kernel.walk_cap)
-    spans = (x - xs[0] for x in xs[1:])
-    if not any(1 <= round(d) <= reach and abs(d - round(d)) < 1e-9 for d in spans):
-        return None
     chains: dict = {}
     row = None
-    poles = fn == "F1"
 
     def cell(z, cut_side):
         nonlocal row
         if z.imag != row:
             chains.clear()
             row = z.imag
-        side, flip = _resolve_side(z, cut_side)
-        if poles:
-            _refuse_pole(kernel.cast(z))
-        value = _ftilde_eval(kernel, z, branch, side, shift, chains)
-        return _public(value, flip)
+        return _superexp(z, branch, ctx, constants, cut_side, chains)
 
     return cell
 

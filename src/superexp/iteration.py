@@ -18,7 +18,7 @@ import math
 import numbers
 from typing import Optional, Union
 
-from .errors import BranchCutError, DomainError, SuperexpError
+from .errors import BranchCutError, DomainError, OrbitOverflowError, SuperexpError
 from .evaluators import (
     A1,
     A3,
@@ -27,6 +27,7 @@ from .evaluators import (
     _DEFAULT_CTX,
     CalibrationConstants,
     EvalContext,
+    _double,
     _sweep,
     abel2,
     default_constants,
@@ -113,7 +114,7 @@ def _at_width(z: Scalar, bits: int) -> tuple:
     argument within a double's ulp of e falls on its true side.
     """
     if bits == 53:
-        return complex(z), _E
+        return _double(z), _E
     ctx = mp_context(bits)
     return +mp_convert(ctx, z), plain(+ctx.e)
 
@@ -159,7 +160,10 @@ def _branch_for(re, e) -> IterateBranch:
 def _shift(a: Scalar, c: Scalar, bits: int) -> Scalar:
     # c + A(z) at the evaluation precision
     if bits == 53:
-        return a + c
+        try:
+            return a + c
+        except OverflowError:  # an int c past the double range
+            raise DomainError("iteration count outside the double range") from None
     ctx = mp_context(bits)
     return plain(ctx.convert(a) + mp_convert(ctx, c))
 
@@ -252,7 +256,10 @@ def dq13(
 
 def _exp_b(z: Scalar, bits: int) -> Scalar:
     if bits == 53:
-        return cmath.exp(complex(z) / _E)
+        try:
+            return cmath.exp(complex(z) / _E)
+        except OverflowError:
+            raise OrbitOverflowError("e^(z/e) overflows the double range") from None
     wide = mp_context(bits + 16)
     return plain(wide.exp(mp_convert(wide, z) / wide.e), bits)
 
@@ -444,16 +451,15 @@ def map_grid(
     if constants is None:
         constants = default_constants(ctx.precision.mantissa_bits)
     xs, ys = grid.xs(), grid.ys()
-    evaluate = None
     if fn == "expc":
 
         def evaluate(z, cut_side):
             return exp_iterate(IterateRequest(c, z, branch, cut_side), ctx, constants)
     elif fn in ("F1", "F3"):
         # cells a whole number of units apart share their functional-equation walk
-        evaluate = _sweep(fn, ctx, constants, xs)
-    if evaluate is None:
-        f = {"F1": F1, "F3": F3, "A1": A1, "A3": A3}[fn]
+        evaluate = _sweep(fn, ctx, constants)
+    else:
+        f = A1 if fn == "A1" else A3
 
         def evaluate(z, cut_side):
             return f(z, ctx, constants, cut_side)

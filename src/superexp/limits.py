@@ -644,7 +644,7 @@ def format_record(
     return value.replace(" ", ""), _printed(rec.method, rec.n, rec.value)
 
 
-def records_to_csv(records: Sequence[ConvergenceRecord], stream=None) -> str:
+def records_to_csv(records: Sequence[ConvergenceRecord]) -> str:
     """Serialize records as ``method,n,value,printed`` CSV.
 
     The value column is a round-trip decimal of the high-precision result;
@@ -657,7 +657,4 @@ def records_to_csv(records: Sequence[ConvergenceRecord], stream=None) -> str:
             lines.append(f"{rec.method},{rec.n},,{rec.error}")
         else:
             lines.append(f"{rec.method},{rec.n},{value},{printed}")
-    text = "\n".join(lines) + "\n"
-    if stream is not None:
-        stream.write(text)
-    return text
+    return "\n".join(lines) + "\n"

@@ -101,11 +101,6 @@ class _MPKernel(_Tables):
             return ctx.mpc(z) if z.imag else ctx.mpf(z.real)
         return _as_mp(ctx, z)
 
-    def walk_length(self, gap) -> int:
-        if gap < 0:
-            return 0
-        return int(self.mp.floor(gap)) + 1
-
     def exp_step(self, w, idx: int):
         ctx = self.mp
         e = +ctx.e
@@ -119,8 +114,8 @@ class _MPKernel(_Tables):
             # below -745: such a w comes from a step off a huge value, its
             # imaginary part is about as large, and exp could take
             # minutes to reduce it.  Above this, e^x is an mpf to keep
-            return (ctx.mpf(0) if isinstance(w, ctx.mpf) else ctx.mpc(0)), 1
-        return ctx.exp(w / e), 1
+            return ctx.mpf(0) if isinstance(w, ctx.mpf) else ctx.mpc(0)
+        return ctx.exp(w / e)
 
     def log_step(self, w, idx: int, side):
         ctx = self.mp
@@ -161,7 +156,7 @@ class _MPKernel(_Tables):
             if t is not None:
                 return t if t[0] or t[1] else self.value(t)
             w = self.value(s)
-        w = self.log_step(w, idx, side) if backward else self.exp_step(w, idx)[0]
+        w = self.log_step(w, idx, side) if backward else self.exp_step(w, idx)
         return self.state(w)
 
     def abel_walk(self, w, plus_side: bool, side):

@@ -723,6 +723,18 @@ class TestCheck:
             "min", "median", "fraction_ge_14", "unavailable",
         }
 
+    def test_unrepresentable_reference_is_unavailable(self, cache_dir):
+        # the reference e^(x/e) overflows a double at every cell
+        proc = run_cli(
+            ["check", "dq1", "--x", "1930:2000", "--y", "-1:1", "--nx", "3",
+             "--ny", "3"],
+            cache_dir,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        summary = dict(line.split(maxsplit=1) for line in proc.stdout.splitlines())
+        assert summary["unavailable"] == "9"
+
 
 # a child process runs one CLI command ("cli" ARG...) or a library
 # snippet ("lib" CODE), then writes its exit code and every module it

@@ -23,6 +23,7 @@ from superexp.iteration import (
     GridSpec,
     IterateBranch,
     IterateRequest,
+    _exp_b,
     agreement,
     dq13,
     exp_iterate,
@@ -260,6 +261,13 @@ class TestAgreement:
         # A1's forward orbit diverges on the axis right of its disk
         assert math.isnan(agreement("d1fa", 5.0))
 
+    def test_unrepresentable_reference_is_nan(self):
+        # the reference e^(z/e) overflows a double from Re z/e = 709.78
+        assert not math.isnan(agreement("dq1", 1900.0))
+        assert math.isnan(agreement("dq1", 1931.0))
+        with pytest.raises(OrbitOverflowError):
+            _exp_b(1931.0, 53)
+
     def test_exact_agreement_clips(self):
         assert agreement("dq1", E) == 16.0
 
@@ -293,6 +301,37 @@ class TestAgreement:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="agreement kind"):
             agreement("d2af", 1.0 + 1.0j)
+
+
+class TestIntegersPastTheDoubleRange:
+    """An int a double cannot hold has no 53-bit value: a DomainError."""
+
+    HUGE = [10**400, 2**1024 - 1]
+
+    CALLS = {
+        "F1": lambda n: F1(n),
+        "F3": lambda n: F3(n),
+        "A1": lambda n: A1(n),
+        "A3": lambda n: ev.A3(n),
+        "abel1": lambda n: ev.abel1(n),
+        "abel2": lambda n: abel2(n),
+        "superexp_tilde": lambda n: ev.superexp_tilde(n, "minus"),
+        "exp_iterate z": lambda n: exp_iterate(req(0.5, n)),
+        "exp_iterate c": lambda n: exp_iterate(req(n, 1.0)),
+        "dq13": lambda n: dq13(n),
+    }
+
+    @pytest.mark.parametrize("n", HUGE, ids=["10^400", "2^1024-1"])
+    @pytest.mark.parametrize("call", [*CALLS, "agreement"])
+    def test_domain_error_at_53_bits(self, call, n):
+        if call == "agreement":
+            assert all(math.isnan(agreement(kind, n)) for kind in ("d1af", "dq1"))
+        else:
+            with pytest.raises(DomainError, match="double range"):
+                self.CALLS[call](n)
+
+    def test_wider_widths_unchanged(self):
+        assert float(F1(10**400, CTX128)) == E
 
 
 class TestGridSpec:
@@ -518,7 +557,8 @@ class TestSharedWalks:
             (GridSpec(-4.0, 26.0, -1.0, 1.0, 61, 3), CTX128),
             # spacing 36/99: columns 11 apart are 4 units apart
             (GridSpec(-8, 28, -14, 14, 100, 5), None),
-            # spacing 36/97: no memo (test_no_memo_without_whole_unit_columns)
+            # spacing 36/97: columns 97 apart are 36 units apart, past the
+            # longest walk, so no cell reads another's walk
             (GridSpec(-8, 28, -14, 14, 98, 2), None),
         ],
         ids=[
@@ -535,6 +575,34 @@ class TestSharedWalks:
             for value, err in zip(row, erow)
         ]
         assert swept == _per_cell(fn, grid, ctx)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec(-4.0, 16.0, -2.0, 2.0, 201, 11, cut_side="below"),
+            GridSpec(-30, 40, -5, 5, 141, 21),
+        ],
+        ids=["tenths-below", "overflow"],
+    )
+    @pytest.mark.parametrize("fn", ["F1", "F3"])
+    def test_sweep_errors_equal_per_cell(self, fn, grid):
+        # a failing cell of a sweep raises what the evaluator raises on
+        # that cell alone: the same class, args and attributes, whether
+        # its walk failed first for it or for another cell of its row
+        def outcome(evaluate, *args):
+            try:
+                evaluate(*args)
+            except SuperexpError as exc:
+                return type(exc), exc.args, vars(exc)
+            return None
+
+        f, constants = (F1 if fn == "F1" else F3), default_constants(53)
+        cell = ev._sweep(fn, EvalContext(), constants)
+        for y in grid.ys():
+            for x in grid.xs():
+                z = complex(x, y)
+                swept = outcome(cell, z, grid.cut_side)
+                assert swept == outcome(f, z, None, constants, grid.cut_side), z
 
     def test_overflow_grid_has_failing_cells(self):
         r = map_grid("F3", GridSpec(-30, 40, -5, 5, 141, 21))
@@ -565,7 +633,12 @@ class TestSharedWalks:
         assert len(calls) == unwalked * grid.ny
         assert 0 < unwalked < grid.nx  # some columns walk, some do not
 
-    def test_memo_holds_one_row(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "grid",
+        [_jittered_box(1, 5), GridSpec(-8, 28, -14, 14, 98, 5)],
+        ids=["jittered-1", "spacing-36-97"],
+    )
+    def test_memo_holds_one_row(self, monkeypatch, grid):
         # a base's imaginary part is the row's plus the anchor's, so no
         # walk of an earlier row can serve a later one
         rows = []
@@ -576,18 +649,11 @@ class TestSharedWalks:
             return walk(kernel, z, branch, side, shift, chains)
 
         monkeypatch.setattr(ev, "_ftilde_eval", recorded)
-        map_grid("F1", _jittered_box(1, 5))
-        assert len(rows) == 145 * 5
+        r = map_grid("F1", grid)
+        # a cell on a pole (-8 on the real row) is refused before the walk
+        poles = sum(err == "domain" for erow in r.errors for err in erow)
+        assert len(rows) == grid.nx * grid.ny - poles
         assert max(map(len, rows)) == 1
-
-    @pytest.mark.parametrize("fn", ["F1", "F3"])
-    def test_no_memo_without_whole_unit_columns(self, fn):
-        # spacing 36/97: columns 97 apart are 36 units apart, past the
-        # longest walk, so no cell could read another's walk
-        ctx, constants = EvalContext(), default_constants(53)
-        spaced = GridSpec(-8, 28, -14, 14, 98, 2)
-        assert ev._sweep(fn, ctx, constants, spaced.xs()) is None
-        assert ev._sweep(fn, ctx, constants, _jittered_box(1, 2).xs()) is not None
 
     def test_sweep_leaves_no_cyclic_garbage(self):
         # an exception stored in the memo would hold, through its

@@ -2,7 +2,8 @@
 
 A sweep memoizes each functional-equation walk by its exact base point
 (evaluators._sweep), so a cell a whole number of units from another
-cell of its row can read its value off that cell's walk.  For one
+cell of its row can read its value off that cell's walk; on a grid with
+no such columns every walking cell sums its own series.  For one
 function on one grid this script prints, as one JSON line: the CPU time
 per cell of the best of --repeat maps (after a warm-up map, which also
 calibrates), the peak RSS of those maps, the cells whose walk takes at
@@ -51,7 +52,9 @@ def _count(evaluators, counts: dict) -> None:
         try:
             return walk(kernel, z, branch, side, shift, *memo)
         finally:
-            if kernel.walk_length(gap) > 0:
+            # evaluators._walk_length(gap) > 0, read off the gap itself
+            # so that --src may name a tree from before that function
+            if gap >= 0:
                 counts["walking"] += 1
                 counts["hits"] += counts["sums"] == sums
 
