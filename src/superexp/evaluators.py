@@ -217,11 +217,13 @@ class _Tables:
     writing the instance __dict__ slows every attribute load on the hot
     path.  The calibrated anchors are cast once per constants object,
     which the cache holds, so its identity cannot be reused by another
-    object.
+    object.  The double kernel's Newton steps on F~ are built here too
+    (newton_steps); the mpmath kernel plans its own on scaled integers
+    (fixed.newton_plan).
     """
 
     def __init__(self):
-        self._tails = self._anchors = None
+        self._tails = self._anchors = self._newton = None
 
     def anchors(self, constants: CalibrationConstants) -> tuple:
         """(x1, x3, a1_norm, a3_norm) as this kernel's scalars."""
@@ -240,6 +242,48 @@ class _Tables:
             )
             self._tails = (rev[1:], rev)
         return self._tails[plus_side]
+
+    def newton_steps(self, plus_side: bool) -> tuple:
+        """The (tail, slope) tables of each Newton step (_newton_steps)."""
+        if self._newton is None:
+            self._newton = tuple(
+                _newton_steps(self.tail_rev(side), self.abel_radius, self.bits)
+                for side in (False, True)
+            )
+        return self._newton[plus_side]
+
+
+def _newton_steps(rev: tuple, radius: float, bits: int) -> tuple:
+    """(tail, slope) for each of two Newton steps on F~, in doubles.
+
+    fixed.newton_plan's rule at the scales 27 and 53 bits: `rev` holds
+    the Abel tail coefficients c_n, highest n first, and `slope` is the
+    n c_n of its derivative.  A table drops its leading terms while
+    they stay under the step's resolution at the disk radius: 2^-(s+4)
+    for the tail below the full scale, and 2^-(s/2+8) for the slope,
+    which enters g' times zeta^2/2 and needs half the bits.  Two steps
+    are enough because the start (see _DoubleKernel.ftilde_series) is
+    within 2^-10.6 of the root on the summation strip, and a step from
+    an error d leaves about d^2/(6|w|^2), so 2^-30 after the first.
+    """
+    log_r = math.log2(radius)
+    ns = range(len(rev), 0, -1)
+    slope = tuple(n * c for n, c in zip(ns, rev))
+    # log2 of |c_n| r^n and of n |c_n| r^(n+1) / 2
+    sizes = [math.log2(abs(c)) + n * log_r for n, c in zip(ns, rev)]
+    slopes = [v + math.log2(n) + log_r - 1 for n, v in zip(ns, sizes)]
+
+    def kept(coeffs, sizes, floor):
+        drop = 0
+        while drop < len(coeffs) - 1 and sizes[drop] < floor:
+            drop += 1
+        return coeffs[drop:]
+
+    return tuple(
+        (kept(rev, sizes, -(s + 4) if s < bits else -math.inf),
+         kept(slope, slopes, -(s // 2 + 8)))
+        for s in ((bits + 1) // 2, bits)
+    )
 
 
 # -- precision-derived tuning for the mpmath kernel ----------------------
@@ -294,11 +338,18 @@ _DOUBLE_RADIUS, _DOUBLE_TERMS = 0.25, 15
 
 
 def _double(z: Scalar) -> complex:
-    # a 53-bit argument; an int past the double range has none
-    try:
+    # a 53-bit argument.  A float or complex one is finite, as
+    # _resolve_side checked; an int or mpmath value past the double range
+    # has none: complex() raises for the int and rounds the other to inf
+    if type(z) in (complex, float):
         return complex(z)
+    try:
+        w = complex(z)
     except OverflowError:
-        raise DomainError("argument is outside the double range") from None
+        w = None
+    if w is None or not cmath.isfinite(w):
+        raise DomainError("argument is outside the double range")
+    return w
 
 
 class _DoubleKernel(_Tables):
@@ -427,25 +478,28 @@ class _DoubleKernel(_Tables):
     def ftilde_series(self, z: complex, branch: BranchSign):
         """F~ = e(1 - 2/w) at a base point, w - log(+-w)/3 + tail(2/w) = z.
 
-        Newton's method from w = z + log(+-z)/3, at most 4 steps, until
-        a step is below 1e-9 |w|: the error then is about its square.
-        g'(w) = 1 - zeta/6 - (zeta^2/2) tail'(zeta) at zeta = 2/w, with
-        tail(zeta) = zeta t(zeta) and t' summed beside t.
+        Starts from two logarithms, w0 = z + log(+-z)/3 and then
+        w = z + log(+-w0)/3 - 2 c_1/w0, and takes the two Newton steps of
+        newton_steps, with no convergence test: the first sums the
+        lowest-order terms that its 27 bits need, the second the whole
+        tail (TestDoubleNewtonSteps checks the result against 128 bits).
+        g(w) is summed as zeta t(zeta) with tail(zeta) = zeta t(zeta),
+        and g'(w) = 1 - zeta/6 - (zeta^2/2) tail'(zeta) at zeta = 2/w.
         """
         plus = branch is BranchSign.plus
-        coeffs, log = self.tail_rev(plus), cmath.log
+        steps, log = self.newton_steps(plus), cmath.log
         w = z + (log(-z) if plus else log(z)) / 3.0
-        for _ in range(4):
+        # c_1, the lowest-order coefficient, ends the full tail
+        w = z + (log(-w) if plus else log(w)) / 3.0 - 2.0 * steps[1][0][-1] / w
+        for tail, slope in steps:
             zeta = 2.0 / w
-            t = dt = 0j
-            for c in coeffs:
-                dt = dt * zeta + t
+            t = p = 0j
+            for c in tail:
                 t = t * zeta + c
+            for c in slope:
+                p = p * zeta + c
             g = w - (log(-w) if plus else log(w)) / 3.0 + zeta * t - z
-            step = g / (1.0 - zeta / 6.0 - 0.5 * zeta * zeta * (t + zeta * dt))
-            w -= step
-            if abs(step) < 1e-9 * abs(w):
-                break
+            w -= g / (1.0 - zeta / 6.0 - 0.5 * zeta * zeta * p)
         return _E * (1.0 - 2.0 / w), 0.0
 
 

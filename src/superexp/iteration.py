@@ -161,8 +161,8 @@ def _shift(a: Scalar, c: Scalar, bits: int) -> Scalar:
     # c + A(z) at the evaluation precision
     if bits == 53:
         try:
-            return a + c
-        except OverflowError:  # an int c past the double range
+            return a + _double(c)
+        except DomainError:  # an int or mpmath c past the double range
             raise DomainError("iteration count outside the double range") from None
     ctx = mp_context(bits)
     return plain(ctx.convert(a) + mp_convert(ctx, c))

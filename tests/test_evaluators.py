@@ -597,21 +597,35 @@ class TestWideAbelWalk:
 
 
 class TestDoubleAccuracy:
-    """53-bit F1 and F3 against 128 bits over the boxes of test_07."""
+    """53-bit F1 and F3 against 128 bits over the boxes of test_07.
+
+    There every F1 sample walks and every F3 sample is summed directly,
+    so two more boxes cover the other half of each function over the
+    README's box [-8, 28] x [-14, 14]: F1 summed directly (Re z + x1
+    past the walk-out threshold 10), and F3 walking (Re z + x3 past
+    -10) where it is finite, short of its overflow near the real axis
+    from Re z = 22.3.
+    """
 
     BOXES = {
         "F1": ((-1.5, 8, -8, 8), (-3, 3, -6, 6), (-1, 6, 0.1, 6)),
         "F3": ((-6, 5, -8, 8), (-1, 6, 0.1, 6)),
+        "F1 summed": ((8.5, 28, -14, 14),),
+        "F3 walking": ((10.5, 22, -14, 14), (22, 28, 1, 14)),
     }
     # measured maxima of the relative error: F1 2.9e-14 at -2.08-0.50i,
-    # next to F1's pole at -2, and F3 1.5e-16.  Each bound is twice its
-    # maximum, and not below 16 units in the last place, the room a libm
-    # that rounds exp and log otherwise needs
-    MEASURED = {"F1": 2.9e-14, "F3": 1.5e-16}
+    # next to F1's pole at -2, and F3 1.5e-16; F1 summed 1.9e-16 at
+    # 11.16+0.66i, and F3 walking 8.0e-15 at 22.74+2.62i, where each
+    # forward step of the walk scales the error by |w/e|.  Each bound is
+    # twice its maximum, and not below 16 units in the last place, the
+    # room a libm that rounds exp and log otherwise needs
+    MEASURED = {
+        "F1": 2.9e-14, "F3": 1.5e-16, "F1 summed": 1.9e-16, "F3 walking": 8.0e-15,
+    }
 
-    @pytest.mark.parametrize("fn", ["F1", "F3"])
+    @pytest.mark.parametrize("fn", ["F1", "F3", "F1 summed", "F3 walking"])
     def test_relative_error_against_128_bits(self, fn):
-        f = {"F1": F1, "F3": F3}[fn]
+        f = {"F1": F1, "F3": F3}[fn.split()[0]]
         ctx128 = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
         rng = random.Random(20260814)
         worst, at = 0.0, None
@@ -625,6 +639,55 @@ class TestDoubleAccuracy:
         bound = max(2 * self.MEASURED[fn], 2.0**-49)
         print(f"{fn}: max relative error {worst:.2e} at {at}, bound {bound:.2e}")
         assert worst <= bound
+
+
+class TestDoubleNewtonSteps:
+    """Two planned Newton steps give the double kernel's F~ in full.
+
+    _DoubleKernel.ftilde_series takes the two steps of newton_steps and
+    has no convergence test, so this test is what guarantees them: its F~
+    against the 128-bit kernel's at the same argument, on both branches
+    (the plus branch at -w).  The strip is where the walks sum, Re w in
+    [T, T + 1) at the walk-out threshold T, the start there furthest
+    from the root; the far points are summed directly, out to
+    |w| = 1e15.
+    """
+
+    # measured worst errors, in units in the last place of |F~|: strip
+    # 2.0 (plus branch, at -10.65+4.21i; minus 1.01), far 1.0 on both.
+    # The old solve (up to four full steps from one logarithm, until a
+    # step fell below 1e-9 |w|) measured the same.  Each bound is twice
+    # its maximum, as in TestDoubleAccuracy
+    MEASURED = {"strip": 2.0, "far": 1.0}
+
+    @staticmethod
+    def _point(kind: str, rng, threshold: float) -> complex:
+        if kind == "strip":
+            im = rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 3)
+            return complex(rng.uniform(threshold, threshold + 1), im)
+        im = rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 15)
+        return complex(10 ** rng.uniform(1, 15), im)
+
+    @pytest.mark.parametrize("kind", ["strip", "far"])
+    def test_against_128_bits(self, kind):
+        k53 = _kernel(EvalContext())
+        k128 = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=128)))
+        rng = random.Random(f"newton:{kind}")
+        # real bases too: a real argument sums at a real base
+        points = [self._point(kind, rng, k53.threshold) for _ in range(1000)]
+        points += [complex(w.real, 0.0) for w in points[:100]]
+        worst = {}
+        for w in points:
+            for branch, z in ((BranchSign.minus, w), (BranchSign.plus, -w)):
+                want = complex(k128.ftilde_series(k128.cast(z), branch)[0])
+                got = k53.ftilde_series(z, branch)[0]
+                ulps = abs(got - want) / math.ulp(abs(want))
+                if ulps > worst.get(branch.name, (0.0,))[0]:
+                    worst[branch.name] = (ulps, z)
+        bound = 2 * self.MEASURED[kind]
+        for name, (ulps, z) in worst.items():
+            print(f"{kind} {name}: worst {ulps:.2f} ulp at {z}, bound {bound}")
+        assert all(ulps <= bound for ulps, _ in worst.values()), worst
 
 
 class TestMPKernel:
@@ -974,6 +1037,19 @@ class TestLazyTables:
         tail = ev._abel_tail_coeffs(16)
         assert double.tail_rev(True) == tuple(float(c) for c in reversed(tail))
         assert double.tail_rev(False) == double.tail_rev(True)[1:]
+        # its two Newton steps sum the lowest-order end of the tail and
+        # of the derivative's n c_n, the second step the whole tail: at
+        # the radius 0.25 the rule keeps 7 and 3 terms, then 15 (16 on
+        # the plus side) and 8
+        for plus_side in (False, True):
+            full = double.tail_rev(plus_side)
+            slope = tuple(n * c for n, c in zip(range(len(full), 0, -1), full))
+            steps = double.newton_steps(plus_side)
+            assert [(len(t), len(s)) for t, s in steps] == [(7, 3), (len(full), 8)]
+            assert steps[1][0] == full
+            for tail, dtail in steps:
+                assert tail == full[len(full) - len(tail):]
+                assert dtail == slope[len(slope) - len(dtail):]
         mp128 = ev._kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=128)))
         scale = mp128.scale
         assert scale == 176

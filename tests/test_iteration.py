@@ -304,9 +304,17 @@ class TestAgreement:
 
 
 class TestIntegersPastTheDoubleRange:
-    """An int a double cannot hold has no 53-bit value: a DomainError."""
+    """An int a double cannot hold has no 53-bit value: a DomainError.
 
-    HUGE = [10**400, 2**1024 - 1]
+    Nor has an mpmath value past the double range, which rounds to inf
+    at 53 bits: before the check it gave a silent NaN, and F1 at
+    -1e400 a raw OverflowError.
+    """
+
+    HUGE = [
+        10**400, 2**1024 - 1,
+        mpmath.mpf("1e400"), mpmath.mpf("-1e400"), mpmath.mpc(1, "1e400"),
+    ]
 
     CALLS = {
         "F1": lambda n: F1(n),
@@ -321,7 +329,9 @@ class TestIntegersPastTheDoubleRange:
         "dq13": lambda n: dq13(n),
     }
 
-    @pytest.mark.parametrize("n", HUGE, ids=["10^400", "2^1024-1"])
+    @pytest.mark.parametrize(
+        "n", HUGE, ids=["10^400", "2^1024-1", "mpf 1e400", "mpf -1e400", "mpc 1+1e400i"]
+    )
     @pytest.mark.parametrize("call", [*CALLS, "agreement"])
     def test_domain_error_at_53_bits(self, call, n):
         if call == "agreement":
@@ -332,6 +342,8 @@ class TestIntegersPastTheDoubleRange:
 
     def test_wider_widths_unchanged(self):
         assert float(F1(10**400, CTX128)) == E
+        assert float(F1(mpmath.mpf("1e400"), CTX128)) == E
+        assert float(F3(mpmath.mpf("-1e400"), CTX128)) == E
 
 
 class TestGridSpec:
@@ -466,11 +478,17 @@ class TestDoubleBitIdentity:
     ``repr`` of a double round-trips exactly.  The first pair was
     recorded before the double kernel's per-call overhead was cut (cast
     anchors, one kernel lookup per context, the hoisted walk step, each
-    Abel walk in one loop) and held through each of those cuts; this
-    pair was recorded when F~ moved from the P_m sum to Newton's method
-    on the Abel series, which moves the F1 and F3 doubles
-    (TestDoubleAccuracy checks those against 128 bits).  They hold for
-    a libm that rounds exp, log and atan2 as glibc does on x86-64.
+    Abel walk in one loop) and held through each of those cuts; the
+    next pair was recorded when F~ moved from the P_m sum to Newton's
+    method on the Abel series, which moves the F1 and F3 doubles
+    (TestDoubleAccuracy checks those against 128 bits).  This pair was
+    recorded when that Newton solve became two planned steps from a
+    two-logarithm start (_DoubleKernel.ftilde_series), in place of up to
+    four full ones: 196 of the 1272 map cells moved, all of them F1 or
+    F3 values, by at most a relative 1.7e-15, and no error code; 11 of
+    the 27 scores moved, ten by at most 0.02 digits and dq1 at
+    0.5-0.25i from 14.67 to 15.54.  They hold for a libm
+    that rounds exp, log and atan2 as glibc does on x86-64.
     """
 
     GRIDS = (
@@ -496,7 +514,7 @@ class TestDoubleBitIdentity:
         assert codes == {None, "cut", "overflow", "nonconv", "domain"}
         assert poles == [("F1", x, 0.0) for x in (-8, -6, -4, -2, -4, -3, -2)]
         assert digest.hexdigest() == (
-            "a25bd58b95611c5ea27429e67781cd274b6c735863cbafd29dbe00ae63f89a83"
+            "f982e80aae1a0828904f24be84e13fe844b4e687982ad0b282ea02d763f078a7"
         )
 
     def test_agreement_digest(self):
@@ -509,7 +527,7 @@ class TestDoubleBitIdentity:
         assert {16.0, -16.0} & {s for *_, s in scores} == {16.0}
         assert any(math.isnan(s) for *_, s in scores)
         assert hashlib.sha256(repr(scores).encode()).hexdigest() == (
-            "5aebbf6748bbacc94de2417dbbe202e8f916fba53b45f1bd57cc10c2e4609077"
+            "cc49764d4a31217be61709fe9994c40f2d20782fa7f6a306de7744dc9219e08c"
         )
 
 

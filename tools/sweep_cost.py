@@ -9,7 +9,9 @@ per cell of the best of --repeat maps (after a warm-up map, which also
 calibrates), the peak RSS of those maps, the cells whose walk takes at
 least one step, and how many of those summed no series of their own
 ("hits": they read another cell's walk).  The counts come from one more
-map with the series summation and the walk driver wrapped.
+map with the series summation and the walk driver wrapped.  That map
+also records each F~ sum ("sums" counts them), and "sum_us" is the CPU
+time per sum of the best of --repeat replays of those sums.
 
 Usage (from the repository root):
 
@@ -35,20 +37,21 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _count(evaluators, counts: dict) -> None:
-    """Wrap the double kernel's series and the walk driver to count."""
+def _count(evaluators, counts: dict, sums: list) -> None:
+    """Wrap the double kernel's series and the walk driver to count the
+    walks, and record each sum in `sums` as (series, kernel, args)."""
     kernel_cls, walk = evaluators._DoubleKernel, evaluators._ftilde_eval
     series = kernel_cls.ftilde_series
     minus = evaluators.BranchSign.minus
 
     def summed(self, *args):
-        counts["sums"] += 1
+        sums.append((series, self, args))
         return series(self, *args)
 
     def counted(kernel, z, branch, side, shift=None, *memo):
         r = (kernel.cast(z) + (0 if shift is None else shift)).real
         gap = kernel.threshold - r if branch is minus else r + kernel.threshold
-        sums = counts["sums"]
+        before = len(sums)
         try:
             return walk(kernel, z, branch, side, shift, *memo)
         finally:
@@ -56,7 +59,7 @@ def _count(evaluators, counts: dict) -> None:
             # so that --src may name a tree from before that function
             if gap >= 0:
                 counts["walking"] += 1
-                counts["hits"] += counts["sums"] == sums
+                counts["hits"] += len(sums) == before
 
     kernel_cls.ftilde_series = summed
     evaluators._ftilde_eval = counted
@@ -66,6 +69,11 @@ def _cpu(f, *args) -> float:
     start = time.process_time()
     f(*args)
     return time.process_time() - start
+
+
+def _replay(sums: list) -> None:
+    for series, kernel, args in sums:
+        series(kernel, *args)
 
 
 def main() -> int:
@@ -83,9 +91,10 @@ def main() -> int:
     iteration.map_grid(args.fn, grid)
     best = min(_cpu(iteration.map_grid, args.fn, grid) for _ in range(args.repeat))
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    counts = {"sums": 0, "walking": 0, "hits": 0}
-    _count(evaluators, counts)
+    counts, sums = {"walking": 0, "hits": 0}, []
+    _count(evaluators, counts, sums)
     iteration.map_grid(args.fn, grid)
+    sum_cpu = min(_cpu(_replay, sums) for _ in range(args.repeat))
     cells = grid.nx * grid.ny
     print(json.dumps({
         "fn": args.fn,
@@ -95,6 +104,8 @@ def main() -> int:
         "peak_rss_mb": round(rss, 2),
         "walking": counts["walking"],
         "hits": counts["hits"],
+        "sums": len(sums),
+        "sum_us": round(sum_cpu / len(sums) * 1e6, 2) if sums else None,
     }))
     return 0
 
