@@ -213,13 +213,12 @@ class _Tables:
     A kernel supplies `coeff`, its rounding of one exact coefficient
     (a double, held as a complex so that Horner's rule adds complex to
     complex, or for the mpmath kernel the integer round(c * 2^scale) its
-    fixed-point sums run on), and the term count.  Not a cached_property:
-    writing the instance __dict__ slows every attribute load on the hot
-    path.  The calibrated anchors are cast once per constants object,
-    which the cache holds, so its identity cannot be reused by another
-    object.  The double kernel's Newton steps on F~ are built here too
-    (newton_steps); the mpmath kernel plans its own on scaled integers
-    (fixed.newton_plan).
+    fixed-point sums run on), the term count and `scale`, 0 for doubles.
+    Not a cached_property: writing the instance __dict__ slows every
+    attribute load on the hot path.  The calibrated anchors are cast
+    once per constants object, which the cache holds, so its identity
+    cannot be reused by another object.  Both kernels' Newton steps on
+    F~ come from one planner (newton_steps).
     """
 
     def __init__(self):
@@ -244,33 +243,45 @@ class _Tables:
         return self._tails[plus_side]
 
     def newton_steps(self, plus_side: bool) -> tuple:
-        """The (tail, slope) tables of each Newton step (_newton_steps)."""
+        """The tables of each Newton step on F~ (_newton_plan)."""
         if self._newton is None:
+            bits = self.scale or self.bits  # the kernel's resolution
             self._newton = tuple(
-                _newton_steps(self.tail_rev(side), self.abel_radius, self.bits)
+                _newton_plan(self.tail_rev(side), self.abel_radius, bits, self.scale)
                 for side in (False, True)
             )
         return self._newton[plus_side]
 
 
-def _newton_steps(rev: tuple, radius: float, bits: int) -> tuple:
-    """(tail, slope) for each of two Newton steps on F~, in doubles.
+def _newton_limit(bits: int) -> int:
+    # log2 of the largest last Newton step on F~ at resolution `bits`, 8
+    # bits above the planned step before it (_newton_plan): half, rounded up
+    return 8 - (bits + 1) // 2
 
-    fixed.newton_plan's rule at the scales 27 and 53 bits: `rev` holds
-    the Abel tail coefficients c_n, highest n first, and `slope` is the
-    n c_n of its derivative.  A table drops its leading terms while
-    they stay under the step's resolution at the disk radius: 2^-(s+4)
-    for the tail below the full scale, and 2^-(s/2+8) for the slope,
-    which enters g' times zeta^2/2 and needs half the bits.  Two steps
-    are enough because the start (see _DoubleKernel.ftilde_series) is
-    within 2^-10.6 of the root on the summation strip, and a step from
-    an error d leaves about d^2/(6|w|^2), so 2^-30 after the first.
+
+def _newton_plan(rev: tuple, radius: float, bits: int, scale: int) -> tuple:
+    """The tables of each Newton step on F~, at ascending resolutions s.
+
+    The last step resolves `bits`, each earlier one half the next,
+    rounding up, while above 27 bits: 27 and 53 in doubles, 22, 44, 88
+    and 176 at the 128-bit kernel's scale.  From the start (see
+    _DoubleKernel.ftilde_series), within 2^-10.6 of the root where the
+    walks sum, a step from an error d leaves about d^2/(6|w|^2).  `rev`
+    holds the Abel tail's c_n, highest n first, in units of 2^-scale;
+    `slope` is the n c_n of its derivative.  A table drops its leading
+    terms while they stay under 2^-(s+4) at the disk radius (the tail,
+    below the last step) or 2^-(s/2+8) (the slope, which enters g' times
+    zeta^2/2).  A step is (s, tail, slope) in both kernels, the mpmath
+    kernel's integers shifted to s.
     """
+    scales = [bits]
+    while scales[0] > 27:
+        scales.insert(0, (scales[0] + 1) // 2)
     log_r = math.log2(radius)
     ns = range(len(rev), 0, -1)
     slope = tuple(n * c for n, c in zip(ns, rev))
     # log2 of |c_n| r^n and of n |c_n| r^(n+1) / 2
-    sizes = [math.log2(abs(c)) + n * log_r for n, c in zip(ns, rev)]
+    sizes = [math.log2(abs(c)) - scale + n * log_r for n, c in zip(ns, rev)]
     slopes = [v + math.log2(n) + log_r - 1 for n, v in zip(ns, sizes)]
 
     def kept(coeffs, sizes, floor):
@@ -279,11 +290,15 @@ def _newton_steps(rev: tuple, radius: float, bits: int) -> tuple:
             drop += 1
         return coeffs[drop:]
 
-    return tuple(
-        (kept(rev, sizes, -(s + 4) if s < bits else -math.inf),
-         kept(slope, slopes, -(s // 2 + 8)))
-        for s in ((bits + 1) // 2, bits)
-    )
+    steps = []
+    for s in scales:
+        tail = kept(rev, sizes, -(s + 4) if s < bits else -math.inf)
+        dtail = kept(slope, slopes, -(s // 2 + 8))
+        if scale:
+            tail = tuple(c >> (scale - s) for c in tail)
+            dtail = tuple(c >> (scale - s) for c in dtail)
+        steps.append((s, tail, dtail))
+    return tuple(steps)
 
 
 # -- precision-derived tuning for the mpmath kernel ----------------------
@@ -358,6 +373,9 @@ class _DoubleKernel(_Tables):
 
     bits = 53
     tol = 0.0
+    # plain doubles; a last Newton step may reach 2^-19 (or 4 ulps of |w|)
+    scale = 0
+    newton_limit = 2.0 ** _newton_limit(bits)
 
     def __init__(self, ctx: EvalContext):
         super().__init__()
@@ -480,18 +498,18 @@ class _DoubleKernel(_Tables):
 
         Starts from two logarithms, w0 = z + log(+-z)/3 and then
         w = z + log(+-w0)/3 - 2 c_1/w0, and takes the two Newton steps of
-        newton_steps, with no convergence test: the first sums the
-        lowest-order terms that its 27 bits need, the second the whole
-        tail (TestDoubleNewtonSteps checks the result against 128 bits).
-        g(w) is summed as zeta t(zeta) with tail(zeta) = zeta t(zeta),
-        and g'(w) = 1 - zeta/6 - (zeta^2/2) tail'(zeta) at zeta = 2/w.
+        newton_steps, the last checked against newton_limit: the first
+        sums the lowest-order terms that its 27 bits need, the second the
+        whole tail (TestDoubleNewtonSteps checks the result against 128
+        bits).  g(w) is summed as zeta t(zeta) with tail(zeta) = zeta
+        t(zeta), and g'(w) = 1 - zeta/6 - (zeta^2/2) tail'(zeta).
         """
         plus = branch is BranchSign.plus
         steps, log = self.newton_steps(plus), cmath.log
         w = z + (log(-z) if plus else log(z)) / 3.0
-        # c_1, the lowest-order coefficient, ends the full tail
-        w = z + (log(-w) if plus else log(w)) / 3.0 - 2.0 * steps[1][0][-1] / w
-        for tail, slope in steps:
+        # c_1, the lowest-order coefficient, ends each tail
+        w = z + (log(-w) if plus else log(w)) / 3.0 - 2.0 * steps[0][1][-1] / w
+        for _, tail, slope in steps:
             zeta = 2.0 / w
             t = p = 0j
             for c in tail:
@@ -499,7 +517,13 @@ class _DoubleKernel(_Tables):
             for c in slope:
                 p = p * zeta + c
             g = w - (log(-w) if plus else log(w)) / 3.0 + zeta * t - z
-            w -= g / (1.0 - zeta / 6.0 - 0.5 * zeta * zeta * p)
+            dw = g / (1.0 - zeta / 6.0 - 0.5 * zeta * zeta * p)
+            w -= dw
+        # far out the last step is a rounding of w, a few of its ulps
+        if abs(dw) > self.newton_limit and abs(dw) > 4.0 * math.ulp(abs(w)):
+            raise NonConvergenceError(
+                "Newton's method for F~ did not settle", residual=abs(dw)
+            )
         return _E * (1.0 - 2.0 / w), 0.0
 
 
@@ -682,7 +706,10 @@ def _as_branch(branch) -> BranchSign:
 def _refuse_pole(w) -> None:
     # F1's poles, the real integers <= -2, as the kernel holds its argument
     if w.imag == 0 and w.real <= -2 and w.real == int(w.real):
-        raise DomainError(f"F1 has a pole at {float(w.real):g}")
+        where = f"{float(w.real):g}"
+        if where == "-inf":  # a wide pole past the double range
+            where = w.real.context.nstr(w.real, 6)
+        raise DomainError(f"F1 has a pole at {where}")
 
 
 # -- public evaluators -----------------------------------------------------
@@ -792,8 +819,9 @@ def superexp_tilde(
     Raises DomainError at z = 0 and OrbitOverflowError when a forward
     step leaves the representable range (the error carries the first
     overflowing step index); NonConvergenceError when the walk exceeds its
-    cap, Newton's method does not settle (carrying its last step), or the
-    tail of the one sum at the walk-out base is above the target accuracy.
+    cap, the last of Newton's planned steps is above its limit (carrying
+    that step), or the tail of the one sum at the walk-out base is above
+    the target accuracy.
     """
     branch = _as_branch(branch)
     side, flip = _resolve_side(z, cut_side)

@@ -325,8 +325,11 @@ def agreement(
     except SuperexpError:
         return math.nan
     if bits == 53:
-        num = abs(complex(x) + complex(y))
-        den = abs(complex(x) - complex(y))
+        x, y = complex(x), complex(y)
+        try:
+            num, den = abs(x + y), abs(x - y)
+        except OverflowError:  # |X ± Y| past the doubles: the quarters' ratio
+            num, den = abs(x / 4 + y / 4), abs(x / 4 - y / 4)
     else:
         ctx = mp_context(bits)
         x, y = ctx.convert(x), mp_convert(ctx, y)

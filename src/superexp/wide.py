@@ -33,6 +33,7 @@ from .evaluators import (
     Scalar,
     _abel_tier,
     _missed_disk,
+    _newton_limit,
     _Tables,
     _walk_out,
 )
@@ -73,7 +74,8 @@ class _MPKernel(_Tables):
         self.scale = self._workbits + _SCALE_GUARD
         self.abel_radius, self.abel_terms = _abel_tier(self.bits)
         self.threshold = _walk_out(self.abel_radius)
-        self._plans = None
+        # the largest last Newton step accepted, in units of 2^-scale
+        self.newton_limit = 1 << (self.scale + _newton_limit(self.scale))
         # the walks must be allowed to reach their own tuning targets
         self.abel_cap = max(ctx.max_recursion, int(3.0 / self.abel_radius) + 64)
         self.walk_cap = max(ctx.max_recursion, int(self.threshold) + 64)
@@ -201,17 +203,14 @@ class _MPKernel(_Tables):
     def ftilde_series(self, z, branch: BranchSign):
         """F~ = e(1 - zeta) at a base point, where alpha(zeta) = z + ln(2)/3.
 
-        Solved for w = 2/zeta on scaled integers (fixed.invert_abel); the
-        tail estimate is the Abel tail's last term at that zeta, carried
-        to F~ by dF/dalpha = e zeta^2/2.
+        Solved for w = 2/zeta on scaled integers (fixed.invert_abel), one
+        Newton step at each scale of newton_steps, the last at the
+        kernel's own; the tail estimate is the Abel tail's last term at
+        that zeta, carried to F~ by dF/dalpha = e zeta^2/2.
         """
         plus = branch is BranchSign.plus
-        if self._plans is None:
-            self._plans = tuple(
-                fixed.newton_plan(self.tail_rev(side), self.scale, self.abel_radius)
-                for side in (False, True)
-            )
-        wr, wi = fixed.invert_abel(*fixed.pair(z, self.scale), self._plans[plus], plus)
+        zr, zi = fixed.pair(z, self.scale)
+        wr, wi = fixed.invert_abel(zr, zi, self.newton_steps(plus), plus, self.newton_limit)
         ctx = self.mp
         w = self._unfix(wr) if isinstance(z, ctx.mpf) else self._unfix_pair(wr, wi)
         zeta = 2 / w

@@ -735,6 +735,18 @@ class TestCheck:
         summary = dict(line.split(maxsplit=1) for line in proc.stdout.splitlines())
         assert summary["unavailable"] == "9"
 
+    def test_sums_past_the_double_range_score(self, cache_dir):
+        # |X + Y| of a round trip overflows a double at these cells
+        proc = run_cli(
+            ["check", "d1fa", "--x=-1.7976931348623157e308:-1e308",
+             "--y=-1.7976931348623157e308:-1e308", "--nx", "2", "--ny", "2"],
+            cache_dir,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        summary = dict(line.split(maxsplit=1) for line in proc.stdout.splitlines())
+        assert summary["unavailable"] == "0"
+
 
 # a child process runs one CLI command ("cli" ARG...) or a library
 # snippet ("lib" CODE), then writes its exit code and every module it

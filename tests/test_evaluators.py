@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from superexp import evaluators as ev
-from superexp import fixed
 from superexp import limits as lm
 from superexp.errors import (
     BranchCutError,
@@ -335,6 +334,19 @@ class TestCutsAndErrors:
         assert v.real < -25
         assert abs(v.imag - math.pi * E) < 1e-12
 
+    @pytest.mark.parametrize("bits", [53, 128])
+    def test_pole_message_names_the_pole(self, bits):
+        # doubles print as before; a wide pole past the double range is
+        # named by its own digits, not by the double it overflows to
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        cases = [(-3, "-3"), (-2.0, "-2"), (-1e300, "-1e+300")]
+        if bits > 53:
+            cases += [(mp.mpf("-1e400"), "-1.0e+400"), (-10**400, "-1.0e+400")]
+        for z, where in cases:
+            with pytest.raises(DomainError) as info:
+                F1(z, ctx)
+            assert str(info.value) == f"F1 has a pole at {where}"
+
     def test_abel1_on_cut_is_marked(self):
         # the forward orbit would escape anywhere on [e, inf), so the ray
         # is reported as the cut it is rather than as an overflow
@@ -645,12 +657,14 @@ class TestDoubleNewtonSteps:
     """Two planned Newton steps give the double kernel's F~ in full.
 
     _DoubleKernel.ftilde_series takes the two steps of newton_steps and
-    has no convergence test, so this test is what guarantees them: its F~
-    against the 128-bit kernel's at the same argument, on both branches
-    (the plus branch at -w).  The strip is where the walks sum, Re w in
-    [T, T + 1) at the walk-out threshold T, the start there furthest
-    from the root; the far points are summed directly, out to
-    |w| = 1e15.
+    tests only that the last one was small, so this test is what
+    guarantees them: its F~ against the 128-bit superexp_tilde at the
+    same argument, on both branches (the plus branch at -w).  The strip
+    is where the walks sum, Re w in [T, T + 1) at the walk-out threshold
+    T, the start there furthest from the root; the far points are summed
+    directly, out to |w| = 1e15.  The reference walks where the 128-bit
+    kernel's own disk needs it (Re w below 22): that kernel's plan drops
+    terms for that disk, and its last step says so outside it.
     """
 
     # measured worst errors, in units in the last place of |F~|: strip
@@ -671,7 +685,7 @@ class TestDoubleNewtonSteps:
     @pytest.mark.parametrize("kind", ["strip", "far"])
     def test_against_128_bits(self, kind):
         k53 = _kernel(EvalContext())
-        k128 = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=128)))
+        ctx128 = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
         rng = random.Random(f"newton:{kind}")
         # real bases too: a real argument sums at a real base
         points = [self._point(kind, rng, k53.threshold) for _ in range(1000)]
@@ -679,7 +693,7 @@ class TestDoubleNewtonSteps:
         worst = {}
         for w in points:
             for branch, z in ((BranchSign.minus, w), (BranchSign.plus, -w)):
-                want = complex(k128.ftilde_series(k128.cast(z), branch)[0])
+                want = complex(superexp_tilde(z, branch, ctx128))
                 got = k53.ftilde_series(z, branch)[0]
                 ulps = abs(got - want) / math.ulp(abs(want))
                 if ulps > worst.get(branch.name, (0.0,))[0]:
@@ -688,6 +702,85 @@ class TestDoubleNewtonSteps:
         for name, (ulps, z) in worst.items():
             print(f"{kind} {name}: worst {ulps:.2f} ulp at {z}, bound {bound}")
         assert all(ulps <= bound for ulps, _ in worst.values()), worst
+
+    @pytest.mark.parametrize("k", [35, 40, 60])
+    def test_far_points_just_below_a_power_of_two(self, k):
+        # w starts about log(z)/3 past z, in the binade above it, where a
+        # double resolves only 2^(k - 52): the last step is then a
+        # rounding of w, above 2^-19 but at most half an ulp of |w|
+        # (measured over 60000 such points), and F~ is still in full
+        k53 = _kernel(EvalContext())
+        ctx128 = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
+        bound = 2 * self.MEASURED["far"]
+        for d in range(1, 9):
+            x = 2.0**k - d * math.ulp(2.0**k) / 2
+            for w in (complex(x, 0.0), complex(x, 3.0), complex(3.0, x)):
+                for branch, z in ((BranchSign.minus, w), (BranchSign.plus, -w)):
+                    want = complex(superexp_tilde(z, branch, ctx128))
+                    got = complex(superexp_tilde(z, branch))
+                    assert abs(got - want) <= bound * math.ulp(abs(want)), (z, branch)
+            want = complex(F1(x, ctx128))
+            assert abs(complex(F1(x)) - want) <= bound * math.ulp(abs(want)), x
+
+
+class TestWideNewtonSteps:
+    """The mpmath kernel's planned Newton steps give its F~ in full.
+
+    fixed.invert_abel takes one step at each scale of newton_steps and
+    tests only that the last one was small, so this test is what
+    guarantees the result: the kernel's F~ against superexp_tilde 64 bits
+    wider (56 at 432 bits, the widest kernel admitted being 488), on both
+    branches (the plus branch at -w), and at far points also against the
+    sum of the P_m (tests/helpers.py), which shares no code with the
+    kernel.  The strip is where the walks sum, Re w in [T, T + 1) at the
+    walk-out threshold T; the far points have |w| from T out to 1e30.
+    """
+
+    # measured worst relative errors, log2 over 2^-bits: strip -24.2,
+    # -25.5 and -22.3 at 128, 256 and 432 bits, far -31.1 at each, and
+    # -31.1 .. -31.9 against the P_m.  The last step measured at most
+    # 2^(1.4 - s') against its limit 2^(8 - s').  Each bound is twice its
+    # maximum, as in TestDoubleNewtonSteps
+    MEASURED = {
+        (128, "strip"): -24.2, (256, "strip"): -25.5, (432, "strip"): -22.3,
+        (128, "far"): -31.1, (256, "far"): -31.1, (432, "far"): -31.1,
+        "polynomials": -31.1,
+    }
+
+    @staticmethod
+    def _point(kind: str, rng, threshold: float) -> complex:
+        if kind == "strip":
+            im = rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 3)
+            return complex(rng.uniform(threshold, threshold + 1), im)
+        im = rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 30)
+        return complex(10 ** rng.uniform(math.log10(threshold), 30), im)
+
+    @pytest.mark.parametrize("kind", ["strip", "far"])
+    @pytest.mark.parametrize("bits", [128, 256, 432])
+    def test_against_a_wider_kernel(self, bits, kind):
+        kernel = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
+        wider = EvalContext(precision=PrecisionConfig(mantissa_bits=min(bits + 64, ev._MAX_BITS)))
+        rng = random.Random(f"wide newton:{bits}:{kind}")
+        # real bases too: a real argument sums at a real base
+        points = [self._point(kind, rng, kernel.threshold) for _ in range(100)]
+        points += [complex(w.real, 0.0) for w in points[:20]]
+        worst, polynomials = (-math.inf, None), -math.inf
+        for i, w in enumerate(points):
+            for branch, z in ((BranchSign.minus, w), (BranchSign.plus, -w)):
+                got = kernel.ftilde_series(kernel.cast(z), branch)[0]
+                gap = rel_bits(got, superexp_tilde(z, branch, wider)) + bits
+                if gap > worst[0]:
+                    worst = (gap, z)
+                if kind == "far" and i < 10:
+                    ref = superexp_tilde_by_polynomials(kernel.cast(z), branch.name, bits)
+                    polynomials = max(polynomials, rel_bits(got, ref) + bits)
+        bound = self.MEASURED[bits, kind] + 1
+        print(f"{bits} {kind}: worst 2^-bits * 2^{worst[0]:.1f} at {worst[1]}, bound 2^{bound:.1f}")
+        assert worst[0] <= bound, worst
+        if kind == "far":
+            bound = self.MEASURED["polynomials"] + 1
+            print(f"{bits} against the P_m: 2^-bits * 2^{polynomials:.1f}, bound 2^{bound:.1f}")
+            assert polynomials <= bound
 
 
 class TestMPKernel:
@@ -941,14 +1034,19 @@ class TestTermTiers:
                 assert gap < -256, (branch, z, gap)
 
     def test_starved_newton_raises(self, monkeypatch):
-        # without its full-scale steps Newton never checks that it
-        # settled, and says so instead of returning the iterate
-        monkeypatch.setattr(fixed, "NEWTON_EXTRA", 0)
-        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
-        for fn in (F1, F3):
-            with pytest.raises(NonConvergenceError, match="Newton") as info:
-                fn(0.5 + 0.5j, ctx, CC)
-            assert 0 < info.value.residual < 1
+        # a plan short of the scale before its last leaves the last step
+        # above the limit, 2^(8 - s') at that planned scale s', and each
+        # kernel says so instead of returning the iterate
+        for bits in (53, 128):
+            ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+            kernel = _kernel(ctx)
+            kernel.newton_steps(False)
+            starved = tuple(plan[:-2] + plan[-1:] for plan in kernel._newton)
+            monkeypatch.setattr(kernel, "_newton", starved)
+            for fn in (F1, F3):
+                with pytest.raises(NonConvergenceError, match="Newton") as info:
+                    fn(0.5 + 0.5j, ctx, CC)
+                assert 0 < info.value.residual < 1
 
     @pytest.mark.parametrize("bits", [128, 256])
     def test_real_arguments_on_both_cut_sides(self, bits):
@@ -1039,15 +1137,17 @@ class TestLazyTables:
         assert double.tail_rev(False) == double.tail_rev(True)[1:]
         # its two Newton steps sum the lowest-order end of the tail and
         # of the derivative's n c_n, the second step the whole tail: at
-        # the radius 0.25 the rule keeps 7 and 3 terms, then 15 (16 on
-        # the plus side) and 8
+        # the radius 0.25 the rule keeps 7 and 3 terms at 27 bits, then
+        # 15 (16 on the plus side) and 8 at 53
         for plus_side in (False, True):
             full = double.tail_rev(plus_side)
             slope = tuple(n * c for n, c in zip(range(len(full), 0, -1), full))
             steps = double.newton_steps(plus_side)
-            assert [(len(t), len(s)) for t, s in steps] == [(7, 3), (len(full), 8)]
-            assert steps[1][0] == full
-            for tail, dtail in steps:
+            assert [(s, len(t), len(d)) for s, t, d in steps] == [
+                (27, 7, 3), (53, len(full), 8),
+            ]
+            assert steps[1][1] == full
+            for _, tail, dtail in steps:
                 assert tail == full[len(full) - len(tail):]
                 assert dtail == slope[len(slope) - len(dtail):]
         mp128 = ev._kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=128)))
@@ -1058,15 +1158,24 @@ class TestLazyTables:
             round(c * 2**scale) for c in reversed(tail)
         )
         assert mp128.tail_rev(False) == mp128.tail_rev(True)[1:]
-        # Newton's full-scale step sums the same tail, and its narrower
-        # steps the leading terms of it, shifted down
-        mp128.ftilde_series(mp128.cast(30), BranchSign.minus)
+        # its Newton steps run at the scale halved, rounding up, while
+        # above 27 bits; the last sums the whole tail, the narrower ones
+        # the lowest-order terms of it and of n c_n, shifted down.  At the
+        # radius 0.1 the rule keeps 4, 8, 23 and 48 (49 on the plus side)
+        # tail terms, and 1, 4, 9 and 25 slope terms
         for plus_side in (False, True):
-            plan, full = mp128._plans[plus_side], mp128.tail_rev(plus_side)
-            assert plan[-1][1] == full + (0,)
-            for s, tail, _ in plan[:-1]:
-                kept = full[len(full) - len(tail) + 1:]
-                assert tail == tuple(c >> (scale - s) for c in kept) + (0,)
+            full = mp128.tail_rev(plus_side)
+            slope = tuple(n * c for n, c in zip(range(len(full), 0, -1), full))
+            steps = mp128.newton_steps(plus_side)
+            assert [(s, len(t), len(d)) for s, t, d in steps] == [
+                (22, 4, 1), (44, 8, 4), (88, 23, 9), (176, len(full), 25),
+            ]
+            assert steps[-1][1] == full
+            for s, tail, dtail in steps:
+                kept = full[len(full) - len(tail):]
+                assert tail == tuple(c >> (scale - s) for c in kept)
+                kept = slope[len(slope) - len(dtail):]
+                assert dtail == tuple(c >> (scale - s) for c in kept)
 
     def test_a_short_build_finishing_last_keeps_the_longer_table(self):
         # a 28-term build that ends after a 44-term one was stored must

@@ -268,6 +268,14 @@ class TestAgreement:
         with pytest.raises(OrbitOverflowError):
             _exp_b(1931.0, 53)
 
+    def test_sums_past_the_double_range_score(self):
+        # X + Y is finite here but its modulus is not a double: the score
+        # comes from the quarters, |X| being about 92 against |Y| = 2.5e308
+        big = complex(-1.7976931348623157e308, -1.7976931348623157e308)
+        with pytest.raises(OverflowError):
+            abs(F1(A1(big)) + big)
+        assert agreement("d1fa", big) == 0.0
+
     def test_exact_agreement_clips(self):
         assert agreement("dq1", E) == 16.0
 
