@@ -23,6 +23,8 @@ evaluation with constants in hand loads no mpmath.  The private mpmath
 contexts come from `superexp.precision`, so no evaluation at any width
 loads the limit formulas.
 
+Every public evaluator casts its argument once, in _gate; the kernels'
+casts apply `precision.require_finite`, and at 53 bits the double range.
 Real arguments on a cut are evaluated as directional limits: `cut_side`
 picks the side ("above" everywhere by default), and None demands a
 side-independent value, raising BranchCutError where there is none.
@@ -45,7 +47,7 @@ from .errors import (
     NonConvergenceError,
     OrbitOverflowError,
 )
-from .precision import PrecisionConfig, mp_context, plain
+from .precision import PrecisionConfig, mp_context, plain, require_finite
 from .series import abel_expansion, exp_minus_one
 # no evaluator calls it; the traced benchmark runs wrap it by this name
 from .series import superexp_polynomials  # noqa: F401
@@ -353,16 +355,17 @@ _DOUBLE_RADIUS, _DOUBLE_TERMS = 0.25, 15
 
 
 def _double(z: Scalar) -> complex:
-    # a 53-bit argument.  A float or complex one is finite, as
-    # _resolve_side checked; an int or mpmath value past the double range
-    # has none: complex() raises for the int and rounds the other to inf
-    if type(z) in (complex, float):
+    # the double kernel's cast: a finite float or complex at once (the hot
+    # path); anything else passes require_finite and must then fit in a
+    # double, which an int or mpmath value may not (complex() raises for
+    # the int and rounds the other to inf)
+    if type(z) in (complex, float) and cmath.isfinite(z):
         return complex(z)
     try:
-        w = complex(z)
+        w = complex(require_finite(z))
     except OverflowError:
-        w = None
-    if w is None or not cmath.isfinite(w):
+        w = math.inf
+    if not cmath.isfinite(w):
         raise DomainError("argument is outside the double range")
     return w
 
@@ -565,9 +568,8 @@ def _missed_disk(cap: int, zeta):
     )
 
 
-def _abel_walk(kernel, z, plus_side: bool, side, norm=None):
-    # norm, when given, is subtracted from the result
-    w = kernel.cast(z)
+def _abel_walk(kernel, w, plus_side: bool, side, norm=None):
+    # w is the kernel's scalar; norm, when given, is subtracted from the result
     if not plus_side and w.imag == 0 and w.real > kernel.e():
         # the forward orbit escapes along the whole ray right of the
         # fixed point; mark the cut instead of walking into overflow.
@@ -625,13 +627,12 @@ def _walk_chain(kernel, chain: list, k: int, minus: bool, side):
     return kernel.value(w)
 
 
-def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None, chains=None):
-    # shift, when given, is added to the argument.  chains, when given, is
-    # one sweep's memo of walks (see _walk_chain) keyed by the exact base
-    # point: equal keys are equal bits, since adding the anchor or k turns
-    # an imaginary -0.0 into +0.0.  Only a base within one unit past the
-    # threshold is memoized, the only ones a walking cell reaches.
-    w0 = kernel.cast(z) if shift is None else kernel.cast(z) + shift
+def _ftilde_eval(kernel, w0, branch: BranchSign, side, chains=None):
+    # w0 is the kernel's scalar.  chains, when given, is one sweep's memo
+    # of walks (see _walk_chain) keyed by the exact base point: equal keys
+    # are equal bits, since adding the anchor or k turns an imaginary -0.0
+    # into +0.0.  Only a base within one unit past the threshold is
+    # memoized, the only ones a walking cell reaches.
     if w0 == 0:
         raise DomainError("the asymptotic series is singular at 0")
     minus = branch is BranchSign.minus
@@ -660,28 +661,22 @@ def _ftilde_eval(kernel, z, branch: BranchSign, side, shift=None, chains=None):
     return _walk_chain(kernel, chain, k, minus, side)
 
 
-# -- cut-side plumbing ----------------------------------------------------
+# -- the argument gate and cut sides --------------------------------------
 
-def _resolve_side(z, cut_side):
-    # every public evaluator passes its argument through here first
+def _gate(kernel, z, cut_side) -> tuple:
+    # (w, side, flip): z cast once by the kernel, the cut side the walks
+    # take, and whether to conjugate the result.  Whether z is off the
+    # axis is read off z: a 53-bit cast may round Im z to 0
     if cut_side not in ("above", "below", None):
         raise ValueError("cut_side must be 'above', 'below' or None")
-    if isinstance(z, (float, complex)):
-        finite = cmath.isfinite(z)  # the double hot path; mpmath's is slow
-    elif isinstance(z, int):
-        finite = True  # bool too; cmath would refuse an int past 2^1024
-    else:
-        import mpmath
-        finite = mpmath.isfinite(z)
-    if not finite:
-        raise DomainError(f"argument must be finite, got {z!r}")
+    w = kernel.cast(z)
     if getattr(z, "imag", 0) != 0:
-        return "above", False
+        return w, "above", False
     if cut_side == "below":
         # reflection: the lower-side limit of a real-analytic function is
         # the conjugate of the upper-side one
-        return "above", True
-    return cut_side, False
+        return w, "above", True
+    return w, cut_side, False
 
 
 def _public(value, flip: bool):
@@ -692,15 +687,16 @@ def _public(value, flip: bool):
     return plain(value.conjugate() if flip else value)
 
 
-def _as_branch(branch) -> BranchSign:
-    if isinstance(branch, BranchSign):
+def _as_branch(kind: type, branch):
+    # a member of the enum `kind` (BranchSign, iteration.IterateBranch) or
+    # its name; anything else is a ValueError naming the members
+    if isinstance(branch, kind):
         return branch
     try:
-        return BranchSign[branch]
+        return kind[branch]
     except (KeyError, TypeError):
-        raise ValueError(
-            f"branch must be 'minus' or 'plus', got {branch!r}"
-        ) from None
+        names = " or ".join(repr(member.name) for member in kind)
+        raise ValueError(f"branch must be {names}, got {branch!r}") from None
 
 
 def _refuse_pole(w) -> None:
@@ -746,9 +742,7 @@ def abel1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
         the tail of the one sum inside the disk above the target
         accuracy (carries the tail).
     """
-    side, flip = _resolve_side(z, cut_side)
-    value = _abel_walk(_kernel_of(ctx), z, plus_side=False, side=side)
-    return _public(value, flip)
+    return _abel(z, False, ctx, None, cut_side)
 
 
 def abel2(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -759,9 +753,7 @@ def abel2(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     same coefficients, with the opposite sign inside the logarithm.
     Satisfies abel2(e^(z/e)) = abel2(z) + 1 right of the cut (-inf, e].
     """
-    side, flip = _resolve_side(z, cut_side)
-    value = _abel_walk(_kernel_of(ctx), z, plus_side=True, side=side)
-    return _public(value, flip)
+    return _abel(z, True, ctx, None, cut_side)
 
 
 def A1(
@@ -775,11 +767,7 @@ def A1(
     A1 is abel1 minus the calibrated abel1(1); it inverts F1 and is
     periodic with period 2*pi*e*i.
     """
-    side, flip = _resolve_side(z, cut_side)
-    kernel = _kernel_of(ctx)
-    norm = kernel.anchors(constants or default_constants(kernel.bits))[2]
-    value = _abel_walk(kernel, z, plus_side=False, side=side, norm=norm)
-    return _public(value, flip)
+    return _abel(z, False, ctx, constants, cut_side, normed=True)
 
 
 def A3(
@@ -793,11 +781,18 @@ def A3(
     A3 is abel2 minus the calibrated abel2(3); it inverts F3 right of
     the cut (-inf, e].
     """
-    side, flip = _resolve_side(z, cut_side)
+    return _abel(z, True, ctx, constants, cut_side, normed=True)
+
+
+def _abel(z, plus_side: bool, ctx, constants, cut_side, normed=False):
+    # abel1 (plus_side False) or abel2 at z; normed subtracts the
+    # calibrated a1_norm or a3_norm, giving A1 or A3
     kernel = _kernel_of(ctx)
-    norm = kernel.anchors(constants or default_constants(kernel.bits))[3]
-    value = _abel_walk(kernel, z, plus_side=True, side=side, norm=norm)
-    return _public(value, flip)
+    w, side, flip = _gate(kernel, z, cut_side)
+    norm = None
+    if normed:
+        norm = kernel.anchors(constants or default_constants(kernel.bits))[2 + plus_side]
+    return _public(_abel_walk(kernel, w, plus_side, side, norm), flip)
 
 
 def superexp_tilde(
@@ -823,10 +818,10 @@ def superexp_tilde(
     that step), or the tail of the one sum at the walk-out base is above
     the target accuracy.
     """
-    branch = _as_branch(branch)
-    side, flip = _resolve_side(z, cut_side)
-    value = _ftilde_eval(_kernel_of(ctx), z, branch, side)
-    return _public(value, flip)
+    branch = _as_branch(BranchSign, branch)
+    kernel = _kernel_of(ctx)
+    w, side, flip = _gate(kernel, z, cut_side)
+    return _public(_ftilde_eval(kernel, w, branch, side), flip)
 
 
 def F1(
@@ -868,14 +863,13 @@ def F3(
 def _superexp(z, branch: BranchSign, ctx, constants, cut_side, chains=None):
     # F1 (the minus branch) or F3 (plus) at z, walking through a sweep's
     # memo when one is given: the anchor x1 or x3 shifts the argument
-    side, flip = _resolve_side(z, cut_side)
     kernel = _kernel_of(ctx)
+    w, side, flip = _gate(kernel, z, cut_side)
     minus = branch is BranchSign.minus
     if minus:
-        _refuse_pole(kernel.cast(z))
+        _refuse_pole(w)
     shift = kernel.anchors(constants or default_constants(kernel.bits))[not minus]
-    value = _ftilde_eval(kernel, z, branch, side, shift, chains)
-    return _public(value, flip)
+    return _public(_ftilde_eval(kernel, w + shift, branch, side, chains), flip)
 
 
 def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants):
@@ -932,8 +926,8 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
     bits = max(192, ctx.precision.mantissa_bits)
     kernel = _MPKernel(EvalContext(PrecisionConfig(mantissa_bits=bits), ctx.max_recursion))
     wide = kernel.mp  # at bits + 32
-    a1 = _abel_walk(kernel, 1, plus_side=False, side="above")
-    a3 = _abel_walk(kernel, 3, plus_side=True, side="above")
+    a1 = _abel_walk(kernel, kernel.cast(1), plus_side=False, side="above")
+    a3 = _abel_walk(kernel, kernel.cast(3), plus_side=True, side="above")
     shift = wide.log(2) / 3
     x1, x3 = a1 - shift, a3 - shift
     period = wide.mpc(0, 2 * wide.pi * wide.e)

@@ -27,12 +27,13 @@ from .evaluators import (
     _DEFAULT_CTX,
     CalibrationConstants,
     EvalContext,
+    _as_branch,
     _double,
     _sweep,
     abel2,
     default_constants,
 )
-from .precision import mp_context, mp_convert, plain
+from .precision import mp_context, mp_convert, plain, require_finite
 
 __all__ = [
     "GridResult",
@@ -91,32 +92,10 @@ class IterateRequest:
     cut_side: str = "above"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "branch", _iterate_branch(self.branch))
+        if self.branch is not None:
+            object.__setattr__(self, "branch", _as_branch(IterateBranch, self.branch))
         if self.cut_side not in ("above", "below"):
             raise ValueError(f"cut_side must be 'above' or 'below', got {self.cut_side!r}")
-
-
-def _iterate_branch(branch) -> Optional[IterateBranch]:
-    # None, an IterateBranch or its name; anything else is a ValueError
-    if branch is None or isinstance(branch, IterateBranch):
-        return branch
-    try:
-        return IterateBranch[branch]
-    except (KeyError, TypeError):
-        raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}") from None
-
-
-def _at_width(z: Scalar, bits: int) -> tuple:
-    """z and e, each rounded to the evaluation width.
-
-    Every comparison of an iterate's argument with e (the fixed point,
-    the branch, the cut of A1) is made on these, so that a wide
-    argument within a double's ulp of e falls on its true side.
-    """
-    if bits == 53:
-        return _double(z), _E
-    ctx = mp_context(bits)
-    return +mp_convert(ctx, z), plain(+ctx.e)
 
 
 def _a1_sided(
@@ -157,17 +136,6 @@ def _branch_for(re, e) -> IterateBranch:
     )
 
 
-def _shift(a: Scalar, c: Scalar, bits: int) -> Scalar:
-    # c + A(z) at the evaluation precision
-    if bits == 53:
-        try:
-            return a + _double(c)
-        except DomainError:  # an int or mpmath c past the double range
-            raise DomainError("iteration count outside the double range") from None
-    ctx = mp_context(bits)
-    return plain(ctx.convert(a) + mp_convert(ctx, c))
-
-
 def exp_iterate(
     req: IterateRequest,
     ctx: Optional[EvalContext] = None,
@@ -191,6 +159,10 @@ def exp_iterate(
 
     Raises
     ------
+    DomainError
+        Before anything is evaluated or calibrated, when z or c is not
+        finite (the argument rule of `precision.require_finite`) or, at
+        53 bits, past the double range.
     BranchCutError
         When the shifted argument c + A(z) lands on the cut of F1; the
         composition stops being the analytic iterate past that line.
@@ -199,9 +171,19 @@ def exp_iterate(
     """
     ctx = ctx if ctx is not None else _DEFAULT_CTX
     bits = ctx.precision.mantissa_bits
+    # both arguments pass the argument rule before either is cast.  z is
+    # compared with e (the fixed point, the branch, the cut of A1) with
+    # both rounded to the width, so that a wide z within a double's ulp
+    # of e falls on its true side; c + A(z) rounds once, in c's context
+    require_finite(req.z)
+    require_finite(req.c)
+    if bits == 53:
+        zw, c, e = _double(req.z), _double(req.c), _E
+    else:
+        wide = mp_context(bits)
+        zw, c, e = +mp_convert(wide, req.z), mp_convert(wide, req.c), plain(+wide.e)
     if constants is None:
         constants = default_constants(bits)
-    zw, e = _at_width(req.z, bits)
     if zw == e:
         # every regular iterate fixes e exactly; the F(c + A(z))
         # composition has a removable singularity there
@@ -209,7 +191,7 @@ def exp_iterate(
     branch = req.branch if req.branch is not None else _branch_for(zw.real, e)
     if branch is IterateBranch.lower:
         on_cut = zw.imag == 0 and zw.real > e
-        w = _shift(_a1_sided(req.z, ctx, constants, req.cut_side, on_cut), req.c, bits)
+        w = c + _a1_sided(req.z, ctx, constants, req.cut_side, on_cut)
         im = getattr(w, "imag", 0.0)
         if im == 0 and w.real <= -2.0:
             raise BranchCutError(
@@ -217,7 +199,7 @@ def exp_iterate(
                 f"{complex(w)} lies on the cut of F1"
             )
         return F1(w, ctx, constants, cut_side=req.cut_side)
-    w = _shift(A3(req.z, ctx, constants, cut_side=req.cut_side), req.c, bits)
+    w = c + A3(req.z, ctx, constants, cut_side=req.cut_side)
     return F3(w, ctx, constants, cut_side=req.cut_side)
 
 
@@ -449,7 +431,8 @@ def map_grid(
     if fn == "expc":
         if c is None:
             raise ValueError("fn='expc' requires the iteration count c")
-        branch = _iterate_branch(branch)
+        if branch is not None:
+            branch = _as_branch(IterateBranch, branch)
     ctx = ctx if ctx is not None else _DEFAULT_CTX
     if constants is None:
         constants = default_constants(ctx.precision.mantissa_bits)

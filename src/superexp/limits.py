@@ -17,7 +17,8 @@ package.
 
 Each estimator takes its orbit length (the Newton estimator its summand
 count) as `n` and its width as a `PrecisionConfig`, the one precision
-type of the package; an orbit longer than 10^7 steps is refused.
+type of the package; an orbit longer than 10^7 steps is refused, and an
+argument that is not finite too (DomainError, from `precision._as_mp`).
 
 Orbits decay like -2/n near the fixed point, so every kernel goes through
 ``expm1``/``log1p`` style evaluation; naive ``exp(u) - 1`` would lose all
@@ -136,7 +137,18 @@ def _check_escape(z, index: int) -> None:
 
 def _h_step(ctx, z, index: int):
     _check_escape(z, index)
+    if z.real < -_ESCAPE_RE:
+        # e^z is under any orbit's resolution, and expm1 could take minutes
+        # to reduce the Im z of a step off a tower (as wide.py's exp_step)
+        return ctx.mpf(-1) if isinstance(z, ctx.mpf) else ctx.mpc(-1)
     return ctx.expm1(z)
+
+
+def _f_step(ctx, z, index: int):
+    _check_escape(z, index)
+    if z.real < -_ESCAPE_RE:  # e^(z/e) lands at 0, as h lands at -1
+        return ctx.mpf(0) if isinstance(z, ctx.mpf) else ctx.mpc(0)
+    return ctx.exp(z / ctx.e)
 
 
 def _h_inv_step(ctx, z, index: int):
@@ -361,14 +373,10 @@ def newton_superfunction(
     # terminates and the orbit tail (which may overflow) is never needed
     if ctx.im(tw) == 0 and tw == ctx.floor(tw) and tw >= 0:
         n = min(n, int(tw) + 1)
+    step = _h_step if base_map == "h" else _f_step
     orbit = [uw]
-    if base_map == "h":
-        for i in range(n - 1):
-            orbit.append(_h_step(ctx, orbit[-1], i))
-    else:
-        for i in range(n - 1):
-            _check_escape(orbit[-1], i)
-            orbit.append(ctx.exp(orbit[-1] / ctx.e))
+    for i in range(n - 1):
+        orbit.append(step(ctx, orbit[-1], i))
     # pass k turns orbit[j] into Delta^k[orbit](j); only orbit[0] is read
     total = orbit[0]
     binom = ctx.mpf(1)
@@ -552,7 +560,8 @@ def convergence_table(
 
     Failed rows are recorded with an error tag instead of aborting the
     remaining rows.  An unknown method, or a count of `args` the method
-    does not take, raises ValueError.
+    does not take, raises ValueError; a numeric argument that is not
+    finite raises DomainError before any row runs.
     """
     if method not in _ARITY:
         raise ValueError(f"unknown method {method!r}")
@@ -563,6 +572,9 @@ def convergence_table(
             f"{method} takes {takes} argument{'s' if most > 1 else ''},"
             f" got {len(args)}"
         )
+    ctx = mp_context(cfg.mantissa_bits)
+    # the numeric arguments (newton's third is a map's name)
+    points = [_as_mp(ctx, a) for a in args[:2]]
     ns = list(n_list)
     if sorted(ns) != ns:
         raise ValueError("n_list must be ascending")
@@ -576,12 +588,8 @@ def convergence_table(
         # ns ascends, so its ends bound every row's orbit length
         _check_n(ns[0])
         _check_n(ns[-1])
-        ctx = mp_context(cfg.mantissa_bits)
-        if method == "levy":
-            zf, uf = args
-        else:
-            (zf,), uf = args, 0
-        starts = [_tau_inv(ctx, zf), _tau_inv(ctx, uf)]
+        # fatou1 probes against 0
+        starts = [_tau_inv(ctx, p) for p in (*points, 0)[:2]]
         orbits = _Orbits(starts, cfg.mantissa_bits, estimator_n=ns[-1])
         failed = None
         for n in ns:
@@ -605,9 +613,7 @@ def convergence_table(
         return records
 
     if method == "fatou2":
-        zf, uf = args
-        ctx = mp_context(cfg.mantissa_bits)
-        a, b = _tau_inv(ctx, zf), _tau_inv(ctx, uf)
+        a, b = (_tau_inv(ctx, p) for p in points)
         for n in ns:
             try:
                 ya, yb = (ctx.convert(fatou_abel(p, 2, n, cfg)) for p in (a, b))
@@ -617,7 +623,7 @@ def convergence_table(
         return records
 
     if method == "newton":
-        u, t = args[0], args[1]
+        u, t = points
         base_map = args[2] if len(args) > 2 else "h"
         for n in ns:
             try:

@@ -1,4 +1,5 @@
-"""The width of an evaluation and the private mpmath contexts that carry it.
+"""The width of an evaluation, the private mpmath contexts that carry it,
+and the argument rule of every public entry point (`require_finite`).
 
 Evaluators, limit formulas and the CLI all take a `PrecisionConfig`.
 Every computation above 53 bits runs in a private mpmath context from
@@ -12,8 +13,11 @@ so a 53-bit process can build a `PrecisionConfig` without loading it.
 
 from __future__ import annotations
 
+import cmath
 import threading
 from dataclasses import dataclass
+
+from .errors import DomainError
 
 __all__ = ["PrecisionConfig"]
 
@@ -93,9 +97,24 @@ def mp_convert(ctx, x):
     return ctx.convert(x)
 
 
+def require_finite(z):
+    """z itself if finite, else DomainError: the one finiteness test of
+    the evaluators' casts, exp_iterate and the limit formulas (_as_mp).  A
+    Python number is tested without mpmath, an int as finite at any size."""
+    if isinstance(z, (int, float, complex)):
+        finite = isinstance(z, int) or cmath.isfinite(z)
+    else:
+        import mpmath
+        finite = mpmath.isfinite(z)
+    if not finite:
+        raise DomainError(f"argument must be finite, got {z!r}")
+    return z
+
+
 def _as_mp(ctx, z):
-    # z as a value of ctx, exactly; a complex value on the real axis as real
-    z = mp_convert(ctx, z)
+    # z as a value of ctx, exactly, once require_finite passes it; a
+    # complex value on the real axis as real
+    z = mp_convert(ctx, require_finite(z))
     if isinstance(z, ctx.mpc) and z.imag == 0:
         return z.real
     return z

@@ -98,10 +98,7 @@ class _MPKernel(_Tables):
         return +self.mp.e
 
     def cast(self, z: Scalar):
-        ctx = self.mp
-        if isinstance(z, complex):
-            return ctx.mpc(z) if z.imag else ctx.mpf(z.real)
-        return _as_mp(ctx, z)
+        return _as_mp(self.mp, z)  # exact, under the argument rule
 
     def exp_step(self, w, idx: int):
         ctx = self.mp

@@ -447,6 +447,22 @@ class TestEval:
                 ["eval", "F1", *plain, "--format", fmt], cache_dir
             ).stdout
 
+    @pytest.mark.parametrize(
+        "args, got",
+        [
+            (["nan", "0", "--c", "0.5"], "(nan+0j)"),
+            (["1", "0", "--c", "0.5,inf"], "(0.5+infj)"),
+            (["1", "0", "--c", "nan", "--precision-bits", "128"], "(nan+0j)"),
+        ],
+    )
+    def test_non_finite_iterate_names_the_argument(self, cache_dir, args, got):
+        # a NaN z is not an ambiguous branch, and a count is named as given
+        proc = run_cli(["eval", "expc", *args], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"superexp: DomainError: argument must be finite, got {got}\n"
+        assert "Traceback" not in proc.stderr
+
     def test_non_finite_csv_row_is_domain(self, cache_dir):
         proc = run_cli(["eval", "F1", "nan", "0", "--format", "csv"], cache_dir)
         assert proc.returncode == 1
@@ -557,6 +573,25 @@ class TestTable:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"superexp: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args, got",
+        [
+            (["levy", "--args", "nan,1", "--n", "1:3"], "nan"),
+            (["newton", "--args", "nan,0.5", "--n", "1:2"], "nan"),
+            (["newton", "--args", "0.1,inf", "--n", "1:3"], "inf"),
+            (["fatou1", "--args", "inf", "--n", "1:3"], "inf"),
+            (["fatou2", "--args", "2,nan", "--n", "1:3"], "nan"),
+            (["levy", "--args", "-inf,1", "--n", "1:3", "--format", "json"], "-inf"),
+        ],
+    )
+    def test_non_finite_argument(self, cache_dir, args, got):
+        # refused before any row: no nan, overflow or domain rows
+        proc = run_cli(["table", *args], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"superexp: argument must be finite, got {got}\n"
+        assert "Traceback" not in proc.stderr
 
     def test_empty_range(self, cache_dir):
         proc = run_cli(["table", "levy", "--n", ""], cache_dir)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -309,6 +310,54 @@ class TestAgreement:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="agreement kind"):
             agreement("d2af", 1.0 + 1.0j)
+
+
+class TestNonFiniteIterate:
+    """exp_iterate refuses a non-finite z or count before anything runs.
+
+    A NaN z used to fail as an ambiguous branch, a non-finite count only
+    after A(z) had run (and named the shifted argument), and at 53 bits
+    a NaN of a float subclass read as outside the double range.
+    """
+
+    @pytest.mark.parametrize("ctx", [None, CTX128], ids=["53", "128"])
+    @pytest.mark.parametrize("z", [math.nan, complex(1, math.nan), mpmath.mpf("nan")], ids=repr)
+    def test_nan_z(self, ctx, z):
+        with pytest.raises(DomainError, match=r"^argument must be finite, got "):
+            exp_iterate(req(0.5, z), ctx)
+
+    @pytest.mark.parametrize("ctx", [None, CTX128], ids=["53", "128"])
+    @pytest.mark.parametrize(
+        "c", [complex(0.5, math.inf), math.nan, mpmath.mpf("-inf")], ids=repr
+    )
+    def test_count_is_refused_before_anything_runs(self, monkeypatch, ctx, c):
+        import superexp.iteration as it
+
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(it, "default_constants", counted(it.default_constants))
+        monkeypatch.setattr(it, "A1", counted(it.A1))
+        message = f"^argument must be finite, got {re.escape(repr(c))}$"
+        with pytest.raises(DomainError, match=message):
+            exp_iterate(req(c, 1.0), ctx)
+        assert calls == []
+
+    def test_float_subclass_nan(self):
+        class Real(float):
+            pass
+
+        for request in (req(0.5, Real("nan")), req(Real("nan"), 1.0)):
+            with pytest.raises(DomainError, match="^argument must be finite, got nan$"):
+                exp_iterate(request)
+        with pytest.raises(DomainError, match="^argument must be finite, got nan$"):
+            F1(Real("nan"))
+        assert F1(Real(0.5)) == F1(0.5)
 
 
 class TestIntegersPastTheDoubleRange:
@@ -670,9 +719,9 @@ class TestSharedWalks:
         rows = []
         walk = ev._ftilde_eval
 
-        def recorded(kernel, z, branch, side, shift=None, chains=None):
+        def recorded(kernel, w0, branch, side, chains=None):
             rows.append({base.imag for base in chains})
-            return walk(kernel, z, branch, side, shift, chains)
+            return walk(kernel, w0, branch, side, chains)
 
         monkeypatch.setattr(ev, "_ftilde_eval", recorded)
         r = map_grid("F1", grid)

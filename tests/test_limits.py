@@ -106,6 +106,16 @@ class TestIterateH:
         assert isinstance(info.value.index, int)
         assert 0 < info.value.index < 10
 
+    def test_step_off_a_tower_lands_at_minus_one(self):
+        # a complex orbit stepping off a value of about 10^(6e6) whose
+        # real part is negative: expm1 reduced its imaginary part of the
+        # same size for minutes; h rounds to -1 there, as for a real orbit
+        z = mpmath.mpc("14230211.427089587", "-50930376244434208.0")
+        cfg = PrecisionConfig(mantissa_bits=64)
+        assert iterate_h(z, 2, cfg) == -1
+        assert abs(iterate_h(z, 3, cfg) - (mpmath.exp(-1) - 1)) < 1e-15
+        assert iterate_h(mpmath.mpf(-2e8), 1, cfg) == -1
+
     def test_orbit_cap(self):
         with pytest.raises(NonConvergenceError, match="max_iterations=10000000"):
             iterate_h(-1, limits._MAX_ITERATIONS + 1)
@@ -239,6 +249,14 @@ class TestNewton:
         assert res.cancellation_warning
         assert res.max_term > 1e9
 
+    def test_f_step_off_a_tower_lands_at_zero(self):
+        # f(2e7 + 9i) is about -1.2e3195360: the next step reduced an
+        # imaginary part that size for minutes, and lands at 0 instead
+        res = newton_superfunction(
+            mpmath.mpc(2e7, 9), 0.5, 3, PrecisionConfig(mantissa_bits=64), "f"
+        )
+        assert mpmath.isfinite(res.value)
+
     def test_rejects_unknown_base_map(self):
         with pytest.raises(ValueError):
             newton_superfunction(1, 1, 1000, base_map="g")
@@ -343,6 +361,59 @@ class TestFatou:
         y2 = fatou_probe(-1, 2000, CFG256)
         y4 = fatou_probe(-1, 4000, CFG256)
         assert abs(y4 - y2) < abs(y2 - y1)
+
+
+class TestNonFiniteArguments:
+    """A NaN or an infinite part is a DomainError at every limit formula.
+
+    Before the argument rule reached them, a NaN ran through the orbits
+    and came back as NaN, iterate_h_inverse(inf, 5) returned +inf, and
+    newton_superfunction(0.1, inf, 5) raised a raw ValueError.
+    """
+
+    NAN, INF = math.nan, math.inf
+    CALLS = {
+        "iterate_h": lambda x: iterate_h(x, 3),
+        "iterate_h_inverse": lambda x: iterate_h_inverse(x, 5),
+        "levy_abel z": lambda x: levy_abel(x, 0.5, 3),
+        "levy_abel u": lambda x: levy_abel(-0.5, x, 3),
+        "levy_probe": lambda x: levy_probe(x, 1, 3),
+        "newton u": lambda x: newton_superfunction(x, 0.5, 3),
+        "newton t": lambda x: newton_superfunction(0.1, x, 5),
+        "fatou_abel": lambda x: fatou_abel(x, 1, 3),
+        "fatou_probe": lambda x: fatou_probe(x, 3),
+        "fatou_probe_richardson": lambda x: fatou_probe_richardson(x, 4),
+    }
+    VALUES = [NAN, INF, -INF, complex(1, NAN), complex(INF, 0), mpmath.mpf("nan"),
+              mpmath.mpc(1, "inf")]
+
+    @pytest.mark.parametrize("x", VALUES, ids=repr)
+    @pytest.mark.parametrize("call", CALLS)
+    def test_domain_error(self, call, x):
+        with pytest.raises(DomainError, match=r"^argument must be finite, got "):
+            self.CALLS[call](x)
+
+    @pytest.mark.parametrize(
+        "method, args",
+        [("levy", (NAN, 1)), ("levy", (-1, INF)), ("fatou1", (INF,)),
+         ("fatou2", (2, NAN)), ("newton", (NAN, 0.5)), ("newton", (0.1, INF, "f"))],
+    )
+    def test_table_refuses_before_any_row(self, monkeypatch, method, args):
+        # newton evaluates row by row: no row may run, not even as an
+        # error row
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(limits, "newton_superfunction", no_row)
+        monkeypatch.setattr(limits, "fatou_abel", no_row)
+        with pytest.raises(DomainError, match=r"^argument must be finite, got "):
+            convergence_table(method, args, [1, 2], CFG256)
+
+    def test_finite_extremes_are_not_refused(self):
+        # an int past the double range is finite: its orbit escapes
+        with pytest.raises(OrbitOverflowError):
+            iterate_h(10**400, 2)
+        assert iterate_h(-(10**400), 1) == -1
 
 
 class TestConvergenceTable:

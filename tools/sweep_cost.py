@@ -28,6 +28,7 @@ sweep's own.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import resource
@@ -48,12 +49,22 @@ def _count(evaluators, counts: dict, sums: list) -> None:
         sums.append((series, self, args))
         return series(self, *args)
 
-    def counted(kernel, z, branch, side, shift=None, *memo):
-        r = (kernel.cast(z) + (0 if shift is None else shift)).real
+    # the walk takes the cast argument with the anchor added (kernel, w0,
+    # branch, side, chains); a tree from before the evaluators' argument
+    # gate passes the argument uncast and the anchor apart (kernel, z,
+    # branch, side, shift, chains)
+    uncast = "shift" in inspect.signature(walk).parameters
+
+    def counted(kernel, w0, branch, side, *rest):
+        if uncast:
+            shift = rest[0] if rest and rest[0] is not None else 0
+            r = (kernel.cast(w0) + shift).real
+        else:
+            r = w0.real
         gap = kernel.threshold - r if branch is minus else r + kernel.threshold
         before = len(sums)
         try:
-            return walk(kernel, z, branch, side, shift, *memo)
+            return walk(kernel, w0, branch, side, *rest)
         finally:
             # evaluators._walk_length(gap) > 0, read off the gap itself
             # so that --src may name a tree from before that function
