@@ -182,10 +182,23 @@ def _checked(kind, ok, rule: str):
     return parse
 
 
+def _float(text: str) -> float:
+    # every number the command line reads: float() takes a finite literal
+    # past the double range (1e400) as inf, so it is refused by name; the
+    # literals inf and nan pass on to the library's argument rule
+    value = float(text)
+    if math.isinf(value) and "inf" not in text.lower():
+        raise argparse.ArgumentTypeError(f"{text!r} is outside the double range")
+    return value
+
+
+_float.__name__ = "float"  # argparse names the type when float() fails
+
+
 def _parse_complex(text: str) -> complex:
     re, _, im = text.partition(",")
     try:
-        return complex(float(re), float(im) if im else 0.0)
+        return complex(_float(re), _float(im) if im else 0.0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad complex value {text!r}; use re or re,im")
 
@@ -194,7 +207,7 @@ def _parse_span(text: str):
     lo, sep, hi = text.partition(":")
     if sep:
         try:
-            return float(lo), float(hi)
+            return _float(lo), _float(hi)
         except ValueError:
             pass
     raise argparse.ArgumentTypeError(f"bad range {text!r}; use lo:hi")
@@ -217,7 +230,7 @@ def _parse_n_list(text: str):
 
 def _parse_floats(text: str):
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok)
+        return tuple(_float(tok) for tok in text.split(",") if tok)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad list {text!r}")
 
@@ -435,8 +448,8 @@ def _build_parser() -> _Parser:
     _add_common(p)
     _add_walk_cap(p)
     p.add_argument("fn", choices=GRID_FUNCTIONS)
-    p.add_argument("re", type=float)
-    p.add_argument("im", type=float, nargs="?", default=0.0)
+    p.add_argument("re", type=_float)
+    p.add_argument("im", type=_float, nargs="?", default=0.0)
     p.add_argument("--cut-side", choices=("above", "below"), default=None,
                    help="side resolving on-cut arguments (omit = strict)")
     p.add_argument("--c", type=_parse_complex, default=None,

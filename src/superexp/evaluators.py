@@ -396,6 +396,10 @@ class _DoubleKernel(_Tables):
         return _E
 
     cast = staticmethod(_double)
+    # a composition's values as doubles: a float or complex as it is, finite
+    # or not, any other number through the cast; and A1's cut rotation
+    at_width = staticmethod(lambda x: complex(x) if type(x) in (complex, float) else _double(x))
+    rotation = complex(0.0, -math.pi / 3.0)
 
     def exp_step(self, w: complex, idx: int):
         """One guarded step w -> e^(w/e).

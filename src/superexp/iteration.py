@@ -6,6 +6,9 @@ F3/A3 above it.  The two half-iterates disagree away from the real
 interval around e; :func:`dq13` measures that gap on the axis, and
 :func:`agreement` turns round-trip identities into a decimal-digits
 score suitable for plotting over a grid (:func:`map_grid`).
+
+The kernel of the width holds their values (at_width), so no function
+here asks the width but `_exp_b`, the reference e^(z/e) taken wider.
 """
 
 from __future__ import annotations
@@ -27,8 +30,12 @@ from .evaluators import (
     _DEFAULT_CTX,
     CalibrationConstants,
     EvalContext,
+    Scalar,
+    _abel_walk,
     _as_branch,
-    _double,
+    _gate,
+    _kernel_of,
+    _public,
     _sweep,
     abel2,
     default_constants,
@@ -47,9 +54,6 @@ __all__ = [
     "grid_to_json",
     "map_grid",
 ]
-
-# the mpmath types are named, not imported: a 53-bit process loads no mpmath
-Scalar = Union[float, complex, "mpmath.mpf", "mpmath.mpc"]
 
 _E = math.e
 
@@ -71,10 +75,10 @@ class IterateRequest:
 
     Parameters
     ----------
-    c : complex
-        Iteration count; c = 1 is one application of exp_b, c = 1/2 a
-        half step, c = -1 the inverse.
-    z : complex
+    c : scalar
+        Iteration count, real or complex; c = 1 is one application of
+        exp_b, c = 1/2 a half step, c = -1 the inverse.
+    z : scalar
         Point of evaluation.
     branch : IterateBranch or str, optional
         ``lower`` composes F1/A1, ``upper`` composes F3/A3.  When left
@@ -98,44 +102,6 @@ class IterateRequest:
             raise ValueError(f"cut_side must be 'above' or 'below', got {self.cut_side!r}")
 
 
-def _a1_sided(
-    z: Scalar,
-    ctx: EvalContext,
-    constants: CalibrationConstants,
-    side: str,
-    on_cut: bool,
-) -> Scalar:
-    """A1 with its cut [e, inf) resolved as a directional limit.
-
-    The forward orbit diverges on the cut, but the backward walk still
-    converges there and lands on the negative side of the expansion's
-    logarithm: the limit from above is abel2(z) - i pi/3 shifted by the
-    lower normalization, and the limit from below its conjugate.
-    """
-    bits = ctx.precision.mantissa_bits
-    if on_cut:
-        if bits == 53:
-            rot = complex(0.0, -math.pi / 3.0)
-            return abel2(z, ctx) + (rot if side == "above" else -rot) - complex(
-                constants.a1_norm
-            )
-        wide = mp_context(bits + 32)
-        rot = wide.mpc(0, -wide.pi / 3)
-        value = wide.convert(abel2(z, ctx)) + (rot if side == "above" else -rot)
-        return plain(value - constants.a1_norm, bits)
-    return A1(z, ctx, constants, cut_side=side)
-
-
-def _branch_for(re, e) -> IterateBranch:
-    if re < e:
-        return IterateBranch.lower
-    if re > e:
-        return IterateBranch.upper
-    raise DomainError(
-        "branch is ambiguous on the line Re(z) = e; request one explicitly"
-    )
-
-
 def exp_iterate(
     req: IterateRequest,
     ctx: Optional[EvalContext] = None,
@@ -152,8 +118,9 @@ def exp_iterate(
 
     Returns
     -------
-    complex
-        Value of the requested iterate.  ``z = e`` returns e exactly for
+    complex or mpmath scalar
+        Value of the requested iterate: a machine complex at 53 bits, an
+        mpmath value otherwise.  ``z = e`` returns e at the width for
         any c: the fixed point is fixed by every iterate even though the
         F/A decomposition is singular there.
 
@@ -169,38 +136,49 @@ def exp_iterate(
     SuperexpError
         Propagated from the constituent evaluations.
     """
-    ctx = ctx if ctx is not None else _DEFAULT_CTX
-    bits = ctx.precision.mantissa_bits
-    # both arguments pass the argument rule before either is cast.  z is
-    # compared with e (the fixed point, the branch, the cut of A1) with
-    # both rounded to the width, so that a wide z within a double's ulp
-    # of e falls on its true side; c + A(z) rounds once, in c's context
+    # both arguments pass the argument rule before either is cast
     require_finite(req.z)
     require_finite(req.c)
-    if bits == 53:
-        zw, c, e = _double(req.z), _double(req.c), _E
-    else:
-        wide = mp_context(bits)
-        zw, c, e = +mp_convert(wide, req.z), mp_convert(wide, req.c), plain(+wide.e)
+    kernel = _kernel_of(ctx)
+    # z is cast once, for the Abel walk and the comparisons with e (the
+    # fixed point, the branch, the cut of A1), which round both to the
+    # width: a wide z within a double's ulp of e falls on its true side.
+    # c is held at the width, where c + A(z) is formed
+    zw, side, flip = _gate(kernel, req.z, req.cut_side)
+    c = kernel.at_width(req.c)
+    zr, e = +kernel.at_width(zw), +kernel.at_width(kernel.e())
     if constants is None:
-        constants = default_constants(bits)
-    if zw == e:
+        constants = default_constants(kernel.bits)
+    if zr == e:
         # every regular iterate fixes e exactly; the F(c + A(z))
         # composition has a removable singularity there
-        return complex(_E, 0.0) if bits == 53 else e
-    branch = req.branch if req.branch is not None else _branch_for(zw.real, e)
-    if branch is IterateBranch.lower:
-        on_cut = zw.imag == 0 and zw.real > e
-        w = c + _a1_sided(req.z, ctx, constants, req.cut_side, on_cut)
-        im = getattr(w, "imag", 0.0)
-        if im == 0 and w.real <= -2.0:
-            raise BranchCutError(
-                "shifted argument c + A1(z) = "
-                f"{complex(w)} lies on the cut of F1"
-            )
-        return F1(w, ctx, constants, cut_side=req.cut_side)
-    w = c + A3(req.z, ctx, constants, cut_side=req.cut_side)
-    return F3(w, ctx, constants, cut_side=req.cut_side)
+        return plain(e)
+    if req.branch is not None:
+        upper = req.branch is IterateBranch.upper
+    elif zr.real == e.real:
+        raise DomainError("branch is ambiguous on the line Re(z) = e; request one explicitly")
+    else:
+        upper = zr.real > e.real
+    if not upper and zr.imag == 0 and zr.real > e.real:
+        # A1's cut [e, inf): the forward orbit diverges, but the backward
+        # walk converges onto the negative side of the expansion's log.
+        # The limit from above is abel2(z) - i pi/3 shifted by the lower
+        # normalization, from below its conjugate: formed at the work
+        # bits, rounded to the width
+        rot = kernel.rotation if req.cut_side == "above" else -kernel.rotation
+        a = kernel.cast(abel2(req.z, ctx)) + rot - kernel.anchors(constants)[2]
+        a = +kernel.at_width(a)
+    else:
+        norm = kernel.anchors(constants)[2 + upper]
+        a = _public(_abel_walk(kernel, zw, upper, side, norm), flip)
+    w = c + a
+    if upper:
+        return F3(w, ctx, constants, cut_side=req.cut_side)
+    if w.imag == 0 and w.real <= -2:
+        raise BranchCutError(
+            f"shifted argument c + A1(z) = {complex(w)} lies on the cut of F1"
+        )
+    return F1(w, ctx, constants, cut_side=req.cut_side)
 
 
 def dq13(
@@ -222,18 +200,15 @@ def dq13(
 
     Returns
     -------
-    complex
+    complex or mpmath scalar
         ``exp_lower^[1/2](x) - exp_upper^[1/2](x)``.
     """
     ctx = ctx if ctx is not None else _DEFAULT_CTX
-    bits = ctx.precision.mantissa_bits
     deep = dataclasses.replace(ctx, max_recursion=max(ctx.max_recursion, 20000))
     lower = exp_iterate(IterateRequest(0.5, x, IterateBranch.lower), deep, constants)
     upper = exp_iterate(IterateRequest(0.5, x, IterateBranch.upper), deep, constants)
-    if bits == 53:
-        return lower - upper
-    ctx = mp_context(bits)
-    return plain(ctx.convert(lower) - ctx.convert(upper))
+    kernel = _kernel_of(deep)  # the difference rounds once, at the width
+    return plain(kernel.at_width(lower) - kernel.at_width(upper))
 
 
 def _exp_b(z: Scalar, bits: int) -> Scalar:
@@ -306,16 +281,13 @@ def agreement(
             y = _exp_b(z, bits)
     except SuperexpError:
         return math.nan
-    if bits == 53:
-        x, y = complex(x), complex(y)
-        try:
-            num, den = abs(x + y), abs(x - y)
-        except OverflowError:  # |X ± Y| past the doubles: the quarters' ratio
-            num, den = abs(x / 4 + y / 4), abs(x / 4 - y / 4)
-    else:
-        ctx = mp_context(bits)
-        x, y = ctx.convert(x), mp_convert(ctx, y)
+    # X ± Y are formed at the width
+    kernel = _kernel_of(ctx)
+    x, y = kernel.at_width(x), kernel.at_width(y)
+    try:
         num, den = float(abs(x + y)), float(abs(x - y))
+    except OverflowError:  # |X ± Y| past the doubles: the quarters' ratio
+        num, den = abs(x / 4 + y / 4), abs(x / 4 - y / 4)
     if den == 0.0:
         return clip
     if num == 0.0:
@@ -428,12 +400,15 @@ def map_grid(
     """
     if fn not in GRID_FUNCTIONS:
         raise ValueError(f"unknown grid function {fn!r}")
+    ctx = ctx if ctx is not None else _DEFAULT_CTX
     if fn == "expc":
         if c is None:
             raise ValueError("fn='expc' requires the iteration count c")
         if branch is not None:
             branch = _as_branch(IterateBranch, branch)
-    ctx = ctx if ctx is not None else _DEFAULT_CTX
+        # cast once, before calibrating: a count no cell could take is
+        # refused for the whole grid
+        c = _kernel_of(ctx).at_width(require_finite(c))
     if constants is None:
         constants = default_constants(ctx.precision.mantissa_bits)
     xs, ys = grid.xs(), grid.ys()

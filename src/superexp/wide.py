@@ -37,7 +37,7 @@ from .evaluators import (
     _Tables,
     _walk_out,
 )
-from .precision import _as_mp, new_mp_context
+from .precision import _as_mp, mp_convert, new_mp_context
 
 
 # fraction bits of the fixed-point series sums above the work bits
@@ -51,10 +51,11 @@ class _MPKernel(_Tables):
     series is summed by Horner's rule on them and F~ solved for on them:
     the argument is converted once per call, and a real argument
     returns an mpf.  A step out of the integers' range takes a value of
-    the kernel's own context `mp` at the work bits (bits + 32).  Threads
-    share a kernel, so it calls only functions that leave that
-    context's precision alone, and builds its constants up front.
-    Each evaluation sums once, inside its width's disk, and raises
+    the kernel's own context `mp` at the work bits (bits + 32), and a
+    composition's values are held in one at the width (at_width).
+    Threads share a kernel, so it calls only functions that leave the
+    contexts' precision alone, and builds its constants up front.  Each
+    evaluation sums once, inside its width's disk, and raises
     NonConvergenceError if the last term is above tol = 2^(4 - bits).
     """
 
@@ -80,6 +81,8 @@ class _MPKernel(_Tables):
         self.abel_cap = max(ctx.max_recursion, int(3.0 / self.abel_radius) + 64)
         self.walk_cap = max(ctx.max_recursion, int(self.threshold) + 64)
         self.tol = self.mp.mpf(2) ** (4 - self.bits)
+        self._width = new_mp_context(self.bits)  # see at_width
+        self.rotation = self.mp.mpc(0, -self.mp.pi / 3)  # A1's, on its cut
         # built here, not on first use: threads share a kernel
         self._steps = fixed.WalkSteps(self.scale, self.abel_radius)
 
@@ -99,6 +102,10 @@ class _MPKernel(_Tables):
 
     def cast(self, z: Scalar):
         return _as_mp(self.mp, z)  # exact, under the argument rule
+
+    def at_width(self, x):
+        # x as a value of the context at the width, exactly: + rounds it there
+        return mp_convert(self._width, x)
 
     def exp_step(self, w, idx: int):
         ctx = self.mp

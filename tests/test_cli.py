@@ -121,6 +121,32 @@ class TestCommonFlags:
         assert "usage" in proc.stderr and f"argument {args[-2]}:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args, name, literal",
+        [
+            (["eval", "F1", "1e400", "0"], "re", "1e400"),
+            (["eval", "F1", "1e400", "0", "--precision-bits", "256"], "re", "1e400"),
+            (["eval", "F3", "0", "-1E+400"], "im", "-1E+400"),
+            (["eval", "expc", "1", "0", "--c", "1e400"], "--c", "1e400"),
+            (["eval", "expc", "1", "0", "--c", "0.5,-1e400"], "--c", "-1e400"),
+            (["table", "levy", "--args", "1e400,1", "--n", "1:2"], "--args", "1e400"),
+            (["map", "F1", "--x", "0:1e400", "--y", "0:1", "--nx", "2", "--ny", "2"],
+             "--x", "1e400"),
+            (["check", "d1fa", "--x", "0:1", "--y", "-1e400:1", "--nx", "2", "--ny", "2"],
+             "--y", "-1e400"),
+        ],
+        ids=["eval re", "eval re 256", "eval im", "--c", "--c im", "--args", "--x", "--y"],
+    )
+    def test_literal_past_the_double_range_is_a_usage_error(self, cache_dir, args, name,
+                                                            literal):
+        # float() reads such a literal as inf, which the library then
+        # refused as "not finite"; the parser names the literal instead
+        proc = run_cli(args, cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"argument {name}: {literal!r} is outside the double range" in proc.stderr
+        assert "usage" in proc.stderr and "Traceback" not in proc.stderr
+
     _MAP = ["map", "F1", "--y", "0:1", "--nx", "2", "--ny", "2"]
 
     @pytest.mark.parametrize(
@@ -628,6 +654,22 @@ class TestTable:
 
 
 class TestMap:
+    @pytest.mark.parametrize(
+        "c, bits, got",
+        [("nan", "53", "(nan+0j)"), ("0.5,-inf", "53", "(0.5-infj)"), ("nan", "128", "(nan+0j)")],
+    )
+    def test_expc_refuses_a_non_finite_count(self, cache_dir, c, bits, got):
+        # it once printed a grid of "domain" rows and exited 0
+        proc = run_cli(
+            ["map", "expc", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2",
+             f"--c={c}", "--precision-bits", bits],
+            cache_dir,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"superexp: DomainError: argument must be finite, got {got}\n"
+        assert "Traceback" not in proc.stderr
+
     def test_csv_grid_row_order(self, cache_dir):
         proc = run_cli(
             ["map", "A3", "--x", "-0.5:0.5", "--y", "-0.5:0.5", "--nx", "2",

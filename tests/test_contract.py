@@ -3,27 +3,33 @@
 Every public evaluator, at 53 and 128 bits, returns a finite value or
 raises a SuperexpError subclass for any argument: Python complex, mpmath
 and int values, NaN, the infinities and magnitudes past the double range
-included.  A non-finite argument, exp_iterate's count among them, raises
-a DomainError that says so.  An agreement score is a float in
-[-clip, clip] or NaN.  The limit formulas keep the same contract at 64
-bits over orbits of up to 5 steps.  Examples are drawn derandomized, so
-a run is repeatable.
+included.  A non-finite argument, exp_iterate's count and a map's count
+among them, raises a DomainError that says so.  An agreement score is a
+float in [-clip, clip] or NaN.  The limit formulas keep the same
+contract at 64 bits over orbits of up to 5 steps.  The command line
+exits 0 or 1 for any numeric literal, printing nothing on a failure.
+Examples are drawn derandomized, so a run is repeatable.
 """
 
 import cmath
+import contextlib
+import io
 import math
 import warnings
 
 import mpmath
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from superexp import (
     A1, A3, F1, F3, EvalContext, PrecisionConfig, abel1, abel2, superexp_tilde,
 )
-from superexp import limits
+from superexp import cli, limits
 from superexp.errors import DomainError, PrecisionLossWarning, SuperexpError
-from superexp.iteration import AGREEMENT_KINDS, IterateRequest, agreement, exp_iterate
+from superexp.iteration import (
+    AGREEMENT_KINDS, GridSpec, IterateRequest, agreement, dq13, exp_iterate, map_grid,
+)
 
 CONTEXTS = {
     53: EvalContext(),
@@ -41,7 +47,10 @@ CALLS = {
     "superexp_tilde minus": (lambda z, c, ctx: superexp_tilde(z, "minus", ctx), False),
     "superexp_tilde plus": (lambda z, c, ctx: superexp_tilde(z, "plus", ctx), False),
     "exp_iterate": (lambda z, c, ctx: exp_iterate(IterateRequest(c, z), ctx), True),
+    "dq13": (lambda z, c, ctx: dq13(z, ctx), False),
 }
+# the grid of map_grid("expc"), whose count c is the argument drawn
+GRID = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
 
 points = st.complex_numbers(allow_nan=True, allow_infinity=True)
 reals = st.floats(allow_nan=True, allow_infinity=True)
@@ -91,6 +100,14 @@ def _check(bits: int, z, c) -> None:
             assert _refused(exc) or not refused, (name, z, c, exc)
             continue
         assert not refused and _finite(value), (name, z, c, value)
+    # a count no cell could take is refused for the whole grid
+    try:
+        cells = map_grid("expc", GRID, ctx, c=c).values
+    except SuperexpError as exc:
+        assert _refused(exc) or _finite(c), (c, exc)
+    else:
+        assert _finite(c), (c, cells)
+        assert all(v is None or cmath.isfinite(v) for row in cells for v in row), (c, cells)
     for kind in AGREEMENT_KINDS:
         score = agreement(kind, z, ctx)
         assert type(score) is float, (kind, z, score)
@@ -180,3 +197,78 @@ def test_limit_formulas_return_finite_or_raise(z, u, n):
                 continue
             assert not refused, (method, z, u, n, rows)
             assert all(r.error or _finite(r.value) for r in rows), (method, z, u, n, rows)
+
+
+# numeric literals as typed on a command line: finite, past the double
+# range either way, the spellings of inf and nan, and some that are not
+# numbers at all
+LITERALS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from([
+        "1e400", "-1e400", "1e-400", "-1E+400", "inf", "-inf", "+Infinity", "nan", "-NaN",
+        "1e308", "-1.7976931348623157e308", "0x10", "1,", "",
+    ]),
+)
+
+
+def _span(lo, hi) -> str:
+    return f"{lo}:{hi}"
+
+
+COMMANDS = st.one_of(
+    st.builds(
+        lambda fn, re, im: ["eval", fn, re, im],
+        st.sampled_from(["F1", "F3", "A1", "A3"]), LITERALS, LITERALS,
+    ),
+    st.builds(
+        lambda re, c, ci: ["eval", "expc", re, "0.5", f"--c={c}{ci}"],
+        LITERALS, LITERALS, st.one_of(st.just(""), LITERALS.map(lambda t: "," + t)),
+    ),
+    st.builds(
+        lambda method, args: ["table", method, f"--args={','.join(args)}", "--n=1:3",
+                              "--precision-bits=64"],
+        st.sampled_from(["levy", "fatou1", "fatou2", "newton"]),
+        st.lists(LITERALS, min_size=1, max_size=2),
+    ),
+    st.builds(
+        lambda fn, x, y, c: ["map", fn, f"--x={x}", f"--y={y}", "--nx=2", "--ny=2", *c],
+        st.sampled_from(["F1", "A3", "expc"]),
+        st.builds(_span, LITERALS, LITERALS),
+        st.builds(_span, LITERALS, LITERALS),
+        st.one_of(st.just(["--c=0.5"]), LITERALS.map(lambda t: [f"--c={t}"])),
+    ),
+    st.builds(
+        lambda kind, x, y: ["check", kind, f"--x={x}", f"--y={y}", "--nx=2", "--ny=2"],
+        st.sampled_from(["d1fa", "dq1", "dq3"]),
+        st.builds(_span, LITERALS, LITERALS),
+        st.builds(_span, LITERALS, LITERALS),
+    ),
+)
+
+
+def _main(argv) -> tuple:
+    # (exit code, stdout, stderr) of one in-process run of the command
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(argv=COMMANDS)
+@example(argv=["eval", "F1", "1e400", "0"])
+@example(argv=["eval", "expc", "1", "0", "--c=-1e400"])
+@example(argv=["table", "levy", "--args=1e400,1", "--n=1:2", "--precision-bits=64"])
+@example(argv=["map", "expc", "--x=0:1", "--y=0:1", "--nx=2", "--ny=2", "--c=nan"])
+@example(argv=["check", "dq1", "--x=0:1e400", "--y=0:1", "--nx=2", "--ny=2"])
+def test_command_line_exits_0_or_1(argv, tmp_path_factory):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path_factory.getbasetemp() / "cache"))
+        code, out, err = _main([*argv, "--format=text"])
+    assert code in (0, 1), (argv, code, err)
+    if code == 1:  # a reason on stderr, nothing on stdout
+        assert out == "" and err, (argv, out, err)

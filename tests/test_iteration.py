@@ -124,6 +124,14 @@ class TestExpIterate:
             assert v == exp_iterate(req(0.5, z, branch), ctx)
             assert abs(v - E) < 1e-14
 
+    def test_e_at_the_width_rounds_once(self):
+        # exp_iterate compares z with the kernel's e (at bits + 32) rounded
+        # to the width: at every width that is e rounded there directly
+        for bits in range(54, ev._MAX_BITS + 1):
+            work, width = mpmath.MPContext(), mpmath.MPContext()
+            work.prec, width.prec = bits + 32, bits
+            assert mpmath.libmp.mpf_pos((+work.e)._mpf_, bits, "n") == (+width.e)._mpf_
+
     @pytest.mark.parametrize("c", [0.5, -0.25, 3.7])
     @pytest.mark.parametrize("branch", [None, "lower", "upper"])
     def test_fixed_point_is_fixed_by_every_iterate(self, c, branch):
@@ -505,6 +513,38 @@ class TestMapGrid:
         with pytest.raises(ValueError, match="grid function"):
             map_grid("G2", GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2))
 
+    @pytest.mark.parametrize(
+        "c, ctx, message",
+        [
+            (math.nan, None, "^argument must be finite, got nan$"),
+            (complex(0.5, -math.inf), None, r"^argument must be finite, got \(0.5-infj\)$"),
+            (mpmath.mpf("nan"), CTX128, "^argument must be finite, got mpf"),
+            (10**400, None, "^argument is outside the double range$"),
+            (mpmath.mpf("1e400"), None, "^argument is outside the double range$"),
+        ],
+        ids=["nan", "complex inf", "mpf nan at 128", "10^400", "mpf 1e400"],
+    )
+    def test_expc_refuses_a_bad_count_before_calibrating(self, monkeypatch, c, ctx, message):
+        # it once calibrated and then returned a grid of "domain" cells
+        import superexp.iteration as it
+
+        def no_calibration(bits):
+            raise AssertionError("calibrated for a count no cell can take")
+
+        monkeypatch.setattr(it, "default_constants", no_calibration)
+        with pytest.raises(DomainError, match=message):
+            map_grid("expc", GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2), ctx, c=c)
+
+    def test_expc_cells_take_the_cast_count(self):
+        # the count is cast once for the grid; each cell is exp_iterate's value
+        g = GridSpec(-1.0, 1.0, -0.5, 0.5, 3, 2)
+        for ctx, c in ((None, 10**2), (CTX128, mpmath.mpf("0.5")), (CTX128, 0.5 + 0j)):
+            r = map_grid("expc", g, ctx, c=c, branch="lower")
+            for y, row in zip(g.ys(), r.values):
+                for x, value in zip(g.xs(), row):
+                    want = exp_iterate(req(c, complex(x, y), "lower"), ctx)
+                    assert value == complex(want)
+
     def test_half_iterate_changes_sign_near_origin(self):
         g = GridSpec(-3.0, 1.0, -0.5, 0.5, 9, 3)
         r = map_grid("expc", g, c=0.5, branch="lower")
@@ -585,6 +625,66 @@ class TestDoubleBitIdentity:
         assert any(math.isnan(s) for *_, s in scores)
         assert hashlib.sha256(repr(scores).encode()).hexdigest() == (
             "cc49764d4a31217be61709fe9994c40f2d20782fa7f6a306de7744dc9219e08c"
+        )
+
+
+def _bits(call):
+    # a value's exact bits (repr of a double, _mpf_ or _mpc_ above 53
+    # bits), or the error it raises
+    try:
+        value = call()
+    except SuperexpError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, (float, complex)):
+        return repr(value)
+    return repr(getattr(value, "_mpc_", None) or value._mpf_)
+
+
+class TestCompositionBitIdentity:
+    """exp_iterate, dq13 and the dq agreements keep their bits.
+
+    The digests pin every value, at 53 bits and at 128, and every error
+    message.  The requests take both branches and both cut sides, A1's
+    cut [e, inf) on the lower branch, real, complex and mpmath counts,
+    mpmath points within 2^-100 of e, and the fixed point.  Recorded
+    before exp_iterate, dq13 and agreement held their values through
+    the kernel (at_width) instead of forking on the width.  The 53-bit
+    digest holds for a libm that rounds exp and log as glibc does on
+    x86-64, as TestDoubleBitIdentity's do.
+    """
+
+    COUNTS = (0.5, -0.25, complex(0.5, 0.0), complex(0.5, 0.25), 1.0)
+    POINTS = (1 + 1j, 0.5 - 0.25j, 1.0, -1.5, 2.0, E, E + 0.1, 3.0, 5.0, 4 + 2j, 5 - 0.8j)
+    AXIS = (E - 0.1, E + 0.05, 2.0, 3.5, E)
+    DQ = (1 + 1j, 0.5 - 0.25j, 2.0, 3.0, 5.0, 4 + 2j, E)
+
+    def _digest(self, ctx):
+        with mp.workprec(160):
+            near = (+mpmath.e, mpmath.e - mpmath.mpf(2) ** -100, mpmath.e + mpmath.mpf(2) ** -100)
+        rows = []
+        for z in (*self.POINTS, *near, mpmath.mpc(3, 0)):
+            for c in (*self.COUNTS, mpmath.mpf(-0.5)):
+                for branch in (None, "lower", "upper"):
+                    for side in ("above", "below"):
+                        request = req(c, z, branch, side)
+                        rows.append(_bits(lambda: exp_iterate(request, ctx)))
+        rows += [_bits(lambda: dq13(x, ctx)) for x in self.AXIS]
+        rows += [
+            agreement(kind, z, ctx, cut_side=side)
+            for kind in ("dq1", "dq3")
+            for z in self.DQ
+            for side in ("above", "below")
+        ]
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+    def test_53_bits(self):
+        assert self._digest(None) == (
+            "002d285e8a5b23e26eccbd2167ea3ee79997a1d149f3da9fbd4bf14d8f3379cf"
+        )
+
+    def test_128_bits(self):
+        assert self._digest(CTX128) == (
+            "866e41b6ebd48b962cc0592cbc3eeb68356457fddaea7d76a88ac5fbecdd3479"
         )
 
 
