@@ -28,6 +28,9 @@ casts apply `precision.require_finite`, and at 53 bits the double range.
 Real arguments on a cut are evaluated as directional limits: `cut_side`
 picks the side ("above" everywhere by default), and None demands a
 side-independent value, raising BranchCutError where there is none.
+Every walk takes the upper side of its cuts, and the side is applied
+once, in _public: "below" conjugates the value, and None refuses a real
+argument's value that is not real.
 """
 
 from __future__ import annotations
@@ -352,6 +355,7 @@ def _walk_out(radius: float) -> float:
 # wider disk make them worse, not better (the tail is divergent, with a
 # practical radius near 0.28)
 _DOUBLE_RADIUS, _DOUBLE_TERMS = 0.25, 15
+_TINY = 2.0**-1022  # the smallest normal double
 
 
 def _double(z: Scalar) -> complex:
@@ -425,12 +429,10 @@ class _DoubleKernel(_Tables):
             return None
         raise OrbitOverflowError("e^(z/e) overflows the double range", index=idx)
 
-    def log_step(self, w: complex, idx: int, side) -> complex:
-        if w.imag == 0.0 and w.real < 0.0:
-            if side is None:
-                raise BranchCutError(
-                    "value lies on the logarithm cut; declare cut_side"
-                )
+    def log_step(self, w: complex, idx: int) -> complex:
+        if w.imag == 0.0 and w.real <= 0.0:
+            if w.real == 0.0:
+                _log_of_zero()
             w = complex(w.real, 0.0)  # upper-side limit; -0.0 would flip it
         return _E * cmath.log(w)
 
@@ -441,23 +443,23 @@ class _DoubleKernel(_Tables):
 
     value = state
 
-    def step(self, w: complex, idx: int, backward: bool, side):
+    def step(self, w: complex, idx: int, backward: bool):
         """One step of an F~ walk.  The plain steps run inline, as in
         abel_walk; exp_step and log_step take the guarded ones, and
         exp_step's None passes through."""
         if backward:
             if w.imag or w.real > 0.0:
                 return _E * cmath.log(w)
-            return self.log_step(w, idx, side)
+            return self.log_step(w, idx)
         if -745.0 <= w.real / _E <= 700.0:
             return cmath.exp(w / _E)
         return self.exp_step(w, idx)
 
-    def abel_walk(self, w: complex, plus_side: bool, side) -> tuple:
+    def abel_walk(self, w: complex, plus_side: bool) -> tuple:
         """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e.
 
         The plain steps run inline; exp_step and log_step take the
-        guarded ones (past -745 or 700, on the negative real axis).
+        guarded ones (past -745 or 700, on the negative real axis or 0).
         """
         radius, cap = self.abel_radius, self.abel_cap
         exp, log = cmath.exp, cmath.log
@@ -474,20 +476,18 @@ class _DoubleKernel(_Tables):
                         w, k = 0j, k + 1
             elif w.imag or w.real > 0.0:
                 w, k = _E * log(w), k + 1
-            elif w == 0:
-                raise BranchCutError("backward orbit hit the logarithm singularity at 0")
             else:
-                w, k = self.log_step(w, k + 1, side), k + 1
+                w, k = self.log_step(w, k + 1), k + 1
             zeta = 1 - w / _E
         return w, k, zeta
 
-    def abel_series(self, zeta: complex, plus_side: bool, side):
+    def abel_series(self, zeta: complex, plus_side: bool):
+        # a subnormal zeta, within 1e-308 of e, has lost bits, and 2/zeta
+        # is past 2^1023: beyond the double range or within a step of it
+        if abs(zeta) < _TINY:
+            raise DomainError("value is outside the double range this close to e")
         arg = -zeta if plus_side else zeta
         if arg.imag == 0.0 and arg.real < 0.0:
-            if side is None:
-                raise BranchCutError(
-                    "Abel expansion lands on its logarithm cut; declare cut_side"
-                )
             # Im(zeta) = -Im(z)/e, so the upper-side limit in z is the
             # lower side for a log on zeta and the upper for one on -zeta
             logpart = complex(
@@ -572,7 +572,12 @@ def _missed_disk(cap: int, zeta):
     )
 
 
-def _abel_walk(kernel, w, plus_side: bool, side, norm=None):
+def _log_of_zero():
+    # each kernel's log_step refuses a backward step from 0
+    raise BranchCutError("backward orbit hit the logarithm singularity at 0")
+
+
+def _abel_walk(kernel, w, plus_side: bool, norm=None):
     # w is the kernel's scalar; norm, when given, is subtracted from the result
     if not plus_side and w.imag == 0 and w.real > kernel.e():
         # the forward orbit escapes along the whole ray right of the
@@ -582,10 +587,10 @@ def _abel_walk(kernel, w, plus_side: bool, side, norm=None):
         raise BranchCutError(
             "z lies on the cut [e, inf) of the forward Abel function"
         )
-    w, k, zeta = kernel.abel_walk(w, plus_side, side)
+    w, k, zeta = kernel.abel_walk(w, plus_side)
     if zeta == 0:
         raise DomainError("branch point: the orbit landed exactly on e")
-    value, last = kernel.abel_series(zeta, plus_side, side)
+    value, last = kernel.abel_series(zeta, plus_side)
     # each width's tier keeps the tail's last term below tol throughout
     # its disk (TestTermTiers proves it for every width): a miss is a defect
     if last > kernel.tol * (1 + abs(value)):
@@ -602,7 +607,7 @@ def _walk_length(gap) -> int:
     return 0 if gap < 0 else int(gap) + 1
 
 
-def _walk_chain(kernel, chain: list, k: int, minus: bool, side):
+def _walk_chain(kernel, chain: list, k: int, minus: bool):
     """The walk's value after k steps from the base point of `chain`.
 
     chain[j] is the kernel's walk state after j steps (chain[0] is F~
@@ -611,16 +616,13 @@ def _walk_chain(kernel, chain: list, k: int, minus: bool, side):
     step (see _DoubleKernel.exp_step), whose next step lands at 0; it
     fails only a walk that ends on it.  A step that raises is not
     stored: every walk that needs it takes it again and raises the same
-    error.  A cell that shares no walk has a chain of its own.
+    error, the kernel's log_step refusing a backward step from 0.  A
+    cell that shares no walk has a chain of its own.
     """
     j = len(chain) - 1
     w = chain[j]
     while j < k:
-        if minus and w == 0:
-            raise BranchCutError(
-                f"walk hit the singular value 0 after {j} of {k} inverse steps"
-            )
-        w = 0j if w is None else kernel.step(w, j + 1, minus, side)
+        w = 0j if w is None else kernel.step(w, j + 1, minus)
         chain.append(w)
         j += 1
     w = chain[k]
@@ -631,7 +633,7 @@ def _walk_chain(kernel, chain: list, k: int, minus: bool, side):
     return kernel.value(w)
 
 
-def _ftilde_eval(kernel, w0, branch: BranchSign, side, chains=None):
+def _ftilde_eval(kernel, w0, branch: BranchSign, chains=None):
     # w0 is the kernel's scalar.  chains, when given, is one sweep's memo
     # of walks (see _walk_chain) keyed by the exact base point: equal keys
     # are equal bits, since adding the anchor or k turns an imaginary -0.0
@@ -662,30 +664,32 @@ def _ftilde_eval(kernel, w0, branch: BranchSign, side, chains=None):
         chain = [kernel.state(value)]
         if shared:
             chains[base] = chain
-    return _walk_chain(kernel, chain, k, minus, side)
+    return _walk_chain(kernel, chain, k, minus)
 
 
 # -- the argument gate and cut sides --------------------------------------
 
 def _gate(kernel, z, cut_side) -> tuple:
-    # (w, side, flip): z cast once by the kernel, the cut side the walks
-    # take, and whether to conjugate the result.  Whether z is off the
-    # axis is read off z: a 53-bit cast may round Im z to 0
+    # (w, flip, strict): z cast once by the kernel, and for a real z
+    # whether to conjugate the walks' upper-side value ("below") or to
+    # demand that it be real (None).  Whether z is real is read off z: a
+    # 53-bit cast may round Im z to 0
     if cut_side not in ("above", "below", None):
         raise ValueError("cut_side must be 'above', 'below' or None")
     w = kernel.cast(z)
     if getattr(z, "imag", 0) != 0:
-        return w, "above", False
-    if cut_side == "below":
-        # reflection: the lower-side limit of a real-analytic function is
-        # the conjugate of the upper-side one
-        return w, "above", True
-    return w, cut_side, False
+        return w, False, False
+    return w, cut_side == "below", cut_side is None
 
 
-def _public(value, flip: bool):
-    # a walk's result as returned: conjugated for the lower-side limit,
-    # and a kernel's mpmath value converted exactly to a plain one
+def _public(value, flip: bool, strict: bool):
+    # a walk's upper-side value as returned: conjugated for the lower-side
+    # limit, refused in strict mode unless real, and a kernel's mpmath
+    # value converted exactly to a plain one.  The lower-side limit of a
+    # real-analytic function is the conjugate of the upper-side one, so a
+    # real argument's value is side-independent exactly when it is real
+    if strict and value.imag:
+        raise BranchCutError("value lies on the logarithm cut; declare cut_side")
     if isinstance(value, complex):
         return value.conjugate() if flip else value
     return plain(value.conjugate() if flip else value)
@@ -792,11 +796,11 @@ def _abel(z, plus_side: bool, ctx, constants, cut_side, normed=False):
     # abel1 (plus_side False) or abel2 at z; normed subtracts the
     # calibrated a1_norm or a3_norm, giving A1 or A3
     kernel = _kernel_of(ctx)
-    w, side, flip = _gate(kernel, z, cut_side)
+    w, flip, strict = _gate(kernel, z, cut_side)
     norm = None
     if normed:
         norm = kernel.anchors(constants or default_constants(kernel.bits))[2 + plus_side]
-    return _public(_abel_walk(kernel, w, plus_side, side, norm), flip)
+    return _public(_abel_walk(kernel, w, plus_side, norm), flip, strict)
 
 
 def superexp_tilde(
@@ -824,8 +828,8 @@ def superexp_tilde(
     """
     branch = _as_branch(BranchSign, branch)
     kernel = _kernel_of(ctx)
-    w, side, flip = _gate(kernel, z, cut_side)
-    return _public(_ftilde_eval(kernel, w, branch, side), flip)
+    w, flip, strict = _gate(kernel, z, cut_side)
+    return _public(_ftilde_eval(kernel, w, branch), flip, strict)
 
 
 def F1(
@@ -868,12 +872,12 @@ def _superexp(z, branch: BranchSign, ctx, constants, cut_side, chains=None):
     # F1 (the minus branch) or F3 (plus) at z, walking through a sweep's
     # memo when one is given: the anchor x1 or x3 shifts the argument
     kernel = _kernel_of(ctx)
-    w, side, flip = _gate(kernel, z, cut_side)
+    w, flip, strict = _gate(kernel, z, cut_side)
     minus = branch is BranchSign.minus
     if minus:
         _refuse_pole(w)
     shift = kernel.anchors(constants or default_constants(kernel.bits))[not minus]
-    return _public(_ftilde_eval(kernel, w + shift, branch, side, chains), flip)
+    return _public(_ftilde_eval(kernel, w + shift, branch, chains), flip, strict)
 
 
 def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants):
@@ -930,8 +934,8 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
     bits = max(192, ctx.precision.mantissa_bits)
     kernel = _MPKernel(EvalContext(PrecisionConfig(mantissa_bits=bits), ctx.max_recursion))
     wide = kernel.mp  # at bits + 32
-    a1 = _abel_walk(kernel, kernel.cast(1), plus_side=False, side="above")
-    a3 = _abel_walk(kernel, kernel.cast(3), plus_side=True, side="above")
+    a1 = _abel_walk(kernel, kernel.cast(1), plus_side=False)
+    a3 = _abel_walk(kernel, kernel.cast(3), plus_side=True)
     shift = wide.log(2) / 3
     x1, x3 = a1 - shift, a3 - shift
     period = wide.mpc(0, 2 * wide.pi * wide.e)

@@ -144,7 +144,7 @@ def exp_iterate(
     # fixed point, the branch, the cut of A1), which round both to the
     # width: a wide z within a double's ulp of e falls on its true side.
     # c is held at the width, where c + A(z) is formed
-    zw, side, flip = _gate(kernel, req.z, req.cut_side)
+    zw, flip, strict = _gate(kernel, req.z, req.cut_side)
     c = kernel.at_width(req.c)
     zr, e = +kernel.at_width(zw), +kernel.at_width(kernel.e())
     if constants is None:
@@ -170,8 +170,10 @@ def exp_iterate(
         a = +kernel.at_width(a)
     else:
         norm = kernel.anchors(constants)[2 + upper]
-        a = _public(_abel_walk(kernel, zw, upper, side, norm), flip)
-    w = c + a
+        a = _public(_abel_walk(kernel, zw, upper, norm), flip, strict)
+    # rounded to the width in both parts: a real c would round only the
+    # real part of c + a
+    w = +kernel.at_width(c + a)
     if upper:
         return F3(w, ctx, constants, cut_side=req.cut_side)
     if w.imag == 0 and w.real <= -2:

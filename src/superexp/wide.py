@@ -24,7 +24,7 @@ from fractions import Fraction
 from mpmath.libmp import from_man_exp
 
 from . import fixed
-from .errors import BranchCutError, DomainError, OrbitOverflowError
+from .errors import DomainError, OrbitOverflowError
 from .evaluators import (
     _MAX_BITS,
     _MAX_EVAL_BITS,
@@ -32,6 +32,7 @@ from .evaluators import (
     EvalContext,
     Scalar,
     _abel_tier,
+    _log_of_zero,
     _missed_disk,
     _newton_limit,
     _Tables,
@@ -123,17 +124,12 @@ class _MPKernel(_Tables):
             return ctx.mpf(0) if isinstance(w, ctx.mpf) else ctx.mpc(0)
         return ctx.exp(w / e)
 
-    def log_step(self, w, idx: int, side):
-        ctx = self.mp
-        if ctx.im(w) == 0:
-            re = ctx.re(w)
-            if re < 0:
-                if side is None:
-                    raise BranchCutError(
-                        "value lies on the logarithm cut; declare cut_side"
-                    )
-                w = ctx.mpc(re, 0)  # upper-side limit
-        return ctx.e * ctx.log(w)
+    def log_step(self, w, idx: int):
+        # mpmath has no signed zero: its log of a negative real is the
+        # upper-side limit
+        if not w:
+            _log_of_zero()
+        return self.mp.e * self.mp.log(w)
 
     # A walk state is an integer state of fixed.WalkSteps while the value
     # is in its range, else the value itself.  A zero state is a value.
@@ -149,12 +145,12 @@ class _MPKernel(_Tables):
         wr, wi = s
         return self._unfix(wr) if wi is None else self._unfix_pair(wr, wi)
 
-    def step(self, s, idx: int, backward: bool, side):
+    def step(self, s, idx: int, backward: bool):
         """One guarded step of a walk state.
 
         A state in range steps on integers; one out of range, and a
-        backward step on the cut, take exp_step or log_step on the value
-        and re-enter the range.
+        backward step on the cut or from 0, take exp_step or log_step on
+        the value and re-enter the range.
         """
         w = s
         if type(s) is tuple:
@@ -162,10 +158,10 @@ class _MPKernel(_Tables):
             if t is not None:
                 return t if t[0] or t[1] else self.value(t)
             w = self.value(s)
-        w = self.log_step(w, idx, side) if backward else self.exp_step(w, idx)
+        w = self.log_step(w, idx) if backward else self.exp_step(w, idx)
         return self.state(w)
 
-    def abel_walk(self, w, plus_side: bool, side):
+    def abel_walk(self, w, plus_side: bool):
         """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e."""
         cap, k, s = self.abel_cap, 0, self.state(w)
         # the disk lies inside the integer range: a value state is outside
@@ -173,27 +169,17 @@ class _MPKernel(_Tables):
         while type(s) is not tuple or outside(s):
             if k >= cap:
                 _missed_disk(cap, 1 - self.value(s) / self.e())
-            if plus_side and s == 0:
-                raise BranchCutError("backward orbit hit the logarithm singularity at 0")
-            s, k = self.step(s, k + 1, plus_side, side), k + 1
+            s, k = self.step(s, k + 1, plus_side), k + 1
         w = self.value(s)
         return w, k, 1 - w / self.e()
 
-    def abel_series(self, zeta, plus_side: bool, side):
+    def abel_series(self, zeta, plus_side: bool):
         ctx = self.mp
         arg = -zeta if plus_side else zeta
-        logpart = None
-        if ctx.im(arg) == 0:
-            re = ctx.re(arg)
-            if re < 0:
-                if side is None:
-                    raise BranchCutError(
-                        "Abel expansion lands on its logarithm cut;"
-                        " declare cut_side"
-                    )
-                # zeta flips the half-plane of z; see the double kernel
-                logpart = ctx.mpc(ctx.log(-re), ctx.pi if plus_side else -ctx.pi)
-        if logpart is None:
+        if ctx.im(arg) == 0 and ctx.re(arg) < 0:
+            # zeta flips the half-plane of z; see the double kernel
+            logpart = ctx.mpc(ctx.log(-ctx.re(arg)), ctx.pi if plus_side else -ctx.pi)
+        else:
             logpart = ctx.log(arg)
         # the tail is zeta times a Horner sum: a trailing zero coefficient
         # (a real zeta keeps a zero imaginary part throughout)

@@ -489,6 +489,25 @@ class TestEval:
         assert proc.stderr == f"superexp: DomainError: argument must be finite, got {got}\n"
         assert "Traceback" not in proc.stderr
 
+    def test_within_1e_308_of_e_is_a_domain_error(self, cache_dir):
+        # the double value's imaginary part was inf, printed as inf in text
+        # and as Infinity, which is not JSON, with exit 0
+        point = ["2.718281828459045", "3e-308"]
+        proc = run_cli(["eval", "A1", *point], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "superexp: DomainError: value is outside the double range this close to e\n"
+        )
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        proc = run_cli(["eval", "A3", *point, "--format", "json"], cache_dir)
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout, parse_constant=no_constant)
+        assert payload["err"] == "domain" and payload["im"] is None
+
     def test_non_finite_csv_row_is_domain(self, cache_dir):
         proc = run_cli(["eval", "F1", "nan", "0", "--format", "csv"], cache_dir)
         assert proc.returncode == 1
@@ -811,6 +830,18 @@ class TestCheck:
         assert "Traceback" not in proc.stderr
         summary = dict(line.split(maxsplit=1) for line in proc.stdout.splitlines())
         assert summary["unavailable"] == "9"
+
+    def test_round_trips_within_1e_308_of_e_are_unavailable(self, cache_dir):
+        # F1 lands within 1e-308 of e, where A1 refuses the value: the
+        # cells read unavailable (were min 16.0, unavailable 0)
+        proc = run_cli(
+            ["check", "d1af", "--x", "0:1", "--y", "1.6e308:1.7e308", "--nx", "2",
+             "--ny", "2"],
+            cache_dir,
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = dict(line.split(maxsplit=1) for line in proc.stdout.splitlines())
+        assert summary["unavailable"] == "4"
 
     def test_sums_past_the_double_range_score(self, cache_dir):
         # |X + Y| of a round trip overflows a double at these cells

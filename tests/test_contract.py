@@ -2,8 +2,8 @@
 
 Every public evaluator, at 53 and 128 bits, returns a finite value or
 raises a SuperexpError subclass for any argument: Python complex, mpmath
-and int values, NaN, the infinities and magnitudes past the double range
-included.  A non-finite argument, exp_iterate's count and a map's count
+and int values, NaN, the infinities, magnitudes past the double range
+and points within 2^-1000 of e included.  A non-finite argument, exp_iterate's count and a map's count
 among them, raises a DomainError that says so.  An agreement score is a
 float in [-clip, clip] or NaN.  The limit formulas keep the same
 contract at 64 bits over orbits of up to 5 steps.  The command line
@@ -52,7 +52,15 @@ CALLS = {
 # the grid of map_grid("expc"), whose count c is the argument drawn
 GRID = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
 
-points = st.complex_numbers(allow_nan=True, allow_infinity=True)
+points = st.one_of(
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    # within 2^-1000 ... 2^-1074 of e, where 1 - z/e is subnormal or 0
+    st.builds(
+        lambda k, sign: complex(math.e, sign * math.ldexp(1.0, -k)),
+        st.integers(1000, 1074),
+        st.sampled_from((1.0, -1.0)),
+    ),
+)
 reals = st.floats(allow_nan=True, allow_infinity=True)
 # finite values a double cannot hold, and the largest power of 2 one can
 EXTREMES = [

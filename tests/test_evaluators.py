@@ -357,6 +357,21 @@ class TestCutsAndErrors:
         with pytest.raises(BranchCutError):
             A1(complex(2.8, 0.0))
 
+    @pytest.mark.parametrize("fn", [A1, A3, abel1, abel2])
+    @pytest.mark.parametrize("im", [3e-308, -3e-308, 5e-324, -5e-324])
+    def test_abel_values_within_1e_308_of_e_raise(self, fn, im):
+        # zeta = -i Im z/e is subnormal, and 2/zeta past 2^1023 or
+        # infinite; at 5e-324 it rounds to 0, the branch point
+        with pytest.raises(DomainError) as info:
+            fn(complex(E, im))
+        if abs(im) > 1e-320:
+            assert str(info.value) == "value is outside the double range this close to e"
+        else:
+            assert "branch point" in str(info.value)
+        # a wider kernel refuses no such point; a double, no normal zeta
+        assert mpmath.isfinite(fn(complex(E, im), CTX256))
+        assert cmath.isfinite(fn(complex(E, 1e-307)))
+
     def test_f3_overflow_carries_first_bad_step(self):
         with pytest.raises(OrbitOverflowError) as info:
             F3(23)
@@ -442,7 +457,7 @@ class TestCutsAndErrors:
             fn(z)
 
 
-def _stepped_walk(kernel, w, plus_side, side):
+def _stepped_walk(kernel, w, plus_side):
     # the Abel walk as one guarded exp_step or log_step per step: the
     # double kernel's one-loop walk must give its doubles and errors, and
     # the mpmath kernel's walk on integers its values and errors
@@ -452,9 +467,7 @@ def _stepped_walk(kernel, w, plus_side, side):
         if k >= kernel.abel_cap:
             raise NonConvergenceError("cap", residual=float(abs(zeta)))
         if plus_side:
-            if w == 0:
-                raise BranchCutError("backward orbit hit the logarithm singularity at 0")
-            w, k = kernel.log_step(w, k + 1, side), k + 1
+            w, k = kernel.log_step(w, k + 1), k + 1
         else:
             w, k = kernel.exp_step(w, k + 1), k + 1
             if w is None:  # the unrepresentable value: its next step is 0
@@ -482,15 +495,14 @@ class TestDoubleAbelWalk:
 
     CASES = {
         # x < -745: e^x underflows, the orbit lands at exactly 0
-        "underflow": (False, complex(-3000, 0), "above"),
+        "underflow": (False, complex(-3000, 0)),
         # x > 700 with cos(y) < -0.05: two steps collapse to 0
-        "collapse": (False, complex(1905, 8.5), "above"),
+        "collapse": (False, complex(1905, 8.5)),
         # x > 700 with cos(y) > -0.05: the overflowing step's index
-        "overflow": (False, complex(1905, 3), "above"),
-        # a backward step on the negative real axis, with and without a side
-        "cut": (True, complex(-5, 0), "above"),
-        "cut, no side": (True, complex(-5, 0), None),
-        "zero": (True, 0j, "above"),
+        "overflow": (False, complex(1905, 3)),
+        # a backward step on the negative real axis, and one from 0
+        "cut": (True, complex(-5, 0)),
+        "zero": (True, 0j),
     }
 
     @staticmethod
@@ -502,15 +514,14 @@ class TestDoubleAbelWalk:
 
     @pytest.mark.parametrize("case", CASES)
     def test_guarded_steps_match_the_stepped_walk(self, monkeypatch, case):
-        plus_side, z, side = self.CASES[case]
+        plus_side, z = self.CASES[case]
         kernel = _kernel(EvalContext())
         guarded = _count_guarded_steps(monkeypatch, kernel)
-        got = self._outcome(kernel.abel_walk, z, plus_side, side)
+        got = self._outcome(kernel.abel_walk, z, plus_side)
         steps = len(guarded)
-        assert got == self._outcome(_stepped_walk, kernel, z, plus_side, side)
-        # the loop took the guarded method for the case; w = 0 needs none
-        assert (steps == 0) == (case == "zero")
-        assert steps <= 2 or case == "zero"
+        assert got == self._outcome(_stepped_walk, kernel, z, plus_side)
+        # the loop took the guarded method for the case: log_step refuses 0
+        assert 1 <= steps <= 2
 
     def test_public_values_and_errors(self):
         # the first four walk on from the guarded step to a value
@@ -526,6 +537,75 @@ class TestDoubleAbelWalk:
             abel2(0.0)
 
 
+# every evaluator, and both branches of F~, as f(x, ctx, cut_side)
+SIDED = {
+    "F1": lambda x, ctx, side: F1(x, ctx, cut_side=side),
+    "F3": lambda x, ctx, side: F3(x, ctx, cut_side=side),
+    "A1": lambda x, ctx, side: A1(x, ctx, cut_side=side),
+    "A3": lambda x, ctx, side: A3(x, ctx, cut_side=side),
+    "abel1": lambda x, ctx, side: abel1(x, ctx, cut_side=side),
+    "abel2": lambda x, ctx, side: abel2(x, ctx, cut_side=side),
+    "tilde minus": lambda x, ctx, side: superexp_tilde(x, "minus", ctx, cut_side=side),
+    "tilde plus": lambda x, ctx, side: superexp_tilde(x, "plus", ctx, cut_side=side),
+}
+
+
+def _exactly(value) -> tuple:
+    # a value to its bits: type, repr (signed zeros) and mpmath tuples
+    return (
+        type(value), repr(value),
+        getattr(value, "_mpf_", None), getattr(value, "_mpc_", None),
+    )
+
+
+class TestStrictRule:
+    """cut_side=None is decided once, on the walks' upper-side value.
+
+    The lower-side limit of a real-analytic function is the conjugate of
+    the upper-side one, so a real argument's value is side-independent
+    exactly when its upper-side value is real: None raises
+    BranchCutError where "above" is not real and gives that value bit for
+    bit where it is, and "below" gives its conjugate.
+    """
+
+    @pytest.mark.parametrize("bits", [53, 128, 256])
+    def test_strict_mode_is_the_real_upper_side_value(self, bits):
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        rng = random.Random(bits)
+        xs = [rng.uniform(-9.0, 25.0) for _ in range(10)]
+        points = [
+            *xs,
+            *(rng.randint(-6, 20) for _ in range(4)),
+            *map(mpmath.mpf, xs[:4]),
+            *(complex(x, zero) for x in xs[4:8] for zero in (0.0, -0.0)),
+        ]
+        seen = set()
+        for name, f in SIDED.items():
+            for x in points:
+                outcome = {}
+                for side in ("above", None, "below"):
+                    try:
+                        outcome[side] = f(x, ctx, side)
+                    except SuperexpError as exc:
+                        outcome[side] = (type(exc), exc.args)
+                above, strict, below = outcome["above"], outcome[None], outcome["below"]
+                if isinstance(above, tuple):  # a failure on every side
+                    assert strict == below == above, (name, x)
+                    continue
+                if above.imag:
+                    assert strict == (
+                        BranchCutError,
+                        ("value lies on the logarithm cut; declare cut_side",),
+                    ), (name, x)
+                else:
+                    assert _exactly(strict) == _exactly(above), (name, x)
+                seen.add(bool(above.imag))
+                with mp.workprec(1000):  # exactly, not at the global precision
+                    conjugate = above.conjugate()
+                assert _exactly(below) == _exactly(conjugate), (name, x)
+        assert seen == {False, True}
+
+
 # a forward step from it lands on -1.4e14135207 - 1.9e14135207i, whose
 # exponential mpmath cannot reduce in any reasonable time; the walk from
 # it runs only in a child process with a time limit
@@ -538,25 +618,25 @@ class TestWideAbelWalk:
     stepped by those alone, within 2^-(bits+16)."""
 
     CASES = {
-        # (backward, argument, cut side, guarded steps taken)
-        "cut": (True, -5.0, "above", 1),
-        "cut, no side": (True, -5.0, None, 1),
-        "zero": (True, 0.0, "above", 0),
+        # (backward, argument, guarded steps taken)
+        "cut": (True, -5.0, 1),
+        # log_step refuses a backward step from 0
+        "zero": (True, 0.0, 1),
         # e log 1 is exactly 0, which the next step must refuse
-        "one": (True, 1.0, "above", 0),
+        "one": (True, 1.0, 1),
         # e^(60/e) is past the integer range; its step overflows, index 2
-        "overflow": (False, complex(60, 0.5), "above", 1),
+        "overflow": (False, complex(60, 0.5), 1),
         # e^(-3000/e) is 2^-1592, far below the integers' range: it steps
         # on an mpf, then to 1
-        "tiny far": (False, -3000.0, "above", 2),
+        "tiny far": (False, -3000.0, 2),
         # e^(-3e8/e) lands at exactly 0, then steps to 1
-        "underflow": (False, -3e8, "above", 2),
+        "underflow": (False, -3e8, 2),
         # e^(-132/e) is 2^-70, too small a value for the integers' resolution
-        "tiny": (False, complex(-132, 0.5), "above", 2),
-        "real forward": (False, 1.0, "above", 0),
-        "real backward": (True, 3.0, "above", 0),
-        "forward": (False, complex(0.5, 0.5), "above", 0),
-        "backward": (True, complex(5, 1), "above", 0),
+        "tiny": (False, complex(-132, 0.5), 2),
+        "real forward": (False, 1.0, 0),
+        "real backward": (True, 3.0, 0),
+        "forward": (False, complex(0.5, 0.5), 0),
+        "backward": (True, complex(5, 1), 0),
     }
 
     @staticmethod
@@ -569,12 +649,12 @@ class TestWideAbelWalk:
     @pytest.mark.parametrize("bits", [128, 256])
     @pytest.mark.parametrize("case", CASES)
     def test_guarded_steps_match_the_stepped_walk(self, monkeypatch, bits, case):
-        plus_side, z, side, guarded = self.CASES[case]
+        plus_side, z, guarded = self.CASES[case]
         kernel = _MPKernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
         w = kernel.cast(z)
-        want = self._outcome(_stepped_walk, kernel, w, plus_side, side)
+        want = self._outcome(_stepped_walk, kernel, w, plus_side)
         steps = _count_guarded_steps(monkeypatch, kernel)
-        got = self._outcome(kernel.abel_walk, w, plus_side, side)
+        got = self._outcome(kernel.abel_walk, w, plus_side)
         assert len(steps) == guarded
         if isinstance(want[0], type):
             assert got == want
@@ -941,7 +1021,7 @@ class TestTermTiers:
         kernel = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
         zeta = kernel.mp.mpf(kernel.abel_radius) * (1 - kernel.mp.mpf(2) ** -20)
         for plus_side, name in ((False, "abel1"), (True, "abel2")):
-            _, last = kernel.abel_series(zeta, plus_side, "above")
+            _, last = kernel.abel_series(zeta, plus_side)
             assert float(mpmath.log(last, 2)) <= last_terms(bits)[name], (name, last)
 
     def test_one_sum_per_evaluation(self, monkeypatch):
@@ -1474,8 +1554,8 @@ class TestFixedPointSums:
         sums = [
             kernel.ftilde_series(x, BranchSign.minus)[0],
             kernel.ftilde_series(-x, BranchSign.plus)[0],
-            kernel.abel_series(zeta, False, "above")[0],
-            kernel.abel_series(-zeta, True, "above")[0],
+            kernel.abel_series(zeta, False)[0],
+            kernel.abel_series(-zeta, True)[0],
         ]
         assert all(type(v) is kernel.mp.mpf for v in sums), sums
         values = [

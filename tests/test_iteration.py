@@ -103,6 +103,17 @@ class TestExpIterate:
         direct = exp_iterate(req(c1 + c2, z, branch))
         assert abs(stepwise - direct) < 1e-11
 
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_a_real_count_is_the_same_count_as_a_complex(self, bits):
+        # c + A(z) rounds to the width in both parts, whatever c's type
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+        rng = random.Random(bits)
+        for _ in range(10):
+            z = complex(rng.uniform(-2.0, 7.0), rng.uniform(-2.0, 2.0))
+            for c, as_complex in ((0.5, 0.5 + 0j), (mpmath.mpf(-0.25), mpmath.mpc(-0.25))):
+                got = exp_iterate(req(c, z), ctx)
+                assert got._mpc_ == exp_iterate(req(as_complex, z), ctx)._mpc_, (c, z)
+
     def test_branch_defaults_by_region(self):
         assert exp_iterate(req(0.5, 1.0)) == exp_iterate(req(0.5, 1.0, "lower"))
         assert exp_iterate(req(0.5, 5.0)) == exp_iterate(req(0.5, 5.0, "upper"))
@@ -284,6 +295,11 @@ class TestAgreement:
         with pytest.raises(OverflowError):
             abs(F1(A1(big)) + big)
         assert agreement("d1fa", big) == 0.0
+
+    def test_round_trip_within_1e_308_of_e_is_nan(self):
+        # F1(1.7e308 i) is e + 3.2e-308 i, where the double A1 refuses the
+        # value (was 16.0, the score of a value past 2^1023)
+        assert math.isnan(agreement("d1af", 1.7e308j))
 
     def test_exact_agreement_clips(self):
         assert agreement("dq1", E) == 16.0
@@ -648,9 +664,12 @@ class TestCompositionBitIdentity:
     cut [e, inf) on the lower branch, real, complex and mpmath counts,
     mpmath points within 2^-100 of e, and the fixed point.  Recorded
     before exp_iterate, dq13 and agreement held their values through
-    the kernel (at_width) instead of forking on the width.  The 53-bit
-    digest holds for a libm that rounds exp and log as glibc does on
-    x86-64, as TestDoubleBitIdentity's do.
+    the kernel (at_width) instead of forking on the width.  The 128-bit
+    digest was recorded again when exp_iterate came to round c + A(z) to
+    the width in both parts: a real count had left the imaginary part of
+    A(z) at the work bits, and now gives what the same count as a
+    complex gave.  The 53-bit digest holds for a libm that rounds exp
+    and log as glibc does on x86-64, as TestDoubleBitIdentity's do.
     """
 
     COUNTS = (0.5, -0.25, complex(0.5, 0.0), complex(0.5, 0.25), 1.0)
@@ -684,7 +703,7 @@ class TestCompositionBitIdentity:
 
     def test_128_bits(self):
         assert self._digest(CTX128) == (
-            "866e41b6ebd48b962cc0592cbc3eeb68356457fddaea7d76a88ac5fbecdd3479"
+            "8ee8ba2f30e8b3d06da2f07fc4605d6146156fc06798371e86b256f4f00d3df7"
         )
 
 
@@ -819,9 +838,9 @@ class TestSharedWalks:
         rows = []
         walk = ev._ftilde_eval
 
-        def recorded(kernel, w0, branch, side, chains=None):
+        def recorded(kernel, w0, branch, chains=None):
             rows.append({base.imag for base in chains})
-            return walk(kernel, w0, branch, side, chains)
+            return walk(kernel, w0, branch, chains)
 
         monkeypatch.setattr(ev, "_ftilde_eval", recorded)
         r = map_grid("F1", grid)

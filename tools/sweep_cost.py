@@ -50,21 +50,23 @@ def _count(evaluators, counts: dict, sums: list) -> None:
         return series(self, *args)
 
     # the walk takes the cast argument with the anchor added (kernel, w0,
-    # branch, side, chains); a tree from before the evaluators' argument
-    # gate passes the argument uncast and the anchor apart (kernel, z,
-    # branch, side, shift, chains)
-    uncast = "shift" in inspect.signature(walk).parameters
+    # branch, chains); a tree from before the walks took the upper side
+    # of every cut passes a cut side after the branch, and one from
+    # before the evaluators' argument gate also passes the argument
+    # uncast and the anchor apart (kernel, z, branch, side, shift, chains)
+    params = list(inspect.signature(walk).parameters)
+    shift_at = params.index("shift") - 3 if "shift" in params else None
 
-    def counted(kernel, w0, branch, side, *rest):
-        if uncast:
-            shift = rest[0] if rest and rest[0] is not None else 0
-            r = (kernel.cast(w0) + shift).real
-        else:
+    def counted(kernel, w0, branch, *rest):
+        if shift_at is None:
             r = w0.real
+        else:
+            shift = rest[shift_at] if len(rest) > shift_at else None
+            r = (kernel.cast(w0) + (0 if shift is None else shift)).real
         gap = kernel.threshold - r if branch is minus else r + kernel.threshold
         before = len(sums)
         try:
-            return walk(kernel, w0, branch, side, *rest)
+            return walk(kernel, w0, branch, *rest)
         finally:
             # evaluators._walk_length(gap) > 0, read off the gap itself
             # so that --src may name a tree from before that function
