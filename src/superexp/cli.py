@@ -430,7 +430,7 @@ def _add_walk_cap(p: argparse.ArgumentParser) -> None:
     # eval, map and check evaluate; calibrate and table have no use for it
     p.add_argument("--max-recursion", default=EvalContext.max_recursion,
                    type=_checked(int, lambda n: n >= 1, "at least 1"),
-                   help="cap on either walk (default %(default)s)")
+                   help="cap on either walk, in 53-bit steps (default %(default)s)")
 
 
 def _build_parser() -> _Parser:

@@ -104,8 +104,9 @@ class EvalContext:
         Mantissa width selecting the kernel, the one precision type the
         limit formulas take too; 53 means machine doubles.
     max_recursion : int
-        Cap on either walk.  Wider kernels raise it as far as their own
-        tuning needs.
+        Cap on either walk, in the steps of a 53-bit walk: a wider kernel
+        adds the longer walk-out or walk-in of its smaller disk (_Tables),
+        so every width admits the same arguments.
     """
 
     precision: PrecisionConfig = PrecisionConfig(mantissa_bits=53)
@@ -213,7 +214,7 @@ def _abel_tail_coeffs(n_terms: int) -> tuple:
 
 
 class _Tables:
-    """Reversed coefficient tables of a kernel, built on first use.
+    """A kernel's walk caps, and its coefficient tables built on first use.
 
     A kernel supplies `coeff`, its rounding of one exact coefficient
     (a double, held as a complex so that Horner's rule adds complex to
@@ -226,8 +227,14 @@ class _Tables:
     F~ come from one planner (newton_steps).
     """
 
-    def __init__(self):
+    def __init__(self, ctx: EvalContext):
         self._tails = self._anchors = self._newton = None
+        # max_recursion counts 53-bit steps; a kernel with a smaller disk
+        # (abel_radius, threshold: set before this) adds only its longer F~
+        # walk-out, or Abel walk-in (about 2/r steps: 3/r with room)
+        n = ctx.max_recursion
+        self.walk_cap = n + int(self.threshold - _walk_out(_DOUBLE_RADIUS))
+        self.abel_cap = n + math.ceil(3 / self.abel_radius) - math.ceil(3 / _DOUBLE_RADIUS)
 
     def anchors(self, constants: CalibrationConstants) -> tuple:
         """(x1, x3, a1_norm, a3_norm) as this kernel's scalars."""
@@ -376,21 +383,15 @@ def _double(z: Scalar) -> complex:
 
 class _DoubleKernel(_Tables):
     """Machine-double evaluation: plain complex arithmetic, no guards
-    beyond over/underflow handling in the exponential step."""
+    beyond the exponential step's underflow and escape rule."""
 
     bits = 53
     tol = 0.0
     # plain doubles; a last Newton step may reach 2^-19 (or 4 ulps of |w|)
     scale = 0
     newton_limit = 2.0 ** _newton_limit(bits)
-
-    def __init__(self, ctx: EvalContext):
-        super().__init__()
-        self.abel_radius = _DOUBLE_RADIUS
-        self.abel_terms = _DOUBLE_TERMS
-        self.abel_cap = ctx.max_recursion
-        self.threshold = _walk_out(_DOUBLE_RADIUS)
-        self.walk_cap = ctx.max_recursion
+    abel_radius, abel_terms = _DOUBLE_RADIUS, _DOUBLE_TERMS
+    threshold = _walk_out(_DOUBLE_RADIUS)
 
     def coeff(self, c: Fraction) -> complex:
         # z + c rounds as z + float(c) does, minus the mixed-type add
@@ -406,28 +407,14 @@ class _DoubleKernel(_Tables):
     rotation = complex(0.0, -math.pi / 3.0)
 
     def exp_step(self, w: complex, idx: int):
-        """One guarded step w -> e^(w/e).
-
-        None stands for the unrepresentable value whose next step lands
-        at 0.
-        """
+        """One guarded step w -> e^(w/e); past 700, the escape rule."""
         x = w.real / _E
         if x < -745.0:
             # e^x underflows every double: the orbit lands at exactly 0
             return 0j
         if x <= 700.0:
             return cmath.exp(w / _E)
-        y = w.imag / _E
-        if abs(y) > 3.5e13:
-            raise NonConvergenceError(
-                "phase of an overflowing exponential step is not"
-                " resolvable in doubles"
-            )
-        if math.cos(y) < -0.05:
-            # the unrepresentable value has a hugely negative real part,
-            # so the step after it collapses to 0
-            return None
-        raise OrbitOverflowError("e^(z/e) overflows the double range", index=idx)
+        return _escape(w.imag / _E, math.cos, self.bits, idx)
 
     def log_step(self, w: complex, idx: int) -> complex:
         if w.imag == 0.0 and w.real <= 0.0:
@@ -436,7 +423,9 @@ class _DoubleKernel(_Tables):
             w = complex(w.real, 0.0)  # upper-side limit; -0.0 would flip it
         return _E * cmath.log(w)
 
-    # a walk state is the double itself
+    # a walk state is the double itself, and 0j the one after a None
+    zero = 0j
+
     @staticmethod
     def state(w: complex) -> complex:
         return w
@@ -577,16 +566,34 @@ def _log_of_zero():
     raise BranchCutError("backward orbit hit the logarithm singularity at 0")
 
 
+def _resolves(y, bits: int) -> bool:
+    # whether a width resolves the phase y = Im w/e: an ulp of y is 2^-8 or less
+    return abs(y) < 2.0 ** (bits - 8)
+
+
+def _escape(y, cos, bits: int, idx: int):
+    # a forward step past its kernel's range (Re w/e above 700 in doubles,
+    # 1e8 in mpmath) at the phase y = Im w/e.  Where the width resolves y
+    # and cos y < -m, the value's real part is hugely negative: None stands
+    # for it, and its next step lands at 0.  m = 8|y| 2^-bits covers the
+    # rounding of y, 0.03 at the double bound 2^45.  Else the orbit escapes
+    if _resolves(y, bits) and cos(y) < -8 * abs(y) * 2.0**-bits:
+        return None
+    raise OrbitOverflowError("e^(z/e) overflows the kernel's range", index=idx)
+
+
 def _abel_walk(kernel, w, plus_side: bool, norm=None):
     # w is the kernel's scalar; norm, when given, is subtracted from the result
-    if not plus_side and w.imag == 0 and w.real > kernel.e():
-        # the forward orbit escapes along the whole ray right of the
-        # fixed point; mark the cut instead of walking into overflow.
-        # The sided limit is abel2 rotated by pi/3, which exp_iterate
-        # applies when a cut side is declared.
-        raise BranchCutError(
-            "z lies on the cut [e, inf) of the forward Abel function"
-        )
+    if not plus_side:
+        e = kernel.e()
+        if w.imag == 0 and w.real > e:
+            # the forward orbit escapes along the whole ray right of e; its
+            # sided limit is abel2 rotated by pi/3, which exp_iterate applies
+            raise BranchCutError("z lies on the cut [e, inf) of the forward Abel function")
+        if not _resolves(w.imag / e, kernel.bits) and w.real / e >= -745.0:
+            # the first step's phase is noise at this width, and counts unless
+            # |e^(z/e)| < 2^-1074, under every width: narrower widths refuse too
+            raise DomainError("the width does not resolve the phase of e^(z/e) here")
     w, k, zeta = kernel.abel_walk(w, plus_side)
     if zeta == 0:
         raise DomainError("branch point: the orbit landed exactly on e")
@@ -594,9 +601,7 @@ def _abel_walk(kernel, w, plus_side: bool, norm=None):
     # each width's tier keeps the tail's last term below tol throughout
     # its disk (TestTermTiers proves it for every width): a miss is a defect
     if last > kernel.tol * (1 + abs(value)):
-        raise NonConvergenceError(
-            "Abel tail above the target accuracy", residual=float(last)
-        )
+        raise NonConvergenceError("Abel tail above the target accuracy", residual=float(last))
     value = value + k if plus_side else value - k
     return value if norm is None else value - norm
 
@@ -613,7 +618,7 @@ def _walk_chain(kernel, chain: list, k: int, minus: bool):
     chain[j] is the kernel's walk state after j steps (chain[0] is F~
     at the base), extended here by kernel.step as far as k needs.  None
     stands for the unrepresentable value of a collapsing exponential
-    step (see _DoubleKernel.exp_step), whose next step lands at 0; it
+    step (see _escape), whose next step lands at the kernel's zero; it
     fails only a walk that ends on it.  A step that raises is not
     stored: every walk that needs it takes it again and raises the same
     error, the kernel's log_step refusing a backward step from 0.  A
@@ -622,14 +627,12 @@ def _walk_chain(kernel, chain: list, k: int, minus: bool):
     j = len(chain) - 1
     w = chain[j]
     while j < k:
-        w = 0j if w is None else kernel.step(w, j + 1, minus)
+        w = kernel.zero if w is None else kernel.step(w, j + 1, minus)
         chain.append(w)
         j += 1
     w = chain[k]
     if w is None:
-        raise OrbitOverflowError(
-            "forward step overflows at the target index", index=k
-        )
+        raise OrbitOverflowError("forward step overflows at the target index", index=k)
     return kernel.value(w)
 
 
@@ -745,6 +748,10 @@ def abel1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
         z on the cut itself, where the forward orbit cannot converge;
         the sided limits live on the backward estimator (exp_iterate
         applies the rotation when given a cut side).
+    DomainError
+        z whose first step's phase the width cannot resolve (_resolves).
+    OrbitOverflowError
+        An orbit that escapes (_escape), carrying the step's index.
     NonConvergenceError
         Recursion cap hit (carries the final |1 - z/e| as `residual`), or
         the tail of the one sum inside the disk above the target
@@ -937,16 +944,9 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
     a1 = _abel_walk(kernel, kernel.cast(1), plus_side=False)
     a3 = _abel_walk(kernel, kernel.cast(3), plus_side=True)
     shift = wide.log(2) / 3
-    x1, x3 = a1 - shift, a3 - shift
-    period = wide.mpc(0, 2 * wide.pi * wide.e)
-    return CalibrationConstants(
-        x1=plain(x1, bits),
-        x3=plain(x3, bits),
-        a1_norm=plain(a1, bits),
-        a3_norm=plain(a3, bits),
-        period_t1=plain(period, bits),
-        bits=bits,
-    )
+    # x1, x3, a1_norm, a3_norm and period_t1, in the fields' order
+    values = (a1 - shift, a3 - shift, a1, a3, wide.mpc(0, 2 * wide.pi * wide.e))
+    return CalibrationConstants(*(plain(v, bits) for v in values), bits=bits)
 
 
 _DEFAULT_CONSTANTS: dict = {}

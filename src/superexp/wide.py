@@ -24,7 +24,7 @@ from fractions import Fraction
 from mpmath.libmp import from_man_exp
 
 from . import fixed
-from .errors import DomainError, OrbitOverflowError
+from .errors import DomainError
 from .evaluators import (
     _MAX_BITS,
     _MAX_EVAL_BITS,
@@ -32,6 +32,7 @@ from .evaluators import (
     EvalContext,
     Scalar,
     _abel_tier,
+    _escape,
     _log_of_zero,
     _missed_disk,
     _newton_limit,
@@ -61,7 +62,6 @@ class _MPKernel(_Tables):
     """
 
     def __init__(self, ctx: EvalContext):
-        super().__init__()
         self.bits = ctx.precision.mantissa_bits
         # an evaluation from _MAX_EVAL_BITS + 1 up fails here too, at once,
         # when its calibration tier builds a kernel
@@ -76,14 +76,13 @@ class _MPKernel(_Tables):
         self.scale = self._workbits + _SCALE_GUARD
         self.abel_radius, self.abel_terms = _abel_tier(self.bits)
         self.threshold = _walk_out(self.abel_radius)
+        super().__init__(ctx)
         # the largest last Newton step accepted, in units of 2^-scale
         self.newton_limit = 1 << (self.scale + _newton_limit(self.scale))
-        # the walks must be allowed to reach their own tuning targets
-        self.abel_cap = max(ctx.max_recursion, int(3.0 / self.abel_radius) + 64)
-        self.walk_cap = max(ctx.max_recursion, int(self.threshold) + 64)
         self.tol = self.mp.mpf(2) ** (4 - self.bits)
         self._width = new_mp_context(self.bits)  # see at_width
         self.rotation = self.mp.mpc(0, -self.mp.pi / 3)  # A1's, on its cut
+        self.zero = self.mp.mpc(0)  # the state after a None (see step)
         # built here, not on first use: threads share a kernel
         self._steps = fixed.WalkSteps(self.scale, self.abel_radius)
 
@@ -113,9 +112,7 @@ class _MPKernel(_Tables):
         e = +ctx.e
         x = ctx.re(w) / e
         if x > 1e8:
-            raise OrbitOverflowError(
-                "e^(z/e) escape threshold exceeded", index=idx
-            )
+            return _escape(ctx.im(w) / e, ctx.cos, self.bits, idx)
         if x < -1e8:
             # the orbit lands at exactly 0, as the double kernel's does
             # below -745: such a w comes from a step off a huge value, its
@@ -150,7 +147,8 @@ class _MPKernel(_Tables):
 
         A state in range steps on integers; one out of range, and a
         backward step on the cut or from 0, take exp_step or log_step on
-        the value and re-enter the range.
+        the value and re-enter the range.  exp_step's None passes
+        through; a walk steps on from it to `zero`.
         """
         w = s
         if type(s) is tuple:
@@ -159,7 +157,7 @@ class _MPKernel(_Tables):
                 return t if t[0] or t[1] else self.value(t)
             w = self.value(s)
         w = self.log_step(w, idx) if backward else self.exp_step(w, idx)
-        return self.state(w)
+        return None if w is None else self.state(w)
 
     def abel_walk(self, w, plus_side: bool):
         """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e."""
@@ -170,6 +168,8 @@ class _MPKernel(_Tables):
             if k >= cap:
                 _missed_disk(cap, 1 - self.value(s) / self.e())
             s, k = self.step(s, k + 1, plus_side), k + 1
+            if s is None:  # unrepresentable: its next step lands at 0
+                s, k = self.zero, k + 1
         w = self.value(s)
         return w, k, 1 - w / self.e()
 

@@ -3,9 +3,11 @@
 Every public evaluator, at 53 and 128 bits, returns a finite value or
 raises a SuperexpError subclass for any argument: Python complex, mpmath
 and int values, NaN, the infinities, magnitudes past the double range
-and points within 2^-1000 of e included.  A non-finite argument, exp_iterate's count and a map's count
-among them, raises a DomainError that says so.  An agreement score is a
-float in [-clip, clip] or NaN.  The limit formulas keep the same
+and points within 2^-1000 of e included.  A non-finite argument,
+exp_iterate's count and a map's count among them, raises a DomainError
+that says so, and so does A1 for an argument whose first step's phase
+its width cannot resolve.  An agreement score is a float in
+[-clip, clip] or NaN.  The limit formulas keep the same
 contract at 64 bits over orbits of up to 5 steps.  The command line
 exits 0 or 1 for any numeric literal, printing nothing on a failure.
 Examples are drawn derandomized, so a run is repeatable.
@@ -156,6 +158,18 @@ def test_53_bits_mpmath_and_int_arguments(z, c):
 @example(z=-(10**400), c=math.inf)
 def test_128_bits_mpmath_and_int_arguments(z, c):
     _check(128, z, c)
+
+
+def test_a1_refuses_a_first_phase_its_width_cannot_resolve():
+    # A1 walks forward from e^(z/e), whose phase Im z/e is rounding noise
+    # at a width from |Im z/e| = 2^(bits - 8): at 53 bits 1 + 1e20i gave
+    # -2.5031 + 0.3498i, where 128 bits resolves it
+    with pytest.raises(DomainError, match="does not resolve the phase"):
+        A1(complex(1, 1e20))
+    assert abs(A1(complex(1, 1e20), CONTEXTS[128]) - complex(-0.164052, 0.636850)) < 1e-6
+    # refused before any step, where the walk took about a second
+    with pytest.raises(DomainError, match="does not resolve the phase"):
+        A1(mpmath.mpc(1, mpmath.mpf(10) ** 100000), CONTEXTS[128])
 
 
 CFG64 = PrecisionConfig(mantissa_bits=64)

@@ -387,14 +387,17 @@ class TestCutsAndErrors:
     @pytest.mark.parametrize("bits, steps", [(53, 308), (128, 320)])
     def test_walk_cap_message_stays_short(self, bits, steps):
         # a short walk's step count is exact; a far argument's has about
-        # 300 digits, so the message names the cap without it
+        # 300 digits, so the message names the cap without it.  The cap
+        # of 200 53-bit steps is 212 at 128 bits, whose walk-out is 12
+        # steps longer
+        cap = {53: 200, 128: 212}[bits]
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
         with pytest.raises(NonConvergenceError) as near:
             F1(complex(-300, 0.5), ctx)
-        assert f"needs {steps} steps, cap is 200" in str(near.value)
+        assert f"needs {steps} steps, cap is {cap}" in str(near.value)
         with pytest.raises(NonConvergenceError) as far:
             F1(complex(-1e300, 0.5), ctx)
-        assert "cap is 200" in str(far.value)
+        assert f"cap is {cap}" in str(far.value)
         assert len(str(far.value)) < 100
 
     def test_abel_cap_carries_residual(self):
@@ -471,7 +474,7 @@ def _stepped_walk(kernel, w, plus_side):
         else:
             w, k = kernel.exp_step(w, k + 1), k + 1
             if w is None:  # the unrepresentable value: its next step is 0
-                w, k = 0j, k + 1
+                w, k = kernel.zero, k + 1
         zeta = 1 - w / e
     return w, k, zeta
 
@@ -496,10 +499,16 @@ class TestDoubleAbelWalk:
     CASES = {
         # x < -745: e^x underflows, the orbit lands at exactly 0
         "underflow": (False, complex(-3000, 0)),
-        # x > 700 with cos(y) < -0.05: two steps collapse to 0
+        # x > 700 with cos(y) < -m (evaluators._escape): two steps
+        # collapse to 0
         "collapse": (False, complex(1905, 8.5)),
-        # x > 700 with cos(y) > -0.05: the overflowing step's index
+        # the same with cos(y) = -0.028 at the step, near 0 but past the
+        # margin: A1 is -4 at every width
+        "collapse, cos y near 0": (False, complex(26.995120805134338, -33.365726548047476)),
+        # x > 700 with cos(y) >= -m: the overflowing step's index
         "overflow": (False, complex(1905, 3)),
+        # the second step's phase, |y| = 1.4e14, is past 2^45: overflow
+        "unresolved phase": (False, complex(13.453476205755155, -2.250506308507869)),
         # a backward step on the negative real axis, and one from 0
         "cut": (True, complex(-5, 0)),
         "zero": (True, 0j),
@@ -624,8 +633,11 @@ class TestWideAbelWalk:
         "zero": (True, 0.0, 1),
         # e log 1 is exactly 0, which the next step must refuse
         "one": (True, 1.0, 1),
-        # e^(60/e) is past the integer range; its step overflows, index 2
-        "overflow": (False, complex(60, 0.5), 1),
+        # e^(60/e) is past the integer range, and the step from it past
+        # Re w/e = 1e8: at phase 0.2 it overflows, index 2; at 0.5 its
+        # None is followed by 0, whose step is guarded too
+        "overflow": (False, complex(60, 0.2), 1),
+        "collapse": (False, complex(60, 0.5), 2),
         # e^(-3000/e) is 2^-1592, far below the integers' range: it steps
         # on an mpf, then to 1
         "tiny far": (False, -3000.0, 2),
@@ -1516,8 +1528,9 @@ class TestFixedPointSums:
         for z in self.POINTS:
             superexp_tilde(z, "minus", ctx)
             superexp_tilde(z, "plus", ctx)
-            abel1(z, ctx)
             abel2(z, ctx)
+            if abs(z.imag) < 1e99:  # no width here resolves e^(z/e) at 1e100
+                abel1(z, ctx)
         abel2(3, ctx)  # a real backward orbit
         seen = set()
         worst = -math.inf

@@ -612,7 +612,11 @@ class TestDoubleBitIdentity:
 
     def test_map_grid_digest(self):
         # re-recorded when F1 began to refuse its poles: the F1 cells at
-        # the real integers <= -2 became "domain", and no other cell moved
+        # the real integers <= -2 became "domain", and no other cell moved.
+        # Re-recorded when both kernels came to share one escape rule
+        # (evaluators._escape): 14 A1 cells whose escaping step has a
+        # phase past 2^45 went from "nonconv" to "overflow", the code a
+        # wider kernel gives there too, and no value moved
         digest, codes, poles = hashlib.sha256(), set(), []
         for grid in self.GRIDS:
             for fn in ("F1", "A1", "F3", "A3"):
@@ -624,10 +628,10 @@ class TestDoubleBitIdentity:
                     for x, e in zip(grid.xs(), erow) if e == "domain"
                 ]
                 digest.update(repr((fn, r.values, r.errors)).encode())
-        assert codes == {None, "cut", "overflow", "nonconv", "domain"}
+        assert codes == {None, "cut", "overflow", "domain"}
         assert poles == [("F1", x, 0.0) for x in (-8, -6, -4, -2, -4, -3, -2)]
         assert digest.hexdigest() == (
-            "f982e80aae1a0828904f24be84e13fe844b4e687982ad0b282ea02d763f078a7"
+            "721cb1fb09e01441f6c1164ca9e66172f84ed727da2671f832f6c07a63dd8314"
         )
 
     def test_agreement_digest(self):
@@ -668,8 +672,12 @@ class TestCompositionBitIdentity:
     digest was recorded again when exp_iterate came to round c + A(z) to
     the width in both parts: a real count had left the imaginary part of
     A(z) at the work bits, and now gives what the same count as a
-    complex gave.  The 53-bit digest holds for a libm that rounds exp
-    and log as glibc does on x86-64, as TestDoubleBitIdentity's do.
+    complex gave.  It was recorded again when a wide kernel's walk caps
+    came to count max_recursion in 53-bit steps: 37 messages of the F
+    walks from e read "cap is 212" (dq13's "cap is 20012"), were 200
+    (20000), and no value or error class moved.  The 53-bit digest
+    holds for a libm that rounds exp and log as glibc does on x86-64,
+    as TestDoubleBitIdentity's do.
     """
 
     COUNTS = (0.5, -0.25, complex(0.5, 0.0), complex(0.5, 0.25), 1.0)
@@ -703,7 +711,7 @@ class TestCompositionBitIdentity:
 
     def test_128_bits(self):
         assert self._digest(CTX128) == (
-            "8ee8ba2f30e8b3d06da2f07fc4605d6146156fc06798371e86b256f4f00d3df7"
+            "45a7b69240107bf0adb372bbba748bafa52c2d35aaff6481e67ee38da71253a8"
         )
 
 
