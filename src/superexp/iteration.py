@@ -259,6 +259,8 @@ def agreement(
     ------
     ValueError
         For an unknown kind, or a clip that is not positive and finite.
+    DomainError
+        For a width past the calibrated range, as from the evaluators.
     """
     if kind not in AGREEMENT_KINDS:
         raise ValueError(f"unknown agreement kind {kind!r}")
@@ -266,9 +268,10 @@ def agreement(
         raise ValueError(f"clip must be positive and finite, not {clip!r}")
     ctx = ctx if ctx is not None else _DEFAULT_CTX
     bits = ctx.precision.mantissa_bits
+    # a width past the calibrated range is refused, not scored
+    if constants is None:
+        constants = default_constants(bits)
     try:
-        if constants is None:
-            constants = default_constants(bits)
         if kind[1] != "q":
             # the round trip's (inner, outer) pair, read from this module's
             # names at each call, so that a wrapper set on them is seen

@@ -46,6 +46,7 @@ module.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -343,9 +344,10 @@ def newton_superfunction(
     """Binomial-transform estimator sum_{k<n} C(t,k) Delta^k[orbit](0).
 
     The inner alternating sums sum_m C(k,m)(-1)^(k-m) base^[m](u) are
-    accumulated as an in-place forward-difference table of the orbit, at
-    full working precision (no compensated-summation shortcut: the whole
-    point of the mantissa_bits knob is to absorb the cancellation).
+    the forward differences of the orbit, taken at full working precision
+    (no compensated-summation shortcut: the whole point of the
+    mantissa_bits knob is to absorb the cancellation).  This is the n-th
+    row of the ``newton`` table's pass.
 
     Parameters
     ----------
@@ -363,37 +365,44 @@ def newton_superfunction(
         value, a cancellation flag (running-max summand exceeded the
         result by more than half the mantissa), and the max summand size.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("summand count n must be an integer of at least 1")
-    if base_map not in ("h", "f"):
-        raise ValueError(f"unknown base_map {base_map!r}")
-    ctx = mp_context(cfg.mantissa_bits)
+    _check_rows("newton", [n], base_map)
+    (result,) = _newton_pass(u, t, [n], cfg.mantissa_bits, base_map)
+    return result
+
+
+def _newton_pass(u: Scalar, t: Scalar, ns: list, bits: int, base_map: str):
+    # the estimator at each n of the ascending ns, one summand a time: step
+    # k appends orbit point k and extends the difference table's last
+    # diagonal d_j = Delta^j[orbit](k - j) by the subtractions the whole
+    # table makes (d_j is the new d_(j-1) less the old), so d_k is
+    # Delta^k[orbit](0) bit for bit
+    ctx = mp_context(bits)
     uw, tw = _as_mp(ctx, u), _as_mp(ctx, t)
     # C(t, k) vanishes for k > t at nonnegative integer t: the transform
     # terminates and the orbit tail (which may overflow) is never needed
+    terms = ns[-1]
     if ctx.im(tw) == 0 and tw == ctx.floor(tw) and tw >= 0:
-        n = min(n, int(tw) + 1)
+        terms = min(terms, int(tw) + 1)
     step = _h_step if base_map == "h" else _f_step
-    orbit = [uw]
-    for i in range(n - 1):
-        orbit.append(step(ctx, orbit[-1], i))
-    # pass k turns orbit[j] into Delta^k[orbit](j); only orbit[0] is read
-    total = orbit[0]
-    binom = ctx.mpf(1)
+    diagonal, total, binom, k = [uw], uw, ctx.mpf(1), 0
     max_term = abs(total)
-    for k in range(1, n):
-        for j in range(n - k):
-            orbit[j] = orbit[j + 1] - orbit[j]
-        binom = binom * (tw - (k - 1)) / k
-        term = binom * orbit[0]
-        total += term
-        max_term = max(max_term, abs(term))
-    floor = abs(total) * ctx.mpf(2) ** (cfg.mantissa_bits // 2)
-    return NewtonResult(
-        value=plain(total),
-        cancellation_warning=bool(max_term > floor),
-        max_term=plain(max_term),
-    )
+    for n in ns:
+        while k + 1 < min(n, terms):
+            k += 1
+            d = step(ctx, diagonal[0], k - 1)
+            for j, old in enumerate(diagonal):
+                diagonal[j], d = d, d - old
+            diagonal.append(d)
+            binom = binom * (tw - (k - 1)) / k
+            term = binom * d
+            total += term
+            max_term = max(max_term, abs(term))
+        floor = abs(total) * ctx.mpf(2) ** (bits // 2)
+        yield NewtonResult(
+            value=plain(total),
+            cancellation_warning=bool(max_term > floor),
+            max_term=plain(max_term),
+        )
 
 
 def fatou_abel(
@@ -468,27 +477,13 @@ def fatou_probe_richardson(
 
 # --- table drivers ---------------------------------------------------------
 
-# fixed-point rendering widths for the probe tables, block-dependent:
-# the ratio probe prints 4/6/7/8 decimals (rounded), the shift probe
-# 7/9/11 decimals (truncated toward zero)
-
-
-def _levy_decimals(n: int) -> int:
-    if n < 1000:
-        return 4
-    if n < 10000:
-        return 6
-    if n < 100000:
-        return 7
-    return 8
-
-
-def _fatou_decimals(n: int) -> int:
-    if n < 10000:
-        return 7
-    if n < 100000:
-        return 9
-    return 11
+# the probe tables' printed decimals by block of n (each block's end, its
+# decimals), rounded (levy) or truncated toward zero (fatou1); every
+# other row prints 12 significant digits
+_PRINTED = {
+    "levy": (True, ((1000, 4), (10000, 6), (100000, 7), (math.inf, 8))),
+    "fatou1": (False, ((10000, 7), (100000, 9), (math.inf, 11))),
+}
 
 
 def _value_bits(value) -> int:
@@ -503,43 +498,71 @@ def _value_bits(value) -> int:
     return bits(value)
 
 
-def _fixed(q: int, decimals: int) -> str:
-    # q / 10^decimals in fixed point, q >= 0; str(int) refuses more than
-    # 4300 digits, mpmath's numeral splits the number below that
-    digits = mpmath.libmp.numeral(q, 10, q.bit_length() * 3 // 10 + 1)
-    digits = digits.rjust(decimals + 1, "0")
-    return f"{digits[:-decimals]}.{digits[-decimals:]}"
-
-
-def _round_fixed(value, decimals: int) -> str:
-    ctx = mp_context(_value_bits(value) + 32)
-    q = int(ctx.nint(ctx.mpf(10) ** decimals * ctx.convert(value)))
-    sign = "-" if q < 0 else ""
-    return sign + _fixed(abs(q), decimals)
-
-
-def _trunc_fixed(value, decimals: int) -> str:
-    ctx = mp_context(_value_bits(value) + 32)
-    q = int(ctx.floor(ctx.mpf(10) ** decimals * abs(ctx.convert(value))))
-    sign = "-" if value < 0 else ""
-    return sign + _fixed(q, decimals)
-
-
 def _printed(method: str, n: int, value) -> str:
     if value is None:
         return ""
     if mpmath.im(value) != 0:
         return mpmath.nstr(value, 12)
     real = mpmath.re(value)
-    if method == "levy":
-        return _round_fixed(real, _levy_decimals(n))
-    if method == "fatou1":
-        return _trunc_fixed(real, _fatou_decimals(n))
-    return mpmath.nstr(real, 12)
+    if method not in _PRINTED:
+        return mpmath.nstr(real, 12)
+    rounds, blocks = _PRINTED[method]
+    decimals = next(d for end, d in blocks if n < end)
+    ctx = mp_context(_value_bits(real) + 32)
+    scaled = ctx.mpf(10) ** decimals * abs(ctx.convert(real))
+    q = int(ctx.nint(scaled) if rounds else ctx.floor(scaled))
+    # a value truncated to zero keeps its sign, one rounded to zero not
+    sign = "-" if real < 0 and (q or not rounds) else ""
+    # str(int) refuses more than 4300 digits, mpmath's numeral splits the
+    # number below that
+    digits = mpmath.libmp.numeral(q, 10, q.bit_length() * 3 // 10 + 1)
+    digits = digits.rjust(decimals + 1, "0")
+    return f"{sign}{digits[:-decimals]}.{digits[-decimals:]}"
 
 
 # the fewest and the most estimator arguments each table method takes
 _ARITY = {"levy": (2, 2), "fatou1": (1, 1), "fatou2": (2, 2), "newton": (2, 3)}
+
+
+def _check_rows(method: str, ns: list, base_map: str = "h") -> None:
+    # ns ascends, so its ends bound every row: a bad n refuses the whole
+    # table before any row runs
+    if method == "newton":
+        if not all(isinstance(n, int) for n in ns) or ns[0] < 1:
+            raise ValueError("summand count n must be an integer of at least 1")
+        if base_map not in ("h", "f"):
+            raise ValueError(f"unknown base_map {base_map!r}")
+        _check_n(ns[-1] - 1)  # the orbit runs n - 1 steps
+        return
+    if method != "levy" and ns[0] < 1:
+        raise ValueError("orbit length must be at least 1")
+    _check_n(ns[0])
+    _check_n(ns[-1])
+
+
+def _orbit_pass(method: str, ctx, points: list, ns: list, bits: int):
+    # the levy, fatou1 or fatou2 value at each n of ns, from one orbit
+    # pass; a row's own failure is its value, a failed step ends the pass.
+    # fatou1 probes against 0
+    starts = [_tau_inv(ctx, p) for p in (*points, 0)[:2]]
+    # a petal-2 start left of the fixed point fails every row
+    if method == "fatou2" and min(w.real for w in starts) <= 0:
+        raise DomainError("petal-2 estimator needs Re(z) > 0 (repelling side)")
+    orbits = _Orbits(starts, bits, inverse=method == "fatou2", estimator_n=ns[-1])
+    for n in ns:
+        orbits.run_to(n)
+        try:
+            if method == "levy":
+                num, den = _ratio_terms(orbits, n)
+                value = num / den
+            elif method == "fatou1":
+                value = _shift_value(orbits)
+            else:
+                # the two petal-2 estimators' log n and n cancel as well
+                value = _shift_value(orbits) + 1
+        except SuperexpError as exc:
+            value = exc
+        yield value
 
 
 def convergence_table(
@@ -548,7 +571,7 @@ def convergence_table(
     n_list: Iterable[int],
     cfg: PrecisionConfig = PrecisionConfig(),
 ) -> list[ConvergenceRecord]:
-    """Run one estimator over ascending n, sharing a single orbit pass.
+    """Run one estimator over ascending n, in a single pass.
 
     Methods
     -------
@@ -559,9 +582,11 @@ def convergence_table(
     ``newton`` args (u, t) or (u, t, base_map): partial sums with n terms.
 
     Failed rows are recorded with an error tag instead of aborting the
-    remaining rows.  An unknown method, or a count of `args` the method
-    does not take, raises ValueError; a numeric argument that is not
-    finite raises DomainError before any row runs.
+    table; an orbit step that fails fails every later row too.  An
+    unknown method, a count of `args` the method does not take or an n it
+    does not take raises ValueError, and an n past the orbit cap
+    NonConvergenceError; a numeric argument that is not finite raises
+    DomainError.  Each raises before any row runs.
     """
     if method not in _ARITY:
         raise ValueError(f"unknown method {method!r}")
@@ -580,58 +605,25 @@ def convergence_table(
         raise ValueError("n_list must be ascending")
     if not ns:
         return []
-    records: list[ConvergenceRecord] = []
-
-    if method in ("levy", "fatou1"):
-        if method == "fatou1" and ns[0] < 1:
-            raise ValueError("orbit length must be at least 1")
-        # ns ascends, so its ends bound every row's orbit length
-        _check_n(ns[0])
-        _check_n(ns[-1])
-        # fatou1 probes against 0
-        starts = [_tau_inv(ctx, p) for p in (*points, 0)[:2]]
-        orbits = _Orbits(starts, cfg.mantissa_bits, estimator_n=ns[-1])
-        failed = None
-        for n in ns:
-            if failed is None:
-                try:
-                    orbits.run_to(n)
-                except SuperexpError as exc:
-                    failed = exc.code
-            if failed is not None:
-                records.append(ConvergenceRecord(n, None, method, failed))
-                continue
-            try:
-                if method == "levy":
-                    num, den = _ratio_terms(orbits, n)
-                    value = num / den
-                else:
-                    value = _shift_value(orbits)
-                records.append(ConvergenceRecord(n, plain(value), method))
-            except SuperexpError as exc:
-                records.append(ConvergenceRecord(n, None, method, exc.code))
-        return records
-
-    if method == "fatou2":
-        a, b = (_tau_inv(ctx, p) for p in points)
-        for n in ns:
-            try:
-                ya, yb = (ctx.convert(fatou_abel(p, 2, n, cfg)) for p in (a, b))
-                records.append(ConvergenceRecord(n, plain(ya - yb), method))
-            except SuperexpError as exc:
-                records.append(ConvergenceRecord(n, None, method, exc.code))
-        return records
-
+    base_map = args[2] if len(args) > 2 else "h"
+    _check_rows(method, ns, base_map)
     if method == "newton":
-        u, t = points
-        base_map = args[2] if len(args) > 2 else "h"
-        for n in ns:
-            try:
-                res = newton_superfunction(u, t, n, cfg, base_map=base_map)
-                records.append(ConvergenceRecord(n, res.value, method))
-            except SuperexpError as exc:
-                records.append(ConvergenceRecord(n, None, method, exc.code))
-        return records
+        sums = _newton_pass(*points, ns, cfg.mantissa_bits, base_map)
+        rows = (result.value for result in sums)
+    else:
+        rows = _orbit_pass(method, ctx, points, ns, cfg.mantissa_bits)
+    records: list[ConvergenceRecord] = []
+    failed = None
+    for n in ns:
+        try:
+            value = failed or next(rows)
+        except SuperexpError as exc:
+            value = failed = exc
+        if isinstance(value, SuperexpError):
+            records.append(ConvergenceRecord(n, None, method, value.code))
+        else:
+            records.append(ConvergenceRecord(n, plain(value), method))
+    return records
 
 
 def format_record(

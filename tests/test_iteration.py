@@ -335,6 +335,14 @@ class TestAgreement:
         with pytest.raises(ValueError, match="agreement kind"):
             agreement("d2af", 1.0 + 1.0j)
 
+    def test_width_past_the_calibrated_range_raises(self):
+        # the width is refused as F1 and map_grid refuse it (it scored NaN)
+        ctx = EvalContext(PrecisionConfig(mantissa_bits=440))
+        with pytest.raises(DomainError, match="out of range for the mpmath kernel"):
+            F1(1.0 + 1.0j, ctx)
+        with pytest.raises(DomainError, match="out of range for the mpmath kernel"):
+            agreement("d1fa", 1.0 + 1.0j, ctx)
+
 
 class TestNonFiniteIterate:
     """exp_iterate refuses a non-finite z or count before anything runs.

@@ -8,6 +8,7 @@ agree on the common limit) and stable under doubling the mantissa.
 import dataclasses
 import decimal
 import functools
+import hashlib
 import math
 import warnings
 
@@ -271,6 +272,12 @@ class TestNewton:
         with pytest.raises(OrbitOverflowError):
             newton_superfunction(2.5, 0.5, 30)
 
+    def test_orbit_cap(self):
+        # n summands take an orbit of n - 1 steps, refused past 10^7
+        # before the first step (it ran, with an O(n^2) difference table)
+        with pytest.raises(NonConvergenceError, match="max_iterations=10000000"):
+            newton_superfunction(0.1, 0.5, 10**7 + 2)
+
 
 class TestFatou:
     def test_petal_validation(self):
@@ -491,6 +498,15 @@ class TestConvergenceTable:
             1, mpmath.mpf("-1.4223536677333"), 120, cfg, base_map="f"
         ).value
         assert mp_close(rows[1].value, want, mpmath.mpf(10) ** -100)
+
+    @pytest.mark.parametrize(
+        "method, args", [("levy", (-1, 1)), ("fatou1", (-1,)), ("fatou2", (5, 3)),
+                         ("newton", (0.1, 0.5))]
+    )
+    def test_orbit_cap_refuses_the_table(self, method, args):
+        # before any row; fatou2 once recorded a nonconv row past the cap
+        with pytest.raises(NonConvergenceError, match="max_iterations=10000000"):
+            convergence_table(method, args, [1, 10**7 + 2], CFG256)
 
     def test_failed_rows_marked_not_fatal(self):
         # tau_inv(4) > 0 escapes under the forward orbit
@@ -779,3 +795,129 @@ class TestFixedPointOrbits:
             u = mpmath.mpf(2) ** -100 * 3
             want = mpmath.expm1(mpmath.expm1(u))
         assert iterate_h(u, 2, CFG256) == want
+
+
+# convergence tables whose CSV is pinned by digest, per method: the print
+# blocks' boundaries, failed rows (overflow, domain) and complex rows.
+# levy and fatou1 reach the 10^5 block at 64 bits only, to keep it quick
+DIGEST_TABLES = {
+    "levy": [
+        ((-1, 1), [0, 1, 999, 1000, 9999, 10000]),
+        ((-1, 1), [99999, 100000], 64),
+        ((4, 1), [2, 5, 7, 8]),
+        ((-1 + 0.5j, 1), [10, 11]),
+    ],
+    "fatou1": [
+        ((-1,), [1, 999, 9999, 10000]),
+        ((-1,), [99999, 100000], 64),
+        ((mpmath.e,), [1, 10]),
+        ((math.e,), [1, 10]),
+        ((-1 + 0.5j,), [10, 11]),
+    ],
+    "fatou2": [
+        ((5, 3), [1, 50, 60, 999, 1000]),
+        ((1, 3), [1, 10]),
+        ((5 + 1j, 3), [10, 20]),
+    ],
+    "newton": [
+        ((0.3, 0.5), [1, 2, 10, 30]),
+        ((1, mpmath.mpf("-1.4223536677333"), "f"), [1, 2, 40, 60]),
+        ((-0.5, 3), [1, 2, 4, 10]),
+        ((2.5, 2), [1, 3, 10]),
+        ((2.5, 0.5), [1, 2, 3, 5, 8]),
+        ((0.1 + 0.2j, 0.5, "f"), [5, 9]),
+    ],
+}
+
+# SHA-256 of the CSV of a method's tables, and of their printed column.
+# The fatou2 CSV digests were re-recorded once, when the rows came to
+# share one pass: its orbits carry the guard bits of the largest n, and a
+# row is -2/a + 2/b of the two orbits rather than the difference of two
+# rounded estimators.  Values moved within an ulp (n = 1 at 64 bits,
+# n = 60 and 999 at 256, and the real part of the complex n = 20 row at
+# both); the printed column did not
+TABLE_DIGESTS = {
+    ("levy", 64): (
+        "38314f95e3c0521f3a41597bc7063210416748d50a4ec289eed3fab4da047969",
+        "a71e171f0cf663915d7600337588a269882e05b8e69a86ea2afbb8997472ad10",
+    ),
+    ("levy", 256): (
+        "785be8333eeb7bdbbed750a6c222f857398dabfa29b89c5009b4857f5f560969",
+        "1451eb3539206da8ffa1a9cebbab7ca0f16f7b5008d74d7c83523f375ff1ed45",
+    ),
+    ("fatou1", 64): (
+        "ed86883f9b5c4bdeb91de524b37d33bef71432d9584993d30dcf08d9c3a9e935",
+        "a6fe107fa59953d0df02262e03d0e9a2e56d9dd3a40b4df9c2f4653c912be7a6",
+    ),
+    ("fatou1", 256): (
+        "4508c34885bd18db7f1ed4b1793b82ddf4f461d06a152c5fa31721c890a7f707",
+        "da547ac4010a5501bca1f33bfe541a53a84b45c94960463ed48ca2d86901e05b",
+    ),
+    ("fatou2", 64): (
+        "8fb690a5d75365b714aea1730c0960c6732c9328320e64a35440c8f6107a4a7d",
+        "2e1510d2ed88dfda1c5a38804119811e739cbfcb02d3f0078e75f0c07c8cb9e2",
+    ),
+    ("fatou2", 256): (
+        "361b0f5b45e0fbbf8546f391f67b4f07eebeaf6e67d6a73ea17e32003e940a80",
+        "2e1510d2ed88dfda1c5a38804119811e739cbfcb02d3f0078e75f0c07c8cb9e2",
+    ),
+    ("newton", 64): (
+        "40a946e5bf84f9fab06d4185403179c2196998c8e3b89b2fa2601e17dd43f1bb",
+        "452dec749b9c581e3090f5b45dd2dccf82ed313d050924063a335f8af84eedd7",
+    ),
+    ("newton", 256): (
+        "e55e1a7c4651a47dcf1774b510eb620ccb25f037a5a7f7e71938036ce0b53c4f",
+        "3926428b11bc9d39982f2cbd49ca0122205d5a05ea23cbc3b7a15c9e91460ec5",
+    ),
+}
+
+
+def digest_tables(method, bits):
+    rows = []
+    for args, ns, *width in DIGEST_TABLES[method]:
+        if width and width[0] != bits:
+            continue
+        rows += convergence_table(method, args, ns, PrecisionConfig(mantissa_bits=bits))
+    csv = records_to_csv(rows)
+    printed = "\n".join(line.split(",")[3] for line in csv.splitlines())
+    return tuple(hashlib.sha256(s.encode()).hexdigest() for s in (csv, printed))
+
+
+class TestTableDigests:
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize("method", list(DIGEST_TABLES))
+    def test_tables_are_unchanged(self, method, bits):
+        assert digest_tables(method, bits) == TABLE_DIGESTS[method, bits]
+
+
+class TestOnePass:
+    # orbit steps of a 10-row table: one pass to the last row's n, plus
+    # the ratio's step of u past each levy row
+    @pytest.mark.parametrize(
+        "method, args, steps",
+        [
+            ("levy", (-1, 1), 2 * 59 + 10),
+            ("fatou1", (-1,), 2 * 59),
+            ("fatou2", (5, 3), 2 * 59),
+            ("newton", (-0.5, 0.5), 58),
+            ("newton", (1, 0.5, "f"), 58),
+            ("newton", (-0.5, 3), 3),
+        ],
+    )
+    def test_a_table_is_one_pass(self, monkeypatch, method, args, steps):
+        count = 0
+
+        def counted(step):
+            def wrapper(*args):
+                nonlocal count
+                count += 1
+                return step(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(limits._Orbits, "step", counted(limits._Orbits.step))
+        monkeypatch.setattr(limits, "_h_step", counted(limits._h_step))
+        monkeypatch.setattr(limits, "_f_step", counted(limits._f_step))
+        rows = convergence_table(method, args, range(50, 60), CFG256)
+        assert [r.error for r in rows] == [None] * 10
+        assert count == steps
