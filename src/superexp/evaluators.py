@@ -50,7 +50,7 @@ from .errors import (
     NonConvergenceError,
     OrbitOverflowError,
 )
-from .precision import PrecisionConfig, mp_context, plain, require_finite
+from .precision import PrecisionConfig, mp_context, plain, require_count, require_finite
 from .series import abel_expansion, exp_minus_one
 # no evaluator calls it; the traced benchmark runs wrap it by this name
 from .series import superexp_polynomials  # noqa: F401
@@ -115,11 +115,8 @@ class EvalContext:
     def __post_init__(self) -> None:
         if not isinstance(self.precision, PrecisionConfig):
             raise ValueError("precision must be a PrecisionConfig")
-        # a float cap (nan, inf, 1.5) would slip past the bound check
-        if not isinstance(self.max_recursion, int):
-            raise ValueError("max_recursion must be an integer")
-        if self.max_recursion < 1:
-            raise ValueError("max_recursion must be at least 1")
+        cap = require_count(self.max_recursion, "max_recursion", 1)
+        object.__setattr__(self, "max_recursion", cap)
 
 
 @dataclass(frozen=True)
@@ -959,9 +956,9 @@ def calibration_tier(bits: int) -> int:
     16 guard bits over the evaluation width, rounded up to a multiple
     of 64 and never below 192.  From 433 bits (_MAX_EVAL_BITS + 1) the
     tier is wider than the mpmath kernel reaches, and calibrating at it
-    raises DomainError.
+    raises DomainError; a width below 53 or not an integer, ValueError.
     """
-    needed = max(192, bits + 16)
+    needed = max(192, require_count(bits, "bits", 53) + 16)
     return -(-needed // 64) * 64
 
 

@@ -18,7 +18,6 @@ import dataclasses
 import enum
 import json
 import math
-import numbers
 from typing import Optional, Union
 
 from .errors import BranchCutError, DomainError, OrbitOverflowError, SuperexpError
@@ -40,7 +39,7 @@ from .evaluators import (
     abel2,
     default_constants,
 )
-from .precision import mp_context, mp_convert, plain, require_finite
+from .precision import mp_context, mp_convert, plain, require_count, require_finite
 
 __all__ = [
     "GridResult",
@@ -60,6 +59,12 @@ _E = math.e
 AGREEMENT_KINDS = ("d1af", "d1fa", "d3af", "d3fa", "dq1", "dq3")
 
 GRID_FUNCTIONS = ("F1", "F3", "A1", "A3", "expc")
+
+
+def _require_side(cut_side) -> None:
+    # the cut side of a composition, a grid and an agreement score
+    if cut_side not in ("above", "below"):
+        raise ValueError(f"cut_side must be 'above' or 'below', got {cut_side!r}")
 
 
 class IterateBranch(enum.Enum):
@@ -98,8 +103,7 @@ class IterateRequest:
     def __post_init__(self) -> None:
         if self.branch is not None:
             object.__setattr__(self, "branch", _as_branch(IterateBranch, self.branch))
-        if self.cut_side not in ("above", "below"):
-            raise ValueError(f"cut_side must be 'above' or 'below', got {self.cut_side!r}")
+        _require_side(self.cut_side)
 
 
 def exp_iterate(
@@ -258,7 +262,8 @@ def agreement(
     Raises
     ------
     ValueError
-        For an unknown kind, or a clip that is not positive and finite.
+        For an unknown kind or cut_side, or a clip that is not positive
+        and finite, before anything is evaluated.
     DomainError
         For a width past the calibrated range, as from the evaluators.
     """
@@ -266,6 +271,7 @@ def agreement(
         raise ValueError(f"unknown agreement kind {kind!r}")
     if not 0 < clip < math.inf:
         raise ValueError(f"clip must be positive and finite, not {clip!r}")
+    _require_side(cut_side)
     ctx = ctx if ctx is not None else _DEFAULT_CTX
     bits = ctx.precision.mantissa_bits
     # a width past the calibrated range is refused, not scored
@@ -325,12 +331,9 @@ class GridSpec:
             raise ValueError("x_min must be < x_max")
         if not self.y_min < self.y_max:
             raise ValueError("y_min must be < y_max")
-        if not all(isinstance(n, numbers.Integral) for n in (self.nx, self.ny)):
-            raise ValueError(f"nx and ny must be integers, got {self.nx!r} and {self.ny!r}")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("nx and ny must be at least 2")
-        if self.cut_side not in ("above", "below"):
-            raise ValueError(f"cut_side must be 'above' or 'below', got {self.cut_side!r}")
+        for axis in ("nx", "ny"):
+            object.__setattr__(self, axis, require_count(getattr(self, axis), axis, 2))
+        _require_side(self.cut_side)
         if not 0.0 < _step(self.x_min, self.x_max, self.nx) < math.inf:
             raise ValueError("the x step (x_max - x_min)/(nx - 1) is not a positive double")
         if not 0.0 < _step(self.y_min, self.y_max, self.ny) < math.inf:

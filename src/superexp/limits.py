@@ -17,8 +17,9 @@ package.
 
 Each estimator takes its orbit length (the Newton estimator its summand
 count) as `n` and its width as a `PrecisionConfig`, the one precision
-type of the package; an orbit longer than 10^7 steps is refused, and an
-argument that is not finite too (DomainError, from `precision._as_mp`).
+type of the package; an `n` that is not an integer (`require_count`) or
+an orbit longer than 10^7 steps is refused, and an argument that is not
+finite too (DomainError, from `precision._as_mp`).
 
 Orbits decay like -2/n near the fixed point, so every kernel goes through
 ``expm1``/``log1p`` style evaluation; naive ``exp(u) - 1`` would lose all
@@ -62,7 +63,7 @@ from .errors import (
     PrecisionLossWarning,
     SuperexpError,
 )
-from .precision import PrecisionConfig, _as_mp, mp_context, mp_convert, new_mp_context, plain
+from .precision import PrecisionConfig, _as_mp, mp_context, plain, require_count
 
 __all__ = [
     "PrecisionConfig",
@@ -120,13 +121,13 @@ def _tau_inv(ctx, z: Scalar):
     return _as_mp(ctx, z) / ctx.e - 1
 
 
-def _check_n(n: int) -> None:
-    if n < 0:
-        raise ValueError("orbit length must be nonnegative")
+def _check_n(n, least: int = 0) -> int:
+    n = require_count(n, "orbit length", least)
     if n > _MAX_ITERATIONS:
         raise NonConvergenceError(
             f"orbit length {n} exceeds max_iterations={_MAX_ITERATIONS}"
         )
+    return n
 
 
 def _check_escape(z, index: int) -> None:
@@ -245,7 +246,7 @@ def iterate_h(z: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
     OrbitOverflowError
         If the orbit escapes to +infinity; carries the escape index.
     """
-    _check_n(n)
+    n = _check_n(n)
     orbit = _Orbits([z], cfg.mantissa_bits)
     orbit.run_to(n)
     return plain(orbit.values()[0])
@@ -257,7 +258,7 @@ def iterate_h_inverse(z: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig(
     The principal inverse branch is used throughout, so real arguments must
     stay right of the logarithmic singularity at -1.
     """
-    _check_n(n)
+    n = _check_n(n)
     orbit = _Orbits([z], cfg.mantissa_bits, inverse=True)
     orbit.run_to(n)
     return plain(orbit.values()[0])
@@ -274,7 +275,7 @@ def levy_abel(
     below 2^(-mantissa/2) of the numerator scale.  OrbitOverflowError
     reports either orbit escaping by step n.
     """
-    _check_n(n)
+    n = _check_n(n)
     orbits = _Orbits([z, u], cfg.mantissa_bits, estimator_n=n)
     orbits.run_to(n)
     num, den = _ratio_terms(orbits, n)
@@ -365,8 +366,8 @@ def newton_superfunction(
         value, a cancellation flag (running-max summand exceeded the
         result by more than half the mantissa), and the max summand size.
     """
-    _check_rows("newton", [n], base_map)
-    (result,) = _newton_pass(u, t, [n], cfg.mantissa_bits, base_map)
+    ns = _check_rows("newton", [n], base_map)
+    (result,) = _newton_pass(u, t, ns, cfg.mantissa_bits, base_map)
     return result
 
 
@@ -420,9 +421,7 @@ def fatou_abel(
     """
     if petal not in (1, 2):
         raise ValueError("petal must be 1 or 2")
-    if n < 1:
-        raise ValueError("orbit length must be at least 1")
-    _check_n(n)
+    n = _check_n(n, 1)
     ctx = mp_context(cfg.mantissa_bits)
     zw = _as_mp(ctx, z)
     re = zw.real
@@ -446,17 +445,13 @@ def fatou_probe(zf: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
     Computes -2/h^[n](tau_inv(zf)) + 2/h^[n](tau_inv(0)) - 1 in one fused
     orbit pass; the log n and n terms of the two petal-1 estimators cancel.
     This is the benchmark-table sequence converging to the normalized
-    super-logarithm at zf.
+    super-logarithm at zf, and the n-th row of the ``fatou1`` table's pass.
     """
-    if n < 1:
-        raise ValueError("orbit length must be at least 1")
-    _check_n(n)
-    ctx = mp_context(cfg.mantissa_bits)
-    orbits = _Orbits(
-        [_tau_inv(ctx, zf), _tau_inv(ctx, 0)], cfg.mantissa_bits, estimator_n=n
-    )
-    orbits.run_to(n)
-    return plain(_shift_value(orbits))
+    ns, bits = _check_rows("fatou1", [n]), cfg.mantissa_bits
+    (value,) = _orbit_pass("fatou1", mp_context(bits), [zf], ns, bits)
+    if isinstance(value, SuperexpError):
+        raise value
+    return plain(value)
 
 
 def fatou_probe_richardson(
@@ -467,6 +462,7 @@ def fatou_probe_richardson(
     The probe converges like a/n + O(1/n^2); the extrapolation removes the
     a/n term and tightens the tail to O(1/n^2).  n must be even.
     """
+    n = _check_n(n)
     if n % 2 or n < 2:
         raise ValueError("Richardson step needs an even n >= 2")
     ctx = mp_context(cfg.mantissa_bits)
@@ -524,20 +520,18 @@ def _printed(method: str, n: int, value) -> str:
 _ARITY = {"levy": (2, 2), "fatou1": (1, 1), "fatou2": (2, 2), "newton": (2, 3)}
 
 
-def _check_rows(method: str, ns: list, base_map: str = "h") -> None:
-    # ns ascends, so its ends bound every row: a bad n refuses the whole
-    # table before any row runs
-    if method == "newton":
-        if not all(isinstance(n, int) for n in ns) or ns[0] < 1:
-            raise ValueError("summand count n must be an integer of at least 1")
-        if base_map not in ("h", "f"):
-            raise ValueError(f"unknown base_map {base_map!r}")
-        _check_n(ns[-1] - 1)  # the orbit runs n - 1 steps
-        return
-    if method != "levy" and ns[0] < 1:
-        raise ValueError("orbit length must be at least 1")
-    _check_n(ns[0])
-    _check_n(ns[-1])
+def _check_rows(method: str, ns: list, base_map: str = "h") -> list:
+    # every n by the count rule; they ascend, so the last bounds every orbit
+    # (newton's runs n - 1 steps): a bad n refuses the table before any row
+    name = "summand count" if method == "newton" else "orbit length"
+    ns = [require_count(n, name, 0 if method == "levy" else 1) for n in ns]
+    if sorted(ns) != ns:
+        raise ValueError("n_list must be ascending")
+    if method == "newton" and base_map not in ("h", "f"):
+        raise ValueError(f"unknown base_map {base_map!r}")
+    if ns:
+        _check_n(ns[-1] - 1 if method == "newton" else ns[-1])
+    return ns
 
 
 def _orbit_pass(method: str, ctx, points: list, ns: list, bits: int):
@@ -600,13 +594,10 @@ def convergence_table(
     ctx = mp_context(cfg.mantissa_bits)
     # the numeric arguments (newton's third is a map's name)
     points = [_as_mp(ctx, a) for a in args[:2]]
-    ns = list(n_list)
-    if sorted(ns) != ns:
-        raise ValueError("n_list must be ascending")
+    base_map = args[2] if len(args) > 2 else "h"
+    ns = _check_rows(method, list(n_list), base_map)
     if not ns:
         return []
-    base_map = args[2] if len(args) > 2 else "h"
-    _check_rows(method, ns, base_map)
     if method == "newton":
         sums = _newton_pass(*points, ns, cfg.mantissa_bits, base_map)
         rows = (result.value for result in sums)

@@ -1,5 +1,6 @@
 """The width of an evaluation, the private mpmath contexts that carry it,
-and the argument rule of every public entry point (`require_finite`).
+and the two argument rules of every public entry point: a value is
+finite (`require_finite`), a count is an integer (`require_count`).
 
 Evaluators, limit formulas and the CLI all take a `PrecisionConfig`.
 Every computation above 53 bits runs in a private mpmath context from
@@ -14,6 +15,7 @@ so a 53-bit process can build a `PrecisionConfig` without loading it.
 from __future__ import annotations
 
 import cmath
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -42,11 +44,8 @@ class PrecisionConfig:
     mantissa_bits: int = 256
 
     def __post_init__(self) -> None:
-        # a float width (nan, 128.5, 100.0) would slip past the bound check
-        if not isinstance(self.mantissa_bits, int):
-            raise ValueError("mantissa_bits must be an integer")
-        if self.mantissa_bits < 53:
-            raise ValueError("mantissa_bits must be at least 53")
+        bits = require_count(self.mantissa_bits, "mantissa_bits", 53)
+        object.__setattr__(self, "mantissa_bits", bits)
 
 
 def new_mp_context(bits: int) -> mpmath.MPContext:
@@ -109,6 +108,19 @@ def require_finite(z):
     if not finite:
         raise DomainError(f"argument must be finite, got {z!r}")
     return z
+
+
+def require_count(n, name: str, least: int = 0) -> int:
+    """n as an int if an integer (operator.index: an int, a bool or a NumPy
+    integer, not a float such as 3.0) of at least `least`, else ValueError
+    naming it: the rule of every width, cap, grid size, order and length."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be " + (f"at least {least}" if least else "nonnegative"))
+    return n
 
 
 def _as_mp(ctx, z):

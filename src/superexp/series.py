@@ -27,6 +27,8 @@ from itertools import zip_longest
 from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
+from .precision import require_count
+
 __all__ = [
     "PowerSeries",
     "AbelExpansion",
@@ -126,7 +128,7 @@ class PowerSeries:
     def mul(self, other: "PowerSeries", n_terms: int | None = None) -> "PowerSeries":
         """Product, truncated to `n_terms` coefficients when given."""
         full = len(self) + len(other) - 1
-        n = full if n_terms is None else min(n_terms, full)
+        n = full if n_terms is None else min(require_count(n_terms, "n_terms"), full)
         if n < 1:
             return PowerSeries([_ZERO])
         a, b = _scaled(self.coefficients), _scaled(other.coefficients)
@@ -138,6 +140,7 @@ class PowerSeries:
         `inner` must have zero constant term, otherwise truncation would
         not commute with composition.
         """
+        n_terms = require_count(n_terms, "n_terms", 1)
         if inner[0] != 0:
             raise ValueError("inner series must have zero constant term")
         # Horner from the top coefficient down.
@@ -154,8 +157,7 @@ class PowerSeries:
         )
 
     def truncate(self, n_terms: int) -> "PowerSeries":
-        if n_terms < 1:
-            raise ValueError("truncation needs at least one coefficient")
+        n_terms = require_count(n_terms, "n_terms", 1)
         if n_terms >= len(self):
             coeffs = self.coefficients + (_ZERO,) * (n_terms - len(self))
             return PowerSeries(coeffs)
@@ -168,8 +170,7 @@ class PowerSeries:
 
 def exp_minus_one(N: int) -> PowerSeries:
     """Series of e^x - 1 through x^N: coefficient of x^k is 1/k!."""
-    if N < 1:
-        raise ValueError("need N >= 1")
+    N = require_count(N, "N", 1)
     return PowerSeries(
         [_ZERO] + [Fraction(1, factorial(k)) for k in range(1, N + 1)]
     )
@@ -214,8 +215,7 @@ def regular_iterate_series(base: PowerSeries, t, N: int) -> PowerSeries:
     """
     t = _as_fraction(t)
     m = _nonlinear_order(base)
-    if N < m:
-        raise ValueError(f"N must be at least the nonlinear order {m}")
+    N = require_count(N, "N", m)
     needed = N + m - 2
     if base.truncation_order < needed:
         raise ValueError(
@@ -329,8 +329,7 @@ def iterative_logarithm(base: PowerSeries, N: int) -> PowerSeries:
     PowerSeries of length N + 1 with zero coefficients below index m.
     """
     m = _nonlinear_order(base)
-    if N < m:
-        raise ValueError(f"N must be at least the nonlinear order {m}")
+    N = require_count(N, "N", m)
     if base.truncation_order < N:
         raise ValueError(f"base must be given through x^{N}")
     hm = base[m]
@@ -405,8 +404,7 @@ def abel_expansion(base: PowerSeries, N: int) -> AbelExpansion:
     The base must be given through x^(N+3): the tail coefficient v_N
     consumes j through index N + 3.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
+    N = require_count(N, "N", 1)
     m = _nonlinear_order(base)
     if m != 2:
         raise ValueError("Abel expansion in this form needs nonlinear order 2")
@@ -476,8 +474,7 @@ def superexp_polynomials(M: int) -> SuperExpExpansion:
     to zero, so P_1 = t, and the evaluation layer's log(+-z) is a plain
     logarithm.
     """
-    if M < 1:
-        raise ValueError("need M >= 1")
+    M = require_count(M, "M", 1)
     N = max(M - 1, 1)
     tail = abel_expansion(exp_minus_one(N + 3), N).tail
     # c_n 2^n, where c_n = (-1)^n v_n is the tail in zeta = -x

@@ -8,8 +8,12 @@ exp_iterate's count and a map's count among them, raises a DomainError
 that says so, and so does A1 for an argument whose first step's phase
 its width cannot resolve.  An agreement score is a float in
 [-clip, clip] or NaN.  The limit formulas keep the same
-contract at 64 bits over orbits of up to 5 steps.  The command line
-exits 0 or 1 for any numeric literal, printing nothing on a failure.
+contract at 64 bits over orbits of up to 5 steps, and refuse a float
+orbit length.  Every count a public entry point takes (a width, a cap,
+a grid size, a truncation order, an orbit length) is an integer or a
+ValueError naming it, and a NumPy integer counts as its int.  The
+command line exits 0 or 1 for any numeric literal, printing nothing on
+a failure.
 Examples are drawn derandomized, so a run is repeatable.
 """
 
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 from superexp import (
     A1, A3, F1, F3, EvalContext, PrecisionConfig, abel1, abel2, superexp_tilde,
 )
-from superexp import cli, limits
+from superexp import cli, evaluators, limits, series
 from superexp.errors import DomainError, PrecisionLossWarning, SuperexpError
 from superexp.iteration import (
     AGREEMENT_KINDS, GridSpec, IterateRequest, agreement, dq13, exp_iterate, map_grid,
@@ -174,7 +178,8 @@ def test_a1_refuses_a_first_phase_its_width_cannot_resolve():
 
 CFG64 = PrecisionConfig(mantissa_bits=64)
 
-# name: (call on (z, u, n) with 0 <= n <= 5, how many of z, u it takes)
+# name: (call on (z, u, n) with 0 <= n <= 5 or a float n, how many of z, u
+# it takes)
 LIMIT_CALLS = {
     "iterate_h": (lambda z, u, n: limits.iterate_h(z, n, CFG64), 1),
     "iterate_h_inverse": (lambda z, u, n: limits.iterate_h_inverse(z, n, CFG64), 1),
@@ -194,31 +199,124 @@ LIMIT_CALLS = {
 TABLES = {"levy": 2, "fatou1": 1, "fatou2": 2, "newton": 2}
 
 
+def _limit_outcome(call, refused: bool, counted: bool, where: tuple):
+    # the value of a limit formula, asserted finite, or None once it has
+    # refused as it must: a non-finite argument by the argument rule
+    # (DomainError), a float n by the count rule (ValueError)
+    try:
+        value = call()
+    except ValueError as exc:
+        assert counted and "must be an integer, got" in str(exc), (*where, exc)
+        return None
+    except SuperexpError as exc:
+        assert _refused(exc) or not (refused or counted), (*where, exc)
+        return None
+    assert not (refused or counted), (*where, value)
+    return value
+
+
 @settings(max_examples=150, **_SETTINGS)
-@given(z=arguments, u=arguments, n=st.integers(0, 5))
+@given(z=arguments, u=arguments, n=st.one_of(st.integers(0, 5), reals))
 @example(z=math.nan, u=1.0, n=3)
 @example(z=0.1, u=math.inf, n=4)
 @example(z=math.inf, u=1.0, n=5)
+@example(z=-1.0, u=1.0, n=3.0)
 def test_limit_formulas_return_finite_or_raise(z, u, n):
+    counted = isinstance(n, float)
+    # a float n reaches a table as a float row, 3.0 included
+    ns = [n + 1] if counted else range(1, n + 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PrecisionLossWarning)
         for name, (call, arity) in LIMIT_CALLS.items():
             refused = not all(map(_finite, (z, u)[:arity]))
-            try:
-                value = call(z, u, n)
-            except SuperexpError as exc:
-                assert _refused(exc) or not refused, (name, z, u, n, exc)
-                continue
-            assert not refused and _finite(value), (name, z, u, n, value)
+            value = _limit_outcome(lambda: call(z, u, n), refused, counted, (name, z, u, n))
+            assert value is None or _finite(value), (name, z, u, n, value)
         for method, arity in TABLES.items():
             refused = not all(map(_finite, (z, u)[:arity]))
-            try:
-                rows = limits.convergence_table(method, (z, u)[:arity], range(1, n + 2), CFG64)
-            except SuperexpError as exc:
-                assert _refused(exc) or not refused, (method, z, u, n, exc)
-                continue
-            assert not refused, (method, z, u, n, rows)
-            assert all(r.error or _finite(r.value) for r in rows), (method, z, u, n, rows)
+            rows = _limit_outcome(
+                lambda: limits.convergence_table(method, (z, u)[:arity], ns, CFG64),
+                refused, counted, (method, z, u, n),
+            )
+            assert all(r.error or _finite(r.value) for r in rows or ()), (method, z, u, n, rows)
+
+
+CFG_COUNT = PrecisionConfig(mantissa_bits=64)
+_EXP = series.exp_minus_one(12)
+# name: (call on the count k, the name its refusal gives, an integer k it
+# takes); every public count argument of the package
+COUNTS = {
+    "PrecisionConfig": (lambda k: PrecisionConfig(k), "mantissa_bits", 64),
+    "EvalContext": (lambda k: EvalContext(max_recursion=k), "max_recursion", 3),
+    "GridSpec nx": (lambda k: GridSpec(0.0, 1.0, 0.0, 1.0, k, 2), "nx", 3),
+    "GridSpec ny": (lambda k: GridSpec(0.0, 1.0, 0.0, 1.0, 2, k), "ny", 3),
+    "calibration_tier": (evaluators.calibration_tier, "bits", 300),
+    "default_constants": (evaluators.default_constants, "bits", 64),
+    "iterate_h": (lambda k: limits.iterate_h(-0.5, k, CFG_COUNT), "orbit length", 3),
+    "iterate_h_inverse": (
+        lambda k: limits.iterate_h_inverse(0.5, k, CFG_COUNT), "orbit length", 3
+    ),
+    "levy_abel": (lambda k: limits.levy_abel(-0.5, 0.5, k, CFG_COUNT), "orbit length", 3),
+    "levy_probe": (lambda k: limits.levy_probe(-1, 1, k, CFG_COUNT), "orbit length", 3),
+    "newton_superfunction": (
+        lambda k: limits.newton_superfunction(0.5, 0.5, k, CFG_COUNT), "summand count", 3
+    ),
+    "fatou_abel": (lambda k: limits.fatou_abel(-0.5, 1, k, CFG_COUNT), "orbit length", 3),
+    "fatou_probe": (lambda k: limits.fatou_probe(-1, k, CFG_COUNT), "orbit length", 3),
+    "fatou_probe_richardson": (
+        lambda k: limits.fatou_probe_richardson(-1, k, CFG_COUNT), "orbit length", 4
+    ),
+    **{
+        f"{method} table": (
+            lambda k, method=method, args=args: limits.convergence_table(
+                method, args, [1, k], CFG_COUNT
+            ),
+            "summand count" if method == "newton" else "orbit length",
+            3,
+        )
+        for method, args in (
+            ("levy", (-1, 1)), ("fatou1", (-1,)), ("fatou2", (5, 6)), ("newton", (0.5, 0.5)),
+        )
+    },
+    "exp_minus_one": (series.exp_minus_one, "N", 3),
+    "regular_iterate_series": (
+        lambda k: series.regular_iterate_series(_EXP, 1, k), "N", 3
+    ),
+    "iterative_logarithm": (lambda k: series.iterative_logarithm(_EXP, k), "N", 3),
+    "abel_expansion": (lambda k: series.abel_expansion(_EXP, k), "N", 3),
+    "superexp_polynomials": (series.superexp_polynomials, "M", 3),
+    "PowerSeries.truncate": (lambda k: _EXP.truncate(k), "n_terms", 3),
+    "PowerSeries.mul": (lambda k: _EXP.mul(_EXP, k), "n_terms", 3),
+    "PowerSeries.compose": (lambda k: _EXP.compose(_EXP, k), "n_terms", 3),
+}
+
+
+@pytest.mark.parametrize("name, count", [
+    (name, count)
+    for name in COUNTS
+    for count in (2.5, 3.0, math.nan, math.inf, None, "3")
+    # mul's n_terms=None is its untruncated product
+    if not (name == "PowerSeries.mul" and count is None)
+])
+def test_a_count_that_is_not_an_integer_is_refused(name, count):
+    # a ValueError naming the argument, never a raw AttributeError or
+    # TypeError from the arithmetic the count would have reached
+    call, argument, _ = COUNTS[name]
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer, got "):
+        call(count)
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_a_numpy_integer_count_is_its_int(name):
+    numpy = pytest.importorskip("numpy")
+    call, _, k = COUNTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionLossWarning)
+        value = call(numpy.int64(k))
+        assert value == call(k), name
+    # a frozen configuration stores the count as an int
+    for field in ("mantissa_bits", "max_recursion", "nx", "ny"):
+        if hasattr(value, field):
+            assert type(getattr(value, field)) is int, (name, field)
 
 
 # numeric literals as typed on a command line: finite, past the double

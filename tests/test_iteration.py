@@ -21,6 +21,7 @@ from superexp.errors import (
 import superexp.evaluators as ev
 from superexp.evaluators import A1, F1, F3, EvalContext, abel2, default_constants
 from superexp.iteration import (
+    AGREEMENT_KINDS,
     GridSpec,
     IterateBranch,
     IterateRequest,
@@ -307,6 +308,20 @@ class TestAgreement:
     def test_clip_is_configurable(self):
         assert agreement("dq1", E, clip=8.0) == 8.0
 
+    @pytest.mark.parametrize("kind", AGREEMENT_KINDS)
+    @pytest.mark.parametrize("side", [None, "sideways"])
+    def test_every_kind_refuses_a_side_before_evaluating(self, kind, side, monkeypatch):
+        # the rule of compositions and grids, one message for every kind
+        # (d1fa scored strict mode, 15.0068 at 1+1i, where dq1 refused it)
+        def evaluated(*args, **kwargs):
+            raise AssertionError("evaluated before the side was checked")
+
+        for name in ("default_constants", "F1", "A1", "F3", "A3", "exp_iterate"):
+            monkeypatch.setattr(f"superexp.iteration.{name}", evaluated)
+        message = f"^cut_side must be 'above' or 'below', got {side!r}$"
+        with pytest.raises(ValueError, match=message):
+            agreement(kind, 1 + 1j, cut_side=side)
+
     def test_default_context_keeps_the_kernel(self):
         # F1 and agreement default to one context object, so mixing them
         # does not swap the evaluators' one-entry kernel cache
@@ -475,7 +490,7 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("nx, ny", [(2.5, 3), (3, 3.0), ("3", 3), (None, 3)])
     def test_counts_must_be_integers(self, nx, ny):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="must be an integer"):
             GridSpec(-1.0, 1.0, -1.0, 1.0, nx, ny)
 
     def test_axes_include_bounds(self):
