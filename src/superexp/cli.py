@@ -5,11 +5,12 @@ failure, 3 output I/O failure.  Identical invocations produce
 byte-identical output: doubles print as shortest round-trip decimals,
 wider precisions with explicit digit counts.
 
-Calibration constants are computed lazily and cached under
-``$SUPEREXP_CACHE_DIR`` (default ``~/.cache/superexp``), keyed by the
-calibration precision tier; ``--no-cache`` recomputes and skips the
-file entirely.  A 53-bit ``eval``, ``map`` or ``check`` with a cached
-tier reads the anchors as doubles and loads no mpmath.
+Calibration constants are cached under ``$SUPEREXP_CACHE_DIR``
+(default ``~/.cache/superexp``), one file per calibration precision
+tier: ``eval``, ``map`` and ``check`` recompute a missing or damaged
+file, and ``calibrate`` always computes and rewrites it.  A 53-bit
+``eval``, ``map`` or ``check`` with a cached tier reads the anchors as
+doubles and loads no mpmath.
 """
 
 from __future__ import annotations
@@ -100,47 +101,51 @@ def _cache_dir() -> str:
     return os.path.join(base, "superexp")
 
 
+_DECIMALS = ("x1", "x3", "a1_norm", "a3_norm", "period_t1_imag")
+
+
 def _doubles(payload: dict) -> CalibrationConstants:
     # float() of a cached decimal is the double the 53-bit kernel casts
     # the mpf it parses to (tested for every tier), and builds no mpf
-    anchors = {k: float(payload[k]) for k in ("x1", "x3", "a1_norm", "a3_norm")}
-    period = complex(0.0, float(payload["period_t1_imag"]))
-    return CalibrationConstants(**anchors, period_t1=period, bits=int(payload["bits"]))
+    x1, x3, a1, a3, period = (float(payload[k]) for k in _DECIMALS)
+    return CalibrationConstants(x1, x3, a1, a3, complex(0.0, period), int(payload["bits"]))
 
 
-def _constants(bits: int, no_cache: bool, exact: bool = False) -> CalibrationConstants:
-    # a 53-bit evaluation reads a cache hit as doubles; exact keeps the
-    # mpfs, which calibrate prints
+def _constants(bits: int) -> CalibrationConstants:
+    # the one reader of the cache: its tier's file as doubles at 53 bits, mpfs above
     tier = calibration_tier(bits)
     path = os.path.join(_cache_dir(), f"constants-{tier}.json")
-    if not no_cache:
+    try:
+        with open(path, encoding="ascii") as fh:
+            payload = json.load(fh)
+        # a stale tier, or a value that is not a finite decimal, would
+        # poison every evaluation: the file is unreadable
+        finite = all(math.isfinite(float(payload[k])) for k in _DECIMALS)
+        if finite and int(payload["bits"]) == tier:
+            read = _doubles if bits == 53 else CalibrationConstants.from_decimal_dict
+            return read(payload)
+    except (OSError, ValueError, KeyError, TypeError):
+        pass  # unreadable: recompute below
+    return _store(default_constants(bits))
+
+
+def _store(constants: CalibrationConstants) -> CalibrationConstants:
+    # best effort: the value is already in hand.  A reader sees the old
+    # file or the whole new one, never a partial write
+    try:
+        os.makedirs(_cache_dir(), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            prefix=f"constants-{constants.bits}-", suffix=".tmp", dir=_cache_dir()
+        )
         try:
-            with open(path, encoding="ascii") as fh:
-                payload = json.load(fh)
-            if int(payload.get("bits", 0)) == tier:
-                doubles = bits == 53 and not exact
-                read = _doubles if doubles else CalibrationConstants.from_decimal_dict
-                return read(payload)
-        except (OSError, ValueError, KeyError):
-            pass  # unreadable or stale cache: recompute below
-    constants = default_constants(bits)
-    if not no_cache:
-        try:
-            os.makedirs(_cache_dir(), exist_ok=True)
-            # a reader sees the old file or the whole new one, never a
-            # partial write
-            fd, tmp = tempfile.mkstemp(
-                prefix=f"constants-{tier}-", suffix=".tmp", dir=_cache_dir()
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="ascii") as fh:
-                    json.dump(constants.as_decimal_dict(), fh)
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError:
-            pass  # cache is best effort; the value is already in hand
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
+                json.dump(constants.as_decimal_dict(), fh)
+            os.replace(tmp, os.path.join(_cache_dir(), f"constants-{constants.bits}.json"))
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError:
+        pass
     return constants
 
 
@@ -239,7 +244,8 @@ def _parse_floats(text: str):
 
 def _cmd_calibrate(args) -> int:
     try:
-        constants = _constants(args.precision_bits, args.no_cache, exact=True)
+        # always computed, never read: a stale or damaged file is replaced
+        constants = _store(default_constants(args.precision_bits))
     except SuperexpError as exc:
         return _fail(f"calibration failed: {exc}", CALIBRATION_ERROR)
     payload = constants.as_decimal_dict()
@@ -270,7 +276,7 @@ def _cmd_eval(args) -> int:
     err = None
     value = None
     try:
-        constants = _constants(args.precision_bits, args.no_cache)
+        constants = _constants(args.precision_bits)
         if args.fn == "expc":
             if args.c is None:
                 return _fail("eval expc requires --c")
@@ -352,7 +358,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_map(args) -> int:
     try:
-        constants = _constants(args.precision_bits, args.no_cache)
+        constants = _constants(args.precision_bits)
         result = map_grid(
             args.fn, args.grid, args.ctx, constants, c=args.c, branch=args.branch
         )
@@ -370,7 +376,7 @@ def _cmd_map(args) -> int:
 def _cmd_check(args) -> int:
     grid = args.grid
     try:
-        constants = _constants(args.precision_bits, args.no_cache)
+        constants = _constants(args.precision_bits)
     except SuperexpError as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
     xs, ys = grid.xs(), grid.ys()
@@ -421,8 +427,6 @@ def _add_common(p: argparse.ArgumentParser, bits: int = 53, fmt: str = "text") -
                    help="working mantissa bits (default %(default)s)")
     p.add_argument("--format", choices=("csv", "json", "text"), default=fmt)
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and do not write the calibration cache")
     p.set_defaults(parser=p)
 
 

@@ -219,9 +219,9 @@ class _Tables:
     fixed-point sums run on), the term count and `scale`, 0 for doubles.
     Not a cached_property: writing the instance __dict__ slows every
     attribute load on the hot path.  The calibrated anchors are cast
-    once per constants object, which the cache holds, so its identity
-    cannot be reused by another object.  Both kernels' Newton steps on
-    F~ come from one planner (newton_steps).
+    once per constants object (or None), which the cache holds, so its
+    identity cannot be reused by another object.  Both kernels' Newton
+    steps on F~ come from one planner (newton_steps).
     """
 
     def __init__(self, ctx: EvalContext):
@@ -233,11 +233,13 @@ class _Tables:
         self.walk_cap = n + int(self.threshold - _walk_out(_DOUBLE_RADIUS))
         self.abel_cap = n + math.ceil(3 / self.abel_radius) - math.ceil(3 / _DOUBLE_RADIUS)
 
-    def anchors(self, constants: CalibrationConstants) -> tuple:
-        """(x1, x3, a1_norm, a3_norm) as this kernel's scalars."""
+    def anchors(self, constants: CalibrationConstants | None = None) -> tuple:
+        """(x1, x3, a1_norm, a3_norm) as this kernel's scalars; None stands
+        for default_constants(bits), resolved here and nowhere else."""
         cached = self._anchors
         if cached is None or cached[0] is not constants:
-            anchors = (constants.x1, constants.x3, constants.a1_norm, constants.a3_norm)
+            c = default_constants(self.bits) if constants is None else constants
+            anchors = (c.x1, c.x3, c.a1_norm, c.a3_norm)
             cached = self._anchors = (constants, tuple(map(self.cast, anchors)))
         return cached[1]
 
@@ -801,9 +803,7 @@ def _abel(z, plus_side: bool, ctx, constants, cut_side, normed=False):
     # calibrated a1_norm or a3_norm, giving A1 or A3
     kernel = _kernel_of(ctx)
     w, flip, strict = _gate(kernel, z, cut_side)
-    norm = None
-    if normed:
-        norm = kernel.anchors(constants or default_constants(kernel.bits))[2 + plus_side]
+    norm = kernel.anchors(constants)[2 + plus_side] if normed else None
     return _public(_abel_walk(kernel, w, plus_side, norm), flip, strict)
 
 
@@ -880,7 +880,7 @@ def _superexp(z, branch: BranchSign, ctx, constants, cut_side, chains=None):
     minus = branch is BranchSign.minus
     if minus:
         _refuse_pole(w)
-    shift = kernel.anchors(constants or default_constants(kernel.bits))[not minus]
+    shift = kernel.anchors(constants)[not minus]
     return _public(_ftilde_eval(kernel, w + shift, branch, chains), flip, strict)
 
 

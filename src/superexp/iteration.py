@@ -37,7 +37,6 @@ from .evaluators import (
     _public,
     _sweep,
     abel2,
-    default_constants,
 )
 from .precision import mp_context, mp_convert, plain, require_count, require_finite
 
@@ -151,8 +150,7 @@ def exp_iterate(
     zw, flip, strict = _gate(kernel, req.z, req.cut_side)
     c = kernel.at_width(req.c)
     zr, e = +kernel.at_width(zw), +kernel.at_width(kernel.e())
-    if constants is None:
-        constants = default_constants(kernel.bits)
+    anchors = kernel.anchors(constants)  # calibrates, or refuses the width
     if zr == e:
         # every regular iterate fixes e exactly; the F(c + A(z))
         # composition has a removable singularity there
@@ -170,10 +168,10 @@ def exp_iterate(
         # normalization, from below its conjugate: formed at the work
         # bits, rounded to the width
         rot = kernel.rotation if req.cut_side == "above" else -kernel.rotation
-        a = kernel.cast(abel2(req.z, ctx)) + rot - kernel.anchors(constants)[2]
+        a = kernel.cast(abel2(req.z, ctx)) + rot - anchors[2]
         a = +kernel.at_width(a)
     else:
-        norm = kernel.anchors(constants)[2 + upper]
+        norm = anchors[2 + upper]
         a = _public(_abel_walk(kernel, zw, upper, norm), flip, strict)
     # rounded to the width in both parts: a real c would round only the
     # real part of c + a
@@ -275,8 +273,8 @@ def agreement(
     ctx = ctx if ctx is not None else _DEFAULT_CTX
     bits = ctx.precision.mantissa_bits
     # a width past the calibrated range is refused, not scored
-    if constants is None:
-        constants = default_constants(bits)
+    kernel = _kernel_of(ctx)
+    kernel.anchors(constants)
     try:
         if kind[1] != "q":
             # the round trip's (inner, outer) pair, read from this module's
@@ -293,7 +291,6 @@ def agreement(
     except SuperexpError:
         return math.nan
     # X ± Y are formed at the width
-    kernel = _kernel_of(ctx)
     x, y = kernel.at_width(x), kernel.at_width(y)
     try:
         num, den = float(abs(x + y)), float(abs(x - y))
@@ -417,8 +414,7 @@ def map_grid(
         # cast once, before calibrating: a count no cell could take is
         # refused for the whole grid
         c = _kernel_of(ctx).at_width(require_finite(c))
-    if constants is None:
-        constants = default_constants(ctx.precision.mantissa_bits)
+    _kernel_of(ctx).anchors(constants)  # calibrates, or refuses the width
     xs, ys = grid.xs(), grid.ys()
     if fn == "expc":
 

@@ -65,6 +65,24 @@ class TestCommonFlags:
         assert proc.returncode == 1
         assert "at least 53" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["calibrate"],
+            ["eval", "F1", "0.5"],
+            ["table", "levy", "--n", "1:2"],
+            ["map", "F1", "--x=0:1", "--y=0:1", "--nx=2", "--ny=2"],
+            ["check", "d1fa", "--x=0:1", "--y=0:1"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_no_cache_is_a_usage_error(self, args, capsys):
+        # every command reads or refreshes the cache: none skips it
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--no-cache"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith("unrecognized arguments: --no-cache\n")
+
     def test_unknown_format(self, cache_dir):
         proc = run_cli(["eval", "F1", "0", "0", "--format", "xml"], cache_dir)
         assert proc.returncode == 1
@@ -227,8 +245,7 @@ class TestCommonFlags:
         # tier-704 calibration; now that kernel is refused before any walk
         start = time.perf_counter()
         proc = run_cli(
-            ["eval", "F1", "0.5", "0", "--precision-bits", "640", "--no-cache"],
-            cache_dir,
+            ["eval", "F1", "0.5", "0", "--precision-bits", "640"], cache_dir,
         )
         elapsed = time.perf_counter() - start
         assert proc.returncode == 1
@@ -289,11 +306,72 @@ class TestCalibrate:
         # tier 192 and tier 320 dumps, byte for byte; the digests were
         # taken from the secant-root calibration the identity replaced
         proc = run_cli(
-            ["calibrate", "--format", "json", "--no-cache", "--precision-bits", str(bits)],
-            cache_dir,
+            ["calibrate", "--format", "json", "--precision-bits", str(bits)], cache_dir,
         )
         assert proc.returncode == 0
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+    def test_calibrate_refreshes_a_damaged_cache(self, tmp_path):
+        # calibrate computes and never reads the file: a wrong x1 is
+        # replaced, and the next evaluation reads the computed one
+        good = default_constants(53).as_decimal_dict()
+        target = tmp_path / "constants-192.json"
+        target.write_text(json.dumps(dict(good, x1="1.5")))
+        proc = run_cli(["calibrate", "--format", "json"], tmp_path)
+        assert proc.returncode == 0
+        x1 = "2.79824815423138766245258318546910031943596117319246377928133"
+        assert json.loads(proc.stdout)["x1"] == x1
+        assert json.loads(target.read_text()) == good
+        proc = run_cli(["eval", "F1", "0", "0"], tmp_path)
+        assert proc.stdout == "0.9999999999999923 0.0\n"
+
+    @pytest.mark.parametrize("bits", [53, 128])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field, fn",
+        [("x1", "F1"), ("x3", "F3"), ("a1_norm", "A1"), ("a3_norm", "A3"),
+         ("period_t1_imag", "F1")],
+    )
+    def test_non_finite_cache_is_recomputed_and_rewritten(
+        self, tmp_path, monkeypatch, capsys, field, fn, bad, bits
+    ):
+        # a value that parses but is not finite once poisoned every
+        # evaluation ("argument must be finite, got nan" for A1(0.5)) and
+        # was never rewritten
+        monkeypatch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path))
+        argv = ["eval", fn, "3", "0.5", "--precision-bits", str(bits)]
+        good = default_constants(bits).as_decimal_dict()
+        target = tmp_path / "constants-192.json"
+        target.write_text(json.dumps(good))
+        assert cli.main(argv) == 0
+        want = capsys.readouterr().out
+        target.write_text(json.dumps(dict(good, **{field: bad})))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert json.loads(target.read_text()) == good
+
+    @pytest.mark.parametrize("text", ["[1]", "null", '{"bits": 192}'])
+    def test_json_that_is_not_the_payload_is_recomputed(self, tmp_path, monkeypatch, text):
+        # a list or null once raised AttributeError from the reader
+        monkeypatch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path))
+        target = tmp_path / "constants-192.json"
+        target.write_text(text)
+        assert cli._constants(53) is default_constants(53)
+        assert json.loads(target.read_text()) == default_constants(53).as_decimal_dict()
+
+    @pytest.mark.parametrize("xdg", ["xdg", "", None], ids=["xdg", "empty", "unset"])
+    def test_default_cache_dir(self, tmp_path, monkeypatch, xdg):
+        # without SUPEREXP_CACHE_DIR the cache is $XDG_CACHE_HOME/superexp,
+        # or ~/.cache/superexp when that is unset or empty
+        monkeypatch.delenv("SUPEREXP_CACHE_DIR", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        if xdg is None:
+            monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", xdg and str(tmp_path / xdg))
+        cli._constants(53)
+        base = tmp_path / "xdg" if xdg else tmp_path / "home" / ".cache"
+        assert [p.name for p in (base / "superexp").iterdir()] == ["constants-192.json"]
 
     def test_corrupt_cache_is_recomputed_and_rewritten(self, tmp_path):
         # slow path: the bad file must not poison the run, and a fresh
@@ -305,14 +383,9 @@ class TestCalibrate:
         assert abs(float(proc.stdout.split()[0])) < 1e-12
         assert json.loads(target.read_text())["bits"] == 192
 
-    def test_no_cache_leaves_no_file(self, tmp_path):
-        proc = run_cli(["eval", "F1", "0", "0", "--no-cache"], tmp_path)
-        assert proc.returncode == 0
-        assert list(tmp_path.iterdir()) == []
-
     def test_cache_write_leaves_only_the_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path))
-        constants = cli._constants(53, no_cache=False)
+        constants = cli._constants(53)
         assert [p.name for p in tmp_path.iterdir()] == ["constants-192.json"]
         payload = json.loads((tmp_path / "constants-192.json").read_text())
         assert payload == constants.as_decimal_dict()
@@ -341,7 +414,7 @@ class TestCalibrate:
 
         monkeypatch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cli.json, "dump", dump_then_fail)
-        constants = cli._constants(53, no_cache=False)
+        constants = cli._constants(53)
         assert constants is default_constants(53)
         assert list(tmp_path.iterdir()) == []
 
@@ -353,6 +426,14 @@ class TestEval:
         re, im = map(float, proc.stdout.split())
         assert abs(re - 1.0) < 1e-13
         assert im == 0.0
+
+    def test_wide_json_holds_the_text_fields(self, cache_dir):
+        # above 53 bits re and im stay decimal strings: the text's fields
+        argv = ["eval", "F1", "0.5", "0.25", "--precision-bits", "128"]
+        text = run_cli(argv, cache_dir)
+        payload = json.loads(run_cli([*argv, "--format", "json"], cache_dir).stdout)
+        assert len(payload["re"]) > 30
+        assert [payload["re"], payload["im"]] == text.stdout.split()
 
     def test_a3_normalization(self, cache_dir):
         proc = run_cli(["eval", "A3", "3", "0"], cache_dir)
@@ -926,14 +1007,13 @@ class TestImportFootprint:
         "how, argv, want",
         [
             ("cli", ["eval", "F1", "0.5", "0", "--precision-bits", "128"], _WIDE),
-            ("cli", ["calibrate", "--no-cache"], _WIDE),
-            # a cache hit parses the decimals as mpfs and builds no kernel
-            ("cli", ["calibrate"], {"mpmath"}),
+            # calibrate computes with a warm cache too
+            ("cli", ["calibrate"], _WIDE),
             ("cli", ["table", "levy", "--n", "10:11"], _LIMITS),
             # the library has no cache: its first evaluation calibrates
             ("lib", ["import superexp; superexp.F1(0.5)"], _WIDE),
         ],
-        ids=["eval128", "calibrate-miss", "calibrate-hit", "table", "library-calibrates"],
+        ids=["eval128", "calibrate", "table", "library-calibrates"],
     )
     def test_wide_paths_load_what_they_use(self, tmp_path, cache_dir, how, argv, want):
         assert self.loaded(tmp_path, cache_dir, how, *argv) == want

@@ -405,6 +405,12 @@ class TestCutsAndErrors:
         with pytest.raises(NonConvergenceError) as info:
             abel1(-50, ctx)
         assert info.value.residual > 0.25
+        # the mpmath kernel's walk misses its disk the same way: its cap
+        # of one 53-bit step is 19 steps at 128 bits
+        ctx = EvalContext(PrecisionConfig(mantissa_bits=128), max_recursion=1)
+        with pytest.raises(NonConvergenceError, match="disk within 19 steps$") as info:
+            A3(40 + 3j, ctx)
+        assert info.value.residual == pytest.approx(0.11271, abs=1e-5)
 
     def test_forced_tail_miss_raises_at_once(self, monkeypatch):
         # a summation point too close in for its tail, and the value is

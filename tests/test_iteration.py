@@ -316,7 +316,8 @@ class TestAgreement:
         def evaluated(*args, **kwargs):
             raise AssertionError("evaluated before the side was checked")
 
-        for name in ("default_constants", "F1", "A1", "F3", "A3", "exp_iterate"):
+        monkeypatch.setattr("superexp.evaluators.default_constants", evaluated)
+        for name in ("F1", "A1", "F3", "A3", "exp_iterate"):
             monkeypatch.setattr(f"superexp.iteration.{name}", evaluated)
         message = f"^cut_side must be 'above' or 'below', got {side!r}$"
         with pytest.raises(ValueError, match=message):
@@ -357,6 +358,10 @@ class TestAgreement:
             F1(1.0 + 1.0j, ctx)
         with pytest.raises(DomainError, match="out of range for the mpmath kernel"):
             agreement("d1fa", 1.0 + 1.0j, ctx)
+        # exp_iterate refuses it before returning e itself
+        e = ev._kernel_of(ctx).e()
+        with pytest.raises(DomainError, match="out of range for the mpmath kernel"):
+            exp_iterate(IterateRequest(0.5, e), ctx)
 
 
 class TestNonFiniteIterate:
@@ -388,7 +393,7 @@ class TestNonFiniteIterate:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(it, "default_constants", counted(it.default_constants))
+        monkeypatch.setattr(ev, "default_constants", counted(ev.default_constants))
         monkeypatch.setattr(it, "A1", counted(it.A1))
         message = f"^argument must be finite, got {re.escape(repr(c))}$"
         with pytest.raises(DomainError, match=message):
@@ -565,12 +570,10 @@ class TestMapGrid:
     )
     def test_expc_refuses_a_bad_count_before_calibrating(self, monkeypatch, c, ctx, message):
         # it once calibrated and then returned a grid of "domain" cells
-        import superexp.iteration as it
-
         def no_calibration(bits):
             raise AssertionError("calibrated for a count no cell can take")
 
-        monkeypatch.setattr(it, "default_constants", no_calibration)
+        monkeypatch.setattr(ev, "default_constants", no_calibration)
         with pytest.raises(DomainError, match=message):
             map_grid("expc", GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2), ctx, c=c)
 
