@@ -1004,19 +1004,23 @@ class TestImportFootprint:
         assert self.loaded(tmp_path, cache_dir, "lib", code) == set()
 
     @pytest.mark.parametrize(
-        "how, argv, want",
+        "how, argv, cold, want",
         [
-            ("cli", ["eval", "F1", "0.5", "0", "--precision-bits", "128"], _WIDE),
-            # calibrate computes with a warm cache too
-            ("cli", ["calibrate"], _WIDE),
-            ("cli", ["table", "levy", "--n", "10:11"], _LIMITS),
+            ("cli", ["eval", "F1", "0.5", "0", "--precision-bits", "128"], False, _WIDE),
+            # calibrate computes whether or not its tier is cached
+            ("cli", ["calibrate"], True, _WIDE),
+            ("cli", ["calibrate"], False, _WIDE),
+            ("cli", ["table", "levy", "--n", "10:11"], False, _LIMITS),
             # the library has no cache: its first evaluation calibrates
-            ("lib", ["import superexp; superexp.F1(0.5)"], _WIDE),
+            ("lib", ["import superexp; superexp.F1(0.5)"], False, _WIDE),
         ],
-        ids=["eval128", "calibrate", "table", "library-calibrates"],
+        ids=["eval128", "calibrate-miss", "calibrate-hit", "table", "library-calibrates"],
     )
-    def test_wide_paths_load_what_they_use(self, tmp_path, cache_dir, how, argv, want):
-        assert self.loaded(tmp_path, cache_dir, how, *argv) == want
+    def test_wide_paths_load_what_they_use(
+        self, tmp_path, cache_dir, how, argv, cold, want
+    ):
+        cache = tmp_path / "empty-cache" if cold else cache_dir
+        assert self.loaded(tmp_path, cache, how, *argv) == want
 
 
 def readme_commands(*subcommands):
