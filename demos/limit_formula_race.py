@@ -14,13 +14,13 @@ import mpmath
 from superexp import A1, EvalContext, PrecisionConfig, convergence_table
 
 ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
-A1(-1, ctx)  # warm-up: the one-time calibration (two Abel walks) happens here
+A1(-1, ctx)  # warm-up: the kernel's tables and the tier's constants are built here
 start = time.perf_counter()
 reference = A1(-1, ctx)
 series_time = time.perf_counter() - start
 with mpmath.mp.workprec(128):
     print("series evaluator: A1(-1) =", mpmath.nstr(reference, 25))
-print(f"                  ({series_time * 1e3:.2f} ms after calibration)\n")
+print(f"                  ({series_time * 1e3:.2f} ms after warm-up)\n")
 
 cfg = PrecisionConfig(mantissa_bits=192)
 ns = [100, 1000, 10000]

@@ -5,12 +5,13 @@ failure, 3 output I/O failure.  Identical invocations produce
 byte-identical output: doubles print as shortest round-trip decimals,
 wider precisions with explicit digit counts.
 
-Calibration constants are cached under ``$SUPEREXP_CACHE_DIR``
-(default ``~/.cache/superexp``), one file per calibration precision
-tier: ``eval``, ``map`` and ``check`` recompute a missing or damaged
-file, and ``calibrate`` always computes and rewrites it.  A 53-bit
-``eval``, ``map`` or ``check`` with a cached tier reads the anchors as
-doubles and loads no mpmath.
+Every command but ``calibrate`` takes the library's default calibration
+constants (``default_constants``: decimal literals rounded to the
+command's tier, their doubles at 53 bits), so nothing calibrates and a
+53-bit ``eval``, ``map`` or ``check`` loads no mpmath.  ``calibrate``
+computes its tier's constants, prints them and writes them under
+``$SUPEREXP_CACHE_DIR`` (default ``~/.cache/superexp``) as
+``constants-<tier>.json``; no command reads that file.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .evaluators import (
     F3,
     CalibrationConstants,
     EvalContext,
-    calibrate,  # not called here; perfbench's tracer wraps it by this name
+    calibrate,
     calibration_tier,
     default_constants,
 )
@@ -101,37 +102,14 @@ def _cache_dir() -> str:
     return os.path.join(base, "superexp")
 
 
-_DECIMALS = ("x1", "x3", "a1_norm", "a3_norm", "period_t1_imag")
-
-
-def _doubles(payload: dict) -> CalibrationConstants:
-    # float() of a cached decimal is the double the 53-bit kernel casts
-    # the mpf it parses to (tested for every tier), and builds no mpf
-    x1, x3, a1, a3, period = (float(payload[k]) for k in _DECIMALS)
-    return CalibrationConstants(x1, x3, a1, a3, complex(0.0, period), int(payload["bits"]))
-
-
 def _constants(bits: int) -> CalibrationConstants:
-    # the one reader of the cache: its tier's file as doubles at 53 bits, mpfs above
-    tier = calibration_tier(bits)
-    path = os.path.join(_cache_dir(), f"constants-{tier}.json")
-    try:
-        with open(path, encoding="ascii") as fh:
-            payload = json.load(fh)
-        # a stale tier, or a value that is not a finite decimal, would
-        # poison every evaluation: the file is unreadable
-        finite = all(math.isfinite(float(payload[k])) for k in _DECIMALS)
-        if finite and int(payload["bits"]) == tier:
-            read = _doubles if bits == 53 else CalibrationConstants.from_decimal_dict
-            return read(payload)
-    except (OSError, ValueError, KeyError, TypeError):
-        pass  # unreadable: recompute below
-    return _store(default_constants(bits))
+    # the constants step of eval, map and check, one name to trace
+    return default_constants(bits)
 
 
 def _store(constants: CalibrationConstants) -> CalibrationConstants:
-    # best effort: the value is already in hand.  A reader sees the old
-    # file or the whole new one, never a partial write
+    # best effort: the value is already in hand.  The file holds the old
+    # constants or the whole new ones, never a partial write
     try:
         os.makedirs(_cache_dir(), exist_ok=True)
         fd, tmp = tempfile.mkstemp(
@@ -243,9 +221,9 @@ def _parse_floats(text: str):
 # -- calibrate ------------------------------------------------------------
 
 def _cmd_calibrate(args) -> int:
+    tier = calibration_tier(args.precision_bits)
     try:
-        # always computed, never read: a stale or damaged file is replaced
-        constants = _store(default_constants(args.precision_bits))
+        constants = _store(calibrate(EvalContext(PrecisionConfig(mantissa_bits=tier))))
     except SuperexpError as exc:
         return _fail(f"calibration failed: {exc}", CALIBRATION_ERROR)
     payload = constants.as_decimal_dict()

@@ -18,10 +18,10 @@ for grids, with the measured 53-bit settings.  Wider contexts run on
 mpmath and derive their tuning from the bit count (one tier table,
 _ABEL_TIERS, sets both walks); their results leave as plain mpmath
 values.  The mpmath kernel lives in `superexp.wide`, which this module
-imports on the first wider kernel and the first calibration: a 53-bit
-evaluation with constants in hand loads no mpmath.  The private mpmath
-contexts come from `superexp.precision`, so no evaluation at any width
-loads the limit formulas.
+imports on the first wider kernel and the first calibrate(): a 53-bit
+evaluation, whose default constants are doubles, loads no mpmath.  The
+private mpmath contexts come from `superexp.precision`, so no
+evaluation at any width loads the limit formulas.
 
 Every public evaluator casts its argument once, in _gate; the kernels'
 casts apply `precision.require_finite`, and at 53 bits the double range.
@@ -127,8 +127,9 @@ class CalibrationConstants:
     branches take the values 1 and 3; a1_norm and a3_norm are abel1(1)
     and abel2(3), subtracted by A1/A3; period_t1 is 2*pi*e*i, the period
     of A1 toward +i*infinity.  `bits` records the mantissa width the
-    constants were computed at.  A 53-bit evaluation casts each anchor to
-    a double, so it may also take them as floats.
+    constants were computed at or rounded to.  default_constants(53)
+    holds the tier-192 doubles instead of mpmath values (floats, a
+    complex period_t1), which a 53-bit evaluation casts the anchors to.
     """
 
     x1: mpmath.mpf
@@ -158,15 +159,10 @@ class CalibrationConstants:
     @classmethod
     def from_decimal_dict(cls, d: dict) -> "CalibrationConstants":
         bits = int(d["bits"])
-        ctx = mp_context(bits + 32)
-        return cls(
-            x1=plain(ctx.mpf(d["x1"])),
-            x3=plain(ctx.mpf(d["x3"])),
-            a1_norm=plain(ctx.mpf(d["a1_norm"])),
-            a3_norm=plain(ctx.mpf(d["a3_norm"])),
-            period_t1=plain(ctx.mpc(0, ctx.mpf(d["period_t1_imag"]))),
-            bits=bits,
-        )
+        ctx = mp_context(bits + 32)  # each decimal parsed wider, rounded once to bits
+        x1, x3, a1, a3 = (plain(ctx.mpf(d[k]), bits) for k in ("x1", "x3", "a1_norm", "a3_norm"))
+        period = plain(ctx.mpc(0, ctx.mpf(d["period_t1_imag"])), bits)
+        return cls(x1, x3, a1, a3, period, bits)
 
 
 # -- series coefficients, shared by both kernels ------------------------
@@ -336,6 +332,16 @@ _MAX_BITS = 488
 # the widest evaluation whose calibration tier (see calibration_tier)
 # fits in _MAX_BITS: 432 bits, calibrated at 448
 _MAX_EVAL_BITS = _MAX_BITS // 64 * 64 - 16
+
+
+def _check_width(bits: int) -> None:
+    # a kernel, or the calibration tier of an evaluation, past _MAX_BITS
+    if bits > _MAX_BITS:
+        raise DomainError(
+            f"{bits} bits is out of range for the mpmath kernel (up"
+            f" to {_MAX_BITS} bits); evaluations, calibrated at least 16"
+            f" bits wider, work up to {_MAX_EVAL_BITS} bits"
+        )
 
 
 def _abel_tier(bits: int) -> tuple:
@@ -946,10 +952,6 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
     return CalibrationConstants(*(plain(v, bits) for v in values), bits=bits)
 
 
-_DEFAULT_CONSTANTS: dict = {}
-_calibrating = threading.Lock()
-
-
 def calibration_tier(bits: int) -> int:
     """Calibration precision serving evaluation at `bits`.
 
@@ -962,15 +964,34 @@ def calibration_tier(bits: int) -> int:
     return -(-needed // 64) * 64
 
 
+# The record of the constants: `superexp calibrate --precision-bits 432
+# --format json`, pasted.  The walks are the proof: a test requires each
+# tier's calibrate() to equal default_constants' rounding of these bit
+# for bit; after a change to the walks or the tiers, paste the new output.
+_CALIBRATED = {
+    "bits": 448,
+    "x1": "2.7982481542313876624525831854691003194359611731924637792813623233244688823153812749218633537416228402223810565354121499224869528304036254",
+    "x3": "-20.287404589940039836129092860863818343501951031701136418961466134872686716743358319741195345506862589366333654989877170064896980744602552",
+    "a1_norm": "3.0292972144180360989249938926218258421277945513125488639882556598222667563052795134571511294070957360697148835422690451670487929089896707",
+    "a3_norm": "-20.056355529753391399656682153711092820810117653581051334254572798374888842753460081205907569841389693518999827983020274820335140666016496",
+    "period_t1_imag": "17.079468445347134130927101739093148990069777071530229923759202260358457222314661615145127739420947887827549885023354935292642375181392069",
+}
+
+
 def default_constants(bits: int = 53) -> CalibrationConstants:
     """Calibration constants adequate for evaluating at `bits`.
 
-    Calibrated once per `calibration_tier` and memoized for the process.
+    _CALIBRATED rounded to `calibration_tier(bits)`, equal to that
+    tier's calibrate(); at 53 bits their doubles, with no mpmath loaded
+    (see CalibrationConstants).  Nothing calibrates.  Memoized.
     """
-    needed = calibration_tier(bits)
-    if needed not in _DEFAULT_CONSTANTS:
-        with _calibrating:  # racing first calls calibrate once
-            if needed not in _DEFAULT_CONSTANTS:
-                cctx = EvalContext(precision=PrecisionConfig(mantissa_bits=needed))
-                _DEFAULT_CONSTANTS[needed] = calibrate(cctx)
-    return _DEFAULT_CONSTANTS[needed]
+    return _rounded(calibration_tier(bits), bits == 53)
+
+
+@lru_cache(maxsize=None)
+def _rounded(tier: int, doubles: bool) -> CalibrationConstants:
+    _check_width(tier)
+    if doubles:
+        _, x1, x3, a1, a3, period = map(float, _CALIBRATED.values())
+        return CalibrationConstants(x1, x3, a1, a3, complex(0.0, period), tier)
+    return CalibrationConstants.from_decimal_dict(dict(_CALIBRATED, bits=tier))

@@ -18,6 +18,8 @@ import dataclasses
 import enum
 import json
 import math
+import numbers
+import sys
 from typing import Optional, Union
 
 from .errors import BranchCutError, DomainError, OrbitOverflowError, SuperexpError
@@ -130,9 +132,9 @@ def exp_iterate(
     Raises
     ------
     DomainError
-        Before anything is evaluated or calibrated, when z or c is not
-        finite (the argument rule of `precision.require_finite`) or, at
-        53 bits, past the double range.
+        Before anything is evaluated, when z or c is not a finite number
+        (the argument rule of `precision.require_finite`) or, at 53
+        bits, past the double range.
     BranchCutError
         When the shifted argument c + A(z) lands on the cut of F1; the
         composition stops being the analytic iterate past that line.
@@ -150,7 +152,7 @@ def exp_iterate(
     zw, flip, strict = _gate(kernel, req.z, req.cut_side)
     c = kernel.at_width(req.c)
     zr, e = +kernel.at_width(zw), +kernel.at_width(kernel.e())
-    anchors = kernel.anchors(constants)  # calibrates, or refuses the width
+    anchors = kernel.anchors(constants)  # or refuses the width
     if zr == e:
         # every regular iterate fixes e exactly; the F(c + A(z))
         # composition has a removable singularity there
@@ -260,15 +262,17 @@ def agreement(
     Raises
     ------
     ValueError
-        For an unknown kind or cut_side, or a clip that is not positive
-        and finite, before anything is evaluated.
+        For an unknown kind or cut_side, or a clip that is not a real
+        number, positive and finite, before anything is evaluated.
     DomainError
         For a width past the calibrated range, as from the evaluators.
     """
     if kind not in AGREEMENT_KINDS:
         raise ValueError(f"unknown agreement kind {kind!r}")
-    if not 0 < clip < math.inf:
+    # float first: it skips the slower ABC test on the usual clip
+    if not (isinstance(clip, (float, numbers.Real)) and 0 < clip <= sys.float_info.max):
         raise ValueError(f"clip must be positive and finite, not {clip!r}")
+    clip = float(clip)  # an int, a bool or an mpf clip: the score is a float
     _require_side(cut_side)
     ctx = ctx if ctx is not None else _DEFAULT_CTX
     bits = ctx.precision.mantissa_bits
@@ -411,10 +415,10 @@ def map_grid(
             raise ValueError("fn='expc' requires the iteration count c")
         if branch is not None:
             branch = _as_branch(IterateBranch, branch)
-        # cast once, before calibrating: a count no cell could take is
+        # cast once, before any constants: a count no cell could take is
         # refused for the whole grid
         c = _kernel_of(ctx).at_width(require_finite(c))
-    _kernel_of(ctx).anchors(constants)  # calibrates, or refuses the width
+    _kernel_of(ctx).anchors(constants)  # refuses a width past the tiers
     xs, ys = grid.xs(), grid.ys()
     if fn == "expc":
 

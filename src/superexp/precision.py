@@ -1,6 +1,6 @@
 """The width of an evaluation, the private mpmath contexts that carry it,
-and the two argument rules of every public entry point: a value is
-finite (`require_finite`), a count is an integer (`require_count`).
+and the two argument rules of every public entry point: a value is a
+finite number (`require_finite`), a count is an integer (`require_count`).
 
 Evaluators, limit formulas and the CLI all take a `PrecisionConfig`.
 Every computation above 53 bits runs in a private mpmath context from
@@ -15,6 +15,7 @@ so a 53-bit process can build a `PrecisionConfig` without loading it.
 from __future__ import annotations
 
 import cmath
+import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -97,14 +98,18 @@ def mp_convert(ctx, x):
 
 
 def require_finite(z):
-    """z itself if finite, else DomainError: the one finiteness test of
-    the evaluators' casts, exp_iterate and the limit formulas (_as_mp).  A
-    Python number is tested without mpmath, an int as finite at any size."""
+    """z itself if a finite number, else DomainError: the one argument
+    test of the evaluators' casts, exp_iterate and the limit formulas
+    (_as_mp).  A non-Number (None, a str) is refused before mpmath loads;
+    mpmath and NumPy register their scalars as Numbers.  A Python number
+    is tested without mpmath, an int as finite at any size."""
     if isinstance(z, (int, float, complex)):
         finite = isinstance(z, int) or cmath.isfinite(z)
-    else:
+    elif isinstance(z, numbers.Number):
         import mpmath
         finite = mpmath.isfinite(z)
+    else:
+        raise DomainError(f"argument must be a number, got {z!r}")
     if not finite:
         raise DomainError(f"argument must be finite, got {z!r}")
     return z

@@ -24,14 +24,12 @@ from fractions import Fraction
 from mpmath.libmp import from_man_exp
 
 from . import fixed
-from .errors import DomainError
 from .evaluators import (
-    _MAX_BITS,
-    _MAX_EVAL_BITS,
     BranchSign,
     EvalContext,
     Scalar,
     _abel_tier,
+    _check_width,
     _escape,
     _log_of_zero,
     _missed_disk,
@@ -63,14 +61,7 @@ class _MPKernel(_Tables):
 
     def __init__(self, ctx: EvalContext):
         self.bits = ctx.precision.mantissa_bits
-        # an evaluation from _MAX_EVAL_BITS + 1 up fails here too, at once,
-        # when its calibration tier builds a kernel
-        if self.bits > _MAX_BITS:
-            raise DomainError(
-                f"{self.bits} bits is out of range for the mpmath kernel (up"
-                f" to {_MAX_BITS} bits); evaluations, calibrated at least 16"
-                f" bits wider, work up to {_MAX_EVAL_BITS} bits"
-            )
+        _check_width(self.bits)
         self._workbits = self.bits + 32
         self.mp = new_mp_context(self._workbits)
         self.scale = self._workbits + _SCALE_GUARD

@@ -27,6 +27,7 @@ from superexp.evaluators import (
     F1,
     F3,
     EvalContext,
+    calibrate,
     default_constants,
 )
 from superexp.iteration import GridSpec, IterateRequest, agreement, exp_iterate, map_grid
@@ -41,7 +42,7 @@ from superexp.series import (
 from helpers import superexp_tilde_by_polynomials
 
 E = math.e
-CC = default_constants(53)
+CC = calibrate()  # tier 192, as mpmath values
 
 
 def _verdict(name: str, ok: bool, detail: str) -> bool:

@@ -1,7 +1,8 @@
 """End-to-end checks of the command-line interface.
 
 Every test drives ``python -m superexp`` in a subprocess with the
-calibration cache redirected to a temporary directory, so the assertions
+directory ``superexp calibrate`` writes to redirected to a temporary
+one (no command reads it), so the assertions
 cover argument parsing, exit codes, and byte-level output formatting as
 a user would see them.
 """
@@ -21,23 +22,20 @@ import pytest
 from superexp import cli
 from superexp.evaluators import (
     F1,
-    CalibrationConstants,
     EvalContext,
     _DoubleKernel,
+    calibrate,
     default_constants,
 )
+from superexp.precision import PrecisionConfig
 
 E = math.e
 
 
 @pytest.fixture(scope="session")
 def cache_dir(tmp_path_factory):
-    # pre-seed the calibration cache: the in-process constants are already
-    # memoized, and subprocesses should not each pay the 192-bit solve
-    path = tmp_path_factory.mktemp("superexp-cache")
-    payload = default_constants(53).as_decimal_dict()
-    (path / "constants-192.json").write_text(json.dumps(payload))
-    return path
+    # where `superexp calibrate` writes its tier's file
+    return tmp_path_factory.mktemp("superexp-cache")
 
 
 def run_cli(args, cache):
@@ -311,19 +309,34 @@ class TestCalibrate:
         assert proc.returncode == 0
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
-    def test_calibrate_refreshes_a_damaged_cache(self, tmp_path):
-        # calibrate computes and never reads the file: a wrong x1 is
-        # replaced, and the next evaluation reads the computed one
-        good = default_constants(53).as_decimal_dict()
+    def test_calibrate_refreshes_a_damaged_cache(self, tmp_path, monkeypatch, capsys):
+        # no command reads the file: garbage, a nan or a wrong x1 in it
+        # changes no output, and calibrate replaces it with what it computes
+        monkeypatch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path))
+        commands = [
+            ["eval", "F1", "0", "0"],
+            ["eval", "A3", "3", "0.5", "--precision-bits", "128"],
+            ["map", "A1", "--x=-2:2", "--y=-1:1", "--nx", "3", "--ny", "2"],
+            ["check", "d3fa", "--x=-2:2", "--y=-1:1", "--nx", "3", "--ny", "2"],
+        ]
+        want = []
+        for argv in commands:
+            assert cli.main(argv) == 0
+            want.append(capsys.readouterr().out)
+        assert want[0] == "0.9999999999999923 0.0\n"
+        assert list(tmp_path.iterdir()) == []
+        good = calibrate().as_decimal_dict()
         target = tmp_path / "constants-192.json"
-        target.write_text(json.dumps(dict(good, x1="1.5")))
-        proc = run_cli(["calibrate", "--format", "json"], tmp_path)
-        assert proc.returncode == 0
-        x1 = "2.79824815423138766245258318546910031943596117319246377928133"
-        assert json.loads(proc.stdout)["x1"] == x1
-        assert json.loads(target.read_text()) == good
-        proc = run_cli(["eval", "F1", "0", "0"], tmp_path)
-        assert proc.stdout == "0.9999999999999923 0.0\n"
+        for damage in ["not json at all", json.dumps(dict(good, x1="nan")),
+                       json.dumps(dict(good, x1="1.5"))]:
+            target.write_text(damage)
+            for argv, out in zip(commands, want):
+                assert cli.main(argv) == 0
+                assert capsys.readouterr().out == out, (damage, argv)
+            assert target.read_text() == damage
+            assert cli.main(["calibrate", "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out) == good
+            assert json.loads(target.read_text()) == good
 
     @pytest.mark.parametrize("bits", [53, 128])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -336,68 +349,72 @@ class TestCalibrate:
         self, tmp_path, monkeypatch, capsys, field, fn, bad, bits
     ):
         # a value that parses but is not finite once poisoned every
-        # evaluation ("argument must be finite, got nan" for A1(0.5)) and
-        # was never rewritten
+        # evaluation that read it; now none reads it, and calibrate
+        # rewrites it with the computed value
         monkeypatch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path))
         argv = ["eval", fn, "3", "0.5", "--precision-bits", str(bits)]
-        good = default_constants(bits).as_decimal_dict()
-        target = tmp_path / "constants-192.json"
-        target.write_text(json.dumps(good))
         assert cli.main(argv) == 0
         want = capsys.readouterr().out
+        good = calibrate().as_decimal_dict()
+        target = tmp_path / "constants-192.json"
         target.write_text(json.dumps(dict(good, **{field: bad})))
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == want
+        assert cli.main(["calibrate", "--precision-bits", str(bits)]) == 0
         assert json.loads(target.read_text()) == good
 
     @pytest.mark.parametrize("text", ["[1]", "null", '{"bits": 192}'])
     def test_json_that_is_not_the_payload_is_recomputed(self, tmp_path, monkeypatch, text):
-        # a list or null once raised AttributeError from the reader
+        # a list or null once raised AttributeError from the cache reader;
+        # the constants are the literals, and calibrate replaces the file
         monkeypatch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path))
         target = tmp_path / "constants-192.json"
         target.write_text(text)
         assert cli._constants(53) is default_constants(53)
-        assert json.loads(target.read_text()) == default_constants(53).as_decimal_dict()
+        assert target.read_text() == text
+        assert cli.main(["calibrate", "--format", "csv"]) == 0
+        assert json.loads(target.read_text()) == calibrate().as_decimal_dict()
 
     @pytest.mark.parametrize("xdg", ["xdg", "", None], ids=["xdg", "empty", "unset"])
-    def test_default_cache_dir(self, tmp_path, monkeypatch, xdg):
-        # without SUPEREXP_CACHE_DIR the cache is $XDG_CACHE_HOME/superexp,
-        # or ~/.cache/superexp when that is unset or empty
+    def test_default_cache_dir(self, tmp_path, monkeypatch, capsys, xdg):
+        # without SUPEREXP_CACHE_DIR calibrate writes to
+        # $XDG_CACHE_HOME/superexp, or ~/.cache/superexp when that is unset
+        # or empty
         monkeypatch.delenv("SUPEREXP_CACHE_DIR", raising=False)
         monkeypatch.setenv("HOME", str(tmp_path / "home"))
         if xdg is None:
             monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
         else:
             monkeypatch.setenv("XDG_CACHE_HOME", xdg and str(tmp_path / xdg))
-        cli._constants(53)
+        assert cli.main(["calibrate"]) == 0
         base = tmp_path / "xdg" if xdg else tmp_path / "home" / ".cache"
         assert [p.name for p in (base / "superexp").iterdir()] == ["constants-192.json"]
 
     def test_corrupt_cache_is_recomputed_and_rewritten(self, tmp_path):
-        # slow path: the bad file must not poison the run, and a fresh
-        # cache should replace it afterwards
+        # the bad file poisons no run, and calibrate replaces it
         target = tmp_path / "constants-192.json"
         target.write_text("not json at all")
         proc = run_cli(["eval", "A3", "3", "0"], tmp_path)
         assert proc.returncode == 0
         assert abs(float(proc.stdout.split()[0])) < 1e-12
+        assert target.read_text() == "not json at all"
+        assert run_cli(["calibrate"], tmp_path).returncode == 0
         assert json.loads(target.read_text())["bits"] == 192
 
-    def test_cache_write_leaves_only_the_file(self, tmp_path, monkeypatch):
+    def test_cache_write_leaves_only_the_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path))
-        constants = cli._constants(53)
-        assert [p.name for p in tmp_path.iterdir()] == ["constants-192.json"]
-        payload = json.loads((tmp_path / "constants-192.json").read_text())
-        assert payload == constants.as_decimal_dict()
+        assert cli.main(["calibrate", "--precision-bits", "256", "--format", "json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert [p.name for p in tmp_path.iterdir()] == ["constants-320.json"]
+        assert json.loads((tmp_path / "constants-320.json").read_text()) == printed
 
     @pytest.mark.parametrize("tier", [192, 256, 320, 384, 448])
     def test_cached_doubles_are_the_kernel_cast(self, tier):
-        # a 53-bit command reads the anchors as float() of the cached
-        # decimals: the doubles the kernel casts from the parsed mpfs
-        payload = json.loads(json.dumps(default_constants(tier - 16).as_decimal_dict()))
-        assert payload["bits"] == tier
-        exact = CalibrationConstants.from_decimal_dict(payload)
-        doubles = cli._doubles(payload)
+        # a 53-bit command's anchors are the doubles of default_constants(53):
+        # the ones the kernel casts every tier's calibration to
+        doubles = cli._constants(53)
+        exact = calibrate(EvalContext(precision=PrecisionConfig(mantissa_bits=tier)))
+        assert exact.bits == tier
         kernel = _DoubleKernel(EvalContext())
         got = (*kernel.anchors(doubles), doubles.period_t1)
         want = (*kernel.anchors(exact), complex(exact.period_t1))
@@ -405,17 +422,17 @@ class TestCalibrate:
             (z.real.hex(), z.imag.hex()) for z in want
         ]
 
-    def test_failed_cache_write_leaves_nothing(self, tmp_path, monkeypatch):
-        # a write that dies half way must not leave a truncated cache
-        # file for the next process, nor its temporary file
+    def test_failed_cache_write_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        # a write that dies half way must not leave a truncated file,
+        # nor its temporary file; calibrate still prints what it computed
         def dump_then_fail(obj, fh):
             fh.write('{"bits": 19')
             raise OSError(28, "No space left on device")
 
         monkeypatch.setenv("SUPEREXP_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cli.json, "dump", dump_then_fail)
-        constants = cli._constants(53)
-        assert constants is default_constants(53)
+        assert cli.main(["calibrate", "--format", "csv"]) == 0
+        assert "x1,2.79824815423" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
 
 
@@ -960,7 +977,7 @@ _LIMITS = {"mpmath", "superexp.limits"}
 
 
 class TestImportFootprint:
-    """A 53-bit command with a cached tier loads no multiprecision code,
+    """A 53-bit command or library call loads no multiprecision code,
     and only table loads the limit formulas."""
 
     @staticmethod
@@ -987,19 +1004,25 @@ class TestImportFootprint:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_53_bit_commands_load_none(self, tmp_path, cache_dir, argv):
-        assert self.loaded(tmp_path, cache_dir, "cli", *argv) == set()
+    def test_53_bit_commands_load_none(self, tmp_path, argv):
+        # in an empty directory, which they leave empty
+        cache = tmp_path / "empty-cache"
+        cache.mkdir()
+        assert self.loaded(tmp_path, cache, "cli", *argv) == set()
+        assert list(cache.iterdir()) == []
 
     def test_53_bit_library_calls_load_none(self, tmp_path, cache_dir):
-        # with the constants in hand; F1(0) takes an int argument
+        # the default constants are doubles of the literals: nothing
+        # calibrates.  F1(0) takes an int argument, F1("1") is refused
         code = (
-            "import json, os, superexp\n"
-            "from superexp.cli import _doubles\n"
-            "path = os.path.join(os.environ['SUPEREXP_CACHE_DIR'], 'constants-192.json')\n"
-            "with open(path) as fh:\n"
-            "    constants = _doubles(json.load(fh))\n"
-            "superexp.F1(0.5, None, constants)\n"
-            "superexp.F1(0, None, constants)\n"
+            "import superexp\n"
+            "superexp.F1(0.5)\n"
+            "superexp.F1(0)\n"
+            "superexp.A3(0.5, None, superexp.default_constants(53))\n"
+            "try:\n"
+            "    superexp.F1('1')\n"
+            "except superexp.DomainError:\n"
+            "    pass\n"
         )
         assert self.loaded(tmp_path, cache_dir, "lib", code) == set()
 
@@ -1011,8 +1034,8 @@ class TestImportFootprint:
             ("cli", ["calibrate"], True, _WIDE),
             ("cli", ["calibrate"], False, _WIDE),
             ("cli", ["table", "levy", "--n", "10:11"], False, _LIMITS),
-            # the library has no cache: its first evaluation calibrates
-            ("lib", ["import superexp; superexp.F1(0.5)"], False, _WIDE),
+            # the library calibrates only when asked
+            ("lib", ["import superexp; superexp.calibrate()"], False, _WIDE),
         ],
         ids=["eval128", "calibrate-miss", "calibrate-hit", "table", "library-calibrates"],
     )

@@ -5,8 +5,9 @@ raises a SuperexpError subclass for any argument: Python complex, mpmath
 and int values, NaN, the infinities, magnitudes past the double range
 and points within 2^-1000 of e included.  A non-finite argument,
 exp_iterate's count and a map's count among them, raises a DomainError
-that says so, and so does A1 for an argument whose first step's phase
-its width cannot resolve.  An agreement score is a float in
+that says so, as does a value that is not a number (None, a str), and
+so does A1 for an argument whose first step's phase its width cannot
+resolve.  An agreement score is a float in
 [-clip, clip] or NaN.  The limit formulas keep the same
 contract at 64 bits over orbits of up to 5 steps, and refuse a float
 orbit length.  Every count a public entry point takes (a width, a cap,
@@ -21,6 +22,7 @@ import cmath
 import contextlib
 import io
 import math
+import re
 import warnings
 
 import mpmath
@@ -238,6 +240,34 @@ def test_limit_formulas_return_finite_or_raise(z, u, n):
                 refused, counted, (method, z, u, n),
             )
             assert all(r.error or _finite(r.value) for r in rows or ()), (method, z, u, n, rows)
+
+
+# values that are not numbers: "1" once evaluated as 1 at 53 bits, and
+# the others raised a raw TypeError from mpmath
+NOT_NUMBERS = [None, "1", b"1", [1]]
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("bits", [53, 128])
+def test_a_value_that_is_not_a_number_is_refused(bits, bad):
+    ctx = CONTEXTS[bits]
+    calls = [lambda call=call: call(bad, 0.5, ctx) for call, _ in CALLS.values()]
+    calls.append(lambda: exp_iterate(IterateRequest(bad, 1.0), ctx))
+    calls += [lambda call=call: call(bad, bad, 3) for call, _ in LIMIT_CALLS.values()]
+    calls += [
+        lambda method=method, arity=arity: limits.convergence_table(
+            method, (bad, bad)[:arity], [1, 2], CFG64
+        )
+        for method, arity in TABLES.items()
+    ]
+    message = f"^argument must be a number, got {re.escape(repr(bad))}$"
+    for call in calls:
+        with pytest.raises(DomainError, match=message):
+            call()
+    if bad is None:  # map_grid reads a None count as a missing one
+        message = "requires the iteration count"
+    with pytest.raises((DomainError, ValueError), match=message):
+        map_grid("expc", GRID, ctx, c=bad)
 
 
 CFG_COUNT = PrecisionConfig(mantissa_bits=64)

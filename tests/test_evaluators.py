@@ -69,7 +69,7 @@ A3_NORM_REF = big("-20.05635552975339139965668")
 # test_limits against the ratio and orbit-shift formulas
 SLOG_MINUS_1 = big("-1.422353667733386203392616")
 
-CC = default_constants()
+CC = calibrate()  # tier 192, as mpmath values
 CTX256 = EvalContext(precision=PrecisionConfig(mantissa_bits=256))
 
 
@@ -137,10 +137,38 @@ class TestCalibrate:
         assert mp_close(cc.x1, CC.x1, mpmath.mpf(2) ** -180)
 
     def test_decimal_round_trip(self):
-        back = CalibrationConstants.from_decimal_dict(CC.as_decimal_dict())
-        assert back.bits == CC.bits
-        assert mp_close(back.x1, CC.x1, mpmath.mpf(2) ** (2 - CC.bits))
-        assert mp_close(back.a3_norm, CC.a3_norm, mpmath.mpf(2) ** (20 - CC.bits))
+        # the parsed decimals are rounded to bits: parsed 32 bits wider
+        # and kept, they once reached the kernel with bits the calibration
+        # did not have
+        for cc in (CC, calibrate(CTX256)):
+            back = CalibrationConstants.from_decimal_dict(cc.as_decimal_dict())
+            assert back.bits == cc.bits
+            for name in ("x1", "x3", "a1_norm", "a3_norm"):
+                assert getattr(back, name)._mpf_ == getattr(cc, name)._mpf_, name
+            assert back.period_t1._mpc_ == cc.period_t1._mpc_
+
+    @pytest.mark.parametrize("tier", [192, 256, 320, 384, 448])
+    def test_literals_are_each_tiers_calibration(self, tier):
+        # the literals are the record, the walks the proof: every tier's
+        # calibration is the widest one's decimals rounded to the tier
+        cc = calibrate(EvalContext(precision=PrecisionConfig(mantissa_bits=tier)))
+        literal = default_constants(tier - 16)
+        assert (cc.bits, literal.bits) == (tier, tier)
+        for name in ("x1", "x3", "a1_norm", "a3_norm"):
+            assert getattr(literal, name)._mpf_ == getattr(cc, name)._mpf_, name
+        assert literal.period_t1._mpc_ == cc.period_t1._mpc_
+
+    def test_default_doubles_are_tier_192s(self):
+        # default_constants(53) holds the doubles of the tier-192
+        # calibration, with no mpmath value in it
+        doubles = default_constants(53)
+        assert doubles.bits == 192
+        got = (doubles.x1, doubles.x3, doubles.a1_norm, doubles.a3_norm)
+        assert all(type(v) is float for v in got)
+        assert type(doubles.period_t1) is complex
+        want = (float(CC.x1), float(CC.x3), float(CC.a1_norm), float(CC.a3_norm))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert doubles.period_t1 == complex(CC.period_t1)
 
     def test_default_constants_memoized(self):
         assert default_constants() is default_constants(53)
@@ -1391,8 +1419,9 @@ class TestPerCallCaches:
 
 
 # a fresh process whose first 128-bit calls four threads make at once:
-# they race the import of superexp.wide, the calibration and the kernel
-# build; prints each thread's values as exact mpmath tuples
+# they race the import of superexp.wide, the rounding of the default
+# constants and the kernel build; prints each thread's values as exact
+# mpmath tuples
 _FIRST_WIDE_USE = """
 import json, sys, threading
 from superexp import A1, F1, EvalContext, PrecisionConfig
@@ -1419,7 +1448,7 @@ print(json.dumps(got))
 
 
 # the same first call from 4 threads at once, counting the calibrations
-# and the kernel builds
+# (none: the default constants are literals) and the kernel builds
 _FIRST_CALLS_ONCE = """
 import json, sys, threading
 import superexp.evaluators as ev
@@ -1476,7 +1505,7 @@ class TestFirstWideUse:
         got, calibrations, builds = self.child(_FIRST_CALLS_ONCE)
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
         assert got == [repr(F1(0.5, ctx)._mpf_)] * 4
-        assert (calibrations, builds) == (1, 1)
+        assert (calibrations, builds) == (0, 1)
 
 
 def _exact(c):

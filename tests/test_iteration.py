@@ -331,11 +331,23 @@ class TestAgreement:
         agreement("d1fa", 1.0 + 1.0j)
         assert ev._last_kernel is last
 
-    @pytest.mark.parametrize("clip", [0.0, -3.0, math.inf, math.nan])
+    @pytest.mark.parametrize("clip", [0.0, -3.0, math.inf, math.nan, "16", None])
     def test_rejects_bad_clip(self, clip):
-        # a NaN clip once made every score NaN, a negative one every score -clip
-        with pytest.raises(ValueError):
+        # a NaN clip once made every score NaN, a negative one every score
+        # -clip; a str one raised a raw TypeError
+        with pytest.raises(ValueError, match="^clip must be positive and finite"):
             agreement("d1fa", 1.0 + 1.0j, clip=clip)
+
+    @pytest.mark.parametrize(
+        "ctx, clip, want",
+        [(None, 10, 10.0), (None, True, 1.0), (CTX128, 16, 16.0), (CTX128, True, 1.0)],
+        ids=["53-int", "53-bool", "128-int", "128-bool"],
+    )
+    def test_an_int_or_bool_clip_scores_a_float(self, ctx, clip, want):
+        # a clipped score (15.0068 at 53 bits) and exact agreement (128
+        # bits) once returned the clip as passed: the int, or True
+        score = agreement("d1fa", 1.0 + 1.0j, ctx, clip=clip)
+        assert type(score) is float and score == want
 
     def test_mp_round_trip_clips(self):
         assert agreement("d1fa", 1.0 + 1.0j, CTX128) == 16.0

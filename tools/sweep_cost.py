@@ -5,8 +5,8 @@ A sweep memoizes each functional-equation walk by its exact base point
 cell of its row can read its value off that cell's walk; on a grid with
 no such columns every walking cell sums its own series.  For one
 function on one grid this script prints, as one JSON line: the CPU time
-per cell of the best of --repeat maps (after a warm-up map, which also
-calibrates), the peak RSS of those maps, the cells whose walk takes at
+per cell of the best of --repeat maps (after a warm-up map, which builds
+the kernel's tables), the peak RSS of those maps, the cells whose walk takes at
 least one step, and how many of those summed no series of their own
 ("hits": they read another cell's walk).  The counts come from one more
 map with the series summation and the walk driver wrapped.  That map
