@@ -5,7 +5,7 @@ failure, 3 output I/O failure.  Identical invocations produce
 byte-identical output: doubles print as shortest round-trip decimals,
 wider precisions with explicit digit counts.
 
-Every command but ``calibrate`` takes the library's default calibration
+Every command but ``calibrate`` evaluates with the library's calibration
 constants (``default_constants``: decimal literals rounded to the
 command's tier, their doubles at 53 bits), so nothing calibrates and a
 53-bit ``eval``, ``map`` or ``check`` loads no mpmath.  ``calibrate``
@@ -103,7 +103,8 @@ def _cache_dir() -> str:
 
 
 def _constants(bits: int) -> CalibrationConstants:
-    # the constants step of eval, map and check, one name to trace
+    # the first step of eval, map and check, one name to trace: it refuses
+    # a width past the calibrated range before any work
     return default_constants(bits)
 
 
@@ -254,15 +255,15 @@ def _cmd_eval(args) -> int:
     err = None
     value = None
     try:
-        constants = _constants(args.precision_bits)
+        _constants(args.precision_bits)
         if args.fn == "expc":
             if args.c is None:
                 return _fail("eval expc requires --c")
             request = IterateRequest(args.c, z, args.branch, args.cut_side or "above")
-            value = exp_iterate(request, args.ctx, constants)
+            value = exp_iterate(request, args.ctx)
         else:
             fn = {"F1": F1, "F3": F3, "A1": A1, "A3": A3}[args.fn]
-            value = fn(z, args.ctx, constants, cut_side=args.cut_side)
+            value = fn(z, args.ctx, cut_side=args.cut_side)
     except SuperexpError as exc:
         err = exc.code
         if args.format == "text":
@@ -336,10 +337,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_map(args) -> int:
     try:
-        constants = _constants(args.precision_bits)
-        result = map_grid(
-            args.fn, args.grid, args.ctx, constants, c=args.c, branch=args.branch
-        )
+        _constants(args.precision_bits)
+        result = map_grid(args.fn, args.grid, args.ctx, c=args.c, branch=args.branch)
     except ValueError as exc:
         return _fail(str(exc))
     except SuperexpError as exc:
@@ -354,7 +353,7 @@ def _cmd_map(args) -> int:
 def _cmd_check(args) -> int:
     grid = args.grid
     try:
-        constants = _constants(args.precision_bits)
+        _constants(args.precision_bits)
     except SuperexpError as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
     xs, ys = grid.xs(), grid.ys()
@@ -362,8 +361,7 @@ def _cmd_check(args) -> int:
     for y in ys:
         for x in xs:
             d = agreement(
-                args.kind, complex(x, y), args.ctx, constants,
-                clip=args.clip, cut_side=grid.cut_side,
+                args.kind, complex(x, y), args.ctx, clip=args.clip, cut_side=grid.cut_side
             )
             cells.append((x, y, d))
     finite = [d for _, _, d in cells if d == d]  # NaN-free subset

@@ -19,7 +19,7 @@ mpmath and derive their tuning from the bit count (one tier table,
 _ABEL_TIERS, sets both walks); their results leave as plain mpmath
 values.  The mpmath kernel lives in `superexp.wide`, which this module
 imports on the first wider kernel and the first calibrate(): a 53-bit
-evaluation, whose default constants are doubles, loads no mpmath.  The
+evaluation, whose calibration constants are doubles, loads no mpmath.  The
 private mpmath contexts come from `superexp.precision`, so no
 evaluation at any width loads the limit formulas.
 
@@ -41,7 +41,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Union
 
 from .errors import (
@@ -121,8 +121,11 @@ class EvalContext:
 
 @dataclass(frozen=True)
 class CalibrationConstants:
-    """Calibrated anchors shared by every evaluator at one precision.
+    """The normalizations F1(0) = 1, F3(0) = 3, A1(1) = 0, A3(3) = 0.
 
+    They are constants of the functions, not inputs: every evaluator
+    takes default_constants of its width, cast once per kernel
+    (_Tables.anchors), and calibrate() computes them from two walks.
     x1 and x3 are the real abscissas where the minus and plus asymptotic
     branches take the values 1 and 3; a1_norm and a3_norm are abel1(1)
     and abel2(3), subtracted by A1/A3; period_t1 is 2*pi*e*i, the period
@@ -167,33 +170,8 @@ class CalibrationConstants:
 
 # -- series coefficients, shared by both kernels ------------------------
 
-def _prefix_table(build):
-    """Memoize build(n) as prefixes of the longest table built so far.
-
-    Term n of either exact table does not depend on the table's length,
-    so a request no longer than the longest one built is a slice of it.
-    A build replaces the stored table only if it is longer, since a
-    thread may have stored a longer one meanwhile.
-    """
-    longest = ()
-    store = threading.Lock()
-
-    @wraps(build)
-    def table(n: int) -> tuple:
-        nonlocal longest
-        known = longest
-        if len(known) >= n:
-            return known[:n]
-        built = build(n)
-        with store:
-            if len(built) > len(longest):
-                longest = built
-        return built
-
-    return table
-
-
-@_prefix_table
+# one build per length: a process evaluates at few widths
+@lru_cache(maxsize=None)
 def _abel_tail_coeffs(n_terms: int) -> tuple:
     # tail of the Abel series in zeta = 1 - z/e: substituting x = -zeta
     # into the expansion around the fixed point flips the odd terms
@@ -215,9 +193,9 @@ class _Tables:
     fixed-point sums run on), the term count and `scale`, 0 for doubles.
     Not a cached_property: writing the instance __dict__ slows every
     attribute load on the hot path.  The calibrated anchors are cast
-    once per constants object (or None), which the cache holds, so its
-    identity cannot be reused by another object.  Both kernels' Newton
-    steps on F~ come from one planner (newton_steps).
+    once per kernel, on first use, so that a kernel past the calibrated
+    range still serves abel1, abel2 and F~.  Both kernels' Newton steps
+    on F~ come from one planner (newton_steps).
     """
 
     def __init__(self, ctx: EvalContext):
@@ -229,15 +207,13 @@ class _Tables:
         self.walk_cap = n + int(self.threshold - _walk_out(_DOUBLE_RADIUS))
         self.abel_cap = n + math.ceil(3 / self.abel_radius) - math.ceil(3 / _DOUBLE_RADIUS)
 
-    def anchors(self, constants: CalibrationConstants | None = None) -> tuple:
-        """(x1, x3, a1_norm, a3_norm) as this kernel's scalars; None stands
-        for default_constants(bits), resolved here and nowhere else."""
-        cached = self._anchors
-        if cached is None or cached[0] is not constants:
-            c = default_constants(self.bits) if constants is None else constants
-            anchors = (c.x1, c.x3, c.a1_norm, c.a3_norm)
-            cached = self._anchors = (constants, tuple(map(self.cast, anchors)))
-        return cached[1]
+    def anchors(self) -> tuple:
+        """(x1, x3, a1_norm, a3_norm) of default_constants(bits) as this
+        kernel's scalars; past the calibrated range, DomainError."""
+        if self._anchors is None:
+            c = default_constants(self.bits)
+            self._anchors = tuple(map(self.cast, (c.x1, c.x3, c.a1_norm, c.a3_norm)))
+        return self._anchors
 
     def tail_rev(self, plus_side: bool) -> tuple:
         if self._tails is None:
@@ -762,7 +738,7 @@ def abel1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
         the tail of the one sum inside the disk above the target
         accuracy (carries the tail).
     """
-    return _abel(z, False, ctx, None, cut_side)
+    return _abel(z, False, ctx, cut_side)
 
 
 def abel2(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -773,43 +749,33 @@ def abel2(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     same coefficients, with the opposite sign inside the logarithm.
     Satisfies abel2(e^(z/e)) = abel2(z) + 1 right of the cut (-inf, e].
     """
-    return _abel(z, True, ctx, None, cut_side)
+    return _abel(z, True, ctx, cut_side)
 
 
-def A1(
-    z: Scalar,
-    ctx: EvalContext | None = None,
-    constants: CalibrationConstants | None = None,
-    cut_side="above",
-):
+def A1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     """Normalized super-logarithm on the bounded petal: A1(1) = 0.
 
     A1 is abel1 minus the calibrated abel1(1); it inverts F1 and is
     periodic with period 2*pi*e*i.
     """
-    return _abel(z, False, ctx, constants, cut_side, normed=True)
+    return _abel(z, False, ctx, cut_side, normed=True)
 
 
-def A3(
-    z: Scalar,
-    ctx: EvalContext | None = None,
-    constants: CalibrationConstants | None = None,
-    cut_side="above",
-):
+def A3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     """Normalized super-logarithm on the unbounded petal: A3(3) = 0.
 
     A3 is abel2 minus the calibrated abel2(3); it inverts F3 right of
     the cut (-inf, e].
     """
-    return _abel(z, True, ctx, constants, cut_side, normed=True)
+    return _abel(z, True, ctx, cut_side, normed=True)
 
 
-def _abel(z, plus_side: bool, ctx, constants, cut_side, normed=False):
+def _abel(z, plus_side: bool, ctx, cut_side, normed=False):
     # abel1 (plus_side False) or abel2 at z; normed subtracts the
     # calibrated a1_norm or a3_norm, giving A1 or A3
     kernel = _kernel_of(ctx)
     w, flip, strict = _gate(kernel, z, cut_side)
-    norm = kernel.anchors(constants)[2 + plus_side] if normed else None
+    norm = kernel.anchors()[2 + plus_side] if normed else None
     return _public(_abel_walk(kernel, w, plus_side, norm), flip, strict)
 
 
@@ -842,12 +808,7 @@ def superexp_tilde(
     return _public(_ftilde_eval(kernel, w, branch), flip, strict)
 
 
-def F1(
-    z: Scalar,
-    ctx: EvalContext | None = None,
-    constants: CalibrationConstants | None = None,
-    cut_side="above",
-):
+def F1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     """Super-exponential fixed by F1(0) = 1, bounded as Re z -> +inf.
 
     Satisfies F1(z + 1) = e^(F1(z)/e) and approaches e for large |z|
@@ -860,25 +821,20 @@ def F1(
     finite, that loses accuracy like the logarithm of the distance:
     F1(-2.0000001) is about -42.43 + 8.54i from above.
     """
-    return _superexp(z, BranchSign.minus, ctx, constants, cut_side)
+    return _superexp(z, BranchSign.minus, ctx, cut_side)
 
 
-def F3(
-    z: Scalar,
-    ctx: EvalContext | None = None,
-    constants: CalibrationConstants | None = None,
-    cut_side="above",
-):
+def F3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     """Entire super-exponential fixed by F3(0) = 3.
 
     Satisfies F3(z + 1) = e^(F3(z)/e) and grows without bound along the
     positive real axis; overflow there raises OrbitOverflowError
     carrying the first overflowing step index.
     """
-    return _superexp(z, BranchSign.plus, ctx, constants, cut_side)
+    return _superexp(z, BranchSign.plus, ctx, cut_side)
 
 
-def _superexp(z, branch: BranchSign, ctx, constants, cut_side, chains=None):
+def _superexp(z, branch: BranchSign, ctx, cut_side, chains=None):
     # F1 (the minus branch) or F3 (plus) at z, walking through a sweep's
     # memo when one is given: the anchor x1 or x3 shifts the argument
     kernel = _kernel_of(ctx)
@@ -886,15 +842,15 @@ def _superexp(z, branch: BranchSign, ctx, constants, cut_side, chains=None):
     minus = branch is BranchSign.minus
     if minus:
         _refuse_pole(w)
-    shift = kernel.anchors(constants)[not minus]
+    shift = kernel.anchors()[not minus]
     return _public(_ftilde_eval(kernel, w + shift, branch, chains), flip, strict)
 
 
-def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants):
+def _sweep(fn: str, ctx: EvalContext):
     """F1 or F3 for the cells of one grid sweep, sharing walks by base.
 
-    Returns cell(z, cut_side), which gives what fn(z, ctx, constants,
-    cut_side) gives, bit for bit: cells a whole number of units apart
+    Returns cell(z, cut_side), which gives what fn(z, ctx, cut_side)
+    gives, bit for bit: cells a whole number of units apart
     walk from the same base point, and each base is summed and walked
     once (_walk_chain).  A base's imaginary part is Im z plus the
     anchor's, so no two rows share one, and the memo keeps the current
@@ -909,7 +865,7 @@ def _sweep(fn: str, ctx: EvalContext, constants: CalibrationConstants):
         if z.imag != row:
             chains.clear()
             row = z.imag
-        return _superexp(z, branch, ctx, constants, cut_side, chains)
+        return _superexp(z, branch, ctx, cut_side, chains)
 
     return cell
 

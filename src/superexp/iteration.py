@@ -29,7 +29,6 @@ from .evaluators import (
     F1,
     F3,
     _DEFAULT_CTX,
-    CalibrationConstants,
     EvalContext,
     Scalar,
     _abel_walk,
@@ -107,19 +106,15 @@ class IterateRequest:
         _require_side(self.cut_side)
 
 
-def exp_iterate(
-    req: IterateRequest,
-    ctx: Optional[EvalContext] = None,
-    constants: Optional[CalibrationConstants] = None,
-) -> Scalar:
+def exp_iterate(req: IterateRequest, ctx: Optional[EvalContext] = None) -> Scalar:
     """Evaluate the fractional iterate ``exp_b^[c](z)`` = F(c + A(z)).
 
     Parameters
     ----------
     req : IterateRequest
         Iteration count, point, branch and cut side.
-    ctx, constants : optional
-        Evaluation context and calibration set, as for the evaluators.
+    ctx : EvalContext, optional
+        Width and walk cap, as for the evaluators.
 
     Returns
     -------
@@ -134,7 +129,8 @@ def exp_iterate(
     DomainError
         Before anything is evaluated, when z or c is not a finite number
         (the argument rule of `precision.require_finite`) or, at 53
-        bits, past the double range.
+        bits, past the double range, and for a width past the
+        calibrated range, even at z = e.
     BranchCutError
         When the shifted argument c + A(z) lands on the cut of F1; the
         composition stops being the analytic iterate past that line.
@@ -152,7 +148,7 @@ def exp_iterate(
     zw, flip, strict = _gate(kernel, req.z, req.cut_side)
     c = kernel.at_width(req.c)
     zr, e = +kernel.at_width(zw), +kernel.at_width(kernel.e())
-    anchors = kernel.anchors(constants)  # or refuses the width
+    anchors = kernel.anchors()  # or refuses the width
     if zr == e:
         # every regular iterate fixes e exactly; the F(c + A(z))
         # composition has a removable singularity there
@@ -179,19 +175,15 @@ def exp_iterate(
     # real part of c + a
     w = +kernel.at_width(c + a)
     if upper:
-        return F3(w, ctx, constants, cut_side=req.cut_side)
+        return F3(w, ctx, cut_side=req.cut_side)
     if w.imag == 0 and w.real <= -2:
         raise BranchCutError(
             f"shifted argument c + A1(z) = {complex(w)} lies on the cut of F1"
         )
-    return F1(w, ctx, constants, cut_side=req.cut_side)
+    return F1(w, ctx, cut_side=req.cut_side)
 
 
-def dq13(
-    x: Scalar,
-    ctx: Optional[EvalContext] = None,
-    constants: Optional[CalibrationConstants] = None,
-) -> Scalar:
+def dq13(x: Scalar, ctx: Optional[EvalContext] = None) -> Scalar:
     """Difference of the two half-iterates at ``x + i0``.
 
     Both branches are evaluated from above the real axis.  Near the
@@ -211,8 +203,8 @@ def dq13(
     """
     ctx = ctx if ctx is not None else _DEFAULT_CTX
     deep = dataclasses.replace(ctx, max_recursion=max(ctx.max_recursion, 20000))
-    lower = exp_iterate(IterateRequest(0.5, x, IterateBranch.lower), deep, constants)
-    upper = exp_iterate(IterateRequest(0.5, x, IterateBranch.upper), deep, constants)
+    lower = exp_iterate(IterateRequest(0.5, x, IterateBranch.lower), deep)
+    upper = exp_iterate(IterateRequest(0.5, x, IterateBranch.upper), deep)
     kernel = _kernel_of(deep)  # the difference rounds once, at the width
     return plain(kernel.at_width(lower) - kernel.at_width(upper))
 
@@ -231,7 +223,6 @@ def agreement(
     kind: str,
     z: Scalar,
     ctx: Optional[EvalContext] = None,
-    constants: Optional[CalibrationConstants] = None,
     clip: float = 16.0,
     cut_side: str = "above",
 ) -> float:
@@ -250,6 +241,9 @@ def agreement(
     dq1       lower half-iterate applied twice       exp_b(z)
     dq3       upper half-iterate applied twice       exp_b(z)
     ========  =====================================  ============
+
+    Every evaluation runs at the width and walk cap of ctx, with the
+    calibration constants of that width, as the evaluators do.
 
     Returns
     -------
@@ -278,19 +272,19 @@ def agreement(
     bits = ctx.precision.mantissa_bits
     # a width past the calibrated range is refused, not scored
     kernel = _kernel_of(ctx)
-    kernel.anchors(constants)
+    kernel.anchors()
     try:
         if kind[1] != "q":
             # the round trip's (inner, outer) pair, read from this module's
             # names at each call, so that a wrapper set on them is seen
             f, a = (F1, A1) if kind[1] == "1" else (F3, A3)
             inner, outer = (f, a) if kind[2:] == "af" else (a, f)
-            x = outer(inner(z, ctx, constants, cut_side=cut_side), ctx, constants, cut_side=cut_side)
+            x = outer(inner(z, ctx, cut_side=cut_side), ctx, cut_side=cut_side)
             y = z
         else:
             branch = IterateBranch.lower if kind == "dq1" else IterateBranch.upper
-            once = exp_iterate(IterateRequest(0.5, z, branch, cut_side), ctx, constants)
-            x = exp_iterate(IterateRequest(0.5, once, branch, cut_side), ctx, constants)
+            once = exp_iterate(IterateRequest(0.5, z, branch, cut_side), ctx)
+            x = exp_iterate(IterateRequest(0.5, once, branch, cut_side), ctx)
             y = _exp_b(z, bits)
     except SuperexpError:
         return math.nan
@@ -379,7 +373,6 @@ def map_grid(
     fn: str,
     grid: GridSpec,
     ctx: Optional[EvalContext] = None,
-    constants: Optional[CalibrationConstants] = None,
     c: Optional[Scalar] = None,
     branch: Optional[Union[IterateBranch, str]] = None,
 ) -> GridResult:
@@ -392,8 +385,11 @@ def map_grid(
         iterate and requires c; branch picks the composition, defaulting
         per point to lower left of Re = e and upper right of it.
     grid : GridSpec
+    ctx : EvalContext, optional
+        Width and walk cap of every cell, as for the evaluators.
     c, branch : optional
-        Only meaningful for fn = "expc".
+        For fn = "expc" only: any other fn refuses either with a
+        ValueError naming it, before any cell.
 
     Returns
     -------
@@ -415,23 +411,26 @@ def map_grid(
             raise ValueError("fn='expc' requires the iteration count c")
         if branch is not None:
             branch = _as_branch(IterateBranch, branch)
-        # cast once, before any constants: a count no cell could take is
-        # refused for the whole grid
+        # cast once, before the width check: a count no cell could take
+        # is refused for the whole grid
         c = _kernel_of(ctx).at_width(require_finite(c))
-    _kernel_of(ctx).anchors(constants)  # refuses a width past the tiers
+    elif c is not None or branch is not None:
+        name = "c" if c is not None else "branch"
+        raise ValueError(f"{name} applies to fn='expc' only, not to {fn!r}")
+    _kernel_of(ctx).anchors()  # refuses a width past the tiers
     xs, ys = grid.xs(), grid.ys()
     if fn == "expc":
 
         def evaluate(z, cut_side):
-            return exp_iterate(IterateRequest(c, z, branch, cut_side), ctx, constants)
+            return exp_iterate(IterateRequest(c, z, branch, cut_side), ctx)
     elif fn in ("F1", "F3"):
         # cells a whole number of units apart share their functional-equation walk
-        evaluate = _sweep(fn, ctx, constants)
+        evaluate = _sweep(fn, ctx)
     else:
         f = A1 if fn == "A1" else A3
 
         def evaluate(z, cut_side):
-            return f(z, ctx, constants, cut_side)
+            return f(z, ctx, cut_side)
     side = grid.cut_side
     rows, errs = [], []
     for y in ys:

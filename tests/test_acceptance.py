@@ -351,9 +351,9 @@ def test_07_property_suites():
     def semigroup_gap(z):
         c1 = complex(rng.uniform(-1.2, 1.2), rng.uniform(-0.6, 0.6))
         c2 = complex(rng.uniform(-1.2, 1.2), rng.uniform(-0.6, 0.6))
-        once = exp_iterate(IterateRequest(c1, z, "lower"), constants=CC)
-        twice = exp_iterate(IterateRequest(c2, once, "lower"), constants=CC)
-        joint = exp_iterate(IterateRequest(c1 + c2, z, "lower"), constants=CC)
+        once = exp_iterate(IterateRequest(c1, z, "lower"))
+        twice = exp_iterate(IterateRequest(c2, once, "lower"))
+        joint = exp_iterate(IterateRequest(c1 + c2, z, "lower"))
         return abs(twice - joint)
 
     worst["semigroup"] = max(
@@ -389,7 +389,7 @@ def test_07_property_suites():
 def test_08_agreement_map_regions():
     grid = GridSpec(-2, 6, -6, 6, 101, 101)
     scores = [
-        agreement("d1fa", complex(x, y), constants=CC)
+        agreement("d1fa", complex(x, y))
         for y in grid.ys()
         for x in grid.xs()
     ]
@@ -408,7 +408,7 @@ def test_08_agreement_map_regions():
 def test_09_map_performance():
     grid = GridSpec(-8, 28, -14, 14, 361, 281)
     start = time.perf_counter()
-    result = map_grid("F1", grid, constants=CC)
+    result = map_grid("F1", grid)
     elapsed = time.perf_counter() - start
     # F1's poles, the integers -8 .. -2 on the real axis, are refused as
     # "domain"; every other cell must return a value

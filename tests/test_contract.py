@@ -20,6 +20,7 @@ Examples are drawn derandomized, so a run is repeatable.
 
 import cmath
 import contextlib
+import inspect
 import io
 import math
 import re
@@ -33,6 +34,7 @@ from hypothesis import strategies as st
 from superexp import (
     A1, A3, F1, F3, EvalContext, PrecisionConfig, abel1, abel2, superexp_tilde,
 )
+import superexp
 from superexp import cli, evaluators, limits, series
 from superexp.errors import DomainError, PrecisionLossWarning, SuperexpError
 from superexp.iteration import (
@@ -268,6 +270,55 @@ def test_a_value_that_is_not_a_number_is_refused(bits, bad):
         message = "requires the iteration count"
     with pytest.raises((DomainError, ValueError), match=message):
         map_grid("expc", GRID, ctx, c=bad)
+
+
+def test_no_public_callable_takes_constants():
+    # the calibration constants are the functions' own: every evaluator,
+    # composition and grid takes its width's default_constants
+    taking = []
+    for name in superexp.__all__:
+        obj = getattr(superexp, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # no signature to read
+            continue
+        if "constants" in params:
+            taking.append(name)
+    assert taking == []
+
+
+# a call written for the former `constants` parameter, after ctx: each
+# fails loudly with the error the argument it lands on raises
+OLD_CALLS = {
+    **{
+        fn.__name__: (lambda ctx, cc, fn=fn: fn(0.5, ctx, cc), ValueError, "^cut_side must be")
+        for fn in (F1, F3, A1, A3)
+    },
+    "agreement": (
+        lambda ctx, cc: agreement("d1fa", 0.5 + 0.5j, ctx, cc), ValueError, "^clip must be"
+    ),
+    "map_grid F1": (
+        lambda ctx, cc: map_grid("F1", GRID, ctx, cc), ValueError, "^c applies to fn='expc' only"
+    ),
+    "map_grid expc": (
+        lambda ctx, cc: map_grid("expc", GRID, ctx, cc), DomainError, "^argument must be a number"
+    ),
+    "exp_iterate": (
+        lambda ctx, cc: exp_iterate(IterateRequest(0.5, 1.0), ctx, cc), TypeError, "positional"
+    ),
+    "dq13": (lambda ctx, cc: dq13(2.5, ctx, cc), TypeError, "positional"),
+}
+
+
+@pytest.mark.parametrize("name", OLD_CALLS)
+@pytest.mark.parametrize("bits", [53, 128])
+def test_a_call_passing_constants_fails(bits, name):
+    ctx, cc = CONTEXTS[bits], evaluators.default_constants(bits)
+    call, error, message = OLD_CALLS[name]
+    with pytest.raises(error, match=message):
+        call(ctx, cc)
 
 
 CFG_COUNT = PrecisionConfig(mantissa_bits=64)

@@ -302,7 +302,7 @@ class TestCutsAndErrors:
         # distance would overflow a double) the kernel refuses the width
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=100_000_000))
         with pytest.raises(DomainError, match="out of range"):
-            F1(3, ctx, CC)
+            F1(3, ctx)
         with pytest.raises(DomainError, match="out of range"):
             calibrate(ctx)
 
@@ -322,7 +322,7 @@ class TestCutsAndErrors:
             with pytest.raises(DomainError, match=f"{bits} bits is out of range"):
                 calibrate(ctx)
             with pytest.raises(DomainError, match=f"{bits} bits is out of range"):
-                A1(-1, ctx, CC)
+                A1(-1, ctx)
 
     def test_tilde_singular_at_zero(self):
         with pytest.raises(DomainError):
@@ -1086,23 +1086,21 @@ class TestTermTiers:
 
         monkeypatch.setattr(ev, "_ftilde_eval", counted_walk)
         monkeypatch.setattr(_MPKernel, "ftilde_series", counted_series)
-        cc = default_constants(256)
         counts.update(evals=0, sums=0)
         for z in (0.5, -1.5 + 0.75j, 1 + 2j):
-            F1(z, CTX256, cc)
-            F3(z, CTX256, cc)
+            F1(z, CTX256)
+            F3(z, CTX256)
         assert counts == {"evals": 6, "sums": 6}
 
     def test_256_bit_values_against_384_bits(self):
-        # measured: F1 2^-277.5..-281.6, F3 2^-280.7..-282.7
-        ref = _reference_384()
+        # each width with its own tier's constants, 320 and 448.
+        # Measured: F1 2^-277.5..-281.6, F3 2^-280.7..-282.7
         ctx384 = EvalContext(precision=PrecisionConfig(mantissa_bits=384))
-        cc = default_constants(256)
         with mp.workprec(300):
             points = [mpmath.mpf("0.5"), mpmath.mpc("-1.5", "0.75"), mpmath.mpc(1, 2)]
         for fn in (F1, F3):
             for z in points:
-                gap = rel_bits(fn(z, CTX256, cc), fn(z, ctx384, ref))
+                gap = rel_bits(fn(z, CTX256), fn(z, ctx384))
                 assert gap < -256, (fn.__name__, z, gap)
 
     @pytest.mark.parametrize("bits", [200, 256, 320])
@@ -1171,7 +1169,7 @@ class TestTermTiers:
             monkeypatch.setattr(kernel, "_newton", starved)
             for fn in (F1, F3):
                 with pytest.raises(NonConvergenceError, match="Newton") as info:
-                    fn(0.5 + 0.5j, ctx, CC)
+                    fn(0.5 + 0.5j, ctx)
                 assert 0 < info.value.residual < 1
 
     @pytest.mark.parametrize("bits", [128, 256])
@@ -1179,12 +1177,11 @@ class TestTermTiers:
         # real values stay mpf on either side; on F1's cut the two sides
         # are conjugate mpc values
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
-        cc = default_constants(bits)
         for fn, z in ((F1, 0.5), (F1, 3.0), (F3, 0.5), (F3, -3.5)):
-            up, down = (fn(z, ctx, cc, cut_side=side) for side in ("above", "below"))
+            up, down = (fn(z, ctx, cut_side=side) for side in ("above", "below"))
             assert type(up) is type(down) is mpmath.mpf
             assert up == down
-        up, down = (F1(-2.5, ctx, cc, cut_side=side) for side in ("above", "below"))
+        up, down = (F1(-2.5, ctx, cut_side=side) for side in ("above", "below"))
         assert type(up) is type(down) is mpmath.mpc
         # by parts: mpmath's conj and negation round to the global precision
         assert up.real == down.real and up.imag + down.imag == 0 and up.imag > 0
@@ -1205,7 +1202,7 @@ class TestLazyTables:
                 return _build(*args)
 
             monkeypatch.setattr(ev, name, counted)
-        fresh = ev._prefix_table(ev._abel_tail_coeffs.__wrapped__)
+        fresh = lru_cache(maxsize=None)(ev._abel_tail_coeffs.__wrapped__)
         monkeypatch.setattr(ev, "_abel_tail_coeffs", fresh)
         monkeypatch.setattr(ev, "_kernel", lru_cache(maxsize=None)(ev._kernel.__wrapped__))
         return counts
@@ -1218,14 +1215,15 @@ class TestLazyTables:
         assert build(49)[:48] == build(48)
         assert build(65)[:16] == build(16)
 
-    def test_tables_are_built_once_longest_first(self, calls):
-        # a tier-192 calibration builds the 65-term Abel tail and no P_m;
-        # the 53-bit tail is then a prefix of it
+    def test_tables_are_built_once_per_length(self, calls):
+        # a tier-192 calibration builds the 65-term Abel tail and no P_m,
+        # the 53-bit kernel its 16-term tail: each once
         calibrate()
         assert calls == {"abel_expansion": 1, "superexp_polynomials": 0}
-        A1(-1, EvalContext(), CC)
-        F1(0.5, EvalContext(), CC)
-        assert calls == {"abel_expansion": 1, "superexp_polynomials": 0}
+        A1(-1, EvalContext())
+        F1(0.5, EvalContext())
+        calibrate()
+        assert calls == {"abel_expansion": 2, "superexp_polynomials": 0}
 
     @pytest.mark.parametrize("bits", [53, 128])
     def test_abel_walks_build_only_the_abel_tail(self, calls, bits):
@@ -1233,14 +1231,14 @@ class TestLazyTables:
         assert calls == {"abel_expansion": 0, "superexp_polynomials": 0}
         abel1(1, ctx)
         abel2(3, ctx)
-        A1(-1, ctx, CC)
-        A3(5 + 1j, ctx, CC)
+        A1(-1, ctx)
+        A3(5 + 1j, ctx)
         assert calls == {"abel_expansion": 1, "superexp_polynomials": 0}
 
     def test_53_bit_superexp_builds_no_polynomials(self, calls):
         # the double kernel finds F~ by Newton's method on the Abel tail
-        F1(0.5, EvalContext(), CC)
-        F3(0.5 + 1j, EvalContext(), CC)
+        F1(0.5, EvalContext())
+        F3(0.5 + 1j, EvalContext())
         superexp_tilde(-30, "plus")
         assert calls == {"abel_expansion": 1, "superexp_polynomials": 0}
 
@@ -1248,8 +1246,8 @@ class TestLazyTables:
     def test_wide_superexp_builds_only_the_abel_tail(self, calls, bits):
         # above 53 bits F~ inverts the Abel series: no P_m at all
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
-        F1(0.5, ctx, CC)
-        F3(0.5 + 1j, ctx, CC)
+        F1(0.5, ctx)
+        F3(0.5 + 1j, ctx)
         superexp_tilde(-30, "plus", ctx)
         assert calls == {"abel_expansion": 1, "superexp_polynomials": 0}
 
@@ -1303,88 +1301,52 @@ class TestLazyTables:
                 kept = slope[len(slope) - len(dtail):]
                 assert dtail == tuple(c >> (scale - s) for c in kept)
 
-    def test_a_short_build_finishing_last_keeps_the_longer_table(self):
-        # a 28-term build that ends after a 44-term one was stored must
-        # neither replace it nor be read back in its place
-        builds = []
-        short_started, long_stored = threading.Event(), threading.Event()
-
-        def build(n):
-            builds.append(n)
-            if n == 28:
-                short_started.set()
-                assert long_stored.wait(30)
-            return tuple(range(n))
-
-        table = ev._prefix_table(build)
-        got = {}
-        short = threading.Thread(target=lambda: got.update(short=table(28)))
-        short.start()
-        assert short_started.wait(30)
-        got["long"] = table(44)
-        long_stored.set()
-        short.join(30)
-        assert not short.is_alive()
-        assert got == {"short": tuple(range(28)), "long": tuple(range(44))}
-        assert table(40) == tuple(range(40))
-        assert builds == [28, 44]
-
 
 class TestPerCallCaches:
-    """Kernels found by context identity and anchors cast once per
-    constants object give what a cold evaluation gives."""
+    """Kernels found by context identity, with anchors cast once per
+    kernel, give what a cold evaluation gives."""
 
     FNS = (F1, F3, A1, A3)
     POINTS = (0.5 + 0.5j, 1 + 1j, 5 + 1j, -1.5 + 0.75j, 2.0)
     WIDE_POINTS = (0.5 + 0.5j, -1.5 + 0.75j, 2.0)
 
     @staticmethod
-    def _levy(z, ctx, c):
+    def _levy(z, ctx):
         # a ratio probe whose complex orbit steps on mpmath values
         return lm.levy_abel(z, -0.25, 60, PrecisionConfig(mantissa_bits=128))
 
     @pytest.fixture
     def cases(self, monkeypatch):
-        # (fn, z, ctx, constants) over two constants objects and three
-        # contexts: two equal but distinct, one with another walk cap;
-        # then the mpmath paths: each evaluator at 128 and 320 bits (walks
-        # both ways, both Abel tails) and a 128-bit ratio probe
-        perturbed = dict(CC.as_decimal_dict(), x1="2.79824815")
-        cc = (CC, CalibrationConstants.from_decimal_dict(perturbed))
+        # (fn, z, ctx) over three contexts: two equal but distinct, one
+        # with another walk cap; then the mpmath paths: each evaluator at
+        # 128 and 320 bits (walks both ways, both Abel tails) and a
+        # 128-bit ratio probe
         ctxs = (EvalContext(), EvalContext(), EvalContext(max_recursion=150))
-        cases = [
-            (fn, z, ctx, c)
-            for ctx in ctxs for c in cc for fn in self.FNS for z in self.POINTS
-        ]
+        cases = [(fn, z, ctx) for ctx in ctxs for fn in self.FNS for z in self.POINTS]
         for bits in (128, 320):
             ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
-            cases += [
-                (fn, z, ctx, default_constants(bits))
-                for fn in self.FNS for z in self.WIDE_POINTS
-            ]
-        cases += [(self._levy, z, None, None) for z in (-0.5 + 0.3j, -0.75 - 0.5j)]
+            cases += [(fn, z, ctx) for fn in self.FNS for z in self.WIDE_POINTS]
+        cases += [(self._levy, z, None) for z in (-0.5 + 0.3j, -0.75 - 0.5j)]
         cold = []
-        for fn, z, ctx, c in cases:
+        for fn, z, ctx in cases:
             # a new kernel cache: every evaluation builds its kernel and
             # casts its anchors afresh
             fresh = lru_cache(maxsize=32)(ev._kernel.__wrapped__)
             monkeypatch.setattr(ev, "_kernel", fresh)
             monkeypatch.setattr(ev, "_last_kernel", (None, None))
-            cold.append(self._value(fn, z, ctx, c))
-        # the perturbed x1 moves F1 and nothing else
-        assert cold[0] != cold[len(self.FNS) * len(self.POINTS)]
+            cold.append(self._value(fn, z, ctx))
         return cases, cold
 
     @staticmethod
-    def _value(fn, z, ctx, c):
+    def _value(fn, z, ctx):
         try:
-            return fn(z, ctx, c)
+            return fn(z, ctx)
         except SuperexpError as exc:
             return exc.code
 
     def test_alternating_calls_match_cold_values(self, cases):
         cases, cold = cases
-        # interleave so consecutive calls change context and constants
+        # interleave so consecutive calls change context
         order = sorted(range(len(cases)), key=lambda i: (i % 7, i))
         for _ in range(2):
             for i in order:
@@ -1621,16 +1583,15 @@ class TestGlobalPrecision:
     @staticmethod
     def _values():
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=128))
-        cc = default_constants(128)
         values = [
-            fn(z, ctx, cc, cut_side=side)
+            fn(z, ctx, cut_side=side)
             for fn in (F1, F3, A1, A3)
             for z in (0.5 + 0.5j, -1.5 + 0.75j, 2.0, -3.5)
             for side in ("above", "below")
         ]
-        values.append(exp_iterate(IterateRequest(0.5, 1.0, "lower"), ctx, cc))
-        values.append(exp_iterate(IterateRequest(0.5, 3.5, "upper"), ctx, cc))
-        values.append(dq13(2.5, ctx, cc))
+        values.append(exp_iterate(IterateRequest(0.5, 1.0, "lower"), ctx))
+        values.append(exp_iterate(IterateRequest(0.5, 3.5, "upper"), ctx))
+        values.append(dq13(2.5, ctx))
         values += lm.convergence_table(
             "levy", (-1, 1), [10, 100], PrecisionConfig(mantissa_bits=128)
         )

@@ -316,7 +316,9 @@ class TestAgreement:
         def evaluated(*args, **kwargs):
             raise AssertionError("evaluated before the side was checked")
 
-        monkeypatch.setattr("superexp.evaluators.default_constants", evaluated)
+        # the kernel's anchors, not default_constants: a warm kernel has
+        # cast them already and calls it no more
+        monkeypatch.setattr(ev._Tables, "anchors", evaluated)
         for name in ("F1", "A1", "F3", "A3", "exp_iterate"):
             monkeypatch.setattr(f"superexp.iteration.{name}", evaluated)
         message = f"^cut_side must be 'above' or 'below', got {side!r}$"
@@ -405,7 +407,7 @@ class TestNonFiniteIterate:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(ev, "default_constants", counted(ev.default_constants))
+        monkeypatch.setattr(ev._Tables, "anchors", counted(ev._Tables.anchors))
         monkeypatch.setattr(it, "A1", counted(it.A1))
         message = f"^argument must be finite, got {re.escape(repr(c))}$"
         with pytest.raises(DomainError, match=message):
@@ -569,6 +571,30 @@ class TestMapGrid:
         with pytest.raises(ValueError, match="grid function"):
             map_grid("G2", GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2))
 
+    @pytest.mark.parametrize("fn", ["F1", "F3", "A1", "A3"])
+    @pytest.mark.parametrize(
+        "given, name",
+        [
+            ({"c": 0.5}, "c"),
+            ({"branch": "upper"}, "branch"),
+            ({"c": "junk", "branch": "sideways"}, "c"),
+        ],
+        ids=["c", "branch", "both"],
+    )
+    def test_only_expc_takes_c_and_branch(self, monkeypatch, fn, given, name):
+        # both were ignored: map_grid("F1", g, c=0.5, branch="upper") was
+        # the F1 grid.  Refused by name, before any cell
+        import superexp.iteration as it
+
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a cell was evaluated")
+
+        for attr in ("A1", "A3", "_sweep"):
+            monkeypatch.setattr(it, attr, evaluated)
+        message = f"^{name} applies to fn='expc' only, not to {fn!r}$"
+        with pytest.raises(ValueError, match=message):
+            map_grid(fn, GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2), **given)
+
     @pytest.mark.parametrize(
         "c, ctx, message",
         [
@@ -582,10 +608,10 @@ class TestMapGrid:
     )
     def test_expc_refuses_a_bad_count_before_calibrating(self, monkeypatch, c, ctx, message):
         # it once calibrated and then returned a grid of "domain" cells
-        def no_calibration(bits):
-            raise AssertionError("calibrated for a count no cell can take")
+        def anchored(kernel):
+            raise AssertionError("took the anchors for a count no cell can take")
 
-        monkeypatch.setattr(ev, "default_constants", no_calibration)
+        monkeypatch.setattr(ev._Tables, "anchors", anchored)
         with pytest.raises(DomainError, match=message):
             map_grid("expc", GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2), ctx, c=c)
 
@@ -756,12 +782,11 @@ class TestCompositionBitIdentity:
 def _per_cell(fn, grid, ctx=None):
     # each cell evaluated on its own, as the public evaluator does it
     f = F1 if fn == "F1" else F3
-    constants = default_constants(53 if ctx is None else ctx.precision.mantissa_bits)
     cells = []
     for y in grid.ys():
         for x in grid.xs():
             try:
-                value = f(complex(x, y), ctx, constants, cut_side=grid.cut_side)
+                value = f(complex(x, y), ctx, cut_side=grid.cut_side)
                 cells.append((repr(complex(value)), None))
             except SuperexpError as exc:
                 cells.append((None, exc.code))
@@ -836,13 +861,13 @@ class TestSharedWalks:
                 return type(exc), exc.args, vars(exc)
             return None
 
-        f, constants = (F1 if fn == "F1" else F3), default_constants(53)
-        cell = ev._sweep(fn, EvalContext(), constants)
+        f = F1 if fn == "F1" else F3
+        cell = ev._sweep(fn, EvalContext())
         for y in grid.ys():
             for x in grid.xs():
                 z = complex(x, y)
                 swept = outcome(cell, z, grid.cut_side)
-                assert swept == outcome(f, z, None, constants, grid.cut_side), z
+                assert swept == outcome(f, z, None, grid.cut_side), z
 
     def test_overflow_grid_has_failing_cells(self):
         r = map_grid("F3", GridSpec(-30, 40, -5, 5, 141, 21))
