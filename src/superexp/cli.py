@@ -213,8 +213,11 @@ def _parse_n_list(text: str):
 
 
 def _parse_floats(text: str):
+    tokens = [tok for tok in text.split(",") if tok]
+    # a third token may name newton's map instead: h or f
+    name = tuple(tokens[2:]) if tokens[2:] in (["h"], ["f"]) else ()
     try:
-        return tuple(_float(tok) for tok in text.split(",") if tok)
+        return tuple(_float(tok) for tok in tokens[: len(tokens) - len(name)]) + name
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad list {text!r}")
 
@@ -445,7 +448,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=_parse_n_list, required=True,
                    help="inclusive orbit range first:last (empty for none)")
     p.add_argument("--args", type=_parse_floats, default=None,
-                   help="estimator arguments, comma separated "
+                   help="estimator arguments, comma separated; newton's "
+                        "third names its map, h or f "
                         "(defaults: levy -1,1; fatou -1)")
     p.set_defaults(func=_cmd_table)
 

@@ -51,7 +51,7 @@ from .errors import (
     OrbitOverflowError,
 )
 from .precision import PrecisionConfig, mp_context, plain, require_count, require_finite
-from .series import abel_expansion, exp_minus_one
+from .series import abel_expansion
 # no evaluator calls it; the traced benchmark runs wrap it by this name
 from .series import superexp_polynomials  # noqa: F401
 
@@ -175,7 +175,7 @@ class CalibrationConstants:
 def _abel_tail_coeffs(n_terms: int) -> tuple:
     # tail of the Abel series in zeta = 1 - z/e: substituting x = -zeta
     # into the expansion around the fixed point flips the odd terms
-    expansion = abel_expansion(exp_minus_one(n_terms + 3), n_terms)
+    expansion = abel_expansion(n_terms)
     assert expansion.pole_coefficient == -2
     assert expansion.log_coefficient == Fraction(1, 3)
     return tuple(

@@ -1,22 +1,22 @@
-"""Exact-rational formal power series at the parabolic fixed point.
+"""Exact-rational formal power series of h(x) = e^x - 1.
 
 Everything in this module is exact and no floating-point arithmetic
 occurs.  Public objects hold `fractions.Fraction` coefficients; the
 tables behind them are built as integer numerators over one common
 denominator, reduced once per finished polynomial rather than by a gcd
-per multiply-add, and turned into `Fraction`s only when handed out.  The
-central objects are the series h(x) = e^x - 1 (the base-change
-conjugate of the exponential to base e^(1/e)), its regular fractional
-iterates, the iterative logarithm solving the Julia equation, the Abel
-expansion obtained by integrating 1/j, and the log-polynomials P_m of
-the super-exponential asymptotic, read off the formal inverse of that
-Abel expansion shifted by ln(2)/3.
+per multiply-add, and turned into `Fraction`s only when handed out.
+Every series built here is one of h = e^x - 1, the conjugate of the
+exponential to base e^(1/e) at its parabolic fixed point (u = z/e - 1):
+its regular fractional iterates, the iterative logarithm solving its
+Julia equation, the Abel expansion obtained by integrating 1/j, and the
+log-polynomials P_m of the super-exponential asymptotic, read off the
+formal inverse of that Abel expansion shifted by ln(2)/3.
 
 The Abel tail that the wide kernels sum is the costly build: 96 terms
-need the powers (e^x - 1)^k through x^100.  Those come from the
-Stirling numbers of the second kind, (e^x - 1)^k = k! sum_P S(P, k)
-x^P / P!, as one triangle of integers over the denominator 100!, not
-from repeated series products.
+need the powers h^k through x^100.  Those come from the Stirling
+numbers of the second kind, h^k = k! sum_P S(P, k) x^P / P!, as one
+triangle of integers over the denominator 100!, not from repeated
+series products.
 """
 
 from __future__ import annotations
@@ -176,62 +176,37 @@ def exp_minus_one(N: int) -> PowerSeries:
     )
 
 
-def _nonlinear_order(base: PowerSeries) -> int:
-    """First index m >= 2 with a nonzero coefficient; validates the base."""
-    if base[0] != 0 or base[1] != 1:
-        raise ValueError(
-            "base series must fix 0 with multiplier 1 "
-            "(coefficients 0, 1, ...)"
-        )
-    for k in range(2, len(base)):
-        if base[k] != 0:
-            return k
-    raise ValueError("base series has no nonlinear term")
-
-
-def regular_iterate_series(base: PowerSeries, t, N: int) -> PowerSeries:
-    """Coefficients of the regular iterate base^[t] through x^N.
+def regular_iterate_series(t, N: int) -> PowerSeries:
+    """Coefficients of the regular iterate h^[t] of h = e^x - 1 through x^N.
 
     The iterate is the unique series phi with phi_1 = 1 and
-    phi_m = t * h_m that commutes with the base to the computed order.
+    phi_2 = t/2 that commutes with h to the computed order.
     Coefficients are produced one at a time: with phi known below index
-    n, the coefficient of x^(n+m-1) in phi(h(x)) - h(phi(x)) is linear
-    in the unknown phi_n with factor (n - m) * h_m, everything else
-    being known, so each step is a single exact division.
+    n, the coefficient of x^(n+1) in phi(h(x)) - h(phi(x)) is linear in
+    the unknown phi_n with factor (n - 2)/2, everything else being
+    known, so each step is a single exact division.
 
     Parameters
     ----------
-    base : PowerSeries
-        Multiplier-1 series, given through x^N at least (for a base
-        whose first nonlinear index m exceeds 2, through x^(N+m-2)).
     t : Fraction or int
         Iteration count; exact rationals keep the result exact.
     N : integer
-        Truncation order of the result; N >= m.
+        Truncation order of the result; N >= 2.
 
     Returns
     -------
     PowerSeries of length N + 1.
     """
     t = _as_fraction(t)
-    m = _nonlinear_order(base)
-    N = require_count(N, "N", m)
-    needed = N + m - 2
-    if base.truncation_order < needed:
-        raise ValueError(
-            f"base must be given through x^{needed} for N = {N}"
-        )
-    hm = base[m]
+    N = require_count(N, "N", 2)
+    h = exp_minus_one(N)
     a = [_ZERO] * (N + 1)
     a[1] = _ONE
-    a[m] = t * hm
-    for n in range(m + 1, N + 1):
-        P = n + m - 1
+    a[2] = t / 2
+    for n in range(3, N + 1):
         phi = PowerSeries(a)
-        lhs = phi.compose(base, P + 1)
-        rhs = base.compose(phi, P + 1)
-        residual = lhs[P] - rhs[P]
-        a[n] = -residual / ((n - m) * hm)
+        residual = phi.compose(h, n + 2)[n + 1] - h.compose(phi, n + 2)[n + 1]
+        a[n] = -2 * residual / (n - 2)
     return PowerSeries(a)
 
 
@@ -280,80 +255,45 @@ def _append(p: tuple, c: Fraction) -> tuple:
     return _rescaled(p, den) + [c.numerator * (den // c.denominator)], den
 
 
-def _exp_power_table(N: int, top: int) -> tuple:
-    """iterative_logarithm's tables for e^x - 1, over L = top!.
+def iterative_logarithm(N: int) -> PowerSeries:
+    """Series j solving the Julia equation j(h(x)) = h'(x) j(x), h = e^x - 1.
 
-    C(P, k) = P! [x^P] (e^x - 1)^k = k! S(P, k), S the Stirling numbers
-    of the second kind, obeys C(P, k) = k (C(P-1, k-1) + C(P-1, k)) from
-    C(0, 0) = 1; so L [x^P] h^k = C(P, k) top!/P! for k < N and P <= top,
-    and L [x^i] h' = top!/i!.
-    """
-    scale = [1] * (top + 1)  # top!/P!
-    for P in range(top, 0, -1):
-        scale[P - 1] = scale[P] * P
-    H = [[0] * (top + 1) for _ in range(N)]
-    row = [1]  # C(P, k) for k <= min(P, N - 1)
-    for P in range(1, top + 1):
-        row = [0] + [
-            k * (row[k - 1] + row[k]) if k < len(row) else k * row[k - 1]
-            for k in range(1, min(P, N - 1) + 1)
-        ]
-        for k in range(1, len(row)):
-            H[k][P] = row[k] * scale[P]
-    return scale[0], [(nums, 1) for nums in H], scale
+    Normalized by j_2 = h_2 = 1/2, which makes j the generator of the
+    regular iteration family: d/dt h^[t] at t = 0.
 
-
-def iterative_logarithm(base: PowerSeries, N: int) -> PowerSeries:
-    """Series j solving the Julia equation j(h(x)) = h'(x) j(x).
-
-    Normalized by j_m = h_m, which makes j the generator of the regular
-    iteration family: d/dt base^[t] at t = 0.
-
-    Each j_n is one exact division, read off the x^(n+m-1) residual of
-    the equation, which needs [x^P] base^k for k < N and P < N + m.  For
-    e^x - 1 (the residuals read the base through x^N only, so given that
-    far) that table comes from the Stirling triangle (_exp_power_table)
-    in O(N^2) integer additions; any other base has no such recurrence,
-    and its table is filled by N - 2 truncated products, O(N^3).  The
-    two give the same table, so the same coefficients.
+    Each j_n is one exact division, read off the x^(n+1) residual of
+    the equation, which needs [x^(n+1)] h^k for k < n.  Those come from
+    C(P, k) = P! [x^P] h^k = k! S(P, k), S the Stirling numbers of the
+    second kind, which obeys C(P, k) = k (C(P-1, k-1) + C(P-1, k)) from
+    C(0, 0) = 1: one row per order, O(N^2) integer additions in all.
 
     Parameters
     ----------
-    base : PowerSeries
-        Multiplier-1 series given through x^N at least.
     N : integer
-        Truncation order; N >= m.
+        Truncation order; N >= 2.
 
     Returns
     -------
-    PowerSeries of length N + 1 with zero coefficients below index m.
+    PowerSeries of length N + 1 with zero coefficients below index 2.
     """
-    m = _nonlinear_order(base)
-    N = require_count(N, "N", m)
-    if base.truncation_order < N:
-        raise ValueError(f"base must be given through x^{N}")
-    hm = base[m]
-    # Power table base^k, enough orders for every residual; H[k] pairs
-    # its numerators with the factor that puts them over L, as base' is.
-    top = N + m - 1
-    if base.coefficients[: N + 1] == exp_minus_one(N).coefficients:
-        L, H, dbase = _exp_power_table(N, top)
-    else:
-        b = _scaled(base.truncate(top + 1).coefficients)
-        powers = [([1], 1), b]
-        for _ in range(2, N):
-            powers.append(_reduced(*_mul(powers[-1], b, top + 1)))
-        L = lcm(*(d for _, d in powers))
-        H = [(nums, L // d) for nums, d in powers]
-        dbase = [i * a for i, a in enumerate(_rescaled(b, L))][1:]
-    j = ([0] * m + [hm.numerator], hm.denominator)
-    for n in range(m + 1, N + 1):
-        P = n + m - 1
-        # L * j[1] times the x^P residual of j(h(x)) - h'(x) j(x)
-        r = sum(
-            j[0][k] * (H[k][0][P] * H[k][1] - dbase[P - k]) for k in range(m, n)
-        )
-        j = _append(j, Fraction(-r, L * j[1] * (n - m)) / hm)
+    N = require_count(N, "N", 2)
+    # over L = (N + 1)!: scale[P] = L/P!, so L [x^P] h^k = C(P, k) scale[P]
+    # and L [x^i] h' = scale[i]
+    scale = [1] * (N + 2)
+    for P in range(N + 1, 0, -1):
+        scale[P - 1] = scale[P] * P
+    L = scale[0]
+    C = [1] + [0] * (N - 1)  # C(P, k) for k < N, from P = 0
+    j = ([0, 0, 1], 2)
+    for P in range(1, N + 2):
+        for k in range(min(P, N - 1), 0, -1):
+            C[k] = k * (C[k - 1] + C[k])
+        C[0] = 0
+        if P > 3:
+            # L * j[1] times the x^P residual of j(h(x)) - h'(x) j(x)
+            n = P - 1
+            r = sum(j[0][k] * (C[k] * scale[P] - scale[P - k]) for k in range(2, n))
+            j = _append(j, Fraction(-2 * r, L * j[1] * (n - 2)))
     return PowerSeries(_fractions(j))
 
 
@@ -368,9 +308,9 @@ class AbelExpansion:
     Fields
     ------
     pole_coefficient : Fraction
-        p, the coefficient of 1/x (equals -2 for e^x - 1).
+        p, the coefficient of 1/x: -2.
     log_coefficient : Fraction
-        L (equals 1/3 for e^x - 1).
+        L: 1/3.
     constant : Fraction
         Integration constant, fixed to 0 by convention.
     tail : PowerSeries
@@ -394,25 +334,15 @@ class AbelExpansion:
         return Fraction(k + 1) * self.tail[k + 1]
 
 
-def abel_expansion(base: PowerSeries, N: int) -> AbelExpansion:
-    """Termwise integral of 1/j for a base with nonlinear order 2.
+def abel_expansion(N: int) -> AbelExpansion:
+    """Termwise integral of 1/j, j the iterative logarithm of e^x - 1.
 
     1/j is a Laurent series starting at x^-2; integrating turns the
     x^-1 coefficient into the log coefficient and yields the divergent
-    tail v through x^N.
-
-    The base must be given through x^(N+3): the tail coefficient v_N
-    consumes j through index N + 3.
+    tail v through x^N, which consumes j through index N + 3.
     """
     N = require_count(N, "N", 1)
-    m = _nonlinear_order(base)
-    if m != 2:
-        raise ValueError("Abel expansion in this form needs nonlinear order 2")
-    if base.truncation_order < N + 3:
-        raise ValueError(f"base must be given through x^{N + 3} for N = {N}")
-    j = iterative_logarithm(base, N + 3)
-    if j[2] == 0:
-        raise ZeroDivisionError("iterative logarithm has zero leading term")
+    j = iterative_logarithm(N + 3)
     # Reciprocal of j / x^2 = J / D, as D * u with u = 1 / J
     J, D = _scaled(j.coefficients[2:])
     u = _scaled([Fraction(1, J[0])])
@@ -476,7 +406,7 @@ def superexp_polynomials(M: int) -> SuperExpExpansion:
     """
     M = require_count(M, "M", 1)
     N = max(M - 1, 1)
-    tail = abel_expansion(exp_minus_one(N + 3), N).tail
+    tail = abel_expansion(N).tail
     # c_n 2^n, where c_n = (-1)^n v_n is the tail in zeta = -x
     c = [(-2) ** n * tail[n] for n in range(M)]
     # w^k coefficients of Y, 1/Y, t + log Y and Y^n (n >= 2, through

@@ -759,6 +759,31 @@ class TestTable:
         assert proc.returncode == 0
         assert proc.stdout.startswith("5 ")
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_newton_takes_its_map_by_name(self, cache_dir, fmt):
+        # the binomial transform of f's orbit from 1 at t = -1.4223536677333
+        proc = run_cli(
+            ["table", "newton", "--n", "1:3", "--args", "1,-1.4223536677333,f",
+             "--format", fmt],
+            cache_dir,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        if fmt == "json":
+            shown = [row["printed"] for row in json.loads(proc.stdout)]
+        elif fmt == "csv":
+            shown = [line.split(",")[3] for line in proc.stdout.splitlines()[1:]]
+        else:
+            shown = [line.split()[1] for line in proc.stdout.splitlines()]
+        assert shown == ["1.0", "0.36752503697", "0.0437997222737"]
+
+    @pytest.mark.parametrize("args", ["1,f", "1,0.5,g", "1,0.5,h,f", "h,1,0.5"])
+    def test_a_map_name_only_as_newtons_third_argument(self, cache_dir, args):
+        proc = run_cli(["table", "newton", "--n", "1:3", "--args", args], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"argument --args: bad list {args!r}" in proc.stderr
+
     def test_methods_without_defaults_require_args(self, cache_dir):
         proc = run_cli(["table", "fatou2", "--n", "10:12"], cache_dir)
         assert proc.returncode == 1

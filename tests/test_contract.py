@@ -360,10 +360,10 @@ COUNTS = {
     },
     "exp_minus_one": (series.exp_minus_one, "N", 3),
     "regular_iterate_series": (
-        lambda k: series.regular_iterate_series(_EXP, 1, k), "N", 3
+        lambda k: series.regular_iterate_series(1, k), "N", 3
     ),
-    "iterative_logarithm": (lambda k: series.iterative_logarithm(_EXP, k), "N", 3),
-    "abel_expansion": (lambda k: series.abel_expansion(_EXP, k), "N", 3),
+    "iterative_logarithm": (series.iterative_logarithm, "N", 3),
+    "abel_expansion": (series.abel_expansion, "N", 3),
     "superexp_polynomials": (series.superexp_polynomials, "M", 3),
     "PowerSeries.truncate": (lambda k: _EXP.truncate(k), "n_terms", 3),
     "PowerSeries.mul": (lambda k: _EXP.mul(_EXP, k), "n_terms", 3),

@@ -14,8 +14,8 @@ at which the abel1 error reaches 2^-bits in the worst direction, and
 the walk-out threshold evaluators._walk_out(radius) that the radius
 gives the F~ walk.  It also times the exact build of each tier's tail
 (the N + 1 terms a kernel of that width builds) and of the longest tail
-it measures with, best of three calls of series.abel_expansion in this
-process.  It writes the table to BENCH_abel_order.json; --check gates
+it measures with, best of three calls of series.abel_expansion(N) in
+this process.  It writes the table to BENCH_abel_order.json; --check gates
 the errors only and writes nothing, so a check leaves the tree clean.
 
 Usage (from the repository root):
@@ -47,7 +47,7 @@ from superexp.evaluators import (  # noqa: E402
     _abel_tier,
     _walk_out,
 )
-from superexp.series import abel_expansion, exp_minus_one  # noqa: E402
+from superexp.series import abel_expansion  # noqa: E402
 
 OUT = os.path.join(ROOT, "BENCH_abel_order.json")
 LONGER = 32  # terms past the tier's own that stand in for the whole tail
@@ -65,7 +65,7 @@ def _build_seconds(n_terms: int, repeats: int = 3) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        abel_expansion(exp_minus_one(n_terms + 3), n_terms)
+        abel_expansion(n_terms)
         best = min(best, time.perf_counter() - start)
     return round(best, 4)
 

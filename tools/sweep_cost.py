@@ -20,15 +20,14 @@ Usage (from the repository root):
 
 The grid is x_min:x_max:y_min:y_max:nx:ny (the "=" keeps a negative
 x_min from reading as an option).  --src imports the library
-from another tree, for example a git archive of an earlier commit.  Run
-one process per function and tree, so that each peak RSS is that
-sweep's own.
+from another tree whose _ftilde_eval takes the same arguments, for
+example a git archive of the parent commit.  Run one process per
+function and tree, so that each peak RSS is that sweep's own.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import resource
@@ -49,28 +48,13 @@ def _count(evaluators, counts: dict, sums: list) -> None:
         sums.append((series, self, args))
         return series(self, *args)
 
-    # the walk takes the cast argument with the anchor added (kernel, w0,
-    # branch, chains); a tree from before the walks took the upper side
-    # of every cut passes a cut side after the branch, and one from
-    # before the evaluators' argument gate also passes the argument
-    # uncast and the anchor apart (kernel, z, branch, side, shift, chains)
-    params = list(inspect.signature(walk).parameters)
-    shift_at = params.index("shift") - 3 if "shift" in params else None
-
-    def counted(kernel, w0, branch, *rest):
-        if shift_at is None:
-            r = w0.real
-        else:
-            shift = rest[shift_at] if len(rest) > shift_at else None
-            r = (kernel.cast(w0) + (0 if shift is None else shift)).real
-        gap = kernel.threshold - r if branch is minus else r + kernel.threshold
+    def counted(kernel, w0, branch, chains=None):
+        gap = kernel.threshold - w0.real if branch is minus else w0.real + kernel.threshold
         before = len(sums)
         try:
-            return walk(kernel, w0, branch, *rest)
+            return walk(kernel, w0, branch, chains)
         finally:
-            # evaluators._walk_length(gap) > 0, read off the gap itself
-            # so that --src may name a tree from before that function
-            if gap >= 0:
+            if evaluators._walk_length(gap) > 0:
                 counts["walking"] += 1
                 counts["hits"] += len(sums) == before
 
