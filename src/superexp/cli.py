@@ -306,6 +306,8 @@ def _cmd_table(args) -> int:
     method = {"fatou": "fatou1"}.get(args.method, args.method)
     if args.args is not None:
         params = args.args
+        if method == "newton" and len(params) == 3 and params[2] not in ("h", "f"):
+            args.parser.error("argument --args: newton's third argument names its map, h or f")
     elif method in _TABLE_DEFAULT_ARGS:
         params = _TABLE_DEFAULT_ARGS[method]
     else:
@@ -400,11 +402,12 @@ def _cmd_check(args) -> int:
 
 # -- parser ---------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, bits: int = 53, fmt: str = "text") -> None:
+def _add_common(p: argparse.ArgumentParser, bits: int = 53, fmt: str = "text",
+                formats: tuple = ("csv", "json", "text")) -> None:
     p.add_argument("--precision-bits", default=bits,
                    type=_checked(int, lambda b: b >= 53, "at least 53"),
                    help="working mantissa bits (default %(default)s)")
-    p.add_argument("--format", choices=("csv", "json", "text"), default=fmt)
+    p.add_argument("--format", choices=formats, default=fmt)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(parser=p)
 
@@ -454,7 +457,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("map", help="sample a function over a grid")
-    _add_common(p, fmt="csv")
+    _add_common(p, fmt="csv", formats=("csv", "json"))  # a grid has no text form
     _add_walk_cap(p)
     p.add_argument("fn", choices=GRID_FUNCTIONS)
     p.add_argument("--x", type=_parse_span, required=True, help="x span lo:hi")

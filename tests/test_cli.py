@@ -784,6 +784,25 @@ class TestTable:
         assert proc.stdout == ""
         assert f"argument --args: bad list {args!r}" in proc.stderr
 
+    @pytest.mark.parametrize("args", ["1,0.5,3", "1,0.5,-2.5"])
+    def test_a_numeric_third_argument_is_a_usage_error(self, cache_dir, args):
+        # it once read "superexp: unknown base_map 3.0": the library's
+        # keyword and the reformatted value, not the option and its choices
+        proc = run_cli(["table", "newton", "--n", "1:2", "--args", args], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: superexp table")
+        assert proc.stderr.endswith(
+            "superexp table: error: argument --args: newton's third argument "
+            "names its map, h or f\n"
+        )
+
+    def test_levy_counts_its_arguments(self, cache_dir):
+        proc = run_cli(["table", "levy", "--n", "1:2", "--args", "1,2,3"], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "superexp: levy takes 2 arguments, got 3\n"
+
     def test_methods_without_defaults_require_args(self, cache_dir):
         proc = run_cli(["table", "fatou2", "--n", "10:12"], cache_dir)
         assert proc.returncode == 1
@@ -797,6 +816,27 @@ class TestTable:
 
 
 class TestMap:
+    def test_format_text_is_a_usage_error(self, cache_dir):
+        # it was once accepted, and the grid printed as CSV
+        grid = ["map", "F1", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2"]
+        proc = run_cli([*grid, "--format", "text"], cache_dir)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "argument --format: invalid choice" in proc.stderr
+        csv = run_cli([*grid, "--format", "csv"], cache_dir)
+        assert csv.returncode == 0 and csv.stdout.startswith("x,y,re,im,err\n")
+        assert json.loads(run_cli([*grid, "--format", "json"], cache_dir).stdout)
+
+    @pytest.mark.parametrize(
+        "command, formats",
+        [("calibrate", "csv,json,text"), ("eval", "csv,json,text"),
+         ("table", "csv,json,text"), ("check", "csv,json,text"), ("map", "csv,json")],
+    )
+    def test_format_choices(self, capsys, command, formats):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert f"--format {{{formats}}}" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "c, bits, got",
         [("nan", "53", "(nan+0j)"), ("0.5,-inf", "53", "(0.5-infj)"), ("nan", "128", "(nan+0j)")],
@@ -997,7 +1037,7 @@ _FOOTPRINT = (
 )
 
 # what an evaluation above 53 bits loads: the mpmath kernel and its imports
-_WIDE = {"mpmath", "superexp.fixed", "superexp.wide"}
+_WIDE = {"mpmath", "superexp.wide"}
 # the limit formulas, which only table and the package's names of them load
 _LIMITS = {"mpmath", "superexp.limits"}
 

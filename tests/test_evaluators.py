@@ -7,6 +7,7 @@ the precision; cross-checks against the limit-formula estimators in
 
 import cmath
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -734,6 +735,59 @@ class TestWideAbelWalk:
         assert abs(value - getattr(ev, fn)(HUGE_STEP)) < 1e-13
 
 
+def _wide_bits(call):
+    # a value's _mpf_ or _mpc_ tuple, or its error's class and message
+    try:
+        value = call()
+    except SuperexpError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, tuple):  # an Abel walk's (w, steps, zeta)
+        return tuple(_wide_bits(lambda v=v: v) for v in value)
+    if isinstance(value, int):
+        return value
+    # ints, not mpmath's mantissa type, whose repr depends on its backend
+    parts = getattr(value, "_mpc_", None) or (value._mpf_,)
+    return tuple(tuple(map(int, part)) for part in parts)
+
+
+class TestWideBitIdentity:
+    """The mpmath kernel keeps its bits when its code moves.
+
+    One digest pins every _mpf_ and _mpc_ tuple and every error message
+    of F1, F3, A1 and A3 at 128, 256 and 432 bits over seeded points of
+    the box [-8, 28] x [-14, 14], real ones among them; of the Abel
+    walks of TestDoubleAbelWalk's guarded cases at those widths; and of
+    abel1, abel2 and superexp_tilde at 480 bits, past the calibrated
+    widths.  Recorded before the kernel's integer steps, disk test and
+    Newton solve moved out of their own module into _MPKernel.
+    """
+
+    GUARDED = ("underflow", "collapse", "overflow", "cut", "zero")
+
+    def test_digest(self):
+        rows = []
+        for bits in (128, 256, 432):
+            ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+            rng = random.Random(f"wide bits:{bits}")
+            points = [complex(rng.uniform(-8, 28), rng.uniform(-14, 14)) for _ in range(12)]
+            points += [rng.uniform(-8, 28) for _ in range(3)]
+            for f in (F1, F3, A1, A3):
+                rows += [_wide_bits(lambda: f(z, ctx)) for z in points]
+            kernel = _kernel(ctx)
+            for case in self.GUARDED:
+                plus_side, z = TestDoubleAbelWalk.CASES[case]
+                rows.append(_wide_bits(lambda: kernel.abel_walk(kernel.cast(z), plus_side)))
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=480))
+        for z in (0.5, -1.5 + 0.75j, 3 + 1j, 30.0, -6 - 2j):
+            rows.append(_wide_bits(lambda: abel1(z, ctx)))
+            rows.append(_wide_bits(lambda: abel2(z, ctx)))
+            for branch in ("minus", "plus"):
+                rows.append(_wide_bits(lambda: superexp_tilde(z, branch, ctx)))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "23d34ef0b9dd5e37430718da93be2db1ccbec41db915f79b6eeb6ec3d0121c9c"
+        )
+
+
 class TestDoubleAccuracy:
     """53-bit F1 and F3 against 128 bits over the boxes of test_07.
 
@@ -852,7 +906,7 @@ class TestDoubleNewtonSteps:
 class TestWideNewtonSteps:
     """The mpmath kernel's planned Newton steps give its F~ in full.
 
-    fixed.invert_abel takes one step at each scale of newton_steps and
+    _MPKernel.invert_abel takes one step at each scale of newton_steps and
     tests only that the last one was small, so this test is what
     guarantees the result: the kernel's F~ against superexp_tilde 64 bits
     wider (56 at 432 bits, the widest kernel admitted being 488), on both
