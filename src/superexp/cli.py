@@ -35,7 +35,6 @@ from .evaluators import (
     CalibrationConstants,
     EvalContext,
     calibrate,
-    calibration_tier,
     default_constants,
 )
 from .iteration import (
@@ -49,7 +48,7 @@ from .iteration import (
     grid_to_json,
     map_grid,
 )
-from .precision import PrecisionConfig
+from .precision import PrecisionConfig, round_trip_decimal
 
 __all__ = ["main"]
 
@@ -146,9 +145,8 @@ def _format_parts(value, bits: int):
         v = complex(value)
         return repr(v.real), repr(v.imag)
     import mpmath
-    digits = mpmath.libmp.prec_to_dps(bits) + 3
     v = mpmath.mpmathify(value)
-    return mpmath.nstr(mpmath.re(v), digits), mpmath.nstr(mpmath.im(v), digits)
+    return round_trip_decimal(mpmath.re(v), bits), round_trip_decimal(mpmath.im(v), bits)
 
 
 # -- option types: argparse reports a refused value as a usage error ------
@@ -225,9 +223,8 @@ def _parse_floats(text: str):
 # -- calibrate ------------------------------------------------------------
 
 def _cmd_calibrate(args) -> int:
-    tier = calibration_tier(args.precision_bits)
     try:
-        constants = _store(calibrate(EvalContext(PrecisionConfig(mantissa_bits=tier))))
+        constants = _store(calibrate(EvalContext(PrecisionConfig(args.precision_bits))))
     except SuperexpError as exc:
         return _fail(f"calibration failed: {exc}", CALIBRATION_ERROR)
     payload = constants.as_decimal_dict()

@@ -23,6 +23,10 @@ evaluation, whose calibration constants are doubles, loads no mpmath.  The
 private mpmath contexts come from `superexp.precision`, so no
 evaluation at any width loads the limit formulas.
 
+Widths run from 53 to _MAX_EVAL_BITS, 432 bits: calibration_tier refuses
+any other width once, naming it, and every evaluation, default_constants
+and calibrate() reach that rule before any kernel is built or walks.
+
 Every public evaluator casts its argument once, in _gate; the kernels'
 casts apply `precision.require_finite`, and at 53 bits the double range.
 Real arguments on a cut are evaluated as directional limits: `cut_side`
@@ -50,7 +54,9 @@ from .errors import (
     NonConvergenceError,
     OrbitOverflowError,
 )
-from .precision import PrecisionConfig, mp_context, plain, require_count, require_finite
+from .precision import (
+    PrecisionConfig, mp_context, plain, require_count, require_finite, round_trip_decimal,
+)
 from .series import abel_expansion
 # no evaluator calls it; the traced benchmark runs wrap it by this name
 from .series import superexp_polynomials  # noqa: F401
@@ -124,8 +130,8 @@ class CalibrationConstants:
     """The normalizations F1(0) = 1, F3(0) = 3, A1(1) = 0, A3(3) = 0.
 
     They are constants of the functions, not inputs: every evaluator
-    takes default_constants of its width, cast once per kernel
-    (_Tables.anchors), and calibrate() computes them from two walks.
+    takes default_constants of its width, cast once, when _kernel builds
+    the width's kernel, and calibrate() computes them from two walks.
     x1 and x3 are the real abscissas where the minus and plus asymptotic
     branches take the values 1 and 3; a1_norm and a3_norm are abel1(1)
     and abel2(3), subtracted by A1/A3; period_t1 is 2*pi*e*i, the period
@@ -144,19 +150,13 @@ class CalibrationConstants:
 
     def as_decimal_dict(self) -> dict:
         """Full-precision decimal strings, round-trippable via from_decimal_dict."""
-        import mpmath
-        digits = mpmath.libmp.libmpf.prec_to_dps(self.bits) + 3
-
-        def fmt(x) -> str:
-            return mpmath.nstr(x, digits)
-
         return {
             "bits": self.bits,
-            "x1": fmt(self.x1),
-            "x3": fmt(self.x3),
-            "a1_norm": fmt(self.a1_norm),
-            "a3_norm": fmt(self.a3_norm),
-            "period_t1_imag": fmt(self.period_t1.imag),
+            "x1": round_trip_decimal(self.x1, self.bits),
+            "x3": round_trip_decimal(self.x3, self.bits),
+            "a1_norm": round_trip_decimal(self.a1_norm, self.bits),
+            "a3_norm": round_trip_decimal(self.a3_norm, self.bits),
+            "period_t1_imag": round_trip_decimal(self.period_t1.imag, self.bits),
         }
 
     @classmethod
@@ -185,55 +185,37 @@ def _abel_tail_coeffs(n_terms: int) -> tuple:
 
 
 class _Tables:
-    """A kernel's walk caps, and its coefficient tables built on first use.
+    """A kernel's walk caps, anchors and coefficient tables, built whole.
 
     A kernel supplies `coeff`, its rounding of one exact coefficient
     (a double, held as a complex so that Horner's rule adds complex to
     complex, or for the mpmath kernel the integer round(c * 2^scale) its
-    fixed-point sums run on), the term count and `scale`, 0 for doubles.
-    Not a cached_property: writing the instance __dict__ slows every
-    attribute load on the hot path.  The calibrated anchors are cast
-    once per kernel, on first use, so that a kernel past the calibrated
-    range still serves abel1, abel2 and F~.  Both kernels' Newton steps
-    on F~ come from one planner (newton_steps).
+    fixed-point sums run on), `cast`, the term count and `scale`, 0 for
+    doubles.  Everything is built here, and nothing writes to a kernel
+    after it: threads share one.  `anchors` are (x1, x3, a1_norm,
+    a3_norm) as the kernel's scalars, default_constants(bits) as _kernel
+    passes them; a kernel built without them, calibrate()'s own, serves
+    the Abel and F~ walks only.  `tails` are the Abel tails of abel1 and
+    abel2, highest power first, and `newton_steps` the tables of each
+    Newton step on F~ on either side, from one planner (_newton_plan).
     """
 
-    def __init__(self, ctx: EvalContext):
-        self._tails = self._anchors = self._newton = None
+    def __init__(self, ctx: EvalContext, anchors: tuple = ()):
         # max_recursion counts 53-bit steps; a kernel with a smaller disk
         # (abel_radius, threshold: set before this) adds only its longer F~
         # walk-out, or Abel walk-in (about 2/r steps: 3/r with room)
         n = ctx.max_recursion
         self.walk_cap = n + int(self.threshold - _walk_out(_DOUBLE_RADIUS))
         self.abel_cap = n + math.ceil(3 / self.abel_radius) - math.ceil(3 / _DOUBLE_RADIUS)
-
-    def anchors(self) -> tuple:
-        """(x1, x3, a1_norm, a3_norm) of default_constants(bits) as this
-        kernel's scalars; past the calibrated range, DomainError."""
-        if self._anchors is None:
-            c = default_constants(self.bits)
-            self._anchors = tuple(map(self.cast, (c.x1, c.x3, c.a1_norm, c.a3_norm)))
-        return self._anchors
-
-    def tail_rev(self, plus_side: bool) -> tuple:
-        if self._tails is None:
-            # abel1 sums the first abel_terms coefficients, abel2 one more:
-            # the shorter tail is a prefix of the longer
-            rev = tuple(
-                map(self.coeff, reversed(_abel_tail_coeffs(self.abel_terms + 1)))
-            )
-            self._tails = (rev[1:], rev)
-        return self._tails[plus_side]
-
-    def newton_steps(self, plus_side: bool) -> tuple:
-        """The tables of each Newton step on F~ (_newton_plan)."""
-        if self._newton is None:
-            bits = self.scale or self.bits  # the kernel's resolution
-            self._newton = tuple(
-                _newton_plan(self.tail_rev(side), self.abel_radius, bits, self.scale)
-                for side in (False, True)
-            )
-        return self._newton[plus_side]
+        self.anchors = tuple(map(self.cast, anchors))
+        # abel1 sums the first abel_terms coefficients, abel2 one more:
+        # the shorter tail is a prefix of the longer
+        rev = tuple(map(self.coeff, reversed(_abel_tail_coeffs(self.abel_terms + 1))))
+        self.tails = (rev[1:], rev)
+        bits = self.scale or self.bits  # the kernel's resolution
+        self.newton_steps = tuple(
+            _newton_plan(tail, self.abel_radius, bits, self.scale) for tail in self.tails
+        )
 
 
 def _newton_limit(bits: int) -> int:
@@ -302,22 +284,9 @@ _ABEL_TIERS = (
 )
 
 
-# the widest kernel admitted, and the widest width at which
-# tools/abel_order.py checks the Abel tiers
+# the widest width at which tools/abel_order.py checks the Abel tiers,
+# past the widest calibration tier (448 bits)
 _MAX_BITS = 488
-# the widest evaluation whose calibration tier (see calibration_tier)
-# fits in _MAX_BITS: 432 bits, calibrated at 448
-_MAX_EVAL_BITS = _MAX_BITS // 64 * 64 - 16
-
-
-def _check_width(bits: int) -> None:
-    # a kernel, or the calibration tier of an evaluation, past _MAX_BITS
-    if bits > _MAX_BITS:
-        raise DomainError(
-            f"{bits} bits is out of range for the mpmath kernel (up"
-            f" to {_MAX_BITS} bits); evaluations, calibrated at least 16"
-            f" bits wider, work up to {_MAX_EVAL_BITS} bits"
-        )
 
 
 def _abel_tier(bits: int) -> tuple:
@@ -466,7 +435,7 @@ class _DoubleKernel(_Tables):
         else:
             logpart = cmath.log(arg)
         acc = 0j
-        for c in self.tail_rev(plus_side):
+        for c in self.tails[plus_side]:
             acc = acc * zeta + c
         return logpart / 3.0 + 2.0 / zeta + acc * zeta, 0.0
 
@@ -475,14 +444,14 @@ class _DoubleKernel(_Tables):
 
         Starts from two logarithms, w0 = z + log(+-z)/3 and then
         w = z + log(+-w0)/3 - 2 c_1/w0, and takes the two Newton steps of
-        newton_steps, the last checked against newton_limit: the first
+        newton_steps[plus], the last checked against newton_limit: the first
         sums the lowest-order terms that its 27 bits need, the second the
         whole tail (TestDoubleNewtonSteps checks the result against 128
         bits).  g(w) is summed as zeta t(zeta) with tail(zeta) = zeta
         t(zeta), and g'(w) = 1 - zeta/6 - (zeta^2/2) tail'(zeta).
         """
         plus = branch is BranchSign.plus
-        steps, log = self.newton_steps(plus), cmath.log
+        steps, log = self.newton_steps[plus], cmath.log
         w = z + (log(-z) if plus else log(z)) / 3.0
         # c_1, the lowest-order coefficient, ends each tail
         w = z + (log(-w) if plus else log(w)) / 3.0 - 2.0 * steps[0][1][-1] / w
@@ -506,10 +475,14 @@ class _DoubleKernel(_Tables):
 
 @lru_cache(maxsize=32)
 def _kernel(ctx: EvalContext):
+    # the width's constants first: a width out of range is refused before
+    # any kernel is built, and the kernel is built with its anchors
+    c = default_constants(ctx.precision.mantissa_bits)
+    anchors = (c.x1, c.x3, c.a1_norm, c.a3_norm)
     if ctx.precision.mantissa_bits == 53:
-        return _DoubleKernel(ctx)
+        return _DoubleKernel(ctx, anchors)
     from .wide import _MPKernel
-    return _MPKernel(ctx)
+    return _MPKernel(ctx, anchors)
 
 
 # one default object, shared with iteration, so the evaluators find its
@@ -775,7 +748,7 @@ def _abel(z, plus_side: bool, ctx, cut_side, normed=False):
     # calibrated a1_norm or a3_norm, giving A1 or A3
     kernel = _kernel_of(ctx)
     w, flip, strict = _gate(kernel, z, cut_side)
-    norm = kernel.anchors()[2 + plus_side] if normed else None
+    norm = kernel.anchors[2 + plus_side] if normed else None
     return _public(_abel_walk(kernel, w, plus_side, norm), flip, strict)
 
 
@@ -842,7 +815,7 @@ def _superexp(z, branch: BranchSign, ctx, cut_side, chains=None):
     minus = branch is BranchSign.minus
     if minus:
         _refuse_pole(w)
-    shift = kernel.anchors()[not minus]
+    shift = kernel.anchors[not minus]
     return _public(_ftilde_eval(kernel, w + shift, branch, chains), flip, strict)
 
 
@@ -873,7 +846,7 @@ def _sweep(fn: str, ctx: EvalContext):
 # -- calibration ------------------------------------------------------------
 
 def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
-    """Compute all calibration constants at (at least) 192 bits.
+    """Compute all calibration constants at the calibration tier of ctx.
 
     Walks abel1 from 1 and abel2 from 3 into the disk and sums each
     series once for the two normalization values.  F~ is built as the
@@ -884,20 +857,21 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
     Parameters
     ----------
     ctx : EvalContext, optional
-        Its precision is raised to 192 bits if lower; its walk cap is
-        kept.
+        The walks run at calibration_tier of its width, with its walk
+        cap, so that the result equals default_constants of that width
+        bit for bit.
 
     Raises
     ------
     DomainError
-        A width the mpmath kernel refuses.
+        A width past the range (calibration_tier), before any walk.
     NonConvergenceError
         An Abel walk that misses its disk, or a sum whose tail is above
         the tolerance.
     """
-    from .wide import _MPKernel
     ctx = ctx or _DEFAULT_CTX
-    bits = max(192, ctx.precision.mantissa_bits)
+    bits = calibration_tier(ctx.precision.mantissa_bits)
+    from .wide import _MPKernel
     kernel = _MPKernel(EvalContext(PrecisionConfig(mantissa_bits=bits), ctx.max_recursion))
     wide = kernel.mp  # at bits + 32
     a1 = _abel_walk(kernel, kernel.cast(1), plus_side=False)
@@ -909,15 +883,19 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
 
 
 def calibration_tier(bits: int) -> int:
-    """Calibration precision serving evaluation at `bits`.
+    """Calibration precision serving evaluation at `bits`: the one width rule.
 
     16 guard bits over the evaluation width, rounded up to a multiple
-    of 64 and never below 192.  From 433 bits (_MAX_EVAL_BITS + 1) the
-    tier is wider than the mpmath kernel reaches, and calibrating at it
-    raises DomainError; a width below 53 or not an integer, ValueError.
+    of 64 and never below 192.  A width past _MAX_EVAL_BITS, whose tier
+    the calibrated literals do not reach, raises DomainError naming it
+    and the range; a width below 53 or not an integer, ValueError.
     """
-    needed = max(192, require_count(bits, "bits", 53) + 16)
-    return -(-needed // 64) * 64
+    bits = require_count(bits, "bits", 53)
+    if bits > _MAX_EVAL_BITS:
+        raise DomainError(
+            f"{bits} bits is out of range: evaluations run from 53 to {_MAX_EVAL_BITS} bits"
+        )
+    return -(-max(192, bits + 16) // 64) * 64
 
 
 # The record of the constants: `superexp calibrate --precision-bits 432
@@ -932,21 +910,23 @@ _CALIBRATED = {
     "a3_norm": "-20.056355529753391399656682153711092820810117653581051334254572798374888842753460081205907569841389693518999827983020274820335140666016496",
     "period_t1_imag": "17.079468445347134130927101739093148990069777071530229923759202260358457222314661615145127739420947887827549885023354935292642375181392069",
 }
+# the widest evaluation: its tier, 16 bits wider, is the record's
+_MAX_EVAL_BITS = _CALIBRATED["bits"] - 16
 
 
 def default_constants(bits: int = 53) -> CalibrationConstants:
     """Calibration constants adequate for evaluating at `bits`.
 
-    _CALIBRATED rounded to `calibration_tier(bits)`, equal to that
-    tier's calibrate(); at 53 bits their doubles, with no mpmath loaded
-    (see CalibrationConstants).  Nothing calibrates.  Memoized.
+    _CALIBRATED rounded to `calibration_tier(bits)`, equal to the
+    calibrate() of a context at `bits`; at 53 bits their doubles, with no
+    mpmath loaded (see CalibrationConstants).  Nothing calibrates.
+    Memoized.
     """
     return _rounded(calibration_tier(bits), bits == 53)
 
 
 @lru_cache(maxsize=None)
 def _rounded(tier: int, doubles: bool) -> CalibrationConstants:
-    _check_width(tier)
     if doubles:
         _, x1, x3, a1, a3, period = map(float, _CALIBRATED.values())
         return CalibrationConstants(x1, x3, a1, a3, complex(0.0, period), tier)

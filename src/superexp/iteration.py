@@ -148,7 +148,6 @@ def exp_iterate(req: IterateRequest, ctx: Optional[EvalContext] = None) -> Scala
     zw, flip, strict = _gate(kernel, req.z, req.cut_side)
     c = kernel.at_width(req.c)
     zr, e = +kernel.at_width(zw), +kernel.at_width(kernel.e())
-    anchors = kernel.anchors()  # or refuses the width
     if zr == e:
         # every regular iterate fixes e exactly; the F(c + A(z))
         # composition has a removable singularity there
@@ -166,10 +165,10 @@ def exp_iterate(req: IterateRequest, ctx: Optional[EvalContext] = None) -> Scala
         # normalization, from below its conjugate: formed at the work
         # bits, rounded to the width
         rot = kernel.rotation if req.cut_side == "above" else -kernel.rotation
-        a = kernel.cast(abel2(req.z, ctx)) + rot - anchors[2]
+        a = kernel.cast(abel2(req.z, ctx)) + rot - kernel.anchors[2]
         a = +kernel.at_width(a)
     else:
-        norm = anchors[2 + upper]
+        norm = kernel.anchors[2 + upper]
         a = _public(_abel_walk(kernel, zw, upper, norm), flip, strict)
     # rounded to the width in both parts: a real c would round only the
     # real part of c + a
@@ -272,7 +271,6 @@ def agreement(
     bits = ctx.precision.mantissa_bits
     # a width past the calibrated range is refused, not scored
     kernel = _kernel_of(ctx)
-    kernel.anchors()
     try:
         if kind[1] != "q":
             # the round trip's (inner, outer) pair, read from this module's
@@ -411,15 +409,15 @@ def map_grid(
             raise ValueError("fn='expc' requires the iteration count c")
         if branch is not None:
             branch = _as_branch(IterateBranch, branch)
-        # cast once, before the width check: a count no cell could take
-        # is refused for the whole grid
-        c = _kernel_of(ctx).at_width(require_finite(c))
     elif c is not None or branch is not None:
         name = "c" if c is not None else "branch"
         raise ValueError(f"{name} applies to fn='expc' only, not to {fn!r}")
-    _kernel_of(ctx).anchors()  # refuses a width past the tiers
+    # a width past the calibrated range is refused, not recorded in every cell
+    kernel = _kernel_of(ctx)
     xs, ys = grid.xs(), grid.ys()
     if fn == "expc":
+        # cast once: a count no cell could take is refused for the whole grid
+        c = kernel.at_width(require_finite(c))
 
         def evaluate(z, cut_side):
             return exp_iterate(IterateRequest(c, z, branch, cut_side), ctx)

@@ -270,17 +270,19 @@ def levy_abel(
     """Ratio estimator (h^[n](z) - h^[n](u)) / (h^[n+1](u) - h^[n](u)).
 
     Converges to the difference of Abel-function values at z and u.  The
-    denominator shrinks like 2/n^2, so double-precision use is possible but
-    flagged: a PrecisionLossWarning is emitted once the denominator falls
-    below 2^(-mantissa/2) of the numerator scale.  OrbitOverflowError
-    reports either orbit escaping by step n.
+    denominator shrinks like 2/n^2.  A real orbit steps on integers with
+    2 log2 n guard bits, which its differences keep; an orbit stepping on
+    mpmath values (a complex one) does not, so double-precision use is
+    possible but flagged: a PrecisionLossWarning is emitted once its
+    denominator falls below 2^(-mantissa/2) of the numerator scale.
+    OrbitOverflowError reports either orbit escaping by step n.
     """
     n = _check_n(n)
     orbits = _Orbits([z, u], cfg.mantissa_bits, estimator_n=n)
     orbits.run_to(n)
-    num, den = _ratio_terms(orbits, n)
+    num, den, exact = _ratio_terms(orbits, n)
     scale = max(orbits.mp.mpf(1), abs(num))
-    if abs(den) < orbits.mp.mpf(2) ** (-(cfg.mantissa_bits // 2)) * scale:
+    if not exact and abs(den) < orbits.mp.mpf(2) ** (-(cfg.mantissa_bits // 2)) * scale:
         warnings.warn(
             f"ratio denominator below half-precision floor at n={n}",
             PrecisionLossWarning,
@@ -291,19 +293,21 @@ def levy_abel(
 
 def _ratio_terms(orbits: _Orbits, n: int) -> tuple:
     # numerator and denominator of the ratio estimator from the orbits of
-    # z and u at step n; exact differences when the states are integers
+    # z and u at step n, and whether they are exact differences: they are
+    # when the states are integers
     z, u = orbits.states
     # an escaped h^[n](z) makes the ratio tower-sized: report the escape
     _check_escape(orbits.value(z), n)
     u1 = orbits.step(u, n)
-    if all(isinstance(w, int_types) for w in (z, u, u1)):
+    exact = all(isinstance(w, int_types) for w in (z, u, u1))
+    if exact:
         num, den = orbits.value(z - u), orbits.value(u1 - u)
     else:
         zw, uw = orbits.values()
         num, den = zw - uw, orbits.value(u1) - uw
     if den == 0:
         raise NonConvergenceError("degenerate step: h^[n+1](u) == h^[n](u)")
-    return num, den
+    return num, den, exact
 
 
 def _shift_value(orbits: _Orbits):
@@ -547,7 +551,7 @@ def _orbit_pass(method: str, ctx, points: list, ns: list, bits: int):
         orbits.run_to(n)
         try:
             if method == "levy":
-                num, den = _ratio_terms(orbits, n)
+                num, den, _ = _ratio_terms(orbits, n)
                 value = num / den
             elif method == "fatou1":
                 value = _shift_value(orbits)

@@ -88,6 +88,14 @@ def plain(x, bits: int | None = None):
     return x
 
 
+def round_trip_decimal(x, bits: int) -> str:
+    """x as a decimal that reads back to the same value at `bits`: three
+    digits past the ones `bits` resolves, as the CLI and the calibration
+    record write every value wider than a double."""
+    import mpmath
+    return mpmath.nstr(x, mpmath.libmp.prec_to_dps(bits) + 3)
+
+
 def mp_convert(ctx, x):
     """x as a value of ctx, exactly; mpmath's constants (mpmath.e, ...)
     evaluate at ctx's width, as they would at that global precision."""

@@ -1,4 +1,4 @@
-"""The mpmath kernel: evaluation above 53 bits, up to _MAX_BITS.
+"""The mpmath kernel: evaluation above 53 bits.
 
 The drivers, the public API and the double kernel live in `evaluators`,
 which loads this module on the first kernel wider than 53 bits and on
@@ -6,6 +6,8 @@ the first `calibrate()`.  This module imports mpmath when it loads;
 `evaluators` imports it only inside its wide branches, so a 53-bit
 process loads neither.  Its private contexts come from
 `superexp.precision`, so no evaluation loads the limit formulas.
+Evaluations reach it through `evaluators._kernel`, which refuses a width
+past the calibrated range first; calibrate() builds one at its tier.
 
 A real number x at scale s is the Python integer x * 2^s, rounded or
 truncated; a complex one is a pair of them.  The kernel computes on
@@ -38,7 +40,6 @@ from .evaluators import (
     EvalContext,
     Scalar,
     _abel_tier,
-    _check_width,
     _escape,
     _log_of_zero,
     _missed_disk,
@@ -75,7 +76,7 @@ def _log(wr: int, wi: int, s: int, sign: int) -> tuple:
 
 
 class _MPKernel(_Tables):
-    """mpmath evaluation up to _MAX_BITS, tuning derived from the bit count.
+    """mpmath evaluation at any width above 53, tuning derived from the bit count.
 
     The walks step on integers scaled by 2^scale (see step), the Abel
     series is summed by Horner's rule on them and F~ solved for on them:
@@ -84,20 +85,19 @@ class _MPKernel(_Tables):
     the kernel's own context `mp` at the work bits (bits + 32), and a
     composition's values are held in one at the width (at_width).
     Threads share a kernel, so it calls only functions that leave the
-    contexts' precision alone, and builds its constants up front.  Each
+    contexts' precision alone, and is built whole (_Tables).  Each
     evaluation sums once, inside its width's disk, and raises
     NonConvergenceError if the last term is above tol = 2^(4 - bits).
     """
 
-    def __init__(self, ctx: EvalContext):
+    def __init__(self, ctx: EvalContext, anchors: tuple = ()):
         self.bits = ctx.precision.mantissa_bits
-        _check_width(self.bits)
         self._workbits = self.bits + 32
         self.mp = new_mp_context(self._workbits)
         self.scale = S = self._workbits + _SCALE_GUARD
         self.abel_radius, self.abel_terms = _abel_tier(self.bits)
         self.threshold = _walk_out(self.abel_radius)
-        super().__init__(ctx)
+        super().__init__(ctx, anchors)
         # the largest last Newton step accepted, in units of 2^-scale
         self.newton_limit = 1 << (S + _newton_limit(S))
         self.tol = self.mp.mpf(2) ** (4 - self.bits)
@@ -245,7 +245,7 @@ class _MPKernel(_Tables):
             logpart = ctx.log(arg)
         # the tail is zeta times a Horner sum: a trailing zero coefficient
         # (a real zeta keeps a zero imaginary part throughout)
-        coeffs, S = self.tail_rev(plus_side), self.scale
+        coeffs, S = self.tails[plus_side], self.scale
         tr, ti = _horner_complex(coeffs + (0,), *_pair(zeta, S), S)
         real = isinstance(zeta, ctx.mpf)
         tail = self._unfix(tr) if real else self._unfix_pair(tr, ti)
@@ -260,11 +260,11 @@ class _MPKernel(_Tables):
         cancels; z is given at the scale.  Newton's method starts from
         two logarithms at the first scale, w0 = z + log(+-z)/3 and then
         w = z + log(+-w0)/3 - 2 c_1/w0, and takes one step at each scale s
-        of newton_steps(plus), the (s, tail, slope) of
+        of newton_steps[plus], the (s, tail, slope) of
         evaluators._newton_plan.  A last step above newton_limit units
         raises NonConvergenceError, carrying it.
         """
-        steps, sign = self.newton_steps(plus), -1 if plus else 1
+        steps, sign = self.newton_steps[plus], -1 if plus else 1
         S, s = steps[-1][0], steps[0][0]
         # the start, w0 at least |z| - |log(+-z)|/3 from 0 past the walk-out;
         # c_1, the lowest-order coefficient, ends each tail
@@ -321,6 +321,6 @@ class _MPKernel(_Tables):
         w = self._unfix(wr) if isinstance(z, ctx.mpf) else self._unfix_pair(wr, wi)
         zeta = 2 / w
         e = +ctx.e
-        tail = self.tail_rev(plus)
+        tail = self.tails[plus]
         last = self._unfix(abs(tail[0])) * abs(zeta) ** (len(tail) + 2) * e / 2
         return e * (1 - zeta), last

@@ -238,9 +238,29 @@ class TestCommonFlags:
         assert "out of range" in proc.stderr
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["eval", "F1", "1", "0"], 1),
+            (["map", "F1", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2"], 1),
+            (["check", "d1fa", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2"], 1),
+            (["calibrate"], 2),
+        ],
+    )
+    def test_a_width_past_432_bits_is_refused_in_its_terms(self, cache_dir, args, code):
+        # 480 bits once failed naming its calibration tier, 512 bits, and
+        # the mpmath kernel's 488-bit cap
+        proc = run_cli([*args, "--precision-bits", "480"], cache_dir)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        refusal = "480 bits is out of range: evaluations run from 53 to 432 bits"
+        kind = "calibration failed" if code == 2 else "DomainError"
+        assert proc.stderr == f"superexp: {kind}: {refusal}\n"
+
     def test_wide_precision_fails_fast(self, cache_dir):
         # a 640-bit request once walked ~1.5e5 steps per evaluation in its
-        # tier-704 calibration; now that kernel is refused before any walk
+        # tier-704 calibration; now that width is refused before any walk,
+        # in its own terms
         start = time.perf_counter()
         proc = run_cli(
             ["eval", "F1", "0.5", "0", "--precision-bits", "640"], cache_dir,
@@ -248,8 +268,8 @@ class TestCommonFlags:
         elapsed = time.perf_counter() - start
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr.startswith("superexp: DomainError: 704 bits is out of range")
-        assert "up to 432 bits" in proc.stderr
+        assert proc.stderr.startswith("superexp: DomainError: 640 bits is out of range")
+        assert "from 53 to 432 bits" in proc.stderr
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
         assert elapsed < 30
@@ -413,7 +433,7 @@ class TestCalibrate:
         # a 53-bit command's anchors are the doubles of default_constants(53):
         # the ones the kernel casts every tier's calibration to
         doubles = cli._constants(53)
-        exact = calibrate(EvalContext(precision=PrecisionConfig(mantissa_bits=tier)))
+        exact = calibrate(EvalContext(precision=PrecisionConfig(mantissa_bits=tier - 16)))
         assert exact.bits == tier
         names = ("x1", "x3", "a1_norm", "a3_norm", "period_t1")
         kernel = _DoubleKernel(EvalContext())

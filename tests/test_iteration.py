@@ -308,6 +308,16 @@ class TestAgreement:
     def test_clip_is_configurable(self):
         assert agreement("dq1", E, clip=8.0) == 8.0
 
+    @pytest.mark.parametrize("ctx", [None, CTX128], ids=["53", "128"])
+    def test_opposite_round_trip_scores_minus_clip(self, monkeypatch, ctx):
+        # X = -Y makes |X + Y| exactly 0: the score is the far end, -clip.
+        # agreement reads A1 at each call, so an A1 giving -z makes the
+        # round trip A1(F1(z)) of d1af equal -z
+        z = 1.0 + 1.0j
+        monkeypatch.setattr("superexp.iteration.A1", lambda w, ctx, cut_side: -z)
+        assert agreement("d1af", z, ctx) == -16.0
+        assert agreement("d1af", z, ctx, clip=8.0) == -8.0
+
     @pytest.mark.parametrize("kind", AGREEMENT_KINDS)
     @pytest.mark.parametrize("side", [None, "sideways"])
     def test_every_kind_refuses_a_side_before_evaluating(self, kind, side, monkeypatch):
@@ -316,10 +326,9 @@ class TestAgreement:
         def evaluated(*args, **kwargs):
             raise AssertionError("evaluated before the side was checked")
 
-        # the kernel's anchors, not default_constants: a warm kernel has
-        # cast them already and calls it no more
-        monkeypatch.setattr(ev._Tables, "anchors", evaluated)
-        for name in ("F1", "A1", "F3", "A3", "exp_iterate"):
+        # the kernel lookup, not default_constants: a warm kernel has its
+        # anchors already and calls it no more
+        for name in ("_kernel_of", "F1", "A1", "F3", "A3", "exp_iterate"):
             monkeypatch.setattr(f"superexp.iteration.{name}", evaluated)
         message = f"^cut_side must be 'above' or 'below', got {side!r}$"
         with pytest.raises(ValueError, match=message):
@@ -368,14 +377,18 @@ class TestAgreement:
     def test_width_past_the_calibrated_range_raises(self):
         # the width is refused as F1 and map_grid refuse it (it scored NaN)
         ctx = EvalContext(PrecisionConfig(mantissa_bits=440))
-        with pytest.raises(DomainError, match="out of range for the mpmath kernel"):
+        message = "^440 bits is out of range: evaluations run from 53 to 432 bits$"
+        with pytest.raises(DomainError, match=message):
             F1(1.0 + 1.0j, ctx)
-        with pytest.raises(DomainError, match="out of range for the mpmath kernel"):
+        with pytest.raises(DomainError, match=message):
             agreement("d1fa", 1.0 + 1.0j, ctx)
-        # exp_iterate refuses it before returning e itself
-        e = ev._kernel_of(ctx).e()
-        with pytest.raises(DomainError, match="out of range for the mpmath kernel"):
-            exp_iterate(IterateRequest(0.5, e), ctx)
+        # exp_iterate and dq13 refuse it, exp_iterate before returning e itself
+        with pytest.raises(DomainError, match=message):
+            exp_iterate(IterateRequest(0.5, mpmath.e), ctx)
+        with pytest.raises(DomainError, match=message):
+            dq13(2.5, ctx)
+        with pytest.raises(DomainError, match=message):
+            map_grid("F1", GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2), ctx)
 
 
 class TestNonFiniteIterate:
@@ -407,7 +420,7 @@ class TestNonFiniteIterate:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(ev._Tables, "anchors", counted(ev._Tables.anchors))
+        monkeypatch.setattr(it, "_kernel_of", counted(it._kernel_of))
         monkeypatch.setattr(it, "A1", counted(it.A1))
         message = f"^argument must be finite, got {re.escape(repr(c))}$"
         with pytest.raises(DomainError, match=message):
@@ -608,10 +621,10 @@ class TestMapGrid:
     )
     def test_expc_refuses_a_bad_count_before_calibrating(self, monkeypatch, c, ctx, message):
         # it once calibrated and then returned a grid of "domain" cells
-        def anchored(kernel):
-            raise AssertionError("took the anchors for a count no cell can take")
+        def evaluated(*args, **kwargs):
+            raise AssertionError("evaluated a cell for a count no cell can take")
 
-        monkeypatch.setattr(ev._Tables, "anchors", anchored)
+        monkeypatch.setattr("superexp.iteration.exp_iterate", evaluated)
         with pytest.raises(DomainError, match=message):
             map_grid("expc", GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2), ctx, c=c)
 

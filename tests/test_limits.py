@@ -191,12 +191,26 @@ class TestLevy:
         assert info.value.index == 7
 
     def test_double_precision_is_flagged_late(self):
+        # a real orbit steps on integers with 2 log2 n guard bits, so its
+        # differences keep the width: at 20000 steps the 53-bit probe is
+        # within 9.2e-17 of the 256-bit one, and it once warned there
         dbl = PrecisionConfig(mantissa_bits=53)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             levy_probe(-1, 1, 10000, dbl)
+            got = levy_probe(-1, 1, 20000, dbl)
+        want = levy_probe(-1, 1, 20000, CFG256)
+        assert abs(got - want) < 2e-16 * abs(want)
+
+    def test_complex_orbits_are_flagged_at_double_precision(self):
+        # a complex orbit steps on mpmath values at the width: its
+        # differences lose what the denominator's 2/n^2 cancels, and at
+        # 20000 steps the 53-bit value is 9.5e-12 off the 256-bit one,
+        # which is `want` to 15 digits
         with pytest.warns(PrecisionLossWarning):
-            levy_probe(-1, 1, 20000, dbl)
+            got = levy_abel(-0.5 + 0.1j, -0.2 + 0.3j, 20000, PrecisionConfig(mantissa_bits=53))
+        want = mpmath.mpc("0.894239901290199", "-3.57860119666403")
+        assert abs(got - want) > 1e-12 * abs(want)
 
     def test_high_precision_not_flagged(self):
         with warnings.catch_warnings():
