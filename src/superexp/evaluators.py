@@ -84,12 +84,15 @@ _E = math.e
 
 
 class BranchSign(enum.Enum):
-    """Selector for the two asymptotic branches.
+    """The branch of superexp_tilde, its public selector.
 
     `minus` is the branch real on the far positive axis (it feeds F1 and
     pairs with abel1); `plus` is real on the far negative axis (F3,
     abel2).  The name records which sign goes inside the logarithm of
-    the paired Abel expansion.
+    the paired Abel expansion.  superexp_tilde converts it once: below
+    the public API the side is the bool `plus`, True for F3, A3 and
+    abel2, which the walks take and index anchors, tails and Newton
+    plans with.
     """
 
     minus = "minus"
@@ -332,10 +335,18 @@ def _double(z: Scalar) -> complex:
 
 
 class _DoubleKernel(_Tables):
-    """Machine-double evaluation: plain complex arithmetic, no guards
-    beyond the exponential step's underflow and escape rule."""
+    """Machine-double evaluation in plain complex arithmetic.
+
+    A step is refused or guarded only where a double cannot hold it:
+    exp_step lands an underflowing e^(w/e) at 0 and takes the escape
+    rule (_escape) past 700, log_step takes the upper side of the
+    negative real axis and refuses a step from 0; abel_series refuses a
+    subnormal zeta, whose 2/zeta is past the double range; and
+    ftilde_series refuses a last Newton step above newton_limit.
+    """
 
     bits = 53
+    e = _E
     tol = 0.0
     # plain doubles; a last Newton step may reach 2^-19 (or 4 ulps of |w|)
     scale = 0
@@ -346,9 +357,6 @@ class _DoubleKernel(_Tables):
     def coeff(self, c: Fraction) -> complex:
         # z + c rounds as z + float(c) does, minus the mixed-type add
         return complex(float(c))
-
-    def e(self) -> float:
-        return _E
 
     cast = staticmethod(_double)
     # a composition's values as doubles: a float or complex as it is, finite
@@ -383,18 +391,10 @@ class _DoubleKernel(_Tables):
     value = state
 
     def step(self, w: complex, idx: int, backward: bool):
-        """One step of an F~ walk.  The plain steps run inline, as in
-        abel_walk; exp_step and log_step take the guarded ones, and
-        exp_step's None passes through."""
-        if backward:
-            if w.imag or w.real > 0.0:
-                return _E * cmath.log(w)
-            return self.log_step(w, idx)
-        if -745.0 <= w.real / _E <= 700.0:
-            return cmath.exp(w / _E)
-        return self.exp_step(w, idx)
+        """One step of an F~ walk: log_step or exp_step, whose None passes through."""
+        return self.log_step(w, idx) if backward else self.exp_step(w, idx)
 
-    def abel_walk(self, w: complex, plus_side: bool) -> tuple:
+    def abel_walk(self, w: complex, plus: bool) -> tuple:
         """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e.
 
         The plain steps run inline; exp_step and log_step take the
@@ -406,7 +406,7 @@ class _DoubleKernel(_Tables):
         while abs(zeta) >= radius:
             if k >= cap:
                 _missed_disk(cap, zeta)
-            if not plus_side:
+            if not plus:
                 if -745.0 <= w.real / _E <= 700.0:
                     w, k = exp(w / _E), k + 1
                 else:
@@ -420,26 +420,24 @@ class _DoubleKernel(_Tables):
             zeta = 1 - w / _E
         return w, k, zeta
 
-    def abel_series(self, zeta: complex, plus_side: bool):
+    def abel_series(self, zeta: complex, plus: bool):
         # a subnormal zeta, within 1e-308 of e, has lost bits, and 2/zeta
         # is past 2^1023: beyond the double range or within a step of it
         if abs(zeta) < _TINY:
             raise DomainError("value is outside the double range this close to e")
-        arg = -zeta if plus_side else zeta
+        arg = -zeta if plus else zeta
         if arg.imag == 0.0 and arg.real < 0.0:
             # Im(zeta) = -Im(z)/e, so the upper-side limit in z is the
             # lower side for a log on zeta and the upper for one on -zeta
-            logpart = complex(
-                math.log(-arg.real), math.pi if plus_side else -math.pi
-            )
+            logpart = complex(math.log(-arg.real), math.pi if plus else -math.pi)
         else:
             logpart = cmath.log(arg)
         acc = 0j
-        for c in self.tails[plus_side]:
+        for c in self.tails[plus]:
             acc = acc * zeta + c
         return logpart / 3.0 + 2.0 / zeta + acc * zeta, 0.0
 
-    def ftilde_series(self, z: complex, branch: BranchSign):
+    def ftilde_series(self, z: complex, plus: bool):
         """F~ = e(1 - 2/w) at a base point, w - log(+-w)/3 + tail(2/w) = z.
 
         Starts from two logarithms, w0 = z + log(+-z)/3 and then
@@ -450,7 +448,6 @@ class _DoubleKernel(_Tables):
         bits).  g(w) is summed as zeta t(zeta) with tail(zeta) = zeta
         t(zeta), and g'(w) = 1 - zeta/6 - (zeta^2/2) tail'(zeta).
         """
-        plus = branch is BranchSign.plus
         steps, log = self.newton_steps[plus], cmath.log
         w = z + (log(-z) if plus else log(z)) / 3.0
         # c_1, the lowest-order coefficient, ends each tail
@@ -536,10 +533,10 @@ def _escape(y, cos, bits: int, idx: int):
     raise OrbitOverflowError("e^(z/e) overflows the kernel's range", index=idx)
 
 
-def _abel_walk(kernel, w, plus_side: bool, norm=None):
+def _abel_walk(kernel, w, plus: bool, norm=None):
     # w is the kernel's scalar; norm, when given, is subtracted from the result
-    if not plus_side:
-        e = kernel.e()
+    if not plus:
+        e = kernel.e
         if w.imag == 0 and w.real > e:
             # the forward orbit escapes along the whole ray right of e; its
             # sided limit is abel2 rotated by pi/3, which exp_iterate applies
@@ -548,15 +545,15 @@ def _abel_walk(kernel, w, plus_side: bool, norm=None):
             # the first step's phase is noise at this width, and counts unless
             # |e^(z/e)| < 2^-1074, under every width: narrower widths refuse too
             raise DomainError("the width does not resolve the phase of e^(z/e) here")
-    w, k, zeta = kernel.abel_walk(w, plus_side)
+    w, k, zeta = kernel.abel_walk(w, plus)
     if zeta == 0:
         raise DomainError("branch point: the orbit landed exactly on e")
-    value, last = kernel.abel_series(zeta, plus_side)
+    value, last = kernel.abel_series(zeta, plus)
     # each width's tier keeps the tail's last term below tol throughout
     # its disk (TestTermTiers proves it for every width): a miss is a defect
     if last > kernel.tol * (1 + abs(value)):
         raise NonConvergenceError("Abel tail above the target accuracy", residual=float(last))
-    value = value + k if plus_side else value - k
+    value = value + k if plus else value - k
     return value if norm is None else value - norm
 
 
@@ -566,40 +563,28 @@ def _walk_length(gap) -> int:
     return 0 if gap < 0 else int(gap) + 1
 
 
-def _walk_chain(kernel, chain: list, k: int, minus: bool):
-    """The walk's value after k steps from the base point of `chain`.
+def _ftilde_eval(kernel, w0, plus: bool, chains=None):
+    """F~ at w0, the kernel's scalar, on the side `plus` (F3's).
 
-    chain[j] is the kernel's walk state after j steps (chain[0] is F~
-    at the base), extended here by kernel.step as far as k needs.  None
-    stands for the unrepresentable value of a collapsing exponential
-    step (see _escape), whose next step lands at the kernel's zero; it
-    fails only a walk that ends on it.  A step that raises is not
-    stored: every walk that needs it takes it again and raises the same
-    error, the kernel's log_step refusing a backward step from 0.  A
-    cell that shares no walk has a chain of its own.
+    F~ is summed at the base point k steps out past the threshold (up
+    for plus False, down for plus True) and walked back k steps.  The
+    walk is a chain: chain[j] is the kernel's walk state after j
+    steps (chain[0] is F~ at the base), extended by kernel.step as far
+    as k needs.  None stands for the unrepresentable value of a
+    collapsing exponential step (see _escape), whose next step lands at
+    the kernel's zero; it fails only a walk that ends on it.  A step
+    that raises is not stored: every walk that needs it takes it again
+    and raises the same error, the kernel's log_step refusing a backward
+    step from 0.  chains, when given, is one sweep's memo of chains
+    keyed by the exact base point: equal keys are equal bits, since
+    adding the anchor or k turns an imaginary -0.0 into +0.0.  Only a
+    base within one unit past the threshold is memoized, the only ones
+    a walking cell reaches; a cell that shares no walk has a chain of
+    its own.
     """
-    j = len(chain) - 1
-    w = chain[j]
-    while j < k:
-        w = kernel.zero if w is None else kernel.step(w, j + 1, minus)
-        chain.append(w)
-        j += 1
-    w = chain[k]
-    if w is None:
-        raise OrbitOverflowError("forward step overflows at the target index", index=k)
-    return kernel.value(w)
-
-
-def _ftilde_eval(kernel, w0, branch: BranchSign, chains=None):
-    # w0 is the kernel's scalar.  chains, when given, is one sweep's memo
-    # of walks (see _walk_chain) keyed by the exact base point: equal keys
-    # are equal bits, since adding the anchor or k turns an imaginary -0.0
-    # into +0.0.  Only a base within one unit past the threshold is
-    # memoized, the only ones a walking cell reaches.
     if w0 == 0:
         raise DomainError("the asymptotic series is singular at 0")
-    minus = branch is BranchSign.minus
-    gap = kernel.threshold - w0.real if minus else w0.real + kernel.threshold
+    gap = w0.real + kernel.threshold if plus else kernel.threshold - w0.real
     if gap >= kernel.walk_cap:
         # the walk takes floor(gap) + 1 steps, counted only while that
         # is a short number: a far argument's count has hundreds of digits
@@ -609,11 +594,11 @@ def _ftilde_eval(kernel, w0, branch: BranchSign, chains=None):
             f" cap is {kernel.walk_cap}"
         )
     k = _walk_length(gap)
-    base = w0 + k if minus else w0 - k
+    base = w0 - k if plus else w0 + k
     shared = chains is not None and gap >= -1
     chain = chains.get(base) if shared else None
     if chain is None:
-        value, last = kernel.ftilde_series(base, branch)
+        value, last = kernel.ftilde_series(base, plus)
         if last > kernel.tol:
             raise NonConvergenceError(
                 "asymptotic tail above the target accuracy", residual=float(last)
@@ -621,7 +606,16 @@ def _ftilde_eval(kernel, w0, branch: BranchSign, chains=None):
         chain = [kernel.state(value)]
         if shared:
             chains[base] = chain
-    return _walk_chain(kernel, chain, k, minus)
+    j = len(chain) - 1
+    w = chain[j]
+    while j < k:
+        w = kernel.zero if w is None else kernel.step(w, j + 1, not plus)
+        chain.append(w)
+        j += 1
+    w = chain[k]
+    if w is None:
+        raise OrbitOverflowError("forward step overflows at the target index", index=k)
+    return kernel.value(w)
 
 
 # -- the argument gate and cut sides --------------------------------------
@@ -743,13 +737,13 @@ def A3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     return _abel(z, True, ctx, cut_side, normed=True)
 
 
-def _abel(z, plus_side: bool, ctx, cut_side, normed=False):
-    # abel1 (plus_side False) or abel2 at z; normed subtracts the
+def _abel(z, plus: bool, ctx, cut_side, normed=False):
+    # abel1 (plus False) or abel2 at z; normed subtracts the
     # calibrated a1_norm or a3_norm, giving A1 or A3
     kernel = _kernel_of(ctx)
     w, flip, strict = _gate(kernel, z, cut_side)
-    norm = kernel.anchors[2 + plus_side] if normed else None
-    return _public(_abel_walk(kernel, w, plus_side, norm), flip, strict)
+    norm = kernel.anchors[2 + plus] if normed else None
+    return _public(_abel_walk(kernel, w, plus, norm), flip, strict)
 
 
 def superexp_tilde(
@@ -775,10 +769,10 @@ def superexp_tilde(
     that step), or the tail of the one sum at the walk-out base is above
     the target accuracy.
     """
-    branch = _as_branch(BranchSign, branch)
+    plus = _as_branch(BranchSign, branch) is BranchSign.plus
     kernel = _kernel_of(ctx)
     w, flip, strict = _gate(kernel, z, cut_side)
-    return _public(_ftilde_eval(kernel, w, branch), flip, strict)
+    return _public(_ftilde_eval(kernel, w, plus), flip, strict)
 
 
 def F1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -794,7 +788,7 @@ def F1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     finite, that loses accuracy like the logarithm of the distance:
     F1(-2.0000001) is about -42.43 + 8.54i from above.
     """
-    return _superexp(z, BranchSign.minus, ctx, cut_side)
+    return _superexp(z, False, ctx, cut_side)
 
 
 def F3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -804,19 +798,17 @@ def F3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     positive real axis; overflow there raises OrbitOverflowError
     carrying the first overflowing step index.
     """
-    return _superexp(z, BranchSign.plus, ctx, cut_side)
+    return _superexp(z, True, ctx, cut_side)
 
 
-def _superexp(z, branch: BranchSign, ctx, cut_side, chains=None):
-    # F1 (the minus branch) or F3 (plus) at z, walking through a sweep's
-    # memo when one is given: the anchor x1 or x3 shifts the argument
+def _superexp(z, plus: bool, ctx, cut_side, chains=None):
+    # F1 (plus False) or F3 at z, walking through a sweep's memo when one
+    # is given: the anchor x1 or x3 shifts the argument
     kernel = _kernel_of(ctx)
     w, flip, strict = _gate(kernel, z, cut_side)
-    minus = branch is BranchSign.minus
-    if minus:
+    if not plus:
         _refuse_pole(w)
-    shift = kernel.anchors[not minus]
-    return _public(_ftilde_eval(kernel, w + shift, branch, chains), flip, strict)
+    return _public(_ftilde_eval(kernel, w + kernel.anchors[plus], plus, chains), flip, strict)
 
 
 def _sweep(fn: str, ctx: EvalContext):
@@ -825,11 +817,11 @@ def _sweep(fn: str, ctx: EvalContext):
     Returns cell(z, cut_side), which gives what fn(z, ctx, cut_side)
     gives, bit for bit: cells a whole number of units apart
     walk from the same base point, and each base is summed and walked
-    once (_walk_chain).  A base's imaginary part is Im z plus the
+    once (_ftilde_eval).  A base's imaginary part is Im z plus the
     anchor's, so no two rows share one, and the memo keeps the current
     row's walks only.
     """
-    branch = BranchSign.minus if fn == "F1" else BranchSign.plus
+    plus = fn == "F3"
     chains: dict = {}
     row = None
 
@@ -838,7 +830,7 @@ def _sweep(fn: str, ctx: EvalContext):
         if z.imag != row:
             chains.clear()
             row = z.imag
-        return _superexp(z, branch, ctx, cut_side, chains)
+        return _superexp(z, plus, ctx, cut_side, chains)
 
     return cell
 
@@ -874,8 +866,8 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
     from .wide import _MPKernel
     kernel = _MPKernel(EvalContext(PrecisionConfig(mantissa_bits=bits), ctx.max_recursion))
     wide = kernel.mp  # at bits + 32
-    a1 = _abel_walk(kernel, kernel.cast(1), plus_side=False)
-    a3 = _abel_walk(kernel, kernel.cast(3), plus_side=True)
+    a1 = _abel_walk(kernel, kernel.cast(1), plus=False)
+    a3 = _abel_walk(kernel, kernel.cast(3), plus=True)
     shift = wide.log(2) / 3
     # x1, x3, a1_norm, a3_norm and period_t1, in the fields' order
     values = (a1 - shift, a3 - shift, a1, a3, wide.mpc(0, 2 * wide.pi * wide.e))

@@ -147,7 +147,7 @@ def exp_iterate(req: IterateRequest, ctx: Optional[EvalContext] = None) -> Scala
     # c is held at the width, where c + A(z) is formed
     zw, flip, strict = _gate(kernel, req.z, req.cut_side)
     c = kernel.at_width(req.c)
-    zr, e = +kernel.at_width(zw), +kernel.at_width(kernel.e())
+    zr, e = +kernel.at_width(zw), +kernel.at_width(kernel.e)
     if zr == e:
         # every regular iterate fixes e exactly; the F(c + A(z))
         # composition has a removable singularity there

@@ -63,7 +63,9 @@ from .errors import (
     PrecisionLossWarning,
     SuperexpError,
 )
-from .precision import PrecisionConfig, _as_mp, mp_context, plain, require_count
+from .precision import (
+    PrecisionConfig, _as_mp, mp_context, plain, require_count, round_trip_digits,
+)
 
 __all__ = [
     "PrecisionConfig",
@@ -630,9 +632,9 @@ def format_record(
     """
     if rec.error is not None:
         return None, None
-    digits = mpmath.libmp.prec_to_dps(_value_bits(rec.value)) + 3
     value = mpmath.nstr(
-        rec.value, digits, strip_zeros=True, min_fixed=1, max_fixed=0
+        rec.value, round_trip_digits(_value_bits(rec.value)),
+        strip_zeros=True, min_fixed=1, max_fixed=0,
     )
     return value.replace(" ", ""), _printed(rec.method, rec.n, rec.value)
 

@@ -88,12 +88,18 @@ def plain(x, bits: int | None = None):
     return x
 
 
+def round_trip_digits(bits: int) -> int:
+    """The digits of a decimal that reads back to the same value at
+    `bits`: three past the ones `bits` resolves."""
+    from mpmath.libmp import prec_to_dps
+    return prec_to_dps(bits) + 3
+
+
 def round_trip_decimal(x, bits: int) -> str:
-    """x as a decimal that reads back to the same value at `bits`: three
-    digits past the ones `bits` resolves, as the CLI and the calibration
-    record write every value wider than a double."""
+    """x as a round_trip_digits(bits) decimal, as the CLI and the
+    calibration record write every value wider than a double."""
     import mpmath
-    return mpmath.nstr(x, mpmath.libmp.prec_to_dps(bits) + 3)
+    return mpmath.nstr(x, round_trip_digits(bits))
 
 
 def mp_convert(ctx, x):

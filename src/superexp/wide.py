@@ -36,7 +36,6 @@ from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .errors import NonConvergenceError
 from .evaluators import (
-    BranchSign,
     EvalContext,
     Scalar,
     _abel_tier,
@@ -94,6 +93,7 @@ class _MPKernel(_Tables):
         self.bits = ctx.precision.mantissa_bits
         self._workbits = self.bits + 32
         self.mp = new_mp_context(self._workbits)
+        self.e = +self.mp.e  # the fixed point at the work bits
         self.scale = S = self._workbits + _SCALE_GUARD
         self.abel_radius, self.abel_terms = _abel_tier(self.bits)
         self.threshold = _walk_out(self.abel_radius)
@@ -125,9 +125,6 @@ class _MPKernel(_Tables):
     def _unfix_pair(self, re: int, im: int):
         return self.mp.mpc(self._unfix(re), self._unfix(im))
 
-    def e(self):
-        return +self.mp.e
-
     def cast(self, z: Scalar):
         return _as_mp(self.mp, z)  # exact, under the argument rule
 
@@ -136,8 +133,7 @@ class _MPKernel(_Tables):
         return mp_convert(self._width, x)
 
     def exp_step(self, w, idx: int):
-        ctx = self.mp
-        e = +ctx.e
+        ctx, e = self.mp, self.e
         x = ctx.re(w) / e
         if x > 1e8:
             return _escape(ctx.im(w) / e, ctx.cos, self.bits, idx)
@@ -154,7 +150,7 @@ class _MPKernel(_Tables):
         # upper-side limit
         if not w:
             _log_of_zero()
-        return self.mp.e * self.mp.log(w)
+        return self.e * self.mp.log(w)
 
     # A walk state is (re, im) at the scale, im None for a real one, while
     # the value is in range, else the value itself; a zero state is a
@@ -221,31 +217,31 @@ class _MPKernel(_Tables):
         w = self.log_step(w, idx) if backward else self.exp_step(w, idx)
         return None if w is None else self.state(w)
 
-    def abel_walk(self, w, plus_side: bool):
+    def abel_walk(self, w, plus: bool):
         """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e."""
         cap, k, s = self.abel_cap, 0, self.state(w)
         e, r2 = self._e, self._r2
         # the disk lies inside the integer range: a value state is outside
         while type(s) is not tuple or (e - s[0]) ** 2 + (s[1] or 0) ** 2 >= r2:
             if k >= cap:
-                _missed_disk(cap, 1 - self.value(s) / self.e())
-            s, k = self.step(s, k + 1, plus_side), k + 1
+                _missed_disk(cap, 1 - self.value(s) / self.e)
+            s, k = self.step(s, k + 1, plus), k + 1
             if s is None:  # unrepresentable: its next step lands at 0
                 s, k = self.zero, k + 1
         w = self.value(s)
-        return w, k, 1 - w / self.e()
+        return w, k, 1 - w / self.e
 
-    def abel_series(self, zeta, plus_side: bool):
+    def abel_series(self, zeta, plus: bool):
         ctx = self.mp
-        arg = -zeta if plus_side else zeta
+        arg = -zeta if plus else zeta
         if ctx.im(arg) == 0 and ctx.re(arg) < 0:
             # zeta flips the half-plane of z; see the double kernel
-            logpart = ctx.mpc(ctx.log(-ctx.re(arg)), ctx.pi if plus_side else -ctx.pi)
+            logpart = ctx.mpc(ctx.log(-ctx.re(arg)), ctx.pi if plus else -ctx.pi)
         else:
             logpart = ctx.log(arg)
         # the tail is zeta times a Horner sum: a trailing zero coefficient
         # (a real zeta keeps a zero imaginary part throughout)
-        coeffs, S = self.tails[plus_side], self.scale
+        coeffs, S = self.tails[plus], self.scale
         tr, ti = _horner_complex(coeffs + (0,), *_pair(zeta, S), S)
         real = isinstance(zeta, ctx.mpf)
         tail = self._unfix(tr) if real else self._unfix_pair(tr, ti)
@@ -307,7 +303,7 @@ class _MPKernel(_Tables):
             )
         return wr, wi
 
-    def ftilde_series(self, z, branch: BranchSign):
+    def ftilde_series(self, z, plus: bool):
         """F~ = e(1 - zeta) at a base point, where alpha(zeta) = z + ln(2)/3.
 
         Solved for w = 2/zeta on scaled integers (invert_abel), one
@@ -315,12 +311,10 @@ class _MPKernel(_Tables):
         kernel's own; the tail estimate is the Abel tail's last term at
         that zeta, carried to F~ by dF/dalpha = e zeta^2/2.
         """
-        plus = branch is BranchSign.plus
         wr, wi = self.invert_abel(*_pair(z, self.scale), plus)
         ctx = self.mp
         w = self._unfix(wr) if isinstance(z, ctx.mpf) else self._unfix_pair(wr, wi)
         zeta = 2 / w
-        e = +ctx.e
         tail = self.tails[plus]
-        last = self._unfix(abs(tail[0])) * abs(zeta) ** (len(tail) + 2) * e / 2
-        return e * (1 - zeta), last
+        last = self._unfix(abs(tail[0])) * abs(zeta) ** (len(tail) + 2) * self.e / 2
+        return self.e * (1 - zeta), last

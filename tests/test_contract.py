@@ -18,11 +18,13 @@ a failure.
 Examples are drawn derandomized, so a run is repeatable.
 """
 
+import ast
 import cmath
 import contextlib
 import inspect
 import io
 import math
+import pathlib
 import re
 import warnings
 
@@ -287,6 +289,38 @@ def test_no_public_callable_takes_constants():
         if "constants" in params:
             taking.append(name)
     assert taking == []
+
+
+def test_one_side_flag_below_the_public_api():
+    # below superexp_tilde the side is the bool `plus`: wide.py does not
+    # name BranchSign, no function of evaluators.py or wide.py but
+    # superexp_tilde and _as_branch takes a `branch`, and each kernel
+    # holds the fixed point as its attribute `e`, not a method
+    trees = {
+        name: ast.parse(pathlib.Path(evaluators.__file__).with_name(name).read_text())
+        for name in ("evaluators.py", "wide.py")
+    }
+    found = []
+    for node in ast.walk(trees["wide.py"]):
+        named = (
+            getattr(node, "id", None), getattr(node, "attr", None),
+            node.name if isinstance(node, ast.alias) else None,
+        )
+        if "BranchSign" in named:
+            found.append(f"wide.py:{getattr(node, 'lineno', '?')} names BranchSign")
+    for path, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            name = getattr(fn, "name", "a lambda")
+            params = [a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)]
+            if "branch" in params and name not in ("superexp_tilde", "_as_branch"):
+                found.append(f"{path}: {name} takes `branch`")
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name in ("_DoubleKernel", "_MPKernel"):
+                if any(isinstance(fn, ast.FunctionDef) and fn.name == "e" for fn in cls.body):
+                    found.append(f"{path}: {cls.name} defines a method e")
+    assert found == []
 
 
 # a call written for the former `constants` parameter, after ctx: each

@@ -507,7 +507,7 @@ def _stepped_walk(kernel, w, plus_side):
     # the Abel walk as one guarded exp_step or log_step per step: the
     # double kernel's one-loop walk must give its doubles and errors, and
     # the mpmath kernel's walk on integers its values and errors
-    e = kernel.e()
+    e = kernel.e
     k, zeta = 0, 1 - w / e
     while abs(zeta) >= kernel.abel_radius:
         if k >= kernel.abel_cap:
@@ -753,6 +753,8 @@ def _wide_bits(call):
         return tuple(_wide_bits(lambda v=v: v) for v in value)
     if isinstance(value, int):
         return value
+    if isinstance(value, complex):  # a 53-bit value
+        return value.real.hex(), value.imag.hex()
     # ints, not mpmath's mantissa type, whose repr depends on its backend
     parts = getattr(value, "_mpc_", None) or (value._mpf_,)
     return tuple(tuple(map(int, part)) for part in parts)
@@ -769,18 +771,25 @@ class TestWideBitIdentity:
     solve moved out of their own module into _MPKernel, with abel1,
     abel2 and superexp_tilde at 480 bits too; that slice went when
     widths past 432 bits were refused, and the digest without it is
-    the one the code before that change gives.
+    the one the code before that change gives.  A second digest pins
+    the unnormalised functions, abel1, abel2 and both branches of
+    superexp_tilde, at 53 bits too; it was recorded before the walks
+    took their side as a bool in place of a BranchSign member.
     """
 
     GUARDED = ("underflow", "collapse", "overflow", "cut", "zero")
+
+    @staticmethod
+    def _points(bits: int) -> list:
+        rng = random.Random(f"wide bits:{bits}")
+        points = [complex(rng.uniform(-8, 28), rng.uniform(-14, 14)) for _ in range(12)]
+        return points + [rng.uniform(-8, 28) for _ in range(3)]
 
     def test_digest(self):
         rows = []
         for bits in (128, 256, 432):
             ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
-            rng = random.Random(f"wide bits:{bits}")
-            points = [complex(rng.uniform(-8, 28), rng.uniform(-14, 14)) for _ in range(12)]
-            points += [rng.uniform(-8, 28) for _ in range(3)]
+            points = self._points(bits)
             for f in (F1, F3, A1, A3):
                 rows += [_wide_bits(lambda: f(z, ctx)) for z in points]
             kernel = _kernel(ctx)
@@ -789,6 +798,27 @@ class TestWideBitIdentity:
                 rows.append(_wide_bits(lambda: kernel.abel_walk(kernel.cast(z), plus_side)))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "5892f3fd9ccf6d8542d3379cc0bbdb67cf76bb30f044450f01e4011e30d7c7b7"
+        )
+
+    def test_unnormalised_digest(self):
+        # abel1, abel2 and both branches of superexp_tilde, one given by
+        # member and one by name, at every kernel's widths: over the seeded
+        # points and at the arguments of the guarded Abel-walk cases
+        fns = (
+            abel1,
+            abel2,
+            lambda z, ctx: superexp_tilde(z, BranchSign.minus, ctx),
+            lambda z, ctx: superexp_tilde(z, "plus", ctx),
+        )
+        rows = []
+        for bits in (53, 128, 256, 432):
+            ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+            points = self._points(bits)
+            points += [TestDoubleAbelWalk.CASES[case][1] for case in self.GUARDED]
+            for f in fns:
+                rows += [_wide_bits(lambda: f(z, ctx)) for z in points]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "0e16731b80b8dab8996dba0c760e128f2188f42d396bf083eade186cc718ff10"
         )
 
 
@@ -878,7 +908,7 @@ class TestDoubleNewtonSteps:
         for w in points:
             for branch, z in ((BranchSign.minus, w), (BranchSign.plus, -w)):
                 want = complex(superexp_tilde(z, branch, ctx128))
-                got = k53.ftilde_series(z, branch)[0]
+                got = k53.ftilde_series(z, branch is BranchSign.plus)[0]
                 ulps = abs(got - want) / math.ulp(abs(want))
                 if ulps > worst.get(branch.name, (0.0,))[0]:
                     worst[branch.name] = (ulps, z)
@@ -953,8 +983,9 @@ class TestWideNewtonSteps:
         worst, polynomials = (-math.inf, None), -math.inf
         for i, w in enumerate(points):
             for branch, z in ((BranchSign.minus, w), (BranchSign.plus, -w)):
-                got = kernel.ftilde_series(kernel.cast(z), branch)[0]
-                want = plain(ev._ftilde_eval(wider, wider.cast(z), branch))
+                plus = branch is BranchSign.plus
+                got = kernel.ftilde_series(kernel.cast(z), plus)[0]
+                want = plain(ev._ftilde_eval(wider, wider.cast(z), plus))
                 gap = rel_bits(got, want) + bits
                 if gap > worst[0]:
                     worst = (gap, z)
@@ -1086,10 +1117,10 @@ class TestTermTiers:
         kernel = _MPKernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
         x = kernel.mp.mpf(kernel.threshold)
         below = 12 if bits >= 224 else 10
-        for branch, base in ((BranchSign.minus, x), (BranchSign.plus, -x)):
-            value, last = kernel.ftilde_series(base, branch)
+        for plus, base in ((False, x), (True, -x)):
+            value, last = kernel.ftilde_series(base, plus)
             assert abs(1 - value / kernel.mp.e) < kernel.abel_radius
-            assert last <= mpmath.mpf(2) ** -(bits + below), (branch, last)
+            assert last <= mpmath.mpf(2) ** -(bits + below), (plus, last)
 
     def test_tail_bound_at_every_width(self):
         # what makes one sum enough: for every width the mpmath kernel
@@ -1537,10 +1568,9 @@ def _exact(c):
     return mpmath.mpf(c.numerator) / c.denominator
 
 
-def _ftilde_reference(kernel, z, branch):
+def _ftilde_reference(kernel, z, plus_side):
     # e(1 - zeta) with the mpf Abel sum over the same terms equal to
     # z + ln(2)/3, solved by mpmath's secant at twice the work bits
-    plus_side = branch is BranchSign.plus
     with mp.workprec(2 * kernel._workbits):
         z = mpmath.mpmathify(z)  # out of the kernel's context, exactly
         target = z + mpmath.log(2) / 3
@@ -1608,10 +1638,10 @@ class TestFixedPointSums:
             worst = max(worst, gap)
             assert gap <= -(bits + 8), (name, args, gap)
         print(f"{bits} bits: {len(calls)} sums, worst relative gap 2^{worst:.1f}")
-        for branch in BranchSign:
+        for plus in (False, True):
             for kind in (mpmath.mpf, mpmath.mpc):
-                assert ("ftilde_series", branch, kind, False) in seen
-            assert ("ftilde_series", branch, mpmath.mpc, True) in seen
+                assert ("ftilde_series", plus, kind, False) in seen
+            assert ("ftilde_series", plus, mpmath.mpc, True) in seen
         for plus_side in (False, True):
             for kind in (mpmath.mpf, mpmath.mpc):
                 assert ("abel_series", plus_side, kind) in seen
@@ -1625,8 +1655,8 @@ class TestFixedPointSums:
         x = kernel.mp.mpf(kernel.threshold + 1)
         zeta = kernel.mp.mpf("0.05")
         sums = [
-            kernel.ftilde_series(x, BranchSign.minus)[0],
-            kernel.ftilde_series(-x, BranchSign.plus)[0],
+            kernel.ftilde_series(x, False)[0],
+            kernel.ftilde_series(-x, True)[0],
             kernel.abel_series(zeta, False)[0],
             kernel.abel_series(-zeta, True)[0],
         ]

@@ -922,9 +922,9 @@ class TestSharedWalks:
         rows = []
         walk = ev._ftilde_eval
 
-        def recorded(kernel, w0, branch, chains=None):
+        def recorded(kernel, w0, plus, chains=None):
             rows.append({base.imag for base in chains})
-            return walk(kernel, w0, branch, chains)
+            return walk(kernel, w0, plus, chains)
 
         monkeypatch.setattr(ev, "_ftilde_eval", recorded)
         r = map_grid("F1", grid)

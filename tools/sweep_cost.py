@@ -20,9 +20,12 @@ Usage (from the repository root):
 
 The grid is x_min:x_max:y_min:y_max:nx:ny (the "=" keeps a negative
 x_min from reading as an option).  --src imports the library
-from another tree whose _ftilde_eval takes the same arguments, for
-example a git archive of the parent commit.  Run one process per
-function and tree, so that each peak RSS is that sweep's own.
+from another tree whose _ftilde_eval takes the same arguments, the
+side as the bool `plus` (True for F3), for example a git archive of an
+earlier commit.  A tree whose _ftilde_eval still takes a BranchSign
+member cannot be counted with this script: its walks would be
+miscounted without an error.  Run one process per function and tree,
+so that each peak RSS is that sweep's own.
 """
 
 from __future__ import annotations
@@ -42,17 +45,16 @@ def _count(evaluators, counts: dict, sums: list) -> None:
     walks, and record each sum in `sums` as (series, kernel, args)."""
     kernel_cls, walk = evaluators._DoubleKernel, evaluators._ftilde_eval
     series = kernel_cls.ftilde_series
-    minus = evaluators.BranchSign.minus
 
     def summed(self, *args):
         sums.append((series, self, args))
         return series(self, *args)
 
-    def counted(kernel, w0, branch, chains=None):
-        gap = kernel.threshold - w0.real if branch is minus else w0.real + kernel.threshold
+    def counted(kernel, w0, plus, chains=None):
+        gap = w0.real + kernel.threshold if plus else kernel.threshold - w0.real
         before = len(sums)
         try:
-            return walk(kernel, w0, branch, chains)
+            return walk(kernel, w0, plus, chains)
         finally:
             if evaluators._walk_length(gap) > 0:
                 counts["walking"] += 1
