@@ -18,13 +18,10 @@ a failure.
 Examples are drawn derandomized, so a run is repeatable.
 """
 
-import ast
 import cmath
 import contextlib
-import inspect
 import io
 import math
-import pathlib
 import re
 import warnings
 
@@ -36,7 +33,6 @@ from hypothesis import strategies as st
 from superexp import (
     A1, A3, F1, F3, EvalContext, PrecisionConfig, abel1, abel2, superexp_tilde,
 )
-import superexp
 from superexp import cli, evaluators, limits, series
 from superexp.errors import DomainError, PrecisionLossWarning, SuperexpError
 from superexp.iteration import (
@@ -272,55 +268,6 @@ def test_a_value_that_is_not_a_number_is_refused(bits, bad):
         message = "requires the iteration count"
     with pytest.raises((DomainError, ValueError), match=message):
         map_grid("expc", GRID, ctx, c=bad)
-
-
-def test_no_public_callable_takes_constants():
-    # the calibration constants are the functions' own: every evaluator,
-    # composition and grid takes its width's default_constants
-    taking = []
-    for name in superexp.__all__:
-        obj = getattr(superexp, name)
-        if not callable(obj):
-            continue
-        try:
-            params = inspect.signature(obj).parameters
-        except (TypeError, ValueError):  # no signature to read
-            continue
-        if "constants" in params:
-            taking.append(name)
-    assert taking == []
-
-
-def test_one_side_flag_below_the_public_api():
-    # below superexp_tilde the side is the bool `plus`: wide.py does not
-    # name BranchSign, no function of evaluators.py or wide.py but
-    # superexp_tilde and _as_branch takes a `branch`, and each kernel
-    # holds the fixed point as its attribute `e`, not a method
-    trees = {
-        name: ast.parse(pathlib.Path(evaluators.__file__).with_name(name).read_text())
-        for name in ("evaluators.py", "wide.py")
-    }
-    found = []
-    for node in ast.walk(trees["wide.py"]):
-        named = (
-            getattr(node, "id", None), getattr(node, "attr", None),
-            node.name if isinstance(node, ast.alias) else None,
-        )
-        if "BranchSign" in named:
-            found.append(f"wide.py:{getattr(node, 'lineno', '?')} names BranchSign")
-    for path, tree in trees.items():
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
-                continue
-            name = getattr(fn, "name", "a lambda")
-            params = [a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)]
-            if "branch" in params and name not in ("superexp_tilde", "_as_branch"):
-                found.append(f"{path}: {name} takes `branch`")
-        for cls in tree.body:
-            if isinstance(cls, ast.ClassDef) and cls.name in ("_DoubleKernel", "_MPKernel"):
-                if any(isinstance(fn, ast.FunctionDef) and fn.name == "e" for fn in cls.body):
-                    found.append(f"{path}: {cls.name} defines a method e")
-    assert found == []
 
 
 # a call written for the former `constants` parameter, after ctx: each

@@ -1,0 +1,318 @@
+"""The package's design rules, one test per rule.  A rule about a name,
+an import or a call reads the parsed module, so a relative import or a
+name split across lines is seen; a rule about text, such as the one copy
+of a message, searches the module's text."""
+
+import ast
+import functools
+import importlib
+import inspect
+import pathlib
+import re
+import runpy
+
+import pytest
+
+import superexp
+from superexp import evaluators, iteration
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = pathlib.Path(superexp.__file__).parent
+TEXT = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+TREES = {name: ast.parse(text) for name, text in TEXT.items()}
+
+
+def _absent(pattern: str, names, message: str) -> None:
+    # no line of the named modules matches pattern
+    found = [f"{name}:{n}" for name in names
+             for n, line in enumerate(TEXT[name].splitlines(), 1) if re.search(pattern, line)]
+    assert found == [], f"{message}: {found}"
+
+
+def _once(message: str) -> None:
+    n = sum(text.count(message) for text in TEXT.values())
+    assert n == 1, f"'{message}' is written {n} times, not once"
+
+
+def _no_import(names, wanted, message: str, eager: bool = False) -> None:
+    # no named module imports a name wanted(name) holds for, names made absolute
+    # (`from . import wide` imports superexp and superexp.wide); an eager import
+    # is one a module runs as it loads: any outside a function body
+    found = []
+    for name in names:
+        stack = [TREES[name]]
+        while stack:
+            node = stack.pop()
+            if eager and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # every module sits at the package's top: any level is superexp
+                base = ".".join(filter(None, ["superexp" if node.level else "", node.module]))
+                imported = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            if any(map(wanted, imported)):
+                found.append(f"{name}:{node.lineno}")
+    assert found == [], f"{message}: {found}"
+
+
+def _takes(fn, name: str) -> bool:
+    return any(isinstance(a, ast.arg) and a.arg == name for a in ast.walk(fn.args))
+
+
+def _calls(node, name: str) -> int:
+    return sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name
+               for n in ast.walk(node))
+
+
+def _root(node):
+    # the name an attribute or subscript chain starts from
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return getattr(node, "id", None)
+
+
+def test_no_global_mpmath_precision():
+    """Results must not depend on mpmath's process-wide precision, which
+    every thread shares: the library works in private contexts.  A 53-bit
+    process loads no mpmath, limits or wide: the modules it runs import
+    them only inside their wide branches.  No evaluation loads the limit
+    formulas, at any width: the private mpmath contexts come from
+    precision.py."""
+    _absent(r"workprec|workdps|mp\.(prec|dps) *=", TEXT,
+            "src/superexp touches mpmath's global precision")
+    _no_import(
+        ("__init__.py", "cli.py", "evaluators.py", "iteration.py", "series.py", "errors.py",
+         "precision.py"),
+        lambda n: n.split(".")[0] == "mpmath" or n in ("superexp.limits", "superexp.wide"),
+        "a 53-bit module imports mpmath, limits or wide eagerly", eager=True,
+    )
+    _no_import(("evaluators.py", "wide.py", "iteration.py", "precision.py"),
+               lambda n: n == "superexp.limits" or n.startswith("superexp.limits."),
+               "a module of the evaluation stack imports limits")
+
+
+def test_one_mpmath_kernel():
+    """The kernel above 53 bits is one class, wide._MPKernel: its integer
+    steps, disk test and Newton solve are its own methods, so no fixed.py
+    holds them and no module imports one."""
+    assert "fixed.py" not in TEXT, ("src/superexp/fixed.py exists:"
+                                    " the kernel's integer arithmetic is wide.py's")
+    classes = [node.name for node in TREES["wide.py"].body if isinstance(node, ast.ClassDef)]
+    assert classes == ["_MPKernel"], f"wide.py defines {classes}: its one class is _MPKernel"
+    _no_import(TEXT, lambda n: n.split(".")[-1] == "fixed",
+               "imports fixed: the kernel is wide._MPKernel")
+
+
+def test_one_argument_rule():
+    """The finiteness rule of every entry point is written once, in
+    precision.require_finite, and the count rule of every width, cap, grid
+    size, truncation order and orbit length once, in
+    precision.require_count: each message appears once in the library,
+    and no other module asks mpmath whether a value is finite or Python
+    whether a value is an integer."""
+    _once("argument must be finite")
+    _once("must be an integer")
+    others = [name for name in TEXT if name != "precision.py"]
+    _absent(r"mpmath\.isfinite", others,
+            "a module other than precision.py tests finiteness with mpmath")
+    _absent(r"numbers\.Integral|operator\.index", others,
+            "a module other than precision.py tests whether a count is an integer")
+
+
+def test_one_width_decision():
+    """How a composition holds its values at a width is the kernels'
+    decision (at_width): iteration.py forks on the width only in _exp_b,
+    the reference e^(z/e) it computes 16 bits wider."""
+    for text in ("== 53", "mp_context("):
+        assert TEXT["iteration.py"].count(text) <= 1, (
+            f"iteration.py holds '{text}' more than once: only _exp_b forks on the width")
+
+
+def test_one_cut_rule():
+    """Strict mode (cut_side=None) is decided once, in evaluators._public,
+    on the upper-side value every walk takes, and a backward step from 0
+    is refused once, by the helper each kernel's log_step calls: each
+    message appears once in the library, and no walk of evaluators.py or
+    wide.py takes a side."""
+    _once("declare cut_side")
+    _once("logarithm singularity at 0")
+    # a whole word: "cut_side is None", the gate's own test, is not a match
+    _absent(r"(?<!\w)side is None(?!\w)", ("evaluators.py", "wide.py"),
+            "a walk takes a cut side: strict mode is _public's decision")
+
+
+def test_one_escape_rule():
+    """Whether a forward step past a kernel's range escapes or collapses
+    is decided once, by evaluators._escape, and one formula in
+    evaluators._Tables sets both kernels' walk caps: each message of an
+    OrbitOverflowError appears once in the library, wide.py sets no cap,
+    and the double kernel's former rule is gone.  limits._ESCAPE_RE, the
+    limit formulas' own guard in h-coordinates, stays as it is."""
+    written = [ast.unparse(node.args[0]) for tree in TREES.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and node.args
+               and getattr(node.func, "id", None) == "OrbitOverflowError"]
+    twice = sorted({message for message in written if written.count(message) > 1})
+    assert twice == [], f"an overflow message is written more than once: {twice}"
+    _absent(r"max\(ctx\.max_recursion", ("wide.py",),
+            "wide.py sets a walk cap: the caps are evaluators._Tables'")
+    _absent(r"3\.5e13|-0\.05", ("evaluators.py",),
+            "evaluators.py keeps the double kernel's former escape rule")
+
+
+def test_one_calibration_source():
+    """The library's default constants are decimal literals
+    (evaluators._CALIBRATED) that default_constants rounds to each tier,
+    so nothing calibrates unless calibrate() is called; they are the
+    functions' own, so no function of evaluators.py or iteration.py takes
+    a `constants` parameter.  evaluators._kernel calls default_constants
+    once per width and builds the kernel with their anchors: no other
+    function calls it, calibrate (which computes them) and the kernels'
+    methods included; the CLI takes them and reads no cache."""
+    _absent("default_constants", ("iteration.py", "wide.py"),
+            "iteration.py or wide.py resolves constants: the kernel is built with its anchors")
+    tree = TREES["evaluators.py"]
+    kernel = next(fn for fn in tree.body if getattr(fn, "name", None) == "_kernel")
+    assert _calls(tree, "default_constants") == _calls(kernel, "default_constants") == 1, (
+        "evaluators.py calls default_constants outside _kernel, the kernel build")
+    # default_constants and every helper of it live in evaluators.py
+    assert _calls(tree, "calibrate") == 0, (
+        "evaluators.py calls calibrate: default_constants reads the literals")
+    taking = [f"{name}: {getattr(fn, 'name', 'a lambda')}"
+              for name in ("evaluators.py", "iteration.py") for fn in ast.walk(TREES[name])
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              and _takes(fn, "constants")]
+    assert taking == [], f"{taking} take `constants`: they are the functions' own"
+    _absent(r"json\.load|_doubles", ("cli.py",),
+            "cli.py reads a cache: its commands take default_constants")
+    _absent(r"no_cache|--no-cache|exact=", ("cli.py",),
+            "cli.py reads its cache in more than one mode")
+
+
+def test_a_kernel_is_built_whole():
+    """Threads share a kernel, and each is built whole in its __init__
+    (evaluators._Tables): anchors, Abel tails and Newton plans, with
+    nothing cast or planned on first use.  No other method of _Tables,
+    _DoubleKernel or _MPKernel assigns to self."""
+    kernels = {"_Tables", "_DoubleKernel", "_MPKernel"}
+    classes = [(name, cls) for name in ("evaluators.py", "wide.py") for cls in TREES[name].body
+               if isinstance(cls, ast.ClassDef) and cls.name in kernels]
+    seen = {cls.name for _, cls in classes}
+    assert seen == kernels, f"kernel classes not found: {sorted(kernels - seen)}"
+    found = [f"{name}:{node.lineno} {cls.name}.{fn.name}" for name, cls in classes
+             for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name != "__init__"
+             for node in ast.walk(fn) if isinstance(node, (ast.Attribute, ast.Subscript))
+             and isinstance(node.ctx, (ast.Store, ast.Del)) and _root(node) == "self"]
+    assert found == [], f"{found} writes to self: a kernel is built whole in __init__"
+
+
+def test_one_width_rule():
+    """evaluators.calibration_tier is the one width rule: every evaluation,
+    default_constants, calibrate() and the CLI reach its one refusal,
+    which names the requested width and the range."""
+    _once("bits is out of range: evaluations run from 53 to")
+
+
+def test_one_power_table():
+    """Every exact series is one of h = e^x - 1: iterative_logarithm,
+    abel_expansion and regular_iterate_series take no base series, no
+    _nonlinear_order checks one, and iterative_logarithm fills its power
+    table from the Stirling triangle, never by products."""
+    functions = {fn.name: fn for fn in TREES["series.py"].body if isinstance(fn, ast.FunctionDef)}
+    assert "_nonlinear_order" not in functions, (
+        "series.py defines _nonlinear_order: its one map needs no check")
+    taking = [name for name in ("iterative_logarithm", "abel_expansion", "regular_iterate_series")
+              if _takes(functions[name], "base")]
+    assert taking == [], f"series {taking} takes `base`: every series is one of e^x - 1"
+    assert _calls(functions["iterative_logarithm"], "_mul") == 0, (
+        "series.iterative_logarithm calls _mul: its power table is the Stirling triangle's")
+
+
+def test_no_public_callable_takes_constants():
+    # the calibration constants are the functions' own: every evaluator,
+    # composition and grid takes its width's default_constants
+    taking = []
+    for name in superexp.__all__:
+        obj = getattr(superexp, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # no signature to read
+            continue
+        if "constants" in params:
+            taking.append(name)
+    assert taking == []
+
+
+def test_one_side_flag_below_the_public_api():
+    # below superexp_tilde the side is the bool `plus`: wide.py does not
+    # name BranchSign, no function of evaluators.py or wide.py but
+    # superexp_tilde and _as_branch takes a `branch`, and each kernel
+    # holds the fixed point as its attribute `e`, not a method
+    trees = {
+        name: ast.parse(pathlib.Path(evaluators.__file__).with_name(name).read_text())
+        for name in ("evaluators.py", "wide.py")
+    }
+    found = []
+    for node in ast.walk(trees["wide.py"]):
+        named = (
+            getattr(node, "id", None), getattr(node, "attr", None),
+            node.name if isinstance(node, ast.alias) else None,
+        )
+        if "BranchSign" in named:
+            found.append(f"wide.py:{getattr(node, 'lineno', '?')} names BranchSign")
+    for path, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            name = getattr(fn, "name", "a lambda")
+            params = [a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)]
+            if "branch" in params and name not in ("superexp_tilde", "_as_branch"):
+                found.append(f"{path}: {name} takes `branch`")
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name in ("_DoubleKernel", "_MPKernel"):
+                if any(isinstance(fn, ast.FunctionDef) and fn.name == "e" for fn in cls.body):
+                    found.append(f"{path}: {cls.name} defines a method e")
+    assert found == []
+
+
+@pytest.mark.parametrize("fn, grid, walking, hits, sums", [
+    ("F1", "-8:28:-14:14:37:29", 457, 428, 609),
+    ("F3", "-8:28:-14:14:37:29", 522, 522, 551),
+    # columns 36/97 apart share no walk: the sweep walks through its memo
+    # and reads nothing off another cell
+    ("F1", "-8:28:-14:14:98:29", 1188, 0, 2841),
+])
+def test_shared_walk_counts(fn, grid, walking, hits, sums):
+    """A 53-bit F1 or F3 sweep reads walks off other cells of its row
+    (evaluators._sweep), as tools/sweep_cost.py's counter counts them:
+    the cells whose walk takes a step, those of them that summed no
+    series of their own, and the series summed."""
+    count = runpy.run_path(str(ROOT / "tools" / "sweep_cost.py"))["_count"]
+    walk, series = evaluators._ftilde_eval, evaluators._DoubleKernel.ftilde_series
+    *bounds, nx, ny = grid.split(":")
+    with count(evaluators) as (counts, recorded):
+        iteration.map_grid(fn, iteration.GridSpec(*map(float, bounds), int(nx), int(ny)))
+    assert (counts["walking"], counts["hits"], len(recorded)) == (walking, hits, sums)
+    # the counter unwraps on exit, so later evaluations run as they are
+    assert (evaluators._ftilde_eval, evaluators._DoubleKernel.ftilde_series) == (walk, series)
+
+
+def test_readme_names_resolve():
+    """Every backquoted `module.name` of the README whose module is a
+    superexp submodule must resolve: a deleted or renamed name fails."""
+    modules = {name.removesuffix(".py") for name in TEXT}
+    missing = []
+    for name in re.findall(r"`([A-Za-z_][\w.]*\.[A-Za-z_]\w*)`", (ROOT / "README.md").read_text()):
+        head, *attrs = name.removeprefix("superexp.").split(".")
+        if head not in modules or attrs == ["py"]:
+            continue  # another package's name, or a file
+        try:
+            functools.reduce(getattr, attrs, importlib.import_module(f"superexp.{head}"))
+        except AttributeError:
+            missing.append(name)
+    assert missing == [], f"README.md names what superexp does not have: {', '.join(missing)}"

@@ -31,6 +31,7 @@ so that each peak RSS is that sweep's own.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import resource
@@ -40,11 +41,15 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _count(evaluators, counts: dict, sums: list) -> None:
-    """Wrap the double kernel's series and the walk driver to count the
-    walks, and record each sum in `sums` as (series, kernel, args)."""
+@contextlib.contextmanager
+def _count(evaluators):
+    """Count the walks of the maps run inside the block, yielding
+    (counts, sums): the double kernel's series and the walk driver are
+    wrapped, each sum recorded in `sums` as (series, kernel, args), and
+    both restored on exit."""
     kernel_cls, walk = evaluators._DoubleKernel, evaluators._ftilde_eval
     series = kernel_cls.ftilde_series
+    counts, sums = {"walking": 0, "hits": 0}, []
 
     def summed(self, *args):
         sums.append((series, self, args))
@@ -62,6 +67,11 @@ def _count(evaluators, counts: dict, sums: list) -> None:
 
     kernel_cls.ftilde_series = summed
     evaluators._ftilde_eval = counted
+    try:
+        yield counts, sums
+    finally:
+        kernel_cls.ftilde_series = series
+        evaluators._ftilde_eval = walk
 
 
 def _cpu(f, *args) -> float:
@@ -90,9 +100,8 @@ def main() -> int:
     iteration.map_grid(args.fn, grid)
     best = min(_cpu(iteration.map_grid, args.fn, grid) for _ in range(args.repeat))
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    counts, sums = {"walking": 0, "hits": 0}, []
-    _count(evaluators, counts, sums)
-    iteration.map_grid(args.fn, grid)
+    with _count(evaluators) as (counts, sums):
+        iteration.map_grid(args.fn, grid)
     sum_cpu = min(_cpu(_replay, sums) for _ in range(args.repeat))
     cells = grid.nx * grid.ny
     print(json.dumps({
