@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -1158,3 +1159,115 @@ class TestReadme:
         proc = run_cli(args, cache_dir)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
+
+
+# stdout of each command line, as SHA-256 digests recorded on the tree
+# before `superexp check` called iteration.check_grid: every check kind in
+# every format, a grid with every cell unavailable, a wide check, and the
+# map, eval and table outputs around it
+_GOLDEN = [
+    ("check d1af --x -2:6 --y -6:6 --nx 9 --ny 7 --format csv", 0,
+     "ef5daad47f0c9acffce0c45bc8441b1003af7b0575d0f777f71013e62a463721"),
+    ("check d1af --x -2:6 --y -6:6 --nx 9 --ny 7 --format json", 0,
+     "cb15a4858c7dd660525a4924a755f378343552c2cb6560355d83e96bbbebc339"),
+    ("check d1af --x -2:6 --y -6:6 --nx 9 --ny 7 --format text", 0,
+     "3c2f0f76ae41f4d06ee56a039beb53c3005886a857c67d590b59d75692c41264"),
+    ("check d1fa --x -2:6 --y -6:6 --nx 9 --ny 7 --format csv", 0,
+     "3e050947150905da84b6ef8fea2004bb5f4dce29ccd2470a445c6e818f49e9b2"),
+    ("check d1fa --x -2:6 --y -6:6 --nx 9 --ny 7 --format json", 0,
+     "85e988e55450e43e9b933c96758cfabb6ace9d644089aa82c7a985c816ace4a2"),
+    ("check d1fa --x -2:6 --y -6:6 --nx 9 --ny 7 --format text", 0,
+     "36fcdf203c35a4c51085a434eb4d549589063c4c5090226111aea66daa6581fa"),
+    ("check d3af --x -2:6 --y -6:6 --nx 9 --ny 7 --format csv", 0,
+     "07d8f8f26a40c5f06d60aa13a076958119bce8967bb237029120723ee73ef8bc"),
+    ("check d3af --x -2:6 --y -6:6 --nx 9 --ny 7 --format json", 0,
+     "34809df86ee12d3e79863c34009a734935913603e88cda2a8b65aff195dee33c"),
+    ("check d3af --x -2:6 --y -6:6 --nx 9 --ny 7 --format text", 0,
+     "a7792129180cbe1d2d74884e87d2555269c43493c9573c155ac8405df26dce71"),
+    ("check d3fa --x -2:6 --y -6:6 --nx 9 --ny 7 --format csv", 0,
+     "df91887280eb2b6e76697cd0a9ee6f2ecdefe5c221082c6747579ab8ecebdb46"),
+    ("check d3fa --x -2:6 --y -6:6 --nx 9 --ny 7 --format json", 0,
+     "2118caec3669dca81af5f48a9296c594d4c38dedbb6bff6885a4bdc8aa3a15e4"),
+    ("check d3fa --x -2:6 --y -6:6 --nx 9 --ny 7 --format text", 0,
+     "4e442054d38623f819dd328852881cd1179ea7103b8abb55bb0b34a29051b374"),
+    ("check dq1 --x -2:6 --y -6:6 --nx 9 --ny 7 --format csv", 0,
+     "cb81acb017adf68cde4c6d20767f64dde7b70a903b46bd6b4733a260a667387d"),
+    ("check dq1 --x -2:6 --y -6:6 --nx 9 --ny 7 --format json", 0,
+     "4e501c604b6ef1c7649069e0f013988bb96606a64c1ac6a08d25c15a138d8c51"),
+    ("check dq1 --x -2:6 --y -6:6 --nx 9 --ny 7 --format text", 0,
+     "138cd7a238a44994ac81e21441655acb268ad3f2d7ea9135e6f0ac15ce36657a"),
+    ("check dq3 --x -2:6 --y -6:6 --nx 9 --ny 7 --format csv", 0,
+     "39736b02cfc08b3efe90296b01dca237ddfe8299381a7348b61ba48273614614"),
+    ("check dq3 --x -2:6 --y -6:6 --nx 9 --ny 7 --format json", 0,
+     "d78602894a697a459bab03adf51551144cbff08613b6aaa6f9b7c01adeb7fba5"),
+    ("check dq3 --x -2:6 --y -6:6 --nx 9 --ny 7 --format text", 0,
+     "5bd7f2a681ddc6860f12237e10776f0de73fcf0f13a18b49ceae060d698e43ed"),
+    ("check dq1 --x 1930:2000 --y -1:1 --nx 3 --ny 3 --format csv", 0,
+     "25b789891ffd725fd403130e22608bbbaae5b2a1fc13349addbc25c581641a34"),
+    ("check dq1 --x 1930:2000 --y -1:1 --nx 3 --ny 3 --format json", 0,
+     "ae8ab5ae74eea64fa279cecce7c6c8cfb9cf777dd99d0f9a1dd783d399615418"),
+    ("check dq1 --x 1930:2000 --y -1:1 --nx 3 --ny 3 --format text", 0,
+     "0acde20f162dfcfa1f7d68da164b44044f26d73b272f8a0fa2836aeb89f06fe5"),
+    ("check d1fa --x -2:6 --y -6:6 --nx 3 --ny 3 --precision-bits 128 --format csv", 0,
+     "7d245417a5047b25ba795d0c6a26b338d21f146fbb40957e3e7186c7b0fdb535"),
+    ("map F1 --x -2:6 --y -6:6 --nx 9 --ny 7 --format csv", 0,
+     "b9b5b67862f6912651aa80975ee0126931a9a24f020a0b222f62947e9368ab49"),
+    ("map F1 --x -2:6 --y -6:6 --nx 9 --ny 7 --format json", 0,
+     "ac61dfd8ded57f76b6473a78778921c4c43893de01829d751f2c112cf635c85a"),
+    ("map A1 --x -2:6 --y -6:6 --nx 9 --ny 7 --format csv", 0,
+     "85b40806c6500bb19c311fe6bdb53e45f79bc5464311ba07f178572a8e282a20"),
+    ("map A1 --x -2:6 --y -6:6 --nx 9 --ny 7 --format json", 0,
+     "f881a0a753aa3e21e6ab10f63b16b584e0805261355bc78408dd55863982caf2"),
+    ("map expc --c 0.5 --x -2:6 --y -6:6 --nx 9 --ny 7 --format csv", 0,
+     "73f7440d1da6a7c509c6745f8ee325d0c7b64cf51174a36d2d9fa138a26bae9e"),
+    ("map expc --c 0.5 --x -2:6 --y -6:6 --nx 9 --ny 7 --format json", 0,
+     "b938d163a49eed08d1f37ab6f045d38dddf6953e1dbab9337731865aa9d0593e"),
+    ("eval F1 0.5 0.5 --precision-bits 53 --format csv", 0,
+     "054fbc1e9e720f9fe6f42b14c648dab9fcf93e44b2a038a736291a6912b2d550"),
+    ("eval F1 0.5 0.5 --precision-bits 53 --format json", 0,
+     "d359c77c779c3988e08ed7ced8e30e2c64eb347a8b61d913a09ccb80612e1f9d"),
+    ("eval F1 0.5 0.5 --precision-bits 53 --format text", 0,
+     "2765d8bab13421f4a0f11284cc91b7cbb792d41fb834bc252906326d34926362"),
+    ("eval F1 0.5 0.5 --precision-bits 256 --format csv", 0,
+     "7da0fdbbabedbbe5f8757777f3018477fe48ddcf35e7e972fa3b31000c425e8e"),
+    ("eval F1 0.5 0.5 --precision-bits 256 --format json", 0,
+     "80026bcafe926833fedbbd950a67edb85fc3b7366dd190c84a0ade1f408cba3c"),
+    ("eval F1 0.5 0.5 --precision-bits 256 --format text", 0,
+     "c040824ad3abd5cf63edde0170aac07a8543bc70e0d9c9c07edb8c9ea2b63b5e"),
+    ("eval expc 1 0.5 --c 0.5 --precision-bits 53 --format csv", 0,
+     "fb9deb118eb03f3387a5989cbe2e4b7e5240be3f13226d1613ee8855cc35fcc0"),
+    ("eval expc 1 0.5 --c 0.5 --precision-bits 53 --format json", 0,
+     "8af3e2a14e01a44b013426f6c284e8da6b7f79f55ce3ff866a37aa5bd592a027"),
+    ("eval expc 1 0.5 --c 0.5 --precision-bits 53 --format text", 0,
+     "23fd589cae46db488cb243e8dd5a1394e31b1a1a121fa2237e87da4e20edcc80"),
+    ("eval expc 1 0.5 --c 0.5 --precision-bits 256 --format csv", 0,
+     "d2976c3231827a6ec69b900031d6fda27bf044b439b8ad773dcc9e47e6bdcefc"),
+    ("eval expc 1 0.5 --c 0.5 --precision-bits 256 --format json", 0,
+     "4d1d028b490f9c4be1246d34429c2eab6e3e5931e323b1435d6de82957b9558e"),
+    ("eval expc 1 0.5 --c 0.5 --precision-bits 256 --format text", 0,
+     "bdbf1f3e2382203ff7cacf103b8d87c5c60e8b626351c9095781bc25e03f3a6f"),
+    ("table levy --n 100:102 --format csv", 0,
+     "9674d2ad57fa4300f837c7b16d367b3bd7c0b20dfde0001350655c1c53225769"),
+    ("table levy --n 100:102 --format json", 0,
+     "4943fa6c4751c22b95087342a1c4572561537a80cae3b8dc1ea4f2aa8e057cf2"),
+    ("table levy --n 100:102 --format text", 0,
+     "db98d7564341bad1023ac6aaf03dffd6d8f7c495d446565c8563c6fe13dec2f5"),
+]
+_GOLDEN_DEMO = "070f7cc061531da254d554c24f06d1a51d6ffa79f7f04345a1bdbd96a7d4328f"
+
+
+class TestGoldenOutput:
+    """Byte-identical output, checked: each command line's stdout hashes
+    to its recorded digest.  Driven in-process, one call per line."""
+
+    @pytest.mark.parametrize("argv, code, digest", _GOLDEN, ids=[c[0] for c in _GOLDEN])
+    def test_stdout_digest(self, capsys, argv, code, digest):
+        assert cli.main(shlex.split(argv)) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+    def test_agreement_map_demo(self, capsys):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "agreement_map.py")
+        runpy.run_path(path, run_name="__main__")
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_DEMO, out
