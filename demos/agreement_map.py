@@ -9,9 +9,8 @@ everywhere, a wedge of lost digits right of the fixed point.
 """
 
 import math
-import statistics
 
-from superexp.iteration import GridSpec, agreement, grid_to_csv, map_grid
+from superexp.iteration import GridSpec, check_grid, grid_to_csv, map_grid
 
 E = math.e
 
@@ -25,12 +24,10 @@ errors = [err for row in result.errors for err in row if err is not None]
 print(f"  {grid.nx * grid.ny} cells, {len(errors)} failures\n")
 
 print("d1fa agreement (digits of F1(A1(z)) vs z), same window:")
-scores = []
-for y in reversed(grid.ys()):
+cells, summary = check_grid("d1fa", grid)
+for j in reversed(range(grid.ny)):  # cells are row-major, y ascending: top row first
     row = ""
-    for x in grid.xs():
-        d = agreement("d1fa", complex(x, y))
-        scores.append(d)
+    for _, _, d in cells[j * grid.nx:(j + 1) * grid.nx]:
         if d != d:
             row += "."  # unavailable: a constituent raised
         elif d >= 14:
@@ -43,7 +40,6 @@ for y in reversed(grid.ys()):
             row += " "
     print(" ", row)
 
-finite = [d for d in scores if d == d]
-print(f"\n  median {statistics.median(finite):.1f} digits over "
-      f"{len(finite)} scored cells;")
+print(f"\n  median {summary['median']:.1f} digits over "
+      f"{len(cells) - summary['unavailable']} scored cells;")
 print("  the blank wedge right of e is the cut's monodromy, not noise.")

@@ -46,6 +46,7 @@ from .iteration import (
     IterateBranch,
     IterateRequest,
     agreement,
+    check_grid,
     dq13,
     exp_iterate,
     grid_to_csv,
@@ -106,6 +107,7 @@ __all__ = [
     "agreement",
     "calibrate",
     "calibration_tier",
+    "check_grid",
     "convergence_table",
     "default_constants",
     "dq13",

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import re
-import statistics
 import sys
 import tempfile
 from typing import Optional
@@ -42,7 +41,8 @@ from .iteration import (
     GRID_FUNCTIONS,
     GridSpec,
     IterateRequest,
-    agreement,
+    agreement,  # not called here: perfbench/spans.py traces cli.agreement by name
+    check_grid,
     exp_iterate,
     grid_to_csv,
     grid_to_json,
@@ -257,8 +257,6 @@ def _cmd_eval(args) -> int:
     try:
         _constants(args.precision_bits)
         if args.fn == "expc":
-            if args.c is None:
-                return _fail("eval expc requires --c")
             request = IterateRequest(args.c, z, args.branch, args.cut_side or "above")
             value = exp_iterate(request, args.ctx)
         else:
@@ -341,8 +339,6 @@ def _cmd_map(args) -> int:
     try:
         _constants(args.precision_bits)
         result = map_grid(args.fn, args.grid, args.ctx, c=args.c, branch=args.branch)
-    except ValueError as exc:
-        return _fail(str(exc))
     except SuperexpError as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
     if args.format == "json":
@@ -356,23 +352,9 @@ def _cmd_check(args) -> int:
     grid = args.grid
     try:
         _constants(args.precision_bits)
+        cells, summary = check_grid(args.kind, grid, args.ctx, args.clip)
     except SuperexpError as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
-    xs, ys = grid.xs(), grid.ys()
-    cells = []
-    for y in ys:
-        for x in xs:
-            d = agreement(
-                args.kind, complex(x, y), args.ctx, clip=args.clip, cut_side=grid.cut_side
-            )
-            cells.append((x, y, d))
-    finite = [d for _, _, d in cells if d == d]  # NaN-free subset
-    summary = {
-        "min": min(finite) if finite else None,
-        "median": statistics.median(finite) if finite else None,
-        "fraction_ge_14": sum(1 for d in finite if d >= 14.0) / len(cells),
-        "unavailable": len(cells) - len(finite),
-    }
     if args.format == "json":
         payload = {
             "kind": args.kind,
@@ -416,6 +398,15 @@ def _add_walk_cap(p: argparse.ArgumentParser) -> None:
                    help="cap on either walk, in 53-bit steps (default %(default)s)")
 
 
+def _add_grid(p: argparse.ArgumentParser, n: Optional[int] = None) -> None:
+    # map and check sample a grid: n samples per axis by default, or none
+    p.add_argument("--x", type=_parse_span, required=True, help="x span lo:hi")
+    p.add_argument("--y", type=_parse_span, required=True, help="y span lo:hi")
+    p.add_argument("--nx", type=int, required=n is None, default=n)
+    p.add_argument("--ny", type=int, required=n is None, default=n)
+    p.add_argument("--cut-side", choices=("above", "below"), default="above")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="superexp",
                      description="Super-exponentials and super-logarithms "
@@ -457,11 +448,7 @@ def _build_parser() -> _Parser:
     _add_common(p, fmt="csv", formats=("csv", "json"))  # a grid has no text form
     _add_walk_cap(p)
     p.add_argument("fn", choices=GRID_FUNCTIONS)
-    p.add_argument("--x", type=_parse_span, required=True, help="x span lo:hi")
-    p.add_argument("--y", type=_parse_span, required=True, help="y span lo:hi")
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--ny", type=int, required=True)
-    p.add_argument("--cut-side", choices=("above", "below"), default="above")
+    _add_grid(p)
     p.add_argument("--c", type=_parse_complex, default=None,
                    help="iteration count re[,im] for expc")
     p.add_argument("--branch", choices=("lower", "upper"), default=None)
@@ -471,11 +458,7 @@ def _build_parser() -> _Parser:
     _add_common(p)
     _add_walk_cap(p)
     p.add_argument("kind", choices=AGREEMENT_KINDS)
-    p.add_argument("--x", type=_parse_span, required=True, help="x span lo:hi")
-    p.add_argument("--y", type=_parse_span, required=True, help="y span lo:hi")
-    p.add_argument("--nx", type=int, default=41)
-    p.add_argument("--ny", type=int, default=41)
-    p.add_argument("--cut-side", choices=("above", "below"), default="above")
+    _add_grid(p, n=41)
     p.add_argument("--clip", type=_checked(float, lambda c: 0 < c < math.inf,
                                            "positive and finite"), default=16.0,
                    help="digit ceiling reported for exact agreement")
@@ -489,8 +472,11 @@ def main(argv=None) -> int:
         args.ctx = EvalContext(
             PrecisionConfig(mantissa_bits=args.precision_bits), args.max_recursion
         )
-    if "c" in args and args.fn != "expc" and (args.c, args.branch) != (None, None):
-        args.parser.error("--c and --branch apply to expc only")  # eval and map
+    if "c" in args:  # eval and map
+        if args.fn != "expc" and (args.c, args.branch) != (None, None):
+            args.parser.error("--c and --branch apply to expc only")
+        if args.fn == "expc" and args.c is None:
+            return _fail(f"{args.command} expc requires --c")
     if "x" in args:  # map and check sample a grid
         try:
             args.grid = GridSpec(*args.x, *args.y, args.nx, args.ny, args.cut_side)

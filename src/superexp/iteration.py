@@ -5,7 +5,8 @@ A fractional iterate is assembled from the evaluator pair of one branch:
 F3/A3 above it.  The two half-iterates disagree away from the real
 interval around e; :func:`dq13` measures that gap on the axis, and
 :func:`agreement` turns round-trip identities into a decimal-digits
-score suitable for plotting over a grid (:func:`map_grid`).
+score suitable for plotting over a grid (:func:`map_grid`), and
+:func:`check_grid` scores and summarises a whole grid.
 
 The kernel of the width holds their values (at_width), so no function
 here asks the width but `_exp_b`, the reference e^(z/e) taken wider.
@@ -47,6 +48,7 @@ __all__ = [
     "IterateBranch",
     "IterateRequest",
     "agreement",
+    "check_grid",
     "dq13",
     "exp_iterate",
     "grid_to_csv",
@@ -444,6 +446,41 @@ def map_grid(
         rows.append(tuple(row))
         errs.append(tuple(erow))
     return GridResult(fn, grid, xs, ys, tuple(rows), tuple(errs))
+
+
+def check_grid(kind: str, grid: GridSpec, ctx: Optional[EvalContext] = None,
+               clip: float = 16.0) -> tuple:
+    """Score one agreement kind over the grid and summarise the scores.
+
+    Returns
+    -------
+    (cells, summary)
+        cells are the row-major ``(x, y, score)`` tuples (rows sweep y
+        ascending, columns x ascending), each score exactly
+        ``agreement(kind, complex(x, y), ctx, clip, grid.cut_side)``.
+        summary holds the ``min`` and ``median`` of the scores that are
+        not NaN (None when every cell is unavailable), the
+        ``fraction_ge_14`` of all cells scoring 14 digits or more, and
+        the count of ``unavailable`` (NaN) cells.  ``superexp check``
+        prints exactly these.
+
+    Raises
+    ------
+    As :func:`agreement`, before any cell is scored.
+    """
+    import statistics  # only a check summarises: `import superexp` loads none
+
+    xs, ys = grid.xs(), grid.ys()
+    cells = [(x, y, agreement(kind, complex(x, y), ctx, clip, grid.cut_side))
+             for y in ys for x in xs]
+    finite = [d for _, _, d in cells if d == d]  # NaN-free subset
+    summary = {
+        "min": min(finite) if finite else None,
+        "median": statistics.median(finite) if finite else None,
+        "fraction_ge_14": sum(1 for d in finite if d >= 14.0) / len(cells),
+        "unavailable": len(cells) - len(finite),
+    }
+    return cells, summary
 
 
 def grid_to_csv(result: GridResult) -> str:

@@ -132,6 +132,14 @@ def _check_n(n, least: int = 0) -> int:
     return n
 
 
+def _check_petal(petal: int, re) -> None:
+    # a start on the wrong side of the fixed point 0 for its petal
+    if petal == 1 and re >= 0:
+        raise DomainError("petal-1 estimator needs Re(z) < 0 (attracting side)")
+    if petal == 2 and re <= 0:
+        raise DomainError("petal-2 estimator needs Re(z) > 0 (repelling side)")
+
+
 def _check_escape(z, index: int) -> None:
     if z.real > _ESCAPE_RE:
         raise OrbitOverflowError(
@@ -430,11 +438,7 @@ def fatou_abel(
     n = _check_n(n, 1)
     ctx = mp_context(cfg.mantissa_bits)
     zw = _as_mp(ctx, z)
-    re = zw.real
-    if petal == 1 and re >= 0:
-        raise DomainError("petal-1 estimator needs Re(z) < 0 (attracting side)")
-    if petal == 2 and re <= 0:
-        raise DomainError("petal-2 estimator needs Re(z) > 0 (repelling side)")
+    _check_petal(petal, zw.real)
     sign = 1 if petal == 2 else -1
     orbit = _Orbits([zw], cfg.mantissa_bits, inverse=petal == 2, estimator_n=n)
     orbit.run_to(n)
@@ -546,8 +550,8 @@ def _orbit_pass(method: str, ctx, points: list, ns: list, bits: int):
     # fatou1 probes against 0
     starts = [_tau_inv(ctx, p) for p in (*points, 0)[:2]]
     # a petal-2 start left of the fixed point fails every row
-    if method == "fatou2" and min(w.real for w in starts) <= 0:
-        raise DomainError("petal-2 estimator needs Re(z) > 0 (repelling side)")
+    if method == "fatou2":
+        _check_petal(2, min(w.real for w in starts))
     orbits = _Orbits(starts, bits, inverse=method == "fatou2", estimator_n=ns[-1])
     for n in ns:
         orbits.run_to(n)

@@ -514,7 +514,8 @@ class TestEval:
     def test_expc_without_c(self, cache_dir):
         proc = run_cli(["eval", "expc", "1", "0"], cache_dir)
         assert proc.returncode == 1
-        assert "--c" in proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "superexp: eval expc requires --c\n"
 
     def test_csv_value_row(self, cache_dir):
         proc = run_cli(["eval", "A3", "3", "0", "--format", "csv"], cache_dir)
@@ -929,11 +930,14 @@ class TestMap:
         assert "cannot write" in proc.stderr
 
     def test_expc_requires_c(self, cache_dir):
+        # it once named map_grid's keyword: "fn='expc' requires the iteration count c"
         proc = run_cli(
             ["map", "expc", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2"],
             cache_dir,
         )
         assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "superexp: map expc requires --c\n"
 
     def test_bad_span(self, cache_dir):
         proc = run_cli(
@@ -1068,7 +1072,7 @@ class TestImportFootprint:
     and only table loads the limit formulas."""
 
     @staticmethod
-    def loaded(tmp_path, cache, how, *argv) -> set:
+    def loaded(tmp_path, cache, how, *argv, watched=_WIDE | _LIMITS) -> set:
         out = tmp_path / "modules.json"
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -1080,7 +1084,7 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(out.read_text())
         assert report["code"] == 0, proc.stderr
-        return (_WIDE | _LIMITS) & set(report["modules"])
+        return watched & set(report["modules"])
 
     @pytest.mark.parametrize(
         "argv",
@@ -1113,6 +1117,21 @@ class TestImportFootprint:
             "    pass\n"
         )
         assert self.loaded(tmp_path, cache_dir, "lib", code) == set()
+
+    @pytest.mark.parametrize(
+        "how, argv, want",
+        [
+            ("lib", ["import superexp"], set()),
+            ("cli", ["eval", "F1", "0.5", "0"], set()),
+            ("cli", ["map", "F1", "--x=-2:2", "--y=-1:1", "--nx", "5", "--ny", "3"], set()),
+            ("cli", ["check", "d1fa", "--x=-2:2", "--y=-1:1", "--nx", "3", "--ny", "3"],
+             {"statistics"}),
+        ],
+        ids=["import", "eval", "map", "check"],
+    )
+    def test_only_a_check_loads_statistics(self, tmp_path, cache_dir, how, argv, want):
+        # iteration.check_grid imports it for its summary's median
+        assert self.loaded(tmp_path, cache_dir, how, *argv, watched={"statistics"}) == want
 
     @pytest.mark.parametrize(
         "how, argv, cold, want",

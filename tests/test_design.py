@@ -231,6 +231,27 @@ def test_one_power_table():
         "series.iterative_logarithm calls _mul: its power table is the Stirling triangle's")
 
 
+def test_one_petal_rule():
+    """Which side of the fixed point each petal's estimator starts on is
+    decided once, by limits._check_petal, which fatou_abel and the fatou2
+    table pass both call: each petal's message appears once."""
+    _once("petal-1 estimator needs Re(z) < 0 (attracting side)")
+    _once("petal-2 estimator needs Re(z) > 0 (repelling side)")
+
+
+def test_one_check_summary():
+    """The check's decision lives in one module: iteration.check_grid
+    scores the grid's cells and summarises them, and `superexp check`
+    prints what it returns.  The summary key fraction_ge_14 is written
+    once in the library, cli.py imports no statistics, and no module
+    imports it as it loads, so `import superexp` loads none."""
+    _once('"fraction_ge_14"')
+    _no_import(("cli.py",), lambda n: n == "statistics",
+               "cli.py imports statistics: the check's summary is iteration.check_grid's")
+    _no_import(TEXT, lambda n: n == "statistics",
+               "a module imports statistics as it loads", eager=True)
+
+
 def test_no_public_callable_takes_constants():
     # the calibration constants are the functions' own: every evaluator,
     # composition and grid takes its width's default_constants

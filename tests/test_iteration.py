@@ -1,5 +1,6 @@
 """Tests for fractional iterates, axis diagnostics and grid sampling."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -27,6 +28,7 @@ from superexp.iteration import (
     IterateRequest,
     _exp_b,
     agreement,
+    check_grid,
     dq13,
     exp_iterate,
     grid_to_csv,
@@ -659,6 +661,52 @@ class TestMapGrid:
         for row_d, row_m in zip(rd.values, rm.values):
             for vd, vm in zip(row_d, row_m):
                 assert abs(vd - vm) < 1e-12
+
+
+class TestCheckGrid:
+    # the cut [e, inf) crosses these grids' middle row, so d1fa and d1af
+    # have unavailable cells among scored ones
+    GRIDS = {53: GridSpec(-2.0, 6.0, -2.0, 2.0, 5, 5), 128: GridSpec(-2.0, 6.0, -2.0, 2.0, 3, 3)}
+
+    @pytest.mark.parametrize("kind", AGREEMENT_KINDS)
+    @pytest.mark.parametrize("bits", [53, 128])
+    @pytest.mark.parametrize("clip, cut_side", [(16.0, "above"), (8, "below")])
+    def test_scores_are_agreements(self, kind, bits, clip, cut_side):
+        # bit for bit, NaN in the same cells: float.hex tells -0.0 from 0.0
+        grid = dataclasses.replace(self.GRIDS[bits], cut_side=cut_side)
+        ctx = EvalContext(PrecisionConfig(mantissa_bits=bits))
+        cells, _ = check_grid(kind, grid, ctx, clip)
+        want = [(x, y, agreement(kind, complex(x, y), ctx, clip, cut_side))
+                for y in grid.ys() for x in grid.xs()]
+        assert [(x, y, d.hex()) for x, y, d in cells] == [(x, y, d.hex()) for x, y, d in want]
+
+    def test_summary(self):
+        cells, summary = check_grid("d1fa", self.GRIDS[53])
+        scores = [d for _, _, d in cells]
+        finite = sorted(d for d in scores if not math.isnan(d))
+        assert 0 < len(finite) < len(cells) == 25
+        assert list(summary) == ["min", "median", "fraction_ge_14", "unavailable"]
+        assert summary["min"] == finite[0]
+        mid = len(finite) // 2
+        assert summary["median"] == (finite[mid] if len(finite) % 2
+                                     else (finite[mid - 1] + finite[mid]) / 2)
+        assert summary["fraction_ge_14"] == sum(d >= 14.0 for d in finite) / 25
+        assert summary["unavailable"] == 25 - len(finite)
+
+    def test_every_cell_unavailable(self):
+        # the reference e^(x/e) overflows a double at every cell
+        cells, summary = check_grid("dq1", GridSpec(1930.0, 2000.0, -1.0, 1.0, 3, 3))
+        assert all(math.isnan(d) for _, _, d in cells)
+        assert summary == {"min": None, "median": None, "fraction_ge_14": 0.0, "unavailable": 9}
+
+    def test_refusals(self):
+        grid = self.GRIDS[128]
+        with pytest.raises(ValueError, match="unknown agreement kind"):
+            check_grid("d2af", grid)
+        with pytest.raises(ValueError, match="clip must be positive"):
+            check_grid("d1fa", grid, clip=math.inf)
+        with pytest.raises(DomainError, match="500 bits is out of range"):
+            check_grid("d1fa", grid, EvalContext(PrecisionConfig(mantissa_bits=500)))
 
 
 class TestDoubleBitIdentity:
