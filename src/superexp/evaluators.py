@@ -390,34 +390,59 @@ class _DoubleKernel(_Tables):
 
     value = state
 
-    def step(self, w: complex, idx: int, backward: bool):
-        """One step of an F~ walk: log_step or exp_step, whose None passes through."""
-        return self.log_step(w, idx) if backward else self.exp_step(w, idx)
+    def walk(self, chain: list, k: int, backward: bool) -> None:
+        """Extend an F~ walk's chain of states through step k (_ftilde_eval).
+
+        The plain steps run inline, as in abel_walk; exp_step and
+        log_step take the guarded ones.  exp_step's None is stored, and
+        the step from it lands at 0j.  A step that raises stores nothing.
+        """
+        w = chain[-1]
+        exp, log, append = cmath.exp, cmath.log, chain.append
+        for j in range(len(chain), k + 1):
+            if w is None:
+                w = self.zero
+            elif backward:
+                w = _E * log(w) if w.imag or w.real > 0.0 else self.log_step(w, j)
+            else:
+                # w is finite, so (w/e).real is w.real/e
+                q = w / _E
+                w = exp(q) if -745.0 <= q.real <= 700.0 else self.exp_step(w, j)
+            append(w)
 
     def abel_walk(self, w: complex, plus: bool) -> tuple:
         """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e.
 
-        The plain steps run inline; exp_step and log_step take the
-        guarded ones (past -745 or 700, on the negative real axis or 0).
+        One loop per side.  The plain steps run inline; exp_step and
+        log_step take the guarded ones (past -745 or 700, on the
+        negative real axis or 0).
         """
         radius, cap = self.abel_radius, self.abel_cap
-        exp, log = cmath.exp, cmath.log
-        k, zeta = 0, 1 - w / _E
+        k, q = 0, w / _E
+        zeta = 1 - q
+        if plus:
+            log = cmath.log
+            while abs(zeta) >= radius:
+                if k >= cap:
+                    _missed_disk(cap, zeta)
+                k += 1
+                w = _E * log(w) if w.imag or w.real > 0.0 else self.log_step(w, k)
+                zeta = 1 - w / _E
+            return w, k, zeta
+        exp = cmath.exp
         while abs(zeta) >= radius:
             if k >= cap:
                 _missed_disk(cap, zeta)
-            if not plus:
-                if -745.0 <= w.real / _E <= 700.0:
-                    w, k = exp(w / _E), k + 1
-                else:
-                    w, k = self.exp_step(w, k + 1), k + 1
-                    if w is None:  # unrepresentable: its next step lands at 0
-                        w, k = 0j, k + 1
-            elif w.imag or w.real > 0.0:
-                w, k = _E * log(w), k + 1
+            k += 1
+            # w/e once a step: w is finite, so q.real is w.real/e
+            if -745.0 <= q.real <= 700.0:
+                w = exp(q)
             else:
-                w, k = self.log_step(w, k + 1), k + 1
-            zeta = 1 - w / _E
+                w = self.exp_step(w, k)
+                if w is None:  # unrepresentable: its next step lands at 0
+                    w, k = 0j, k + 1
+            q = w / _E
+            zeta = 1 - q
         return w, k, zeta
 
     def abel_series(self, zeta: complex, plus: bool):
@@ -568,17 +593,17 @@ def _ftilde_eval(kernel, w0, plus: bool, chains=None):
 
     F~ is summed at the base point k steps out past the threshold (up
     for plus False, down for plus True) and walked back k steps.  The
-    walk is a chain: chain[j] is the kernel's walk state after j
-    steps (chain[0] is F~ at the base), extended by kernel.step as far
-    as k needs.  None stands for the unrepresentable value of a
-    collapsing exponential step (see _escape), whose next step lands at
-    the kernel's zero; it fails only a walk that ends on it.  A step
-    that raises is not stored: every walk that needs it takes it again
-    and raises the same error, the kernel's log_step refusing a backward
-    step from 0.  chains, when given, is one sweep's memo of chains
-    keyed by the exact base point: equal keys are equal bits, since
-    adding the anchor or k turns an imaginary -0.0 into +0.0.  Only a
-    base within one unit past the threshold is memoized, the only ones
+    walk is a chain: chain[j] is the kernel's walk state after j steps
+    (chain[0] is F~ at the base), extended by kernel.walk, the kernel's
+    one loop, as far as k needs.  None stands for the unrepresentable
+    value of a collapsing exponential step (see _escape), whose next
+    step lands at the kernel's zero; it fails only a walk that ends on
+    it.  A step that raises is not stored: every walk that needs it takes
+    it again and raises the same error, the kernel's log_step refusing a
+    backward step from 0.  chains, when given, is one sweep's memo of
+    chains keyed by the exact base point: equal keys are equal bits,
+    since adding the anchor or k turns an imaginary -0.0 into +0.0.  Only
+    a base within one unit past the threshold is memoized, the only ones
     a walking cell reaches; a cell that shares no walk has a chain of
     its own.
     """
@@ -606,12 +631,8 @@ def _ftilde_eval(kernel, w0, plus: bool, chains=None):
         chain = [kernel.state(value)]
         if shared:
             chains[base] = chain
-    j = len(chain) - 1
-    w = chain[j]
-    while j < k:
-        w = kernel.zero if w is None else kernel.step(w, j + 1, not plus)
-        chain.append(w)
-        j += 1
+    if len(chain) <= k:
+        kernel.walk(chain, k, not plus)
     w = chain[k]
     if w is None:
         raise OrbitOverflowError("forward step overflows at the target index", index=k)
@@ -705,7 +726,7 @@ def abel1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
         the tail of the one sum inside the disk above the target
         accuracy (carries the tail).
     """
-    return _abel(z, False, ctx, cut_side)
+    return _abel(_kernel_of(ctx), z, False, cut_side)
 
 
 def abel2(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -716,7 +737,7 @@ def abel2(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     same coefficients, with the opposite sign inside the logarithm.
     Satisfies abel2(e^(z/e)) = abel2(z) + 1 right of the cut (-inf, e].
     """
-    return _abel(z, True, ctx, cut_side)
+    return _abel(_kernel_of(ctx), z, True, cut_side)
 
 
 def A1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -725,7 +746,8 @@ def A1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     A1 is abel1 minus the calibrated abel1(1); it inverts F1 and is
     periodic with period 2*pi*e*i.
     """
-    return _abel(z, False, ctx, cut_side, normed=True)
+    kernel = _kernel_of(ctx)
+    return _abel(kernel, z, False, cut_side, kernel.anchors[2])
 
 
 def A3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -734,15 +756,14 @@ def A3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     A3 is abel2 minus the calibrated abel2(3); it inverts F3 right of
     the cut (-inf, e].
     """
-    return _abel(z, True, ctx, cut_side, normed=True)
-
-
-def _abel(z, plus: bool, ctx, cut_side, normed=False):
-    # abel1 (plus False) or abel2 at z; normed subtracts the
-    # calibrated a1_norm or a3_norm, giving A1 or A3
     kernel = _kernel_of(ctx)
+    return _abel(kernel, z, True, cut_side, kernel.anchors[3])
+
+
+def _abel(kernel, z, plus: bool, cut_side, norm=None):
+    # abel1 (plus False) or abel2 at z; the norm, the calibrated a1_norm
+    # or a3_norm, gives A1 or A3
     w, flip, strict = _gate(kernel, z, cut_side)
-    norm = kernel.anchors[2 + plus] if normed else None
     return _public(_abel_walk(kernel, w, plus, norm), flip, strict)
 
 
@@ -788,7 +809,7 @@ def F1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     finite, that loses accuracy like the logarithm of the distance:
     F1(-2.0000001) is about -42.43 + 8.54i from above.
     """
-    return _superexp(z, False, ctx, cut_side)
+    return _superexp(_kernel_of(ctx), z, False, cut_side)
 
 
 def F3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -798,13 +819,12 @@ def F3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     positive real axis; overflow there raises OrbitOverflowError
     carrying the first overflowing step index.
     """
-    return _superexp(z, True, ctx, cut_side)
+    return _superexp(_kernel_of(ctx), z, True, cut_side)
 
 
-def _superexp(z, plus: bool, ctx, cut_side, chains=None):
+def _superexp(kernel, z, plus: bool, cut_side, chains=None):
     # F1 (plus False) or F3 at z, walking through a sweep's memo when one
     # is given: the anchor x1 or x3 shifts the argument
-    kernel = _kernel_of(ctx)
     w, flip, strict = _gate(kernel, z, cut_side)
     if not plus:
         _refuse_pole(w)
@@ -812,16 +832,21 @@ def _superexp(z, plus: bool, ctx, cut_side, chains=None):
 
 
 def _sweep(fn: str, ctx: EvalContext):
-    """F1 or F3 for the cells of one grid sweep, sharing walks by base.
+    """F1, F3, A1 or A3 for the cells of one grid sweep.
 
     Returns cell(z, cut_side), which gives what fn(z, ctx, cut_side)
-    gives, bit for bit: cells a whole number of units apart
-    walk from the same base point, and each base is summed and walked
-    once (_ftilde_eval).  A base's imaginary part is Im z plus the
-    anchor's, so no two rows share one, and the memo keeps the current
-    row's walks only.
+    gives, bit for bit; the kernel, and for A1 or A3 the norm, are
+    resolved once.  F1 and F3 share walks by base: cells a whole number
+    of units apart walk from the same base point, and each base is
+    summed and walked once (_ftilde_eval).  A base's imaginary part is
+    Im z plus the anchor's, so no two rows share one, and the memo keeps
+    the current row's walks only.
     """
-    plus = fn == "F3"
+    kernel = _kernel_of(ctx)
+    plus = fn in ("F3", "A3")
+    if fn[0] == "A":
+        norm = kernel.anchors[2 + plus]
+        return lambda z, cut_side: _abel(kernel, z, plus, cut_side, norm)
     chains: dict = {}
     row = None
 
@@ -830,7 +855,7 @@ def _sweep(fn: str, ctx: EvalContext):
         if z.imag != row:
             chains.clear()
             row = z.imag
-        return _superexp(z, plus, ctx, cut_side, chains)
+        return _superexp(kernel, z, plus, cut_side, chains)
 
     return cell
 

@@ -139,23 +139,29 @@ def exp_iterate(req: IterateRequest, ctx: Optional[EvalContext] = None) -> Scala
     SuperexpError
         Propagated from the constituent evaluations.
     """
-    # both arguments pass the argument rule before either is cast
+    # both arguments pass the argument rule before either is cast; c is
+    # held at the width, where c + A(z) is formed
     require_finite(req.z)
     require_finite(req.c)
     kernel = _kernel_of(ctx)
-    # z is cast once, for the Abel walk and the comparisons with e (the
-    # fixed point, the branch, the cut of A1), which round both to the
-    # width: a wide z within a double's ulp of e falls on its true side.
-    # c is held at the width, where c + A(z) is formed
-    zw, flip, strict = _gate(kernel, req.z, req.cut_side)
-    c = kernel.at_width(req.c)
+    return _iterate(kernel, ctx, kernel.at_width(req.c), req.z, req.branch, req.cut_side)
+
+
+def _iterate(kernel, ctx, c, z, branch, cut_side):
+    # exp_iterate past its argument rule, with c at the width: map_grid's
+    # expc cells and the dq kinds call it with one kernel and count.  z is
+    # cast once, under the rule, for the Abel walk and the comparisons
+    # with e (the fixed point, the branch, the cut of A1), which round
+    # both to the width: a wide z within a double's ulp of e falls on its
+    # true side
+    zw, flip, strict = _gate(kernel, z, cut_side)
     zr, e = +kernel.at_width(zw), +kernel.at_width(kernel.e)
     if zr == e:
         # every regular iterate fixes e exactly; the F(c + A(z))
         # composition has a removable singularity there
         return plain(e)
-    if req.branch is not None:
-        upper = req.branch is IterateBranch.upper
+    if branch is not None:
+        upper = branch is IterateBranch.upper
     elif zr.real == e.real:
         raise DomainError("branch is ambiguous on the line Re(z) = e; request one explicitly")
     else:
@@ -166,8 +172,8 @@ def exp_iterate(req: IterateRequest, ctx: Optional[EvalContext] = None) -> Scala
         # The limit from above is abel2(z) - i pi/3 shifted by the lower
         # normalization, from below its conjugate: formed at the work
         # bits, rounded to the width
-        rot = kernel.rotation if req.cut_side == "above" else -kernel.rotation
-        a = kernel.cast(abel2(req.z, ctx)) + rot - kernel.anchors[2]
+        rot = kernel.rotation if cut_side == "above" else -kernel.rotation
+        a = kernel.cast(abel2(z, ctx)) + rot - kernel.anchors[2]
         a = +kernel.at_width(a)
     else:
         norm = kernel.anchors[2 + upper]
@@ -176,12 +182,12 @@ def exp_iterate(req: IterateRequest, ctx: Optional[EvalContext] = None) -> Scala
     # real part of c + a
     w = +kernel.at_width(c + a)
     if upper:
-        return F3(w, ctx, cut_side=req.cut_side)
+        return F3(w, ctx, cut_side=cut_side)
     if w.imag == 0 and w.real <= -2:
         raise BranchCutError(
             f"shifted argument c + A1(z) = {complex(w)} lies on the cut of F1"
         )
-    return F1(w, ctx, cut_side=req.cut_side)
+    return F1(w, ctx, cut_side=cut_side)
 
 
 def dq13(x: Scalar, ctx: Optional[EvalContext] = None) -> Scalar:
@@ -283,8 +289,9 @@ def agreement(
             y = z
         else:
             branch = IterateBranch.lower if kind == "dq1" else IterateBranch.upper
-            once = exp_iterate(IterateRequest(0.5, z, branch, cut_side), ctx)
-            x = exp_iterate(IterateRequest(0.5, once, branch, cut_side), ctx)
+            half = kernel.at_width(0.5)
+            once = _iterate(kernel, ctx, half, z, branch, cut_side)
+            x = _iterate(kernel, ctx, half, once, branch, cut_side)
             y = _exp_b(z, bits)
     except SuperexpError:
         return math.nan
@@ -398,10 +405,11 @@ def map_grid(
         every cell either holds a complex double or an error code, so a
         singular or overflowing region never aborts the sweep.
 
-    F1 and F3 cells of a row a whole number of units apart walk the
-    functional equation from the same base point, so a sweep sums and
-    walks each exact base once; each cell is still the evaluator's value
-    at that cell, bit for bit.
+    F1, F3, A1 and A3 cells go through one sweep (evaluators._sweep),
+    which resolves the kernel and the norm once; F1 and F3 cells of a row
+    a whole number of units apart walk the functional equation from the
+    same base point, so a sweep sums and walks each exact base once.
+    Each cell is still the evaluator's value at that cell, bit for bit.
     """
     if fn not in GRID_FUNCTIONS:
         raise ValueError(f"unknown grid function {fn!r}")
@@ -422,15 +430,9 @@ def map_grid(
         c = kernel.at_width(require_finite(c))
 
         def evaluate(z, cut_side):
-            return exp_iterate(IterateRequest(c, z, branch, cut_side), ctx)
-    elif fn in ("F1", "F3"):
-        # cells a whole number of units apart share their functional-equation walk
-        evaluate = _sweep(fn, ctx)
+            return _iterate(kernel, ctx, c, z, branch, cut_side)
     else:
-        f = A1 if fn == "A1" else A3
-
-        def evaluate(z, cut_side):
-            return f(z, ctx, cut_side)
+        evaluate = _sweep(fn, ctx)
     side = grid.cut_side
     rows, errs = [], []
     for y in ys:

@@ -12,9 +12,9 @@ past the calibrated range first; calibrate() builds one at its tier.
 A real number x at scale s is the Python integer x * 2^s, rounded or
 truncated; a complex one is a pair of them.  The kernel computes on
 such integers at a scale 16 bits above its work bits: it walks on them
-(_MPKernel.step), sums the Abel series by Horner's rule on them, and
-finds F~ at a base point by Newton's method on them
-(_MPKernel.invert_abel), one step at each scale of its plan
+(_MPKernel.step, which walk and abel_walk loop), sums the Abel series
+by Horner's rule on them, and finds F~ at a base point by Newton's
+method on them (_MPKernel.invert_abel), one step at each scale of its plan
 (evaluators._newton_plan), each twice the last up to its own, so that
 only the last sum runs at full width.  A walk leaves them only for a
 step out of their range, taken on a value of the kernel's own mpmath
@@ -103,7 +103,7 @@ class _MPKernel(_Tables):
         self.tol = self.mp.mpf(2) ** (4 - self.bits)
         self._width = new_mp_context(self.bits)  # see at_width
         self.rotation = self.mp.mpc(0, -self.mp.pi / 3)  # A1's, on its cut
-        self.zero = self.mp.mpc(0)  # the state after a None (see step)
+        self.zero = self.mp.mpc(0)  # the state after a None (see walk)
         # the walks' integer constants at the scale, built here, not on
         # first use: threads share a kernel
         self._e = e_fixed(S)
@@ -216,6 +216,14 @@ class _MPKernel(_Tables):
             w = self.value(s)
         w = self.log_step(w, idx) if backward else self.exp_step(w, idx)
         return None if w is None else self.state(w)
+
+    def walk(self, chain: list, k: int, backward: bool) -> None:
+        """Extend an F~ walk's chain of states through step k, one step at
+        a time; the step from a None lands at `zero` (_ftilde_eval)."""
+        s = chain[-1]
+        for j in range(len(chain), k + 1):
+            s = self.zero if s is None else self.step(s, j, backward)
+            chain.append(s)
 
     def abel_walk(self, w, plus: bool):
         """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e."""

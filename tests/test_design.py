@@ -7,6 +7,7 @@ import ast
 import functools
 import importlib
 import inspect
+import json
 import pathlib
 import re
 import runpy
@@ -301,6 +302,30 @@ def test_one_side_flag_below_the_public_api():
     assert found == []
 
 
+def test_one_walk_loop_per_kernel():
+    """An F~ walk runs in its kernel's one loop, `walk`, as an Abel walk
+    runs in its `abel_walk`: _ftilde_eval has no loop of its own and the
+    double kernel no per-step `step`.  agreement and map_grid compose on
+    exp_iterate's body, building no IterateRequest per call."""
+    found = []
+    for name, cls in (("evaluators.py", "_DoubleKernel"), ("wide.py", "_MPKernel")):
+        kernel, = (c for c in TREES[name].body if isinstance(c, ast.ClassDef) and c.name == cls)
+        methods = {fn.name for fn in kernel.body if isinstance(fn, ast.FunctionDef)}
+        if "walk" not in methods:
+            found.append(f"{cls} has no walk")
+    if hasattr(evaluators._DoubleKernel, "step"):
+        found.append("_DoubleKernel has a step: its walk takes the plain steps inline")
+    functions = {fn.name: fn for name in ("evaluators.py", "iteration.py")
+                 for fn in TREES[name].body if isinstance(fn, ast.FunctionDef)}
+    if any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(functions["_ftilde_eval"])):
+        found.append("_ftilde_eval loops: its kernel's walk extends the chain")
+    for fn in ("agreement", "map_grid"):
+        for callee in ("IterateRequest", "exp_iterate"):
+            if _calls(functions[fn], callee):
+                found.append(f"iteration.{fn} calls {callee}: it composes on _iterate")
+    assert found == []
+
+
 @pytest.mark.parametrize("fn, grid, walking, hits, sums", [
     ("F1", "-8:28:-14:14:37:29", 457, 428, 609),
     ("F3", "-8:28:-14:14:37:29", 522, 522, 551),
@@ -321,6 +346,48 @@ def test_shared_walk_counts(fn, grid, walking, hits, sums):
     assert (counts["walking"], counts["hits"], len(recorded)) == (walking, hits, sums)
     # the counter unwraps on exit, so later evaluations run as they are
     assert (evaluators._ftilde_eval, evaluators._DoubleKernel.ftilde_series) == (walk, series)
+
+
+TINY = "--grid=-2:6:-2:2:5:3"
+
+
+@pytest.mark.parametrize("fn, walks, shares", [
+    ("F1", True, True), ("A1", False, False), ("d1fa", True, False),
+])
+def test_sweep_cost_prints_one_record(fn, walks, shares, capsys):
+    """tools/sweep_cost.py, whose command and figures the README cites,
+    times a map or a check and counts its F~ walks: one JSON line.  A1
+    walks no F~; d1fa's walks share nothing; F1's row cells 2 units apart
+    read each other's walks."""
+    main = runpy.run_path(str(ROOT / "tools" / "sweep_cost.py"))["main"]
+    assert main([fn, TINY, "--repeat", "1", "--src", str(SRC.parent)]) == 0
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (record["fn"], record["grid"], record["cells"]) == (fn, TINY.split("=")[1], 15)
+    assert record["cpu_us_per_cell"] > 0 and record["peak_rss_mb"] > 0
+    assert (record["walking"] > 0, record["hits"] > 0) == (walks, shares)
+    # every walk that reads no other's sums its own series
+    assert record["sums"] >= record["walking"] - record["hits"]
+    assert (record["sum_us"] is None) == (record["sums"] == 0)
+
+
+@pytest.mark.parametrize("repeat", ["0", "-2"])
+def test_sweep_cost_refuses_no_repeat(repeat, capsys):
+    main = runpy.run_path(str(ROOT / "tools" / "sweep_cost.py"))["main"]
+    with pytest.raises(SystemExit) as info:
+        main(["F1", TINY, f"--repeat={repeat}", "--src", str(SRC.parent)])
+    assert info.value.code == 2
+    assert f"argument --repeat: must be at least 1, got {int(repeat)}" in capsys.readouterr().err
+
+
+def test_sweep_cost_refuses_a_walk_it_cannot_count(monkeypatch, capsys):
+    # a tree whose walk driver reads the side otherwise would be miscounted
+    main = runpy.run_path(str(ROOT / "tools" / "sweep_cost.py"))["main"]
+    monkeypatch.setattr(evaluators, "_ftilde_eval", lambda kernel, w0, branch, chains=None: 0)
+    with pytest.raises(SystemExit) as info:
+        main(["F1", TINY, "--src", str(SRC.parent)])
+    assert info.value.code == 2
+    assert ("_ftilde_eval takes (kernel, w0, branch, chains), not (kernel, w0, plus, chains)"
+            in capsys.readouterr().err)
 
 
 def test_readme_names_resolve():

@@ -522,6 +522,33 @@ def _stepped_walk(kernel, w, plus_side):
     return w, k, zeta
 
 
+def _stepped_chain(kernel, w, k: int, backward: bool) -> tuple:
+    # an F~ walk as one guarded exp_step or log_step per step, from the
+    # value w through step k: (values, error), None standing for the
+    # unrepresentable value, whose next step is the kernel's zero
+    chain = [w]
+    step = kernel.log_step if backward else kernel.exp_step
+    try:
+        for j in range(1, k + 1):
+            w = kernel.zero if w is None else step(w, j)
+            chain.append(w)
+    except SuperexpError as exc:
+        return chain, (type(exc), exc.args, vars(exc))
+    return chain, None
+
+
+def _walked_chain(kernel, w, k: int, backward: bool, *stops) -> tuple:
+    # the kernel's F~ walk from w, extended through each of stops, then k:
+    # (states, error)
+    chain = [kernel.state(w)]
+    try:
+        for stop in (*stops, k):
+            kernel.walk(chain, stop, backward)
+    except SuperexpError as exc:
+        return chain, (type(exc), exc.args, vars(exc))
+    return chain, None
+
+
 def _count_guarded_steps(monkeypatch, kernel) -> list:
     # the arguments of every exp_step and log_step the kernel takes
     guarded = []
@@ -555,6 +582,8 @@ class TestDoubleAbelWalk:
         # a backward step on the negative real axis, and one from 0
         "cut": (True, complex(-5, 0)),
         "zero": (True, 0j),
+        # e log 1 is exactly 0, which the next step must refuse
+        "one": (True, complex(1, 0)),
     }
 
     @staticmethod
@@ -741,6 +770,75 @@ class TestWideAbelWalk:
         assert proc.returncode == 0, proc.stderr
         value = complex(proc.stdout)
         assert abs(value - getattr(ev, fn)(HUGE_STEP)) < 1e-13
+
+
+class TestFtildeWalk:
+    """Each kernel's F~ walk (kernel.walk, the one loop of _ftilde_eval)
+    extends a chain as one exp_step or log_step at a time would: state
+    for state, and error for error (class, message, index).  The starts
+    are the Abel walks' guarded cases at the kernel's width: a collapse
+    to None and on to 0, an overflow, an underflow to 0, a walk on the
+    negative real axis, a backward step from 0 and one onto 0.  A chain
+    extended in two calls, split anywhere, is the chain extended in one.
+    """
+
+    # the steps each case walks; a walk that raises stops at its error
+    STEPS = {"collapse": 5, "overflow": 3, "underflow": 3, "cut": 4, "zero": 2, "one": 3}
+
+    @staticmethod
+    def _start(bits: int, case: str):
+        table = TestDoubleAbelWalk.CASES if bits == 53 else TestWideAbelWalk.CASES
+        backward, z = table[case][:2]
+        return _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits))), backward, z
+
+    @pytest.mark.parametrize("bits", [53, 128, 256])
+    @pytest.mark.parametrize("case", STEPS)
+    def test_walk_matches_the_stepped_chain(self, monkeypatch, bits, case):
+        kernel, backward, z = self._start(bits, case)
+        w, k = kernel.cast(z), self.STEPS[case]
+        want, want_error = _stepped_chain(kernel, w, k, backward)
+        guarded = _count_guarded_steps(monkeypatch, kernel)
+        got, got_error = _walked_chain(kernel, w, k, backward)
+        assert got_error == want_error
+        assert guarded  # the case leaves the plain steps
+        assert len(got) == len(want)
+        for j, (state, value) in enumerate(zip(got, want)):
+            if value is None or bits == 53:
+                assert repr(state) == repr(value), j
+                continue
+            # the mpmath kernel steps on integers, within 2^-(bits+16)
+            got_value = kernel.value(state)
+            assert type(got_value) is type(value), j
+            assert abs(got_value - value) <= abs(value) * kernel.mp.mpf(2) ** -(bits + 16), j
+
+    def test_the_cases_reach_what_they_name(self):
+        # at 53 bits: None then 0, the overflow's index, and the upper side
+        kernel, backward, z = self._start(53, "collapse")
+        chain, error = _walked_chain(kernel, kernel.cast(z), 3, backward)
+        assert (chain[1:], error) == ([None, 0j, 1 + 0j], None)
+        kernel, backward, z = self._start(53, "overflow")
+        chain, (cls, _, attrs) = _walked_chain(kernel, kernel.cast(z), 3, backward)
+        assert (len(chain), cls, attrs["index"]) == (1, OrbitOverflowError, 1)
+        # from 8.3 the third step escapes: the index counts the chain's steps
+        chain, (cls, _, attrs) = _walked_chain(kernel, 8.3 + 0j, 3, False, 1)
+        assert (len(chain), attrs["index"]) == (3, 3)
+        for imag in (0.0, -0.0):
+            chain, _ = _walked_chain(kernel, complex(-5.0, imag), 1, True)
+            assert chain[1] == E * cmath.log(complex(-5.0, 0.0))
+        for case in ("zero", "one"):
+            kernel, backward, z = self._start(53, case)
+            chain, (cls, args, _) = _walked_chain(kernel, kernel.cast(z), 3, backward)
+            assert cls is BranchCutError and "singularity at 0" in args[0]
+            assert chain[-1] == 0j
+
+    @pytest.mark.parametrize("bits", [53, 128, 256])
+    @pytest.mark.parametrize("case", STEPS)
+    def test_a_chain_extended_twice_is_one_chain(self, bits, case):
+        kernel, backward, z = self._start(bits, case)
+        w, k = kernel.cast(z), self.STEPS[case]
+        once = _walked_chain(kernel, w, k, backward)
+        for stop in range(k):
+            assert _walked_chain(kernel, w, k, backward, stop) == once, stop
 
 
 def _wide_bits(call):

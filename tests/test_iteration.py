@@ -554,6 +554,15 @@ class TestErrorCodes:
         assert result.errors[1] == (None, "domain", "cut")
 
 
+def _iterate_outcome(request, ctx) -> tuple:
+    # exp_iterate's value as a grid cell holds it, by its bits, or its error code
+    try:
+        value = complex(exp_iterate(request, ctx))
+    except SuperexpError as exc:
+        return None, exc.code
+    return (value.real.hex(), value.imag.hex()), None
+
+
 class TestMapGrid:
     def test_a3_small_grid_finite(self):
         r = map_grid("A3", GridSpec(3.0, 6.0, -1.0, 1.0, 2, 2))
@@ -639,6 +648,61 @@ class TestMapGrid:
                 for x, value in zip(g.xs(), row):
                     want = exp_iterate(req(c, complex(x, y), "lower"), ctx)
                     assert value == complex(want)
+        # every branch and side, at 53 and 128 bits: the middle row holds
+        # e, where every iterate is e, and right of it A1's cut; the cells
+        # at Re z = e off the axis fail without a branch ("domain"), and
+        # c = -5 sends e - 1 onto F1's cut ("cut")
+        g = GridSpec(E - 1.0, E + 1.0, -1.0, 1.0, 3, 3)
+        assert g.xs()[1] == E and g.ys()[1] == 0.0
+        codes = set()
+        for ctx in (None, CTX128):
+            for c in (0.5, -5):
+                for branch in (None, "lower", "upper"):
+                    for side in ("above", "below"):
+                        grid = dataclasses.replace(g, cut_side=side)
+                        r = map_grid("expc", grid, ctx, c=c, branch=branch)
+                        cells = [
+                            (None if err else (value.real.hex(), value.imag.hex()), err)
+                            for row, erow in zip(r.values, r.errors)
+                            for value, err in zip(row, erow)
+                        ]
+                        want = [
+                            _iterate_outcome(req(c, complex(x, y), branch, side), ctx)
+                            for y in grid.ys() for x in grid.xs()
+                        ]
+                        assert cells == want, (ctx, c, branch, side)
+                        codes.update(err for _, err in cells)
+        assert {None, "domain", "cut"} <= codes
+
+    @pytest.mark.parametrize("ctx", [None, CTX128], ids=["53", "128"])
+    @pytest.mark.parametrize("kind", ["dq1", "dq3"])
+    def test_dq_scores_compose_two_public_iterates(self, monkeypatch, kind, ctx):
+        # agreement calls exp_iterate's body with one kernel and a cast
+        # count: its scores are those of two public exp_iterate calls
+        import superexp.iteration as it
+
+        # the box around e; then failing compositions: dq3 meets log 0 at 0
+        # and dq1 F1's cut at 30+30i, and dq1 overflows at 1800+i
+        points = [complex(x, y) for x in (E - 1.0, E, E + 1.0, -1.5) for y in (-1.0, 0.0, 1.0)]
+        points += [0.0, 30 + 30j, 1800 + 1j]
+        scores = {side: [agreement(kind, z, ctx, cut_side=side).hex() for z in points]
+                  for side in ("above", "below")}
+
+        body, branch = it._iterate, "lower" if kind == "dq1" else "upper"
+
+        def public(kernel, ctx, c, z, _branch, cut_side):
+            # the documented half step on the kind's branch, a public call in
+            # place of each body call (the body runs inside it)
+            monkeypatch.setattr(it, "_iterate", body)
+            try:
+                return exp_iterate(IterateRequest(0.5, z, branch, cut_side), ctx)
+            finally:
+                monkeypatch.setattr(it, "_iterate", public)
+
+        monkeypatch.setattr(it, "_iterate", public)
+        for side, want in scores.items():
+            assert [agreement(kind, z, ctx, cut_side=side).hex() for z in points] == want
+        assert "nan" in scores["above"] and len(set(scores["above"])) > 2
 
     def test_half_iterate_changes_sign_near_origin(self):
         g = GridSpec(-3.0, 1.0, -0.5, 0.5, 9, 3)

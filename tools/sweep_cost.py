@@ -1,37 +1,41 @@
-"""Time one 53-bit map_grid F1 or F3 sweep and count its shared walks.
+"""Time one 53-bit grid operation per cell and count its shared walks.
 
-A sweep memoizes each functional-equation walk by its exact base point
-(evaluators._sweep), so a cell a whole number of units from another
+The operation is a map_grid sweep of F1, F3, A1 or A3, or a check_grid
+of one agreement kind (d1af, d1fa, d3af, d3fa, dq1, dq3).  A sweep
+memoizes each functional-equation walk by its exact base point
+(evaluators._sweep), so an F cell a whole number of units from another
 cell of its row can read its value off that cell's walk; on a grid with
-no such columns every walking cell sums its own series.  For one
-function on one grid this script prints, as one JSON line: the CPU time
-per cell of the best of --repeat maps (after a warm-up map, which builds
-the kernel's tables), the peak RSS of those maps, the cells whose walk takes at
-least one step, and how many of those summed no series of their own
+no such columns every walking cell sums its own series.  A1 and A3 walk
+no F~, and the checks' F walks keep no memo.  For one operation on one
+grid this script prints, as one JSON line: the CPU time per cell of the
+best of --repeat runs (after a warm-up run, which builds the kernel's
+tables), the peak RSS of those runs, the F~ walks that take at least one
+step ("walking"), and how many of those summed no series of their own
 ("hits": they read another cell's walk).  The counts come from one more
-map with the series summation and the walk driver wrapped.  That map
+run with the series summation and the walk driver wrapped.  That run
 also records each F~ sum ("sums" counts them), and "sum_us" is the CPU
 time per sum of the best of --repeat replays of those sums.
 
 Usage (from the repository root):
 
     python3 tools/sweep_cost.py F1 --grid=-8:28:-14:14:145:113
-    python3 tools/sweep_cost.py F3 --grid=-8:28:-14:14:100:113 --src OTHER/src
+    python3 tools/sweep_cost.py dq1 --grid=-2:6:-6:6:41:61
+    python3 tools/sweep_cost.py A1 --grid=-8:28:-14:14:145:113 --src OTHER/src
 
 The grid is x_min:x_max:y_min:y_max:nx:ny (the "=" keeps a negative
-x_min from reading as an option).  --src imports the library
-from another tree whose _ftilde_eval takes the same arguments, the
-side as the bool `plus` (True for F3), for example a git archive of an
-earlier commit.  A tree whose _ftilde_eval still takes a BranchSign
-member cannot be counted with this script: its walks would be
-miscounted without an error.  Run one process per function and tree,
-so that each peak RSS is that sweep's own.
+x_min from reading as an option), and --repeat is at least 1.  --src
+imports the library from another tree, for example a git archive of an
+earlier commit; its _ftilde_eval must take (kernel, w0, plus, chains),
+the side as the bool `plus` (True for F3), or the walks cannot be
+counted and the script exits 2 naming what it takes.  Run one process
+per operation and tree, so that each peak RSS is that run's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import os
 import resource
@@ -40,10 +44,15 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+MAPS = ("F1", "F3", "A1", "A3")
+CHECKS = ("d1af", "d1fa", "d3af", "d3fa", "dq1", "dq3")
+# the walk driver's parameters that the counter reads
+WALK_PARAMS = ("kernel", "w0", "plus", "chains")
+
 
 @contextlib.contextmanager
 def _count(evaluators):
-    """Count the walks of the maps run inside the block, yielding
+    """Count the walks of the runs inside the block, yielding
     (counts, sums): the double kernel's series and the walk driver are
     wrapped, each sum recorded in `sums` as (series, kernel, args), and
     both restored on exit."""
@@ -74,6 +83,15 @@ def _count(evaluators):
         evaluators._ftilde_eval = walk
 
 
+def _walk_mismatch(evaluators) -> str | None:
+    # what the tree's walk driver takes, when the counter cannot read it
+    params = tuple(inspect.signature(evaluators._ftilde_eval).parameters)
+    if params == WALK_PARAMS:
+        return None
+    return (f"_ftilde_eval takes ({', '.join(params)}), not"
+            f" ({', '.join(WALK_PARAMS)}): its walks cannot be counted")
+
+
 def _cpu(f, *args) -> float:
     start = time.process_time()
     f(*args)
@@ -85,23 +103,38 @@ def _replay(sums: list) -> None:
         series(kernel, *args)
 
 
-def main() -> int:
+def _repeat(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("fn", choices=("F1", "F3"))
+    parser.add_argument("fn", choices=MAPS + CHECKS)
     parser.add_argument("--grid", required=True, help="x_min:x_max:y_min:y_max:nx:ny")
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--repeat", type=_repeat, default=3)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
-    args = parser.parse_args()
-    sys.path.insert(0, os.path.abspath(args.src))
+    args = parser.parse_args(argv)
+    src = os.path.abspath(args.src)
+    if src not in sys.path:
+        sys.path.insert(0, src)
     from superexp import evaluators, iteration
 
+    if not os.path.abspath(evaluators.__file__).startswith(src + os.sep):
+        parser.exit(2, f"{parser.prog}: superexp was loaded from {evaluators.__file__}\n")
+    mismatch = _walk_mismatch(evaluators)
+    if mismatch:
+        parser.exit(2, f"{parser.prog}: {mismatch}\n")
     *bounds, nx, ny = args.grid.split(":")
     grid = iteration.GridSpec(*map(float, bounds), int(nx), int(ny))
-    iteration.map_grid(args.fn, grid)
-    best = min(_cpu(iteration.map_grid, args.fn, grid) for _ in range(args.repeat))
+    run = iteration.map_grid if args.fn in MAPS else iteration.check_grid
+    run(args.fn, grid)
+    best = min(_cpu(run, args.fn, grid) for _ in range(args.repeat))
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     with _count(evaluators) as (counts, sums):
-        iteration.map_grid(args.fn, grid)
+        run(args.fn, grid)
     sum_cpu = min(_cpu(_replay, sums) for _ in range(args.repeat))
     cells = grid.nx * grid.ny
     print(json.dumps({
