@@ -55,7 +55,8 @@ from .errors import (
     OrbitOverflowError,
 )
 from .precision import (
-    PrecisionConfig, mp_context, plain, require_count, require_finite, round_trip_decimal,
+    PrecisionConfig, mp_context, plain, require_config, require_count, require_finite,
+    round_trip_decimal,
 )
 from .series import abel_expansion
 # no evaluator calls it; the traced benchmark runs wrap it by this name
@@ -122,8 +123,7 @@ class EvalContext:
     max_recursion: int = 200
 
     def __post_init__(self) -> None:
-        if not isinstance(self.precision, PrecisionConfig):
-            raise ValueError("precision must be a PrecisionConfig")
+        require_config(self.precision, PrecisionConfig, "precision")
         cap = require_count(self.max_recursion, "max_recursion", 1)
         object.__setattr__(self, "max_recursion", cap)
 
@@ -518,11 +518,14 @@ def _kernel_of(ctx: EvalContext | None):
     # a sweep passes one context object to every cell: match it by
     # identity before hashing the frozen context through _kernel's cache;
     # the pair is swapped whole, so a racing thread keeps its own kernel.
-    # A miss takes the lock, so racing first calls build one kernel
+    # A miss checks the context's type and takes the lock, so racing
+    # first calls build one kernel
     global _last_kernel
-    ctx = ctx or _DEFAULT_CTX
+    if ctx is None:
+        ctx = _DEFAULT_CTX
     last = _last_kernel
     if last[0] is not ctx:
+        require_config(ctx, EvalContext, "ctx")
         with _building:
             last = _last_kernel = (ctx, _kernel(ctx))
     return last[1]
@@ -880,13 +883,15 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
 
     Raises
     ------
+    ValueError
+        A ctx that is neither None nor an EvalContext, before any walk.
     DomainError
         A width past the range (calibration_tier), before any walk.
     NonConvergenceError
         An Abel walk that misses its disk, or a sum whose tail is above
         the tolerance.
     """
-    ctx = ctx or _DEFAULT_CTX
+    ctx = require_config(_DEFAULT_CTX if ctx is None else ctx, EvalContext, "ctx")
     bits = calibration_tier(ctx.precision.mantissa_bits)
     from .wide import _MPKernel
     kernel = _MPKernel(EvalContext(PrecisionConfig(mantissa_bits=bits), ctx.max_recursion))

@@ -40,7 +40,9 @@ from .evaluators import (
     _sweep,
     abel2,
 )
-from .precision import mp_context, mp_convert, plain, require_count, require_finite
+from .precision import (
+    mp_context, mp_convert, plain, require_config, require_count, require_finite,
+)
 
 __all__ = [
     "GridResult",
@@ -141,6 +143,7 @@ def exp_iterate(req: IterateRequest, ctx: Optional[EvalContext] = None) -> Scala
     """
     # both arguments pass the argument rule before either is cast; c is
     # held at the width, where c + A(z) is formed
+    require_config(req, IterateRequest, "req")
     require_finite(req.z)
     require_finite(req.c)
     kernel = _kernel_of(ctx)
@@ -208,7 +211,7 @@ def dq13(x: Scalar, ctx: Optional[EvalContext] = None) -> Scalar:
     complex or mpmath scalar
         ``exp_lower^[1/2](x) - exp_upper^[1/2](x)``.
     """
-    ctx = ctx if ctx is not None else _DEFAULT_CTX
+    ctx = require_config(_DEFAULT_CTX if ctx is None else ctx, EvalContext, "ctx")
     deep = dataclasses.replace(ctx, max_recursion=max(ctx.max_recursion, 20000))
     lower = exp_iterate(IterateRequest(0.5, x, IterateBranch.lower), deep)
     upper = exp_iterate(IterateRequest(0.5, x, IterateBranch.upper), deep)
@@ -276,9 +279,10 @@ def agreement(
     clip = float(clip)  # an int, a bool or an mpf clip: the score is a float
     _require_side(cut_side)
     ctx = ctx if ctx is not None else _DEFAULT_CTX
-    bits = ctx.precision.mantissa_bits
-    # a width past the calibrated range is refused, not scored
+    # a context of another type, or a width past the calibrated range, is
+    # refused, not scored
     kernel = _kernel_of(ctx)
+    bits = ctx.precision.mantissa_bits
     try:
         if kind[1] != "q":
             # the round trip's (inner, outer) pair, read from this module's
@@ -413,7 +417,7 @@ def map_grid(
     """
     if fn not in GRID_FUNCTIONS:
         raise ValueError(f"unknown grid function {fn!r}")
-    ctx = ctx if ctx is not None else _DEFAULT_CTX
+    require_config(grid, GridSpec, "grid")
     if fn == "expc":
         if c is None:
             raise ValueError("fn='expc' requires the iteration count c")
@@ -472,6 +476,7 @@ def check_grid(kind: str, grid: GridSpec, ctx: Optional[EvalContext] = None,
     """
     import statistics  # only a check summarises: `import superexp` loads none
 
+    require_config(grid, GridSpec, "grid")
     xs, ys = grid.xs(), grid.ys()
     cells = [(x, y, agreement(kind, complex(x, y), ctx, clip, grid.cut_side))
              for y in ys for x in xs]

@@ -48,6 +48,7 @@ module.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -64,7 +65,7 @@ from .errors import (
     SuperexpError,
 )
 from .precision import (
-    PrecisionConfig, _as_mp, mp_context, plain, require_count, round_trip_digits,
+    PrecisionConfig, _as_mp, mp_context, plain, require_config, require_count, round_trip_digits,
 )
 
 __all__ = [
@@ -121,6 +122,10 @@ def _tau_inv(ctx, z: Scalar):
     # fixed-point chart: tau(u) = e(u+1) maps 0 to e; inverse pulls
     # f-coordinates back to h-coordinates
     return _as_mp(ctx, z) / ctx.e - 1
+
+
+def _bits(cfg) -> int:
+    return require_config(cfg, PrecisionConfig, "cfg").mantissa_bits
 
 
 def _check_n(n, least: int = 0) -> int:
@@ -257,7 +262,7 @@ def iterate_h(z: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
         If the orbit escapes to +infinity; carries the escape index.
     """
     n = _check_n(n)
-    orbit = _Orbits([z], cfg.mantissa_bits)
+    orbit = _Orbits([z], _bits(cfg))
     orbit.run_to(n)
     return plain(orbit.values()[0])
 
@@ -269,7 +274,7 @@ def iterate_h_inverse(z: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig(
     stay right of the logarithmic singularity at -1.
     """
     n = _check_n(n)
-    orbit = _Orbits([z], cfg.mantissa_bits, inverse=True)
+    orbit = _Orbits([z], _bits(cfg), inverse=True)
     orbit.run_to(n)
     return plain(orbit.values()[0])
 
@@ -279,26 +284,17 @@ def levy_abel(
 ):
     """Ratio estimator (h^[n](z) - h^[n](u)) / (h^[n+1](u) - h^[n](u)).
 
-    Converges to the difference of Abel-function values at z and u.  The
-    denominator shrinks like 2/n^2.  A real orbit steps on integers with
-    2 log2 n guard bits, which its differences keep; an orbit stepping on
-    mpmath values (a complex one) does not, so double-precision use is
-    possible but flagged: a PrecisionLossWarning is emitted once its
-    denominator falls below 2^(-mantissa/2) of the numerator scale.
+    Converges to the difference of Abel-function values at z and u: the
+    n-th row of the ``levy`` table's pass, from z and u in h-coordinates.
+    The denominator shrinks like 2/n^2.  A real orbit steps on integers
+    with 2 log2 n guard bits, which its differences keep; an orbit on
+    mpmath values (complex, or within 2^-32 of 0) does not, so such a row
+    warns PrecisionLossWarning, at the caller's line, once its denominator
+    falls below 2^(-mantissa/2) of the numerator scale, in a table too.
     OrbitOverflowError reports either orbit escaping by step n.
     """
-    n = _check_n(n)
-    orbits = _Orbits([z, u], cfg.mantissa_bits, estimator_n=n)
-    orbits.run_to(n)
-    num, den, exact = _ratio_terms(orbits, n)
-    scale = max(orbits.mp.mpf(1), abs(num))
-    if not exact and abs(den) < orbits.mp.mpf(2) ** (-(cfg.mantissa_bits // 2)) * scale:
-        warnings.warn(
-            f"ratio denominator below half-precision floor at n={n}",
-            PrecisionLossWarning,
-            stacklevel=2,
-        )
-    return plain(num / den)
+    ns, bits = _check_rows("levy", [n]), _bits(cfg)
+    return plain(_read_rows("levy", [z, u], ns, bits)[0])
 
 
 def _ratio_terms(orbits: _Orbits, n: int) -> tuple:
@@ -345,7 +341,7 @@ def levy_probe(
     :func:`levy_abel`; ``levy_probe(-1, 1, n)`` is the benchmark-table
     sequence converging to the normalized super-logarithm at -1.
     """
-    ctx = mp_context(cfg.mantissa_bits)
+    ctx = mp_context(_bits(cfg))
     return levy_abel(_tau_inv(ctx, zf), _tau_inv(ctx, uf), n, cfg)
 
 
@@ -381,7 +377,7 @@ def newton_superfunction(
         result by more than half the mantissa), and the max summand size.
     """
     ns = _check_rows("newton", [n], base_map)
-    (result,) = _newton_pass(u, t, ns, cfg.mantissa_bits, base_map)
+    (result,) = _newton_pass(u, t, ns, _bits(cfg), base_map)
     return result
 
 
@@ -435,12 +431,12 @@ def fatou_abel(
     """
     if petal not in (1, 2):
         raise ValueError("petal must be 1 or 2")
-    n = _check_n(n, 1)
-    ctx = mp_context(cfg.mantissa_bits)
+    n, bits = _check_n(n, 1), _bits(cfg)
+    ctx = mp_context(bits)
     zw = _as_mp(ctx, z)
     _check_petal(petal, zw.real)
     sign = 1 if petal == 2 else -1
-    orbit = _Orbits([zw], cfg.mantissa_bits, inverse=petal == 2, estimator_n=n)
+    orbit = _Orbits([zw], bits, inverse=petal == 2, estimator_n=n)
     orbit.run_to(n)
     (w,) = orbit.states
     if isinstance(w, int_types):
@@ -457,11 +453,8 @@ def fatou_probe(zf: Scalar, n: int, cfg: PrecisionConfig = PrecisionConfig()):
     This is the benchmark-table sequence converging to the normalized
     super-logarithm at zf, and the n-th row of the ``fatou1`` table's pass.
     """
-    ns, bits = _check_rows("fatou1", [n]), cfg.mantissa_bits
-    (value,) = _orbit_pass("fatou1", mp_context(bits), [zf], ns, bits)
-    if isinstance(value, SuperexpError):
-        raise value
-    return plain(value)
+    ns, bits = _check_rows("fatou1", [n]), _bits(cfg)
+    return plain(_read_rows("fatou1", [_tau_inv(mp_context(bits), zf)], ns, bits)[0])
 
 
 def fatou_probe_richardson(
@@ -470,14 +463,14 @@ def fatou_probe_richardson(
     """First-order Richardson extrapolation 2 y(n) - y(n/2) of the probe.
 
     The probe converges like a/n + O(1/n^2); the extrapolation removes the
-    a/n term and tightens the tail to O(1/n^2).  n must be even.
+    a/n term and tightens the tail to O(1/n^2).  n must be even; y(n/2)
+    and y(n) are two rows of one ``fatou1`` pass of n steps.
     """
-    n = _check_n(n)
+    n, bits = _check_n(n), _bits(cfg)
     if n % 2 or n < 2:
         raise ValueError("Richardson step needs an even n >= 2")
-    ctx = mp_context(cfg.mantissa_bits)
-    y_half = ctx.convert(fatou_probe(zf, n // 2, cfg))
-    y_full = ctx.convert(fatou_probe(zf, n, cfg))
+    start = _tau_inv(mp_context(bits), zf)
+    y_half, y_full = _read_rows("fatou1", [start], [n // 2, n], bits)
     return plain(2 * y_full - y_half)
 
 
@@ -493,20 +486,13 @@ _PRINTED = {
 
 
 def _value_bits(value) -> int:
-    def bits(x) -> int:
-        try:
-            return max(53, x._mpf_[3])
-        except (AttributeError, IndexError):
-            return 53
-
+    # the mantissa bits of a record value, a plain mpf or mpc, at least 53
     if isinstance(value, mpmath.mpc):
-        return max(bits(value.real), bits(value.imag))
-    return bits(value)
+        return max(_value_bits(value.real), _value_bits(value.imag))
+    return max(53, value._mpf_[3])
 
 
 def _printed(method: str, n: int, value) -> str:
-    if value is None:
-        return ""
     if mpmath.im(value) != 0:
         return mpmath.nstr(value, 12)
     real = mpmath.re(value)
@@ -544,11 +530,11 @@ def _check_rows(method: str, ns: list, base_map: str = "h") -> list:
     return ns
 
 
-def _orbit_pass(method: str, ctx, points: list, ns: list, bits: int):
-    # the levy, fatou1 or fatou2 value at each n of ns, from one orbit
-    # pass; a row's own failure is its value, a failed step ends the pass.
-    # fatou1 probes against 0
-    starts = [_tau_inv(ctx, p) for p in (*points, 0)[:2]]
+def _orbit_pass(method: str, starts: list, ns: list, bits: int):
+    # the levy, fatou1 or fatou2 value at each n of ns, from one orbit pass
+    # of the starts in h-coordinates; a row's own failure is its value, a
+    # failed step ends the pass.  fatou1 probes against -1 (0 in the chart)
+    starts = (*starts, -1)[:2]
     # a petal-2 start left of the fixed point fails every row
     if method == "fatou2":
         _check_petal(2, min(w.real for w in starts))
@@ -557,7 +543,10 @@ def _orbit_pass(method: str, ctx, points: list, ns: list, bits: int):
         orbits.run_to(n)
         try:
             if method == "levy":
-                num, den, _ = _ratio_terms(orbits, n)
+                num, den, exact = _ratio_terms(orbits, n)
+                if not exact and abs(den) < orbits.mp.mpf(2) ** -(bits // 2) * max(1, abs(num)):
+                    warnings.warn(f"ratio denominator below half-precision floor at n={n}",
+                                  PrecisionLossWarning, stacklevel=_caller_level(sys._getframe()))
                 value = num / den
             elif method == "fatou1":
                 value = _shift_value(orbits)
@@ -567,6 +556,21 @@ def _orbit_pass(method: str, ctx, points: list, ns: list, bits: int):
         except SuperexpError as exc:
             value = exc
         yield value
+
+
+def _caller_level(frame) -> int:
+    # warnings.warn's stacklevel, in `frame`, of the first frame outside this
+    # module: the line that called the public function
+    return 1 + _caller_level(frame.f_back) if frame.f_globals is globals() else 1
+
+
+def _read_rows(method: str, starts: list, ns: list, bits: int) -> list:
+    # the rows of one _orbit_pass, values at `bits`; a failed row raises
+    rows = list(_orbit_pass(method, starts, ns, bits))
+    for row in rows:
+        if isinstance(row, SuperexpError):
+            raise row
+    return rows
 
 
 def convergence_table(
@@ -601,7 +605,8 @@ def convergence_table(
             f"{method} takes {takes} argument{'s' if most > 1 else ''},"
             f" got {len(args)}"
         )
-    ctx = mp_context(cfg.mantissa_bits)
+    bits = _bits(cfg)
+    ctx = mp_context(bits)
     # the numeric arguments (newton's third is a map's name)
     points = [_as_mp(ctx, a) for a in args[:2]]
     base_map = args[2] if len(args) > 2 else "h"
@@ -609,10 +614,10 @@ def convergence_table(
     if not ns:
         return []
     if method == "newton":
-        sums = _newton_pass(*points, ns, cfg.mantissa_bits, base_map)
+        sums = _newton_pass(*points, ns, bits, base_map)
         rows = (result.value for result in sums)
     else:
-        rows = _orbit_pass(method, ctx, points, ns, cfg.mantissa_bits)
+        rows = _orbit_pass(method, [_tau_inv(ctx, p) for p in points], ns, bits)
     records: list[ConvergenceRecord] = []
     failed = None
     for n in ns:

@@ -1,6 +1,7 @@
 """The width of an evaluation, the private mpmath contexts that carry it,
-and the two argument rules of every public entry point: a value is a
-finite number (`require_finite`), a count is an integer (`require_count`).
+and the argument rules of every public entry point: a value is a
+finite number (`require_finite`), a count is an integer (`require_count`),
+a configuration is of its type (`require_config`).
 
 Evaluators, limit formulas and the CLI all take a `PrecisionConfig`.
 Every computation above 53 bits runs in a private mpmath context from
@@ -140,6 +141,15 @@ def require_count(n, name: str, least: int = 0) -> int:
     if n < least:
         raise ValueError(f"{name} must be " + (f"at least {least}" if least else "nonnegative"))
     return n
+
+
+def require_config(value, cls: type, name: str):
+    """value itself if a `cls`, else ValueError naming the argument and
+    its type: the rule of every configuration an entry point takes (a
+    width, a context, a grid, a request), checked before any work."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be of type {cls.__name__}, got {value!r}")
+    return value
 
 
 def _as_mp(ctx, z):

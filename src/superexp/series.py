@@ -66,17 +66,13 @@ class PowerSeries:
         Coefficient of x^k at position k.
     """
 
-    __slots__ = ("coefficients", "order")
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable):
         coeffs = tuple(_as_fraction(c) for c in coefficients)
         if not coeffs:
             raise ValueError("a series needs at least one coefficient")
         self.coefficients = coeffs
-        # Index of the first potentially nonzero coefficient.
-        self.order = next(
-            (k for k, c in enumerate(coeffs) if c != 0), len(coeffs)
-        )
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -87,11 +83,6 @@ class PowerSeries:
         if k < len(self.coefficients):
             return self.coefficients[k]
         return _ZERO
-
-    @property
-    def truncation_order(self) -> int:
-        """Largest index with a stored coefficient."""
-        return len(self.coefficients) - 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
@@ -113,17 +104,6 @@ class PowerSeries:
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         n = max(len(self), len(other))
         return PowerSeries(self[k] + other[k] for k in range(n))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = max(len(self), len(other))
-        return PowerSeries(self[k] - other[k] for k in range(n))
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(-c for c in self.coefficients)
-
-    def scale(self, factor) -> "PowerSeries":
-        f = _as_fraction(factor)
-        return PowerSeries(f * c for c in self.coefficients)
 
     def mul(self, other: "PowerSeries", n_terms: int | None = None) -> "PowerSeries":
         """Product, truncated to `n_terms` coefficients when given."""
@@ -299,11 +279,11 @@ def iterative_logarithm(N: int) -> PowerSeries:
 
 @dataclass(frozen=True)
 class AbelExpansion:
-    """Regular Abel series alpha(x) = p/x + L*log(+-x) + const + v(x).
+    """Regular Abel series alpha(x) = p/x + L*log(+-x) + v(x).
 
-    The tail v is divergent; `truncation_order` records where it was
-    cut.  The sign inside the logarithm is a branch choice left to the
-    evaluation layer.
+    The integration constant is 0 by convention.  The tail v is
+    divergent, cut at N = len(tail) - 1.  The sign inside the logarithm
+    is a branch choice left to the evaluation layer.
 
     Fields
     ------
@@ -311,19 +291,14 @@ class AbelExpansion:
         p, the coefficient of 1/x: -2.
     log_coefficient : Fraction
         L: 1/3.
-    constant : Fraction
-        Integration constant, fixed to 0 by convention.
     tail : PowerSeries
-        v with the coefficient of x^k at index k, k >= 1; index 0 is 0.
-    truncation_order : int
-        N, the largest tail index kept.
+        v with the coefficient of x^k at index k, 1 <= k <= N; index 0
+        is 0.
     """
 
     pole_coefficient: Fraction
     log_coefficient: Fraction
-    constant: Fraction
     tail: PowerSeries
-    truncation_order: int
 
     def derivative_coefficient(self, k: int) -> Fraction:
         """Coefficient of x^k in alpha'(x), for k >= -2."""
@@ -353,11 +328,7 @@ def abel_expansion(N: int) -> AbelExpansion:
     # alpha' = inv[0] x^-2 + inv[1] x^-1 + inv[2] + inv[3] x + ...
     tail = [_ZERO] + [inv[k + 1] / k for k in range(1, N + 1)]
     return AbelExpansion(
-        pole_coefficient=-inv[0],
-        log_coefficient=inv[1],
-        constant=_ZERO,
-        tail=PowerSeries(tail),
-        truncation_order=N,
+        pole_coefficient=-inv[0], log_coefficient=inv[1], tail=PowerSeries(tail)
     )
 
 

@@ -14,7 +14,9 @@ orbit length.  Every count a public entry point takes (a width, a cap,
 a grid size, a truncation order, an orbit length) is an integer or a
 ValueError naming it, and a NumPy integer counts as its int.  The
 command line exits 0 or 1 for any numeric literal, printing nothing on
-a failure.
+a failure.  A configuration of another type (a context, a width, a grid,
+a request) is a ValueError naming the argument and its type; only None
+stands for the default context.
 Examples are drawn derandomized, so a run is repeatable.
 """
 
@@ -36,7 +38,8 @@ from superexp import (
 from superexp import cli, evaluators, limits, series
 from superexp.errors import DomainError, PrecisionLossWarning, SuperexpError
 from superexp.iteration import (
-    AGREEMENT_KINDS, GridSpec, IterateRequest, agreement, dq13, exp_iterate, map_grid,
+    AGREEMENT_KINDS, GridSpec, IterateRequest, agreement, check_grid, dq13, exp_iterate,
+    map_grid,
 )
 
 CONTEXTS = {
@@ -300,6 +303,69 @@ def test_a_call_passing_constants_fails(bits, name):
     call, error, message = OLD_CALLS[name]
     with pytest.raises(error, match=message):
         call(ctx, cc)
+
+
+# name: (call on the configuration, the argument's name, its type); every
+# configuration a public entry point takes
+CONFIGS = {
+    **{
+        name: (lambda x, fn=fn: fn(0.5, x), "ctx", EvalContext)
+        for name, fn in (("F1", F1), ("F3", F3), ("A1", A1), ("A3", A3), ("abel1", abel1),
+                         ("abel2", abel2))
+    },
+    "superexp_tilde": (lambda x: superexp_tilde(2.5, "minus", x), "ctx", EvalContext),
+    "calibrate": (evaluators.calibrate, "ctx", EvalContext),
+    "EvalContext": (lambda x: EvalContext(precision=x), "precision", PrecisionConfig),
+    "exp_iterate req": (exp_iterate, "req", IterateRequest),
+    "exp_iterate ctx": (lambda x: exp_iterate(IterateRequest(0.5, 1.0), x), "ctx", EvalContext),
+    "dq13": (lambda x: dq13(2.5, x), "ctx", EvalContext),
+    "agreement": (lambda x: agreement("d1fa", 0.5, x), "ctx", EvalContext),
+    "map_grid grid": (lambda x: map_grid("F1", x), "grid", GridSpec),
+    "map_grid ctx": (lambda x: map_grid("F1", GRID, x), "ctx", EvalContext),
+    "check_grid grid": (lambda x: check_grid("d1fa", x), "grid", GridSpec),
+    "check_grid ctx": (lambda x: check_grid("d1fa", GRID, x), "ctx", EvalContext),
+    "iterate_h": (lambda x: limits.iterate_h(-0.5, 3, x), "cfg", PrecisionConfig),
+    "iterate_h_inverse": (lambda x: limits.iterate_h_inverse(0.5, 3, x), "cfg", PrecisionConfig),
+    "levy_abel": (lambda x: limits.levy_abel(-0.5, 0.5, 3, x), "cfg", PrecisionConfig),
+    "levy_probe": (lambda x: limits.levy_probe(-1, 1, 3, x), "cfg", PrecisionConfig),
+    "newton_superfunction": (
+        lambda x: limits.newton_superfunction(0.5, 0.5, 3, x), "cfg", PrecisionConfig
+    ),
+    "fatou_abel": (lambda x: limits.fatou_abel(-0.5, 1, 3, x), "cfg", PrecisionConfig),
+    "fatou_probe": (lambda x: limits.fatou_probe(-1, 3, x), "cfg", PrecisionConfig),
+    "fatou_probe_richardson": (
+        lambda x: limits.fatou_probe_richardson(-1, 4, x), "cfg", PrecisionConfig
+    ),
+    **{
+        f"{method} table": (
+            lambda x, method=method, args=args: limits.convergence_table(method, args, [3], x),
+            "cfg", PrecisionConfig,
+        )
+        for method, args in (
+            ("levy", (-1, 1)), ("fatou1", (-1,)), ("fatou2", (5, 6)), ("newton", (0.5, 0.5)),
+        )
+    },
+}
+# falsy values, which a context once defaulted on (F1(0.5, 0) evaluated
+# at 53 bits, calibrate(0) calibrated tier 192), a width for a context and
+# the reverse, and values whose first field read was a raw AttributeError
+WRONG_CONFIGS = [
+    0, "", False, None, 53, PrecisionConfig(mantissa_bits=128), EvalContext(), (0.5, 1.0),
+    GRID,
+]
+
+
+@pytest.mark.parametrize("name, wrong", [
+    pytest.param(name, wrong, id=f"{name}-{wrong!r}")
+    for name, (_, argument, kind) in CONFIGS.items() for wrong in WRONG_CONFIGS
+    # the argument's own type, or the default context
+    if not (isinstance(wrong, kind) or wrong is None and argument == "ctx")
+])
+def test_a_configuration_of_another_type_is_refused(name, wrong):
+    call, argument, kind = CONFIGS[name]
+    message = f"^{argument} must be of type {kind.__name__}, got {re.escape(repr(wrong))}$"
+    with pytest.raises(ValueError, match=message):
+        call(wrong)
 
 
 CFG_COUNT = PrecisionConfig(mantissa_bits=64)

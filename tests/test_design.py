@@ -4,6 +4,7 @@ name split across lines is seen; a rule about text, such as the one copy
 of a message, searches the module's text."""
 
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -15,7 +16,7 @@ import runpy
 import pytest
 
 import superexp
-from superexp import evaluators, iteration
+from superexp import evaluators, iteration, series
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = pathlib.Path(superexp.__file__).parent
@@ -221,7 +222,11 @@ def test_one_power_table():
     """Every exact series is one of h = e^x - 1: iterative_logarithm,
     abel_expansion and regular_iterate_series take no base series, no
     _nonlinear_order checks one, and iterative_logarithm fills its power
-    table from the Stirling triangle, never by products."""
+    table from the Stirling triangle, never by products.  The value types
+    hold what the builders, the demo and the tests read: PowerSeries has
+    no order, truncation_order, scale, subtraction or negation, and
+    AbelExpansion no constant (always 0) or truncation_order (its tail's
+    length less one)."""
     functions = {fn.name: fn for fn in TREES["series.py"].body if isinstance(fn, ast.FunctionDef)}
     assert "_nonlinear_order" not in functions, (
         "series.py defines _nonlinear_order: its one map needs no check")
@@ -230,6 +235,35 @@ def test_one_power_table():
     assert taking == [], f"series {taking} takes `base`: every series is one of e^x - 1"
     assert _calls(functions["iterative_logarithm"], "_mul") == 0, (
         "series.iterative_logarithm calls _mul: its power table is the Stirling triangle's")
+    regained = [f"PowerSeries.{name}"
+                for name in ("order", "truncation_order", "scale", "__sub__", "__neg__")
+                if hasattr(series.PowerSeries, name)]
+    regained += [f"AbelExpansion.{field.name}"
+                 for field in dataclasses.fields(series.AbelExpansion)
+                 if field.name in ("constant", "truncation_order")]
+    assert regained == [], f"{regained} are back: nothing in the package calls them"
+
+
+def test_one_orbit_pass():
+    """Every single-n estimator of a table is a row of that table's one
+    orbit pass, limits._orbit_pass: only it forms the ratio and shift
+    values and decides the ratio's precision warning, so a levy_probe and
+    its table row warn alike.  levy_abel, levy_probe, fatou_probe and
+    fatou_probe_richardson build no orbit of their own, and the
+    Richardson step reads both its rows off one pass."""
+    functions = {fn.name: fn for fn in TREES["limits.py"].body if isinstance(fn, ast.FunctionDef)}
+    found = [f"{name} calls {callee}" for name, fn in functions.items() if name != "_orbit_pass"
+             for callee in ("_ratio_terms", "_shift_value") if _calls(fn, callee)]
+    warns = [node.lineno for node in ast.walk(TREES["limits.py"]) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "warn" and _root(node.func) == "warnings"]
+    if len(warns) != 1:
+        found.append(f"warnings.warn at lines {warns}, not once")
+    for name in ("levy_abel", "levy_probe", "fatou_probe", "fatou_probe_richardson"):
+        if _calls(functions[name], "_Orbits"):
+            found.append(f"{name} builds an orbit of its own")
+    if _calls(functions["fatou_probe_richardson"], "fatou_probe"):
+        found.append("fatou_probe_richardson runs a pass per row")
+    assert found == [], f"{found}: a table's single-n rows are read off its one pass"
 
 
 def test_one_petal_rule():

@@ -572,12 +572,15 @@ class TestConvergenceTable:
 
     def test_format_record_prints_huge_values(self):
         # a denominator orbit starting 2^-15000 from the fixed point gives
-        # a clean levy row of magnitude 2^30002: 9032 integer digits, past
-        # the 4300 that str() converts from an int
+        # a levy row of magnitude 2^30002, not an error: 9032 integer digits, past
+        # the 4300 that str() converts from an int.  The row warns, as
+        # levy_probe does: u steps as an mpmath value, not on integers, and
+        # the denominator h(u) - u ~ u^2/2 keeps about 1000 of 16000 bits
         cfg = PrecisionConfig(mantissa_bits=16000)
         with mp.workprec(16100):
             uf = mpmath.e * (1 + mpmath.mpf(2) ** -15000)
-        (rec,) = convergence_table("levy", (4, uf), [3], cfg)
+        with pytest.warns(PrecisionLossWarning, match="at n=3"):
+            (rec,) = convergence_table("levy", (4, uf), [3], cfg)
         assert rec.error is None
         value, printed = format_record(rec)
         # compared in decimal, since mpmath parses strings through int()
