@@ -23,6 +23,7 @@ import os
 import re
 import sys
 import tempfile
+import warnings
 from typing import Optional
 
 from .errors import SuperexpError
@@ -309,12 +310,20 @@ def _cmd_table(args) -> int:
         return _fail(f"table {args.method} requires --args")
     # through the module, so that a wrapper set on a name is what runs
     cli = sys.modules[__name__]
-    try:
-        records = cli.convergence_table(
-            method, params, args.n, PrecisionConfig(mantissa_bits=args.precision_bits)
-        )
-    except (ValueError, SuperexpError) as exc:
-        return _fail(str(exc))
+    # a row's warning (a levy ratio's PrecisionLossWarning) is recorded and
+    # printed as one plain line, neither shown with its source line nor
+    # raised by a -W error filter
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            records = cli.convergence_table(
+                method, params, args.n, PrecisionConfig(mantissa_bits=args.precision_bits)
+            )
+        except (ValueError, SuperexpError) as exc:
+            return _fail(str(exc))
+        finally:
+            for warning in caught:
+                sys.stderr.write(f"superexp: warning: {warning.message}\n")
     if args.format == "csv":
         return _emit(cli.records_to_csv(records), args.out)
     if args.format == "json":

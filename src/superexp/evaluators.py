@@ -27,13 +27,15 @@ Widths run from 53 to _MAX_EVAL_BITS, 432 bits: calibration_tier refuses
 any other width once, naming it, and every evaluation, default_constants
 and calibrate() reach that rule before any kernel is built or walks.
 
-Every public evaluator casts its argument once, in _gate; the kernels'
-casts apply `precision.require_finite`, and at 53 bits the double range.
+Every evaluator runs one rule per argument, _cell, which a grid's row
+(_sweep) and a public call run alike on the argument cast once (the
+kernels' casts apply `precision.require_finite`, and at 53 bits the
+double range): it walks, sums and applies the cut side.
 Real arguments on a cut are evaluated as directional limits: `cut_side`
 picks the side ("above" everywhere by default), and None demands a
 side-independent value, raising BranchCutError where there is none.
 Every walk takes the upper side of its cuts, and the side is applied
-once, in _public: "below" conjugates the value, and None refuses a real
+once, in _cell: "below" conjugates the value, and None refuses a real
 argument's value that is not real.
 """
 
@@ -53,6 +55,7 @@ from .errors import (
     DomainError,
     NonConvergenceError,
     OrbitOverflowError,
+    SuperexpError,
 )
 from .precision import (
     PrecisionConfig, mp_context, plain, require_config, require_count, require_finite,
@@ -561,30 +564,6 @@ def _escape(y, cos, bits: int, idx: int):
     raise OrbitOverflowError("e^(z/e) overflows the kernel's range", index=idx)
 
 
-def _abel_walk(kernel, w, plus: bool, norm=None):
-    # w is the kernel's scalar; norm, when given, is subtracted from the result
-    if not plus:
-        e = kernel.e
-        if w.imag == 0 and w.real > e:
-            # the forward orbit escapes along the whole ray right of e; its
-            # sided limit is abel2 rotated by pi/3, which exp_iterate applies
-            raise BranchCutError("z lies on the cut [e, inf) of the forward Abel function")
-        if not _resolves(w.imag / e, kernel.bits) and w.real / e >= -745.0:
-            # the first step's phase is noise at this width, and counts unless
-            # |e^(z/e)| < 2^-1074, under every width: narrower widths refuse too
-            raise DomainError("the width does not resolve the phase of e^(z/e) here")
-    w, k, zeta = kernel.abel_walk(w, plus)
-    if zeta == 0:
-        raise DomainError("branch point: the orbit landed exactly on e")
-    value, last = kernel.abel_series(zeta, plus)
-    # each width's tier keeps the tail's last term below tol throughout
-    # its disk (TestTermTiers proves it for every width): a miss is a defect
-    if last > kernel.tol * (1 + abs(value)):
-        raise NonConvergenceError("Abel tail above the target accuracy", residual=float(last))
-    value = value + k if plus else value - k
-    return value if norm is None else value - norm
-
-
 def _walk_length(gap) -> int:
     # smallest k >= 0 putting the argument strictly past the threshold;
     # int() is floor from 0 up, for a double or an mpf
@@ -603,7 +582,7 @@ def _ftilde_eval(kernel, w0, plus: bool, chains=None):
     step lands at the kernel's zero; it fails only a walk that ends on
     it.  A step that raises is not stored: every walk that needs it takes
     it again and raises the same error, the kernel's log_step refusing a
-    backward step from 0.  chains, when given, is one sweep's memo of
+    backward step from 0.  chains, when given, is one row's memo of
     chains keyed by the exact base point: equal keys are equal bits,
     since adding the anchor or k turns an imaginary -0.0 into +0.0.  Only
     a base within one unit past the threshold is memoized, the only ones
@@ -642,32 +621,82 @@ def _ftilde_eval(kernel, w0, plus: bool, chains=None):
     return kernel.value(w)
 
 
-# -- the argument gate and cut sides --------------------------------------
+# -- the cell rule: gate, walk, sum and cut side ---------------------------
 
-def _gate(kernel, z, cut_side) -> tuple:
-    # (w, flip, strict): z cast once by the kernel, and for a real z
-    # whether to conjugate the walks' upper-side value ("below") or to
-    # demand that it be real (None).  Whether z is real is read off z: a
-    # 53-bit cast may round Im z to 0
+def _sides(imag, cut_side) -> tuple:
+    # (flip, strict) for an argument of imaginary part imag: for a real
+    # one, whether to conjugate the walks' upper-side value ("below") or
+    # to demand that it be real (None).  Whether z is real is read off z,
+    # not its cast: a 53-bit cast may round Im z to 0.  A row decides it
+    # once, from its y
     if cut_side not in ("above", "below", None):
         raise ValueError("cut_side must be 'above', 'below' or None")
-    w = kernel.cast(z)
-    if getattr(z, "imag", 0) != 0:
-        return w, False, False
-    return w, cut_side == "below", cut_side is None
+    if imag != 0:
+        return False, False
+    return cut_side == "below", cut_side is None
 
 
-def _public(value, flip: bool, strict: bool):
-    # a walk's upper-side value as returned: conjugated for the lower-side
-    # limit, refused in strict mode unless real, and a kernel's mpmath
-    # value converted exactly to a plain one.  The lower-side limit of a
-    # real-analytic function is the conjugate of the upper-side one, so a
-    # real argument's value is side-independent exactly when it is real
+def _cell(kernel, w, flip: bool, strict: bool, plus: bool, abel: bool,
+          shift=None, chains=None):
+    """Every evaluator's rule at one argument, in one frame.
+
+    w is the argument as the kernel casts it.  abel picks the function:
+    an Abel function (abel1, or abel2 when plus) walked into the disk and
+    summed there, `shift` its norm (a1_norm or a3_norm, for A1 or A3);
+    else F~ on the side plus (_ftilde_eval, through `chains` when a row
+    shares walks), `shift` its anchor (x1 or x3, for F1 or F3, which
+    refuses its poles first).  The value leaves through the cut side:
+    refused in strict mode unless real, conjugated for the lower-side
+    limit (flip), and a kernel's mpmath value converted exactly to a
+    plain one.  The lower-side limit of a real-analytic function is the
+    conjugate of the upper-side one, so a real argument's value is
+    side-independent exactly when it is real.  A public evaluator decides
+    flip and strict from its argument (_one), a grid row once, from its y
+    (_sweep), and exp_iterate from its z.
+    """
+    if abel:
+        if not plus:
+            e = kernel.e
+            if w.imag == 0 and w.real > e:
+                # the forward orbit escapes along the whole ray right of e;
+                # its sided limit is abel2 rotated by pi/3, which
+                # exp_iterate applies
+                raise BranchCutError(
+                    "z lies on the cut [e, inf) of the forward Abel function")
+            if not _resolves(w.imag / e, kernel.bits) and w.real / e >= -745.0:
+                # the first step's phase is noise at this width, and counts
+                # unless |e^(z/e)| < 2^-1074, under every width: narrower
+                # widths refuse too
+                raise DomainError("the width does not resolve the phase of e^(z/e) here")
+        w, k, zeta = kernel.abel_walk(w, plus)
+        if zeta == 0:
+            raise DomainError("branch point: the orbit landed exactly on e")
+        value, last = kernel.abel_series(zeta, plus)
+        # each width's tier keeps the tail's last term below tol throughout
+        # its disk (TestTermTiers proves it for every width): a miss is a
+        # defect
+        if last > kernel.tol * (1 + abs(value)):
+            raise NonConvergenceError("Abel tail above the target accuracy", residual=float(last))
+        value = value + k if plus else value - k
+        if shift is not None:
+            value = value - shift
+    else:
+        if shift is not None:
+            if not plus:
+                _refuse_pole(w)
+            w = w + shift
+        value = _ftilde_eval(kernel, w, plus, chains)
     if strict and value.imag:
         raise BranchCutError("value lies on the logarithm cut; declare cut_side")
     if isinstance(value, complex):
         return value.conjugate() if flip else value
     return plain(value.conjugate() if flip else value)
+
+
+def _one(kernel, z, cut_side, plus: bool, abel: bool, shift=None):
+    # a public evaluation: the cut side read off z itself, then z cast once
+    flip, strict = _sides(getattr(z, "imag", 0), cut_side)
+    return _cell(kernel, kernel.cast(z), flip, strict, plus, abel, shift)
 
 
 def _as_branch(kind: type, branch):
@@ -729,7 +758,7 @@ def abel1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
         the tail of the one sum inside the disk above the target
         accuracy (carries the tail).
     """
-    return _abel(_kernel_of(ctx), z, False, cut_side)
+    return _one(_kernel_of(ctx), z, cut_side, False, True)
 
 
 def abel2(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -740,7 +769,7 @@ def abel2(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     same coefficients, with the opposite sign inside the logarithm.
     Satisfies abel2(e^(z/e)) = abel2(z) + 1 right of the cut (-inf, e].
     """
-    return _abel(_kernel_of(ctx), z, True, cut_side)
+    return _one(_kernel_of(ctx), z, cut_side, True, True)
 
 
 def A1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -750,7 +779,7 @@ def A1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     periodic with period 2*pi*e*i.
     """
     kernel = _kernel_of(ctx)
-    return _abel(kernel, z, False, cut_side, kernel.anchors[2])
+    return _one(kernel, z, cut_side, False, True, kernel.anchors[2])
 
 
 def A3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -760,14 +789,7 @@ def A3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     the cut (-inf, e].
     """
     kernel = _kernel_of(ctx)
-    return _abel(kernel, z, True, cut_side, kernel.anchors[3])
-
-
-def _abel(kernel, z, plus: bool, cut_side, norm=None):
-    # abel1 (plus False) or abel2 at z; the norm, the calibrated a1_norm
-    # or a3_norm, gives A1 or A3
-    w, flip, strict = _gate(kernel, z, cut_side)
-    return _public(_abel_walk(kernel, w, plus, norm), flip, strict)
+    return _one(kernel, z, cut_side, True, True, kernel.anchors[3])
 
 
 def superexp_tilde(
@@ -795,8 +817,7 @@ def superexp_tilde(
     """
     plus = _as_branch(BranchSign, branch) is BranchSign.plus
     kernel = _kernel_of(ctx)
-    w, flip, strict = _gate(kernel, z, cut_side)
-    return _public(_ftilde_eval(kernel, w, plus), flip, strict)
+    return _one(kernel, z, cut_side, plus, False)
 
 
 def F1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -812,7 +833,8 @@ def F1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     finite, that loses accuracy like the logarithm of the distance:
     F1(-2.0000001) is about -42.43 + 8.54i from above.
     """
-    return _superexp(_kernel_of(ctx), z, False, cut_side)
+    kernel = _kernel_of(ctx)
+    return _one(kernel, z, cut_side, False, False, kernel.anchors[0])
 
 
 def F3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
@@ -822,45 +844,48 @@ def F3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     positive real axis; overflow there raises OrbitOverflowError
     carrying the first overflowing step index.
     """
-    return _superexp(_kernel_of(ctx), z, True, cut_side)
-
-
-def _superexp(kernel, z, plus: bool, cut_side, chains=None):
-    # F1 (plus False) or F3 at z, walking through a sweep's memo when one
-    # is given: the anchor x1 or x3 shifts the argument
-    w, flip, strict = _gate(kernel, z, cut_side)
-    if not plus:
-        _refuse_pole(w)
-    return _public(_ftilde_eval(kernel, w + kernel.anchors[plus], plus, chains), flip, strict)
+    kernel = _kernel_of(ctx)
+    return _one(kernel, z, cut_side, True, False, kernel.anchors[1])
 
 
 def _sweep(fn: str, ctx: EvalContext):
-    """F1, F3, A1 or A3 for the cells of one grid sweep.
+    """The row evaluator of one grid sweep of F1, F3, A1 or A3.
 
-    Returns cell(z, cut_side), which gives what fn(z, ctx, cut_side)
-    gives, bit for bit; the kernel, and for A1 or A3 the norm, are
-    resolved once.  F1 and F3 share walks by base: cells a whole number
-    of units apart walk from the same base point, and each base is
-    summed and walked once (_ftilde_eval).  A base's imaginary part is
-    Im z plus the anchor's, so no two rows share one, and the memo keeps
-    the current row's walks only.
+    Returns row(xs, y, cut_side) -> (values, errors), one entry each per
+    x: the value fn(complex(x, y), ctx, cut_side) gives, as a complex
+    double, and None, or None and the error it raises, with the same
+    class, args and attributes.  The kernel and the anchor or norm are
+    resolved once a sweep, the cut side (flip, strict) once a row, from
+    whether y is 0, and each cell runs the evaluators' rule, _cell, in
+    the row's one loop.  F1 and F3 share walks by base: cells of a row a
+    whole number of units apart walk from the same base point, and each
+    base is summed and walked once (_ftilde_eval).  A base's imaginary
+    part is y plus the anchor's, so no two rows share one: the memo is
+    the row call's own.
     """
     kernel = _kernel_of(ctx)
-    plus = fn in ("F3", "A3")
-    if fn[0] == "A":
-        norm = kernel.anchors[2 + plus]
-        return lambda z, cut_side: _abel(kernel, z, plus, cut_side, norm)
-    chains: dict = {}
-    row = None
+    plus, abel = fn in ("F3", "A3"), fn[0] == "A"
+    shift = kernel.anchors[2 * abel + plus]
+    wide = kernel.bits > 53
 
-    def cell(z, cut_side):
-        nonlocal row
-        if z.imag != row:
-            chains.clear()
-            row = z.imag
-        return _superexp(kernel, z, plus, cut_side, chains)
+    def row(xs, y, cut_side) -> tuple:
+        flip, strict = _sides(y, cut_side)
+        cast, chains = kernel.cast, None if abel else {}
+        values, errors = [], []
+        for x in xs:
+            try:
+                w = cast(complex(x, y))
+                values.append(_cell(kernel, w, flip, strict, plus, abel, shift, chains))
+                errors.append(None)
+            except SuperexpError as exc:
+                # a stored traceback would hold this frame, which holds the list
+                values.append(None)
+                errors.append(exc.with_traceback(None))
+        if wide:
+            values = [None if value is None else complex(value) for value in values]
+        return values, errors
 
-    return cell
+    return row
 
 
 # -- calibration ------------------------------------------------------------
@@ -896,8 +921,10 @@ def calibrate(ctx: EvalContext | None = None) -> CalibrationConstants:
     from .wide import _MPKernel
     kernel = _MPKernel(EvalContext(PrecisionConfig(mantissa_bits=bits), ctx.max_recursion))
     wide = kernel.mp  # at bits + 32
-    a1 = _abel_walk(kernel, kernel.cast(1), plus=False)
-    a3 = _abel_walk(kernel, kernel.cast(3), plus=True)
+    # abel1(1) and abel2(3) at the work bits: the plain values back in the
+    # kernel's context, exactly
+    a1 = kernel.cast(_one(kernel, 1, "above", False, True))
+    a3 = kernel.cast(_one(kernel, 3, "above", True, True))
     shift = wide.log(2) / 3
     # x1, x3, a1_norm, a3_norm and period_t1, in the fields' order
     values = (a1 - shift, a3 - shift, a1, a3, wide.mpc(0, 2 * wide.pi * wide.e))

@@ -32,11 +32,10 @@ from .evaluators import (
     _DEFAULT_CTX,
     EvalContext,
     Scalar,
-    _abel_walk,
     _as_branch,
-    _gate,
+    _cell,
     _kernel_of,
-    _public,
+    _sides,
     _sweep,
     abel2,
 )
@@ -157,7 +156,8 @@ def _iterate(kernel, ctx, c, z, branch, cut_side):
     # with e (the fixed point, the branch, the cut of A1), which round
     # both to the width: a wide z within a double's ulp of e falls on its
     # true side
-    zw, flip, strict = _gate(kernel, z, cut_side)
+    flip, strict = _sides(getattr(z, "imag", 0), cut_side)
+    zw = kernel.cast(z)
     zr, e = +kernel.at_width(zw), +kernel.at_width(kernel.e)
     if zr == e:
         # every regular iterate fixes e exactly; the F(c + A(z))
@@ -179,8 +179,7 @@ def _iterate(kernel, ctx, c, z, branch, cut_side):
         a = kernel.cast(abel2(z, ctx)) + rot - kernel.anchors[2]
         a = +kernel.at_width(a)
     else:
-        norm = kernel.anchors[2 + upper]
-        a = _public(_abel_walk(kernel, zw, upper, norm), flip, strict)
+        a = _cell(kernel, zw, flip, strict, upper, True, kernel.anchors[2 + upper])
     # rounded to the width in both parts: a real c would round only the
     # real part of c + a
     w = +kernel.at_width(c + a)
@@ -409,11 +408,14 @@ def map_grid(
         every cell either holds a complex double or an error code, so a
         singular or overflowing region never aborts the sweep.
 
-    F1, F3, A1 and A3 cells go through one sweep (evaluators._sweep),
-    which resolves the kernel and the norm once; F1 and F3 cells of a row
-    a whole number of units apart walk the functional equation from the
-    same base point, so a sweep sums and walks each exact base once.
-    Each cell is still the evaluator's value at that cell, bit for bit.
+    Each row is one call of a row evaluator, row(xs, y, cut_side) ->
+    (values, errors).  F1, F3, A1 and A3 rows come from one sweep
+    (evaluators._sweep): the kernel and the anchor or norm are resolved
+    once, the cut side once a row, and one loop gates, walks, sums and applies the
+    cut side for every cell; F1 and F3 cells of a row a whole number of
+    units apart walk the functional equation from the same base point, so
+    a row sums and walks each exact base once.  Each cell is still the
+    evaluator's value at that cell, bit for bit.
     """
     if fn not in GRID_FUNCTIONS:
         raise ValueError(f"unknown grid function {fn!r}")
@@ -433,24 +435,26 @@ def map_grid(
         # cast once: a count no cell could take is refused for the whole grid
         c = kernel.at_width(require_finite(c))
 
-        def evaluate(z, cut_side):
-            return _iterate(kernel, ctx, c, z, branch, cut_side)
+        def row(xs, y, cut_side):
+            # the evaluators' row API, one composition a cell; a stored
+            # traceback would hold this frame, which holds the list
+            values, errors = [], []
+            for x in xs:
+                try:
+                    value = _iterate(kernel, ctx, c, complex(x, y), branch, cut_side)
+                    values.append(complex(value))
+                    errors.append(None)
+                except SuperexpError as exc:
+                    values.append(None)
+                    errors.append(exc.with_traceback(None))
+            return values, errors
     else:
-        evaluate = _sweep(fn, ctx)
-    side = grid.cut_side
+        row = _sweep(fn, ctx)
     rows, errs = [], []
     for y in ys:
-        row, erow = [], []
-        for x in xs:
-            try:
-                value = evaluate(complex(x, y), side)
-                row.append(complex(value))
-                erow.append(None)
-            except SuperexpError as exc:
-                row.append(None)
-                erow.append(exc.code)
-        rows.append(tuple(row))
-        errs.append(tuple(erow))
+        values, errors = row(xs, y, grid.cut_side)
+        rows.append(tuple(values))
+        errs.append(tuple(None if exc is None else exc.code for exc in errors))
     return GridResult(fn, grid, xs, ys, tuple(rows), tuple(errs))
 
 

@@ -17,10 +17,11 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
-from superexp import cli
+from superexp import cli, limits
 from superexp.evaluators import (
     F1,
     EvalContext,
@@ -649,6 +650,28 @@ class TestEval:
 
 
 class TestTable:
+    WARNED = ["table", "levy", "--args", "4,2.718281828459045", "--n", "1:3",
+              "--precision-bits", "64"]
+
+    def test_warned_rows_print_one_plain_line(self, cache_dir, capsys):
+        # each levy row here warns PrecisionLossWarning: the command prints
+        # one plain line per warned row and exits 0, in-process under
+        # pytest's filter (which raises it) and in a -W error process
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records = limits.convergence_table(
+                "levy", (4, 2.718281828459045), [1, 2, 3], PrecisionConfig(mantissa_bits=64))
+        table = "".join(f"{rec.n} {limits.format_record(rec)[1]}\n" for rec in records)
+        warned = "".join(
+            f"superexp: warning: ratio denominator below half-precision floor at n={n}\n"
+            for n in (1, 2, 3))
+        assert cli.main(self.WARNED) == 0
+        assert capsys.readouterr() == (table, warned)
+        env = dict(os.environ, SUPEREXP_CACHE_DIR=str(cache_dir))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "superexp", *self.WARNED],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, table, warned)
+
     def test_levy_block_one(self, cache_dir):
         proc = run_cli(["table", "levy", "--n", "100:109"], cache_dir)
         lines = proc.stdout.splitlines()

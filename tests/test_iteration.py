@@ -20,7 +20,7 @@ from superexp.errors import (
     SuperexpError,
 )
 import superexp.evaluators as ev
-from superexp.evaluators import A1, F1, F3, EvalContext, abel2, default_constants
+from superexp.evaluators import A1, A3, F1, F3, EvalContext, abel2, default_constants
 from superexp.iteration import (
     AGREEMENT_KINDS,
     GridSpec,
@@ -904,9 +904,12 @@ class TestCompositionBitIdentity:
         )
 
 
+EVALUATORS = {"F1": F1, "F3": F3, "A1": A1, "A3": A3}
+
+
 def _per_cell(fn, grid, ctx=None):
     # each cell evaluated on its own, as the public evaluator does it
-    f = F1 if fn == "F1" else F3
+    f = EVALUATORS[fn]
     cells = []
     for y in grid.ys():
         for x in grid.xs():
@@ -931,7 +934,9 @@ class TestSharedWalks:
     Cells a whole number of units apart walk from the same base; each
     grid below but the last has such cells, and every cell of the sweep
     must equal the evaluator called on that cell alone: the same double
-    and the same error code.
+    and the same error code.  A1 and A3 sweeps go through the same row
+    loop, which decides the cut side once a row: the y = 0 row of
+    "tenths-below" and the overflow cells of A1 pin it cell by cell.
     """
 
     @pytest.mark.parametrize(
@@ -956,7 +961,7 @@ class TestSharedWalks:
             "four-units", "no-memo",
         ],
     )
-    @pytest.mark.parametrize("fn", ["F1", "F3"])
+    @pytest.mark.parametrize("fn", ["F1", "F3", "A1", "A3"])
     def test_sweep_equals_per_cell(self, fn, grid, ctx):
         r = map_grid(fn, grid, ctx)
         swept = [
@@ -974,7 +979,7 @@ class TestSharedWalks:
         ],
         ids=["tenths-below", "overflow"],
     )
-    @pytest.mark.parametrize("fn", ["F1", "F3"])
+    @pytest.mark.parametrize("fn", ["F1", "F3", "A1", "A3"])
     def test_sweep_errors_equal_per_cell(self, fn, grid):
         # a failing cell of a sweep raises what the evaluator raises on
         # that cell alone: the same class, args and attributes, whether
@@ -986,12 +991,16 @@ class TestSharedWalks:
                 return type(exc), exc.args, vars(exc)
             return None
 
-        f = F1 if fn == "F1" else F3
-        cell = ev._sweep(fn, EvalContext())
+        def recorded(exc):
+            return None if exc is None else (type(exc), exc.args, vars(exc))
+
+        f = EVALUATORS[fn]
+        row = ev._sweep(fn, EvalContext())
         for y in grid.ys():
-            for x in grid.xs():
+            _, errors = row(grid.xs(), y, grid.cut_side)
+            for x, exc in zip(grid.xs(), errors):
                 z = complex(x, y)
-                swept = outcome(cell, z, grid.cut_side)
+                swept = recorded(exc)
                 assert swept == outcome(f, z, None, grid.cut_side), z
 
     def test_overflow_grid_has_failing_cells(self):

@@ -2,11 +2,13 @@
 
 The operation is a map_grid sweep of F1, F3, A1 or A3, or a check_grid
 of one agreement kind (d1af, d1fa, d3af, d3fa, dq1, dq3).  A sweep
-memoizes each functional-equation walk by its exact base point
-(evaluators._sweep), so an F cell a whole number of units from another
-cell of its row can read its value off that cell's walk; on a grid with
-no such columns every walking cell sums its own series.  A1 and A3 walk
-no F~, and the checks' F walks keep no memo.  For one operation on one
+evaluates a row per call (evaluators._sweep), and its loop runs each F
+cell's walk through _ftilde_eval with the row's memo of
+functional-equation walks by exact base point, so an F cell a whole
+number of units from another cell of its row can read its value off
+that cell's walk; on a grid with no such columns every walking cell
+sums its own series.  A1 and A3 walk no F~, and the checks' F walks
+keep no memo.  For one operation on one
 grid this script prints, as one JSON line: the CPU time per cell of the
 best of --repeat runs (after a warm-up run, which builds the kernel's
 tables), the peak RSS of those runs, the F~ walks that take at least one
