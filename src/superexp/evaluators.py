@@ -13,9 +13,12 @@ z = e of z -> e^(z/e):
   where 2/z enters the Abel disk (10 steps out at 53 bits, 39 at 256).
 
 Two kernels share these drivers, and each takes its tuning from the
-width alone.  A 53-bit context runs on machine doubles, the hot path
-for grids, with the measured 53-bit settings.  Wider contexts run on
-mpmath and derive their tuning from the bit count (one tier table,
+width alone.  A kernel has one walk-and-sum body per function family:
+`abel(w, plus)` walks into the Abel disk, sums there and applies the
+step count; `ftilde(z, k, plus, chain)` sums F~ at a base and extends
+its chain of walk states through step k.  A 53-bit context runs on
+machine doubles, the hot path for grids, with the measured 53-bit
+settings.  Wider contexts run on mpmath and derive their tuning from the bit count (one tier table,
 _ABEL_TIERS, sets both walks); their results leave as plain mpmath
 values.  The mpmath kernel lives in `superexp.wide`, which this module
 imports on the first wider kernel and the first calibrate(): a 53-bit
@@ -28,9 +31,10 @@ any other width once, naming it, and every evaluation, default_constants
 and calibrate() reach that rule before any kernel is built or walks.
 
 Every evaluator runs one rule per argument, _cell, which a grid's row
-(_sweep) and a public call run alike on the argument cast once (the
-kernels' casts apply `precision.require_finite`, and at 53 bits the
-double range): it walks, sums and applies the cut side.
+(_rows, the one row driver) and a public call run alike on the argument
+cast once (the kernels' casts apply `precision.require_finite`, and at
+53 bits the double range): it gates, calls one kernel body and applies
+the cut side.
 Real arguments on a cut are evaluated as directional limits: `cut_side`
 picks the side ("above" everywhere by default), and None demands a
 side-independent value, raising BranchCutError where there is none.
@@ -212,6 +216,9 @@ class _Tables:
         # walk-out, or Abel walk-in (about 2/r steps: 3/r with room)
         n = ctx.max_recursion
         self.walk_cap = n + int(self.threshold - _walk_out(_DOUBLE_RADIUS))
+        # the width resolves a phase y = Im w/e below this: an ulp of y is
+        # 2^-8 or less (the Abel gate and the escape rule ask it)
+        self.resolved = 2.0 ** (self.bits - 8)
         self.abel_cap = n + math.ceil(3 / self.abel_radius) - math.ceil(3 / _DOUBLE_RADIUS)
         self.anchors = tuple(map(self.cast, anchors))
         # abel1 sums the first abel_terms coefficients, abel2 one more:
@@ -340,17 +347,18 @@ def _double(z: Scalar) -> complex:
 class _DoubleKernel(_Tables):
     """Machine-double evaluation in plain complex arithmetic.
 
-    A step is refused or guarded only where a double cannot hold it:
-    exp_step lands an underflowing e^(w/e) at 0 and takes the escape
-    rule (_escape) past 700, log_step takes the upper side of the
-    negative real axis and refuses a step from 0; abel_series refuses a
-    subnormal zeta, whose 2/zeta is past the double range; and
-    ftilde_series refuses a last Newton step above newton_limit.
+    One walk-and-sum body per function family, abel and ftilde, each
+    with its plain steps inline.  A step is refused or guarded only
+    where a double cannot hold it: exp_step lands an underflowing
+    e^(w/e) at 0 and takes the escape rule (_escape) past 700, log_step
+    takes the upper side of the negative real axis and refuses a step
+    from 0; abel refuses a subnormal zeta, whose 2/zeta is past the
+    double range; and ftilde refuses a last Newton step above
+    newton_limit.  Its sums carry no tail estimate.
     """
 
     bits = 53
     e = _E
-    tol = 0.0
     # plain doubles; a last Newton step may reach 2^-19 (or 4 ulps of |w|)
     scale = 0
     newton_limit = 2.0 ** _newton_limit(bits)
@@ -375,7 +383,7 @@ class _DoubleKernel(_Tables):
             return 0j
         if x <= 700.0:
             return cmath.exp(w / _E)
-        return _escape(w.imag / _E, math.cos, self.bits, idx)
+        return _escape(w.imag / _E, math.cos, self, idx)
 
     def log_step(self, w: complex, idx: int) -> complex:
         if w.imag == 0.0 and w.real <= 0.0:
@@ -384,41 +392,18 @@ class _DoubleKernel(_Tables):
             w = complex(w.real, 0.0)  # upper-side limit; -0.0 would flip it
         return _E * cmath.log(w)
 
-    # a walk state is the double itself, and 0j the one after a None
+    # the state a walk steps on to after a None
     zero = 0j
 
-    @staticmethod
-    def state(w: complex) -> complex:
-        return w
-
-    value = state
-
-    def walk(self, chain: list, k: int, backward: bool) -> None:
-        """Extend an F~ walk's chain of states through step k (_ftilde_eval).
-
-        The plain steps run inline, as in abel_walk; exp_step and
-        log_step take the guarded ones.  exp_step's None is stored, and
-        the step from it lands at 0j.  A step that raises stores nothing.
-        """
-        w = chain[-1]
-        exp, log, append = cmath.exp, cmath.log, chain.append
-        for j in range(len(chain), k + 1):
-            if w is None:
-                w = self.zero
-            elif backward:
-                w = _E * log(w) if w.imag or w.real > 0.0 else self.log_step(w, j)
-            else:
-                # w is finite, so (w/e).real is w.real/e
-                q = w / _E
-                w = exp(q) if -745.0 <= q.real <= 700.0 else self.exp_step(w, j)
-            append(w)
-
-    def abel_walk(self, w: complex, plus: bool) -> tuple:
-        """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e.
+    def abel(self, w: complex, plus: bool) -> complex:
+        """abel1 at w, or abel2 when plus: w walked into the Abel disk,
+        the series summed at zeta = 1 - w/e and the step count applied.
 
         One loop per side.  The plain steps run inline; exp_step and
         log_step take the guarded ones (past -745 or 700, on the
-        negative real axis or 0).
+        negative real axis or 0).  An orbit landing on e is a branch
+        point, and a subnormal zeta, within 1e-308 of e, has lost bits
+        and its 2/zeta is past 2^1023: both are refused.
         """
         radius, cap = self.abel_radius, self.abel_cap
         k, q = 0, w / _E
@@ -431,27 +416,24 @@ class _DoubleKernel(_Tables):
                 k += 1
                 w = _E * log(w) if w.imag or w.real > 0.0 else self.log_step(w, k)
                 zeta = 1 - w / _E
-            return w, k, zeta
-        exp = cmath.exp
-        while abs(zeta) >= radius:
-            if k >= cap:
-                _missed_disk(cap, zeta)
-            k += 1
-            # w/e once a step: w is finite, so q.real is w.real/e
-            if -745.0 <= q.real <= 700.0:
-                w = exp(q)
-            else:
-                w = self.exp_step(w, k)
-                if w is None:  # unrepresentable: its next step lands at 0
-                    w, k = 0j, k + 1
-            q = w / _E
-            zeta = 1 - q
-        return w, k, zeta
-
-    def abel_series(self, zeta: complex, plus: bool):
-        # a subnormal zeta, within 1e-308 of e, has lost bits, and 2/zeta
-        # is past 2^1023: beyond the double range or within a step of it
+        else:
+            exp = cmath.exp
+            while abs(zeta) >= radius:
+                if k >= cap:
+                    _missed_disk(cap, zeta)
+                k += 1
+                # w/e once a step: w is finite, so q.real is w.real/e
+                if -745.0 <= q.real <= 700.0:
+                    w = exp(q)
+                else:
+                    w = self.exp_step(w, k)
+                    if w is None:  # unrepresentable: its next step lands at 0
+                        w, k = 0j, k + 1
+                q = w / _E
+                zeta = 1 - q
         if abs(zeta) < _TINY:
+            if not zeta:
+                _landed_on_e()
             raise DomainError("value is outside the double range this close to e")
         arg = -zeta if plus else zeta
         if arg.imag == 0.0 and arg.real < 0.0:
@@ -463,39 +445,63 @@ class _DoubleKernel(_Tables):
         acc = 0j
         for c in self.tails[plus]:
             acc = acc * zeta + c
-        return logpart / 3.0 + 2.0 / zeta + acc * zeta, 0.0
+        value = logpart / 3.0 + 2.0 / zeta + acc * zeta
+        return value + k if plus else value - k
 
-    def ftilde_series(self, z: complex, plus: bool):
-        """F~ = e(1 - 2/w) at a base point, w - log(+-w)/3 + tail(2/w) = z.
+    def ftilde(self, z: complex, k: int, plus: bool, chain: list | None = None):
+        """F~ on the side plus, k steps of the walk from the base z.
 
-        Starts from two logarithms, w0 = z + log(+-z)/3 and then
-        w = z + log(+-w0)/3 - 2 c_1/w0, and takes the two Newton steps of
-        newton_steps[plus], the last checked against newton_limit: the first
-        sums the lowest-order terms that its 27 bits need, the second the
-        whole tail (TestDoubleNewtonSteps checks the result against 128
-        bits).  g(w) is summed as zeta t(zeta) with tail(zeta) = zeta
-        t(zeta), and g'(w) = 1 - zeta/6 - (zeta^2/2) tail'(zeta).
+        An empty or absent chain starts with F~ = e(1 - 2/w) at z, where
+        w - log(+-w)/3 + tail(2/w) = z: from two logarithms, w0 = z +
+        log(+-z)/3 and then w = z + log(+-w0)/3 - 2 c_1/w0, it takes the
+        two Newton steps of newton_steps[plus], the last checked against
+        newton_limit.  The first sums the lowest-order terms that its 27
+        bits need, the second the whole tail (TestDoubleNewtonSteps
+        checks the result against 128 bits).  g(w) is summed as zeta
+        t(zeta) with tail(zeta) = zeta t(zeta), and g'(w) = 1 - zeta/6 -
+        (zeta^2/2) tail'(zeta).  The chain is then extended through step
+        k (down for plus False, up for plus True) and chain[k] returned:
+        the plain steps run inline, as in abel; exp_step and log_step
+        take the guarded ones.  exp_step's None is stored, and the step
+        from it lands at 0j.  A step that raises stores nothing.
         """
-        steps, log = self.newton_steps[plus], cmath.log
-        w = z + (log(-z) if plus else log(z)) / 3.0
-        # c_1, the lowest-order coefficient, ends each tail
-        w = z + (log(-w) if plus else log(w)) / 3.0 - 2.0 * steps[0][1][-1] / w
-        for _, tail, slope in steps:
-            zeta = 2.0 / w
-            t = p = 0j
-            for c in tail:
-                t = t * zeta + c
-            for c in slope:
-                p = p * zeta + c
-            g = w - (log(-w) if plus else log(w)) / 3.0 + zeta * t - z
-            dw = g / (1.0 - zeta / 6.0 - 0.5 * zeta * zeta * p)
-            w -= dw
-        # far out the last step is a rounding of w, a few of its ulps
-        if abs(dw) > self.newton_limit and abs(dw) > 4.0 * math.ulp(abs(w)):
-            raise NonConvergenceError(
-                "Newton's method for F~ did not settle", residual=abs(dw)
-            )
-        return _E * (1.0 - 2.0 / w), 0.0
+        if not chain:
+            steps, log = self.newton_steps[plus], cmath.log
+            w = z + (log(-z) if plus else log(z)) / 3.0
+            # c_1, the lowest-order coefficient, ends each tail
+            w = z + (log(-w) if plus else log(w)) / 3.0 - 2.0 * steps[0][1][-1] / w
+            for _, tail, slope in steps:
+                zeta = 2.0 / w
+                t = p = 0j
+                for c in tail:
+                    t = t * zeta + c
+                for c in slope:
+                    p = p * zeta + c
+                g = w - (log(-w) if plus else log(w)) / 3.0 + zeta * t - z
+                dw = g / (1.0 - zeta / 6.0 - 0.5 * zeta * zeta * p)
+                w -= dw
+            # far out the last step is a rounding of w, a few of its ulps
+            if abs(dw) > self.newton_limit and abs(dw) > 4.0 * math.ulp(abs(w)):
+                raise NonConvergenceError(
+                    "Newton's method for F~ did not settle", residual=abs(dw)
+                )
+            if chain is None:
+                chain = []
+            chain.append(_E * (1.0 - 2.0 / w))
+        if len(chain) <= k:
+            w = chain[-1]
+            exp, log, append = cmath.exp, cmath.log, chain.append
+            for j in range(len(chain), k + 1):
+                if w is None:
+                    w = 0j
+                elif plus:
+                    # w is finite, so (w/e).real is w.real/e
+                    q = w / _E
+                    w = exp(q) if -745.0 <= q.real <= 700.0 else self.exp_step(w, j)
+                else:
+                    w = _E * log(w) if w.imag or w.real > 0.0 else self.log_step(w, j)
+                append(w)
+        return chain[k]
 
 
 @lru_cache(maxsize=32)
@@ -548,46 +554,40 @@ def _log_of_zero():
     raise BranchCutError("backward orbit hit the logarithm singularity at 0")
 
 
-def _resolves(y, bits: int) -> bool:
-    # whether a width resolves the phase y = Im w/e: an ulp of y is 2^-8 or less
-    return abs(y) < 2.0 ** (bits - 8)
-
-
-def _escape(y, cos, bits: int, idx: int):
+def _escape(y, cos, kernel, idx: int):
     # a forward step past its kernel's range (Re w/e above 700 in doubles,
     # 1e8 in mpmath) at the phase y = Im w/e.  Where the width resolves y
     # and cos y < -m, the value's real part is hugely negative: None stands
     # for it, and its next step lands at 0.  m = 8|y| 2^-bits covers the
     # rounding of y, 0.03 at the double bound 2^45.  Else the orbit escapes
-    if _resolves(y, bits) and cos(y) < -8 * abs(y) * 2.0**-bits:
+    if abs(y) < kernel.resolved and cos(y) < -8 * abs(y) * 2.0**-kernel.bits:
         return None
     raise OrbitOverflowError("e^(z/e) overflows the kernel's range", index=idx)
 
 
-def _walk_length(gap) -> int:
-    # smallest k >= 0 putting the argument strictly past the threshold;
-    # int() is floor from 0 up, for a double or an mpf
-    return 0 if gap < 0 else int(gap) + 1
+def _landed_on_e():
+    # each kernel's abel refuses an orbit that lands exactly on e
+    raise DomainError("branch point: the orbit landed exactly on e")
 
 
 def _ftilde_eval(kernel, w0, plus: bool, chains=None):
     """F~ at w0, the kernel's scalar, on the side `plus` (F3's).
 
     F~ is summed at the base point k steps out past the threshold (up
-    for plus False, down for plus True) and walked back k steps.  The
-    walk is a chain: chain[j] is the kernel's walk state after j steps
-    (chain[0] is F~ at the base), extended by kernel.walk, the kernel's
-    one loop, as far as k needs.  None stands for the unrepresentable
-    value of a collapsing exponential step (see _escape), whose next
-    step lands at the kernel's zero; it fails only a walk that ends on
-    it.  A step that raises is not stored: every walk that needs it takes
-    it again and raises the same error, the kernel's log_step refusing a
-    backward step from 0.  chains, when given, is one row's memo of
-    chains keyed by the exact base point: equal keys are equal bits,
-    since adding the anchor or k turns an imaginary -0.0 into +0.0.  Only
-    a base within one unit past the threshold is memoized, the only ones
-    a walking cell reaches; a cell that shares no walk has a chain of
-    its own.
+    for plus False, down for plus True) and walked back k steps, both by
+    the kernel's one F~ body, kernel.ftilde.  The walk is a chain:
+    chain[j] is the kernel's walk state after j steps (chain[0] is F~ at
+    the base), extended only as far as k needs.  None stands for the
+    unrepresentable value of a collapsing exponential step (see
+    _escape), whose next step lands at the kernel's zero; it fails only
+    a walk that ends on it.  A step that raises is not stored: every
+    walk that needs it takes it again and raises the same error, the
+    kernel's log_step refusing a backward step from 0.  chains, when
+    given, is one row's memo of chains keyed by the exact base point:
+    equal keys are equal bits, since adding the anchor or k turns an
+    imaginary -0.0 into +0.0.  Only a base within one unit past the
+    threshold is memoized, the only ones a walking cell reaches; a cell
+    that shares no walk has a chain of its own.
     """
     if w0 == 0:
         raise DomainError("the asymptotic series is singular at 0")
@@ -595,64 +595,55 @@ def _ftilde_eval(kernel, w0, plus: bool, chains=None):
     if gap >= kernel.walk_cap:
         # the walk takes floor(gap) + 1 steps, counted only while that
         # is a short number: a far argument's count has hundreds of digits
-        need = _walk_length(gap) if gap < 2**53 else "more than 2^53"
+        need = int(gap) + 1 if gap < 2**53 else "more than 2^53"
         raise NonConvergenceError(
             f"functional-equation walk needs {need} steps,"
             f" cap is {kernel.walk_cap}"
         )
-    k = _walk_length(gap)
-    base = w0 - k if plus else w0 + k
-    shared = chains is not None and gap >= -1
-    chain = chains.get(base) if shared else None
-    if chain is None:
-        value, last = kernel.ftilde_series(base, plus)
-        if last > kernel.tol:
-            raise NonConvergenceError(
-                "asymptotic tail above the target accuracy", residual=float(last)
-            )
-        chain = [kernel.state(value)]
-        if shared:
-            chains[base] = chain
-    if len(chain) <= k:
-        kernel.walk(chain, k, not plus)
-    w = chain[k]
+    # the smallest k >= 0 putting the argument strictly past the
+    # threshold; int() is floor from 0 up, for a double or an mpf
+    k = 0 if gap < 0 else int(gap) + 1
+    base, chain = w0 - k if plus else w0 + k, None
+    if chains is not None and gap >= -1:
+        chain = chains.get(base)
+        if chain is None:
+            chain = chains[base] = []
+    w = kernel.ftilde(base, k, plus, chain)
     if w is None:
         raise OrbitOverflowError("forward step overflows at the target index", index=k)
-    return kernel.value(w)
+    return w
 
 
 # -- the cell rule: gate, walk, sum and cut side ---------------------------
 
-def _sides(imag, cut_side) -> tuple:
-    # (flip, strict) for an argument of imaginary part imag: for a real
-    # one, whether to conjugate the walks' upper-side value ("below") or
-    # to demand that it be real (None).  Whether z is real is read off z,
-    # not its cast: a 53-bit cast may round Im z to 0.  A row decides it
-    # once, from its y
+def _sides(imag, cut_side) -> bool:
+    # whether an argument of imaginary part imag is real, so that its
+    # value takes the cut side: the walks' upper-side value conjugated
+    # ("below") or demanded real (None).  Whether z is real is read off
+    # z, not its cast: a 53-bit cast may round Im z to 0.  A row decides
+    # it once, from its y
     if cut_side not in ("above", "below", None):
         raise ValueError("cut_side must be 'above', 'below' or None")
-    if imag != 0:
-        return False, False
-    return cut_side == "below", cut_side is None
+    return imag == 0
 
 
-def _cell(kernel, w, flip: bool, strict: bool, plus: bool, abel: bool,
+def _cell(kernel, w, real: bool, cut_side, plus: bool, abel: bool,
           shift=None, chains=None):
     """Every evaluator's rule at one argument, in one frame.
 
     w is the argument as the kernel casts it.  abel picks the function:
-    an Abel function (abel1, or abel2 when plus) walked into the disk and
-    summed there, `shift` its norm (a1_norm or a3_norm, for A1 or A3);
-    else F~ on the side plus (_ftilde_eval, through `chains` when a row
-    shares walks), `shift` its anchor (x1 or x3, for F1 or F3, which
-    refuses its poles first).  The value leaves through the cut side:
-    refused in strict mode unless real, conjugated for the lower-side
-    limit (flip), and a kernel's mpmath value converted exactly to a
-    plain one.  The lower-side limit of a real-analytic function is the
-    conjugate of the upper-side one, so a real argument's value is
-    side-independent exactly when it is real.  A public evaluator decides
-    flip and strict from its argument (_one), a grid row once, from its y
-    (_sweep), and exp_iterate from its z.
+    an Abel function (abel1, or abel2 when plus), the kernel's abel,
+    `shift` its norm (a1_norm or a3_norm, for A1 or A3); else F~ on the
+    side plus (_ftilde_eval, through `chains` when a row shares walks),
+    `shift` its anchor (x1 or x3, for F1 or F3, which refuses its poles
+    first).  The value of a real argument leaves through the cut side:
+    refused in strict mode (None) unless real, conjugated for the
+    lower-side limit ("below"); a kernel's mpmath value is converted
+    exactly to a plain one.  The lower-side limit of a real-analytic
+    function is the conjugate of the upper-side one, so a real
+    argument's value is side-independent exactly when it is real.  A
+    public evaluator decides `real` from its argument (_one), a grid row
+    once, from its y (_rows), and exp_iterate from its z.
     """
     if abel:
         if not plus:
@@ -663,40 +654,37 @@ def _cell(kernel, w, flip: bool, strict: bool, plus: bool, abel: bool,
                 # exp_iterate applies
                 raise BranchCutError(
                     "z lies on the cut [e, inf) of the forward Abel function")
-            if not _resolves(w.imag / e, kernel.bits) and w.real / e >= -745.0:
+            if not abs(w.imag / e) < kernel.resolved and w.real / e >= -745.0:
                 # the first step's phase is noise at this width, and counts
                 # unless |e^(z/e)| < 2^-1074, under every width: narrower
                 # widths refuse too
                 raise DomainError("the width does not resolve the phase of e^(z/e) here")
-        w, k, zeta = kernel.abel_walk(w, plus)
-        if zeta == 0:
-            raise DomainError("branch point: the orbit landed exactly on e")
-        value, last = kernel.abel_series(zeta, plus)
-        # each width's tier keeps the tail's last term below tol throughout
-        # its disk (TestTermTiers proves it for every width): a miss is a
-        # defect
-        if last > kernel.tol * (1 + abs(value)):
-            raise NonConvergenceError("Abel tail above the target accuracy", residual=float(last))
-        value = value + k if plus else value - k
+        value = kernel.abel(w, plus)
         if shift is not None:
             value = value - shift
     else:
         if shift is not None:
-            if not plus:
-                _refuse_pole(w)
+            # F1's poles, the real integers <= -2, as the kernel holds w
+            if not plus and w.imag == 0 and w.real <= -2 and w.real == int(w.real):
+                where = f"{float(w.real):g}"
+                if where == "-inf":  # a wide pole past the double range
+                    where = w.real.context.nstr(w.real, 6)
+                raise DomainError(f"F1 has a pole at {where}")
             w = w + shift
         value = _ftilde_eval(kernel, w, plus, chains)
-    if strict and value.imag:
-        raise BranchCutError("value lies on the logarithm cut; declare cut_side")
-    if isinstance(value, complex):
-        return value.conjugate() if flip else value
-    return plain(value.conjugate() if flip else value)
+    if real:
+        if cut_side is None:
+            if value.imag:
+                raise BranchCutError("value lies on the logarithm cut; declare cut_side")
+        elif cut_side == "below":
+            value = value.conjugate()
+    return value if isinstance(value, complex) else plain(value)
 
 
 def _one(kernel, z, cut_side, plus: bool, abel: bool, shift=None):
     # a public evaluation: the cut side read off z itself, then z cast once
-    flip, strict = _sides(getattr(z, "imag", 0), cut_side)
-    return _cell(kernel, kernel.cast(z), flip, strict, plus, abel, shift)
+    real = _sides(getattr(z, "imag", 0), cut_side)
+    return _cell(kernel, kernel.cast(z), real, cut_side, plus, abel, shift)
 
 
 def _as_branch(kind: type, branch):
@@ -709,15 +697,6 @@ def _as_branch(kind: type, branch):
     except (KeyError, TypeError):
         names = " or ".join(repr(member.name) for member in kind)
         raise ValueError(f"branch must be {names}, got {branch!r}") from None
-
-
-def _refuse_pole(w) -> None:
-    # F1's poles, the real integers <= -2, as the kernel holds its argument
-    if w.imag == 0 and w.real <= -2 and w.real == int(w.real):
-        where = f"{float(w.real):g}"
-        if where == "-inf":  # a wide pole past the double range
-            where = w.real.context.nstr(w.real, 6)
-        raise DomainError(f"F1 has a pole at {where}")
 
 
 # -- public evaluators -----------------------------------------------------
@@ -750,7 +729,7 @@ def abel1(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
         the sided limits live on the backward estimator (exp_iterate
         applies the rotation when given a cut side).
     DomainError
-        z whose first step's phase the width cannot resolve (_resolves).
+        z whose first step's phase the width cannot resolve (_Tables.resolved).
     OrbitOverflowError
         An orbit that escapes (_escape), carrying the step's index.
     NonConvergenceError
@@ -851,38 +830,56 @@ def F3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
 def _sweep(fn: str, ctx: EvalContext):
     """The row evaluator of one grid sweep of F1, F3, A1 or A3.
 
-    Returns row(xs, y, cut_side) -> (values, errors), one entry each per
-    x: the value fn(complex(x, y), ctx, cut_side) gives, as a complex
-    double, and None, or None and the error it raises, with the same
-    class, args and attributes.  The kernel and the anchor or norm are
-    resolved once a sweep, the cut side (flip, strict) once a row, from
-    whether y is 0, and each cell runs the evaluators' rule, _cell, in
-    the row's one loop.  F1 and F3 share walks by base: cells of a row a
-    whole number of units apart walk from the same base point, and each
-    base is summed and walked once (_ftilde_eval).  A base's imaginary
-    part is y plus the anchor's, so no two rows share one: the memo is
-    the row call's own.
+    Returns row(xs, y, cut_side) -> (values, errors) from the one row
+    driver, _rows, with _cell for its cell: the value fn(complex(x, y),
+    ctx, cut_side) gives, as a complex double, and None, or None and the
+    error it raises, with the same class, args and attributes.  The
+    kernel and the anchor or norm are resolved once a sweep.  F1 and F3
+    share walks by base: cells of a row a whole number of units apart
+    walk from the same base point, and each base is summed and walked
+    once (_ftilde_eval).  A base's imaginary part is y plus the
+    anchor's, so no two rows share one: the memo is the row call's own.
     """
     kernel = _kernel_of(ctx)
     plus, abel = fn in ("F3", "A3"), fn[0] == "A"
-    shift = kernel.anchors[2 * abel + plus]
+    return _rows(kernel, _cell, (plus, abel, kernel.anchors[2 * abel + plus]), not abel)
+
+
+def _rows(kernel, cell, args: tuple, memo: bool):
+    """The one row driver of a grid: row(xs, y, cut_side) -> (values, errors).
+
+    Each x is one call cell(kernel, w, real, cut_side, a, b, c, chains)
+    at w = complex(x, y) cast by the kernel, with `args` the sweep's
+    (a, b, c), `real` decided once a row, from y, and `chains` the row's
+    own memo of F~ walks when `memo`, else None.  A cell that raises a
+    SuperexpError records None and the error, its traceback dropped: a
+    stored traceback would hold this frame, which holds the lists.  A
+    wide kernel's values leave as complex doubles, and one past the
+    double range is None with an OrbitOverflowError, not an infinity.
+    """
+    cast, a, b, c = kernel.cast, *args
     wide = kernel.bits > 53
 
     def row(xs, y, cut_side) -> tuple:
-        flip, strict = _sides(y, cut_side)
-        cast, chains = kernel.cast, None if abel else {}
+        real = _sides(y, cut_side)
+        chains = {} if memo else None
         values, errors = [], []
         for x in xs:
             try:
-                w = cast(complex(x, y))
-                values.append(_cell(kernel, w, flip, strict, plus, abel, shift, chains))
+                values.append(cell(kernel, cast(complex(x, y)), real, cut_side, a, b, c, chains))
                 errors.append(None)
             except SuperexpError as exc:
-                # a stored traceback would hold this frame, which holds the list
                 values.append(None)
                 errors.append(exc.with_traceback(None))
         if wide:
-            values = [None if value is None else complex(value) for value in values]
+            for i, value in enumerate(values):
+                if value is not None:
+                    value = complex(value)
+                    if cmath.isfinite(value):
+                        values[i] = value
+                    else:
+                        values[i] = None
+                        errors[i] = OrbitOverflowError("the value is past the double range")
         return values, errors
 
     return row

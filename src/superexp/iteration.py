@@ -24,20 +24,11 @@ import sys
 from typing import Optional, Union
 
 from .errors import BranchCutError, DomainError, OrbitOverflowError, SuperexpError
+# the evaluators compose on the kernel they hold (_cell, _one); the
+# traced benchmark runs wrap the public names by these names
+from .evaluators import A1, A3, F1, F3, abel2  # noqa: F401
 from .evaluators import (
-    A1,
-    A3,
-    F1,
-    F3,
-    _DEFAULT_CTX,
-    EvalContext,
-    Scalar,
-    _as_branch,
-    _cell,
-    _kernel_of,
-    _sides,
-    _sweep,
-    abel2,
+    _DEFAULT_CTX, EvalContext, Scalar, _as_branch, _cell, _kernel_of, _one, _rows, _sides, _sweep,
 )
 from .precision import (
     mp_context, mp_convert, plain, require_config, require_count, require_finite,
@@ -156,7 +147,7 @@ def _iterate(kernel, ctx, c, z, branch, cut_side):
     # with e (the fixed point, the branch, the cut of A1), which round
     # both to the width: a wide z within a double's ulp of e falls on its
     # true side
-    flip, strict = _sides(getattr(z, "imag", 0), cut_side)
+    real = _sides(getattr(z, "imag", 0), cut_side)
     zw = kernel.cast(z)
     zr, e = +kernel.at_width(zw), +kernel.at_width(kernel.e)
     if zr == e:
@@ -176,20 +167,24 @@ def _iterate(kernel, ctx, c, z, branch, cut_side):
         # normalization, from below its conjugate: formed at the work
         # bits, rounded to the width
         rot = kernel.rotation if cut_side == "above" else -kernel.rotation
-        a = kernel.cast(abel2(z, ctx)) + rot - kernel.anchors[2]
+        a = kernel.cast(_cell(kernel, zw, False, "above", True, True)) + rot - kernel.anchors[2]
         a = +kernel.at_width(a)
     else:
-        a = _cell(kernel, zw, flip, strict, upper, True, kernel.anchors[2 + upper])
+        a = _cell(kernel, zw, real, cut_side, upper, True, kernel.anchors[2 + upper])
     # rounded to the width in both parts: a real c would round only the
     # real part of c + a
     w = +kernel.at_width(c + a)
-    if upper:
-        return F3(w, ctx, cut_side=cut_side)
-    if w.imag == 0 and w.real <= -2:
+    if not upper and w.imag == 0 and w.real <= -2:
         raise BranchCutError(
             f"shifted argument c + A1(z) = {complex(w)} lies on the cut of F1"
         )
-    return F1(w, ctx, cut_side=cut_side)
+    return _one(kernel, w, cut_side, upper, False, kernel.anchors[upper])
+
+
+def _expc_cell(kernel, z, real, cut_side, ctx, c, branch, chains):
+    # a map expc cell in the row driver's form (evaluators._rows): the
+    # composition decides its sides on its own argument and walks no memo
+    return _iterate(kernel, ctx, c, z, branch, cut_side)
 
 
 def dq13(x: Scalar, ctx: Optional[EvalContext] = None) -> Scalar:
@@ -284,11 +279,11 @@ def agreement(
     bits = ctx.precision.mantissa_bits
     try:
         if kind[1] != "q":
-            # the round trip's (inner, outer) pair, read from this module's
-            # names at each call, so that a wrapper set on them is seen
-            f, a = (F1, A1) if kind[1] == "1" else (F3, A3)
-            inner, outer = (f, a) if kind[2:] == "af" else (a, f)
-            x = outer(inner(z, ctx, cut_side=cut_side), ctx, cut_side=cut_side)
+            # the round trip, F then A (af) or A then F (fa), each the
+            # public evaluator's rule on the kernel held here
+            plus, fa = kind[1] == "3", kind[2:] == "fa"
+            x = _one(kernel, z, cut_side, plus, fa, kernel.anchors[2 * fa + plus])
+            x = _one(kernel, x, cut_side, plus, not fa, kernel.anchors[2 * (not fa) + plus])
             y = z
         else:
             branch = IterateBranch.lower if kind == "dq1" else IterateBranch.upper
@@ -409,10 +404,12 @@ def map_grid(
         singular or overflowing region never aborts the sweep.
 
     Each row is one call of a row evaluator, row(xs, y, cut_side) ->
-    (values, errors).  F1, F3, A1 and A3 rows come from one sweep
-    (evaluators._sweep): the kernel and the anchor or norm are resolved
-    once, the cut side once a row, and one loop gates, walks, sums and applies the
-    cut side for every cell; F1 and F3 cells of a row a whole number of
+    (values, errors), from the one row driver (evaluators._rows), whose
+    loop records each failing cell's error and turns a wide value past
+    the double range into an overflow cell.  F1, F3, A1 and A3 rows come
+    from one sweep (evaluators._sweep): the kernel and the anchor or norm
+    are resolved once, the cut side once a row, and each cell is one
+    call of the evaluators' rule; F1 and F3 cells of a row a whole number of
     units apart walk the functional equation from the same base point, so
     a row sums and walks each exact base once.  Each cell is still the
     evaluator's value at that cell, bit for bit.
@@ -434,20 +431,7 @@ def map_grid(
     if fn == "expc":
         # cast once: a count no cell could take is refused for the whole grid
         c = kernel.at_width(require_finite(c))
-
-        def row(xs, y, cut_side):
-            # the evaluators' row API, one composition a cell; a stored
-            # traceback would hold this frame, which holds the list
-            values, errors = [], []
-            for x in xs:
-                try:
-                    value = _iterate(kernel, ctx, c, complex(x, y), branch, cut_side)
-                    values.append(complex(value))
-                    errors.append(None)
-                except SuperexpError as exc:
-                    values.append(None)
-                    errors.append(exc.with_traceback(None))
-            return values, errors
+        row = _rows(kernel, _expc_cell, (ctx, c, branch), False)
     else:
         row = _sweep(fn, ctx)
     rows, errs = [], []

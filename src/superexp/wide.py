@@ -12,9 +12,9 @@ past the calibrated range first; calibrate() builds one at its tier.
 A real number x at scale s is the Python integer x * 2^s, rounded or
 truncated; a complex one is a pair of them.  The kernel computes on
 such integers at a scale 16 bits above its work bits: it walks on them
-(_MPKernel.step, which walk and abel_walk loop), sums the Abel series
-by Horner's rule on them, and finds F~ at a base point by Newton's
-method on them (_MPKernel.invert_abel), one step at each scale of its plan
+(_MPKernel.step, which its two bodies, abel and ftilde, loop), sums the
+Abel series by Horner's rule on them, and finds F~ at a base point by
+Newton's method on them (_MPKernel.invert_abel), one step at each scale of its plan
 (evaluators._newton_plan), each twice the last up to its own, so that
 only the last sum runs at full width.  A walk leaves them only for a
 step out of their range, taken on a value of the kernel's own mpmath
@@ -36,15 +36,8 @@ from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .errors import NonConvergenceError
 from .evaluators import (
-    EvalContext,
-    Scalar,
-    _abel_tier,
-    _escape,
-    _log_of_zero,
-    _missed_disk,
-    _newton_limit,
-    _Tables,
-    _walk_out,
+    EvalContext, Scalar, _abel_tier, _escape, _landed_on_e, _log_of_zero, _missed_disk,
+    _newton_limit, _Tables, _walk_out,
 )
 from .precision import _as_mp, mp_convert, new_mp_context
 
@@ -136,7 +129,7 @@ class _MPKernel(_Tables):
         ctx, e = self.mp, self.e
         x = ctx.re(w) / e
         if x > 1e8:
-            return _escape(ctx.im(w) / e, ctx.cos, self.bits, idx)
+            return _escape(ctx.im(w) / e, ctx.cos, self, idx)
         if x < -1e8:
             # the orbit lands at exactly 0, as the double kernel's does
             # below -745: such a w comes from a step off a huge value, its
@@ -217,16 +210,11 @@ class _MPKernel(_Tables):
         w = self.log_step(w, idx) if backward else self.exp_step(w, idx)
         return None if w is None else self.state(w)
 
-    def walk(self, chain: list, k: int, backward: bool) -> None:
-        """Extend an F~ walk's chain of states through step k, one step at
-        a time; the step from a None lands at `zero` (_ftilde_eval)."""
-        s = chain[-1]
-        for j in range(len(chain), k + 1):
-            s = self.zero if s is None else self.step(s, j, backward)
-            chain.append(s)
-
-    def abel_walk(self, w, plus: bool):
-        """w walked into the Abel disk: (w, steps, zeta), zeta = 1 - w/e."""
+    def abel(self, w, plus: bool):
+        """abel1 at w, or abel2 when plus: w walked into the Abel disk on
+        integers (step), the series summed at zeta = 1 - w/e by Horner's
+        rule on them and the step count applied.  An orbit landing on e
+        is a branch point; a tail above tol (1 + |value|) raises."""
         cap, k, s = self.abel_cap, 0, self.state(w)
         e, r2 = self._e, self._r2
         # the disk lies inside the integer range: a value state is outside
@@ -237,9 +225,9 @@ class _MPKernel(_Tables):
             if s is None:  # unrepresentable: its next step lands at 0
                 s, k = self.zero, k + 1
         w = self.value(s)
-        return w, k, 1 - w / self.e
-
-    def abel_series(self, zeta, plus: bool):
+        zeta = 1 - w / self.e
+        if zeta == 0:
+            _landed_on_e()
         ctx = self.mp
         arg = -zeta if plus else zeta
         if ctx.im(arg) == 0 and ctx.re(arg) < 0:
@@ -251,10 +239,15 @@ class _MPKernel(_Tables):
         # (a real zeta keeps a zero imaginary part throughout)
         coeffs, S = self.tails[plus], self.scale
         tr, ti = _horner_complex(coeffs + (0,), *_pair(zeta, S), S)
-        real = isinstance(zeta, ctx.mpf)
-        tail = self._unfix(tr) if real else self._unfix_pair(tr, ti)
+        tail = self._unfix(tr) if isinstance(zeta, ctx.mpf) else self._unfix_pair(tr, ti)
+        value = logpart / 3 + 2 / zeta + tail
+        # each width's tier keeps the tail's last term below tol throughout
+        # its disk (TestTermTiers proves it for every width): a miss is a
+        # defect
         last = self._unfix(abs(coeffs[0])) * abs(zeta) ** len(coeffs)
-        return logpart / 3 + 2 / zeta + tail, last
+        if last > self.tol * (1 + abs(value)):
+            raise NonConvergenceError("Abel tail above the target accuracy", residual=float(last))
+        return value + k if plus else value - k
 
     def invert_abel(self, zr: int, zi: int, plus: bool) -> tuple:
         """w at the scale with w - log(+-w)/3 + tail(2/w) = z.
@@ -311,18 +304,35 @@ class _MPKernel(_Tables):
             )
         return wr, wi
 
-    def ftilde_series(self, z, plus: bool):
-        """F~ = e(1 - zeta) at a base point, where alpha(zeta) = z + ln(2)/3.
+    def ftilde(self, z, k: int, plus: bool, chain: list | None = None):
+        """F~ on the side plus, k steps of the walk from the base z.
 
-        Solved for w = 2/zeta on scaled integers (invert_abel), one
-        Newton step at each scale of newton_steps, the last at the
-        kernel's own; the tail estimate is the Abel tail's last term at
-        that zeta, carried to F~ by dF/dalpha = e zeta^2/2.
+        An empty or absent chain starts with the state of F~ = e(1 -
+        zeta) at z, where alpha(zeta) = z + ln(2)/3: solved for w =
+        2/zeta on scaled integers (invert_abel), one Newton step at each
+        scale of newton_steps, the last at the kernel's own.  Its tail
+        estimate, the Abel tail's last term at that zeta carried to F~ by
+        dF/dalpha = e zeta^2/2, raises above tol.  The chain is then
+        extended through step k, one step at a time (down for plus False,
+        up for plus True), and chain[k] returned as a value; the step
+        from a None lands at `zero` (evaluators._ftilde_eval).
         """
-        wr, wi = self.invert_abel(*_pair(z, self.scale), plus)
-        ctx = self.mp
-        w = self._unfix(wr) if isinstance(z, ctx.mpf) else self._unfix_pair(wr, wi)
-        zeta = 2 / w
-        tail = self.tails[plus]
-        last = self._unfix(abs(tail[0])) * abs(zeta) ** (len(tail) + 2) * self.e / 2
-        return self.e * (1 - zeta), last
+        if not chain:
+            wr, wi = self.invert_abel(*_pair(z, self.scale), plus)
+            w = self._unfix(wr) if isinstance(z, self.mp.mpf) else self._unfix_pair(wr, wi)
+            zeta = 2 / w
+            tail = self.tails[plus]
+            last = self._unfix(abs(tail[0])) * abs(zeta) ** (len(tail) + 2) * self.e / 2
+            if last > self.tol:
+                raise NonConvergenceError(
+                    "asymptotic tail above the target accuracy", residual=float(last)
+                )
+            if chain is None:
+                chain = []
+            chain.append(self.state(self.e * (1 - zeta)))
+        s = chain[-1]
+        for j in range(len(chain), k + 1):
+            s = self.zero if s is None else self.step(s, j, not plus)
+            chain.append(s)
+        s = chain[k]
+        return None if s is None else self.value(s)

@@ -861,6 +861,24 @@ class TestTable:
 
 
 class TestMap:
+    def test_wide_map_past_the_double_range_is_overflow(self, cache_dir):
+        # F3 near Re z = 22.5 at 128 bits is finite there, but past 1e308:
+        # its cells printed inf, and the JSON form the non-JSON Infinity
+        args = ["map", "F3", "--x=22.4:22.9", "--y=0:1", "--nx=6", "--ny=2",
+                "--precision-bits", "128"]
+        csv = run_cli(args, cache_dir)
+        assert csv.returncode == 0 and csv.stderr == ""
+        cells = [line.split(",") for line in csv.stdout.splitlines()[1:]]
+        assert [c[4] for c in cells[:3]] == ["overflow"] * 3
+        proc = run_cli([*args, "--format", "json"], cache_dir)
+
+        def refused(constant):
+            raise AssertionError(f"not JSON: {constant}")
+
+        samples = json.loads(proc.stdout, parse_constant=refused)["samples"]
+        assert all(s["err"] or math.isfinite(abs(complex(s["re"], s["im"]))) for s in samples)
+        assert [s["err"] for s in samples[:3]] == ["overflow"] * 3
+
     def test_format_text_is_a_usage_error(self, cache_dir):
         # it was once accepted, and the grid printed as CSV
         grid = ["map", "F1", "--x", "0:1", "--y", "0:1", "--nx", "2", "--ny", "2"]

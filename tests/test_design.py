@@ -135,7 +135,7 @@ def test_one_width_decision():
 
 
 def test_one_cut_rule():
-    """Strict mode (cut_side=None) is decided once, in evaluators._public,
+    """Strict mode (cut_side=None) is decided once, in evaluators._cell,
     on the upper-side value every walk takes, and a backward step from 0
     is refused once, by the helper each kernel's log_step calls: each
     message appears once in the library, and no walk of evaluators.py or
@@ -144,7 +144,7 @@ def test_one_cut_rule():
     _once("logarithm singularity at 0")
     # a whole word: "cut_side is None", the gate's own test, is not a match
     _absent(r"(?<!\w)side is None(?!\w)", ("evaluators.py", "wide.py"),
-            "a walk takes a cut side: strict mode is _public's decision")
+            "a walk takes a cut side: strict mode is _cell's decision")
 
 
 def test_one_escape_rule():
@@ -336,28 +336,40 @@ def test_one_side_flag_below_the_public_api():
     assert found == []
 
 
-def test_one_walk_loop_per_kernel():
-    """An F~ walk runs in its kernel's one loop, `walk`, as an Abel walk
-    runs in its `abel_walk`: _ftilde_eval has no loop of its own and the
-    double kernel no per-step `step`.  agreement and map_grid compose on
-    exp_iterate's body, building no IterateRequest per call."""
+def test_one_walk_and_sum_body_per_family():
+    """Each kernel has one walk-and-sum body per function family: `abel`
+    walks into the Abel disk and sums there, `ftilde` sums F~ at its base
+    and extends the chain.  No abel_walk, abel_series, ftilde_series or
+    separate walk sits beside them, _ftilde_eval has no loop of its own,
+    and the double kernel no per-step `step`.  agreement and map_grid
+    compose on exp_iterate's body, building no IterateRequest per call."""
     found = []
     for name, cls in (("evaluators.py", "_DoubleKernel"), ("wide.py", "_MPKernel")):
         kernel, = (c for c in TREES[name].body if isinstance(c, ast.ClassDef) and c.name == cls)
         methods = {fn.name for fn in kernel.body if isinstance(fn, ast.FunctionDef)}
-        if "walk" not in methods:
-            found.append(f"{cls} has no walk")
+        found += [f"{cls} has no {m}" for m in ("abel", "ftilde") if m not in methods]
+        found += [f"{cls} has {m} beside its fused bodies" for m in sorted(methods)
+                  if m in ("abel_walk", "abel_series", "ftilde_series", "walk")]
     if hasattr(evaluators._DoubleKernel, "step"):
-        found.append("_DoubleKernel has a step: its walk takes the plain steps inline")
+        found.append("_DoubleKernel has a step: its bodies take the plain steps inline")
     functions = {fn.name: fn for name in ("evaluators.py", "iteration.py")
                  for fn in TREES[name].body if isinstance(fn, ast.FunctionDef)}
     if any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(functions["_ftilde_eval"])):
-        found.append("_ftilde_eval loops: its kernel's walk extends the chain")
+        found.append("_ftilde_eval loops: its kernel's ftilde extends the chain")
     for fn in ("agreement", "map_grid"):
         for callee in ("IterateRequest", "exp_iterate"):
             if _calls(functions[fn], callee):
                 found.append(f"iteration.{fn} calls {callee}: it composes on _iterate")
     assert found == []
+
+
+def test_one_row_driver():
+    """A grid's cells are evaluated and their failures recorded in one
+    loop, evaluators._rows, for map_grid's F, A and expc rows alike: the
+    catch-and-record, which drops a failure's traceback, is written once
+    in the library."""
+    n = sum(text.count("with_traceback(None)") for text in TEXT.values())
+    assert n == 1, f"the catch-and-record is written {n} times, not once"
 
 
 @pytest.mark.parametrize("fn, grid, walking, hits, sums", [
@@ -373,13 +385,13 @@ def test_shared_walk_counts(fn, grid, walking, hits, sums):
     the cells whose walk takes a step, those of them that summed no
     series of their own, and the series summed."""
     count = runpy.run_path(str(ROOT / "tools" / "sweep_cost.py"))["_count"]
-    walk, series = evaluators._ftilde_eval, evaluators._DoubleKernel.ftilde_series
+    ftilde = evaluators._DoubleKernel.ftilde
     *bounds, nx, ny = grid.split(":")
     with count(evaluators) as (counts, recorded):
         iteration.map_grid(fn, iteration.GridSpec(*map(float, bounds), int(nx), int(ny)))
     assert (counts["walking"], counts["hits"], len(recorded)) == (walking, hits, sums)
     # the counter unwraps on exit, so later evaluations run as they are
-    assert (evaluators._ftilde_eval, evaluators._DoubleKernel.ftilde_series) == (walk, series)
+    assert evaluators._DoubleKernel.ftilde == ftilde
 
 
 TINY = "--grid=-2:6:-2:2:5:3"
@@ -416,12 +428,13 @@ def test_sweep_cost_refuses_no_repeat(repeat, capsys):
 def test_sweep_cost_refuses_a_walk_it_cannot_count(monkeypatch, capsys):
     # a tree whose walk driver reads the side otherwise would be miscounted
     main = runpy.run_path(str(ROOT / "tools" / "sweep_cost.py"))["main"]
-    monkeypatch.setattr(evaluators, "_ftilde_eval", lambda kernel, w0, branch, chains=None: 0)
+    monkeypatch.setattr(evaluators._DoubleKernel, "ftilde",
+                        lambda self, z, k, branch, chain=None: 0)
     with pytest.raises(SystemExit) as info:
         main(["F1", TINY, "--src", str(SRC.parent)])
     assert info.value.code == 2
-    assert ("_ftilde_eval takes (kernel, w0, branch, chains), not (kernel, w0, plus, chains)"
-            in capsys.readouterr().err)
+    assert ("_DoubleKernel.ftilde takes (self, z, k, branch, chain),"
+            " not (self, z, k, plus, chain)" in capsys.readouterr().err)
 
 
 def test_readme_names_resolve():

@@ -463,11 +463,16 @@ class TestCutsAndErrors:
         # a tolerance no tail meets: each evaluation sums once and raises
         # with that tail, walking no deeper
         sums = []
-        for name in ("abel_series", "ftilde_series"):
-            summed = getattr(_MPKernel, name)
-            monkeypatch.setattr(
-                _MPKernel, name, lambda *a, summed=summed: sums.append(a) or summed(*a)
-            )
+        abel, ftilde = _MPKernel.abel, _MPKernel.ftilde
+        # an abel call sums once; an ftilde call sums when its chain is empty
+
+        def counted(self, z, k, plus, chain=None):
+            if not chain:
+                sums.append(z)
+            return ftilde(self, z, k, plus, chain)
+
+        monkeypatch.setattr(_MPKernel, "abel", lambda *a: sums.append(a) or abel(*a))
+        monkeypatch.setattr(_MPKernel, "ftilde", counted)
         monkeypatch.setattr(kernel, "tol", mpmath.mpf(2) ** -1000)
         for evaluate in (abel1, abel2, lambda z, c: superexp_tilde(z, "minus", c)):
             with pytest.raises(NonConvergenceError, match="tail above the target") as info:
@@ -538,15 +543,47 @@ def _stepped_chain(kernel, w, k: int, backward: bool) -> tuple:
 
 
 def _walked_chain(kernel, w, k: int, backward: bool, *stops) -> tuple:
-    # the kernel's F~ walk from w, extended through each of stops, then k:
-    # (states, error)
-    chain = [kernel.state(w)]
+    # the kernel's F~ walk (its ftilde on a chain that holds w, so that
+    # nothing is summed) from w, extended through each of stops, then k:
+    # (states, error); a double's state is the double itself
+    chain = [w if kernel.bits == 53 else kernel.state(w)]
     try:
         for stop in (*stops, k):
-            kernel.walk(chain, stop, backward)
+            kernel.ftilde(w, stop, not backward, chain)
     except SuperexpError as exc:
         return chain, (type(exc), exc.args, vars(exc))
     return chain, None
+
+
+def _stepped_abel(kernel, w, plus_side):
+    # the double kernel's abel at the end of the stepped walk: its sum
+    # there, the stepped walk's count applied
+    w, k, _ = _stepped_walk(kernel, w, plus_side)
+    value = kernel.abel(w, plus_side)
+    return value + k if plus_side else value - k
+
+
+def _abel_walked(kernel, w, plus_side, abel=_MPKernel.abel) -> tuple:
+    # the mpmath kernel's abel at w and the end of its walk, (value, (w,
+    # steps, zeta)), read off its one loop: the index of its last step
+    # (one more after a None) and the value it sums at
+    ends = {"k": 0}
+
+    def step(s, idx, backward, _step=kernel.step):
+        t = _step(s, idx, backward)
+        ends["k"] = idx + (t is None)
+        return t
+
+    def value(s, _value=kernel.value):
+        ends["w"] = _value(s)
+        return ends["w"]
+
+    kernel.step, kernel.value = step, value
+    try:
+        got = abel(kernel, w, plus_side)
+    finally:
+        del kernel.step, kernel.value
+    return got, (ends["w"], ends["k"], 1 - ends["w"] / kernel.e)
 
 
 def _count_guarded_steps(monkeypatch, kernel) -> list:
@@ -598,9 +635,9 @@ class TestDoubleAbelWalk:
         plus_side, z = self.CASES[case]
         kernel = _kernel(EvalContext())
         guarded = _count_guarded_steps(monkeypatch, kernel)
-        got = self._outcome(kernel.abel_walk, z, plus_side)
+        got = self._outcome(kernel.abel, z, plus_side)
         steps = len(guarded)
-        assert got == self._outcome(_stepped_walk, kernel, z, plus_side)
+        assert got == self._outcome(_stepped_abel, kernel, z, plus_side)
         # the loop took the guarded method for the case: log_step refuses 0
         assert 1 <= steps <= 2
 
@@ -738,7 +775,7 @@ class TestWideAbelWalk:
         w = kernel.cast(z)
         want = self._outcome(_stepped_walk, kernel, w, plus_side)
         steps = _count_guarded_steps(monkeypatch, kernel)
-        got = self._outcome(kernel.abel_walk, w, plus_side)
+        got = self._outcome(lambda *a: _abel_walked(kernel, *a)[1], w, plus_side)
         assert len(steps) == guarded
         if isinstance(want[0], type):
             assert got == want
@@ -893,7 +930,7 @@ class TestWideBitIdentity:
             kernel = _kernel(ctx)
             for case in self.GUARDED:
                 plus_side, z = TestDoubleAbelWalk.CASES[case]
-                rows.append(_wide_bits(lambda: kernel.abel_walk(kernel.cast(z), plus_side)))
+                rows.append(_wide_bits(lambda: _abel_walked(kernel, kernel.cast(z), plus_side)[1]))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "5892f3fd9ccf6d8542d3379cc0bbdb67cf76bb30f044450f01e4011e30d7c7b7"
         )
@@ -968,7 +1005,7 @@ class TestDoubleAccuracy:
 class TestDoubleNewtonSteps:
     """Two planned Newton steps give the double kernel's F~ in full.
 
-    _DoubleKernel.ftilde_series takes the two steps of newton_steps and
+    _DoubleKernel.ftilde takes the two steps of newton_steps and
     tests only that the last one was small, so this test is what
     guarantees them: its F~ against the 128-bit superexp_tilde at the
     same argument, on both branches (the plus branch at -w).  The strip
@@ -1006,7 +1043,7 @@ class TestDoubleNewtonSteps:
         for w in points:
             for branch, z in ((BranchSign.minus, w), (BranchSign.plus, -w)):
                 want = complex(superexp_tilde(z, branch, ctx128))
-                got = k53.ftilde_series(z, branch is BranchSign.plus)[0]
+                got = k53.ftilde(z, 0, branch is BranchSign.plus)
                 ulps = abs(got - want) / math.ulp(abs(want))
                 if ulps > worst.get(branch.name, (0.0,))[0]:
                     worst[branch.name] = (ulps, z)
@@ -1082,7 +1119,7 @@ class TestWideNewtonSteps:
         for i, w in enumerate(points):
             for branch, z in ((BranchSign.minus, w), (BranchSign.plus, -w)):
                 plus = branch is BranchSign.plus
-                got = kernel.ftilde_series(kernel.cast(z), plus)[0]
+                got = kernel.ftilde(kernel.cast(z), 0, plus)
                 want = plain(ev._ftilde_eval(wider, wider.cast(z), plus))
                 gap = rel_bits(got, want) + bits
                 if gap > worst[0]:
@@ -1215,12 +1252,14 @@ class TestTermTiers:
         kernel = _MPKernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
         x = kernel.mp.mpf(kernel.threshold)
         below = 12 if bits >= 224 else 10
+        # the sum raises when its tail is above tol: a tol of the bound
+        # asserts the tail is at most the bound
+        kernel.tol = mpmath.mpf(2) ** -(bits + below)
         for plus, base in ((False, x), (True, -x)):
-            value, last = kernel.ftilde_series(base, plus)
+            value = kernel.ftilde(base, 0, plus)
             assert abs(1 - value / kernel.mp.e) < kernel.abel_radius
-            assert last <= mpmath.mpf(2) ** -(bits + below), (plus, last)
 
-    def test_tail_bound_at_every_width(self):
+    def test_tail_bound_at_every_width(self, monkeypatch):
         # what makes one sum enough: for every width the mpmath kernel
         # serves, the last term that any point of its tier's disk
         # |zeta| < r can give is below the kernel's tol.  Each kernel
@@ -1258,26 +1297,32 @@ class TestTermTiers:
         bits = worst["abel1"][1]
         kernel = _kernel(EvalContext(precision=PrecisionConfig(mantissa_bits=bits)))
         zeta = kernel.mp.mpf(kernel.abel_radius) * (1 - kernel.mp.mpf(2) ** -20)
+        w = kernel.e * (1 - zeta)
         for plus_side, name in ((False, "abel1"), (True, "abel2")):
-            _, last = kernel.abel_series(zeta, plus_side)
-            assert float(mpmath.log(last, 2)) <= last_terms(bits)[name], (name, last)
+            # abel raises when its last term is above tol (1 + |value|):
+            # that product at the bound asserts the term is at most it
+            value = kernel.abel(w, plus_side)
+            bound = mpmath.mpf(2) ** last_terms(bits)[name]
+            monkeypatch.setattr(kernel, "tol", bound / (1 + abs(value)))
+            assert kernel.abel(w, plus_side) == value, name
+            monkeypatch.undo()
 
     def test_one_sum_per_evaluation(self, monkeypatch):
         # the tail at the walk-out threshold is below the tolerance, so
         # no evaluation at 256 bits sums the series twice
         counts = {"evals": 0, "sums": 0}
-        walk, series = ev._ftilde_eval, _MPKernel.ftilde_series
+        walk, ftilde = ev._ftilde_eval, _MPKernel.ftilde
 
         def counted_walk(*args):
             counts["evals"] += 1
             return walk(*args)
 
-        def counted_series(self, *args):
-            counts["sums"] += 1
-            return series(self, *args)
+        def counted_series(self, z, k, plus, chain=None):
+            counts["sums"] += not chain  # an empty chain is summed at z
+            return ftilde(self, z, k, plus, chain)
 
         monkeypatch.setattr(ev, "_ftilde_eval", counted_walk)
-        monkeypatch.setattr(_MPKernel, "ftilde_series", counted_series)
+        monkeypatch.setattr(_MPKernel, "ftilde", counted_series)
         counts.update(evals=0, sums=0)
         for z in (0.5, -1.5 + 0.75j, 1 + 2j):
             F1(z, CTX256)
@@ -1704,14 +1749,21 @@ class TestFixedPointSums:
         # every sum of both branches and both Abel sides, on the walks of
         # real and complex arguments out to |Im z| = 1e100
         calls = []
-        for name in ("ftilde_series", "abel_series"):
+        abel, ftilde = _MPKernel.abel, _MPKernel.ftilde
 
-            def spy(self, *args, _method=getattr(_MPKernel, name)):
-                value, last = _method(self, *args)
-                calls.append((self, _method.__name__, args, value))
-                return value, last
+        def spy_ftilde(self, z, k, plus, chain=None):
+            if not chain:  # the sum at the base z, alone
+                calls.append((self, "ftilde_series", (z, plus), ftilde(self, z, 0, plus)))
+            return ftilde(self, z, k, plus, chain)
 
-            monkeypatch.setattr(_MPKernel, name, spy)
+        def spy_abel(self, w, plus):
+            # the sum at the walk's end zeta: the value less its steps
+            value, (_, k, zeta) = _abel_walked(self, w, plus)
+            calls.append((self, "abel_series", (zeta, plus), value - k if plus else value + k))
+            return value
+
+        monkeypatch.setattr(_MPKernel, "ftilde", spy_ftilde)
+        monkeypatch.setattr(_MPKernel, "abel", spy_abel)
         ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
         for z in self.POINTS:
             superexp_tilde(z, "minus", ctx)
@@ -1753,10 +1805,10 @@ class TestFixedPointSums:
         x = kernel.mp.mpf(kernel.threshold + 1)
         zeta = kernel.mp.mpf("0.05")
         sums = [
-            kernel.ftilde_series(x, False)[0],
-            kernel.ftilde_series(-x, True)[0],
-            kernel.abel_series(zeta, False)[0],
-            kernel.abel_series(-zeta, True)[0],
+            kernel.ftilde(x, 0, False),
+            kernel.ftilde(-x, 0, True),
+            kernel.abel(kernel.e * (1 - zeta), False),
+            kernel.abel(kernel.e * (1 + zeta), True),
         ]
         assert all(type(v) is kernel.mp.mpf for v in sums), sums
         values = [

@@ -1,5 +1,6 @@
 """Tests for fractional iterates, axis diagnostics and grid sampling."""
 
+import cmath
 import dataclasses
 import gc
 import hashlib
@@ -313,10 +314,14 @@ class TestAgreement:
     @pytest.mark.parametrize("ctx", [None, CTX128], ids=["53", "128"])
     def test_opposite_round_trip_scores_minus_clip(self, monkeypatch, ctx):
         # X = -Y makes |X + Y| exactly 0: the score is the far end, -clip.
-        # agreement reads A1 at each call, so an A1 giving -z makes the
-        # round trip A1(F1(z)) of d1af equal -z
+        # agreement reads the evaluators' rule at each call, so an A1
+        # giving -z makes the round trip A1(F1(z)) of d1af equal -z
+        import superexp.iteration as it
+
         z = 1.0 + 1.0j
-        monkeypatch.setattr("superexp.iteration.A1", lambda w, ctx, cut_side: -z)
+        one = it._one
+        monkeypatch.setattr(it, "_one", lambda kernel, w, side, plus, abel, shift=None:
+                            -z if abel else one(kernel, w, side, plus, abel, shift))
         assert agreement("d1af", z, ctx) == -16.0
         assert agreement("d1af", z, ctx, clip=8.0) == -8.0
 
@@ -785,7 +790,7 @@ class TestDoubleBitIdentity:
     method on the Abel series, which moves the F1 and F3 doubles
     (TestDoubleAccuracy checks those against 128 bits).  This pair was
     recorded when that Newton solve became two planned steps from a
-    two-logarithm start (_DoubleKernel.ftilde_series), in place of up to
+    two-logarithm start (_DoubleKernel.ftilde), in place of up to
     four full ones: 196 of the 1272 map cells moved, all of them F1 or
     F3 values, by at most a relative 1.7e-15, and no error code; 11 of
     the 27 scores moved, ten by at most 0.02 digits and dq1 at
@@ -914,10 +919,12 @@ def _per_cell(fn, grid, ctx=None):
     for y in grid.ys():
         for x in grid.xs():
             try:
-                value = f(complex(x, y), ctx, cut_side=grid.cut_side)
-                cells.append((repr(complex(value)), None))
+                value = complex(f(complex(x, y), ctx, cut_side=grid.cut_side))
             except SuperexpError as exc:
                 cells.append((None, exc.code))
+                continue
+            # a wide value past the double range is an overflow cell
+            cells.append((repr(value), None) if cmath.isfinite(value) else (None, "overflow"))
     return cells
 
 
@@ -1003,6 +1010,17 @@ class TestSharedWalks:
                 swept = recorded(exc)
                 assert swept == outcome(f, z, None, grid.cut_side), z
 
+    @pytest.mark.parametrize("fn, kw", [("F3", {}), ("expc", {"c": 2.0})])
+    def test_wide_cells_past_the_double_range_are_overflow(self, fn, kw):
+        # a finite 128-bit value above 1e308 was an infinite cell with no
+        # code; the one row driver records it as overflow, for every kind
+        r = map_grid(fn, GridSpec(19.0, 22.9, 0.0, 1.0, 40, 2), CTX128, **kw)
+        cells = [(v, e) for row, erow in zip(r.values, r.errors) for v, e in zip(row, erow)]
+        assert all((v is None) != (e is None) for v, e in cells)
+        assert all(cmath.isfinite(v) for v, _ in cells if v is not None)
+        assert any(e == "overflow" for _, e in cells)
+        assert any(v is not None for v, _ in cells)
+
     def test_overflow_grid_has_failing_cells(self):
         r = map_grid("F3", GridSpec(-30, 40, -5, 5, 141, 21))
         assert sum(e == "overflow" for row in r.errors for e in row) == 38
@@ -1012,13 +1030,14 @@ class TestSharedWalks:
         # only the cells that start past the threshold sum; a walking cell
         # reads its value off a base summed for another cell
         calls = []
-        series = ev._DoubleKernel.ftilde_series
+        ftilde = ev._DoubleKernel.ftilde
 
-        def counted(self, *args):
-            calls.append(args)
-            return series(self, *args)
+        def counted(self, z, k, plus, chain=None):
+            if not chain:  # the series is summed at z
+                calls.append((z, plus))
+            return ftilde(self, z, k, plus, chain)
 
-        monkeypatch.setattr(ev._DoubleKernel, "ftilde_series", counted)
+        monkeypatch.setattr(ev._DoubleKernel, "ftilde", counted)
         grid = _jittered_box(1, 15)
         map_grid(fn, grid)
         constants = default_constants(53)

@@ -3,8 +3,8 @@
 The operation is a map_grid sweep of F1, F3, A1 or A3, or a check_grid
 of one agreement kind (d1af, d1fa, d3af, d3fa, dq1, dq3).  A sweep
 evaluates a row per call (evaluators._sweep), and its loop runs each F
-cell's walk through _ftilde_eval with the row's memo of
-functional-equation walks by exact base point, so an F cell a whole
+cell's walk through the double kernel's one F~ body, ftilde, with the
+row's memo of functional-equation walks by exact base point, so an F cell a whole
 number of units from another cell of its row can read its value off
 that cell's walk; on a grid with no such columns every walking cell
 sums its own series.  A1 and A3 walk no F~, and the checks' F walks
@@ -14,9 +14,11 @@ best of --repeat runs (after a warm-up run, which builds the kernel's
 tables), the peak RSS of those runs, the F~ walks that take at least one
 step ("walking"), and how many of those summed no series of their own
 ("hits": they read another cell's walk).  The counts come from one more
-run with the series summation and the walk driver wrapped.  That run
-also records each F~ sum ("sums" counts them), and "sum_us" is the CPU
-time per sum of the best of --repeat replays of those sums.
+run with the kernel's ftilde wrapped: a call with an empty chain sums
+the series at its base, and one of k > 0 steps walks.  That run also
+records each F~ sum ("sums" counts them), and "sum_us" is the CPU time
+per sum of the best of --repeat replays of those sums, each an ftilde
+of no steps.
 
 Usage (from the repository root):
 
@@ -27,9 +29,9 @@ Usage (from the repository root):
 The grid is x_min:x_max:y_min:y_max:nx:ny (the "=" keeps a negative
 x_min from reading as an option), and --repeat is at least 1.  --src
 imports the library from another tree, for example a git archive of an
-earlier commit; its _ftilde_eval must take (kernel, w0, plus, chains),
-the side as the bool `plus` (True for F3), or the walks cannot be
-counted and the script exits 2 naming what it takes.  Run one process
+earlier commit; its _DoubleKernel.ftilde must take (self, z, k, plus,
+chain), the side as the bool `plus` (True for F3), or the walks cannot
+be counted and the script exits 2 naming what it takes.  Run one process
 per operation and tree, so that each peak RSS is that run's own.
 """
 
@@ -48,49 +50,44 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MAPS = ("F1", "F3", "A1", "A3")
 CHECKS = ("d1af", "d1fa", "d3af", "d3fa", "dq1", "dq3")
-# the walk driver's parameters that the counter reads
-WALK_PARAMS = ("kernel", "w0", "plus", "chains")
+# the parameters of the kernel's F~ body that the counter reads
+WALK_PARAMS = ("self", "z", "k", "plus", "chain")
 
 
 @contextlib.contextmanager
 def _count(evaluators):
     """Count the walks of the runs inside the block, yielding
-    (counts, sums): the double kernel's series and the walk driver are
-    wrapped, each sum recorded in `sums` as (series, kernel, args), and
-    both restored on exit."""
-    kernel_cls, walk = evaluators._DoubleKernel, evaluators._ftilde_eval
-    series = kernel_cls.ftilde_series
+    (counts, sums): the double kernel's ftilde is wrapped, each sum
+    recorded in `sums` as (ftilde, kernel, args of no steps), and
+    restored on exit."""
+    kernel_cls = evaluators._DoubleKernel
+    ftilde = kernel_cls.ftilde
     counts, sums = {"walking": 0, "hits": 0}, []
 
-    def summed(self, *args):
-        sums.append((series, self, args))
-        return series(self, *args)
+    def counted(self, z, k, plus, chain=None):
+        if not chain:
+            sums.append((ftilde, self, (z, 0, plus)))
+        if k > 0:
+            counts["walking"] += 1
+            counts["hits"] += bool(chain)
+        return ftilde(self, z, k, plus, chain)
 
-    def counted(kernel, w0, plus, chains=None):
-        gap = w0.real + kernel.threshold if plus else kernel.threshold - w0.real
-        before = len(sums)
-        try:
-            return walk(kernel, w0, plus, chains)
-        finally:
-            if evaluators._walk_length(gap) > 0:
-                counts["walking"] += 1
-                counts["hits"] += len(sums) == before
-
-    kernel_cls.ftilde_series = summed
-    evaluators._ftilde_eval = counted
+    kernel_cls.ftilde = counted
     try:
         yield counts, sums
     finally:
-        kernel_cls.ftilde_series = series
-        evaluators._ftilde_eval = walk
+        kernel_cls.ftilde = ftilde
 
 
 def _walk_mismatch(evaluators) -> str | None:
-    # what the tree's walk driver takes, when the counter cannot read it
-    params = tuple(inspect.signature(evaluators._ftilde_eval).parameters)
+    # what the tree's F~ body takes, when the counter cannot read it
+    ftilde = getattr(evaluators._DoubleKernel, "ftilde", None)
+    if ftilde is None:
+        return "_DoubleKernel has no ftilde: its walks cannot be counted"
+    params = tuple(inspect.signature(ftilde).parameters)
     if params == WALK_PARAMS:
         return None
-    return (f"_ftilde_eval takes ({', '.join(params)}), not"
+    return (f"_DoubleKernel.ftilde takes ({', '.join(params)}), not"
             f" ({', '.join(WALK_PARAMS)}): its walks cannot be counted")
 
 
