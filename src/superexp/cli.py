@@ -434,7 +434,8 @@ def _build_parser() -> _Parser:
     p.add_argument("re", type=_float)
     p.add_argument("im", type=_float, nargs="?", default=0.0)
     p.add_argument("--cut-side", choices=("above", "below"), default=None,
-                   help="side resolving on-cut arguments (omit = strict)")
+                   help="side resolving on-cut arguments (omit = strict; expc, "
+                        "which has no strict mode, takes above)")
     p.add_argument("--c", type=_parse_complex, default=None,
                    help="iteration count re[,im] for expc")
     p.add_argument("--branch", choices=("lower", "upper"), default=None)

@@ -31,10 +31,10 @@ any other width once, naming it, and every evaluation, default_constants
 and calibrate() reach that rule before any kernel is built or walks.
 
 Every evaluator runs one rule per argument, _cell, which a grid's row
-(_rows, the one row driver) and a public call run alike on the argument
-cast once (the kernels' casts apply `precision.require_finite`, and at
-53 bits the double range): it gates, calls one kernel body and applies
-the cut side.
+(iteration._rows, the one row driver) and a public call run alike on
+the argument cast once (the kernels' casts apply
+`precision.require_finite`, and at 53 bits the double range): it
+gates, calls one kernel body and applies the cut side.
 Real arguments on a cut are evaluated as directional limits: `cut_side`
 picks the side ("above" everywhere by default), and None demands a
 side-independent value, raising BranchCutError where there is none.
@@ -59,7 +59,6 @@ from .errors import (
     DomainError,
     NonConvergenceError,
     OrbitOverflowError,
-    SuperexpError,
 )
 from .precision import (
     PrecisionConfig, mp_context, plain, require_config, require_count, require_finite,
@@ -643,7 +642,7 @@ def _cell(kernel, w, real: bool, cut_side, plus: bool, abel: bool,
     function is the conjugate of the upper-side one, so a real
     argument's value is side-independent exactly when it is real.  A
     public evaluator decides `real` from its argument (_one), a grid row
-    once, from its y (_rows), and exp_iterate from its z.
+    once, from its y (iteration._rows), and exp_iterate from its z.
     """
     if abel:
         if not plus:
@@ -825,64 +824,6 @@ def F3(z: Scalar, ctx: EvalContext | None = None, cut_side="above"):
     """
     kernel = _kernel_of(ctx)
     return _one(kernel, z, cut_side, True, False, kernel.anchors[1])
-
-
-def _sweep(fn: str, ctx: EvalContext):
-    """The row evaluator of one grid sweep of F1, F3, A1 or A3.
-
-    Returns row(xs, y, cut_side) -> (values, errors) from the one row
-    driver, _rows, with _cell for its cell: the value fn(complex(x, y),
-    ctx, cut_side) gives, as a complex double, and None, or None and the
-    error it raises, with the same class, args and attributes.  The
-    kernel and the anchor or norm are resolved once a sweep.  F1 and F3
-    share walks by base: cells of a row a whole number of units apart
-    walk from the same base point, and each base is summed and walked
-    once (_ftilde_eval).  A base's imaginary part is y plus the
-    anchor's, so no two rows share one: the memo is the row call's own.
-    """
-    kernel = _kernel_of(ctx)
-    plus, abel = fn in ("F3", "A3"), fn[0] == "A"
-    return _rows(kernel, _cell, (plus, abel, kernel.anchors[2 * abel + plus]), not abel)
-
-
-def _rows(kernel, cell, args: tuple, memo: bool):
-    """The one row driver of a grid: row(xs, y, cut_side) -> (values, errors).
-
-    Each x is one call cell(kernel, w, real, cut_side, a, b, c, chains)
-    at w = complex(x, y) cast by the kernel, with `args` the sweep's
-    (a, b, c), `real` decided once a row, from y, and `chains` the row's
-    own memo of F~ walks when `memo`, else None.  A cell that raises a
-    SuperexpError records None and the error, its traceback dropped: a
-    stored traceback would hold this frame, which holds the lists.  A
-    wide kernel's values leave as complex doubles, and one past the
-    double range is None with an OrbitOverflowError, not an infinity.
-    """
-    cast, a, b, c = kernel.cast, *args
-    wide = kernel.bits > 53
-
-    def row(xs, y, cut_side) -> tuple:
-        real = _sides(y, cut_side)
-        chains = {} if memo else None
-        values, errors = [], []
-        for x in xs:
-            try:
-                values.append(cell(kernel, cast(complex(x, y)), real, cut_side, a, b, c, chains))
-                errors.append(None)
-            except SuperexpError as exc:
-                values.append(None)
-                errors.append(exc.with_traceback(None))
-        if wide:
-            for i, value in enumerate(values):
-                if value is not None:
-                    value = complex(value)
-                    if cmath.isfinite(value):
-                        values[i] = value
-                    else:
-                        values[i] = None
-                        errors[i] = OrbitOverflowError("the value is past the double range")
-        return values, errors
-
-    return row
 
 
 # -- calibration ------------------------------------------------------------

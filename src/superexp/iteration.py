@@ -5,8 +5,9 @@ A fractional iterate is assembled from the evaluator pair of one branch:
 F3/A3 above it.  The two half-iterates disagree away from the real
 interval around e; :func:`dq13` measures that gap on the axis, and
 :func:`agreement` turns round-trip identities into a decimal-digits
-score suitable for plotting over a grid (:func:`map_grid`), and
-:func:`check_grid` scores and summarises a whole grid.
+score suitable for plotting over a grid (:func:`map_grid`, whose rows
+run through the one row driver, `_rows`), and :func:`check_grid`
+scores and summarises a whole grid.
 
 The kernel of the width holds their values (at_width), so no function
 here asks the width but `_exp_b`, the reference e^(z/e) taken wider.
@@ -28,7 +29,7 @@ from .errors import BranchCutError, DomainError, OrbitOverflowError, SuperexpErr
 # traced benchmark runs wrap the public names by these names
 from .evaluators import A1, A3, F1, F3, abel2  # noqa: F401
 from .evaluators import (
-    _DEFAULT_CTX, EvalContext, Scalar, _as_branch, _cell, _kernel_of, _one, _rows, _sides, _sweep,
+    _DEFAULT_CTX, EvalContext, Scalar, _as_branch, _cell, _kernel_of, _one, _sides,
 )
 from .precision import (
     mp_context, mp_convert, plain, require_config, require_count, require_finite,
@@ -137,10 +138,10 @@ def exp_iterate(req: IterateRequest, ctx: Optional[EvalContext] = None) -> Scala
     require_finite(req.z)
     require_finite(req.c)
     kernel = _kernel_of(ctx)
-    return _iterate(kernel, ctx, kernel.at_width(req.c), req.z, req.branch, req.cut_side)
+    return _iterate(kernel, kernel.at_width(req.c), req.z, req.branch, req.cut_side)
 
 
-def _iterate(kernel, ctx, c, z, branch, cut_side):
+def _iterate(kernel, c, z, branch, cut_side):
     # exp_iterate past its argument rule, with c at the width: map_grid's
     # expc cells and the dq kinds call it with one kernel and count.  z is
     # cast once, under the rule, for the Abel walk and the comparisons
@@ -181,10 +182,11 @@ def _iterate(kernel, ctx, c, z, branch, cut_side):
     return _one(kernel, w, cut_side, upper, False, kernel.anchors[upper])
 
 
-def _expc_cell(kernel, z, real, cut_side, ctx, c, branch, chains):
-    # a map expc cell in the row driver's form (evaluators._rows): the
-    # composition decides its sides on its own argument and walks no memo
-    return _iterate(kernel, ctx, c, z, branch, cut_side)
+def _expc_cell(kernel, z, real, cut_side, c, branch, _, chains):
+    # a map expc cell in the row driver's form (_rows), whose third
+    # argument it has no use for: the composition decides its sides on
+    # its own argument and walks no memo
+    return _iterate(kernel, c, z, branch, cut_side)
 
 
 def dq13(x: Scalar, ctx: Optional[EvalContext] = None) -> Scalar:
@@ -206,10 +208,13 @@ def dq13(x: Scalar, ctx: Optional[EvalContext] = None) -> Scalar:
         ``exp_lower^[1/2](x) - exp_upper^[1/2](x)``.
     """
     ctx = require_config(_DEFAULT_CTX if ctx is None else ctx, EvalContext, "ctx")
-    deep = dataclasses.replace(ctx, max_recursion=max(ctx.max_recursion, 20000))
-    lower = exp_iterate(IterateRequest(0.5, x, IterateBranch.lower), deep)
-    upper = exp_iterate(IterateRequest(0.5, x, IterateBranch.upper), deep)
-    kernel = _kernel_of(deep)  # the difference rounds once, at the width
+    # x passes the argument rule before the width is refused
+    require_finite(x)
+    kernel = _kernel_of(dataclasses.replace(ctx, max_recursion=max(ctx.max_recursion, 20000)))
+    half = kernel.at_width(0.5)
+    lower = _iterate(kernel, half, x, IterateBranch.lower, "above")
+    upper = _iterate(kernel, half, x, IterateBranch.upper, "above")
+    # the difference rounds once, at the width
     return plain(kernel.at_width(lower) - kernel.at_width(upper))
 
 
@@ -272,11 +277,9 @@ def agreement(
         raise ValueError(f"clip must be positive and finite, not {clip!r}")
     clip = float(clip)  # an int, a bool or an mpf clip: the score is a float
     _require_side(cut_side)
-    ctx = ctx if ctx is not None else _DEFAULT_CTX
     # a context of another type, or a width past the calibrated range, is
     # refused, not scored
     kernel = _kernel_of(ctx)
-    bits = ctx.precision.mantissa_bits
     try:
         if kind[1] != "q":
             # the round trip, F then A (af) or A then F (fa), each the
@@ -288,9 +291,9 @@ def agreement(
         else:
             branch = IterateBranch.lower if kind == "dq1" else IterateBranch.upper
             half = kernel.at_width(0.5)
-            once = _iterate(kernel, ctx, half, z, branch, cut_side)
-            x = _iterate(kernel, ctx, half, once, branch, cut_side)
-            y = _exp_b(z, bits)
+            once = _iterate(kernel, half, z, branch, cut_side)
+            x = _iterate(kernel, half, once, branch, cut_side)
+            y = _exp_b(z, kernel.bits)
     except SuperexpError:
         return math.nan
     # X ± Y are formed at the width
@@ -374,6 +377,46 @@ class GridResult:
     errors: tuple
 
 
+def _rows(kernel, cell, args: tuple, memo: bool):
+    """The one row driver of a grid: row(xs, y, cut_side) -> (values, errors).
+
+    Each x is one call cell(kernel, w, real, cut_side, a, b, c, chains)
+    at w = complex(x, y) cast by the kernel, with `args` the sweep's
+    (a, b, c), `real` decided once a row, from y, and `chains` the row's
+    own memo of F~ walks when `memo`, else None.  A cell that raises a
+    SuperexpError records None and the error, its traceback dropped: a
+    stored traceback would hold this frame, which holds the lists.  A
+    wide kernel's values leave as complex doubles, and one past the
+    double range is None with an OrbitOverflowError, not an infinity.
+    """
+    cast, a, b, c = kernel.cast, *args
+    wide = kernel.bits > 53
+
+    def row(xs, y, cut_side) -> tuple:
+        real = _sides(y, cut_side)
+        chains = {} if memo else None
+        values, errors = [], []
+        for x in xs:
+            try:
+                values.append(cell(kernel, cast(complex(x, y)), real, cut_side, a, b, c, chains))
+                errors.append(None)
+            except SuperexpError as exc:
+                values.append(None)
+                errors.append(exc.with_traceback(None))
+        if wide:
+            for i, value in enumerate(values):
+                if value is not None:
+                    value = complex(value)
+                    if cmath.isfinite(value):
+                        values[i] = value
+                    else:
+                        values[i] = None
+                        errors[i] = OrbitOverflowError("the value is past the double range")
+        return values, errors
+
+    return row
+
+
 def map_grid(
     fn: str,
     grid: GridSpec,
@@ -404,15 +447,18 @@ def map_grid(
         singular or overflowing region never aborts the sweep.
 
     Each row is one call of a row evaluator, row(xs, y, cut_side) ->
-    (values, errors), from the one row driver (evaluators._rows), whose
-    loop records each failing cell's error and turns a wide value past
-    the double range into an overflow cell.  F1, F3, A1 and A3 rows come
-    from one sweep (evaluators._sweep): the kernel and the anchor or norm
-    are resolved once, the cut side once a row, and each cell is one
-    call of the evaluators' rule; F1 and F3 cells of a row a whole number of
-    units apart walk the functional equation from the same base point, so
-    a row sums and walks each exact base once.  Each cell is still the
-    evaluator's value at that cell, bit for bit.
+    (values, errors), from the one row driver (_rows), whose loop
+    records each failing cell's error and turns a wide value past the
+    double range into an overflow cell.  The kernel, and for F1, F3, A1
+    and A3 the anchor or norm, are resolved once a call, the cut side
+    once a row, and each F or A cell is one call of the evaluators'
+    rule (evaluators._cell); F1 and F3 cells of a row a whole number of
+    units apart walk the functional equation from the same base point,
+    so a row sums and walks each exact base once.  A base's imaginary
+    part is y plus the anchor's, so no two rows share one: the memo is
+    the row call's own.  Each cell is still the evaluator's value at
+    that cell, bit for bit, and a failing cell records the error the
+    evaluator raises there.
     """
     if fn not in GRID_FUNCTIONS:
         raise ValueError(f"unknown grid function {fn!r}")
@@ -431,9 +477,10 @@ def map_grid(
     if fn == "expc":
         # cast once: a count no cell could take is refused for the whole grid
         c = kernel.at_width(require_finite(c))
-        row = _rows(kernel, _expc_cell, (ctx, c, branch), False)
+        row = _rows(kernel, _expc_cell, (c, branch, None), False)
     else:
-        row = _sweep(fn, ctx)
+        plus, abel = fn in ("F3", "A3"), fn[0] == "A"
+        row = _rows(kernel, _cell, (plus, abel, kernel.anchors[2 * abel + plus]), not abel)
     rows, errs = [], []
     for y in ys:
         values, errors = row(xs, y, grid.cut_side)

@@ -10,8 +10,11 @@ import importlib
 import inspect
 import json
 import pathlib
+import os
 import re
 import runpy
+import subprocess
+import sys
 
 import pytest
 
@@ -341,8 +344,9 @@ def test_one_walk_and_sum_body_per_family():
     walks into the Abel disk and sums there, `ftilde` sums F~ at its base
     and extends the chain.  No abel_walk, abel_series, ftilde_series or
     separate walk sits beside them, _ftilde_eval has no loop of its own,
-    and the double kernel no per-step `step`.  agreement and map_grid
-    compose on exp_iterate's body, building no IterateRequest per call."""
+    and the double kernel no per-step `step`.  agreement, map_grid and
+    dq13 compose on exp_iterate's body, building no IterateRequest per
+    call, and that body takes no ctx: its kernel holds the width."""
     found = []
     for name, cls in (("evaluators.py", "_DoubleKernel"), ("wide.py", "_MPKernel")):
         kernel, = (c for c in TREES[name].body if isinstance(c, ast.ClassDef) and c.name == cls)
@@ -356,20 +360,27 @@ def test_one_walk_and_sum_body_per_family():
                  for fn in TREES[name].body if isinstance(fn, ast.FunctionDef)}
     if any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(functions["_ftilde_eval"])):
         found.append("_ftilde_eval loops: its kernel's ftilde extends the chain")
-    for fn in ("agreement", "map_grid"):
+    for fn in ("agreement", "map_grid", "dq13"):
         for callee in ("IterateRequest", "exp_iterate"):
             if _calls(functions[fn], callee):
                 found.append(f"iteration.{fn} calls {callee}: it composes on _iterate")
+    if _takes(functions["_iterate"], "ctx"):
+        found.append("iteration._iterate takes a ctx: its kernel holds the width")
     assert found == []
 
 
 def test_one_row_driver():
     """A grid's cells are evaluated and their failures recorded in one
-    loop, evaluators._rows, for map_grid's F, A and expc rows alike: the
+    loop, iteration._rows, for map_grid's F, A and expc rows alike: the
     catch-and-record, which drops a failure's traceback, is written once
-    in the library."""
+    in the library.  The driver lives with the grids, in iteration.py,
+    and map_grid calls it directly, through no evaluators._sweep."""
     n = sum(text.count("with_traceback(None)") for text in TEXT.values())
     assert n == 1, f"the catch-and-record is written {n} times, not once"
+    rows = [f"{name}:{fn.lineno}" for name, tree in TREES.items() for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_rows"]
+    assert rows == [f"iteration.py:{iteration._rows.__code__.co_firstlineno}"], rows
+    _absent(r"\b_sweep\b", ["evaluators.py"], "evaluators.py names a _sweep")
 
 
 @pytest.mark.parametrize("fn, grid, walking, hits, sums", [
@@ -381,7 +392,7 @@ def test_one_row_driver():
 ])
 def test_shared_walk_counts(fn, grid, walking, hits, sums):
     """A 53-bit F1 or F3 sweep reads walks off other cells of its row
-    (evaluators._sweep), as tools/sweep_cost.py's counter counts them:
+    (iteration.map_grid), as tools/sweep_cost.py's counter counts them:
     the cells whose walk takes a step, those of them that summed no
     series of their own, and the series summed."""
     count = runpy.run_path(str(ROOT / "tools" / "sweep_cost.py"))["_count"]
@@ -451,3 +462,35 @@ def test_readme_names_resolve():
         except AttributeError:
             missing.append(name)
     assert missing == [], f"README.md names what superexp does not have: {', '.join(missing)}"
+
+
+def _runs_clean(args, cwd) -> None:
+    # one `python -W error` process on the library under test, in an empty
+    # directory with its own cache: a failure or any warning fails the test
+    env = dict(os.environ, SUPEREXP_CACHE_DIR=str(cwd / "cache"),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent),
+                                                        os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_python_blocks_run(tmp_path):
+    """Every fenced python block of the README, in order, runs as one
+    script: a stale library example, or any warning it raises, fails."""
+    lines, inside = [], False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if not inside and line.startswith("```python"):
+            inside = True
+        elif inside and line.startswith("```"):
+            inside = False
+        elif inside:
+            lines.append(line)
+    assert lines, "the README has no python block"
+    _runs_clean(["-c", "\n".join(lines)], tmp_path)
+
+
+@pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    """Each demo exits 0 and raises no warning."""
+    _runs_clean([str(ROOT / "demos" / demo)], tmp_path)

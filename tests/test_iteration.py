@@ -244,14 +244,31 @@ class TestDq13:
         assert abs(d - complex(d128)) < 1e-10
 
     def test_difference_formed_at_128_bits(self):
-        # the two half iterates subtracted at the evaluation precision;
-        # in mpmath's global 53-bit context the difference is 2.8e-20 off
-        x = E - 0.1
-        lower = exp_iterate(req(0.5, x, "lower"), CTX128)
-        upper = exp_iterate(req(0.5, x, "upper"), CTX128)
-        with mp.workprec(128):
-            want = lower - upper
-        assert dq13(x, CTX128) == want
+        # the two public half steps, with dq13's deep walk cap, subtracted
+        # at the evaluation precision, bit for bit at every width; at 128
+        # bits, in mpmath's global 53-bit context, the difference is
+        # 2.8e-20 off.  E + 0.001 walks past the default cap
+        for bits in (53, 128, 256):
+            ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=bits))
+            deep = dataclasses.replace(ctx, max_recursion=20000)
+            for x in (E - 0.1, E + 0.05, E + 0.001):
+                lower = exp_iterate(req(0.5, x, "lower"), deep)
+                upper = exp_iterate(req(0.5, x, "upper"), deep)
+                if bits == 53:
+                    want = lower - upper
+                else:
+                    with mp.workprec(bits):
+                        want = lower - upper
+                got = dq13(x, ctx)
+                assert type(got) is type(want) and got == want, (bits, x)
+
+    def test_refuses_a_non_finite_x_before_the_width(self):
+        # the argument rule first, as exp_iterate's; then the width
+        ctx = EvalContext(precision=PrecisionConfig(mantissa_bits=500))
+        with pytest.raises(DomainError, match="^argument must be finite, got nan$"):
+            dq13(math.nan, ctx)
+        with pytest.raises(DomainError, match="^500 bits is out of range"):
+            dq13(E - 0.1, ctx)
 
     def test_zero_at_fixed_point(self):
         assert dq13(E) == 0.0
@@ -618,7 +635,7 @@ class TestMapGrid:
         def evaluated(*args, **kwargs):
             raise AssertionError("a cell was evaluated")
 
-        for attr in ("A1", "A3", "_sweep"):
+        for attr in ("A1", "A3", "_rows"):
             monkeypatch.setattr(it, attr, evaluated)
         message = f"^{name} applies to fn='expc' only, not to {fn!r}$"
         with pytest.raises(ValueError, match=message):
@@ -695,7 +712,7 @@ class TestMapGrid:
 
         body, branch = it._iterate, "lower" if kind == "dq1" else "upper"
 
-        def public(kernel, ctx, c, z, _branch, cut_side):
+        def public(kernel, c, z, _branch, cut_side):
             # the documented half step on the kind's branch, a public call in
             # place of each body call (the body runs inside it)
             monkeypatch.setattr(it, "_iterate", body)
@@ -987,10 +1004,12 @@ class TestSharedWalks:
         ids=["tenths-below", "overflow"],
     )
     @pytest.mark.parametrize("fn", ["F1", "F3", "A1", "A3"])
-    def test_sweep_errors_equal_per_cell(self, fn, grid):
+    def test_sweep_errors_equal_per_cell(self, monkeypatch, fn, grid):
         # a failing cell of a sweep raises what the evaluator raises on
         # that cell alone: the same class, args and attributes, whether
         # its walk failed first for it or for another cell of its row
+        import superexp.iteration as it
+
         def outcome(evaluate, *args):
             try:
                 evaluate(*args)
@@ -1002,7 +1021,11 @@ class TestSharedWalks:
             return None if exc is None else (type(exc), exc.args, vars(exc))
 
         f = EVALUATORS[fn]
-        row = ev._sweep(fn, EvalContext())
+        # the row evaluator map_grid builds, caught as the driver returns it
+        built, driver = [], it._rows
+        monkeypatch.setattr(it, "_rows", lambda *args: built.append(driver(*args)) or built[-1])
+        map_grid(fn, grid, EvalContext())
+        row, = built
         for y in grid.ys():
             _, errors = row(grid.xs(), y, grid.cut_side)
             for x, exc in zip(grid.xs(), errors):

@@ -2,7 +2,7 @@
 
 The operation is a map_grid sweep of F1, F3, A1 or A3, or a check_grid
 of one agreement kind (d1af, d1fa, d3af, d3fa, dq1, dq3).  A sweep
-evaluates a row per call (evaluators._sweep), and its loop runs each F
+evaluates a row per call (iteration._rows), and its loop runs each F
 cell's walk through the double kernel's one F~ body, ftilde, with the
 row's memo of functional-equation walks by exact base point, so an F cell a whole
 number of units from another cell of its row can read its value off
