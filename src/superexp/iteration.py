@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import enum
+import functools
 import json
 import math
 import numbers
@@ -210,12 +211,19 @@ def dq13(x: Scalar, ctx: Optional[EvalContext] = None) -> Scalar:
     ctx = require_config(_DEFAULT_CTX if ctx is None else ctx, EvalContext, "ctx")
     # x passes the argument rule before the width is refused
     require_finite(x)
-    kernel = _kernel_of(dataclasses.replace(ctx, max_recursion=max(ctx.max_recursion, 20000)))
+    kernel = _kernel_of(_deep(ctx))
     half = kernel.at_width(0.5)
     lower = _iterate(kernel, half, x, IterateBranch.lower, "above")
     upper = _iterate(kernel, half, x, IterateBranch.upper, "above")
     # the difference rounds once, at the width
     return plain(kernel.at_width(lower) - kernel.at_width(upper))
+
+
+@functools.lru_cache(maxsize=32)
+def _deep(ctx: EvalContext) -> EvalContext:
+    # dq13's context, the caller's with a walk cap of at least 20000: one
+    # object per caller context, which _kernel_of matches by identity
+    return dataclasses.replace(ctx, max_recursion=max(ctx.max_recursion, 20000))
 
 
 def _exp_b(z: Scalar, bits: int) -> Scalar:

@@ -31,11 +31,18 @@ Python integer per point, scaled by 2^(bits+32), with mpmath's fixed-point
 ``exp`` (and ``log`` backward): for them ``mantissa_bits`` sets an absolute
 resolution of 2^-(bits+32), which keeps at least ``bits`` significant bits
 while 2^-32 <= |u| < 64.  The estimators amplify the orbit's error by
-about n^2/2, so their orbits of n <= 2^g steps take 2g bits more.  A point
+about n^2/2, so their orbits of n <= 2^g steps take 2g bits more.  A
+forward estimator orbit steps by its increment, u_(n+1) = u_n + (1 + u_n)
+(e^d - 1) with d = u_n - u_(n-1) and e^d - 1 a short Taylor sum, and
+takes a full ``exp`` step at every 16th index: a state is within 17
+units of 2^-scale of the full step of its predecessor and, while the
+orbit contracts (u < 0), within 19 n units of the orbit of full steps
+after n steps, for which the orbit takes log2 16 = 4 bits more.  A point
 outside that range, and every complex point, steps as an mpmath value at
 ``bits``.  A result converts the integer exactly, so ``iterate_h`` may
-return up to bits + 38 significant bits, and an orbit split in two ends
-where the whole orbit does.
+return up to bits + 38 significant bits, and, since its orbit takes a
+full step per index, an orbit split in two ends where the whole orbit
+does.
 
 Arithmetic runs in private mpmath contexts (`mp_context`), never at
 mpmath's global precision, so neither that setting nor another thread
@@ -178,12 +185,16 @@ def _h_inv_step(ctx, z, index: int):
 
 
 # a real orbit point with 2^-_FIXED_GUARD <= |u| < 2^_FIXED_TOP steps on an
-# integer scaled by 2^(bits + _FIXED_GUARD); the absolute resolution then
-# keeps at least `bits` significant bits.  The shift and ratio estimators
-# amplify the absolute error of an n-step orbit by about n^2/2, so their
-# orbits take 2 log2 n more
+# integer scaled by 2^(bits + _FIXED_GUARD) and the estimators' guard bits
+# (the module docstring gives the rule)
 _FIXED_GUARD = 32
 _FIXED_TOP = 6
+# an estimator orbit's full steps: every _ANCHOR_EVERY-th index and each
+# whose increment is not below 2^-_SMALL_STEP; _SUM_GUARD guard bits for
+# the Taylor sum of an increment step
+_ANCHOR_EVERY = 16
+_SMALL_STEP = 12
+_SUM_GUARD = 8
 
 
 class _Orbits:
@@ -197,17 +208,39 @@ class _Orbits:
     most once each way.  `estimator_n` is the orbit length a shift or
     ratio estimator divides by; its orbit carries 2 log2 n guard bits
     more.
+
+    A forward step of an estimator orbit goes by its increment d = u_n -
+    u_(n-1): since 1 + u_n = e^(u_(n-1)), u_(n+1) = u_n + (1 + u_n)(e^d -
+    1), with e^d - 1 a short Taylor sum on the integers and the product
+    rounded once at the scale.  Such a step keeps the defect of u_n, its
+    distance from the full step of u_(n-1), and adds at most a unit of
+    2^-scale to it; a full `exp_fixed` step leaves only its own
+    rounding.  The full steps are every K-th index (K = _ANCHOR_EVERY =
+    16), the first, a step whose predecessor is not an in-range integer
+    and one whose |d| is not below 2^-12.  A state is then within K + 1
+    units of the full step of its predecessor and, while the orbit
+    contracts (u < 0, where a step shrinks a difference), within
+    n (K + 3) units of the orbit of full steps after n steps; the scale
+    carries log2 K bits more for it.  Backward orbits, and those of
+    `iterate_h`, which returns its state, take a full step per index.
     """
 
     def __init__(self, points, bits: int, inverse: bool = False, estimator_n: int = 1):
         self.mp = mp_context(bits)
-        self.scale = bits + _FIXED_GUARD + 2 * (estimator_n - 1).bit_length()
+        # a full step at every index, but at every K-th on a forward
+        # estimator orbit
+        self._stride = _ANCHOR_EVERY if estimator_n > 1 and not inverse else 1
+        self.scale = (bits + _FIXED_GUARD + 2 * (estimator_n - 1).bit_length()
+                      + (self._stride - 1).bit_length())
         self._one = 1 << self.scale
         self._ln2 = ln2_fixed(self.scale)
         self._low = self.scale - _FIXED_GUARD
         self._high = self.scale + _FIXED_TOP
+        self._small = self.scale - _SMALL_STEP
         self._inverse = inverse
         self.states = [self._enter(_as_mp(self.mp, p)) for p in points]
+        # each state's predecessor, None before the first step
+        self.previous = [None] * len(self.states)
         self.pos = 0
 
     def _enter(self, w):
@@ -217,8 +250,9 @@ class _Orbits:
                 return to_fixed(w._mpf_, self.scale)
         return w
 
-    def step(self, w, index: int):
-        """One step of a state; `index` numbers it for the errors."""
+    def step(self, w, index: int, previous=None):
+        """One step of a state; `index` numbers it for the errors, and
+        `previous`, the state before it, lets it go by its increment."""
         if isinstance(w, int_types):
             # the log's domain ends at u = -1
             in_range = self._low < w.bit_length() <= self._high and (
@@ -230,17 +264,44 @@ class _Orbits:
                     # |log(1 + u)| < 8, so 3 more bits reach 2^-scale,
                     # unless u < 1/e - 1 and the next step leaves the domain
                     return to_fixed(mpf_log(x, self.scale + 3), self.scale)
+                # an in-range integer predecessor stepped to w on integers
+                if (
+                    index % self._stride
+                    and isinstance(previous, int_types)
+                    and self._low < previous.bit_length() <= self._high
+                ):
+                    d = w - previous
+                    if d.bit_length() <= self._small:
+                        return self._increment(w, d)
                 return exp_fixed(w, self.scale, self._ln2) - self._one
             w = self.value(w)
         if self._inverse:
             return self._enter(_h_inv_step(self.mp, w, index))
         return self._enter(_h_step(self.mp, w, index))
 
+    def _increment(self, w, d):
+        # w + (1 + w)(e^d - 1), with e^d - 1 summed _SUM_GUARD bits finer
+        # as its even terms plus d times its odd ones, d^2 a time: the
+        # terms shrink below a unit after about scale/12 of them
+        prec = self.scale + _SUM_GUARD
+        d <<= _SUM_GUARD
+        square = d * d >> prec
+        term, even, odd, k = square, 0, 1 << prec, 2
+        while term:
+            term //= k
+            even += term
+            term //= k + 1
+            odd += term
+            k += 2
+            term = term * square >> prec
+        return w + ((self._one + w) * (even + (odd * d >> prec)) >> prec)
+
     def run_to(self, n: int) -> None:
-        states = self.states
+        states, previous = self.states, self.previous
         for i in range(self.pos, n):
             for k, w in enumerate(states):
-                states[k] = self.step(w, i)
+                states[k] = self.step(w, i, previous[k])
+                previous[k] = w
         self.pos = n
 
     def value(self, w):
@@ -304,7 +365,7 @@ def _ratio_terms(orbits: _Orbits, n: int) -> tuple:
     z, u = orbits.states
     # an escaped h^[n](z) makes the ratio tower-sized: report the escape
     _check_escape(orbits.value(z), n)
-    u1 = orbits.step(u, n)
+    u1 = orbits.step(u, n, orbits.previous[1])
     exact = all(isinstance(w, int_types) for w in (z, u, u1))
     if exact:
         num, den = orbits.value(z - u), orbits.value(u1 - u)

@@ -405,6 +405,29 @@ def test_shared_walk_counts(fn, grid, walking, hits, sums):
     assert evaluators._DoubleKernel.ftilde == ftilde
 
 
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("method, increments, full", [
+    ("levy", 2673, 355),
+    ("fatou1", 2663, 355),
+])
+def test_increment_step_counts(method, increments, full, bits):
+    """A 10-row levy or fatou1 pass at n = 1500..1509 steps its forward
+    estimator orbits by their increment but at every 16th index, the
+    first steps and those of an increment not below 2^-12 (about
+    n < 90), as tools/orbit_cost.py's counter counts them; the pass's
+    total stays that of TestOnePass's rule."""
+    from superexp import limits
+
+    table_counts = runpy.run_path(str(ROOT / "tools" / "orbit_cost.py"))["table_counts"]
+    step, increment = limits._Orbits.step, limits._Orbits._increment
+    counts = table_counts(method, bits, range(1500, 1510))
+    assert (counts["increment"], counts["full"], counts["mpf"], counts["failed"]) == (
+        increments, full, 0, 0)
+    assert counts["steps"] == 2 * 1509 + (10 if method == "levy" else 0)
+    # the counter unwraps on exit, so later passes run as they are
+    assert (limits._Orbits.step, limits._Orbits._increment) == (step, increment)
+
+
 TINY = "--grid=-2:6:-2:2:5:3"
 
 

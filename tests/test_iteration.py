@@ -277,6 +277,27 @@ class TestDq13:
         assert abs(dq13(E + 0.1)) > 10.0 * abs(dq13(E + 0.01))
 
 
+@pytest.mark.parametrize("ctx", [None, CTX128], ids=["53", "128"])
+def test_dq13_keeps_one_deep_context(monkeypatch, ctx):
+    # the deep-cap context is built once per caller context, so _kernel_of
+    # matches it by identity and the caller's kernel stays in its slot
+    import superexp.iteration as it
+
+    seen = []
+
+    def recorded(context):
+        seen.append(context)
+        return kernel_of(context)
+
+    kernel_of = it._kernel_of
+    monkeypatch.setattr(it, "_kernel_of", recorded)
+    dq13(E - 0.1, ctx)
+    dq13(E + 0.05, ctx)
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert seen[0].max_recursion == 20000
+    assert seen[0].precision == (ctx or EvalContext()).precision
+
+
 class TestAgreement:
     @pytest.mark.parametrize(
         "kind,z",

@@ -938,3 +938,56 @@ class TestOnePass:
         rows = convergence_table(method, args, range(50, 60), CFG256)
         assert [r.error for r in rows] == [None] * 10
         assert count == steps
+
+
+class TestIncrementSteps:
+    # an estimator orbit's forward step goes by its increment, and every
+    # _ANCHOR_EVERY-th index, the first steps and those of a large increment
+    # are full steps (test_design pins the counts of a table's pass)
+    def test_full_step_from_a_predecessor_off_the_integers(self):
+        # w = 64 - 2^-20 is in the integer range; a predecessor 2^-14 away
+        # but at u >= 64, out of it, or an mpmath value, did not step to w
+        # on integers, so its increment would be no step of w
+        orbits = limits._Orbits([-1], 256, estimator_n=1000)
+        one = 1 << orbits.scale
+        w = 64 * one - (one >> 20)
+        full = orbits.step(w, 1)
+        for previous in (w + (one >> 14), orbits.value(w - (one >> 14))):
+            assert orbits.step(w, 1, previous) == full
+        # in range, the same increment is taken, and is no step of w
+        assert orbits.step(w, 1, w - (one >> 14)) != full
+
+    @pytest.mark.parametrize("bits", [53, 256])
+    def test_drift_from_the_full_step_orbit(self, bits):
+        # the documented bounds on a contracting orbit: a state within
+        # K + 1 units of 2^-scale of the full step of its predecessor, and
+        # within m (K + 3) units of the full-step orbit after m steps
+        # (2^11.0 at m = 1600 and 2^14.7 at m = 20000 measured, K = 16)
+        n, bound = 20000, limits._ANCHOR_EVERY + 3
+        ctx = limits.mp_context(bits)
+        starts = [limits._tau_inv(ctx, -1), limits._tau_inv(ctx, 0)]
+        orbits = limits._Orbits(starts, bits, estimator_n=n)
+        full = list(orbits.states)
+        for m in range(1000, n + 1, 1000):
+            for i in range(orbits.pos, m):
+                full = [orbits.step(w, i) for w in full]
+            orbits.run_to(m)
+            assert all(isinstance(w, MPZ_TYPE) for w in orbits.states)
+            for w, p, v in zip(orbits.states, orbits.previous, full):
+                assert abs(w - orbits.step(p, m - 1)) <= limits._ANCHOR_EVERY + 1, m
+                assert abs(w - v) <= m * bound, m
+
+    @pytest.mark.parametrize("bits", [53, 256])
+    def test_rows_equal_the_full_step_rows(self, monkeypatch, bits):
+        cfg = PrecisionConfig(mantissa_bits=bits)
+        ns = [1, 16, 17, 100, 1500, 1509, 19999, 20000]
+
+        def tables():
+            return [convergence_table("levy", (-1, 1), ns, cfg), convergence_table("fatou1", (-1,), ns, cfg)]
+
+        by_increment = tables()
+        # every step a full one, at the same scale: the step as called
+        # without its predecessor
+        step = limits._Orbits.step
+        monkeypatch.setattr(limits._Orbits, "step", lambda self, w, index, previous=None: step(self, w, index))
+        assert tables() == by_increment
